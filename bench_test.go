@@ -8,77 +8,46 @@ package repro
 // paper-comparable numbers.
 
 import (
-	"regexp"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// headline extracts a rendered cell from an experiment's first table.
-func headline(b *testing.B, tables []*core.Table, rowPrefix string, col int) string {
+// metric returns the named typed metric of an experiment's first table.
+func metric(b *testing.B, tables []*core.Table, name string) float64 {
 	b.Helper()
-	for _, row := range tables[0].Rows {
-		if strings.HasPrefix(row[0], rowPrefix) {
-			return row[col]
-		}
-	}
-	b.Fatalf("no row %q in %q", rowPrefix, tables[0].Title)
-	return ""
-}
-
-var benchDurRe = regexp.MustCompile(`([0-9.]+)(ns|µs|ms|s|min)`)
-
-func asMillis(b *testing.B, cell string) float64 {
-	b.Helper()
-	m := benchDurRe.FindStringSubmatch(cell)
-	if m == nil {
-		b.Fatalf("cannot parse %q", cell)
-	}
-	v, _ := strconv.ParseFloat(m[1], 64)
-	switch m[2] {
-	case "ns":
-		return v / 1e6
-	case "µs":
-		return v / 1000
-	case "ms":
-		return v
-	case "s":
-		return v * 1000
-	default:
-		return v * 60 * 1000
-	}
-}
-
-func asDollars(b *testing.B, cell string) float64 {
-	b.Helper()
-	s := strings.TrimSuffix(strings.TrimPrefix(cell, "$"), "/hr")
-	v, err := strconv.ParseFloat(strings.ReplaceAll(s, ",", ""), 64)
-	if err != nil {
-		b.Fatalf("cannot parse %q", cell)
+	v, ok := tables[0].Value(name)
+	if !ok {
+		b.Fatalf("no metric %q in %q", name, tables[0].Title)
 	}
 	return v
+}
+
+// millis returns the named duration metric in milliseconds.
+func millis(b *testing.B, tables []*core.Table, name string) float64 {
+	b.Helper()
+	return metric(b, tables, name) / 1e6
 }
 
 // BenchmarkTable1Latencies regenerates Table 1 (1KB communication costs).
 func BenchmarkTable1Latencies(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTable1(1)
+		tables = core.RunTable1(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 1)), "invoke-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 2)), "lambda-s3-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 3)), "lambda-ddb-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Latency", 6))*1000, "zmq-us")
+	b.ReportMetric(millis(b, tables, "invoke"), "invoke-ms")
+	b.ReportMetric(millis(b, tables, "lambda-s3"), "lambda-s3-ms")
+	b.ReportMetric(millis(b, tables, "lambda-ddb"), "lambda-ddb-ms")
+	b.ReportMetric(millis(b, tables, "ec2-zmq")*1000, "zmq-us")
 }
 
 // BenchmarkFigure1Trends regenerates Figure 1 (trends chart).
 func BenchmarkFigure1Trends(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFigure1(1)
+		tables = core.RunFigure1(1, core.Options{})
 	}
 	if len(tables[0].Rows) != 2 {
 		b.Fatal("figure 1 incomplete")
@@ -90,10 +59,10 @@ func BenchmarkFigure1Trends(b *testing.B) {
 func BenchmarkTrainingCaseStudy(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTraining(1)
+		tables = core.RunTraining(1, core.Options{})
 	}
-	lambdaMin := asMillis(b, headline(b, tables, "Lambda", 5)) / 60000
-	ec2Min := asMillis(b, headline(b, tables, "EC2 m4.large", 5)) / 60000
+	lambdaMin := millis(b, tables, "lambda.total") / 60000
+	ec2Min := millis(b, tables, "ec2.total") / 60000
 	b.ReportMetric(lambdaMin, "lambda-min")
 	b.ReportMetric(ec2Min, "ec2-min")
 	b.ReportMetric(lambdaMin/ec2Min, "slowdown-x")
@@ -104,12 +73,12 @@ func BenchmarkTrainingCaseStudy(b *testing.B) {
 func BenchmarkServingLatency(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServing(1)
+		tables = core.RunServing(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "Lambda, model fetched", 1)), "lambda-fetch-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Lambda, compiled-in", 1)), "lambda-opt-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "EC2 m5.large + SQS", 1)), "ec2-sqs-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "EC2 m5.large + ZeroMQ", 1)), "ec2-zmq-ms")
+	b.ReportMetric(millis(b, tables, "lambda-fetch"), "lambda-fetch-ms")
+	b.ReportMetric(millis(b, tables, "lambda-opt"), "lambda-opt-ms")
+	b.ReportMetric(millis(b, tables, "ec2-sqs"), "ec2-sqs-ms")
+	b.ReportMetric(millis(b, tables, "ec2-zmq"), "ec2-zmq-ms")
 }
 
 // BenchmarkServingCost regenerates the 1M msg/s cost analysis
@@ -117,10 +86,10 @@ func BenchmarkServingLatency(b *testing.B) {
 func BenchmarkServingCost(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServingCost(1)
+		tables = core.RunServingCost(1, core.Options{})
 	}
-	sqs := asDollars(b, headline(b, tables, "SQS requests alone", 2))
-	ec2 := asDollars(b, headline(b, tables, "EC2 m5.large fleet", 2))
+	sqs := metric(b, tables, "sqs.cost")
+	ec2 := metric(b, tables, "ec2.cost")
 	b.ReportMetric(sqs, "sqs-usd-hr")
 	b.ReportMetric(ec2, "ec2-usd-hr")
 	b.ReportMetric(sqs/ec2, "ratio-x")
@@ -131,10 +100,10 @@ func BenchmarkServingCost(b *testing.B) {
 func BenchmarkElectionBlackboard(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElection(1)
+		tables = core.RunElection(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "Election round", 1))/1000, "round-s")
-	b.ReportMetric(asDollars(b, headline(b, tables, "Storage cost, 1,000 nodes", 1)), "usd-hr-1000n")
+	b.ReportMetric(millis(b, tables, "round")/1000, "round-s")
+	b.ReportMetric(metric(b, tables, "cost@1000"), "usd-hr-1000n")
 }
 
 // BenchmarkBandwidthSweep regenerates the per-function bandwidth collapse
@@ -142,72 +111,69 @@ func BenchmarkElectionBlackboard(b *testing.B) {
 func BenchmarkBandwidthSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunBandwidth(1)
+		tables = core.RunBandwidth(1, core.Options{})
 	}
-	solo, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "1", 1))[0], 64)
-	packed, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "20", 1))[0], 64)
-	b.ReportMetric(solo, "solo-mbps")
-	b.ReportMetric(packed, "packed20-mbps")
+	b.ReportMetric(metric(b, tables, "mbps@1"), "solo-mbps")
+	b.ReportMetric(metric(b, tables, "mbps@20"), "packed20-mbps")
 }
 
 // BenchmarkWorkflowSignup regenerates the §2 composition-overhead table.
 func BenchmarkWorkflowSignup(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunWorkflow(1)
+		tables = core.RunWorkflow(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "FaaS pipeline", 1)), "pipeline-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Single EC2 process", 1)), "monolith-ms")
+	b.ReportMetric(millis(b, tables, "pipeline"), "pipeline-ms")
+	b.ReportMetric(millis(b, tables, "monolith"), "monolith-ms")
 }
 
 // BenchmarkAblationFirecracker regenerates footnote 5's what-if.
 func BenchmarkAblationFirecracker(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFirecracker(1)
+		tables = core.RunFirecracker(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "Cold invoke", 1)), "cold-classic-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Cold invoke", 2)), "cold-firecracker-ms")
+	b.ReportMetric(millis(b, tables, "cold.classic"), "cold-classic-ms")
+	b.ReportMetric(millis(b, tables, "cold.firecracker"), "cold-firecracker-ms")
 }
 
 // BenchmarkAblationFastNIC regenerates footnote 4's what-if.
 func BenchmarkAblationFastNIC(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFastNIC(1)
+		tables = core.RunFastNIC(1, core.Options{})
 	}
-	v, _ := strconv.ParseFloat(strings.Fields(headline(b, tables, "64", 1))[0], 64)
-	b.ReportMetric(v/8, "mbytes-per-core")
+	b.ReportMetric(metric(b, tables, "mbps@64")/8, "mbytes-per-core")
 }
 
 // BenchmarkFuturePlatform regenerates the §4 prototype comparison.
 func BenchmarkFuturePlatform(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFuture(1)
+		tables = core.RunFuture(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "Model training", 2))/60000, "training-min")
-	b.ReportMetric(asMillis(b, headline(b, tables, "Prediction serving", 2)), "serving-ms")
+	b.ReportMetric(millis(b, tables, "training")/60000, "training-min")
+	b.ReportMetric(millis(b, tables, "serving"), "serving-ms")
 }
 
 // BenchmarkElectionSweep regenerates the polling-rate sensitivity table.
 func BenchmarkElectionSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElectionSweep(1)
+		tables = core.RunElectionSweep(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "1 Hz", 1))/1000, "round-1hz-s")
-	b.ReportMetric(asMillis(b, headline(b, tables, "8 Hz", 1))/1000, "round-8hz-s")
+	b.ReportMetric(millis(b, tables, "round@1Hz")/1000, "round-1hz-s")
+	b.ReportMetric(millis(b, tables, "round@8Hz")/1000, "round-8hz-s")
 }
 
 // BenchmarkAutoscaleUnderLoad regenerates the §1.2 "step forward" table.
 func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunAutoscale(1)
+		tables = core.RunAutoscale(1, core.Options{})
 	}
-	b.ReportMetric(asMillis(b, headline(b, tables, "50 req/s", 2)), "lambda-p99-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "50 req/s", 4))/1000, "ec2-p99-s")
+	b.ReportMetric(millis(b, tables, "lambda.p99@50"), "lambda-p99-ms")
+	b.ReportMetric(millis(b, tables, "ec2.p99@50")/1000, "ec2-p99-s")
 }
 
 // BenchmarkRegionScaleKV runs the region-scale sharding scenario (no paper
@@ -217,20 +183,13 @@ func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 func BenchmarkRegionScaleKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunRegionScale(1)
+		tables = core.RunRegionScale(1, core.Options{})
 	}
-	rps := func(shardRow string) float64 {
-		v, err := strconv.ParseFloat(headline(b, tables, shardRow, 1), 64)
-		if err != nil {
-			b.Fatalf("cannot parse throughput for %s shards", shardRow)
-		}
-		return v
-	}
-	shard1, shard4 := rps("1"), rps("4")
+	shard1, shard4 := metric(b, tables, "rps@1"), metric(b, tables, "rps@4")
 	b.ReportMetric(shard1, "shard1-rps")
 	b.ReportMetric(shard4, "shard4-rps")
 	b.ReportMetric(shard4/shard1, "speedup4-x")
-	b.ReportMetric(asMillis(b, headline(b, tables, "4", 4)), "shard4-p99-ms")
+	b.ReportMetric(millis(b, tables, "p99@4"), "shard4-p99-ms")
 }
 
 // BenchmarkFaaSScale runs the FaaS serving-tier scaling scenario (no paper
@@ -241,20 +200,13 @@ func BenchmarkRegionScaleKV(b *testing.B) {
 func BenchmarkFaaSScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFaaSScale(1)
+		tables = core.RunFaaSScale(1, core.Options{})
 	}
-	coldPct := func(row string) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(headline(b, tables, row, 4), "%"), 64)
-		if err != nil {
-			b.Fatalf("cannot parse cold fraction for row %s", row)
-		}
-		return v
-	}
-	b.ReportMetric(coldPct("0"), "cold0-pct")
-	b.ReportMetric(coldPct("32"), "cold32-pct")
-	b.ReportMetric(asMillis(b, headline(b, tables, "0", 3)), "p99-prov0-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "32", 3)), "p99-prov32-ms")
-	b.ReportMetric(asDollars(b, headline(b, tables, "auto", 6)), "auto-usd-hr")
+	b.ReportMetric(metric(b, tables, "cold@0"), "cold0-pct")
+	b.ReportMetric(metric(b, tables, "cold@32"), "cold32-pct")
+	b.ReportMetric(millis(b, tables, "p99@0"), "p99-prov0-ms")
+	b.ReportMetric(millis(b, tables, "p99@32"), "p99-prov32-ms")
+	b.ReportMetric(metric(b, tables, "cost@auto"), "auto-usd-hr")
 }
 
 // BenchmarkMillionUserKV runs the million-user scenario (the ROADMAP's
@@ -267,21 +219,14 @@ func BenchmarkFaaSScale(b *testing.B) {
 func BenchmarkMillionUserKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunMillionUser(1)
+		tables = core.RunMillionUser(1, core.Options{})
 	}
-	rps := func(shardRow string) float64 {
-		v, err := strconv.ParseFloat(headline(b, tables, shardRow, 1), 64)
-		if err != nil {
-			b.Fatalf("cannot parse throughput for %s shards", shardRow)
-		}
-		return v
-	}
-	b.ReportMetric(rps("16"), "shard16-rps")
-	b.ReportMetric(rps("64"), "shard64-rps")
-	b.ReportMetric(asMillis(b, headline(b, tables, "64", 2)), "shard64-p50-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "64", 3)), "shard64-p99-ms")
-	b.ReportMetric(asMillis(b, headline(b, tables, "64", 4)), "shard64-p999-ms")
-	b.ReportMetric(asDollars(b, headline(b, tables, "64", 6)), "usd-hr")
+	b.ReportMetric(metric(b, tables, "rps@16"), "shard16-rps")
+	b.ReportMetric(metric(b, tables, "rps@64"), "shard64-rps")
+	b.ReportMetric(millis(b, tables, "p50@64"), "shard64-p50-ms")
+	b.ReportMetric(millis(b, tables, "p99@64"), "shard64-p99-ms")
+	b.ReportMetric(millis(b, tables, "p999@64"), "shard64-p999-ms")
+	b.ReportMetric(metric(b, tables, "cost@64"), "usd-hr")
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.HeapSys)/(1<<20), "peak-heap-mb")
@@ -296,23 +241,14 @@ func BenchmarkMillionUserKV(b *testing.B) {
 func BenchmarkStateCacheScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunStateCache(1)
+		tables = core.RunStateCache(1, core.Options{})
 	}
-	uncachedP99 := asMillis(b, headline(b, tables, "uncached", 5))
-	cachedRow := func(col int) string {
-		for _, row := range tables[0].Rows {
-			if row[0] == "cached" && row[1] == "4" && row[2] == "200.0ms" {
-				return row[col]
-			}
-		}
-		b.Fatal("no cached 4-replica/200ms row")
-		return ""
-	}
-	cachedP99 := asMillis(b, cachedRow(5))
+	uncachedP99 := millis(b, tables, "read-p99.uncached")
+	cachedP99 := millis(b, tables, "read-p99.cached")
 	b.ReportMetric(uncachedP99, "uncached-p99-ms")
 	b.ReportMetric(cachedP99*1e6, "cached-p99-ns")
 	b.ReportMetric(uncachedP99/cachedP99, "p99-ratio-x")
-	b.ReportMetric(asMillis(b, cachedRow(6)), "stale-p99-ms")
+	b.ReportMetric(millis(b, tables, "stale-p99.cached"), "stale-p99-ms")
 }
 
 // sanity: experiments must be deterministic — identical output across runs

@@ -7,8 +7,7 @@
 //	faasbench -list
 //	faasbench -run table1
 //	faasbench -run all [-seed 42] [-workers 8]
-//	faasbench -run millionuser [-users 1000000]
-//	faasbench -run regionscale -sketch -population
+//	faasbench -run statecache -sketch -recon
 //
 // Multi-point experiments fan their sweep points across -workers
 // concurrent simulator kernels (default GOMAXPROCS; the SWEEP_WORKERS
@@ -16,15 +15,15 @@
 // worker count — each point derives its randomness from (seed, point)
 // alone and results merge in point order.
 //
-// -sketch swaps every experiment's exact latency recorder for a
-// fixed-memory quantile sketch (≤1% percentile error; mean, extremes, and
-// counts stay exact), and -population swaps per-arrival load generation
-// for one aggregated Poisson client population (-users sizes it). -recon
+// -sketch and -recon set the run's core.Options. -sketch swaps every
+// experiment's exact latency recorder for a fixed-memory quantile sketch
+// (≤1% percentile error; mean, extremes, and counts stay exact). -recon
 // swaps statecache gossip's per-key digest exchange for constant-size
-// invertible-Bloom-filter summaries (O(diff) bytes per round). All
-// default off, so default output is byte-identical to earlier releases;
-// the millionuser experiment always uses sketch+population, and the
-// millionkey experiment runs both gossip protocols side by side.
+// invertible-Bloom-filter summaries (O(diff) bytes per round) in the
+// statecache and regionfailover experiments. Both default off, so default
+// output is byte-identical to earlier releases; the millionuser experiment
+// always uses sketches, and the millionkey experiment runs both gossip
+// protocols side by side.
 package main
 
 import (
@@ -45,40 +44,10 @@ func main() {
 		"concurrent sweep workers (0 = GOMAXPROCS or $SWEEP_WORKERS)")
 	sketch := flag.Bool("sketch", false,
 		"record latencies in fixed-memory sketches (≤1% percentile error) instead of exact recorders")
-	population := flag.Bool("population", false,
-		"drive Poisson load from one aggregated client population instead of one process per arrival")
-	users := flag.Int("users", 0,
-		"override the simulated client-population size (0 = each experiment's default)")
 	recon := flag.Bool("recon", false,
 		"reconcile statecache gossip with constant-size IBF summaries instead of per-key digests")
-	chaosOn := flag.Bool("chaos", true,
-		"inject the regionfailover experiment's faults (false = healthy control rows only)")
-	regions := flag.Int("regions", 0,
-		"override the regionfailover experiment's region count (0 = default of 2)")
-	policy := flag.String("policy", "all",
-		"restrict the retrystorm experiment to one client policy (no-retry, naive-retry, full-policy, full+hedge, or all)")
 	flag.Parse()
 	sweep.SetWorkers(*workers)
-	core.SetSketchStats(*sketch)
-	core.SetPopulationLoad(*population)
-	core.SetUsers(*users)
-	core.SetReconGossip(*recon)
-	core.SetChaos(*chaosOn)
-	core.SetRegions(*regions)
-	if *policy != "" && *policy != "all" {
-		known := false
-		for _, name := range core.PolicyNames() {
-			if name == *policy {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "faasbench: unknown -policy %q (want one of %v, or all)\n",
-				*policy, core.PolicyNames())
-			os.Exit(2)
-		}
-	}
-	core.SetPolicy(*policy)
 
 	if *list {
 		for _, e := range core.Experiments() {
@@ -100,6 +69,7 @@ func main() {
 	}
 
 	for _, e := range exps {
+		e.Options = core.Options{Sketch: *sketch, Recon: *recon}
 		start := time.Now()
 		tables := e.Run(*seed)
 		elapsed := time.Since(start)

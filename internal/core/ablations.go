@@ -11,7 +11,7 @@ import (
 
 // measureInvoke returns the mean invocation latency of a no-op 1KB call
 // over `trials` calls, forcing a cold start per call when forceCold is set.
-func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Duration {
+func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool, o Options) time.Duration {
 	if forceCold {
 		cfg.Lambda.WarmTTL = 1 // containers expire immediately
 	}
@@ -23,7 +23,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Dur
 	}); err != nil {
 		panic(err)
 	}
-	rec := newSummary("invoke")
+	rec := o.newSummary("invoke")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		payload := make([]byte, 1024)
@@ -51,7 +51,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Dur
 // claim — "at best modest effects on our results in Table 1" — holds
 // because Table 1's number is dominated by invocation overhead, not
 // sandbox startup.
-func RunFirecracker(seed uint64) []*Table {
+func RunFirecracker(seed uint64, o Options) []*Table {
 	t := &Table{
 		Title:  "Ablation (footnote 5): Firecracker 125ms microVM startup",
 		Header: []string{"Scenario", "Classic cold start", "Firecracker", "Change"},
@@ -75,7 +75,7 @@ func RunFirecracker(seed uint64) []*Table {
 		if pt.fire {
 			cfg.Lambda.ColdStart = simrand.Const(FirecrackerColdStart)
 		}
-		return measureInvoke(pt.seed, cfg, pt.trials, pt.cold)
+		return measureInvoke(pt.seed, cfg, pt.trials, pt.cold, o)
 	})
 	warmClassic, warmFire, coldClassic, coldFire := res[0], res[1], res[2], res[3]
 	t.AddRow("Warm invoke (Table 1 conditions)", FmtDur(warmClassic), FmtDur(warmFire),
@@ -84,5 +84,9 @@ func RunFirecracker(seed uint64) []*Table {
 		FmtRatio(float64(coldClassic)/float64(coldFire)))
 	t.AddNote("Table 1's 303ms is invocation-path overhead, not sandbox startup; Firecracker")
 	t.AddNote("narrows the cold path but remains orders of magnitude above network messaging (290µs)")
+	t.AddMetric("warm.classic", "ns", float64(warmClassic))
+	t.AddMetric("warm.firecracker", "ns", float64(warmFire))
+	t.AddMetric("cold.classic", "ns", float64(coldClassic))
+	t.AddMetric("cold.firecracker", "ns", float64(coldFire))
 	return []*Table{t}
 }

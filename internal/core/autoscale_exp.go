@@ -24,7 +24,7 @@ import (
 // This is the honest counterweight to E1-E8: the paper's critique is not
 // that autoscaling is worthless, but that it currently costs data gravity
 // and addressability.
-func RunAutoscale(seed uint64) []*Table {
+func RunAutoscale(seed uint64, o Options) []*Table {
 	const window = 2 * time.Minute
 	rates := []float64{10, 30, 50}
 
@@ -39,16 +39,21 @@ func RunAutoscale(seed uint64) []*Table {
 	points := sweep.Points(2*len(rates), func(i int) quantiles {
 		rate := rates[i/2]
 		if i%2 == 0 {
-			p50, p99 := autoscaleLambda(seed+uint64(i/2), rate, window)
+			p50, p99 := autoscaleLambda(seed+uint64(i/2), rate, window, o)
 			return quantiles{p50, p99}
 		}
-		p50, p99 := autoscaleEC2(seed+uint64(i/2)+100, rate, window)
+		p50, p99 := autoscaleEC2(seed+uint64(i/2)+100, rate, window, o)
 		return quantiles{p50, p99}
 	})
 	for i, rate := range rates {
 		l, e := points[2*i], points[2*i+1]
 		t.AddRow(fmt.Sprintf("%.0f req/s", rate),
 			FmtDur(l.p50), FmtDur(l.p99), FmtDur(e.p50), FmtDur(e.p99))
+		at := fmt.Sprintf("@%.0f", rate)
+		t.AddMetric("lambda.p50"+at, "ns", float64(l.p50))
+		t.AddMetric("lambda.p99"+at, "ns", float64(l.p99))
+		t.AddMetric("ec2.p50"+at, "ns", float64(e.p50))
+		t.AddMetric("ec2.p99"+at, "ns", float64(e.p99))
 	}
 	t.AddNote("fixed fleet capacity is ~40 req/s (2 cores / 50ms); above it the queue diverges")
 	t.AddNote("Lambda's flat latency is the paper's 'step forward'; its height is the overhead E1 measures")
@@ -62,7 +67,7 @@ const (
 	ec2WorkBytes    = int64(0.05 * 1100e6)  // m5.large core
 )
 
-func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
+func autoscaleLambda(seed uint64, rate float64, window time.Duration, o Options) (p50, p99 time.Duration) {
 	c := NewCloud(seed)
 	defer c.Close()
 	if err := c.Lambda.Register(faas.Function{
@@ -74,7 +79,7 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 
 	}); err != nil {
 		panic(err)
 	}
-	rec := newSummary("lambda")
+	rec := o.newSummary("lambda")
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: rate})
 	completed := 0
 	gen.Run(c.K, window, func(p *sim.Proc, _ int) {
@@ -92,10 +97,10 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 
 	return rec.Median(), rec.Percentile(99)
 }
 
-func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
+func autoscaleEC2(seed uint64, rate float64, window time.Duration, o Options) (p50, p99 time.Duration) {
 	c := NewCloud(seed)
 	defer c.Close()
-	rec := newSummary("ec2")
+	rec := o.newSummary("ec2")
 
 	type req struct {
 		start sim.Time

@@ -59,7 +59,7 @@ func measurePerFunctionMbps(c *Cloud, n int, transferBytes int64) float64 {
 // functions onto shared VMs, per-function bandwidth collapses as
 // concurrency grows (the paper quotes 28.7 Mbps average at 20 functions,
 // 2.5 orders of magnitude below one SSD).
-func RunBandwidth(seed uint64) []*Table {
+func RunBandwidth(seed uint64, _ Options) []*Table {
 	t := &Table{
 		Title:  "§3(2): per-function network bandwidth under same-VM packing",
 		Header: []string{"Concurrent functions", "Per-function bandwidth", "vs one SSD (2.5GB/s)"},
@@ -71,6 +71,7 @@ func RunBandwidth(seed uint64) []*Table {
 		mbPerSec := mbps / 8
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.1f Mbps", mbps),
 			FmtRatio(SSDBandwidthMBps/mbPerSec)+" slower")
+		t.AddMetric(fmt.Sprintf("mbps@%d", n), "Mbps", mbps)
 	}
 	t.AddRow("paper: 1", "538 Mbps", "37x slower")
 	t.AddRow("paper: 20", "28.7 Mbps", "~700x slower")
@@ -82,7 +83,7 @@ func RunBandwidth(seed uint64) []*Table {
 // networking on 64-core hosts. Solo functions look great; under full
 // packing each core still gets ~200 MB/s — an order of magnitude below one
 // SSD, so the architectural problem stands.
-func RunFastNIC(seed uint64) []*Table {
+func RunFastNIC(seed uint64, _ Options) []*Table {
 	cfg := DefaultConfig()
 	cfg.Lambda.VMNICBps = netsim.Gbps(100)
 	cfg.Lambda.ContainersPerVM = 64
@@ -104,6 +105,7 @@ func RunFastNIC(seed uint64) []*Table {
 		}
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.0f Mbps", mbps),
 			FmtRatio(ratio)+" "+rel)
+		t.AddMetric(fmt.Sprintf("mbps@%d", n), "Mbps", mbps)
 	}
 	t.AddNote("paper: \"even with 100Gbps/64 cores, under load you get ~200MBps per core,")
 	t.AddNote("still an order of magnitude slower than a single SSD\"")

@@ -64,8 +64,8 @@ func (cl *bbCluster) nodeByID(id int) *election.Node {
 // measureRounds crashes the current leader `rounds` times, measuring crash-
 // to-agreement latency; each deposed leader stays down (bully order walks
 // down the id space).
-func (cl *bbCluster) measureRounds(rounds int) stats.Summary {
-	rec := newSummary("round")
+func (cl *bbCluster) measureRounds(rounds int, o Options) stats.Summary {
+	rec := o.newSummary("round")
 	k := cl.c.K
 	if !runKernelUntil(k, k.Now()+sim.Time(5*time.Minute), sim.Time(250*time.Millisecond),
 		func() bool { return cl.agreed() > 0 }) {
@@ -113,7 +113,7 @@ func steadyStateUnitsPerCycle(seed uint64, n int, window time.Duration) (readUni
 // 4 polls per second. It reports the election round latency (paper: 16.7s),
 // the share of a 15-minute Lambda lifetime that consumes (paper: 1.9%), and
 // the storage bill for a 1,000-node cluster (paper: at least $450/hr).
-func RunElection(seed uint64) []*Table {
+func RunElection(seed uint64, o Options) []*Table {
 	// The latency cluster and the two cost clusters are independent
 	// simulations with their own seeds, so they sweep concurrently:
 	// point 0 crashes leaders on a 10-node cluster, points 1 and 2
@@ -132,7 +132,7 @@ func RunElection(seed uint64) []*Table {
 			c := NewCloud(seed)
 			defer c.Close()
 			cl := newBBCluster(c, 10, election.PaperParams())
-			return electionPoint{rounds: cl.measureRounds(4), catalog: c.Catalog}
+			return electionPoint{rounds: cl.measureRounds(4, o), catalog: c.Catalog}
 		case 1:
 			r, w := steadyStateUnitsPerCycle(seed+1, 10, 30*time.Second)
 			return electionPoint{read: r, write: w}
@@ -176,13 +176,16 @@ func RunElection(seed uint64) []*Table {
 	provisioned := catalog.DynamoProvisionedHourly(1000*4*perCycleAt(1000), 1000*((w10+w100)/2))
 	t.AddNote("provisioned-capacity alternative (2018's default mode, planned to peak): $%.0f/hr —", float64(provisioned))
 	t.AddNote("cheaper than on-demand but still far beyond the marginal cost of direct messaging")
+	t.AddMetric("round", "ns", float64(round))
+	t.AddMetric("lifetime-share", "%", share)
+	t.AddMetric("cost@1000", "USD/hr", hourly(1000))
 	return []*Table{t}
 }
 
 // RunElectionSweep is the sensitivity ablation: election round latency and
 // 1,000-node hourly cost as the polling rate varies, with protocol timeouts
 // scaled proportionally (as any deployment tuning them together would).
-func RunElectionSweep(seed uint64) []*Table {
+func RunElectionSweep(seed uint64, o Options) []*Table {
 	t := &Table{
 		Title:  "Sensitivity: bully-on-blackboard vs polling rate (6 nodes, timeouts scaled)",
 		Header: []string{"Polling rate", "Round latency", "Read units/s per node", "Est. $/hr at 1,000 nodes"},
@@ -208,7 +211,7 @@ func RunElectionSweep(seed uint64) []*Table {
 		c := NewCloud(seed + uint64(hz))
 		defer c.Close()
 		cl := newBBCluster(c, 6, params)
-		rec := cl.measureRounds(2)
+		rec := cl.measureRounds(2, o)
 
 		// Steady-state read-unit rate at this polling frequency.
 		c.Meter.Reset()
@@ -223,6 +226,7 @@ func RunElectionSweep(seed uint64) []*Table {
 		cost1000 := 1000.0 * float64(hz) * 3600 * 124 * 0.25 / 1e6
 		t.AddRow(fmt.Sprintf("%d Hz", hz), FmtDur(results[i].round),
 			fmt.Sprintf("%.1f", results[i].unitsPerSec), fmt.Sprintf("$%.0f", cost1000))
+		t.AddMetric(fmt.Sprintf("round@%dHz", hz), "ns", float64(results[i].round))
 	}
 	t.AddNote("with timeouts scaled to the polling period, round latency shrinks ~linearly with the rate")
 	t.AddNote("but the storage bill grows linearly too: convergence speed is bought with dollars, not design")

@@ -1,48 +1,25 @@
 package core
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// cell fetches a rendered table cell by row label prefix and column index.
-func cell(t *testing.T, tb *Table, rowPrefix string, col int) string {
+// metric returns the value of tb's named metric.
+func metric(t *testing.T, tb *Table, name string) float64 {
 	t.Helper()
-	for _, row := range tb.Rows {
-		if strings.HasPrefix(row[0], rowPrefix) {
-			if col >= len(row) {
-				t.Fatalf("table %q row %q has no column %d", tb.Title, rowPrefix, col)
-			}
-			return row[col]
-		}
+	v, ok := tb.Value(name)
+	if !ok {
+		t.Fatalf("table %q has no metric %q; metrics: %v", tb.Title, name, tb.Metrics)
 	}
-	t.Fatalf("table %q has no row starting with %q; rows: %v", tb.Title, rowPrefix, tb.Rows)
-	return ""
+	return v
 }
 
-var durRe = regexp.MustCompile(`([0-9.]+)(µs|ms|s|min)`)
-
-// parseDur parses the FmtDur format back into a duration.
-func parseDur(t *testing.T, s string) time.Duration {
+// dur returns tb's named duration metric.
+func dur(t *testing.T, tb *Table, name string) time.Duration {
 	t.Helper()
-	m := durRe.FindStringSubmatch(s)
-	if m == nil {
-		t.Fatalf("cannot parse duration %q", s)
-	}
-	v, _ := strconv.ParseFloat(m[1], 64)
-	switch m[2] {
-	case "µs":
-		return time.Duration(v * float64(time.Microsecond))
-	case "ms":
-		return time.Duration(v * float64(time.Millisecond))
-	case "s":
-		return time.Duration(v * float64(time.Second))
-	default:
-		return time.Duration(v * float64(time.Minute))
-	}
+	return time.Duration(metric(t, tb, name))
 }
 
 func within(t *testing.T, what string, got time.Duration, lo, hi time.Duration) {
@@ -59,7 +36,7 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.Run == nil || e.Title == "" {
+		if e.ID == "" || e.run == nil || e.Title == "" {
 			t.Errorf("incomplete experiment %+v", e)
 		}
 		if seen[e.ID] {
@@ -76,14 +53,13 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tb := RunTable1(1)[0]
-	row := tb.Rows[0] // measured latencies
-	invoke := parseDur(t, row[1])
-	lambdaS3 := parseDur(t, row[2])
-	lambdaDDB := parseDur(t, row[3])
-	ec2S3 := parseDur(t, row[4])
-	ec2DDB := parseDur(t, row[5])
-	zmq := parseDur(t, row[6])
+	tb := RunTable1(1, Options{})[0]
+	invoke := dur(t, tb, "invoke")
+	lambdaS3 := dur(t, tb, "lambda-s3")
+	lambdaDDB := dur(t, tb, "lambda-ddb")
+	ec2S3 := dur(t, tb, "ec2-s3")
+	ec2DDB := dur(t, tb, "ec2-ddb")
+	zmq := dur(t, tb, "ec2-zmq")
 
 	within(t, "invoke", invoke, 285*time.Millisecond, 320*time.Millisecond)      // paper: 303ms
 	within(t, "lambda-s3", lambdaS3, 100*time.Millisecond, 116*time.Millisecond) // paper: 108ms
@@ -103,7 +79,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Headline(t *testing.T) {
-	tb := RunFigure1(1)[0]
+	tb := RunFigure1(1, Options{})[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("figure1 rows = %d", len(tb.Rows))
 	}
@@ -114,9 +90,9 @@ func TestFigure1Headline(t *testing.T) {
 }
 
 func TestTrainingMatchesPaper(t *testing.T) {
-	tb := RunTraining(1)[0]
-	lambdaTotal := parseDur(t, cell(t, tb, "Lambda", 5))
-	ec2Total := parseDur(t, cell(t, tb, "EC2 m4.large", 5))
+	tb := RunTraining(1, Options{})[0]
+	lambdaTotal := dur(t, tb, "lambda.total")
+	ec2Total := dur(t, tb, "ec2.total")
 	within(t, "lambda total", lambdaTotal, 440*time.Minute, 490*time.Minute) // paper: 465min
 	within(t, "ec2 total", ec2Total, 20*time.Minute, 24*time.Minute)         // paper: ~21.7min
 
@@ -124,13 +100,11 @@ func TestTrainingMatchesPaper(t *testing.T) {
 	if slow < 19 || slow > 24 {
 		t.Errorf("slowdown = %.1fx, paper reports 21x", slow)
 	}
-	execs := cell(t, tb, "Lambda", 4)
-	if n, _ := strconv.Atoi(execs); n < 30 || n > 33 {
-		t.Errorf("lambda executions = %s, paper reports 31", execs)
+	if n := metric(t, tb, "lambda.executions"); n < 30 || n > 33 {
+		t.Errorf("lambda executions = %.0f, paper reports 31", n)
 	}
-	// Costs parse from $x.xxxx strings.
-	lambdaCost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "Lambda", 6), "$"), 64)
-	ec2Cost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "EC2 m4.large", 6), "$"), 64)
+	lambdaCost := metric(t, tb, "lambda.cost")
+	ec2Cost := metric(t, tb, "ec2.cost")
 	if lambdaCost < 0.27 || lambdaCost > 0.31 {
 		t.Errorf("lambda cost = $%.4f, paper reports $0.29", lambdaCost)
 	}
@@ -143,11 +117,11 @@ func TestTrainingMatchesPaper(t *testing.T) {
 }
 
 func TestServingMatchesPaper(t *testing.T) {
-	tb := RunServing(1)[0]
-	fetch := parseDur(t, cell(t, tb, "Lambda, model fetched", 1))
-	opt := parseDur(t, cell(t, tb, "Lambda, compiled-in", 1))
-	sqs := parseDur(t, cell(t, tb, "EC2 m5.large + SQS", 1))
-	zmq := parseDur(t, cell(t, tb, "EC2 m5.large + ZeroMQ", 1))
+	tb := RunServing(1, Options{})[0]
+	fetch := dur(t, tb, "lambda-fetch")
+	opt := dur(t, tb, "lambda-opt")
+	sqs := dur(t, tb, "ec2-sqs")
+	zmq := dur(t, tb, "ec2-zmq")
 
 	within(t, "lambda-fetch", fetch, 525*time.Millisecond, 590*time.Millisecond) // paper: 559ms
 	within(t, "lambda-opt", opt, 425*time.Millisecond, 470*time.Millisecond)     // paper: 447ms
@@ -163,9 +137,9 @@ func TestServingMatchesPaper(t *testing.T) {
 }
 
 func TestServingCostMatchesPaper(t *testing.T) {
-	tb := RunServingCost(1)[0]
-	sqsCost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "SQS requests alone", 2), "$"), 64)
-	ec2Cost, _ := strconv.ParseFloat(strings.TrimPrefix(cell(t, tb, "EC2 m5.large fleet", 2), "$"), 64)
+	tb := RunServingCost(1, Options{})[0]
+	sqsCost := metric(t, tb, "sqs.cost")
+	ec2Cost := metric(t, tb, "ec2.cost")
 	if sqsCost < 1500 || sqsCost > 1700 {
 		t.Errorf("SQS hourly = $%.0f, paper reports $1,584", sqsCost)
 	}
@@ -178,31 +152,22 @@ func TestServingCostMatchesPaper(t *testing.T) {
 }
 
 func TestElectionMatchesPaper(t *testing.T) {
-	tb := RunElection(1)[0]
-	round := parseDur(t, cell(t, tb, "Election round", 1))
+	tb := RunElection(1, Options{})[0]
+	round := dur(t, tb, "round")
 	within(t, "round", round, 14*time.Second, 19*time.Second) // paper: 16.7s
 
-	share := cell(t, tb, "Share of 15-min lifetime", 1)
-	v, _ := strconv.ParseFloat(strings.TrimSuffix(share, "%"), 64)
-	if v < 1.5 || v > 2.2 {
-		t.Errorf("lifetime share = %s, paper reports 1.9%%", share)
+	if share := metric(t, tb, "lifetime-share"); share < 1.5 || share > 2.2 {
+		t.Errorf("lifetime share = %.2f%%, paper reports 1.9%%", share)
 	}
-	cost := cell(t, tb, "Storage cost, 1,000 nodes", 1)
-	cv, _ := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(cost, "$"), "/hr"), 64)
-	if cv < 400 || cv > 520 {
-		t.Errorf("1,000-node cost = %s, paper reports >= $450/hr", cost)
+	if cost := metric(t, tb, "cost@1000"); cost < 400 || cost > 520 {
+		t.Errorf("1,000-node cost = $%.0f/hr, paper reports >= $450/hr", cost)
 	}
 }
 
 func TestBandwidthMatchesPaper(t *testing.T) {
-	tb := RunBandwidth(1)[0]
-	get := func(n string) float64 {
-		c := cell(t, tb, n, 1)
-		v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
-		return v
-	}
-	solo := get("1")
-	packed := get("20")
+	tb := RunBandwidth(1, Options{})[0]
+	solo := metric(t, tb, "mbps@1")
+	packed := metric(t, tb, "mbps@20")
 	if solo < 520 || solo > 545 {
 		t.Errorf("solo bandwidth = %.1f Mbps, paper reports 538", solo)
 	}
@@ -215,9 +180,9 @@ func TestBandwidthMatchesPaper(t *testing.T) {
 }
 
 func TestWorkflowOverheadShape(t *testing.T) {
-	tb := RunWorkflow(1)[0]
-	faasLat := parseDur(t, cell(t, tb, "FaaS pipeline", 1))
-	monoLat := parseDur(t, cell(t, tb, "Single EC2 process", 1))
+	tb := RunWorkflow(1, Options{})[0]
+	faasLat := dur(t, tb, "pipeline")
+	monoLat := dur(t, tb, "monolith")
 	if faasLat < 3*time.Second {
 		t.Errorf("FaaS 8-step pipeline = %v, implausibly fast", faasLat)
 	}
@@ -230,11 +195,11 @@ func TestWorkflowOverheadShape(t *testing.T) {
 }
 
 func TestFirecrackerAblation(t *testing.T) {
-	tb := RunFirecracker(1)[0]
-	warmClassic := parseDur(t, cell(t, tb, "Warm invoke", 1))
-	warmFire := parseDur(t, cell(t, tb, "Warm invoke", 2))
-	coldClassic := parseDur(t, cell(t, tb, "Cold invoke", 1))
-	coldFire := parseDur(t, cell(t, tb, "Cold invoke", 2))
+	tb := RunFirecracker(1, Options{})[0]
+	warmClassic := dur(t, tb, "warm.classic")
+	warmFire := dur(t, tb, "warm.firecracker")
+	coldClassic := dur(t, tb, "cold.classic")
+	coldFire := dur(t, tb, "cold.firecracker")
 	// Warm path (Table 1 conditions) barely moves: "modest effects".
 	diff := float64(warmClassic-warmFire) / float64(warmClassic)
 	if diff < -0.05 || diff > 0.05 {
@@ -249,42 +214,39 @@ func TestFirecrackerAblation(t *testing.T) {
 }
 
 func TestFastNICAblation(t *testing.T) {
-	tb := RunFastNIC(1)[0]
-	c := cell(t, tb, "64", 1)
-	v, _ := strconv.ParseFloat(strings.Fields(c)[0], 64)
-	perCoreMBps := v / 8
+	tb := RunFastNIC(1, Options{})[0]
+	perCoreMBps := metric(t, tb, "mbps@64") / 8
 	if perCoreMBps < 170 || perCoreMBps > 220 {
 		t.Errorf("per-function bandwidth at 64-way = %.0f MB/s, paper predicts ~200", perCoreMBps)
 	}
-	if !strings.Contains(cell(t, tb, "64", 2), "slower") {
+	if perCoreMBps >= SSDBandwidthMBps {
 		t.Error("64-way packing should still trail an SSD")
 	}
 }
 
 func TestFutureClosesTheGaps(t *testing.T) {
-	tb := RunFuture(1)[0]
-	training := cell(t, tb, "Model training", 2)
-	train := parseDur(t, training)
+	tb := RunFuture(1, Options{})[0]
+	train := dur(t, tb, "training")
 	// Near-EC2 speed: paper's EC2 run is ~21.7min.
 	within(t, "future training", train, 19*time.Minute, 25*time.Minute)
-	serve := parseDur(t, cell(t, tb, "Prediction serving", 2))
+	serve := dur(t, tb, "serving")
 	if serve > 5*time.Millisecond {
 		t.Errorf("future serving = %v, want ZeroMQ-class", serve)
 	}
-	elect := parseDur(t, cell(t, tb, "Leader election", 2))
+	elect := dur(t, tb, "election")
 	if elect > time.Second {
 		t.Errorf("future election = %v, want sub-second", elect)
 	}
 }
 
 func TestElectionSweepShape(t *testing.T) {
-	tb := RunElectionSweep(1)[0]
+	tb := RunElectionSweep(1, Options{})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("sweep rows = %d, want 4", len(tb.Rows))
 	}
 	prev := time.Duration(1 << 62)
-	for _, row := range tb.Rows {
-		round := parseDur(t, row[1])
+	for _, hz := range []string{"1Hz", "2Hz", "4Hz", "8Hz"} {
+		round := dur(t, tb, "round@"+hz)
 		if round > prev+time.Second { // allow jitter, but trend must fall
 			t.Errorf("round latency did not shrink with polling rate: %v after %v", round, prev)
 		}
@@ -293,13 +255,13 @@ func TestElectionSweepShape(t *testing.T) {
 }
 
 func TestAutoscaleShape(t *testing.T) {
-	tb := RunAutoscale(1)[0]
+	tb := RunAutoscale(1, Options{})[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 load levels", len(tb.Rows))
 	}
 	// Below capacity: EC2 p50 ~50ms beats Lambda's ~350ms.
-	lowLambda := parseDur(t, cell(t, tb, "10 req/s", 1))
-	lowEC2 := parseDur(t, cell(t, tb, "10 req/s", 3))
+	lowLambda := dur(t, tb, "lambda.p50@10")
+	lowEC2 := dur(t, tb, "ec2.p50@10")
 	if lowEC2 >= lowLambda {
 		t.Errorf("below capacity EC2 (%v) should beat Lambda (%v)", lowEC2, lowLambda)
 	}
@@ -307,8 +269,8 @@ func TestAutoscaleShape(t *testing.T) {
 		t.Errorf("EC2 p50 at low load = %v, want ~50ms", lowEC2)
 	}
 	// Above capacity: EC2 p99 diverges; Lambda p99 stays near its p50.
-	hiLambda99 := parseDur(t, cell(t, tb, "50 req/s", 2))
-	hiEC299 := parseDur(t, cell(t, tb, "50 req/s", 4))
+	hiLambda99 := dur(t, tb, "lambda.p99@50")
+	hiEC299 := dur(t, tb, "ec2.p99@50")
 	if hiEC299 < 5*time.Second {
 		t.Errorf("overloaded EC2 p99 = %v, want queueing divergence (>5s)", hiEC299)
 	}
@@ -323,9 +285,10 @@ func TestTableRendering(t *testing.T) {
 		Header: []string{"a", "bb"},
 	}
 	tb.AddRow("x", "y")
+	tb.AddRow("wide", "row", "beyond-the-header")
 	tb.AddNote("n %d", 1)
 	out := tb.Render()
-	for _, want := range []string{"T\n", "a", "bb", "x", "y", "note: n 1"} {
+	for _, want := range []string{"T\n", "a", "bb", "x", "y", "beyond-the-header", "note: n 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

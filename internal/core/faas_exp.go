@@ -77,7 +77,7 @@ type faasScaleResult struct {
 
 // runFaaSScale measures one provisioned-concurrency level (fixed if
 // provisioned >= 0, autoscaled otherwise).
-func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
+func runFaaSScale(seed uint64, provisioned int, o Options) faasScaleResult {
 	cfg := DefaultConfig()
 	cfg.Lambda.WarmTTL = faasScaleWarmTTL
 	cfg.DDB.ShardCount = faasScaleShards
@@ -86,7 +86,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 
 	client := c.ClientNode("faasscale-client")
 	inQ := c.SQS.CreateQueue("faasscale-in", 2*time.Minute)
-	rec := newSummary("faasscale")
+	rec := o.newSummary("faasscale")
 	value := make([]byte, faasScaleValueBytes)
 	completed := 0
 	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
@@ -190,7 +190,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 // RunFaaSScale regenerates the FaaS serving-tier scaling table: flash-crowd
 // load through the full SQS -> Lambda -> kvstore stack at growing
 // provisioned concurrency, plus the target-tracking autoscaler.
-func RunFaaSScale(seed uint64) []*Table {
+func RunFaaSScale(seed uint64, o Options) []*Table {
 	t := &Table{
 		Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency",
 		Header: []string{"Provisioned", "Done req/s", "p50", "p99",
@@ -200,7 +200,7 @@ func RunFaaSScale(seed uint64) []*Table {
 	// from (seed, prov); the sweep engine runs them concurrently and hands
 	// back results in sweep order.
 	results := sweep.Map([]int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
-		return runFaaSScale(seed, prov)
+		return runFaaSScale(seed, prov, o)
 	})
 	for _, r := range results {
 		label := r.provisioned
@@ -216,6 +216,10 @@ func RunFaaSScale(seed uint64) []*Table {
 			fmt.Sprintf("%d", r.peak),
 			fmt.Sprintf("$%.2f/hr", r.costPerHr),
 		)
+		at := "@" + r.provisioned
+		t.AddMetric("p99"+at, "ns", float64(r.p99))
+		t.AddMetric("cold"+at, "%", r.coldFrac*100)
+		t.AddMetric("cost"+at, "USD/hr", r.costPerHr)
 	}
 	t.AddNote("%.0f msg/s Poisson bursts, %s on / %s off, over %s; warm-pool TTL %s, so",
 		faasScaleRate, faasScaleOn, faasScaleOff, faasScaleWindow, faasScaleWarmTTL)

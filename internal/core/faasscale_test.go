@@ -13,9 +13,9 @@ func TestFaaSScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faas-scale scenario in -short mode")
 	}
-	r0 := runFaaSScale(1, 0)
-	r32 := runFaaSScale(1, 32)
-	auto := runFaaSScale(1, -1)
+	r0 := runFaaSScale(1, 0, Options{})
+	r32 := runFaaSScale(1, 32, Options{})
+	auto := runFaaSScale(1, -1, Options{})
 
 	// The reaper guarantees every burst cold-starts an unprovisioned
 	// fleet: a meaningful cold fraction, concentrated in the tail.
@@ -47,7 +47,7 @@ func TestFaaSScaleShape(t *testing.T) {
 		}
 	}
 
-	if again := runFaaSScale(1, -1); again != auto {
+	if again := runFaaSScale(1, -1, Options{}); again != auto {
 		t.Errorf("faasscale is nondeterministic: %+v vs %+v", again, auto)
 	}
 }
@@ -57,19 +57,19 @@ func TestFaaSScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faas-scale scenario in -short mode")
 	}
-	tb := RunFaaSScale(1)[0]
+	tb := RunFaaSScale(1, Options{})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 3 fixed levels + auto", len(tb.Rows))
 	}
 	if !strings.HasPrefix(tb.Rows[3][0], "auto") {
 		t.Errorf("last row = %q, want the autoscaled sweep point", tb.Rows[3][0])
 	}
-	p99at0 := parseDur(t, cell(t, tb, "0", 3))
-	p99at32 := parseDur(t, cell(t, tb, "32", 3))
+	p99at0 := dur(t, tb, "p99@0")
+	p99at32 := dur(t, tb, "p99@32")
 	if p99at32 >= p99at0 {
 		t.Errorf("p99 did not fall with provisioning: %v at 32 vs %v at 0", p99at32, p99at0)
 	}
-	if cold := cell(t, tb, "32", 4); cold != "0.0%" {
-		t.Errorf("cold starts at 32 provisioned = %s, want 0.0%%", cold)
+	if cold := metric(t, tb, "cold@32"); cold != 0 {
+		t.Errorf("cold starts at 32 provisioned = %.2f%%, want 0%%", cold)
 	}
 }

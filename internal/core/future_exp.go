@@ -17,9 +17,9 @@ import (
 // code/data placement, billed per GB-second like FaaS. The point of the
 // table is that the paper's gaps close without giving up autoscaling
 // pay-per-use.
-func RunFuture(seed uint64) []*Table {
+func RunFuture(seed uint64, o Options) []*Table {
 	trainTime, trainCost := futureTraining(seed)
-	serveBatch := futureServing(seed + 1)
+	serveBatch := futureServing(seed+1, o)
 	electRound := futureElection(seed + 2)
 
 	t := &Table{
@@ -35,6 +35,9 @@ func RunFuture(seed uint64) []*Table {
 		"16.7s", FmtDur(electRound), "sub-second (EC2 direct)")
 	t.AddNote("the prototype bills fine-grained GB-seconds like Lambda, keeping the pay-per-use")
 	t.AddNote("economics while restoring data locality and network addressability")
+	t.AddMetric("training", "ns", float64(trainTime))
+	t.AddMetric("serving", "ns", float64(serveBatch))
+	t.AddMetric("election", "ns", float64(electRound))
 	return []*Table{t}
 }
 
@@ -79,11 +82,11 @@ func futureTraining(seed uint64) (time.Duration, pricing.USD) {
 
 // futureServing: client and server agents exchanging batches directly —
 // no queue service, no storage hop — at agent (not VM) granularity.
-func futureServing(seed uint64) time.Duration {
+func futureServing(seed uint64, o Options) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		server := pf.SpawnAgent(p, "classifier", 1024, nil)

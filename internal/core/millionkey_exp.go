@@ -173,7 +173,7 @@ func runMillionKey(seed uint64, replicas, keyCount int, reconcile bool) millionK
 // reporting per-round gossip bytes by leg, the converged steady-state
 // bytes/round, convergence time after writes stop, staleness p99, and the
 // cache memory bill.
-func RunMillionKey(seed uint64) []*Table {
+func RunMillionKey(seed uint64, _ Options) []*Table {
 	t := &Table{
 		Title: fmt.Sprintf("Million-key gossip: IBF set reconciliation vs per-key digests (%d keys)",
 			millionKeyDefault),

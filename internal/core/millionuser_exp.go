@@ -25,8 +25,8 @@ import (
 )
 
 const (
-	// millionUsersDefault is the simulated client population; -users
-	// overrides it (the bench-smoke memory gate runs 10⁴ vs 10⁶).
+	// millionUsersDefault is the simulated client population (the
+	// bench-smoke memory gate runs 10⁴ vs 10⁶ through runMillionUser).
 	millionUsersDefault = 1_000_000
 	// millionRate is the aggregate offered load: the whole population
 	// together presents 100k req/s, i.e. 0.1 req/s per user at the
@@ -124,8 +124,8 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 // completed throughput, sketched tail latencies, sketch footprint, and
 // extrapolated hourly storage cost as the partition count doubles from 16
 // to 64 under 100k req/s of open-loop population load.
-func RunMillionUser(seed uint64) []*Table {
-	users := configuredUsers(millionUsersDefault)
+func RunMillionUser(seed uint64, _ Options) []*Table {
+	const users = millionUsersDefault
 	t := &Table{
 		Title: fmt.Sprintf("Million-user scale: %d simulated clients at %.0fk req/s aggregate", users, millionRate/1000),
 		Header: []string{"Shards", "Done req/s", "p50", "p99", "p99.9",
@@ -147,6 +147,12 @@ func RunMillionUser(seed uint64) []*Table {
 			fmt.Sprintf("%.1f", float64(r.sketchBytes)/1024),
 			fmt.Sprintf("$%.2f/hr", r.costPerHr),
 		)
+		at := fmt.Sprintf("@%d", r.shards)
+		t.AddMetric("rps"+at, "req/s", r.throughput)
+		t.AddMetric("p50"+at, "ns", float64(r.p50))
+		t.AddMetric("p99"+at, "ns", float64(r.p99))
+		t.AddMetric("p999"+at, "ns", float64(r.p999))
+		t.AddMetric("cost"+at, "USD/hr", r.costPerHr)
 	}
 	t.AddNote("one generator process drives the fluid Poisson superposition of all %d clients", users)
 	t.AddNote("(%.1f req/s per user), thinned onto %d shared records; 50%% writes, 25%% consistent",

@@ -64,15 +64,13 @@ func TestMillionUserWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRegionScaleSketchMatchesExact flips the -sketch switch on the
-// regionscale scenario: the simulation itself is untouched (same arrivals,
-// same completions, same bill), and the sketched percentiles stay within
-// the configured ≤1% relative error of the exact recorder's.
+// TestRegionScaleSketchMatchesExact runs the regionscale scenario with
+// Options.Sketch: the simulation itself is untouched (same arrivals, same
+// completions, same bill), and the sketched percentiles stay within the
+// configured ≤1% relative error of the exact recorder's.
 func TestRegionScaleSketchMatchesExact(t *testing.T) {
-	exact := runRegionScale(1, 4)
-	SetSketchStats(true)
-	defer SetSketchStats(false)
-	sketched := runRegionScale(1, 4)
+	exact := runRegionScale(1, 4, Options{})
+	sketched := runRegionScale(1, 4, Options{Sketch: true})
 
 	if sketched.completed != exact.completed || sketched.costPerHr != exact.costPerHr ||
 		sketched.hotShare != exact.hotShare {
@@ -87,44 +85,4 @@ func TestRegionScaleSketchMatchesExact(t *testing.T) {
 	}
 	within("p50", sketched.p50, exact.p50)
 	within("p99", sketched.p99, exact.p99)
-}
-
-// TestRegionScalePopulationMode flips the -population switch: arrival
-// times are bit-identical (shared gap-RNG fork order and rate), so the
-// completed request count must match the per-arrival mode almost exactly
-// even though key choice and submission fan-out differ.
-func TestRegionScalePopulationMode(t *testing.T) {
-	exact := runRegionScale(1, 4)
-	SetPopulationLoad(true)
-	defer SetPopulationLoad(false)
-	pop := runRegionScale(1, 4)
-
-	if pop.completed == 0 {
-		t.Fatal("population mode completed nothing")
-	}
-	// Same arrival process; completions can differ only at the window edge
-	// where in-flight service straddles the cutoff.
-	ratio := float64(pop.completed) / float64(exact.completed)
-	if ratio < 0.98 || ratio > 1.02 {
-		t.Errorf("population mode completed %d vs %d per-arrival (ratio %.3f)",
-			pop.completed, exact.completed, ratio)
-	}
-	if pop.p99 <= 0 || pop.p99 > 4*exact.p99 {
-		t.Errorf("population-mode p99 %v implausible vs per-arrival %v", pop.p99, exact.p99)
-	}
-}
-
-// TestMillionUserUsersOverride: the -users switch rescales the population
-// while holding the aggregate rate, so request volume — and the table's
-// shape — stay put.
-func TestMillionUserUsersOverride(t *testing.T) {
-	SetUsers(10_000)
-	defer SetUsers(0)
-	if got := configuredUsers(millionUsersDefault); got != 10_000 {
-		t.Fatalf("configuredUsers = %d after SetUsers(10000)", got)
-	}
-	SetUsers(0)
-	if got := configuredUsers(millionUsersDefault); got != millionUsersDefault {
-		t.Fatalf("configuredUsers = %d after reset, want default", got)
-	}
 }

@@ -65,7 +65,7 @@ type regionResult struct {
 }
 
 // runRegionScale measures one shard count under the standard scenario.
-func runRegionScale(seed uint64, shards int) regionResult {
+func runRegionScale(seed uint64, shards int, o Options) regionResult {
 	cfg := DefaultConfig()
 	cfg.DDB.ShardCount = shards
 	cfg.DDB.ShardConcurrency = regionShardConcurrency
@@ -77,10 +77,14 @@ func runRegionScale(seed uint64, shards int) regionResult {
 		clients[i] = c.ClientNode(fmt.Sprintf("region-client-%d", i))
 	}
 
-	rec := newSummary("region-kv")
+	rec := o.newSummary("region-kv")
 	completed := 0
 	value := make([]byte, regionValueBytes)
-	request := func(p *sim.Proc, seq int, key string) {
+	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: regionOfferedRate})
+	gen.Run(c.K, regionWindow, func(p *sim.Proc, seq int) {
+		// Knuth-hash the sequence number into the key space so the key
+		// choice is deterministic and spread across shards.
+		key := regionKey(uint64(seq) * 2654435761 % regionKeySpace)
 		node := clients[seq%len(clients)]
 		start := p.Now()
 		if seq%2 == 0 {
@@ -94,25 +98,7 @@ func runRegionScale(seed uint64, shards int) regionResult {
 		}
 		rec.Add(time.Duration(p.Now() - start))
 		completed++
-	}
-	if populationLoad() {
-		// Aggregated mode: the same offered rate as the fluid sum of one
-		// Poisson source per user, each touching its own record; the
-		// thinned client identity replaces the sequence-hash key choice.
-		users := configuredUsers(regionKeySpace)
-		pop := loadgen.NewPopulation(c.RNG.Fork(), c.RNG.Fork(),
-			users, regionOfferedRate/float64(users))
-		pop.Run(c.K, regionWindow, func(p *sim.Proc, seq, client int) {
-			request(p, seq, regionKey(uint64(client)%regionKeySpace))
-		})
-	} else {
-		gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: regionOfferedRate})
-		gen.Run(c.K, regionWindow, func(p *sim.Proc, seq int) {
-			// Knuth-hash the sequence number into the key space so the key
-			// choice is deterministic and spread across shards.
-			request(p, seq, regionKey(uint64(seq)*2654435761%regionKeySpace))
-		})
-	}
+	})
 	c.K.RunUntil(sim.Time(regionWindow))
 
 	served := int64(0)
@@ -143,7 +129,7 @@ func runRegionScale(seed uint64, shards int) regionResult {
 // throughput, completion latency, hot-shard skew, and extrapolated hourly
 // storage cost for a fixed offered load as the table's partition count
 // doubles from 1 to 8.
-func RunRegionScale(seed uint64) []*Table {
+func RunRegionScale(seed uint64, o Options) []*Table {
 	t := &Table{
 		Title: "Region scale: one logical KV table under 4,000 req/s open-loop load",
 		Header: []string{"Shards", "Done req/s", "Speedup", "p50", "p99",
@@ -153,7 +139,7 @@ func RunRegionScale(seed uint64) []*Table {
 	// the sweep engine fans the points across cores; rows commit in sweep
 	// order, keeping the rendered table byte-identical to a sequential run.
 	results := sweep.Map([]int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
-		return runRegionScale(seed, shards)
+		return runRegionScale(seed, shards, o)
 	})
 	var base float64
 	for _, r := range results {
@@ -169,6 +155,9 @@ func RunRegionScale(seed uint64) []*Table {
 			fmt.Sprintf("%.1f%%", r.hotShare*100),
 			fmt.Sprintf("$%.2f/hr", r.costPerHr),
 		)
+		at := fmt.Sprintf("@%d", r.shards)
+		t.AddMetric("rps"+at, "req/s", r.throughput)
+		t.AddMetric("p99"+at, "ns", float64(r.p99))
 	}
 	t.AddNote("per-shard front end limited to %d concurrent requests (~%.0f req/s capacity each)",
 		regionShardConcurrency,

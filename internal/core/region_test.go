@@ -12,8 +12,8 @@ func TestRegionScaleNearLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale scenario in -short mode")
 	}
-	r1 := runRegionScale(1, 1)
-	r4 := runRegionScale(1, 4)
+	r1 := runRegionScale(1, 1, Options{})
+	r4 := runRegionScale(1, 4, Options{})
 
 	if ratio := r4.throughput / r1.throughput; ratio < 3 {
 		t.Errorf("4-shard speedup = %.2fx (%.0f vs %.0f req/s), want >= 3x",
@@ -35,7 +35,7 @@ func TestRegionScaleNearLinear(t *testing.T) {
 			r4.hotShare*100)
 	}
 
-	if again := runRegionScale(1, 4); again != r4 {
+	if again := runRegionScale(1, 4, Options{}); again != r4 {
 		t.Errorf("region scale is nondeterministic: %+v vs %+v", again, r4)
 	}
 }
@@ -45,12 +45,12 @@ func TestRegionScaleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale scenario in -short mode")
 	}
-	tb := RunRegionScale(1)[0]
+	tb := RunRegionScale(1, Options{})[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 shard counts", len(tb.Rows))
 	}
-	p99at1 := parseDur(t, cell(t, tb, "1", 4))
-	p99at8 := parseDur(t, cell(t, tb, "8", 4))
+	p99at1 := dur(t, tb, "p99@1")
+	p99at8 := dur(t, tb, "p99@8")
 	if p99at1 < time.Second {
 		t.Errorf("1-shard p99 = %v, want queueing collapse (>1s)", p99at1)
 	}

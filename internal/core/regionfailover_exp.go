@@ -1,8 +1,8 @@
 package core
 
 // The regionfailover scenario: the multi-region story the paper's §3/§4
-// critique implies but single-region experiments cannot show. Two (or
-// more) regions run the same serving workload — FaaS handlers over a
+// critique implies but single-region experiments cannot show. Two
+// regions run the same serving workload — FaaS handlers over a
 // function-colocated state cache and a DynamoDB-style global table — while
 // a chaos engine severs the inter-region trunk for the middle third of the
 // window and crash-reclaims every hosting VM in the secondary region at
@@ -106,7 +106,7 @@ func rfHash(region, seq int) uint64 {
 // runRegionFailover measures one variant. scale shrinks the window (tests
 // run at scale < 1 to keep the seeds × workers determinism sweep cheap);
 // the partition always covers the middle third.
-func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) rfResult {
+func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rfResult {
 	window := time.Duration(float64(rfWindow) * scale)
 	partAt, partDur := window/3, window/3
 
@@ -117,26 +117,20 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
 	catalog := pricing.Fall2018()
 	meter := &pricing.Meter{}
-	for a := 0; a < regions; a++ {
-		for b := a + 1; b < regions; b++ {
-			net.ConnectRegions(a, b, netsim.Gbps(1), netsim.WANUniform(rfWANMean, rfWANSpread))
-		}
-	}
+	// Region 0 is the primary, region 1 the secondary the chaos run severs.
+	regions := []int{0, 1}
+	net.ConnectRegions(0, 1, netsim.Gbps(1), netsim.WANUniform(rfWANMean, rfWANSpread))
 	net.MeterEgress(func(bytes int64) {
 		meter.ChargeCost("wan.egress", catalog.WANEgressPerGB*pricing.USD(float64(bytes)/1e9))
 	})
 
-	regionList := make([]int, regions)
-	for r := range regionList {
-		regionList[r] = r
-	}
 	dcfg := cfg.DDB
 	dcfg.ShardCount = 4
 	gt := kvstore.NewGlobal("dynamodb", net, ServiceRack, rng.Fork(), dcfg,
-		kvstore.DefaultGlobalConfig(), regionList, catalog, meter)
+		kvstore.DefaultGlobalConfig(), regions, catalog, meter)
 	defer gt.Close()
 
-	pfs := make([]*faas.Platform, regions)
+	pfs := make([]*faas.Platform, len(regions))
 	for r := range pfs {
 		prev := net.SetBuildRegion(r)
 		pfs[r] = faas.New(fmt.Sprintf("lambda-r%d", r), net, rng.Fork(), cfg.Lambda, catalog, meter)
@@ -144,8 +138,8 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	}
 
 	sc := statecache.DefaultConfig()
-	sc.SketchStaleness = sketchStats()
-	sc.Reconcile = reconGossip()
+	sc.SketchStaleness = o.Sketch
+	sc.Reconcile = o.Recon
 	cl := statecache.New("cache", net, gt.Primary(), rng.Fork(), sc, catalog, meter)
 	for _, pf := range pfs {
 		pf.AttachStateCache(cl)
@@ -153,7 +147,7 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 
 	var res rfResult
 	for i := range res.phases {
-		res.phases[i].rec = newSummary("rf-" + rfPhases[i])
+		res.phases[i].rec = o.newSummary("rf-" + rfPhases[i])
 	}
 	phaseOf := func(now sim.Time) int {
 		switch {
@@ -267,11 +261,7 @@ func runRegionFailover(seed uint64, regions int, withChaos bool, scale float64) 
 	// a healed window of the same length again.
 	k.RunUntil(sim.Time(2 * window))
 
-	for a := 0; a < regions; a++ {
-		for b := a + 1; b < regions; b++ {
-			res.egress += net.WANBytes(a, b)
-		}
-	}
+	res.egress = net.WANBytes(0, 1)
 	res.aborted = cl.AbortedRounds()
 	res.rounds = cl.GossipRounds()
 	res.replLost = gt.LostBatches()
@@ -348,32 +338,23 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 	return out
 }
 
-// rfVariants lists the sweep points: the healthy control first, then the
-// chaos run (skipped under -chaos=false).
-func rfVariants() []bool {
-	if chaosEnabled() {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
 // runRegionFailoverTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRegionFailoverTables(seed uint64, scale float64) []*Table {
-	regions := configuredRegions(2)
+func runRegionFailoverTables(seed uint64, scale float64, o Options) []*Table {
 	window := time.Duration(float64(rfWindow) * scale)
 	phaseDur := window / 3
 
 	t := &Table{
-		Title: fmt.Sprintf("Region failover: %d regions, %.0f req/s each, trunk severed + crash storm for the middle third", regions, rfRate),
+		Title: fmt.Sprintf("Region failover: 2 regions, %.0f req/s each, trunk severed + crash storm for the middle third", rfRate),
 		Header: []string{"Variant", "Phase", "Done req/s", "p50", "p99", "p99.9",
 			"Avail", "$/hr"},
 	}
-	variants := rfVariants()
-	// Each (variant) is an independent simulation keyed by (seed, variant);
-	// the sweep engine fans them out and commits rows in point order.
+	// The healthy control first, then the chaos run. Each is an independent
+	// simulation keyed by (seed, variant); the sweep engine fans them out
+	// and commits rows in point order.
+	variants := []bool{false, true}
 	results := sweep.Map(variants, func(_ int, withChaos bool) rfResult {
-		return runRegionFailover(seed, regions, withChaos, scale)
+		return runRegionFailover(seed, withChaos, scale, o)
 	})
 	for vi, withChaos := range variants {
 		label := "control"
@@ -400,15 +381,13 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 			)
 		}
 	}
-	if len(results) > 1 {
-		c := results[1]
-		t.AddNote("chaos: trunk 0-1 severed at %s for %s; all %d secondary-region VMs crash-reclaimed at the same instant",
-			FmtDur(phaseDur), FmtDur(phaseDur), c.crashedVM)
-		t.AddNote("chaos run: %d/%d gossip rounds aborted, %d replication batches severed (all writes re-queued),",
-			c.aborted, c.aborted+c.rounds, c.replLost)
-		t.AddNote("%d writes replicated cross-region, %d cache flushes, %s total inter-region egress",
-			c.replDone, c.flushed, FmtBytes(c.egress))
-	}
+	c := results[1]
+	t.AddNote("chaos: trunk 0-1 severed at %s for %s; all %d secondary-region VMs crash-reclaimed at the same instant",
+		FmtDur(phaseDur), FmtDur(phaseDur), c.crashedVM)
+	t.AddNote("chaos run: %d/%d gossip rounds aborted, %d replication batches severed (all writes re-queued),",
+		c.aborted, c.aborted+c.rounds, c.replLost)
+	t.AddNote("%d writes replicated cross-region, %d cache flushes, %s total inter-region egress",
+		c.replDone, c.flushed, FmtBytes(c.egress))
 	t.AddNote("op mix per request: 40%% cache reads, 15%% cache counter writes, 20%% local eventual reads,")
 	t.AddNote("15%% consistent reads pinned to the primary region (fail fast when unreachable -> availability),")
 	t.AddNote("10%% global-table writes; autoscaler (min 2, max 32, 70%% util, 2s tick) rebuilds the crashed fleet")
@@ -447,6 +426,6 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 // RunRegionFailover regenerates the multi-region failover tables: tail
 // latency, availability, and cost per phase around a WAN partition plus
 // crash storm, and the IBF straggler re-dispatch comparison.
-func RunRegionFailover(seed uint64) []*Table {
-	return runRegionFailoverTables(seed, 1)
+func RunRegionFailover(seed uint64, o Options) []*Table {
+	return runRegionFailoverTables(seed, 1, o)
 }

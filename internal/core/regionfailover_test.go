@@ -33,7 +33,7 @@ func TestRegionFailoverDeterminism(t *testing.T) {
 		var want string
 		for i, w := range counts {
 			sweep.SetWorkers(w)
-			got := renderAll(runRegionFailoverTables(seed, 0.2))
+			got := renderAll(runRegionFailoverTables(seed, 0.2, Options{}))
 			if i == 0 {
 				want = got
 				continue
@@ -54,7 +54,7 @@ func TestRegionFailoverDeterminism(t *testing.T) {
 // availability (CP reads fail fast in the severed region) and the post
 // phase must recover to 100%.
 func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
-	res := runRegionFailover(1, 2, true, 0.2)
+	res := runRegionFailover(1, true, 0.2, Options{})
 	pre, during, post := &res.phases[0], &res.phases[1], &res.phases[2]
 	availOf := func(ph *rfPhase) float64 {
 		return float64(ph.served) / float64(ph.served+ph.failed)
@@ -78,7 +78,7 @@ func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
 		t.Errorf("crash storm reclaimed no VMs")
 	}
 	// The control run must be fully available throughout.
-	ctl := runRegionFailover(1, 2, false, 0.2)
+	ctl := runRegionFailover(1, false, 0.2, Options{})
 	for i := range ctl.phases {
 		if ctl.phases[i].failed != 0 {
 			t.Errorf("control phase %s failed %d requests", rfPhases[i], ctl.phases[i].failed)
@@ -91,6 +91,6 @@ func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
 // regenerates.
 func BenchmarkRegionFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runRegionFailoverTables(1, 1)
+		runRegionFailoverTables(1, 1, Options{})
 	}
 }

@@ -98,9 +98,9 @@ type rsPolicy struct {
 	shed    bool // server-side bounded-queue admission control
 }
 
-// rsPolicies returns the sweep points, honoring the -policy flag.
+// rsPolicies returns the sweep points.
 func rsPolicies() []rsPolicy {
-	all := []rsPolicy{
+	return []rsPolicy{
 		{name: "no-retry",
 			cfg: resilience.Config{Attempts: 1, Deadline: rsDeadline}},
 		{name: "naive-retry",
@@ -115,26 +115,6 @@ func rsPolicies() []rsPolicy {
 				HedgeAfter: rsHedgeAfter},
 			budget: true, breaker: true, shed: true},
 	}
-	want := configuredPolicy()
-	if want == "" || want == "all" {
-		return all
-	}
-	for _, p := range all {
-		if p.name == want {
-			return []rsPolicy{p}
-		}
-	}
-	return all
-}
-
-// PolicyNames lists the retrystorm policy variants the -policy flag
-// accepts (plus "all").
-func PolicyNames() []string {
-	names := make([]string, 0, 4)
-	for _, p := range rsPolicies() {
-		names = append(names, p.name)
-	}
-	return names
 }
 
 // rsPhaseM is one phase's measurements.
@@ -177,7 +157,7 @@ func rsHotShard(ddb *kvstore.Store) (shard int, share float64) {
 
 // runRetryStorm measures one policy. scale shrinks the window (tests run
 // at scale < 1); the fault always covers the middle third.
-func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
+func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult {
 	window := time.Duration(float64(rsWindow) * scale)
 	faultAt, faultDur := window/3, window/3
 
@@ -237,7 +217,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 
 	var res rsResult
 	for i := range res.phases {
-		res.phases[i].rec = newSummary("rs-" + rsPhases[i])
+		res.phases[i].rec = o.newSummary("rs-" + rsPhases[i])
 	}
 	phaseOf := func(now sim.Time) int {
 		switch {
@@ -347,7 +327,7 @@ const (
 // runHotTenant measures 12 polite closed-loop tenants sharing a
 // 4-slot table with one abusive tenant hammering from 32 connections,
 // with the per-caller rate-window jail off or on.
-func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
+func runHotTenant(seed uint64, jail bool, scale float64, o Options) rsJailResult {
 	window := time.Duration(float64(rsJailWindow) * scale)
 
 	k := sim.NewKernel()
@@ -369,8 +349,8 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	}
 
 	var res rsJailResult
-	res.polite.rec = newSummary("jail-polite")
-	res.abuser.rec = newSummary("jail-abuser")
+	res.polite.rec = o.newSummary("jail-polite")
+	res.abuser.rec = o.newSummary("jail-abuser")
 
 	run := func(name string, node *netsim.Node, crng *simrand.RNG,
 		think time.Duration, out *rsTenant) {
@@ -415,7 +395,7 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 
 // runRetryStormTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRetryStormTables(seed uint64, scale float64) []*Table {
+func runRetryStormTables(seed uint64, scale float64, o Options) []*Table {
 	window := time.Duration(float64(rsWindow) * scale)
 	phaseDur := window / 3
 
@@ -438,7 +418,7 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 	}
 	pols := rsPolicies()
 	results := sweep.Map(pols, func(_ int, pol rsPolicy) rsResult {
-		return runRetryStorm(seed, pol, scale)
+		return runRetryStorm(seed, pol, scale, o)
 	})
 	for pi, pol := range pols {
 		r := results[pi]
@@ -480,7 +460,7 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 		Header: []string{"Jail", "Tenant", "Done req/s", "p50", "p99", "Rejected"},
 	}
 	jres := sweep.Map([]bool{false, true}, func(_ int, jail bool) rsJailResult {
-		return runHotTenant(seed, jail, scale)
+		return runHotTenant(seed, jail, scale, o)
 	})
 	jailWindow := time.Duration(float64(rsJailWindow) * scale)
 	for ji, jail := range []bool{false, true} {
@@ -511,6 +491,6 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 // RunRetryStorm regenerates the resilience-fabric tables: availability and
 // tail latency per phase around a hot-shard slowdown under four retry
 // policies, and the hot-tenant admission-jail comparison.
-func RunRetryStorm(seed uint64) []*Table {
-	return runRetryStormTables(seed, 1)
+func RunRetryStorm(seed uint64, o Options) []*Table {
+	return runRetryStormTables(seed, 1, o)
 }

@@ -31,7 +31,7 @@ func TestRetryStormDeterminism(t *testing.T) {
 		var want string
 		for i, w := range counts {
 			sweep.SetWorkers(w)
-			got := renderAll(runRetryStormTables(seed, 0.2))
+			got := renderAll(runRetryStormTables(seed, 0.2, Options{}))
 			if i == 0 {
 				want = got
 				continue
@@ -60,7 +60,7 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 	pols := rsPolicies()
 	byName := map[string]rsResult{}
 	for _, pol := range pols {
-		byName[pol.name] = runRetryStorm(1, pol, 1)
+		byName[pol.name] = runRetryStorm(1, pol, 1, Options{})
 	}
 	avail := func(r rsResult, phase int) float64 {
 		ph := r.phases[phase]
@@ -127,8 +127,8 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hot-tenant runs in -short mode")
 	}
-	off := runHotTenant(1, false, 0.5)
-	on := runHotTenant(1, true, 0.5)
+	off := runHotTenant(1, false, 0.5, Options{})
+	on := runHotTenant(1, true, 0.5, Options{})
 	if off.abuser.rejected != 0 || off.jailed != 0 {
 		t.Fatalf("jail off still rejected: abuser %d, server %d", off.abuser.rejected, off.jailed)
 	}
@@ -151,6 +151,6 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 // faasbench regenerates.
 func BenchmarkRetryStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runRetryStormTables(1, 1)
+		runRetryStormTables(1, 1, Options{})
 	}
 }

@@ -48,11 +48,11 @@ const servingBatches = 1000
 // (ZeroMQ-style) messaging. Latency is measured from the client initiating
 // the batch to the results being durable in the output channel, averaged
 // over 1,000 batches as in the paper.
-func RunServing(seed uint64) []*Table {
-	lambdaFetch := runServingLambda(seed, true)
-	lambdaOpt := runServingLambda(seed+1, false)
-	ec2SQS := runServingEC2SQS(seed + 2)
-	ec2ZMQ := runServingEC2ZMQ(seed + 3)
+func RunServing(seed uint64, o Options) []*Table {
+	lambdaFetch := runServingLambda(seed, true, o)
+	lambdaOpt := runServingLambda(seed+1, false, o)
+	ec2SQS := runServingEC2SQS(seed+2, o)
+	ec2ZMQ := runServingEC2ZMQ(seed+3, o)
 
 	t := &Table{
 		Title:  "§3.1 Prediction serving: mean latency per 10-document batch (1,000 batches)",
@@ -66,19 +66,23 @@ func RunServing(seed uint64) []*Table {
 		float64(lambdaOpt)/float64(ec2SQS))
 	t.AddNote("EC2+ZeroMQ vs optimized Lambda: %.0fx faster (paper reports 127x)",
 		float64(lambdaOpt)/float64(ec2ZMQ))
+	t.AddMetric("lambda-fetch", "ns", float64(lambdaFetch))
+	t.AddMetric("lambda-opt", "ns", float64(lambdaOpt))
+	t.AddMetric("ec2-sqs", "ns", float64(ec2SQS))
+	t.AddMetric("ec2-zmq", "ns", float64(ec2ZMQ))
 	return []*Table{t}
 }
 
 // runServingLambda measures the two Lambda variants. fetchModel selects the
 // unoptimized path: fetch the serialized model from S3 on every invocation
 // and write results back to S3 instead of SQS.
-func runServingLambda(seed uint64, fetchModel bool) time.Duration {
+func runServingLambda(seed uint64, fetchModel bool, o Options) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	completion := make(map[int]*sim.Latch)
 	compiled := wordfilter.DefaultModel()
 
@@ -160,13 +164,13 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2SQS(seed uint64) time.Duration {
+func runServingEC2SQS(seed uint64, o Options) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	completion := make(map[int]*sim.Latch)
 	model := wordfilter.DefaultModel()
 
@@ -227,10 +231,10 @@ func runServingEC2SQS(seed uint64) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2ZMQ(seed uint64) time.Duration {
+func runServingEC2ZMQ(seed uint64, o Options) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
-	rec := newSummary("batch")
+	rec := o.newSummary("batch")
 	model := wordfilter.DefaultModel()
 
 	done := false
@@ -269,7 +273,7 @@ func runServingEC2ZMQ(seed uint64) time.Duration {
 // RunServingCost regenerates the §3.1 cost comparison at 1M messages/s:
 // the SQS request bill alone versus an EC2 fleet sized from measured
 // instance throughput.
-func RunServingCost(seed uint64) []*Table {
+func RunServingCost(seed uint64, _ Options) []*Table {
 	c := NewCloud(seed)
 	defer c.Close()
 
@@ -327,5 +331,7 @@ func RunServingCost(seed uint64) []*Table {
 		fmt.Sprintf("$%.2f", ec2Hourly), "$27.84")
 	t.AddNote("cost ratio: %.0fx in EC2's favor (paper reports 57x)", sqsHourly/ec2Hourly)
 	t.AddNote("instance throughput measured over a 30s steady-state window (paper: ~3,500 req/s)")
+	t.AddMetric("sqs.cost", "USD/hr", sqsHourly)
+	t.AddMetric("ec2.cost", "USD/hr", ec2Hourly)
 	return []*Table{t}
 }

@@ -100,7 +100,7 @@ func uncachedAdd(p *sim.Proc, c *Cloud, ctx *faas.Ctx, replica, key string, delt
 // runStateCache measures one variant: workers concurrent stateful workers
 // (one per VM/replica), cached via gossip at the given interval when
 // cached is set, all against the same op mix and seed.
-func runStateCache(seed uint64, workers int, interval time.Duration, cached bool) stateCacheResult {
+func runStateCache(seed uint64, workers int, interval time.Duration, cached bool, o Options) stateCacheResult {
 	cfg := DefaultConfig()
 	// One container per VM so each worker invocation owns one colocated
 	// replica — the fluid-state deployment §4 sketches.
@@ -113,13 +113,13 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		sc := statecache.DefaultConfig()
 		sc.GossipInterval = interval
 		sc.FlushInterval = stateCacheFlushEvery
-		sc.SketchStaleness = sketchStats()
-		sc.Reconcile = reconGossip()
+		sc.SketchStaleness = o.Sketch
+		sc.Reconcile = o.Recon
 		cl = statecache.New("cache", c.Net, c.DDB, c.RNG.Fork(), sc, c.Catalog, c.Meter)
 		c.Lambda.AttachStateCache(cl)
 	}
 
-	rec := newSummary("statecache-read")
+	rec := o.newSummary("statecache-read")
 	ops := 0
 	end := sim.Time(stateCacheWindow)
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
@@ -219,7 +219,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 // identical stateful workloads against the DynamoDB-class store (the
 // paper's data-shipping baseline) and against VM-colocated CRDT replicas
 // converged by gossip, sweeping replica count and gossip interval.
-func RunStateCache(seed uint64) []*Table {
+func RunStateCache(seed uint64, o Options) []*Table {
 	t := &Table{
 		Title: "§4 fluid state: function-colocated CRDT cache vs storage round trips",
 		Header: []string{"Variant", "Replicas", "Gossip", "Ops/s", "Read p50",
@@ -242,9 +242,9 @@ func RunStateCache(seed uint64) []*Table {
 	// by (seed, point parameters); the sweep engine farms them across
 	// cores and commits results in point order.
 	results := sweep.Map(points, func(_ int, pt point) stateCacheResult {
-		return runStateCache(seed, pt.workers, pt.interval, pt.cached)
+		return runStateCache(seed, pt.workers, pt.interval, pt.cached, o)
 	})
-	var uncachedP99, cachedP99 time.Duration
+	var uncached, cached stateCacheResult // cached: 4 replicas, 200ms gossip
 	for i, pt := range points {
 		r := results[i]
 		gossip, stale, perRound := "—", "—", "—"
@@ -254,9 +254,9 @@ func RunStateCache(seed uint64) []*Table {
 			perRound = FmtBytes(r.gossipPer)
 		}
 		if !pt.cached {
-			uncachedP99 = r.p99
+			uncached = r
 		} else if pt.workers == 4 && pt.interval == 200*time.Millisecond {
-			cachedP99 = r.p99
+			cached = r
 		}
 		t.AddRow(
 			r.label,
@@ -270,11 +270,14 @@ func RunStateCache(seed uint64) []*Table {
 			fmt.Sprintf("$%.2f/hr", r.stateCost),
 		)
 	}
-	if cachedP99 > 0 {
+	if cached.p99 > 0 {
 		t.AddNote("read p99 %v uncached vs %v cached at 4 replicas / 200ms gossip (%s lower)",
-			FmtDur(uncachedP99), FmtDur(cachedP99),
-			FmtRatio(float64(uncachedP99)/float64(cachedP99)))
+			FmtDur(uncached.p99), FmtDur(cached.p99),
+			FmtRatio(float64(uncached.p99)/float64(cached.p99)))
 	}
+	t.AddMetric("read-p99.uncached", "ns", float64(uncached.p99))
+	t.AddMetric("read-p99.cached", "ns", float64(cached.p99))
+	t.AddMetric("stale-p99.cached", "ns", float64(cached.staleP99))
 	t.AddNote("identical op mix both variants: 80%% reads / 20%% counter deltas over %d shared keys,",
 		stateCacheKeys)
 	t.AddNote("%s mean think time per worker; uncached writes are blackboard read-merge-write pairs",

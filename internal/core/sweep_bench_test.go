@@ -38,7 +38,7 @@ func stateCacheGrid() []struct {
 func runStateCacheGrid(workers int) []stateCacheResult {
 	grid := stateCacheGrid()
 	return sweep.PointsN(workers, len(grid), func(i int) stateCacheResult {
-		return runStateCache(simrand.Derive(1, i), grid[i].workers, grid[i].interval, true)
+		return runStateCache(simrand.Derive(1, i), grid[i].workers, grid[i].interval, true, Options{})
 	})
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Table is a rendered experiment artifact mirroring one of the paper's
@@ -13,6 +15,16 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Metrics carries the unrounded numbers behind the cells that tests
+	// and benchmarks read. Render ignores them.
+	Metrics []Metric
+}
+
+// Metric is one named number an experiment reports alongside its table.
+type Metric struct {
+	Name  string
+	Unit  string // "ns" for durations
+	Value float64
 }
 
 // AddRow appends a row of already-formatted cells.
@@ -25,20 +37,37 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// AddMetric appends a typed metric.
+func (t *Table) AddMetric(name, unit string, value float64) {
+	t.Metrics = append(t.Metrics, Metric{Name: name, Unit: unit, Value: value})
+}
+
+// Value returns the value of the named metric.
+func (t *Table) Value(name string) (float64, bool) {
+	for _, m := range t.Metrics {
+		if m.Name == name {
+			return m.Value, true
+		}
+	}
+	return 0, false
+}
+
 // Render formats the table with aligned columns.
 func (t *Table) Render() string {
 	var b strings.Builder
 	b.WriteString(t.Title)
 	b.WriteString("\n")
-	widths := make([]int, len(t.Header))
+	cols := len(t.Header)
+	for _, row := range t.Rows {
+		cols = max(cols, len(row))
+	}
+	widths := make([]int, cols)
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	writeRow := func(cells []string) {
@@ -110,38 +139,57 @@ func FmtRatio(r float64) string {
 	}
 }
 
+// Options are the per-run switches experiments honor. The zero value is the
+// reference configuration every golden pins.
+type Options struct {
+	// Sketch records latencies in fixed-memory quantile sketches (≤1%
+	// percentile error) instead of exact recorders.
+	Sketch bool
+	// Recon reconciles statecache gossip with constant-size IBF summaries
+	// instead of per-key digests.
+	Recon bool
+}
+
+// newSummary builds the latency summary experiments record into.
+func (o Options) newSummary(name string) stats.Summary {
+	return stats.NewSummary(name, o.Sketch)
+}
+
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
-	ID    string // e.g. "table1"
-	Title string
-	// Run executes the experiment deterministically for the given seed
-	// and returns its tables.
-	Run func(seed uint64) []*Table
+	ID      string // e.g. "table1"
+	Title   string
+	Options Options
+	run     func(uint64, Options) []*Table
 }
+
+// Run executes the experiment deterministically for the given seed under
+// e.Options and returns its tables.
+func (e Experiment) Run(seed uint64) []*Table { return e.run(seed, e.Options) }
 
 // Experiments returns the full registry in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "Table 1: 1KB communication latencies", Run: RunTable1},
-		{ID: "figure1", Title: "Figure 1: Google Trends, Serverless vs MapReduce", Run: RunFigure1},
-		{ID: "training", Title: "§3.1 Case study: model training (Lambda vs EC2)", Run: RunTraining},
-		{ID: "serving", Title: "§3.1 Case study: prediction serving latency", Run: RunServing},
-		{ID: "servingcost", Title: "§3.1 Case study: serving cost at 1M msg/s", Run: RunServingCost},
-		{ID: "election", Title: "§3.1 Case study: bully election on a DynamoDB blackboard", Run: RunElection},
-		{ID: "bandwidth", Title: "§3(2): per-function network bandwidth vs packing", Run: RunBandwidth},
-		{ID: "workflow", Title: "§2: function-composition overhead (signup pipeline)", Run: RunWorkflow},
-		{ID: "firecracker", Title: "Ablation (footnote 5): Firecracker 125ms cold starts", Run: RunFirecracker},
-		{ID: "fastnic", Title: "Ablation (footnote 4): 100Gbps NICs, 64-way packing", Run: RunFastNIC},
-		{ID: "future", Title: "§4: case studies on the forward-looking platform", Run: RunFuture},
-		{ID: "electionsweep", Title: "Sensitivity: election round vs polling rate", Run: RunElectionSweep},
-		{ID: "autoscale", Title: "§1.2: autoscaling under open-loop load (the step forward)", Run: RunAutoscale},
-		{ID: "regionscale", Title: "Region scale: sharded KV table under open-loop load", Run: RunRegionScale},
-		{ID: "faasscale", Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency", Run: RunFaaSScale},
-		{ID: "statecache", Title: "§4 fluid state: function-colocated CRDT cache with gossip anti-entropy", Run: RunStateCache},
-		{ID: "millionuser", Title: "Million-user scale: sketched latencies + aggregated load population", Run: RunMillionUser},
-		{ID: "millionkey", Title: "Million-key gossip: IBF set reconciliation vs per-key digests", Run: RunMillionKey},
-		{ID: "regionfailover", Title: "Multi-region failover: WAN partition + crash storm under measured load", Run: RunRegionFailover},
-		{ID: "retrystorm", Title: "Resilience fabric: retry policies under a metastable retry storm", Run: RunRetryStorm},
+		{ID: "table1", Title: "Table 1: 1KB communication latencies", run: RunTable1},
+		{ID: "figure1", Title: "Figure 1: Google Trends, Serverless vs MapReduce", run: RunFigure1},
+		{ID: "training", Title: "§3.1 Case study: model training (Lambda vs EC2)", run: RunTraining},
+		{ID: "serving", Title: "§3.1 Case study: prediction serving latency", run: RunServing},
+		{ID: "servingcost", Title: "§3.1 Case study: serving cost at 1M msg/s", run: RunServingCost},
+		{ID: "election", Title: "§3.1 Case study: bully election on a DynamoDB blackboard", run: RunElection},
+		{ID: "bandwidth", Title: "§3(2): per-function network bandwidth vs packing", run: RunBandwidth},
+		{ID: "workflow", Title: "§2: function-composition overhead (signup pipeline)", run: RunWorkflow},
+		{ID: "firecracker", Title: "Ablation (footnote 5): Firecracker 125ms cold starts", run: RunFirecracker},
+		{ID: "fastnic", Title: "Ablation (footnote 4): 100Gbps NICs, 64-way packing", run: RunFastNIC},
+		{ID: "future", Title: "§4: case studies on the forward-looking platform", run: RunFuture},
+		{ID: "electionsweep", Title: "Sensitivity: election round vs polling rate", run: RunElectionSweep},
+		{ID: "autoscale", Title: "§1.2: autoscaling under open-loop load (the step forward)", run: RunAutoscale},
+		{ID: "regionscale", Title: "Region scale: sharded KV table under open-loop load", run: RunRegionScale},
+		{ID: "faasscale", Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency", run: RunFaaSScale},
+		{ID: "statecache", Title: "§4 fluid state: function-colocated CRDT cache with gossip anti-entropy", run: RunStateCache},
+		{ID: "millionuser", Title: "Million-user scale: sketched latencies + aggregated load population", run: RunMillionUser},
+		{ID: "millionkey", Title: "Million-key gossip: IBF set reconciliation vs per-key digests", run: RunMillionKey},
+		{ID: "regionfailover", Title: "Multi-region failover: WAN partition + crash storm under measured load", run: RunRegionFailover},
+		{ID: "retrystorm", Title: "Resilience fabric: retry policies under a metastable retry storm", run: RunRetryStorm},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/msgnet"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // runKernelUntil advances the kernel in steps until cond holds or horizon
@@ -26,16 +27,16 @@ func runKernelUntil(k *sim.Kernel, horizon, step sim.Time, cond func() bool) boo
 // six different ways, plus the compared-to-best ratio row. Trial counts
 // match the paper: 1,000 invocations, 5,000 storage I/O pairs, 10,000
 // network round trips.
-func RunTable1(seed uint64) []*Table {
+func RunTable1(seed uint64, o Options) []*Table {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	recInvoke := newSummary("invoke")
-	recLambdaS3 := newSummary("lambda-s3")
-	recLambdaDDB := newSummary("lambda-ddb")
-	recEC2S3 := newSummary("ec2-s3")
-	recEC2DDB := newSummary("ec2-ddb")
-	recZMQ := newSummary("ec2-zmq")
+	recInvoke := o.newSummary("invoke")
+	recLambdaS3 := o.newSummary("lambda-s3")
+	recLambdaDDB := o.newSummary("lambda-ddb")
+	recEC2S3 := o.newSummary("ec2-s3")
+	recEC2DDB := o.newSummary("ec2-ddb")
+	recZMQ := o.newSummary("ec2-zmq")
 
 	payload := make([]byte, 1024)
 
@@ -143,21 +144,20 @@ func RunTable1(seed uint64) []*Table {
 		Header: []string{"", "Func. Invoc. (1KB)", "Lambda I/O (S3)", "Lambda I/O (DynamoDB)",
 			"EC2 I/O (S3)", "EC2 I/O (DynamoDB)", "EC2 NW (0MQ)"},
 	}
-	means := []time.Duration{
-		recInvoke.Mean(), recLambdaS3.Mean(), recLambdaDDB.Mean(),
-		recEC2S3.Mean(), recEC2DDB.Mean(), recZMQ.Mean(),
-	}
-	best := means[0]
-	for _, m := range means[1:] {
-		if m > 0 && m < best {
+	recs := []stats.Summary{recInvoke, recLambdaS3, recLambdaDDB, recEC2S3, recEC2DDB, recZMQ}
+	best := recInvoke.Mean()
+	for _, r := range recs[1:] {
+		if m := r.Mean(); m > 0 && m < best {
 			best = m
 		}
 	}
 	row := []string{"Latency (measured)"}
 	ratios := []string{"Compared to best"}
-	for _, m := range means {
+	for _, r := range recs {
+		m := r.Mean()
 		row = append(row, FmtDur(m))
 		ratios = append(ratios, FmtRatio(float64(m)/float64(best)))
+		t.AddMetric(r.Name(), "ns", float64(m))
 	}
 	t.Rows = append(t.Rows, row, ratios,
 		[]string{"Paper reported", "303ms", "108ms", "11ms", "106ms", "11ms", "290µs"},

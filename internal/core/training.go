@@ -73,11 +73,11 @@ type trainingResult struct {
 // epochs over a 90GB corpus in 100MB batches, once on Lambda (640MB
 // functions chained through the 15-minute lifetime, batches fetched from
 // S3) and once on an m4.large with EBS-resident data.
-func RunTraining(seed uint64) []*Table {
+func RunTraining(seed uint64, o Options) []*Table {
 	totalIters := TrainingEpochs * int(TrainingCorpusBytes/TrainingBatchBytes) // 9,000
 
-	lambda := runLambdaTraining(seed, totalIters)
-	ec2 := runEC2Training(seed, totalIters)
+	lambda := runLambdaTraining(seed, totalIters, o)
+	ec2 := runEC2Training(seed, totalIters, o)
 
 	t := &Table{
 		Title: "§3.1 Model training: Lambda (640MB, data in S3) vs EC2 m4.large (data on EBS)",
@@ -98,16 +98,21 @@ func RunTraining(seed uint64) []*Table {
 		proxyVocab, lambda.lossBefore, lambda.lossAfter, ec2.lossBefore, ec2.lossAfter)
 	t.AddNote("%d iterations = %d epochs x %d batches of 100MB", totalIters,
 		TrainingEpochs, reviews.PaperBatchPerPass)
+	t.AddMetric("lambda.total", "ns", float64(lambda.total))
+	t.AddMetric("lambda.executions", "count", float64(lambda.executions))
+	t.AddMetric("lambda.cost", "USD", float64(lambda.cost))
+	t.AddMetric("ec2.total", "ns", float64(ec2.total))
+	t.AddMetric("ec2.cost", "USD", float64(ec2.cost))
 	return []*Table{t}
 }
 
-func runLambdaTraining(seed uint64, totalIters int) trainingResult {
+func runLambdaTraining(seed uint64, totalIters int, o Options) trainingResult {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	fetch := newSummary("fetch")
-	optim := newSummary("optimize")
-	iters := newSummary("iter")
+	fetch := o.newSummary("fetch")
+	optim := o.newSummary("optimize")
+	iters := o.newSummary("iter")
 	pt := newProxyTrainer(seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss()}
 
@@ -187,13 +192,13 @@ func runLambdaTraining(seed uint64, totalIters int) trainingResult {
 	return res
 }
 
-func runEC2Training(seed uint64, totalIters int) trainingResult {
+func runEC2Training(seed uint64, totalIters int, o Options) trainingResult {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	fetch := newSummary("fetch")
-	optim := newSummary("optimize")
-	iters := newSummary("iter")
+	fetch := o.newSummary("fetch")
+	optim := o.newSummary("optimize")
+	iters := o.newSummary("iter")
 	pt := newProxyTrainer(seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss(), executions: 1}
 

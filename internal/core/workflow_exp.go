@@ -43,7 +43,7 @@ func signupSteps() []workflow.Step {
 // Autodesk case study reports ten-minute end-to-end signups and attributes
 // part of that to "the overheads of Lambda task handling and state
 // management"; this experiment isolates exactly that infrastructure share.
-func RunWorkflow(seed uint64) []*Table {
+func RunWorkflow(seed uint64, o Options) []*Table {
 	const requests = 20
 
 	// FaaS pipeline.
@@ -52,7 +52,7 @@ func RunWorkflow(seed uint64) []*Table {
 	if err := pl.Deploy(c.K); err != nil {
 		panic(err)
 	}
-	rec := newSummary("pipeline")
+	rec := o.newSummary("pipeline")
 	client := c.ClientNode("client")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
@@ -76,7 +76,7 @@ func RunWorkflow(seed uint64) []*Table {
 	// Monolith baseline: the same eight steps in one process with local
 	// state on the instance volume.
 	c2 := NewCloud(seed + 1)
-	mono := newSummary("monolith")
+	mono := o.newSummary("monolith")
 	done2 := false
 	c2.K.Spawn("driver", func(p *sim.Proc) {
 		inst := c2.EC2.Launch(p, compute.M5Large, ClientRack)
@@ -120,5 +120,7 @@ func RunWorkflow(seed uint64) []*Table {
 	t.AddNote("paper context: Autodesk's Lambda-based signup averaged ~10 minutes end to end;")
 	t.AddNote("the infrastructure share measured here is pure queue/invoke/state overhead —")
 	t.AddNote("the business logic itself accounts for microseconds")
+	t.AddMetric("pipeline", "ns", float64(rec.Mean()))
+	t.AddMetric("monolith", "ns", float64(mono.Mean()))
 	return []*Table{t}
 }
