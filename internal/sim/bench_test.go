@@ -28,7 +28,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcContextSwitch measures the park/wake handshake between the
-// kernel and a process goroutine.
+// kernel and a process coroutine.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
@@ -80,7 +80,8 @@ func BenchmarkSignalFire(b *testing.B) {
 }
 
 // BenchmarkQueuePingPong measures a blocking request/response exchange
-// between two processes over a pair of bounded queues.
+// between two processes over a pair of bounded queues — the proc-to-proc
+// switch path. Gated at 0 allocs/op in CI.
 func BenchmarkQueuePingPong(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
@@ -101,6 +102,23 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+}
+
+// BenchmarkKernelLifecycle measures one whole kernel lifetime as a sweep
+// point or experiment run sees it: 64 processes spawned, parked mid-body,
+// then unwound by Close, with their coroutines drawn from and returned to
+// the cross-kernel pool.
+func BenchmarkKernelLifecycle(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel()
+		var never Signal
+		for j := 0; j < 64; j++ {
+			k.Spawn("parked", func(p *Proc) { never.Wait(p) })
+		}
+		k.Run()
+		k.Close()
+	}
 }
 
 // BenchmarkTimerReset measures the re-arm path components like the fabric

@@ -27,9 +27,6 @@ import (
 // Time is virtual time measured as an offset from the simulation start.
 type Time = time.Duration
 
-// token is the unit value exchanged on kernel handshake channels.
-type token struct{}
-
 // killedPanic is thrown inside a parked process when the kernel shuts down.
 type killedPanic struct{}
 
@@ -67,18 +64,16 @@ type Kernel struct {
 	events eventHeap
 	rq     ring[rqEntry]
 
-	// yield is signaled by a process when it parks or exits, returning
-	// control to the kernel loop.
-	yield chan token
-	// allProcs is every Proc (and goroutine) ever created, so Close can
-	// tear each one down by closing its resume channel; freeProcs is the
-	// subset whose bodies have exited and whose goroutines are parked
-	// awaiting a new assignment from Spawn. Recycling them makes
-	// steady-state Spawn allocation-free: no goroutine, stack, channel,
-	// or Proc per process on per-request workloads.
+	// allProcs is every Proc ever created, so Close can unwind the live
+	// ones and return every coroutine to the pool; freeProcs is the subset
+	// whose bodies have exited, awaiting a new assignment from Spawn.
+	// Recycling them makes steady-state Spawn allocation-free: no Proc or
+	// coroutine per process on per-request workloads.
 	allProcs  []*Proc
 	freeProcs []*Proc
-	closed    bool
+	// closed is also the kill flag: a process Close resumes finds it set
+	// and unwinds instead of continuing.
+	closed bool
 
 	// failure holds a panic captured from a process; Run re-raises it.
 	failure *procPanic
@@ -96,7 +91,6 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	return &Kernel{
 		events: newEventHeap(),
-		yield:  make(chan token),
 		until:  -1,
 	}
 }
@@ -152,31 +146,19 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	k.spawned++
 	var p *Proc
 	if n := len(k.freeProcs); n > 0 {
-		// Reuse an exited process slot: its goroutine is parked on the
-		// resume channel waiting for the next assignment.
+		// Reuse an exited process slot: its coroutine has yielded
+		// between assignments.
 		p = k.freeProcs[n-1]
 		k.freeProcs = k.freeProcs[:n-1]
 		p.name, p.id, p.body = name, k.spawned, fn
 	} else {
-		p = &Proc{
-			k:      k,
-			name:   name,
-			id:     k.spawned,
-			resume: make(chan token),
-			body:   fn,
-		}
+		p = &Proc{k: k, name: name, id: k.spawned, body: fn}
+		p.co = adoptCoro(p)
 		k.allProcs = append(k.allProcs, p)
-		startWorker(p)
 	}
 	k.liveProcs++
 	k.schedule(k.now, nil, p)
 	return p
-}
-
-// step transfers control to process p and blocks until p parks or exits.
-func (k *Kernel) step(p *Proc) {
-	p.resume <- token{}
-	<-k.yield
 }
 
 // Run executes events until the queue is empty, then returns the final
@@ -198,52 +180,6 @@ func (k *Kernel) nextIsRQ() bool {
 	}
 	top := &k.events.arena[k.events.min()]
 	return top.at > k.now || top.seq > k.rq.peek().seq
-}
-
-// directHandoff lets a parking or exiting process dispatch the next due
-// event itself when that event resumes another (parked) process: it pops
-// the event with exactly the kernel loop's selection logic and hands the
-// run token straight to the target goroutine, so the kernel goroutine
-// stays asleep and the handoff costs one channel operation instead of two.
-// Processes daisy-chain this way until the next event is a callback, out
-// of the RunUntil bound, or absent — then the last process yields and the
-// kernel loop takes over. Because the selection logic is identical, the
-// event order (and every golden trace) is unchanged.
-//
-// It reports whether the event was dispatched; false means the caller must
-// yield to the kernel loop. A recorded failure also returns false so the
-// kernel re-raises the panic before any further event runs.
-func (k *Kernel) directHandoff(self *Proc) bool {
-	if k.failure != nil {
-		return false
-	}
-	var target *Proc
-	if k.rq.len() > 0 && k.nextIsRQ() {
-		if k.until >= 0 && k.now > k.until {
-			return false
-		}
-		// A pending event for self cannot be consumed here: park's inline
-		// fast path already handles it, and an exiting process must leave
-		// it to the kernel loop.
-		target = k.rq.peek().proc
-		if target == nil || target == self {
-			return false
-		}
-		k.rq.pop() // zeroes the peeked slot; target already copied out
-	} else if k.events.len() > 0 {
-		s := k.events.min()
-		e := &k.events.arena[s]
-		if e.proc == nil || e.proc == self || (k.until >= 0 && e.at > k.until) {
-			return false
-		}
-		k.now = e.at
-		target = e.proc
-		k.events.removeAt(0)
-	} else {
-		return false
-	}
-	target.resume <- token{}
-	return true
 }
 
 // RunUntil executes events with timestamps <= until (all events if until is
@@ -277,7 +213,8 @@ func (k *Kernel) RunUntil(until Time) Time {
 			break
 		}
 		if proc != nil {
-			k.step(proc)
+			// Runs the process until it parks or its body exits.
+			proc.co.next()
 		} else {
 			fn()
 		}
@@ -293,18 +230,23 @@ func (k *Kernel) RunUntil(until Time) Time {
 	return k.now
 }
 
-// Close tears down the kernel, unblocking every parked process goroutine so
-// nothing leaks. After Close the kernel cannot be used. Close is idempotent.
+// Close tears down the kernel. Each live process is resumed once: a parked
+// body unwinds (its defers included) and one that never started is retired
+// without running. The caller waits while each process unwinds, one at a
+// time, so all of it is finished when Close returns; every coroutine then
+// goes back to the cross-kernel pool. After Close the kernel cannot be
+// used. Close is idempotent.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
-	// Every goroutine — parked mid-body, awaiting its start event, or
-	// idle in the free pool — is blocked on its resume channel; closing
-	// the channel unblocks it for teardown.
 	for _, p := range k.allProcs {
-		close(p.resume)
+		if p.body != nil {
+			p.co.next()
+		}
+		p.co.release()
+		p.co = nil
 	}
 	k.allProcs = nil
 	k.freeProcs = nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -188,6 +189,88 @@ func TestCloseReapsParkedProcs(t *testing.T) {
 	}
 	k.Close()
 	k.Close() // idempotent
+}
+
+// TestCloseUnwindsParkedProcsBeforeReturning: Close runs every parked
+// body's defers, and their wake-ups, before it returns, not concurrently
+// with the caller (run under -race).
+func TestCloseUnwindsParkedProcsBeforeReturning(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(8)
+	var never Signal
+	released := 0
+	for i := 0; i < 8; i++ {
+		k.Spawn("holder", func(p *Proc) {
+			r.Acquire(p)
+			defer func() {
+				r.Release()
+				released++
+			}()
+			never.Wait(p)
+		})
+	}
+	k.Spawn("waiter", func(p *Proc) { r.Acquire(p) })
+	k.RunUntil(time.Second)
+	if r.Waiting() != 1 {
+		t.Fatalf("Waiting = %d, want the ninth proc queued", r.Waiting())
+	}
+	k.Close()
+	if released != 8 {
+		t.Fatalf("%d of 8 deferred Releases ran before Close returned", released)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after Close, want 0", k.LiveProcs())
+	}
+}
+
+// TestCoroutinePoolReuseAcrossKernels: coroutines return to the
+// cross-kernel pool at Close, so many kernel lifecycles run on one
+// kernel's worth of them.
+func TestCoroutinePoolReuseAcrossKernels(t *testing.T) {
+	const procs = 64
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		k := NewKernel()
+		var never Signal
+		for j := 0; j < procs; j++ {
+			k.Spawn("parked", func(p *Proc) { never.Wait(p) })
+		}
+		k.Run()
+		if k.LiveProcs() != procs {
+			t.Fatalf("lifecycle %d: LiveProcs = %d, want %d", i, k.LiveProcs(), procs)
+		}
+		k.Close()
+	}
+	if grew := runtime.NumGoroutine() - before; grew > procs+8 {
+		t.Fatalf("goroutines grew by %d over 200 kernels, want <= %d", grew, procs+8)
+	}
+}
+
+// TestGoexitInBodyEndsRunAndSparesPool: runtime.Goexit in a body (what
+// t.FailNow does) ends the goroutine running the kernel, and the ended
+// coroutine does not rejoin the pool to swallow a later process.
+func TestGoexitInBodyEndsRunAndSparesPool(t *testing.T) {
+	done := make(chan bool)
+	go func() {
+		returned := false
+		defer func() { done <- returned }()
+		k := NewKernel()
+		defer k.Close()
+		k.Spawn("quitter", func(p *Proc) { runtime.Goexit() })
+		k.Run()
+		returned = true
+	}()
+	if <-done {
+		t.Fatal("Run returned after a body called runtime.Goexit")
+	}
+	k := NewKernel()
+	defer k.Close()
+	ran := false
+	k.Spawn("next", func(p *Proc) { ran = true })
+	k.Run()
+	if !ran {
+		t.Fatal("process spawned after a Goexit never ran")
+	}
 }
 
 func TestYieldRunsPeersFirst(t *testing.T) {

@@ -1,28 +1,27 @@
 package sim
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
-// Proc is a simulated process: a goroutine whose execution is serialized by
+// Proc is a simulated process: a coroutine whose execution is serialized by
 // the kernel and whose notion of time is the kernel's virtual clock. Process
 // bodies are ordinary blocking Go code; blocking operations (Sleep, Queue.Get,
 // Signal.Wait, ...) park the process and return control to the kernel.
 //
 // Exactly one process runs at any instant, so process code may freely read
 // and write shared simulation state without locks.
-// A Proc's backing goroutine outlives the process body: when the body
-// returns, the goroutine parks on the proc's resume channel and the Proc
-// joins the kernel's free pool for the next Spawn to reuse (with a fresh
-// name and ID). Spawning therefore allocates no goroutine, stack, or
-// channel in steady state — the dominant cost of per-request process
-// workloads such as open-loop load generators.
+// A Proc's backing coroutine outlives the process body: when the body
+// returns, the coroutine yields back to the kernel and the Proc joins the
+// kernel's free list for the next Spawn to reuse (with a fresh name and
+// ID). Spawning therefore allocates nothing in steady state — the dominant
+// cost of per-request process workloads such as open-loop load generators.
 type Proc struct {
 	k    *Kernel
 	name string
 	id   uint64
-	// resume carries the kernel's go-ahead token; the kernel closes it at
-	// shutdown, so a parked process needs a single channel receive (no
-	// select) to distinguish resume from teardown.
-	resume chan token
+	co   *coro
 	// body is the current assignment, set by Spawn and cleared on exit.
 	body func(*Proc)
 }
@@ -39,117 +38,106 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// gslot is a worker goroutine awaiting adoption: its goroutine (with
-// whatever stack it has grown) blocks on next until some kernel's Spawn
-// hands it a fresh Proc to back. Worker goroutines outlive kernels — when
-// a kernel shuts down, each of its goroutines unwinds the body it was
-// running and returns to the global pool instead of terminating, so the
-// next experiment (a benchmark iteration, the next shard-count config)
-// spawns onto recycled goroutines and pre-grown stacks rather than paying
-// runtime.malg and stack-growth copying for every process again.
-type gslot struct {
-	next chan *Proc
+// coro is a runtime coroutine (iter.Pull) that backs one Proc at a time:
+// next resumes it from the kernel loop, yield returns to the kernel loop.
+// Coroutines outlive kernels — Close returns each one to coroPool, so the
+// next experiment (a benchmark iteration, the next sweep point) spawns onto
+// recycled coroutines and pre-grown stacks instead of paying for a fresh
+// goroutine, stack growth and Pull closures per process. The pool holds
+// coroutines rather than Procs so that a stale *Proc kept past Close never
+// aliases a process of a later kernel.
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc
+	// dead is set once the coroutine has ended, which only runtime.Goexit
+	// in a body (t.FailNow in a test process) can cause; iter.Pull
+	// re-raises the Goexit on the resuming goroutine.
+	dead bool
 }
 
-// gpool is the cross-kernel worker pool. It is the only simulation state
-// shared between goroutines without a channel handoff, hence the mutex;
-// membership traffic is one push per goroutine per kernel lifetime, not
-// per event.
-var gpool struct {
+// coroPool is the cross-kernel coroutine pool. It is the only simulation
+// state shared between goroutines, hence the mutex; traffic is one pop per
+// fresh Proc and one push per Proc at Close, not per event. Pooled
+// coroutines are never stopped.
+var coroPool struct {
 	mu   sync.Mutex
-	free []*gslot
+	free []*coro
 }
 
-// adoptWorker pops a pooled worker, or nil when the pool is empty.
-func adoptWorker() *gslot {
-	gpool.mu.Lock()
-	defer gpool.mu.Unlock()
-	if n := len(gpool.free); n > 0 {
-		s := gpool.free[n-1]
-		gpool.free[n-1] = nil
-		gpool.free = gpool.free[:n-1]
-		return s
+// adoptCoro binds p to a pooled coroutine, creating one if the pool is empty.
+func adoptCoro(p *Proc) *coro {
+	var c *coro
+	coroPool.mu.Lock()
+	if n := len(coroPool.free); n > 0 {
+		c = coroPool.free[n-1]
+		coroPool.free[n-1] = nil
+		coroPool.free = coroPool.free[:n-1]
 	}
-	return nil
+	coroPool.mu.Unlock()
+	if c == nil {
+		c = &coro{}
+		c.next, _ = iter.Pull(c.run)
+	}
+	c.p = p
+	return c
 }
 
-// grind is the worker goroutine's outermost frame: back one kernel's Proc
-// until that kernel shuts down, then rejoin the pool for the next.
-func grind(s *gslot) {
-	for p := range s.next {
-		p.loop()
-		gpool.mu.Lock()
-		gpool.free = append(gpool.free, s)
-		gpool.mu.Unlock()
+// release returns c to the pool, dropping its Proc so the pool does not
+// keep a closed kernel reachable.
+func (c *coro) release() {
+	c.p = nil
+	if c.dead {
+		return
+	}
+	coroPool.mu.Lock()
+	coroPool.free = append(coroPool.free, c)
+	coroPool.mu.Unlock()
+}
+
+// run is the coroutine body: one Proc assignment per cycle, yielding to the
+// resumer between assignments.
+func (c *coro) run(yield func(struct{}) bool) {
+	c.yield = yield
+	defer func() { c.dead = true }()
+	for {
+		c.p.cycle()
+		yield(struct{}{})
 	}
 }
 
-// startWorker binds p to a pooled worker goroutine, starting a fresh one if
-// the pool is empty.
-func startWorker(p *Proc) {
-	s := adoptWorker()
-	if s == nil {
-		s = &gslot{next: make(chan *Proc)}
-		go grind(s)
-	}
-	s.next <- p
-}
-
-// loop backs the process slot for one kernel's lifetime: it runs one
-// assigned body per cycle until the kernel shuts down.
-func (p *Proc) loop() {
-	for p.cycle() {
-	}
-}
-
-// cycle waits for the start event of the current assignment, runs the body,
-// and returns the finished Proc to the free pool. It reports whether the
-// goroutine should wait for another assignment (false once the kernel has
-// shut down).
-func (p *Proc) cycle() (again bool) {
-	// Wait for the start event (or kernel shutdown).
-	if _, ok := <-p.resume; !ok {
-		return false
-	}
-	again = true
+// cycle runs the current assignment's body and returns the finished Proc to
+// the kernel's free list. A body panic is recorded for RunUntil to re-raise
+// on the caller's goroutine; the killedPanic a closed kernel injects into a
+// parked body only unwinds it.
+func (p *Proc) cycle() {
+	k := p.k
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(killedPanic); ok {
-				// Kernel shut down while we were parked; the kernel
-				// loop is not waiting for us, so just vanish.
-				again = false
-				return
+			if _, ok := r.(killedPanic); !ok {
+				k.failure = &procPanic{proc: p.name, val: r}
 			}
-			// User code panicked. Record it for Run to re-raise on the
-			// caller's goroutine, then hand control back.
-			p.k.failure = &procPanic{proc: p.name, val: r}
 		}
-		p.k.liveProcs--
+		k.liveProcs--
 		p.body = nil
-		p.k.freeProcs = append(p.k.freeProcs, p)
-		if !p.k.directHandoff(p) {
-			p.k.yield <- token{}
-		}
+		k.freeProcs = append(k.freeProcs, p)
 	}()
-	p.body(p)
-	return
+	// Close resumes a process that never started only to retire it.
+	if !k.closed {
+		p.body(p)
+	}
 }
 
 // park returns control to the scheduler and blocks until this process is
-// resumed (or the kernel shuts down).
+// resumed. On a closed kernel it panics with killedPanic instead, which
+// unwinds the body (defers included) back to cycle.
 //
-// Two fast paths dispatch the next due event in the kernel's (time, seq)
-// order straight from this goroutine — exactly the event the kernel loop
-// would have picked next, so the event order (and thus every golden trace)
-// is unchanged while context switches disappear:
-//
-//   - Self-handoff: the next event is this process's own wake-up; park
-//     consumes it inline and returns without switching at all. The common
-//     case for Sleep when no other event lands inside the sleep interval.
-//   - Cross-handoff: the next event resumes another parked process; park
-//     hands the token directly to that process and the kernel goroutine
-//     stays asleep (see Kernel.directHandoff). The common case under load,
-//     where many request processes interleave.
+// Self-handoff fast path: when the next due event in the kernel's (time,
+// seq) order is this process's own wake-up, park consumes it inline and
+// returns without switching at all — exactly the event the kernel loop
+// would have picked next, so the event order (and every golden trace) is
+// unchanged. The common case for Sleep when no other event lands inside the
+// sleep interval.
 func (p *Proc) park() {
 	k := p.k
 	if k.rq.len() > 0 {
@@ -170,12 +158,13 @@ func (p *Proc) park() {
 			return
 		}
 	}
-	if !k.directHandoff(p) {
-		k.yield <- token{}
+	if !k.closed {
+		p.co.yield(struct{}{})
+		if !k.closed {
+			return
+		}
 	}
-	if _, ok := <-p.resume; !ok {
-		panic(killedPanic{})
-	}
+	panic(killedPanic{})
 }
 
 // wake schedules this process to resume at the current virtual time.

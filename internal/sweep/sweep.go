@@ -16,8 +16,8 @@
 //   - Bounded residency: at most `workers` points (and therefore at most
 //     that many live kernels) execute at once; a finished point's kernel
 //     is torn down by the point body before the worker takes the next
-//     index, and torn-down kernels return their goroutines to the
-//     cross-kernel pool for the next point to adopt.
+//     index, and torn-down kernels return their process coroutines to
+//     the cross-kernel pool for the next point to adopt.
 //   - Panic context: a panic inside a point is captured with its point
 //     index and worker stack and re-raised on the caller's goroutine as a
 //     *PointError once in-flight points have drained, so a failed sweep

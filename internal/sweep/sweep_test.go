@@ -8,6 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
 )
 
 // TestPointsOrderedResults: results land in point-index order at every
@@ -98,6 +101,52 @@ func TestPointsPanicContext(t *testing.T) {
 				return i
 			})
 		}()
+	}
+}
+
+// TestPointsProcPanicContext: a panic inside a simulated process, which the
+// kernel re-raises from RunUntil, surfaces as a *PointError naming the
+// point and the process; the point's deferred Close still unwinds the
+// kernel's other parked processes.
+func TestPointsProcPanicContext(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		var unwound [8]int
+		func() {
+			defer func() {
+				pe, ok := recover().(*PointError)
+				if !ok {
+					t.Fatalf("w=%d: did not recover a *PointError", w)
+				}
+				if pe.Point != 5 {
+					t.Errorf("w=%d: point = %d, want 5", w, pe.Point)
+				}
+				if v := fmt.Sprint(pe.Value); !strings.Contains(v, `"bomber"`) || !strings.Contains(v, "boom") {
+					t.Errorf("w=%d: Value = %q, want the process name and panic", w, v)
+				}
+			}()
+			PointsN(w, 8, func(i int) int {
+				k := sim.NewKernel()
+				defer k.Close()
+				var never sim.Signal
+				for j := 0; j < 4; j++ {
+					k.Spawn("parked", func(p *sim.Proc) {
+						defer func() { unwound[i]++ }()
+						never.Wait(p)
+					})
+				}
+				if i == 5 {
+					k.Spawn("bomber", func(p *sim.Proc) {
+						p.Sleep(time.Second)
+						panic("boom")
+					})
+				}
+				k.Run()
+				return i
+			})
+		}()
+		if unwound[5] != 4 {
+			t.Errorf("w=%d: Close unwound %d of 4 parked procs after the panic", w, unwound[5])
+		}
 	}
 }
 
