@@ -35,7 +35,7 @@ func millis(b *testing.B, tables []*core.Table, name string) float64 {
 func BenchmarkTable1Latencies(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTable1(1, core.Options{})
+		tables = core.RunTable1(1)
 	}
 	b.ReportMetric(millis(b, tables, "invoke"), "invoke-ms")
 	b.ReportMetric(millis(b, tables, "lambda-s3"), "lambda-s3-ms")
@@ -47,7 +47,7 @@ func BenchmarkTable1Latencies(b *testing.B) {
 func BenchmarkFigure1Trends(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFigure1(1, core.Options{})
+		tables = core.RunFigure1(1)
 	}
 	if len(tables[0].Rows) != 2 {
 		b.Fatal("figure 1 incomplete")
@@ -59,7 +59,7 @@ func BenchmarkFigure1Trends(b *testing.B) {
 func BenchmarkTrainingCaseStudy(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunTraining(1, core.Options{})
+		tables = core.RunTraining(1)
 	}
 	lambdaMin := millis(b, tables, "lambda.total") / 60000
 	ec2Min := millis(b, tables, "ec2.total") / 60000
@@ -73,7 +73,7 @@ func BenchmarkTrainingCaseStudy(b *testing.B) {
 func BenchmarkServingLatency(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServing(1, core.Options{})
+		tables = core.RunServing(1)
 	}
 	b.ReportMetric(millis(b, tables, "lambda-fetch"), "lambda-fetch-ms")
 	b.ReportMetric(millis(b, tables, "lambda-opt"), "lambda-opt-ms")
@@ -86,7 +86,7 @@ func BenchmarkServingLatency(b *testing.B) {
 func BenchmarkServingCost(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunServingCost(1, core.Options{})
+		tables = core.RunServingCost(1)
 	}
 	sqs := metric(b, tables, "sqs.cost")
 	ec2 := metric(b, tables, "ec2.cost")
@@ -100,7 +100,7 @@ func BenchmarkServingCost(b *testing.B) {
 func BenchmarkElectionBlackboard(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElection(1, core.Options{})
+		tables = core.RunElection(1)
 	}
 	b.ReportMetric(millis(b, tables, "round")/1000, "round-s")
 	b.ReportMetric(metric(b, tables, "cost@1000"), "usd-hr-1000n")
@@ -111,7 +111,7 @@ func BenchmarkElectionBlackboard(b *testing.B) {
 func BenchmarkBandwidthSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunBandwidth(1, core.Options{})
+		tables = core.RunBandwidth(1)
 	}
 	b.ReportMetric(metric(b, tables, "mbps@1"), "solo-mbps")
 	b.ReportMetric(metric(b, tables, "mbps@20"), "packed20-mbps")
@@ -121,7 +121,7 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 func BenchmarkWorkflowSignup(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunWorkflow(1, core.Options{})
+		tables = core.RunWorkflow(1)
 	}
 	b.ReportMetric(millis(b, tables, "pipeline"), "pipeline-ms")
 	b.ReportMetric(millis(b, tables, "monolith"), "monolith-ms")
@@ -131,7 +131,7 @@ func BenchmarkWorkflowSignup(b *testing.B) {
 func BenchmarkAblationFirecracker(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFirecracker(1, core.Options{})
+		tables = core.RunFirecracker(1)
 	}
 	b.ReportMetric(millis(b, tables, "cold.classic"), "cold-classic-ms")
 	b.ReportMetric(millis(b, tables, "cold.firecracker"), "cold-firecracker-ms")
@@ -141,7 +141,7 @@ func BenchmarkAblationFirecracker(b *testing.B) {
 func BenchmarkAblationFastNIC(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFastNIC(1, core.Options{})
+		tables = core.RunFastNIC(1)
 	}
 	b.ReportMetric(metric(b, tables, "mbps@64")/8, "mbytes-per-core")
 }
@@ -150,7 +150,7 @@ func BenchmarkAblationFastNIC(b *testing.B) {
 func BenchmarkFuturePlatform(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFuture(1, core.Options{})
+		tables = core.RunFuture(1)
 	}
 	b.ReportMetric(millis(b, tables, "training")/60000, "training-min")
 	b.ReportMetric(millis(b, tables, "serving"), "serving-ms")
@@ -160,7 +160,7 @@ func BenchmarkFuturePlatform(b *testing.B) {
 func BenchmarkElectionSweep(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunElectionSweep(1, core.Options{})
+		tables = core.RunElectionSweep(1)
 	}
 	b.ReportMetric(millis(b, tables, "round@1Hz")/1000, "round-1hz-s")
 	b.ReportMetric(millis(b, tables, "round@8Hz")/1000, "round-8hz-s")
@@ -170,7 +170,7 @@ func BenchmarkElectionSweep(b *testing.B) {
 func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunAutoscale(1, core.Options{})
+		tables = core.RunAutoscale(1)
 	}
 	b.ReportMetric(millis(b, tables, "lambda.p99@50"), "lambda-p99-ms")
 	b.ReportMetric(millis(b, tables, "ec2.p99@50")/1000, "ec2-p99-s")
@@ -183,7 +183,7 @@ func BenchmarkAutoscaleUnderLoad(b *testing.B) {
 func BenchmarkRegionScaleKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunRegionScale(1, core.Options{})
+		tables = core.RunRegionScale(1)
 	}
 	shard1, shard4 := metric(b, tables, "rps@1"), metric(b, tables, "rps@4")
 	b.ReportMetric(shard1, "shard1-rps")
@@ -200,7 +200,7 @@ func BenchmarkRegionScaleKV(b *testing.B) {
 func BenchmarkFaaSScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunFaaSScale(1, core.Options{})
+		tables = core.RunFaaSScale(1)
 	}
 	b.ReportMetric(metric(b, tables, "cold@0"), "cold0-pct")
 	b.ReportMetric(metric(b, tables, "cold@32"), "cold32-pct")
@@ -219,7 +219,7 @@ func BenchmarkFaaSScale(b *testing.B) {
 func BenchmarkMillionUserKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunMillionUser(1, core.Options{})
+		tables = core.RunMillionUser(1)
 	}
 	b.ReportMetric(metric(b, tables, "rps@16"), "shard16-rps")
 	b.ReportMetric(metric(b, tables, "rps@64"), "shard64-rps")
@@ -241,7 +241,7 @@ func BenchmarkMillionUserKV(b *testing.B) {
 func BenchmarkStateCacheScale(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {
-		tables = core.RunStateCache(1, core.Options{})
+		tables = core.RunStateCache(1)
 	}
 	uncachedP99 := millis(b, tables, "read-p99.uncached")
 	cachedP99 := millis(b, tables, "read-p99.cached")

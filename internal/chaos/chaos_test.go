@@ -89,6 +89,59 @@ func TestCrashStormDestroysWarmPool(t *testing.T) {
 	}
 }
 
+// TestCrashStormCountsReclaimedVMs checks the engine's typed crash count
+// against what CrashVMs returned: a bounded storm reclaims exactly its n,
+// an unbounded one every VM still hosting, and the count sums both.
+func TestCrashStormCountsReclaimedVMs(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	rng := simrand.New(5)
+	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
+	meter := &pricing.Meter{}
+	cfg := faas.DefaultConfig()
+	cfg.ContainersPerVM = 4
+	pf := faas.New("lambda", net, rng.Fork(), cfg, pricing.Fall2018(), meter)
+	if err := pf.Register(faas.Function{Name: "f", MemoryMB: 1792,
+		Handler: func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
+			ctx.Proc().Sleep(time.Second)
+			return nil, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(k, rng.Fork())
+	// Overlapping invocations warm one container each, spread over VMs.
+	for i := 0; i < 16; i++ {
+		k.Spawn("load", func(p *sim.Proc) {
+			if _, _, err := pf.Invoke(p, "f", nil); err != nil {
+				t.Errorf("warmup invoke: %v", err)
+			}
+		})
+	}
+	var before [2]int
+	for i, at := range []time.Duration{10 * time.Second, 11 * time.Second} {
+		k.Spawn("probe", func(p *sim.Proc) {
+			p.Sleep(at - time.Nanosecond)
+			before[i] = pf.VMCount()
+		})
+	}
+	eng.CrashStormAt(pf, 1, 10*time.Second)
+	eng.CrashStormAt(pf, 1<<20, 11*time.Second)
+	k.Run()
+	if before[0] < 2 {
+		t.Fatalf("warmup left %d VMs, want several", before[0])
+	}
+	if want := 1 + before[1]; eng.CrashedVMs() != want {
+		t.Errorf("CrashedVMs = %d, want %d (1 of %d, then all %d left)",
+			eng.CrashedVMs(), want, before[0], before[1])
+	}
+	if pf.VMCount() != 0 {
+		t.Errorf("%d VMs survived the unbounded storm", pf.VMCount())
+	}
+	if n := len(eng.Events()); n != 2 {
+		t.Errorf("logged %d events, want one per storm", n)
+	}
+}
+
 func TestSlowNodeWindow(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()

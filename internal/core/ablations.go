@@ -6,12 +6,13 @@ import (
 	"repro/internal/faas"
 	"repro/internal/sim"
 	"repro/internal/simrand"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
 // measureInvoke returns the mean invocation latency of a no-op 1KB call
 // over `trials` calls, forcing a cold start per call when forceCold is set.
-func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool, o Options) time.Duration {
+func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool) time.Duration {
 	if forceCold {
 		cfg.Lambda.WarmTTL = 1 // containers expire immediately
 	}
@@ -23,7 +24,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool, o Option
 	}); err != nil {
 		panic(err)
 	}
-	rec := o.newSummary("invoke")
+	rec := stats.NewRecorder("invoke")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		payload := make([]byte, 1024)
@@ -51,7 +52,7 @@ func measureInvoke(seed uint64, cfg Config, trials int, forceCold bool, o Option
 // claim — "at best modest effects on our results in Table 1" — holds
 // because Table 1's number is dominated by invocation overhead, not
 // sandbox startup.
-func RunFirecracker(seed uint64, o Options) []*Table {
+func RunFirecracker(seed uint64) []*Table {
 	t := &Table{
 		Title:  "Ablation (footnote 5): Firecracker 125ms microVM startup",
 		Header: []string{"Scenario", "Classic cold start", "Firecracker", "Change"},
@@ -75,7 +76,7 @@ func RunFirecracker(seed uint64, o Options) []*Table {
 		if pt.fire {
 			cfg.Lambda.ColdStart = simrand.Const(FirecrackerColdStart)
 		}
-		return measureInvoke(pt.seed, cfg, pt.trials, pt.cold, o)
+		return measureInvoke(pt.seed, cfg, pt.trials, pt.cold)
 	})
 	warmClassic, warmFire, coldClassic, coldFire := res[0], res[1], res[2], res[3]
 	t.AddRow("Warm invoke (Table 1 conditions)", FmtDur(warmClassic), FmtDur(warmFire),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/loadgen"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -24,7 +25,7 @@ import (
 // This is the honest counterweight to E1-E8: the paper's critique is not
 // that autoscaling is worthless, but that it currently costs data gravity
 // and addressability.
-func RunAutoscale(seed uint64, o Options) []*Table {
+func RunAutoscale(seed uint64) []*Table {
 	const window = 2 * time.Minute
 	rates := []float64{10, 30, 50}
 
@@ -39,10 +40,10 @@ func RunAutoscale(seed uint64, o Options) []*Table {
 	points := sweep.Points(2*len(rates), func(i int) quantiles {
 		rate := rates[i/2]
 		if i%2 == 0 {
-			p50, p99 := autoscaleLambda(seed+uint64(i/2), rate, window, o)
+			p50, p99 := autoscaleLambda(seed+uint64(i/2), rate, window)
 			return quantiles{p50, p99}
 		}
-		p50, p99 := autoscaleEC2(seed+uint64(i/2)+100, rate, window, o)
+		p50, p99 := autoscaleEC2(seed+uint64(i/2)+100, rate, window)
 		return quantiles{p50, p99}
 	})
 	for i, rate := range rates {
@@ -67,7 +68,7 @@ const (
 	ec2WorkBytes    = int64(0.05 * 1100e6)  // m5.large core
 )
 
-func autoscaleLambda(seed uint64, rate float64, window time.Duration, o Options) (p50, p99 time.Duration) {
+func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
 	c := NewCloud(seed)
 	defer c.Close()
 	if err := c.Lambda.Register(faas.Function{
@@ -79,7 +80,7 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration, o Options)
 	}); err != nil {
 		panic(err)
 	}
-	rec := o.newSummary("lambda")
+	rec := stats.NewRecorder("lambda")
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: rate})
 	completed := 0
 	gen.Run(c.K, window, func(p *sim.Proc, _ int) {
@@ -97,10 +98,10 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration, o Options)
 	return rec.Median(), rec.Percentile(99)
 }
 
-func autoscaleEC2(seed uint64, rate float64, window time.Duration, o Options) (p50, p99 time.Duration) {
+func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 time.Duration) {
 	c := NewCloud(seed)
 	defer c.Close()
-	rec := o.newSummary("ec2")
+	rec := stats.NewRecorder("ec2")
 
 	type req struct {
 		start sim.Time

@@ -59,7 +59,7 @@ func measurePerFunctionMbps(c *Cloud, n int, transferBytes int64) float64 {
 // functions onto shared VMs, per-function bandwidth collapses as
 // concurrency grows (the paper quotes 28.7 Mbps average at 20 functions,
 // 2.5 orders of magnitude below one SSD).
-func RunBandwidth(seed uint64, _ Options) []*Table {
+func RunBandwidth(seed uint64) []*Table {
 	t := &Table{
 		Title:  "§3(2): per-function network bandwidth under same-VM packing",
 		Header: []string{"Concurrent functions", "Per-function bandwidth", "vs one SSD (2.5GB/s)"},
@@ -83,7 +83,7 @@ func RunBandwidth(seed uint64, _ Options) []*Table {
 // networking on 64-core hosts. Solo functions look great; under full
 // packing each core still gets ~200 MB/s — an order of magnitude below one
 // SSD, so the architectural problem stands.
-func RunFastNIC(seed uint64, _ Options) []*Table {
+func RunFastNIC(seed uint64) []*Table {
 	cfg := DefaultConfig()
 	cfg.Lambda.VMNICBps = netsim.Gbps(100)
 	cfg.Lambda.ContainersPerVM = 64

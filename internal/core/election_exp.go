@@ -64,8 +64,8 @@ func (cl *bbCluster) nodeByID(id int) *election.Node {
 // measureRounds crashes the current leader `rounds` times, measuring crash-
 // to-agreement latency; each deposed leader stays down (bully order walks
 // down the id space).
-func (cl *bbCluster) measureRounds(rounds int, o Options) stats.Summary {
-	rec := o.newSummary("round")
+func (cl *bbCluster) measureRounds(rounds int) *stats.Recorder {
+	rec := stats.NewRecorder("round")
 	k := cl.c.K
 	if !runKernelUntil(k, k.Now()+sim.Time(5*time.Minute), sim.Time(250*time.Millisecond),
 		func() bool { return cl.agreed() > 0 }) {
@@ -113,7 +113,7 @@ func steadyStateUnitsPerCycle(seed uint64, n int, window time.Duration) (readUni
 // 4 polls per second. It reports the election round latency (paper: 16.7s),
 // the share of a 15-minute Lambda lifetime that consumes (paper: 1.9%), and
 // the storage bill for a 1,000-node cluster (paper: at least $450/hr).
-func RunElection(seed uint64, o Options) []*Table {
+func RunElection(seed uint64) []*Table {
 	// The latency cluster and the two cost clusters are independent
 	// simulations with their own seeds, so they sweep concurrently:
 	// point 0 crashes leaders on a 10-node cluster, points 1 and 2
@@ -121,7 +121,7 @@ func RunElection(seed uint64, o Options) []*Table {
 	// 1,000 full pollers for an hour would be wasteful; the two measured
 	// sizes pin the linear scan law the meter validates.
 	type electionPoint struct {
-		rounds      stats.Summary
+		rounds      *stats.Recorder
 		catalog     *pricing.Catalog
 		read, write float64
 	}
@@ -132,7 +132,7 @@ func RunElection(seed uint64, o Options) []*Table {
 			c := NewCloud(seed)
 			defer c.Close()
 			cl := newBBCluster(c, 10, election.PaperParams())
-			return electionPoint{rounds: cl.measureRounds(4, o), catalog: c.Catalog}
+			return electionPoint{rounds: cl.measureRounds(4), catalog: c.Catalog}
 		case 1:
 			r, w := steadyStateUnitsPerCycle(seed+1, 10, 30*time.Second)
 			return electionPoint{read: r, write: w}
@@ -185,7 +185,7 @@ func RunElection(seed uint64, o Options) []*Table {
 // RunElectionSweep is the sensitivity ablation: election round latency and
 // 1,000-node hourly cost as the polling rate varies, with protocol timeouts
 // scaled proportionally (as any deployment tuning them together would).
-func RunElectionSweep(seed uint64, o Options) []*Table {
+func RunElectionSweep(seed uint64) []*Table {
 	t := &Table{
 		Title:  "Sensitivity: bully-on-blackboard vs polling rate (6 nodes, timeouts scaled)",
 		Header: []string{"Polling rate", "Round latency", "Read units/s per node", "Est. $/hr at 1,000 nodes"},
@@ -211,7 +211,7 @@ func RunElectionSweep(seed uint64, o Options) []*Table {
 		c := NewCloud(seed + uint64(hz))
 		defer c.Close()
 		cl := newBBCluster(c, 6, params)
-		rec := cl.measureRounds(2, o)
+		rec := cl.measureRounds(2)
 
 		// Steady-state read-unit rate at this polling frequency.
 		c.Meter.Reset()

@@ -36,7 +36,7 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.run == nil || e.Title == "" {
+		if e.ID == "" || e.Run == nil || e.Title == "" {
 			t.Errorf("incomplete experiment %+v", e)
 		}
 		if seen[e.ID] {
@@ -53,7 +53,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tb := RunTable1(1, Options{})[0]
+	tb := RunTable1(1)[0]
 	invoke := dur(t, tb, "invoke")
 	lambdaS3 := dur(t, tb, "lambda-s3")
 	lambdaDDB := dur(t, tb, "lambda-ddb")
@@ -79,7 +79,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure1Headline(t *testing.T) {
-	tb := RunFigure1(1, Options{})[0]
+	tb := RunFigure1(1)[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("figure1 rows = %d", len(tb.Rows))
 	}
@@ -90,7 +90,7 @@ func TestFigure1Headline(t *testing.T) {
 }
 
 func TestTrainingMatchesPaper(t *testing.T) {
-	tb := RunTraining(1, Options{})[0]
+	tb := RunTraining(1)[0]
 	lambdaTotal := dur(t, tb, "lambda.total")
 	ec2Total := dur(t, tb, "ec2.total")
 	within(t, "lambda total", lambdaTotal, 440*time.Minute, 490*time.Minute) // paper: 465min
@@ -117,7 +117,7 @@ func TestTrainingMatchesPaper(t *testing.T) {
 }
 
 func TestServingMatchesPaper(t *testing.T) {
-	tb := RunServing(1, Options{})[0]
+	tb := RunServing(1)[0]
 	fetch := dur(t, tb, "lambda-fetch")
 	opt := dur(t, tb, "lambda-opt")
 	sqs := dur(t, tb, "ec2-sqs")
@@ -137,7 +137,7 @@ func TestServingMatchesPaper(t *testing.T) {
 }
 
 func TestServingCostMatchesPaper(t *testing.T) {
-	tb := RunServingCost(1, Options{})[0]
+	tb := RunServingCost(1)[0]
 	sqsCost := metric(t, tb, "sqs.cost")
 	ec2Cost := metric(t, tb, "ec2.cost")
 	if sqsCost < 1500 || sqsCost > 1700 {
@@ -152,7 +152,7 @@ func TestServingCostMatchesPaper(t *testing.T) {
 }
 
 func TestElectionMatchesPaper(t *testing.T) {
-	tb := RunElection(1, Options{})[0]
+	tb := RunElection(1)[0]
 	round := dur(t, tb, "round")
 	within(t, "round", round, 14*time.Second, 19*time.Second) // paper: 16.7s
 
@@ -165,7 +165,7 @@ func TestElectionMatchesPaper(t *testing.T) {
 }
 
 func TestBandwidthMatchesPaper(t *testing.T) {
-	tb := RunBandwidth(1, Options{})[0]
+	tb := RunBandwidth(1)[0]
 	solo := metric(t, tb, "mbps@1")
 	packed := metric(t, tb, "mbps@20")
 	if solo < 520 || solo > 545 {
@@ -180,7 +180,7 @@ func TestBandwidthMatchesPaper(t *testing.T) {
 }
 
 func TestWorkflowOverheadShape(t *testing.T) {
-	tb := RunWorkflow(1, Options{})[0]
+	tb := RunWorkflow(1)[0]
 	faasLat := dur(t, tb, "pipeline")
 	monoLat := dur(t, tb, "monolith")
 	if faasLat < 3*time.Second {
@@ -195,7 +195,7 @@ func TestWorkflowOverheadShape(t *testing.T) {
 }
 
 func TestFirecrackerAblation(t *testing.T) {
-	tb := RunFirecracker(1, Options{})[0]
+	tb := RunFirecracker(1)[0]
 	warmClassic := dur(t, tb, "warm.classic")
 	warmFire := dur(t, tb, "warm.firecracker")
 	coldClassic := dur(t, tb, "cold.classic")
@@ -214,7 +214,7 @@ func TestFirecrackerAblation(t *testing.T) {
 }
 
 func TestFastNICAblation(t *testing.T) {
-	tb := RunFastNIC(1, Options{})[0]
+	tb := RunFastNIC(1)[0]
 	perCoreMBps := metric(t, tb, "mbps@64") / 8
 	if perCoreMBps < 170 || perCoreMBps > 220 {
 		t.Errorf("per-function bandwidth at 64-way = %.0f MB/s, paper predicts ~200", perCoreMBps)
@@ -225,7 +225,7 @@ func TestFastNICAblation(t *testing.T) {
 }
 
 func TestFutureClosesTheGaps(t *testing.T) {
-	tb := RunFuture(1, Options{})[0]
+	tb := RunFuture(1)[0]
 	train := dur(t, tb, "training")
 	// Near-EC2 speed: paper's EC2 run is ~21.7min.
 	within(t, "future training", train, 19*time.Minute, 25*time.Minute)
@@ -240,7 +240,7 @@ func TestFutureClosesTheGaps(t *testing.T) {
 }
 
 func TestElectionSweepShape(t *testing.T) {
-	tb := RunElectionSweep(1, Options{})[0]
+	tb := RunElectionSweep(1)[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("sweep rows = %d, want 4", len(tb.Rows))
 	}
@@ -255,7 +255,7 @@ func TestElectionSweepShape(t *testing.T) {
 }
 
 func TestAutoscaleShape(t *testing.T) {
-	tb := RunAutoscale(1, Options{})[0]
+	tb := RunAutoscale(1)[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 load levels", len(tb.Rows))
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/loadgen"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -77,7 +78,7 @@ type faasScaleResult struct {
 
 // runFaaSScale measures one provisioned-concurrency level (fixed if
 // provisioned >= 0, autoscaled otherwise).
-func runFaaSScale(seed uint64, provisioned int, o Options) faasScaleResult {
+func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 	cfg := DefaultConfig()
 	cfg.Lambda.WarmTTL = faasScaleWarmTTL
 	cfg.DDB.ShardCount = faasScaleShards
@@ -86,7 +87,7 @@ func runFaaSScale(seed uint64, provisioned int, o Options) faasScaleResult {
 
 	client := c.ClientNode("faasscale-client")
 	inQ := c.SQS.CreateQueue("faasscale-in", 2*time.Minute)
-	rec := o.newSummary("faasscale")
+	rec := stats.NewRecorder("faasscale")
 	value := make([]byte, faasScaleValueBytes)
 	completed := 0
 	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
@@ -190,7 +191,7 @@ func runFaaSScale(seed uint64, provisioned int, o Options) faasScaleResult {
 // RunFaaSScale regenerates the FaaS serving-tier scaling table: flash-crowd
 // load through the full SQS -> Lambda -> kvstore stack at growing
 // provisioned concurrency, plus the target-tracking autoscaler.
-func RunFaaSScale(seed uint64, o Options) []*Table {
+func RunFaaSScale(seed uint64) []*Table {
 	t := &Table{
 		Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency",
 		Header: []string{"Provisioned", "Done req/s", "p50", "p99",
@@ -200,7 +201,7 @@ func RunFaaSScale(seed uint64, o Options) []*Table {
 	// from (seed, prov); the sweep engine runs them concurrently and hands
 	// back results in sweep order.
 	results := sweep.Map([]int{0, 8, 32, -1}, func(_ int, prov int) faasScaleResult {
-		return runFaaSScale(seed, prov, o)
+		return runFaaSScale(seed, prov)
 	})
 	for _, r := range results {
 		label := r.provisioned

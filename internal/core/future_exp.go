@@ -10,6 +10,7 @@ import (
 	"repro/internal/pricing"
 	"repro/internal/reviews"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // RunFuture re-runs the three case studies on the §4 prototype platform
@@ -17,9 +18,9 @@ import (
 // code/data placement, billed per GB-second like FaaS. The point of the
 // table is that the paper's gaps close without giving up autoscaling
 // pay-per-use.
-func RunFuture(seed uint64, o Options) []*Table {
+func RunFuture(seed uint64) []*Table {
 	trainTime, trainCost := futureTraining(seed)
-	serveBatch := futureServing(seed+1, o)
+	serveBatch := futureServing(seed + 1)
 	electRound := futureElection(seed + 2)
 
 	t := &Table{
@@ -82,11 +83,11 @@ func futureTraining(seed uint64) (time.Duration, pricing.USD) {
 
 // futureServing: client and server agents exchanging batches directly —
 // no queue service, no storage hop — at agent (not VM) granularity.
-func futureServing(seed uint64, o Options) time.Duration {
+func futureServing(seed uint64) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
-	rec := o.newSummary("batch")
+	rec := stats.NewRecorder("batch")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		server := pf.SpawnAgent(p, "classifier", 1024, nil)

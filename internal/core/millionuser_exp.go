@@ -124,7 +124,7 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 // completed throughput, sketched tail latencies, sketch footprint, and
 // extrapolated hourly storage cost as the partition count doubles from 16
 // to 64 under 100k req/s of open-loop population load.
-func RunMillionUser(seed uint64, _ Options) []*Table {
+func RunMillionUser(seed uint64) []*Table {
 	const users = millionUsersDefault
 	t := &Table{
 		Title: fmt.Sprintf("Million-user scale: %d simulated clients at %.0fk req/s aggregate", users, millionRate/1000),

@@ -63,26 +63,3 @@ func TestMillionUserWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestRegionScaleSketchMatchesExact runs the regionscale scenario with
-// Options.Sketch: the simulation itself is untouched (same arrivals, same
-// completions, same bill), and the sketched percentiles stay within the
-// configured ≤1% relative error of the exact recorder's.
-func TestRegionScaleSketchMatchesExact(t *testing.T) {
-	exact := runRegionScale(1, 4, Options{})
-	sketched := runRegionScale(1, 4, Options{Sketch: true})
-
-	if sketched.completed != exact.completed || sketched.costPerHr != exact.costPerHr ||
-		sketched.hotShare != exact.hotShare {
-		t.Fatalf("sketch switch changed the simulation: %+v vs %+v", sketched, exact)
-	}
-	within := func(name string, got, want time.Duration) {
-		t.Helper()
-		tol := time.Duration(0.01*float64(want)) + time.Nanosecond
-		if diff := got - want; diff < -tol || diff > tol {
-			t.Errorf("%s: sketched %v vs exact %v exceeds 1%% bound", name, got, want)
-		}
-	}
-	within("p50", sketched.p50, exact.p50)
-	within("p99", sketched.p99, exact.p99)
-}

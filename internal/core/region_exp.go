@@ -20,6 +20,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -65,7 +66,7 @@ type regionResult struct {
 }
 
 // runRegionScale measures one shard count under the standard scenario.
-func runRegionScale(seed uint64, shards int, o Options) regionResult {
+func runRegionScale(seed uint64, shards int) regionResult {
 	cfg := DefaultConfig()
 	cfg.DDB.ShardCount = shards
 	cfg.DDB.ShardConcurrency = regionShardConcurrency
@@ -77,7 +78,7 @@ func runRegionScale(seed uint64, shards int, o Options) regionResult {
 		clients[i] = c.ClientNode(fmt.Sprintf("region-client-%d", i))
 	}
 
-	rec := o.newSummary("region-kv")
+	rec := stats.NewRecorder("region-kv")
 	completed := 0
 	value := make([]byte, regionValueBytes)
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: regionOfferedRate})
@@ -129,7 +130,7 @@ func runRegionScale(seed uint64, shards int, o Options) regionResult {
 // throughput, completion latency, hot-shard skew, and extrapolated hourly
 // storage cost for a fixed offered load as the table's partition count
 // doubles from 1 to 8.
-func RunRegionScale(seed uint64, o Options) []*Table {
+func RunRegionScale(seed uint64) []*Table {
 	t := &Table{
 		Title: "Region scale: one logical KV table under 4,000 req/s open-loop load",
 		Header: []string{"Shards", "Done req/s", "Speedup", "p50", "p99",
@@ -139,7 +140,7 @@ func RunRegionScale(seed uint64, o Options) []*Table {
 	// the sweep engine fans the points across cores; rows commit in sweep
 	// order, keeping the rendered table byte-identical to a sequential run.
 	results := sweep.Map([]int{1, 2, 4, 8}, func(_ int, shards int) regionResult {
-		return runRegionScale(seed, shards, o)
+		return runRegionScale(seed, shards)
 	})
 	var base float64
 	for _, r := range results {

@@ -65,15 +65,11 @@ const (
 // signal (a real client would surface it as a 5xx).
 var errRegionUnavailable = errors.New("regionfailover: required region unreachable")
 
-// rfPhases labels the three measurement phases.
-var rfPhases = [3]string{"pre", "during", "post"}
-
 // rfPhase is one phase's measurements.
 type rfPhase struct {
-	rec    stats.Summary
-	served int
-	failed int
-	cost   pricing.USD
+	phaseCount
+	rec  *stats.Recorder
+	cost pricing.USD
 }
 
 // rfResult is one variant's full measurement.
@@ -106,7 +102,7 @@ func rfHash(region, seq int) uint64 {
 // runRegionFailover measures one variant. scale shrinks the window (tests
 // run at scale < 1 to keep the seeds × workers determinism sweep cheap);
 // the partition always covers the middle third.
-func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rfResult {
+func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	window := time.Duration(float64(rfWindow) * scale)
 	partAt, partDur := window/3, window/3
 
@@ -138,8 +134,6 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rf
 	}
 
 	sc := statecache.DefaultConfig()
-	sc.SketchStaleness = o.Sketch
-	sc.Reconcile = o.Recon
 	cl := statecache.New("cache", net, gt.Primary(), rng.Fork(), sc, catalog, meter)
 	for _, pf := range pfs {
 		pf.AttachStateCache(cl)
@@ -147,17 +141,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rf
 
 	var res rfResult
 	for i := range res.phases {
-		res.phases[i].rec = o.newSummary("rf-" + rfPhases[i])
-	}
-	phaseOf := func(now sim.Time) int {
-		switch {
-		case now < sim.Time(partAt):
-			return 0
-		case now < sim.Time(partAt+partDur):
-			return 1
-		default:
-			return 2
-		}
+		res.phases[i].rec = stats.NewRecorder("rf-" + faultPhases[i])
 	}
 
 	value := make([]byte, rfValueBytes)
@@ -225,7 +209,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rf
 			h := rfHash(region, seq)
 			keyIdx := int(h>>32) % rfKeys
 			payload := []byte{byte(h % 100), byte(keyIdx >> 8), byte(keyIdx)}
-			phase := phaseOf(p.Now())
+			phase := faultPhase(p.Now(), window)
 			start := p.Now()
 			_, _, err := pf.Invoke(p, "serve", payload)
 			switch {
@@ -267,14 +251,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64, o Options) rf
 	res.replLost = gt.LostBatches()
 	res.replDone = gt.Replicated()
 	res.flushed = cl.FlushWrites()
-	if withChaos {
-		for _, ev := range eng.Events() {
-			var n int
-			if _, err := fmt.Sscanf(ev.What, "crash storm: %d VMs", &n); err == nil {
-				res.crashedVM += n
-			}
-		}
-	}
+	res.crashedVM = eng.CrashedVMs()
 	return res
 }
 
@@ -340,7 +317,7 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 
 // runRegionFailoverTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRegionFailoverTables(seed uint64, scale float64, o Options) []*Table {
+func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 	window := time.Duration(float64(rfWindow) * scale)
 	phaseDur := window / 3
 
@@ -354,7 +331,7 @@ func runRegionFailoverTables(seed uint64, scale float64, o Options) []*Table {
 	// and commits rows in point order.
 	variants := []bool{false, true}
 	results := sweep.Map(variants, func(_ int, withChaos bool) rfResult {
-		return runRegionFailover(seed, withChaos, scale, o)
+		return runRegionFailover(seed, withChaos, scale)
 	})
 	for vi, withChaos := range variants {
 		label := "control"
@@ -364,19 +341,14 @@ func runRegionFailoverTables(seed uint64, scale float64, o Options) []*Table {
 		r := results[vi]
 		for i := range r.phases {
 			ph := &r.phases[i]
-			total := ph.served + ph.failed
-			avail := 100.0
-			if total > 0 {
-				avail = 100 * float64(ph.served) / float64(total)
-			}
 			t.AddRow(
 				label,
-				rfPhases[i],
+				faultPhases[i],
 				fmt.Sprintf("%.0f", float64(ph.served)/phaseDur.Seconds()),
 				FmtDur(ph.rec.Percentile(50)),
 				FmtDur(ph.rec.Percentile(99)),
 				FmtDur(ph.rec.Percentile(99.9)),
-				fmt.Sprintf("%.2f%%", avail),
+				fmt.Sprintf("%.2f%%", ph.availPct()),
 				fmt.Sprintf("$%.2f/hr", float64(ph.cost)/phaseDur.Hours()),
 			)
 		}
@@ -426,6 +398,6 @@ func runRegionFailoverTables(seed uint64, scale float64, o Options) []*Table {
 // RunRegionFailover regenerates the multi-region failover tables: tail
 // latency, availability, and cost per phase around a WAN partition plus
 // crash storm, and the IBF straggler re-dispatch comparison.
-func RunRegionFailover(seed uint64, o Options) []*Table {
-	return runRegionFailoverTables(seed, 1, o)
+func RunRegionFailover(seed uint64) []*Table {
+	return runRegionFailoverTables(seed, 1)
 }

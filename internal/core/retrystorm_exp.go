@@ -59,6 +59,8 @@ const (
 	rsWindow = 30 * time.Second
 	// rsRate is the open-loop arrival rate.
 	rsRate = 450.0
+	// rsShards is the table's partition count.
+	rsShards = 4
 	// rsKeys / rsZipfS shape key popularity: Zipf(s=1.1) over 4096 keys.
 	rsKeys  = 4096
 	rsZipfS = 1.1
@@ -85,9 +87,6 @@ const (
 	// admitted request can finish — bounded queues preserve goodput.
 	rsMaxQueue = 6
 )
-
-// rsPhases labels the measurement phases around the fault.
-var rsPhases = [3]string{"pre", "during", "post"}
 
 // rsPolicy is one client-policy sweep point.
 type rsPolicy struct {
@@ -119,11 +118,10 @@ func rsPolicies() []rsPolicy {
 
 // rsPhaseM is one phase's measurements.
 type rsPhaseM struct {
-	rec    stats.Summary
-	served int
-	failed int
-	hotQ   int // peak hot-shard admission-queue depth observed
-	poolQ  int // peak client-pool backlog observed
+	phaseCount
+	rec   *stats.Recorder
+	hotQ  int // peak hot-shard admission-queue depth observed
+	poolQ int // peak client-pool backlog observed
 }
 
 // rsResult is one policy's full measurement.
@@ -143,12 +141,12 @@ func rsKey(r int) string { return fmt.Sprintf("key/%04d", r) }
 // concurrency-safe, so sweep workers share it).
 var rsZipf = loadgen.NewZipf(rsKeys, rsZipfS)
 
-// rsHotShard returns the shard owning the hottest key, and the fraction of
-// traffic the popularity curve sends to it.
-func rsHotShard(ddb *kvstore.Store) (shard int, share float64) {
-	shard = ddb.ShardFor(rsKey(0))
+// rsHotShard returns which of n shards owns the hottest key, and the
+// fraction of traffic the popularity curve sends to it.
+func rsHotShard(n int) (shard int, share float64) {
+	shard = kvstore.ShardIndex(rsKey(0), n)
 	for r := 0; r < rsKeys; r++ {
-		if ddb.ShardFor(rsKey(r)) == shard {
+		if kvstore.ShardIndex(rsKey(r), n) == shard {
 			share += rsZipf.Share(r+1) - rsZipf.Share(r)
 		}
 	}
@@ -157,7 +155,7 @@ func rsHotShard(ddb *kvstore.Store) (shard int, share float64) {
 
 // runRetryStorm measures one policy. scale shrinks the window (tests run
 // at scale < 1); the fault always covers the middle third.
-func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult {
+func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	window := time.Duration(float64(rsWindow) * scale)
 	faultAt, faultDur := window/3, window/3
 
@@ -170,13 +168,13 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult
 	meter := &pricing.Meter{}
 
 	dcfg := cfg.DDB
-	dcfg.ShardCount = 4
+	dcfg.ShardCount = rsShards
 	dcfg.ShardConcurrency = 4
 	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, catalog, meter)
 	if pol.shed {
 		ddb.SetAdmission(service.AdmissionConfig{MaxQueue: rsMaxQueue})
 	}
-	hotShard, _ := rsHotShard(ddb)
+	hotShard, _ := rsHotShard(rsShards)
 	hotFE := ddb.ShardFrontend(hotShard)
 
 	// The shared policy state a real client fleet would hold process-wide:
@@ -217,17 +215,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult
 
 	var res rsResult
 	for i := range res.phases {
-		res.phases[i].rec = o.newSummary("rs-" + rsPhases[i])
-	}
-	phaseOf := func(now sim.Time) int {
-		switch {
-		case now < sim.Time(faultAt):
-			return 0
-		case now < sim.Time(faultAt+faultDur):
-			return 1
-		default:
-			return 2
-		}
+		res.phases[i].rec = stats.NewRecorder("rs-" + faultPhases[i])
 	}
 
 	eng := chaos.New(k, rng.Fork())
@@ -243,7 +231,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult
 		ep := ddb.ShardFor(key)
 		host := hosts[seq%len(hosts)]
 		start := p.Now()
-		ph := &res.phases[phaseOf(start)]
+		ph := &res.phases[faultPhase(start, window)]
 		pool.Acquire(p)
 		if time.Duration(p.Now()-start) > rsPatience {
 			// The caller hung up while this arrival sat in the pool
@@ -278,7 +266,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult
 	k.Spawn("rs-queue-observer", func(p *sim.Proc) {
 		for time.Duration(p.Now()) < window {
 			p.Sleep(50 * time.Millisecond)
-			ph := &res.phases[phaseOf(p.Now())]
+			ph := &res.phases[faultPhase(p.Now(), window)]
 			if q := hotFE.QueueDepth(); q > ph.hotQ {
 				ph.hotQ = q
 			}
@@ -306,7 +294,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64, o Options) rsResult
 
 // rsTenant is one tenant class's measurement in the hot-tenant table.
 type rsTenant struct {
-	rec      stats.Summary
+	rec      *stats.Recorder
 	served   int
 	rejected int
 }
@@ -327,7 +315,7 @@ const (
 // runHotTenant measures 12 polite closed-loop tenants sharing a
 // 4-slot table with one abusive tenant hammering from 32 connections,
 // with the per-caller rate-window jail off or on.
-func runHotTenant(seed uint64, jail bool, scale float64, o Options) rsJailResult {
+func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	window := time.Duration(float64(rsJailWindow) * scale)
 
 	k := sim.NewKernel()
@@ -349,8 +337,8 @@ func runHotTenant(seed uint64, jail bool, scale float64, o Options) rsJailResult
 	}
 
 	var res rsJailResult
-	res.polite.rec = o.newSummary("jail-polite")
-	res.abuser.rec = o.newSummary("jail-abuser")
+	res.polite.rec = stats.NewRecorder("jail-polite")
+	res.abuser.rec = stats.NewRecorder("jail-abuser")
 
 	run := func(name string, node *netsim.Node, crng *simrand.RNG,
 		think time.Duration, out *rsTenant) {
@@ -395,20 +383,11 @@ func runHotTenant(seed uint64, jail bool, scale float64, o Options) rsJailResult
 
 // runRetryStormTables builds both tables at the given scale (1 for the
 // real experiment; tests shrink it).
-func runRetryStormTables(seed uint64, scale float64, o Options) []*Table {
+func runRetryStormTables(seed uint64, scale float64) []*Table {
 	window := time.Duration(float64(rsWindow) * scale)
 	phaseDur := window / 3
 
-	// Hot-shard identity and traffic share are pure functions of the key
-	// space; compute them once without a simulation.
-	probe := sim.NewKernel()
-	pnet := netsim.NewNetwork(probe, simrand.New(1), DefaultConfig().Latency)
-	pcfg := DefaultConfig().DDB
-	pcfg.ShardCount = 4
-	pddb := kvstore.New("probe", pnet, ServiceRack, simrand.New(1), pcfg,
-		pricing.Fall2018(), &pricing.Meter{})
-	hotShard, hotShare := rsHotShard(pddb)
-	probe.Close()
+	hotShard, hotShare := rsHotShard(rsShards)
 
 	t := &Table{
 		Title: fmt.Sprintf("Retry storm: %.0f req/s through a %d-worker client pool, hot shard %dx slower for the middle third",
@@ -418,24 +397,19 @@ func runRetryStormTables(seed uint64, scale float64, o Options) []*Table {
 	}
 	pols := rsPolicies()
 	results := sweep.Map(pols, func(_ int, pol rsPolicy) rsResult {
-		return runRetryStorm(seed, pol, scale, o)
+		return runRetryStorm(seed, pol, scale)
 	})
 	for pi, pol := range pols {
 		r := results[pi]
 		for i := range r.phases {
 			ph := &r.phases[i]
-			total := ph.served + ph.failed
-			avail := 100.0
-			if total > 0 {
-				avail = 100 * float64(ph.served) / float64(total)
-			}
 			t.AddRow(
 				pol.name,
-				rsPhases[i],
+				faultPhases[i],
 				fmt.Sprintf("%.0f", float64(ph.served)/phaseDur.Seconds()),
 				FmtDur(ph.rec.Percentile(50)),
 				FmtDur(ph.rec.Percentile(99)),
-				fmt.Sprintf("%.2f%%", avail),
+				fmt.Sprintf("%.2f%%", ph.availPct()),
 				fmt.Sprintf("%d", ph.hotQ),
 				fmt.Sprintf("%d", ph.poolQ),
 			)
@@ -460,7 +434,7 @@ func runRetryStormTables(seed uint64, scale float64, o Options) []*Table {
 		Header: []string{"Jail", "Tenant", "Done req/s", "p50", "p99", "Rejected"},
 	}
 	jres := sweep.Map([]bool{false, true}, func(_ int, jail bool) rsJailResult {
-		return runHotTenant(seed, jail, scale, o)
+		return runHotTenant(seed, jail, scale)
 	})
 	jailWindow := time.Duration(float64(rsJailWindow) * scale)
 	for ji, jail := range []bool{false, true} {
@@ -491,6 +465,6 @@ func runRetryStormTables(seed uint64, scale float64, o Options) []*Table {
 // RunRetryStorm regenerates the resilience-fabric tables: availability and
 // tail latency per phase around a hot-shard slowdown under four retry
 // policies, and the hot-tenant admission-jail comparison.
-func RunRetryStorm(seed uint64, o Options) []*Table {
-	return runRetryStormTables(seed, 1, o)
+func RunRetryStorm(seed uint64) []*Table {
+	return runRetryStormTables(seed, 1)
 }

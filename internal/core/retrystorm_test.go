@@ -31,7 +31,7 @@ func TestRetryStormDeterminism(t *testing.T) {
 		var want string
 		for i, w := range counts {
 			sweep.SetWorkers(w)
-			got := renderAll(runRetryStormTables(seed, 0.2, Options{}))
+			got := renderAll(runRetryStormTables(seed, 0.2))
 			if i == 0 {
 				want = got
 				continue
@@ -60,7 +60,7 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 	pols := rsPolicies()
 	byName := map[string]rsResult{}
 	for _, pol := range pols {
-		byName[pol.name] = runRetryStorm(1, pol, 1, Options{})
+		byName[pol.name] = runRetryStorm(1, pol, 1)
 	}
 	avail := func(r rsResult, phase int) float64 {
 		ph := r.phases[phase]
@@ -94,10 +94,10 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 		t.Errorf("no-retry saw %d pool give-ups; the collapse should need retries", nr.gaveUp)
 	}
 	// The full policy dominates no-retry on availability in every phase…
-	for phase := range rsPhases {
+	for phase := range faultPhases {
 		if avail(full, phase) < avail(nr, phase) {
 			t.Errorf("full-policy %s availability %.4f below no-retry %.4f",
-				rsPhases[phase], avail(full, phase), avail(nr, phase))
+				faultPhases[phase], avail(full, phase), avail(nr, phase))
 		}
 	}
 	// …and its post-heal tail returns to baseline while no-retry is still
@@ -127,8 +127,8 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hot-tenant runs in -short mode")
 	}
-	off := runHotTenant(1, false, 0.5, Options{})
-	on := runHotTenant(1, true, 0.5, Options{})
+	off := runHotTenant(1, false, 0.5)
+	on := runHotTenant(1, true, 0.5)
 	if off.abuser.rejected != 0 || off.jailed != 0 {
 		t.Fatalf("jail off still rejected: abuser %d, server %d", off.abuser.rejected, off.jailed)
 	}
@@ -151,6 +151,6 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 // faasbench regenerates.
 func BenchmarkRetryStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runRetryStormTables(1, 1, Options{})
+		runRetryStormTables(1, 1)
 	}
 }

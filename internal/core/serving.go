@@ -11,6 +11,7 @@ import (
 	"repro/internal/msgnet"
 	"repro/internal/queue"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/wordfilter"
 )
 
@@ -48,11 +49,11 @@ const servingBatches = 1000
 // (ZeroMQ-style) messaging. Latency is measured from the client initiating
 // the batch to the results being durable in the output channel, averaged
 // over 1,000 batches as in the paper.
-func RunServing(seed uint64, o Options) []*Table {
-	lambdaFetch := runServingLambda(seed, true, o)
-	lambdaOpt := runServingLambda(seed+1, false, o)
-	ec2SQS := runServingEC2SQS(seed+2, o)
-	ec2ZMQ := runServingEC2ZMQ(seed+3, o)
+func RunServing(seed uint64) []*Table {
+	lambdaFetch := runServingLambda(seed, true)
+	lambdaOpt := runServingLambda(seed+1, false)
+	ec2SQS := runServingEC2SQS(seed + 2)
+	ec2ZMQ := runServingEC2ZMQ(seed + 3)
 
 	t := &Table{
 		Title:  "§3.1 Prediction serving: mean latency per 10-document batch (1,000 batches)",
@@ -76,13 +77,13 @@ func RunServing(seed uint64, o Options) []*Table {
 // runServingLambda measures the two Lambda variants. fetchModel selects the
 // unoptimized path: fetch the serialized model from S3 on every invocation
 // and write results back to S3 instead of SQS.
-func runServingLambda(seed uint64, fetchModel bool, o Options) time.Duration {
+func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := o.newSummary("batch")
+	rec := stats.NewRecorder("batch")
 	completion := make(map[int]*sim.Latch)
 	compiled := wordfilter.DefaultModel()
 
@@ -164,13 +165,13 @@ func runServingLambda(seed uint64, fetchModel bool, o Options) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2SQS(seed uint64, o Options) time.Duration {
+func runServingEC2SQS(seed uint64) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
 	client := c.ClientNode("client")
 	inQ := c.SQS.CreateQueue("serve-in", 2*time.Minute)
 	outQ := c.SQS.CreateQueue("serve-out", 2*time.Minute)
-	rec := o.newSummary("batch")
+	rec := stats.NewRecorder("batch")
 	completion := make(map[int]*sim.Latch)
 	model := wordfilter.DefaultModel()
 
@@ -231,10 +232,10 @@ func runServingEC2SQS(seed uint64, o Options) time.Duration {
 	return rec.Mean()
 }
 
-func runServingEC2ZMQ(seed uint64, o Options) time.Duration {
+func runServingEC2ZMQ(seed uint64) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
-	rec := o.newSummary("batch")
+	rec := stats.NewRecorder("batch")
 	model := wordfilter.DefaultModel()
 
 	done := false
@@ -273,7 +274,7 @@ func runServingEC2ZMQ(seed uint64, o Options) time.Duration {
 // RunServingCost regenerates the §3.1 cost comparison at 1M messages/s:
 // the SQS request bill alone versus an EC2 fleet sized from measured
 // instance throughput.
-func RunServingCost(seed uint64, _ Options) []*Table {
+func RunServingCost(seed uint64) []*Table {
 	c := NewCloud(seed)
 	defer c.Close()
 

@@ -35,6 +35,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simrand"
 	"repro/internal/statecache"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -100,7 +101,7 @@ func uncachedAdd(p *sim.Proc, c *Cloud, ctx *faas.Ctx, replica, key string, delt
 // runStateCache measures one variant: workers concurrent stateful workers
 // (one per VM/replica), cached via gossip at the given interval when
 // cached is set, all against the same op mix and seed.
-func runStateCache(seed uint64, workers int, interval time.Duration, cached bool, o Options) stateCacheResult {
+func runStateCache(seed uint64, workers int, interval time.Duration, cached bool) stateCacheResult {
 	cfg := DefaultConfig()
 	// One container per VM so each worker invocation owns one colocated
 	// replica — the fluid-state deployment §4 sketches.
@@ -113,13 +114,11 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		sc := statecache.DefaultConfig()
 		sc.GossipInterval = interval
 		sc.FlushInterval = stateCacheFlushEvery
-		sc.SketchStaleness = o.Sketch
-		sc.Reconcile = o.Recon
 		cl = statecache.New("cache", c.Net, c.DDB, c.RNG.Fork(), sc, c.Catalog, c.Meter)
 		c.Lambda.AttachStateCache(cl)
 	}
 
-	rec := o.newSummary("statecache-read")
+	rec := stats.NewRecorder("statecache-read")
 	ops := 0
 	end := sim.Time(stateCacheWindow)
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
@@ -219,7 +218,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 // identical stateful workloads against the DynamoDB-class store (the
 // paper's data-shipping baseline) and against VM-colocated CRDT replicas
 // converged by gossip, sweeping replica count and gossip interval.
-func RunStateCache(seed uint64, o Options) []*Table {
+func RunStateCache(seed uint64) []*Table {
 	t := &Table{
 		Title: "§4 fluid state: function-colocated CRDT cache vs storage round trips",
 		Header: []string{"Variant", "Replicas", "Gossip", "Ops/s", "Read p50",
@@ -242,7 +241,7 @@ func RunStateCache(seed uint64, o Options) []*Table {
 	// by (seed, point parameters); the sweep engine farms them across
 	// cores and commits results in point order.
 	results := sweep.Map(points, func(_ int, pt point) stateCacheResult {
-		return runStateCache(seed, pt.workers, pt.interval, pt.cached, o)
+		return runStateCache(seed, pt.workers, pt.interval, pt.cached)
 	})
 	var uncached, cached stateCacheResult // cached: 4 replicas, 200ms gossip
 	for i, pt := range points {

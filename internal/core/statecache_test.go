@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 	"time"
 )
@@ -14,8 +13,8 @@ func TestStateCacheBeatsStorageRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statecache scenario in -short mode")
 	}
-	uncached := runStateCache(1, 4, 0, false, Options{})
-	cached := runStateCache(1, 4, 200*time.Millisecond, true, Options{})
+	uncached := runStateCache(1, 4, 0, false)
+	cached := runStateCache(1, 4, 200*time.Millisecond, true)
 
 	if cached.p99 <= 0 || uncached.p99 <= 0 {
 		t.Fatalf("degenerate percentiles: cached %v, uncached %v", cached.p99, uncached.p99)
@@ -39,7 +38,7 @@ func TestStateCacheBeatsStorageRoundTrips(t *testing.T) {
 			cached.throughput, uncached.throughput)
 	}
 
-	if again := runStateCache(1, 4, 200*time.Millisecond, true, Options{}); again != cached {
+	if again := runStateCache(1, 4, 200*time.Millisecond, true); again != cached {
 		t.Errorf("statecache scenario is nondeterministic: %+v vs %+v", again, cached)
 	}
 }
@@ -50,37 +49,10 @@ func TestStateCacheStalenessTracksGossipInterval(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statecache sweep in -short mode")
 	}
-	fast := runStateCache(1, 4, 50*time.Millisecond, true, Options{})
-	slow := runStateCache(1, 4, time.Second, true, Options{})
+	fast := runStateCache(1, 4, 50*time.Millisecond, true)
+	slow := runStateCache(1, 4, time.Second, true)
 	if fast.staleP99 >= slow.staleP99 {
 		t.Errorf("staleness p99 %v at 50ms gossip not below %v at 1s",
 			fast.staleP99, slow.staleP99)
-	}
-}
-
-// TestStateCacheReconChangesOnlyGossipBytes runs the statecache experiment
-// with Options.Recon: IBF reconciliation replaces the digest summary leg
-// and nothing else, so the uncached row and every cached row's Ops/s
-// render exactly as in the default run while every cached row's
-// Gossip/rnd moves.
-func TestStateCacheReconChangesOnlyGossipBytes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statecache scenario in -short mode")
-	}
-	const opsCol, gossipCol = 3, 7
-	digest := RunStateCache(1, Options{})[0]
-	ibf := RunStateCache(1, Options{Recon: true})[0]
-	for i, want := range digest.Rows {
-		got := ibf.Rows[i]
-		switch {
-		case want[0] == "uncached":
-			if !slices.Equal(got, want) {
-				t.Errorf("uncached row under Recon = %q, want %q", got, want)
-			}
-		case got[opsCol] != want[opsCol]:
-			t.Errorf("row %d Ops/s under Recon = %s, want %s", i, got[opsCol], want[opsCol])
-		case got[gossipCol] == want[gossipCol]:
-			t.Errorf("row %d Gossip/rnd = %s under both protocols", i, got[gossipCol])
-		}
 	}
 }

@@ -27,16 +27,16 @@ func runKernelUntil(k *sim.Kernel, horizon, step sim.Time, cond func() bool) boo
 // six different ways, plus the compared-to-best ratio row. Trial counts
 // match the paper: 1,000 invocations, 5,000 storage I/O pairs, 10,000
 // network round trips.
-func RunTable1(seed uint64, o Options) []*Table {
+func RunTable1(seed uint64) []*Table {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	recInvoke := o.newSummary("invoke")
-	recLambdaS3 := o.newSummary("lambda-s3")
-	recLambdaDDB := o.newSummary("lambda-ddb")
-	recEC2S3 := o.newSummary("ec2-s3")
-	recEC2DDB := o.newSummary("ec2-ddb")
-	recZMQ := o.newSummary("ec2-zmq")
+	recInvoke := stats.NewRecorder("invoke")
+	recLambdaS3 := stats.NewRecorder("lambda-s3")
+	recLambdaDDB := stats.NewRecorder("lambda-ddb")
+	recEC2S3 := stats.NewRecorder("ec2-s3")
+	recEC2DDB := stats.NewRecorder("ec2-ddb")
+	recZMQ := stats.NewRecorder("ec2-zmq")
 
 	payload := make([]byte, 1024)
 
@@ -144,7 +144,7 @@ func RunTable1(seed uint64, o Options) []*Table {
 		Header: []string{"", "Func. Invoc. (1KB)", "Lambda I/O (S3)", "Lambda I/O (DynamoDB)",
 			"EC2 I/O (S3)", "EC2 I/O (DynamoDB)", "EC2 NW (0MQ)"},
 	}
-	recs := []stats.Summary{recInvoke, recLambdaS3, recLambdaDDB, recEC2S3, recEC2DDB, recZMQ}
+	recs := []*stats.Recorder{recInvoke, recLambdaS3, recLambdaDDB, recEC2S3, recEC2DDB, recZMQ}
 	best := recInvoke.Mean()
 	for _, r := range recs[1:] {
 		if m := r.Mean(); m > 0 && m < best {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/pricing"
 	"repro/internal/reviews"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // trainState is the paper's chained-execution baton: where in the 9,000
@@ -73,11 +74,11 @@ type trainingResult struct {
 // epochs over a 90GB corpus in 100MB batches, once on Lambda (640MB
 // functions chained through the 15-minute lifetime, batches fetched from
 // S3) and once on an m4.large with EBS-resident data.
-func RunTraining(seed uint64, o Options) []*Table {
+func RunTraining(seed uint64) []*Table {
 	totalIters := TrainingEpochs * int(TrainingCorpusBytes/TrainingBatchBytes) // 9,000
 
-	lambda := runLambdaTraining(seed, totalIters, o)
-	ec2 := runEC2Training(seed, totalIters, o)
+	lambda := runLambdaTraining(seed, totalIters)
+	ec2 := runEC2Training(seed, totalIters)
 
 	t := &Table{
 		Title: "§3.1 Model training: Lambda (640MB, data in S3) vs EC2 m4.large (data on EBS)",
@@ -106,13 +107,13 @@ func RunTraining(seed uint64, o Options) []*Table {
 	return []*Table{t}
 }
 
-func runLambdaTraining(seed uint64, totalIters int, o Options) trainingResult {
+func runLambdaTraining(seed uint64, totalIters int) trainingResult {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	fetch := o.newSummary("fetch")
-	optim := o.newSummary("optimize")
-	iters := o.newSummary("iter")
+	fetch := stats.NewRecorder("fetch")
+	optim := stats.NewRecorder("optimize")
+	iters := stats.NewRecorder("iter")
 	pt := newProxyTrainer(seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss()}
 
@@ -192,13 +193,13 @@ func runLambdaTraining(seed uint64, totalIters int, o Options) trainingResult {
 	return res
 }
 
-func runEC2Training(seed uint64, totalIters int, o Options) trainingResult {
+func runEC2Training(seed uint64, totalIters int) trainingResult {
 	c := NewCloud(seed)
 	defer c.Close()
 
-	fetch := o.newSummary("fetch")
-	optim := o.newSummary("optimize")
-	iters := o.newSummary("iter")
+	fetch := stats.NewRecorder("fetch")
+	optim := stats.NewRecorder("optimize")
+	iters := stats.NewRecorder("iter")
 	pt := newProxyTrainer(seed)
 	res := trainingResult{lossBefore: pt.holdoutLoss(), executions: 1}
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/faas"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workflow"
 )
 
@@ -43,7 +44,7 @@ func signupSteps() []workflow.Step {
 // Autodesk case study reports ten-minute end-to-end signups and attributes
 // part of that to "the overheads of Lambda task handling and state
 // management"; this experiment isolates exactly that infrastructure share.
-func RunWorkflow(seed uint64, o Options) []*Table {
+func RunWorkflow(seed uint64) []*Table {
 	const requests = 20
 
 	// FaaS pipeline.
@@ -52,7 +53,7 @@ func RunWorkflow(seed uint64, o Options) []*Table {
 	if err := pl.Deploy(c.K); err != nil {
 		panic(err)
 	}
-	rec := o.newSummary("pipeline")
+	rec := stats.NewRecorder("pipeline")
 	client := c.ClientNode("client")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
@@ -76,7 +77,7 @@ func RunWorkflow(seed uint64, o Options) []*Table {
 	// Monolith baseline: the same eight steps in one process with local
 	// state on the instance volume.
 	c2 := NewCloud(seed + 1)
-	mono := o.newSummary("monolith")
+	mono := stats.NewRecorder("monolith")
 	done2 := false
 	c2.K.Spawn("driver", func(p *sim.Proc) {
 		inst := c2.EC2.Launch(p, compute.M5Large, ClientRack)

@@ -41,7 +41,7 @@ func (s *Store) BatchGet(p *sim.Proc, caller *netsim.Node, keys []string, consis
 	}
 	byShard := make([][]string, len(s.shards))
 	for _, key := range keys {
-		i := shardIndex(key, len(s.shards))
+		i := ShardIndex(key, len(s.shards))
 		byShard[i] = append(byShard[i], key)
 	}
 	for i, shardKeys := range byShard {
@@ -98,7 +98,7 @@ func (s *Store) BatchWrite(p *sim.Proc, caller *netsim.Node, items map[string][]
 	}
 	byShard := make([]map[string][]byte, len(s.shards))
 	for k, v := range items {
-		i := shardIndex(k, len(s.shards))
+		i := ShardIndex(k, len(s.shards))
 		if byShard[i] == nil {
 			byShard[i] = make(map[string][]byte)
 		}

@@ -22,8 +22,9 @@ func fnv1a64(key string) uint64 {
 	return h
 }
 
-// shardIndex maps key to a partition index in [0, n).
-func shardIndex(key string, n int) int {
+// ShardIndex maps key to a partition index in [0, n): the routing every
+// n-shard Store applies, so a key's owner is known without a store.
+func ShardIndex(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -32,7 +33,7 @@ func shardIndex(key string, n int) int {
 
 // shardFor returns the shard owning key.
 func (s *Store) shardFor(key string) *shard {
-	return s.shards[shardIndex(key, len(s.shards))]
+	return s.shards[ShardIndex(key, len(s.shards))]
 }
 
 // ShardCount reports how many partitions the table has.
@@ -40,7 +41,7 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 
 // ShardFor reports which partition owns key (routing test hook).
 func (s *Store) ShardFor(key string) int {
-	return shardIndex(key, len(s.shards))
+	return ShardIndex(key, len(s.shards))
 }
 
 // ShardNode returns partition i's network endpoint.
@@ -86,17 +87,4 @@ func (s *Store) ShardStats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// HottestShard returns the partition with the most requests served — ties
-// broken toward the lowest index.
-func (s *Store) HottestShard() ShardStat {
-	stats := s.ShardStats()
-	hot := stats[0]
-	for _, st := range stats[1:] {
-		if st.Requests > hot.Requests {
-			hot = st
-		}
-	}
-	return hot
 }

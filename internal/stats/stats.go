@@ -39,7 +39,7 @@ type Summary interface {
 }
 
 // NewSummary returns the exact Recorder, or a default-error Sketch when
-// sketch is set — the switch experiments expose as a -sketch flag.
+// sketch is set — the switch behind statecache.Config.SketchStaleness.
 func NewSummary(name string, sketch bool) Summary {
 	if sketch {
 		return NewSketch(name)
