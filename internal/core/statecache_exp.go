@@ -65,8 +65,14 @@ type stateCacheResult struct {
 	stateCost  float64       // state-tier $/hr: DDB units + cache GB-s
 }
 
-// stateCacheKey renders the shared counter key for slot i.
-func stateCacheKey(i int) string { return fmt.Sprintf("ctr/%02d", i) }
+// stateCacheKey holds the shared counter key for each slot, rendered once
+// rather than per operation.
+var stateCacheKey = func() (keys [stateCacheKeys]string) {
+	for i := range keys {
+		keys[i] = fmt.Sprintf("ctr/%02d", i)
+	}
+	return keys
+}()
 
 // uncachedAdd is the blackboard-pattern counter write: read the stored
 // lattice, join the delta, conditionally write back, retrying lost races.
@@ -129,7 +135,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		replica := fmt.Sprintf("w%d", worker)
 		for p.Now() < end {
 			p.Sleep(think.Sample(rng))
-			key := stateCacheKey(rng.Intn(stateCacheKeys))
+			key := stateCacheKey[rng.Intn(stateCacheKeys)]
 			if rng.Float64() < 0.2 {
 				if cached {
 					ctx.Cache().AddCounter(p, key, 1)

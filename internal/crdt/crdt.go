@@ -12,6 +12,11 @@
 // delivery. That is exactly the guarantee that makes them safe to run over
 // the simulated cloud's eventually consistent storage, where the paper's
 // stateful patterns break.
+//
+// Every lattice serializes itself with AppendJSON, a hand-written encoder
+// whose output is byte-for-byte what encoding/json produces (sorted map
+// keys included), so equal states always encode to equal bytes and a hash
+// of the encoding is a sound convergence digest. Marshal wraps it.
 package crdt
 
 import (
@@ -212,16 +217,19 @@ func (s *ORSet) Merge(other *ORSet) {
 }
 
 // Marshal serializes a CRDT state for storage (the blackboard pattern).
-func Marshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic("crdt: marshal: " + err.Error())
-	}
-	return b
+func Marshal(v interface{ AppendJSON([]byte) []byte }) []byte {
+	return v.AppendJSON(nil)
 }
 
 // UnmarshalGCounter decodes a stored G-Counter.
 func UnmarshalGCounter(data []byte) (*GCounter, error) {
+	if c, n, ok := ScanGCounter(data); ok && n == len(data) {
+		return c, nil
+	}
+	return unmarshalGCounterJSON(data)
+}
+
+func unmarshalGCounterJSON(data []byte) (*GCounter, error) {
 	c := NewGCounter()
 	if err := json.Unmarshal(data, c); err != nil {
 		return nil, err
@@ -234,6 +242,13 @@ func UnmarshalGCounter(data []byte) (*GCounter, error) {
 
 // UnmarshalPNCounter decodes a stored PN-Counter.
 func UnmarshalPNCounter(data []byte) (*PNCounter, error) {
+	if c, n, ok := ScanPNCounter(data); ok && n == len(data) {
+		return c, nil
+	}
+	return unmarshalPNCounterJSON(data)
+}
+
+func unmarshalPNCounterJSON(data []byte) (*PNCounter, error) {
 	c := NewPNCounter()
 	if err := json.Unmarshal(data, c); err != nil {
 		return nil, err

@@ -5,12 +5,47 @@ package crdt
 // the kvstore, so the decoders must (a) never panic on arbitrary bytes,
 // (b) always return a usable value on success — no nil maps that would
 // crash the next Inc/Add — and (c) be stable: decode(encode(decode(x)))
-// reproduces the same state bytes.
+// reproduces the same state bytes. Each target is also differential: a
+// decoded value's AppendJSON matches json.Marshal, and whenever a counter
+// scanner accepts an input it decodes what encoding/json decodes.
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
+
+// checkMatchesEncodingJSON fails t unless v encodes exactly as json.Marshal
+// encodes it.
+func checkMatchesEncodingJSON(t *testing.T, v interface{ AppendJSON([]byte) []byte }) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("json.Marshal: %v", err)
+	}
+	if got := Marshal(v); !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSON %s != json.Marshal %s", got, want)
+	}
+}
+
+// checkScanMatchesJSON fails t if scan accepts a prefix of data that the
+// encoding/json decoder rejects or decodes differently.
+func checkScanMatchesJSON[T any](t *testing.T, data []byte,
+	scan func([]byte) (T, int, bool), unmarshal func([]byte) (T, error)) {
+	t.Helper()
+	got, n, ok := scan(data)
+	if !ok {
+		return
+	}
+	want, err := unmarshal(data[:n])
+	if err != nil {
+		t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", data[:n], err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner decoded %q as %+v, encoding/json as %+v", data[:n], got, want)
+	}
+}
 
 func FuzzUnmarshalGCounter(f *testing.F) {
 	seedCounter := NewGCounter()
@@ -20,11 +55,15 @@ func FuzzUnmarshalGCounter(f *testing.F) {
 	f.Add([]byte(`{"counts":null}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`garbage`))
+	f.Add([]byte(`{"counts":{"a":-0,"b":007}}`))
+	f.Add([]byte(`{"counts":{"b":1,"a":2}} `))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkScanMatchesJSON(t, data, ScanGCounter, unmarshalGCounterJSON)
 		c, err := UnmarshalGCounter(data)
 		if err != nil {
 			return
 		}
+		checkMatchesEncodingJSON(t, c)
 		c.Inc("fuzz", 1) // must not panic: maps are always initialized
 		c.Merge(c)       // self-merge is the identity
 		before := c.Value()
@@ -49,11 +88,15 @@ func FuzzUnmarshalPNCounter(f *testing.F) {
 	f.Add([]byte(`{"p":null,"n":null}`))
 	f.Add([]byte(`{"p":{"counts":{"a":1}}}`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"p":{"counts":{"x":9223372036854775807}},"n":{"counts":null}}`))
+	f.Add([]byte(`{"p":{"counts":{"\u0041":1}},"n":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkScanMatchesJSON(t, data, ScanPNCounter, unmarshalPNCounterJSON)
 		c, err := UnmarshalPNCounter(data)
 		if err != nil {
 			return
 		}
+		checkMatchesEncodingJSON(t, c)
 		c.Add("fuzz", -1)
 		c.Merge(c)
 		before := c.Value()
@@ -81,6 +124,7 @@ func FuzzUnmarshalLWWRegister(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkMatchesEncodingJSON(t, r)
 		r.Merge(r) // idempotent
 		before := *r
 		rt, err := UnmarshalLWWRegister(Marshal(r))
@@ -107,6 +151,7 @@ func FuzzUnmarshalORSet(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkMatchesEncodingJSON(t, s)
 		// The rebuilt tag counter must keep add-wins sound: re-adding an
 		// element on behalf of a replica already present in the decoded
 		// tags must mint a tag no tombstone covers.

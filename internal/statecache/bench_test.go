@@ -1,6 +1,7 @@
 package statecache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,5 +45,23 @@ func BenchmarkCacheCounterOp(b *testing.B) {
 	k.RunUntil(sim.Time(time.Duration(b.N+1) * time.Microsecond))
 	if !done {
 		b.Fatal("benchmark proc did not finish")
+	}
+}
+
+// BenchmarkEntryRefresh measures one mutation plus footprint/digest
+// refresh of an 8-replica PN-counter with a warm scratch buffer: the work
+// every gossip diff, flush and billing settlement pays per stale entry.
+// CI requires it to stay at 0 allocs/op.
+func BenchmarkEntryRefresh(b *testing.B) {
+	e := newEntry(KindPNCounter)
+	for i := 0; i < 8; i++ {
+		e.pn.Add(fmt.Sprintf("vm-%d#%d", i, i+1), int64(i-4))
+	}
+	var buf []byte
+	e.refresh(&buf)
+	b.ReportAllocs()
+	for b.Loop() {
+		e.pn.Add("vm-7#8", 1) // an existing slot: no map growth
+		e.refresh(&buf)
 	}
 }

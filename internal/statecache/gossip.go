@@ -15,9 +15,10 @@ package statecache
 // the replica's own forked RNG; every key iteration is over sorted keys.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"time"
 
 	"repro/internal/crdt"
@@ -81,39 +82,107 @@ func newEntry(kind Kind) *entry {
 
 // envelope is the wire/storage form of an entry: the lattice kind, its
 // JSON state, and the originating-write stamp staleness tracking rides on.
+// encode writes exactly what json.Marshal of this struct writes.
 type envelope struct {
 	Kind      Kind            `json:"kind"`
 	State     json.RawMessage `json:"state"`
 	LastWrite int64           `json:"lastWrite"`
 }
 
-// encodeState serializes just the lattice. json.Marshal sorts map keys, so
-// replicas holding equal lattice state produce identical bytes — which is
-// what makes a byte hash a sound convergence digest.
-func (e *entry) encodeState() []byte {
+// appendState appends just the lattice's encoding. crdt's hand-written
+// encoders sort map keys and emit exactly encoding/json's bytes (pinned by
+// crdt's TestAppendJSONMatchesEncodingJSON), so replicas holding equal
+// lattice state produce identical bytes — which is what makes a byte hash
+// a sound convergence digest.
+func (e *entry) appendState(b []byte) []byte {
 	switch e.kind {
 	case KindGCounter:
-		return crdt.Marshal(e.g)
+		return e.g.AppendJSON(b)
 	case KindPNCounter:
-		return crdt.Marshal(e.pn)
+		return e.pn.AppendJSON(b)
 	case KindRegister:
-		return crdt.Marshal(e.reg)
+		return e.reg.AppendJSON(b)
 	default:
-		return crdt.Marshal(e.set)
+		return e.set.AppendJSON(b)
 	}
 }
 
-// encode serializes the entry for storage and gossip transfer.
+// encode serializes the entry for storage and gossip transfer. It returns
+// a fresh slice: the kvstore retains the bytes it is given.
 func (e *entry) encode() []byte {
-	return crdt.Marshal(envelope{Kind: e.kind, State: e.encodeState(), LastWrite: int64(e.lastWrite)})
+	// A fresh e.bytes is the state plus envelopeOverheadBytes, and the
+	// framing never exceeds 52 bytes, so the slice never regrows.
+	b := make([]byte, 0, e.bytes+4)
+	b = append(b, `{"kind":`...)
+	b = strconv.AppendInt(b, int64(e.kind), 10)
+	b = append(b, `,"state":`...)
+	b = e.appendState(b)
+	b = append(b, `,"lastWrite":`...)
+	b = strconv.AppendInt(b, int64(e.lastWrite), 10)
+	return append(b, '}')
 }
 
 // envelopeOverheadBytes approximates the envelope framing around the state
 // payload when sizing an entry's storage/transfer footprint.
 const envelopeOverheadBytes = 48
 
-// decodeEntry parses a stored envelope back into an entry.
+// decodeEntry parses a stored envelope back into an entry. A counter
+// envelope exactly as encode writes it is scanned directly; anything else
+// goes through encoding/json.
 func decodeEntry(data []byte) (*entry, error) {
+	if e := scanEntry(data); e != nil {
+		return e, nil
+	}
+	return unmarshalEntry(data)
+}
+
+// scanEntry decodes a counter envelope in exactly the form encode writes,
+// delimiting the state with the lattice's own scanner. It returns nil for
+// any other input, register and set envelopes included.
+func scanEntry(data []byte) *entry {
+	const head, mid, tail = `{"kind":`, `,"state":`, `,"lastWrite":`
+	if len(data) <= len(head) || string(data[:len(head)]) != head {
+		return nil
+	}
+	e := &entry{kind: Kind(data[len(head)] - '0')}
+	rest, ok := bytes.CutPrefix(data[len(head)+1:], []byte(mid))
+	if !ok {
+		return nil
+	}
+	var n int
+	switch e.kind {
+	case KindGCounter:
+		e.g, n, ok = crdt.ScanGCounter(rest)
+	case KindPNCounter:
+		e.pn, n, ok = crdt.ScanPNCounter(rest)
+	default:
+		ok = false
+	}
+	if !ok {
+		return nil
+	}
+	state := rest[:n]
+	stamp, ok := bytes.CutPrefix(rest[n:], []byte(tail))
+	if !ok {
+		return nil
+	}
+	stamp, ok = bytes.CutSuffix(stamp, []byte("}"))
+	if !ok {
+		return nil
+	}
+	lastWrite, err := strconv.ParseInt(string(stamp), 10, 64)
+	var canon [20]byte
+	if err != nil || string(strconv.AppendInt(canon[:0], lastWrite, 10)) != string(stamp) {
+		return nil // not the digits AppendInt writes: leading zeros, a sign, ...
+	}
+	e.lastWrite = sim.Time(lastWrite)
+	e.digest(state)
+	return e
+}
+
+// unmarshalEntry is decodeEntry's general path, for any JSON encoding of
+// an envelope.
+func unmarshalEntry(data []byte) (*entry, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, err
@@ -140,34 +209,41 @@ func decodeEntry(data []byte) (*entry, error) {
 	// produces) the hash and footprint are identical, and a non-canonical
 	// encoding only makes the hash conservatively unequal — the comparison
 	// consumers skip work on equality, so that stays sound.
-	h := fnv.New64a()
-	h.Write([]byte{byte(e.kind)})
-	h.Write(env.State)
-	e.bytes = int64(len(env.State)) + envelopeOverheadBytes
-	e.hash = h.Sum64()
+	e.digest(env.State)
 	return e, nil
 }
 
-// refresh recomputes the serialized footprint and digest hash after a
-// mutation or merge, returning the change in footprint bytes. The hash
-// covers only kind+state, not lastWrite: replicas holding identical
-// lattices may carry different write stamps (each merge keeps the max it
-// has seen) and must still digest as equal.
-func (e *entry) refresh() int64 {
-	state := e.encodeState()
-	h := fnv.New64a()
-	h.Write([]byte{byte(e.kind)})
-	h.Write(state)
-	old := e.bytes
+// digest sets the footprint and the digest hash — FNV-1a over the kind
+// byte then the state encoding — from the entry's encoded state.
+func (e *entry) digest(state []byte) {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	h = (h ^ uint64(e.kind)) * prime64
+	for _, c := range state {
+		h = (h ^ uint64(c)) * prime64
+	}
+	e.hash = h
 	e.bytes = int64(len(state)) + envelopeOverheadBytes
-	e.hash = h.Sum64()
+}
+
+// refresh recomputes the serialized footprint and digest hash after a
+// mutation or merge, returning the change in footprint bytes. The state is
+// encoded into *buf, a scratch buffer the caller owns, so a refresh does
+// not allocate. The hash covers only kind+state, not lastWrite: replicas
+// holding identical lattices may carry different write stamps (each merge
+// keeps the max it has seen) and must still digest as equal.
+func (e *entry) refresh(buf *[]byte) int64 {
+	*buf = e.appendState((*buf)[:0])
+	old := e.bytes
+	e.digest(*buf)
 	e.stale = false
 	return e.bytes - old
 }
 
-// merge joins other into e, returning the footprint change. Kinds must
-// match (the caller's key addressed a different lattice otherwise).
-func (e *entry) merge(other *entry) int64 {
+// merge joins other into e, returning the footprint change; buf is the
+// refresh scratch. Kinds must match (the caller's key addressed a
+// different lattice otherwise).
+func (e *entry) merge(other *entry, buf *[]byte) int64 {
 	if other.kind != e.kind {
 		panic(fmt.Sprintf("statecache: merging %v into %v", other.kind, e.kind))
 	}
@@ -185,7 +261,7 @@ func (e *entry) merge(other *entry) int64 {
 	if other.lastWrite > e.lastWrite {
 		e.lastWrite = other.lastWrite
 	}
-	return e.refresh()
+	return e.refresh(buf)
 }
 
 // gossipOnce runs one anti-entropy round from c against one random peer:
@@ -362,7 +438,7 @@ func (c *Cache) mergeFrom(now sim.Time, src *Cache, keys []string) {
 			continue
 		}
 		before := e.hash
-		c.reweigh(e.merge(se))
+		c.reweigh(e.merge(se, &c.cl.encBuf))
 		c.reconRehash(k, before, e.hash)
 		if e.hash != before {
 			c.cl.staleness.Add(time.Duration(now - se.lastWrite))

@@ -175,6 +175,11 @@ type Cluster struct {
 	preReg   *crdt.LWWRegister
 	preBytes int64
 	preHash  uint64
+
+	// encBuf is the scratch every entry refresh encodes into. It belongs
+	// to the cluster, not the package: a cluster runs on one kernel, but
+	// sweep points run clusters on concurrent kernels.
+	encBuf []byte
 }
 
 // New creates a cluster backed by the given store. The cluster is inert
@@ -522,7 +527,7 @@ func (c *Cache) fresh(key string, e *entry) {
 		return
 	}
 	old := e.hash
-	delta := e.refresh()
+	delta := e.refresh(&c.cl.encBuf)
 	c.reconRehash(key, old, e.hash)
 	c.reweigh(delta)
 	if c.detached || delta <= 0 {
@@ -691,7 +696,7 @@ func (c *Cache) Preload(key, val string) {
 	if cl.preReg == nil || cl.preReg.Val != val {
 		reg := &crdt.LWWRegister{Val: val, Replica: "preload"}
 		tmp := &entry{kind: KindRegister, reg: reg}
-		tmp.refresh()
+		tmp.refresh(&cl.encBuf)
 		cl.preReg, cl.preBytes, cl.preHash = reg, tmp.bytes, tmp.hash
 	}
 	e := &entry{
@@ -837,7 +842,7 @@ func (c *Cache) flushKey(p *sim.Proc, key string) error {
 			// re-marshal is skipped (the write stamp still converges).
 			if stored.hash != e.hash || stored.kind != e.kind {
 				before := e.hash
-				c.reweigh(e.merge(stored))
+				c.reweigh(e.merge(stored, &c.cl.encBuf))
 				c.reconRehash(key, before, e.hash)
 			} else if stored.lastWrite > e.lastWrite {
 				e.lastWrite = stored.lastWrite

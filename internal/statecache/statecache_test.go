@@ -1,6 +1,8 @@
 package statecache
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -221,7 +223,16 @@ func TestEntryEnvelopeRoundTrips(t *testing.T) {
 			e.set.Add("r1", "y")
 		}
 		e.lastWrite = 123
-		e.refresh()
+		e.refresh(new([]byte))
+		// The hand-written envelope must be the bytes json.Marshal wrote
+		// for it, so stored state keeps decoding and digesting the same.
+		want, err := json.Marshal(envelope{Kind: kind, State: e.appendState(nil), LastWrite: 123})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc := e.encode(); !bytes.Equal(enc, want) {
+			t.Errorf("%v: encode %s, json.Marshal %s", kind, enc, want)
+		}
 		got, err := decodeEntry(e.encode())
 		if err != nil {
 			t.Fatalf("%v: decode: %v", kind, err)
