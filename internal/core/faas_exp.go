@@ -18,6 +18,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/faas"
@@ -63,6 +65,85 @@ type faasScaleMsg struct {
 	Sent int64 `json:"sent"` // virtual nanoseconds
 }
 
+// appendJSON appends m's encoding/json form, byte for byte, to b.
+func (m faasScaleMsg) appendJSON(b []byte) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(m.Seq), 10)
+	b = append(b, `,"sent":`...)
+	b = strconv.AppendInt(b, m.Sent, 10)
+	return append(b, '}')
+}
+
+// parseFaaSScaleMsg decodes a message body. The canonical form appendJSON
+// emits is scanned directly; any other input (whitespace, reordered keys,
+// escapes, leading zeros, -0, out-of-range numbers) is handed to
+// encoding/json, so the result always equals json.Unmarshal's.
+func parseFaaSScaleMsg(body string) (faasScaleMsg, error) {
+	if m, ok := scanFaaSScaleMsg(body); ok {
+		return m, nil
+	}
+	var m faasScaleMsg
+	err := json.Unmarshal([]byte(body), &m)
+	return m, err
+}
+
+// scanFaaSScaleMsg parses exactly `{"seq":<int>,"sent":<int>}` with
+// canonical integers, reporting !ok for anything else.
+func scanFaaSScaleMsg(s string) (faasScaleMsg, bool) {
+	var m faasScaleMsg
+	rest, ok := strings.CutPrefix(s, `{"seq":`)
+	if !ok {
+		return m, false
+	}
+	seq, rest, ok := scanCanonicalInt(rest, strconv.IntSize)
+	if !ok {
+		return m, false
+	}
+	if rest, ok = strings.CutPrefix(rest, `,"sent":`); !ok {
+		return m, false
+	}
+	sent, rest, ok := scanCanonicalInt(rest, 64)
+	if !ok || rest != "}" {
+		return m, false
+	}
+	m.Seq, m.Sent = int(seq), sent
+	return m, true
+}
+
+// scanCanonicalInt consumes the leading integer of s, as strconv.AppendInt
+// writes it (no leading zeros, no -0), that fits in bits bits.
+func scanCanonicalInt(s string, bits int) (int64, string, bool) {
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	start := i
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		i++
+	}
+	digits := s[start:i]
+	if digits == "" || (digits[0] == '0' && (len(digits) > 1 || start > 0)) {
+		return 0, s, false
+	}
+	v, err := strconv.ParseInt(s[:i], 10, bits)
+	if err != nil {
+		return 0, s, false
+	}
+	return v, s[i:], true
+}
+
+// faasScaleKey is fmt.Sprintf("evt/%07d", n) with one allocation.
+func faasScaleKey(n uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	var buf [24]byte
+	b := append(buf[:0], "evt/"...)
+	for i := len(d); i < 7; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
 // faasScaleResult is one provisioned-concurrency level's measurement.
 type faasScaleResult struct {
 	provisioned string // fixed count, or "auto"
@@ -99,11 +180,11 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 			return nil, err
 		}
 		for _, r := range ev.Records {
-			var m faasScaleMsg
-			if err := json.Unmarshal([]byte(r.Body), &m); err != nil {
+			m, err := parseFaaSScaleMsg(r.Body)
+			if err != nil {
 				return nil, err
 			}
-			key := fmt.Sprintf("evt/%07d", uint64(m.Seq)*2654435761%faasScaleKeySpace)
+			key := faasScaleKey(uint64(m.Seq) * 2654435761 % faasScaleKeySpace)
 			if _, err := c.DDB.Put(p, node, key, value); err != nil {
 				return nil, err
 			}
@@ -153,7 +234,9 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 		}
 		esm := c.Lambda.MapQueueN(inQ, "serve", ServingBatchSize, faasScalePollers)
 		doneGen := gen.Run(p.Kernel(), faasScaleWindow, func(rp *sim.Proc, seq int) {
-			body, _ := json.Marshal(faasScaleMsg{Seq: seq, Sent: int64(rp.Now())})
+			// Send copies the body, so it can be built on the stack.
+			var buf [64]byte
+			body := faasScaleMsg{Seq: seq, Sent: int64(rp.Now())}.appendJSON(buf[:0])
 			if _, err := inQ.Send(rp, client, body); err != nil {
 				panic(err)
 			}

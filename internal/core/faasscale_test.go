@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -72,4 +75,85 @@ func TestFaaSScaleTable(t *testing.T) {
 	if cold := metric(t, tb, "cold@32"); cold != 0 {
 		t.Errorf("cold starts at 32 provisioned = %.2f%%, want 0%%", cold)
 	}
+}
+
+// TestFaaSScaleMsgMatchesEncodingJSON pins the hand codec behind the
+// faasscale message path: appendJSON must emit json.Marshal's bytes (the
+// body length is metered and transferred), parseFaaSScaleMsg must invert
+// it, and faasScaleKey must render fmt's zero-padded key.
+func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
+	msgs := []faasScaleMsg{
+		{},
+		{Seq: 1, Sent: 42},
+		{Seq: -1, Sent: -1},
+		{Seq: 7, Sent: math.MinInt64},
+		{Seq: 7, Sent: math.MaxInt64},
+		{Seq: math.MaxInt32 + 1, Sent: 180_000_000_000},
+		{Seq: math.MaxInt, Sent: 0},
+		{Seq: math.MinInt, Sent: 3},
+	}
+	for _, m := range msgs {
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.appendJSON(nil)
+		if string(got) != string(want) {
+			t.Errorf("appendJSON(%+v) = %s, want %s", m, got, want)
+		}
+		back, err := parseFaaSScaleMsg(string(got))
+		if err != nil || back != m {
+			t.Errorf("parseFaaSScaleMsg(%s) = %+v, %v; want %+v", got, back, err, m)
+		}
+	}
+	for n := uint64(0); n < faasScaleKeySpace; n++ {
+		if got, want := faasScaleKey(n), fmt.Sprintf("evt/%07d", n); got != want {
+			t.Fatalf("faasScaleKey(%d) = %q, want %q", n, got, want)
+		}
+	}
+	for _, n := range []uint64{9_999_999, 10_000_000, 123_456_789, 1 << 40, math.MaxUint64} {
+		if got, want := faasScaleKey(n), fmt.Sprintf("evt/%07d", n); got != want {
+			t.Errorf("faasScaleKey(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// FuzzParseFaaSScaleMsg is the message decoder's differential oracle: on
+// any body, parseFaaSScaleMsg and json.Unmarshal must both fail, or both
+// succeed with equal messages. The seeds are canonical bodies and the
+// non-canonical forms the fast scanner must leave to encoding/json.
+func FuzzParseFaaSScaleMsg(f *testing.F) {
+	for _, m := range []faasScaleMsg{{}, {Seq: 12, Sent: 345}, {Seq: -3, Sent: math.MinInt64}} {
+		f.Add(string(m.appendJSON(nil)))
+	}
+	for _, s := range []string{
+		`{"seq":007,"sent":1}`,
+		`{"seq":-0,"sent":1}`,
+		`{"seq":1,"sent":-0}`,
+		` {"seq":1,"sent":2}`,
+		`{"seq": 1,"sent":2}`,
+		`{"seq":1,"sent":2} `,
+		`{"sent":2,"seq":1}`,
+		`{"\u0073eq":1,"sent":2}`,
+		`{"SEQ":1,"sent":2}`,
+		`{"seq":1.0,"sent":2}`,
+		`{"seq":1,"sent":9223372036854775808}`,
+		`{"seq":1,"sent":2,"seq":3}`,
+		`{"seq":1}`,
+		`{"seq":-,"sent":2}`,
+		`null`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		got, gotErr := parseFaaSScaleMsg(body)
+		var want faasScaleMsg
+		wantErr := json.Unmarshal([]byte(body), &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("parseFaaSScaleMsg err %v, encoding/json err %v", gotErr, wantErr)
+		}
+		if gotErr == nil && got != want {
+			t.Fatalf("parseFaaSScaleMsg = %+v, encoding/json = %+v", got, want)
+		}
+	})
 }

@@ -75,6 +75,7 @@ func (e *EventSourceMapping) Pollers() int { return e.pollers }
 func (e *EventSourceMapping) Stop() { e.stopped = true }
 
 func (e *EventSourceMapping) run(p *sim.Proc) {
+	var receipts []string // reused across the poller's batches
 	for !e.stopped {
 		msgs, err := e.q.Receive(p, e.pf.ctlNode, e.batchSize, e.idleWait)
 		if err != nil || len(msgs) == 0 {
@@ -86,9 +87,9 @@ func (e *EventSourceMapping) run(p *sim.Proc) {
 		if invErr != nil {
 			continue // not deleted; visibility timeout will redeliver
 		}
-		receipts := make([]string, len(msgs))
-		for i, m := range msgs {
-			receipts[i] = m.Receipt
+		receipts = receipts[:0]
+		for _, m := range msgs {
+			receipts = append(receipts, m.Receipt)
 		}
 		if err := e.q.DeleteBatch(p, e.pf.ctlNode, receipts); err != nil {
 			continue

@@ -9,10 +9,13 @@ package faas
 // encoding/json verbatim for anything else (control characters, the
 // HTML-escaped <, >, &, non-ASCII, unexpected layout), so the payload
 // bytes (and therefore every metered size and golden trace) are identical
-// by construction.
+// by construction. The fast decoder copies the payload once: each decoded
+// field is a substring of that one string, except a field with escapes,
+// which gets a single exactly-sized copy of its own.
 
 import (
 	"encoding/json"
+	"strings"
 
 	"repro/internal/queue"
 )
@@ -98,13 +101,19 @@ func DecodeSQSEvent(payload []byte) (SQSEvent, error) {
 
 // decodeSQSEventFast parses exactly the layout EncodeSQSEvent's fast path
 // emits. Any deviation — stray whitespace, reordered fields, an escape
-// other than \" or \\ — reports !ok and the caller falls back to
-// encoding/json, so hand-built payloads still decode.
-func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
+// other than \" or \\, a control or non-ASCII byte, trailing bytes —
+// reports !ok and the caller falls back to encoding/json, so hand-built
+// payloads still decode.
+//
+// The payload is copied into a string once; every field without escapes
+// is a substring of that copy, and a field with escapes is unescaped into
+// one exactly-sized string.
+func decodeSQSEventFast(payload []byte) (SQSEvent, bool) {
 	var ev SQSEvent
+	p := string(payload)
 	i, n := 0, len(p)
 	eat := func(lit string) bool {
-		if n-i < len(lit) || string(p[i:i+len(lit)]) != lit {
+		if !strings.HasPrefix(p[i:], lit) {
 			return false
 		}
 		i += len(lit)
@@ -115,30 +124,30 @@ func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 			return "", false
 		}
 		i++
-		start := i
-		var buf []byte // lazily materialized when an escape appears
+		start, escapes := i, 0
 		for i < n {
 			switch p[i] {
 			case '"':
-				if buf == nil {
-					s := string(p[start:i])
-					i++
-					return s, true
-				}
-				buf = append(buf, p[start:i]...)
+				raw := p[start:i]
 				i++
-				return string(buf), true
+				if escapes == 0 {
+					return raw, true
+				}
+				return unescapeQuoted(raw, len(raw)-escapes), true
 			case '\\':
 				// Only the two escapes the fast encoder emits; anything
 				// else falls back to encoding/json.
 				if i+1 >= n || (p[i+1] != '"' && p[i+1] != '\\') {
 					return "", false
 				}
-				buf = append(buf, p[start:i]...)
-				buf = append(buf, p[i+1])
+				escapes++
 				i += 2
-				start = i
 			default:
+				// encoding/json rejects raw control bytes and rewrites
+				// invalid UTF-8; leave both, and all non-ASCII, to it.
+				if p[i] < 0x20 || p[i] >= 0x80 {
+					return "", false
+				}
 				i++
 			}
 		}
@@ -147,7 +156,7 @@ func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 	if !eat(`{"records":[`) {
 		return ev, false
 	}
-	if eat(`]}`) && i == n {
+	if p[i:] == `]}` {
 		ev.Records = []SQSRecord{}
 		return ev, true
 	}
@@ -184,4 +193,19 @@ func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 		}
 		return ev, false
 	}
+}
+
+// unescapeQuoted drops the backslash of every \" and \\ escape in raw, a
+// string literal's contents that holds only those escapes, into a string of
+// the given (already counted) length.
+func unescapeQuoted(raw string, size int) string {
+	var sb strings.Builder
+	sb.Grow(size)
+	for j := 0; j < len(raw); j++ {
+		if raw[j] == '\\' {
+			j++
+		}
+		sb.WriteByte(raw[j])
+	}
+	return sb.String()
 }

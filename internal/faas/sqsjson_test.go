@@ -2,6 +2,7 @@ package faas
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/queue"
@@ -70,4 +71,43 @@ func TestDecodeSQSEventForeignLayout(t *testing.T) {
 	if _, err := DecodeSQSEvent([]byte(`{"records":`)); err == nil {
 		t.Error("truncated payload decoded without error")
 	}
+}
+
+// FuzzDecodeSQSEvent is the decoder's differential oracle: on any payload,
+// DecodeSQSEvent and encoding/json must both fail, or both succeed with
+// equal records. The seeds are the encoder's own output for the codec
+// cases above (quote and backslash escapes take the single-copy unescape
+// path) plus layouts only the fallback accepts.
+func FuzzDecodeSQSEvent(f *testing.F) {
+	for _, msgs := range [][]queue.Message{
+		{},
+		{{ID: "q-1", Receipt: "rcpt-q-1", Body: []byte("hello")}},
+		{
+			{ID: "q-1", Receipt: "rcpt-q-1", Body: []byte(`{"seq":1,"sent":42}`)},
+			{ID: "q-2", Receipt: "rcpt-q-2", Body: []byte(`quote " and slash \ inside`)},
+		},
+		{{ID: `i"d`, Receipt: `r\\`, Body: []byte(`\"\\"`)}},
+		{{ID: "a<b>c&d", Receipt: "r", Body: []byte("x")}},
+		{{ID: "q", Receipt: "r", Body: []byte("line\nbreak\ttab")}},
+		{{ID: "q", Receipt: "r", Body: []byte("ünïcode ☃")}},
+		{{ID: "", Receipt: "", Body: nil}},
+	} {
+		f.Add(EncodeSQSEvent(msgs))
+	}
+	f.Add([]byte(`{"records":[]}{"messageId":"m","receiptHandle":"r","body":"b"}]}`))
+	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"A\/"}]}`))
+	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"b"}] }`))
+	f.Add([]byte("{\"records\":[{\"messageId\":\"\xff\",\"receiptHandle\":\"r\",\"body\":\"b\"}]}"))
+	f.Add([]byte(`{"records":null}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, gotErr := DecodeSQSEvent(payload)
+		var want SQSEvent
+		wantErr := json.Unmarshal(payload, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeSQSEvent err %v, encoding/json err %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeSQSEvent = %+v, encoding/json = %+v", got, want)
+		}
+	})
 }

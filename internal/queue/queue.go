@@ -14,7 +14,7 @@ package queue
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -105,6 +105,7 @@ func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
 	q := &Queue{
 		svc:        s,
 		name:       name,
+		rcptPrefix: "rcpt-" + name,
 		visibility: visibility,
 		inflight:   make(map[string]*stored),
 	}
@@ -116,10 +117,12 @@ func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
 type Queue struct {
 	svc        *Service
 	name       string
+	rcptPrefix string // "rcpt-" + name, the receipt handle's stem
 	visibility time.Duration
 	available  []*stored
 	inflight   map[string]*stored // by receipt
-	waiters    []*sim.Latch
+	waiters    []*pollWaiter
+	idle       []*pollWaiter // recycled long-poll wait state
 	nextID     int64
 	nextRcpt   int64
 
@@ -131,10 +134,44 @@ type stored struct {
 	id       string
 	body     []byte
 	attempts int
-	// vis is the armed visibility timer while the message is in flight.
-	// Delete stops it, so acknowledged messages leave the kernel queue
-	// immediately instead of firing a dead reappear event at timeout.
+	// receipt is the current delivery's handle, the in-flight map key.
+	receipt string
+	// vis is the message's visibility timer, created on its first receipt
+	// and re-armed on every redelivery. It is active while the message is
+	// in flight; Delete stops it, so acknowledged messages leave the
+	// kernel queue immediately instead of firing a dead reappear event.
 	vis *sim.Timer
+}
+
+// pollWaiter is one long poller's wait state: a latch the arrival path or
+// the poll's deadline timer releases. Waiters are recycled through the
+// queue's idle list, so a long poll allocates nothing in steady state; the
+// deadline timer is bound to Release once and re-armed per poll.
+type pollWaiter struct {
+	released bool
+	sig      sim.Signal
+	timer    *sim.Timer
+}
+
+// Released reports whether an arrival or the deadline has woken the poller.
+func (w *pollWaiter) Released() bool { return w.released }
+
+// Release wakes the poller. Releasing twice is a no-op.
+func (w *pollWaiter) Release() {
+	if w.released {
+		return
+	}
+	w.released = true
+	w.sig.Fire()
+}
+
+// formatID renders prefix-n, the form of message IDs and receipt handles,
+// with a single string allocation.
+func formatID(prefix string, n int64) string {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, n, 10))
 }
 
 // Name returns the queue name.
@@ -167,11 +204,15 @@ func (q *Queue) request(p *sim.Proc, caller *netsim.Node, payload int64) error {
 
 // Send enqueues one message and returns its ID.
 func (q *Queue) Send(p *sim.Proc, caller *netsim.Node, body []byte) (string, error) {
-	ids, err := q.SendBatch(p, caller, [][]byte{body})
-	if err != nil {
+	if len(body) > MaxMessageSize {
+		return "", ErrTooLarge
+	}
+	if err := q.request(p, caller, int64(len(body))); err != nil {
 		return "", err
 	}
-	return ids[0], nil
+	id := q.enqueue(body)
+	q.wakeWaiters(1)
+	return id, nil
 }
 
 // SendBatch enqueues up to MaxBatch messages in one request.
@@ -191,16 +232,22 @@ func (q *Queue) SendBatch(p *sim.Proc, caller *netsim.Node, bodies [][]byte) ([]
 	}
 	ids := make([]string, len(bodies))
 	for i, b := range bodies {
-		q.nextID++
-		m := &stored{
-			id:   fmt.Sprintf("%s-%d", q.name, q.nextID),
-			body: append([]byte(nil), b...),
-		}
-		ids[i] = m.id
-		q.available = append(q.available, m)
+		ids[i] = q.enqueue(b)
 	}
 	q.wakeWaiters(len(bodies))
 	return ids, nil
+}
+
+// enqueue stores a copy of body as a new receivable message and returns its
+// ID. The caller wakes long pollers once the whole request is enqueued.
+func (q *Queue) enqueue(body []byte) string {
+	q.nextID++
+	m := &stored{
+		id:   formatID(q.name, q.nextID),
+		body: append([]byte(nil), body...),
+	}
+	q.available = append(q.available, m)
+	return m.id
 }
 
 func (q *Queue) wakeWaiters(n int) {
@@ -236,14 +283,15 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 	fe.InLeg(p, caller, service/2)
 	deadline := p.Now() + wait
 	for len(q.available) == 0 && p.Now() < deadline {
-		w := &sim.Latch{}
+		w := q.waiter(p.Kernel())
 		q.waiters = append(q.waiters, w)
-		t := p.Kernel().AtTimer(deadline, w.Release)
-		w.Wait(p)
-		t.Stop() // woken by an arrival: drop the deadline event
+		w.timer.ResetAt(deadline)
+		w.sig.Wait(p)
+		w.timer.Stop() // woken by an arrival: drop the deadline event
 		q.dropWaiter(w)
+		q.idle = append(q.idle, w)
 	}
-	msgs := make([]Message, 0, max)
+	msgs := make([]Message, 0, min(max, len(q.available)))
 	for len(msgs) < max && len(q.available) > 0 {
 		m := q.available[0]
 		q.available = q.available[1:]
@@ -251,14 +299,14 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 			continue // moved to the dead-letter queue
 		}
 		q.nextRcpt++
-		receipt := fmt.Sprintf("rcpt-%s-%d", q.name, q.nextRcpt)
+		m.receipt = formatID(q.rcptPrefix, q.nextRcpt)
 		m.attempts++
-		q.inflight[receipt] = m
-		q.scheduleReappear(p.Kernel(), receipt, m)
+		q.inflight[m.receipt] = m
+		q.scheduleReappear(p.Kernel(), m)
 		msgs = append(msgs, Message{
 			ID:       m.id,
 			Body:     m.body,
-			Receipt:  receipt,
+			Receipt:  m.receipt,
 			Attempts: m.attempts,
 		})
 	}
@@ -273,7 +321,21 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 	return msgs, nil
 }
 
-func (q *Queue) dropWaiter(w *sim.Latch) {
+// waiter returns an unreleased wait state for a long poll, recycling one
+// from the idle list when it can.
+func (q *Queue) waiter(k *sim.Kernel) *pollWaiter {
+	if n := len(q.idle); n > 0 {
+		w := q.idle[n-1]
+		q.idle = q.idle[:n-1]
+		w.released = false
+		return w
+	}
+	w := &pollWaiter{}
+	w.timer = k.NewTimer(w.Release)
+	return w
+}
+
+func (q *Queue) dropWaiter(w *pollWaiter) {
 	for i, cand := range q.waiters {
 		if cand == w {
 			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
@@ -285,14 +347,18 @@ func (q *Queue) dropWaiter(w *sim.Latch) {
 // scheduleReappear arms the in-flight message's visibility timer: when it
 // fires the undeleted message becomes receivable again (the at-least-once
 // contract). Delete cancels the timer, so a normally acknowledged message
-// costs the kernel no dead event.
-func (q *Queue) scheduleReappear(k *sim.Kernel, receipt string, m *stored) {
-	m.vis = k.AfterTimer(q.visibility, func() {
-		m.vis = nil
-		delete(q.inflight, receipt)
-		q.available = append(q.available, m)
-		q.wakeWaiters(1)
-	})
+// costs the kernel no dead event. The timer is created on the first
+// receipt and re-armed on each redelivery; it is never active here, so
+// Reset takes a fresh sequence number exactly as a new timer would.
+func (q *Queue) scheduleReappear(k *sim.Kernel, m *stored) {
+	if m.vis == nil {
+		m.vis = k.NewTimer(func() {
+			delete(q.inflight, m.receipt)
+			q.available = append(q.available, m)
+			q.wakeWaiters(1)
+		})
+	}
+	m.vis.Reset(q.visibility)
 }
 
 // ack removes a receipt's message from the in-flight set, cancelling its
@@ -301,7 +367,6 @@ func (q *Queue) scheduleReappear(k *sim.Kernel, receipt string, m *stored) {
 func (q *Queue) ack(receipt string) {
 	if m, ok := q.inflight[receipt]; ok {
 		m.vis.Stop()
-		m.vis = nil
 		delete(q.inflight, receipt)
 	}
 }

@@ -19,7 +19,7 @@ type fixture struct {
 	meter  *pricing.Meter
 }
 
-func newFixture(t *testing.T, visibility time.Duration) *fixture {
+func newFixture(t testing.TB, visibility time.Duration) *fixture {
 	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
@@ -330,4 +330,133 @@ func TestOpLatencyCalibration(t *testing.T) {
 	if mean < 9500*time.Microsecond || mean > 11800*time.Microsecond {
 		t.Errorf("receive+send mean = %v, want ~10.6ms", mean)
 	}
+}
+
+// TestRedeliveryRearmsVisibilityTimer drives one message through two
+// deliveries on its single, re-armed visibility timer: acking with the
+// stale first receipt is a no-op that leaves the redelivery in flight,
+// acking with the current receipt stops the timer, and nothing is left
+// scheduled or redelivered afterwards.
+func TestRedeliveryRearmsVisibilityTimer(t *testing.T) {
+	f := newFixture(t, 2*time.Second)
+	var first, second, third []Message
+	var staleInFlight, pendingAfterAck int
+	f.k.Spawn("c", func(p *sim.Proc) {
+		f.q.Send(p, f.caller, []byte("x"))
+		first, _ = f.q.Receive(p, f.caller, 1, 0)
+		p.Sleep(3 * time.Second) // the first receipt expires
+		second, _ = f.q.Receive(p, f.caller, 1, 0)
+		f.q.Delete(p, f.caller, first[0].Receipt)
+		staleInFlight = f.q.InFlight()
+		f.q.Delete(p, f.caller, second[0].Receipt)
+		pendingAfterAck = f.k.Pending()
+		p.Sleep(10 * time.Second)
+		third, _ = f.q.Receive(p, f.caller, 1, 0)
+	})
+	f.k.Run()
+	if len(first) != 1 || len(second) != 1 {
+		t.Fatalf("deliveries: %d, %d; want 1, 1", len(first), len(second))
+	}
+	if second[0].Attempts != 2 || second[0].Receipt == first[0].Receipt {
+		t.Errorf("redelivery = %+v after %+v", second[0], first[0])
+	}
+	if staleInFlight != 1 {
+		t.Errorf("in flight after stale-receipt delete = %d, want 1", staleInFlight)
+	}
+	if pendingAfterAck != 0 {
+		t.Errorf("pending events after ack = %d, want 0 (visibility timer left armed)", pendingAfterAck)
+	}
+	if len(third) != 0 || f.q.Depth()+f.q.InFlight() != 0 {
+		t.Errorf("acked message delivered again: %d, depth %d, in flight %d",
+			len(third), f.q.Depth(), f.q.InFlight())
+	}
+}
+
+// TestRecycledLongPollWaiters alternates long polls that time out empty
+// with polls an arrival wakes, so every poll after the first reuses
+// recycled wait state. A timed-out poll must return at its deadline, a
+// woken one at the arrival, and no deadline event may outlive its poll.
+func TestRecycledLongPollWaiters(t *testing.T) {
+	f := newFixture(t, 30*time.Second)
+	const wait = 2 * time.Second
+	// respond bounds the response leg a poll pays after waking.
+	const respond = 50 * time.Millisecond
+	f.k.Spawn("c", func(p *sim.Proc) {
+		for round := 0; round < 6; round++ {
+			start := p.Now()
+			if round%2 == 0 {
+				msgs, _ := f.q.Receive(p, f.caller, 10, wait)
+				if len(msgs) != 0 {
+					t.Fatalf("round %d: empty poll returned %d messages", round, len(msgs))
+				}
+				if el := p.Now() - start; el < wait || el > wait+respond {
+					t.Errorf("round %d: empty poll returned after %v, want ~%v", round, el, wait)
+				}
+			} else {
+				var arrived sim.Time
+				p.Kernel().Spawn("producer", func(pp *sim.Proc) {
+					pp.Sleep(500 * time.Millisecond)
+					f.q.Send(pp, f.caller, []byte("job"))
+					arrived = pp.Now()
+				})
+				msgs, _ := f.q.Receive(p, f.caller, 10, wait)
+				if len(msgs) != 1 {
+					t.Fatalf("round %d: woken poll returned %d messages", round, len(msgs))
+				}
+				if el := p.Now() - arrived; el <= 0 || el > respond {
+					t.Errorf("round %d: woken poll returned %v after the arrival", round, el)
+				}
+				f.q.DeleteBatch(p, f.caller, []string{msgs[0].Receipt})
+			}
+			if n := f.k.Pending(); n != 0 {
+				t.Errorf("round %d: %d events pending between polls, want 0", round, n)
+			}
+		}
+	})
+	f.k.Run()
+	if len(f.q.waiters) != 0 || len(f.q.idle) != 1 {
+		t.Errorf("waiters = %d, idle = %d; want 0 and one recycled waiter",
+			len(f.q.waiters), len(f.q.idle))
+	}
+}
+
+// BenchmarkQueueEmptyLongPoll is one long poll that times out empty per
+// op: the waiter and its deadline timer are recycled, so it allocates
+// nothing once warm.
+func BenchmarkQueueEmptyLongPoll(b *testing.B) {
+	f := newFixture(b, 30*time.Second)
+	f.k.Spawn("c", func(p *sim.Proc) {
+		f.q.Receive(p, f.caller, 10, time.Second) // warm the waiter
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.q.Receive(p, f.caller, 10, time.Second)
+		}
+		b.StopTimer()
+	})
+	f.k.Run()
+}
+
+// BenchmarkQueueMessageCycle is one Send + Receive + DeleteBatch per op,
+// the event-source mapping's steady state with a one-message batch.
+func BenchmarkQueueMessageCycle(b *testing.B) {
+	f := newFixture(b, 30*time.Second)
+	body := make([]byte, 32)
+	receipts := make([]string, 1)
+	cycle := func(p *sim.Proc) {
+		f.q.Send(p, f.caller, body)
+		msgs, _ := f.q.Receive(p, f.caller, 10, time.Second)
+		receipts[0] = msgs[0].Receipt
+		f.q.DeleteBatch(p, f.caller, receipts)
+	}
+	f.k.Spawn("c", func(p *sim.Proc) {
+		cycle(p) // warm the in-flight map and the kernel's arena
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(p)
+		}
+		b.StopTimer()
+	})
+	f.k.Run()
 }
