@@ -16,7 +16,7 @@ package core
 // cold-start fraction, and the metered hourly bill.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -74,59 +74,49 @@ func (m faasScaleMsg) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// parseFaaSScaleMsg decodes a message body. The canonical form appendJSON
-// emits is scanned directly; any other input (whitespace, reordered keys,
-// escapes, leading zeros, -0, out-of-range numbers) is handed to
-// encoding/json, so the result always equals json.Unmarshal's.
-func parseFaaSScaleMsg(body string) (faasScaleMsg, error) {
-	if m, ok := scanFaaSScaleMsg(body); ok {
-		return m, nil
-	}
-	var m faasScaleMsg
-	err := json.Unmarshal([]byte(body), &m)
-	return m, err
-}
+// errFaaSScaleMsg rejects a body that is not appendJSON's canonical form.
+var errFaaSScaleMsg = errors.New("faasscale: message is not a canonical {\"seq\":n,\"sent\":n} body")
 
-// scanFaaSScaleMsg parses exactly `{"seq":<int>,"sent":<int>}` with
-// canonical integers, reporting !ok for anything else.
-func scanFaaSScaleMsg(s string) (faasScaleMsg, bool) {
+// parseFaaSScaleMsg decodes exactly the body appendJSON emits,
+// `{"seq":<int>,"sent":<int>}` with integers as strconv.AppendInt writes
+// them. Only the generator below writes to the queue, so anything else
+// (whitespace, reordered keys, escapes, leading zeros, -0, out-of-range
+// numbers) is an error rather than a second decoder.
+func parseFaaSScaleMsg(s string) (faasScaleMsg, error) {
 	var m faasScaleMsg
 	rest, ok := strings.CutPrefix(s, `{"seq":`)
 	if !ok {
-		return m, false
+		return m, errFaaSScaleMsg
 	}
 	seq, rest, ok := scanCanonicalInt(rest, strconv.IntSize)
 	if !ok {
-		return m, false
+		return m, errFaaSScaleMsg
 	}
 	if rest, ok = strings.CutPrefix(rest, `,"sent":`); !ok {
-		return m, false
+		return m, errFaaSScaleMsg
 	}
 	sent, rest, ok := scanCanonicalInt(rest, 64)
 	if !ok || rest != "}" {
-		return m, false
+		return m, errFaaSScaleMsg
 	}
 	m.Seq, m.Sent = int(seq), sent
-	return m, true
+	return m, nil
 }
 
-// scanCanonicalInt consumes the leading integer of s, as strconv.AppendInt
-// writes it (no leading zeros, no -0), that fits in bits bits.
+// scanCanonicalInt consumes the leading integer of s, which must fit in
+// bits bits and read exactly as strconv.AppendInt writes it back (no
+// leading zeros, no -0).
 func scanCanonicalInt(s string, bits int) (int64, string, bool) {
 	i := 0
 	if i < len(s) && s[i] == '-' {
 		i++
 	}
-	start := i
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		i++
 	}
-	digits := s[start:i]
-	if digits == "" || (digits[0] == '0' && (len(digits) > 1 || start > 0)) {
-		return 0, s, false
-	}
 	v, err := strconv.ParseInt(s[:i], 10, bits)
-	if err != nil {
+	var canon [20]byte
+	if err != nil || string(strconv.AppendInt(canon[:0], v, 10)) != s[:i] {
 		return 0, s, false
 	}
 	return v, s[i:], true

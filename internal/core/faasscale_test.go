@@ -80,7 +80,8 @@ func TestFaaSScaleTable(t *testing.T) {
 // TestFaaSScaleMsgMatchesEncodingJSON pins the hand codec behind the
 // faasscale message path: appendJSON must emit json.Marshal's bytes (the
 // body length is metered and transferred), parseFaaSScaleMsg must invert
-// it, and faasScaleKey must render fmt's zero-padded key.
+// it and reject every other form, and faasScaleKey must render fmt's
+// zero-padded key.
 func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 	msgs := []faasScaleMsg{
 		{},
@@ -106,6 +107,11 @@ func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("parseFaaSScaleMsg(%s) = %+v, %v; want %+v", got, back, err, m)
 		}
 	}
+	for _, body := range nonCanonicalFaaSScaleBodies {
+		if m, err := parseFaaSScaleMsg(body); err == nil {
+			t.Errorf("parseFaaSScaleMsg(%s) = %+v, want an error for a non-canonical body", body, m)
+		}
+	}
 	for n := uint64(0); n < faasScaleKeySpace; n++ {
 		if got, want := faasScaleKey(n), fmt.Sprintf("evt/%07d", n); got != want {
 			t.Fatalf("faasScaleKey(%d) = %q, want %q", n, got, want)
@@ -118,42 +124,49 @@ func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzParseFaaSScaleMsg is the message decoder's differential oracle: on
-// any body, parseFaaSScaleMsg and json.Unmarshal must both fail, or both
-// succeed with equal messages. The seeds are canonical bodies and the
-// non-canonical forms the fast scanner must leave to encoding/json.
+// nonCanonicalFaaSScaleBodies are message bodies appendJSON never emits,
+// some of which encoding/json would accept; parseFaaSScaleMsg rejects all.
+var nonCanonicalFaaSScaleBodies = []string{
+	`{"seq":007,"sent":1}`,
+	`{"seq":-0,"sent":1}`,
+	`{"seq":1,"sent":-0}`,
+	`{"seq":+1,"sent":2}`,
+	` {"seq":1,"sent":2}`,
+	`{"seq": 1,"sent":2}`,
+	`{"seq":1,"sent":2} `,
+	`{"sent":2,"seq":1}`,
+	`{"\u0073eq":1,"sent":2}`,
+	`{"SEQ":1,"sent":2}`,
+	`{"seq":1.0,"sent":2}`,
+	`{"seq":1,"sent":9223372036854775808}`,
+	`{"seq":1,"sent":2,"seq":3}`,
+	`{"seq":1}`,
+	`{"seq":-,"sent":2}`,
+	`null`,
+}
+
+// FuzzParseFaaSScaleMsg checks the strict message decoder against
+// encoding/json as the reference: every body parseFaaSScaleMsg accepts must
+// decode to the same message under json.Unmarshal, and every body
+// json.Unmarshal decodes whose canonical re-encoding is the body itself
+// must be accepted. The seeds are canonical bodies and the non-canonical
+// forms the decoder must reject.
 func FuzzParseFaaSScaleMsg(f *testing.F) {
 	for _, m := range []faasScaleMsg{{}, {Seq: 12, Sent: 345}, {Seq: -3, Sent: math.MinInt64}} {
 		f.Add(string(m.appendJSON(nil)))
 	}
-	for _, s := range []string{
-		`{"seq":007,"sent":1}`,
-		`{"seq":-0,"sent":1}`,
-		`{"seq":1,"sent":-0}`,
-		` {"seq":1,"sent":2}`,
-		`{"seq": 1,"sent":2}`,
-		`{"seq":1,"sent":2} `,
-		`{"sent":2,"seq":1}`,
-		`{"\u0073eq":1,"sent":2}`,
-		`{"SEQ":1,"sent":2}`,
-		`{"seq":1.0,"sent":2}`,
-		`{"seq":1,"sent":9223372036854775808}`,
-		`{"seq":1,"sent":2,"seq":3}`,
-		`{"seq":1}`,
-		`{"seq":-,"sent":2}`,
-		`null`,
-	} {
+	for _, s := range nonCanonicalFaaSScaleBodies {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		got, gotErr := parseFaaSScaleMsg(body)
 		var want faasScaleMsg
 		wantErr := json.Unmarshal([]byte(body), &want)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("parseFaaSScaleMsg err %v, encoding/json err %v", gotErr, wantErr)
+		if gotErr == nil && (wantErr != nil || got != want) {
+			t.Fatalf("parseFaaSScaleMsg accepted %q as %+v; encoding/json gives %+v, %v", body, got, want, wantErr)
 		}
-		if gotErr == nil && got != want {
-			t.Fatalf("parseFaaSScaleMsg = %+v, encoding/json = %+v", got, want)
+		if gotErr != nil && wantErr == nil && string(want.appendJSON(nil)) == body {
+			t.Fatalf("parseFaaSScaleMsg rejected canonical body %q: %v", body, gotErr)
 		}
 	})
 }

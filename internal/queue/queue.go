@@ -148,21 +148,8 @@ type stored struct {
 // queue's idle list, so a long poll allocates nothing in steady state; the
 // deadline timer is bound to Release once and re-armed per poll.
 type pollWaiter struct {
-	released bool
-	sig      sim.Signal
-	timer    *sim.Timer
-}
-
-// Released reports whether an arrival or the deadline has woken the poller.
-func (w *pollWaiter) Released() bool { return w.released }
-
-// Release wakes the poller. Releasing twice is a no-op.
-func (w *pollWaiter) Release() {
-	if w.released {
-		return
-	}
-	w.released = true
-	w.sig.Fire()
+	sim.Latch
+	timer *sim.Timer
 }
 
 // formatID renders prefix-n, the form of message IDs and receipt handles,
@@ -204,10 +191,7 @@ func (q *Queue) request(p *sim.Proc, caller *netsim.Node, payload int64) error {
 
 // Send enqueues one message and returns its ID.
 func (q *Queue) Send(p *sim.Proc, caller *netsim.Node, body []byte) (string, error) {
-	if len(body) > MaxMessageSize {
-		return "", ErrTooLarge
-	}
-	if err := q.request(p, caller, int64(len(body))); err != nil {
+	if err := q.admit(p, caller, body); err != nil {
 		return "", err
 	}
 	id := q.enqueue(body)
@@ -217,17 +201,7 @@ func (q *Queue) Send(p *sim.Proc, caller *netsim.Node, body []byte) (string, err
 
 // SendBatch enqueues up to MaxBatch messages in one request.
 func (q *Queue) SendBatch(p *sim.Proc, caller *netsim.Node, bodies [][]byte) ([]string, error) {
-	if len(bodies) > MaxBatch {
-		return nil, ErrBatchTooBig
-	}
-	var payload int64
-	for _, b := range bodies {
-		if len(b) > MaxMessageSize {
-			return nil, ErrTooLarge
-		}
-		payload += int64(len(b))
-	}
-	if err := q.request(p, caller, payload); err != nil {
+	if err := q.admit(p, caller, bodies...); err != nil {
 		return nil, err
 	}
 	ids := make([]string, len(bodies))
@@ -236,6 +210,22 @@ func (q *Queue) SendBatch(p *sim.Proc, caller *netsim.Node, bodies [][]byte) ([]
 	}
 	q.wakeWaiters(len(bodies))
 	return ids, nil
+}
+
+// admit validates one send request — batch size first, then each body's
+// size — and bills its round trip. Nothing is enqueued on error.
+func (q *Queue) admit(p *sim.Proc, caller *netsim.Node, bodies ...[]byte) error {
+	if len(bodies) > MaxBatch {
+		return ErrBatchTooBig
+	}
+	var payload int64
+	for _, b := range bodies {
+		if len(b) > MaxMessageSize {
+			return ErrTooLarge
+		}
+		payload += int64(len(b))
+	}
+	return q.request(p, caller, payload)
 }
 
 // enqueue stores a copy of body as a new receivable message and returns its
@@ -286,7 +276,7 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 		w := q.waiter(p.Kernel())
 		q.waiters = append(q.waiters, w)
 		w.timer.ResetAt(deadline)
-		w.sig.Wait(p)
+		w.Wait(p)
 		w.timer.Stop() // woken by an arrival: drop the deadline event
 		q.dropWaiter(w)
 		q.idle = append(q.idle, w)
@@ -327,7 +317,7 @@ func (q *Queue) waiter(k *sim.Kernel) *pollWaiter {
 	if n := len(q.idle); n > 0 {
 		w := q.idle[n-1]
 		q.idle = q.idle[:n-1]
-		w.released = false
+		w.Reset()
 		return w
 	}
 	w := &pollWaiter{}
