@@ -1,8 +1,7 @@
 // Dataflow: §4's fluid code-and-data placement in action. A filter-heavy
 // analytics job over 64 partitions runs three times — planner's choice,
 // forced ship-code-to-data, forced ship-data-to-code — showing the planner
-// picking the placement FaaS architecturally forbids, and an autoscaled
-// agent pool serving the query results.
+// picking the placement FaaS architecturally forbids.
 //
 //	go run ./examples/dataflow
 package main

@@ -171,9 +171,6 @@ func (i *Instance) Terminate(p *sim.Proc) error {
 	return nil
 }
 
-// Terminated reports whether the instance has been terminated.
-func (i *Instance) Terminated() bool { return i.terminated }
-
 // Volume is an EBS-style block volume with a warm-block cache model.
 type Volume struct {
 	inst *Instance

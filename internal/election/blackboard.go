@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
@@ -50,18 +49,14 @@ type coordRecord struct {
 // one table, one record per node, one coordinator record, all communication
 // via polling — the paper's only option on FaaS.
 type Blackboard struct {
-	table       *kvstore.Store
-	params      Params
-	recordBytes int
+	table  *kvstore.Store
+	params Params
 }
 
 // NewBlackboard wraps a kvstore table as an election medium.
 func NewBlackboard(table *kvstore.Store, params Params) *Blackboard {
-	return &Blackboard{table: table, params: params, recordBytes: DefaultRecordBytes}
+	return &Blackboard{table: table, params: params}
 }
-
-// SetRecordBytes overrides the padded record size (cost-sensitivity sweeps).
-func (b *Blackboard) SetRecordBytes(n int) { b.recordBytes = n }
 
 // ForNode creates the per-node transport. caller is the network node the
 // participant runs on (a Lambda VM in the paper's setup).
@@ -98,7 +93,7 @@ func (t *BBTransport) writeRecord(p *sim.Proc, hbNanos int64) {
 	if err != nil {
 		panic("election: marshal board record: " + err.Error())
 	}
-	if pad := t.bb.recordBytes - len(data); pad > 0 {
+	if pad := DefaultRecordBytes - len(data); pad > 0 {
 		rec.Pad = strings.Repeat("x", pad)
 		data, _ = json.Marshal(rec)
 	}
@@ -198,7 +193,3 @@ func (t *BBTransport) Remove(p *sim.Proc) {
 }
 
 var _ Transport = (*BBTransport)(nil)
-
-// StalenessFor returns how long after a crash the blackboard declares a node
-// dead (helper for experiments sizing measurement windows).
-func (b *Blackboard) StalenessFor() time.Duration { return b.params.FailureTimeout }

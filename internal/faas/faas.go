@@ -52,12 +52,11 @@ type Function struct {
 	Timeout  time.Duration
 	Handler  Handler
 
-	// stats and reserved are platform-managed (see stats.go). Both are
-	// shared across deployments of the same name: counters and the
-	// reserved-concurrency cap survive a Register replace, and in-flight
-	// invocations of a replaced version keep updating the same counters.
-	stats    *FunctionStats
-	reserved *sim.Resource
+	// stats is platform-managed (see stats.go) and shared across
+	// deployments of the same name: counters survive a Register replace,
+	// and in-flight invocations of a replaced version keep updating the
+	// same counters.
+	stats *FunctionStats
 }
 
 // Config holds platform parameters.
@@ -236,9 +235,8 @@ func (pf *Platform) Register(fn Function) error {
 	}
 	if old, replacing := pf.functions[fn.Name]; replacing {
 		pf.drainWarmPool(fn.Name)
-		// Reserved concurrency and CloudWatch-style counters are
-		// function-level configuration/history that survive a deploy.
-		fn.reserved = old.reserved
+		// CloudWatch-style counters are function-level history that
+		// survives a deploy.
 		fn.stats = old.stats
 	} else {
 		fn.stats = &FunctionStats{}
@@ -288,8 +286,6 @@ func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Re
 	pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
 	p.Sleep(pf.cfg.InvokeOverhead.Sample(pf.rng))
 
-	fn.acquireReserved(p)
-	defer fn.releaseReserved()
 	pf.concurrency.Acquire(p)
 	defer pf.concurrency.Release()
 	pf.beginExecution(fn)
@@ -338,24 +334,6 @@ func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Re
 	}
 	pf.releaseContainer(p, cont)
 	return resp, rep, err
-}
-
-// InvokeAsync fires the function without waiting; the returned promise
-// resolves with the outcome. Event-style invocations use this path.
-func (pf *Platform) InvokeAsync(p *sim.Proc, name string, payload []byte) *sim.Promise[AsyncResult] {
-	pr := &sim.Promise[AsyncResult]{}
-	p.Spawn("faas-async/"+name, func(ap *sim.Proc) {
-		resp, rep, err := pf.Invoke(ap, name, payload)
-		pr.Resolve(AsyncResult{Response: resp, Report: rep, Err: err})
-	})
-	return pr
-}
-
-// AsyncResult is the outcome of an InvokeAsync.
-type AsyncResult struct {
-	Response []byte
-	Report   Report
-	Err      error
 }
 
 // acquireContainer returns a warm container if one is idle, otherwise cold

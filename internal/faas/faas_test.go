@@ -327,20 +327,6 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestInvokeAsync(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: noop})
-	var res AsyncResult
-	f.k.Spawn("c", func(p *sim.Proc) {
-		pr := f.pf.InvokeAsync(p, "f", nil)
-		res = pr.Get(p)
-	})
-	f.k.Run()
-	if res.Err != nil || string(res.Response) != "ok" {
-		t.Errorf("async result = %+v", res)
-	}
-}
-
 func TestSQSEventRoundTrip(t *testing.T) {
 	msgs := []queue.Message{
 		{ID: "m1", Receipt: "r1", Body: []byte("hello")},

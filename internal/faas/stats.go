@@ -1,16 +1,12 @@
 package faas
 
-// Per-function reserved concurrency and invocation statistics, mirroring
-// Lambda's reserved-concurrency knob and CloudWatch-style counters. These
-// matter to anyone sizing the §3.1 workloads: reserved concurrency is the
-// only admission control FaaS offers, and the stats are how experiments
-// observe cold-start rates without instrumenting handlers.
+// Per-function and fleet-wide invocation statistics, mirroring Lambda's
+// CloudWatch-style counters. They are how experiments observe cold-start
+// rates and peak concurrency without instrumenting handlers.
 
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // FunctionStats are cumulative per-function counters.
@@ -19,8 +15,7 @@ type FunctionStats struct {
 	Errors          int64
 	Timeouts        int64
 	ColdStarts      int64
-	Throttles       int64 // invocations that waited on reserved concurrency
-	PeakConcurrency int   // high-water mark of simultaneous executions
+	PeakConcurrency int // high-water mark of simultaneous executions
 	TotalTime       time.Duration
 	BilledTime      time.Duration
 
@@ -147,39 +142,4 @@ func (pf *Platform) FleetStats() FleetStats {
 		s.ColdStarts += fn.stats.ColdStarts
 	}
 	return s
-}
-
-// SetReservedConcurrency caps the named function's simultaneous executions
-// (n <= 0 removes the cap). Invocations beyond the cap queue FIFO, like
-// Lambda throttling with retry.
-func (pf *Platform) SetReservedConcurrency(name string, n int) error {
-	fn, ok := pf.functions[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
-	}
-	if n <= 0 {
-		fn.reserved = nil
-		return nil
-	}
-	fn.reserved = sim.NewResource(n)
-	return nil
-}
-
-// acquireReserved blocks until the function's reserved-concurrency slot is
-// available, counting a throttle if it had to wait.
-func (fn *Function) acquireReserved(p *sim.Proc) {
-	if fn.reserved == nil {
-		return
-	}
-	if fn.reserved.TryAcquire() {
-		return
-	}
-	fn.stats.Throttles++
-	fn.reserved.Acquire(p)
-}
-
-func (fn *Function) releaseReserved() {
-	if fn.reserved != nil {
-		fn.reserved.Release()
-	}
 }

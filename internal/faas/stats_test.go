@@ -60,70 +60,6 @@ func TestStatsUnknownFunction(t *testing.T) {
 	if _, err := f.pf.Stats("ghost"); !errors.Is(err, ErrNoSuchFunction) {
 		t.Errorf("err = %v", err)
 	}
-	if err := f.pf.SetReservedConcurrency("ghost", 1); !errors.Is(err, ErrNoSuchFunction) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestReservedConcurrencySerializes(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	inFlight, maxInFlight := 0, 0
-	f.pf.Register(Function{Name: "limited", MemoryMB: 256,
-		Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
-			inFlight++
-			if inFlight > maxInFlight {
-				maxInFlight = inFlight
-			}
-			ctx.Proc().Sleep(time.Second)
-			inFlight--
-			return nil, nil
-		}})
-	if err := f.pf.SetReservedConcurrency("limited", 2); err != nil {
-		t.Fatal(err)
-	}
-	var wg sim.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		f.k.Spawn("c", func(p *sim.Proc) {
-			defer wg.Done()
-			f.pf.Invoke(p, "limited", nil)
-		})
-	}
-	f.k.Run()
-	if maxInFlight > 2 {
-		t.Errorf("max in flight = %d, want <= 2 (reserved)", maxInFlight)
-	}
-	st, _ := f.pf.Stats("limited")
-	if st.Throttles < 3 {
-		t.Errorf("Throttles = %d, want >= 3", st.Throttles)
-	}
-}
-
-func TestReservedConcurrencyRemoved(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: noop})
-	f.pf.SetReservedConcurrency("f", 1)
-	if err := f.pf.SetReservedConcurrency("f", 0); err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	var wg sim.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		f.k.Spawn("c", func(p *sim.Proc) {
-			defer wg.Done()
-			f.pf.Invoke(p, "f", nil)
-			done++
-		})
-	}
-	f.k.Run()
-	if done != 4 {
-		t.Errorf("done = %d", done)
-	}
-	st, _ := f.pf.Stats("f")
-	if st.Throttles != 0 {
-		t.Errorf("Throttles = %d after cap removal", st.Throttles)
-	}
 }
 
 func TestProvisionedConcurrencyEliminatesColdStarts(t *testing.T) {

@@ -1,13 +1,12 @@
 // Package future prototypes §4's "stepping forward" proposals: a cloud
-// programming platform that keeps FaaS's autoscaling, pay-per-use
-// billing while fixing the two steps backward:
+// programming platform that keeps FaaS's pay-per-use billing while fixing
+// the two steps backward:
 //
 //   - Long-running, addressable virtual agents: named endpoints with
-//     network performance comparable to raw messaging, which survive
-//     migration (virtual addressing decoupled from physical placement).
-//   - Fluid code and data placement: agents can be spawned next to — or
-//     migrated toward — the data they use, turning storage fetches into
-//     local reads ("ship code to data").
+//     network performance comparable to raw messaging.
+//   - Fluid code and data placement: agents can be spawned next to the
+//     data they use, turning storage fetches into local reads ("ship code
+//     to data").
 //   - Heterogeneity-aware allocation: an agent's compute rate is not
 //     artificially tied to its memory size.
 //
@@ -33,8 +32,6 @@ var ErrStopped = errors.New("future: agent stopped")
 type Config struct {
 	// PlacementDelay is agent spawn time (Firecracker-class microVMs).
 	PlacementDelay simrand.Dist
-	// MigrationPause is the stop-the-world time of a live migration.
-	MigrationPause simrand.Dist
 	// LocalReadBps is the read rate for data co-located with the agent.
 	LocalReadBps netsim.Bps
 	// AgentNICBps sizes each agent's network endpoint.
@@ -51,7 +48,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		PlacementDelay: simrand.Uniform{Lo: 110 * time.Millisecond, Hi: 140 * time.Millisecond},
-		MigrationPause: simrand.Uniform{Lo: 150 * time.Millisecond, Hi: 250 * time.Millisecond},
 		LocalReadBps:   netsim.MBps(2500),
 		AgentNICBps:    netsim.Gbps(10),
 		ComputeMBps:    1000,
@@ -67,7 +63,6 @@ type Platform struct {
 	cfg     Config
 	catalog *pricing.Catalog
 	meter   *pricing.Meter
-	nextID  int
 }
 
 // New creates a platform sharing the cloud's network, mesh, and meter.
@@ -78,7 +73,6 @@ func New(net *netsim.Network, mesh *msgnet.Mesh, rng *simrand.RNG, cfg Config,
 
 // DataSet is a named collection of extents living on a storage node.
 type DataSet struct {
-	name    string
 	node    *netsim.Node
 	extents map[string]int64
 }
@@ -86,7 +80,6 @@ type DataSet struct {
 // CreateDataSet registers a data set hosted in the given rack.
 func (pf *Platform) CreateDataSet(name string, rack int) *DataSet {
 	return &DataSet{
-		name:    name,
 		node:    pf.net.NewNode("ds/"+name, rack, netsim.Gbps(40)),
 		extents: make(map[string]int64),
 	}
@@ -102,7 +95,7 @@ func (ds *DataSet) Extent(key string) (int64, bool) {
 	return s, ok
 }
 
-// Agent is a long-running, addressable, migratable unit of computation.
+// Agent is a long-running, addressable unit of computation.
 type Agent struct {
 	pf       *Platform
 	name     string
@@ -118,7 +111,6 @@ type Agent struct {
 // With near != nil the agent is co-located with that data set (fluid
 // code placement: the scheduler ships code to data).
 func (pf *Platform) SpawnAgent(p *sim.Proc, name string, memoryMB int, near *DataSet) *Agent {
-	pf.nextID++
 	rack := pf.cfg.Rack
 	if near != nil {
 		rack = near.node.Rack()
@@ -147,9 +139,6 @@ func (a *Agent) Endpoint() *msgnet.Endpoint { return a.ep }
 // Node returns the agent's current network node.
 func (a *Agent) Node() *netsim.Node { return a.node }
 
-// Colocated reports whether the agent currently sits with ds.
-func (a *Agent) Colocated(ds *DataSet) bool { return a.near == ds }
-
 // Read reads an extent: at page-cache speed when co-located, otherwise
 // streamed across the network through both NICs.
 func (a *Agent) Read(p *sim.Proc, ds *DataSet, key string) error {
@@ -177,23 +166,6 @@ func (a *Agent) Compute(p *sim.Proc, bytes int64) error {
 	}
 	secs := float64(bytes) / (a.pf.cfg.ComputeMBps * 1e6)
 	p.Sleep(time.Duration(secs * float64(time.Second)))
-	return nil
-}
-
-// Migrate moves the agent next to ds. The endpoint's name — and every
-// peer's ability to message it — survives; only a brief pause is paid.
-// This is §4's "long-running, addressable virtual agents" plus "fluid
-// code and data placement" in one primitive.
-func (a *Agent) Migrate(p *sim.Proc, ds *DataSet) error {
-	if a.stopped {
-		return ErrStopped
-	}
-	p.Sleep(a.pf.cfg.MigrationPause.Sample(a.pf.rng))
-	a.near = ds
-	// The virtual address stays; the physical placement changes.
-	a.node = a.pf.net.NewNode("agent/"+a.name+"/gen2-"+ds.name, ds.node.Rack(), a.pf.cfg.AgentNICBps)
-	a.ep.Close()
-	a.ep = a.pf.mesh.Endpoint(a.name, a.node)
 	return nil
 }
 

@@ -97,46 +97,6 @@ func TestAgentsAreAddressable(t *testing.T) {
 	}
 }
 
-func TestMigrationPreservesAddress(t *testing.T) {
-	f := newFixture(t)
-	f.k.Spawn("d", func(p *sim.Proc) {
-		ds := f.pf.CreateDataSet("shard", 6)
-		ds.AddExtent("x", 50e6)
-		a := f.pf.SpawnAgent(p, "mover", 512, nil)
-		peer := f.pf.SpawnAgent(p, "peer", 512, nil)
-		a.Endpoint().Serve(func(sp *sim.Proc, pk msgnet.Packet) []byte { return []byte("here") })
-
-		if a.Colocated(ds) {
-			t.Error("agent should start away from the shard")
-		}
-		before := p.Now()
-		if err := a.Migrate(p, ds); err != nil {
-			t.Fatalf("Migrate: %v", err)
-		}
-		pause := p.Now() - before
-		if pause > 300*time.Millisecond {
-			t.Errorf("migration pause = %v, want sub-300ms", pause)
-		}
-		if !a.Colocated(ds) {
-			t.Error("agent not co-located after migration")
-		}
-		// The old Serve loop died with the old endpoint; re-serve and
-		// verify the same name still answers.
-		a.Endpoint().Serve(func(sp *sim.Proc, pk msgnet.Packet) []byte { return []byte("here") })
-		reply, err := peer.Endpoint().Call(p, "mover", []byte("?"), 0)
-		if err != nil || string(reply) != "here" {
-			t.Errorf("post-migration call: %q, %v", reply, err)
-		}
-		// Reads are local now.
-		start := p.Now()
-		a.Read(p, ds, "x")
-		if d := p.Now() - start; d > 25*time.Millisecond {
-			t.Errorf("post-migration read = %v, want local speed", d)
-		}
-	})
-	f.k.Run()
-}
-
 func TestPayPerUseBilling(t *testing.T) {
 	f := newFixture(t)
 	f.k.Spawn("d", func(p *sim.Proc) {
@@ -155,9 +115,6 @@ func TestPayPerUseBilling(t *testing.T) {
 		}
 		if err := a.Read(p, f.pf.CreateDataSet("x", 0), "k"); err != ErrStopped {
 			t.Errorf("Read after stop: %v", err)
-		}
-		if err := a.Migrate(p, nil); err != ErrStopped {
-			t.Errorf("Migrate after stop: %v", err)
 		}
 	})
 	f.k.Run()

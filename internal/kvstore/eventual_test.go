@@ -2,8 +2,8 @@ package kvstore
 
 // Eventual-consistency edge cases: the brand-new-key window (a lagging
 // replica can miss a key that was only just created), disabled replication
-// lag, and TTL expiry as observed through Get and Scan. These are the
-// corners the election case study's correctness quietly depends on.
+// lag, and reads of an overwrite inside the window. These are the corners
+// the election case study's correctness quietly depends on.
 
 import (
 	"errors"
@@ -120,69 +120,5 @@ func TestEventualReadCanServePreviousVersion(t *testing.T) {
 	f.k.Run()
 	if sawOld == 0 || sawNew == 0 {
 		t.Errorf("in-window overwrite reads: %d old / %d new, want a mix", sawOld, sawNew)
-	}
-}
-
-// TestTTLExpiryObservedThroughGetAndScan: an expired record is invisible to
-// both access paths, reaped lazily, and both consistency levels agree.
-func TestTTLExpiryObservedThroughGetAndScan(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	f.k.Spawn("c", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			if _, err := f.store.Put(p, f.caller, fmt.Sprintf("t/%d", i), []byte("v")); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-		}
-		if err := f.store.SetTTL(p, f.caller, "t/1", 200*time.Millisecond); err != nil {
-			t.Fatalf("SetTTL: %v", err)
-		}
-		// Before expiry both paths still see it.
-		if _, err := f.store.Get(p, f.caller, "t/1", true); err != nil {
-			t.Errorf("pre-expiry Get: %v", err)
-		}
-		if n := len(f.store.Scan(p, f.caller, "t/")); n != 4 {
-			t.Errorf("pre-expiry scan n = %d, want 4", n)
-		}
-		p.Sleep(time.Second)
-		// Expired: strong read, eventual read, and scan all agree.
-		if _, err := f.store.Get(p, f.caller, "t/1", true); !errors.Is(err, ErrNotFound) {
-			t.Errorf("post-expiry consistent Get err = %v, want ErrNotFound", err)
-		}
-		if _, err := f.store.Get(p, f.caller, "t/1", false); !errors.Is(err, ErrNotFound) {
-			t.Errorf("post-expiry eventual Get err = %v, want ErrNotFound", err)
-		}
-		if n := len(f.store.Scan(p, f.caller, "t/")); n != 3 {
-			t.Errorf("post-expiry scan n = %d, want 3", n)
-		}
-	})
-	f.k.Run()
-	if f.store.Len() != 3 {
-		t.Errorf("Len after lazy reap = %d, want 3", f.store.Len())
-	}
-}
-
-// TestTTLExpiryOnShardedTable: lazy TTL reaping stays shard-local and
-// correct when the key space is partitioned.
-func TestTTLExpiryOnShardedTable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ShardCount = 4
-	f := newFixture(t, cfg)
-	f.k.Spawn("c", func(p *sim.Proc) {
-		for i := 0; i < 16; i++ {
-			if _, err := f.store.Put(p, f.caller, fmt.Sprintf("t/%d", i), []byte("v")); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			if err := f.store.SetTTL(p, f.caller, fmt.Sprintf("t/%d", i), 200*time.Millisecond); err != nil {
-				t.Fatalf("SetTTL: %v", err)
-			}
-		}
-		p.Sleep(time.Second)
-		if n := len(f.store.Scan(p, f.caller, "t/")); n != 0 {
-			t.Errorf("post-expiry sharded scan n = %d, want 0", n)
-		}
-	})
-	f.k.Run()
-	if f.store.Len() != 0 {
-		t.Errorf("Len after sharded reap = %d, want 0", f.store.Len())
 	}
 }

@@ -33,9 +33,8 @@ type GlobalTable struct {
 	pending []map[string]repEntry // slot [src*len(regions)+dst]
 	closed  bool
 
-	shippedBatches int64
-	lostBatches    int64
-	replicated     int64
+	lostBatches int64
+	replicated  int64
 }
 
 // repEntry is one queued cross-region write.
@@ -183,7 +182,6 @@ func (gt *GlobalTable) shipFrom(p *sim.Proc, src int) {
 			}
 			continue
 		}
-		gt.shippedBatches++
 		for _, k := range keys {
 			e := batch[k]
 			gt.stores[dst].applyReplicated(p.Now(), k, e.value, e.origin, gt.regions[src])
@@ -266,9 +264,6 @@ func (gt *GlobalTable) PendingWrites() int {
 
 // Replicated reports how many writes have been applied cross-region.
 func (gt *GlobalTable) Replicated() int64 { return gt.replicated }
-
-// ShippedBatches reports how many replication batches were delivered.
-func (gt *GlobalTable) ShippedBatches() int64 { return gt.shippedBatches }
 
 // LostBatches reports how many replication batches a partition severed
 // mid-flight (their writes re-queued; nothing was applied or dropped).

@@ -101,7 +101,6 @@ type record struct {
 	item      Item
 	prev      *Item // previous version, for eventual reads
 	writtenAt sim.Time
-	expiresAt sim.Time // 0 = no TTL
 	// Cross-region replication stamps (see global.go): when and where the
 	// write originated. Conflicts between regions resolve last-writer-wins
 	// on (origin, originSrc).
@@ -112,7 +111,7 @@ type record struct {
 // shard is one hash partition: a front end plus its slice of the key space.
 type shard struct {
 	fe    *service.Frontend
-	items recordMap
+	items map[string]*record
 }
 
 // Store is a simulated key-value table, split over one or more shards.
@@ -150,13 +149,13 @@ func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 		if cfg.ShardConcurrency > 0 {
 			fe.LimitConcurrency(cfg.ShardConcurrency)
 		}
-		s.shards[i] = &shard{fe: fe, items: make(recordMap)}
+		s.shards[i] = &shard{fe: fe, items: make(map[string]*record)}
 	}
 	return s
 }
 
 // Node returns the first shard's network endpoint (the table's endpoint
-// when unsharded). Per-shard endpoints are available via ShardNode.
+// when unsharded).
 func (s *Store) Node() *netsim.Node { return s.shards[0].fe.Node() }
 
 // Get reads a key. With consistent=false the read is eventually consistent:
@@ -169,9 +168,6 @@ func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent boo
 		return Item{}, err
 	}
 	rec, ok := sh.items[key]
-	if ok && s.expired(sh, p.Now(), rec) {
-		ok = false
-	}
 	var it Item
 	var found bool
 	switch {
@@ -323,7 +319,7 @@ func (s *Store) Scan(p *sim.Proc, caller *netsim.Node, prefix string) []Item {
 		var bytes int64
 		shardStart := len(out)
 		for k, rec := range sh.items {
-			if strings.HasPrefix(k, prefix) && !s.expired(sh, p.Now(), rec) {
+			if strings.HasPrefix(k, prefix) {
 				out = append(out, rec.item)
 				bytes += rec.item.Size()
 			}

@@ -8,7 +8,6 @@ package kvstore
 import (
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/service"
 )
 
@@ -43,9 +42,6 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 func (s *Store) ShardFor(key string) int {
 	return ShardIndex(key, len(s.shards))
 }
-
-// ShardNode returns partition i's network endpoint.
-func (s *Store) ShardNode(i int) *netsim.Node { return s.shards[i].fe.Node() }
 
 // ShardFrontend returns partition i's service front end, the handle for
 // admission control (SetAdmission) and chaos injection (SlowFrontendAt) on

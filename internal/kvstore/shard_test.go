@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -56,7 +55,7 @@ func TestRouterSpreadsKeys(t *testing.T) {
 	}
 }
 
-// TestShardedDataPlane: reads, writes, scans and batches on a sharded
+// TestShardedDataPlane: reads, writes, scans and conditional puts on a sharded
 // table behave like one logical table.
 func TestShardedDataPlane(t *testing.T) {
 	f := newShardedFixture(t, 4, 0)
@@ -81,27 +80,9 @@ func TestShardedDataPlane(t *testing.T) {
 		if !sort.SliceIsSorted(items, func(i, j int) bool { return items[i].Key < items[j].Key }) {
 			t.Error("sharded scan result not globally sorted")
 		}
-		// Batches spanning shards.
-		var keys []string
-		for i := 0; i < 20; i++ {
-			keys = append(keys, fmt.Sprintf("k/%02d", i))
-		}
-		got, err := f.store.BatchGet(p, f.caller, keys, true)
-		if err != nil || len(got) != 20 {
-			t.Errorf("cross-shard BatchGet: n=%d err=%v", len(got), err)
-		}
-		writes := map[string][]byte{}
-		for i := 0; i < 10; i++ {
-			writes[fmt.Sprintf("k/%02d", i)] = []byte("w2")
-		}
-		out, err := f.store.BatchWrite(p, f.caller, writes)
-		if err != nil || len(out) != 10 {
-			t.Errorf("cross-shard BatchWrite: n=%d err=%v", len(out), err)
-		}
-		for k, it := range out {
-			if it.Version != 2 {
-				t.Errorf("batch-written %s version = %d, want 2", k, it.Version)
-			}
+		// Overwrite k/00 so a ConditionalPut expecting version 1 is stale.
+		if it, err := f.store.Put(p, f.caller, "k/00", []byte("w2")); err != nil || it.Version != 2 {
+			t.Errorf("overwrite k/00: %+v err=%v", it, err)
 		}
 		// Conditional puts are atomic per key wherever it lives.
 		if _, err := f.store.ConditionalPut(p, f.caller, "k/00", []byte("x"), 1); !errors.Is(err, ErrConditionFailed) {
@@ -111,36 +92,6 @@ func TestShardedDataPlane(t *testing.T) {
 	f.k.Run()
 	if f.store.Len() != 40 {
 		t.Errorf("Len = %d, want 40", f.store.Len())
-	}
-}
-
-// TestEmptyBatchStillPaysRoundTrip: the unsharded store billed an empty
-// batch as one API request (a full round trip); the sharded code path must
-// preserve that, at any shard count.
-func TestEmptyBatchStillPaysRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		f := newShardedFixture(t, shards, 0)
-		var getElapsed, writeElapsed sim.Time
-		f.k.Spawn("c", func(p *sim.Proc) {
-			start := p.Now()
-			if got, err := f.store.BatchGet(p, f.caller, nil, true); err != nil || len(got) != 0 {
-				t.Errorf("empty BatchGet: n=%d err=%v", len(got), err)
-			}
-			getElapsed = p.Now() - start
-			start = p.Now()
-			if out, err := f.store.BatchWrite(p, f.caller, nil); err != nil || len(out) != 0 {
-				t.Errorf("empty BatchWrite: n=%d err=%v", len(out), err)
-			}
-			writeElapsed = p.Now() - start
-		})
-		f.k.Run()
-		// A round trip is at least the ~4.15ms service time.
-		if getElapsed < sim.Time(time.Millisecond) {
-			t.Errorf("shards=%d: empty BatchGet took %v, want a full round trip", shards, getElapsed)
-		}
-		if writeElapsed < sim.Time(time.Millisecond) {
-			t.Errorf("shards=%d: empty BatchWrite took %v, want a full round trip", shards, writeElapsed)
-		}
 	}
 }
 

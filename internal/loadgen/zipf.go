@@ -69,40 +69,3 @@ func (z *Zipf) Share(k int) float64 {
 	}
 	return z.cdf[k-1]
 }
-
-// WeightedPick picks an index in [0, len(weights)) with probability
-// proportional to its weight — the per-tenant arrival splitter (one abusive
-// tenant at weight 40 among polite tenants at weight 1). Like Zipf it
-// precomputes the CDF and samples by binary search.
-type WeightedPick struct {
-	cdf []float64
-}
-
-// NewWeightedPick builds a picker from non-negative weights (at least one
-// must be positive).
-func NewWeightedPick(weights []float64) *WeightedPick {
-	if len(weights) == 0 {
-		panic("loadgen: WeightedPick needs weights")
-	}
-	cdf := make([]float64, len(weights))
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic("loadgen: negative weight")
-		}
-		sum += w
-		cdf[i] = sum
-	}
-	if sum <= 0 {
-		panic("loadgen: all weights zero")
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &WeightedPick{cdf: cdf}
-}
-
-// Sample draws one index from rng.
-func (w *WeightedPick) Sample(rng *simrand.RNG) int {
-	return sort.SearchFloat64s(w.cdf, rng.Float64())
-}

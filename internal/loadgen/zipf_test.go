@@ -76,34 +76,3 @@ func TestZipfRankOfMatchesSample(t *testing.T) {
 		}
 	}
 }
-
-func TestWeightedPickRespectsWeights(t *testing.T) {
-	// One abusive tenant at weight 40 among 4 polite tenants at weight 1.
-	w := NewWeightedPick([]float64{1, 40, 1, 1, 1})
-	rng := simrand.New(4)
-	counts := make([]int, 5)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[w.Sample(rng)]++
-	}
-	if share := float64(counts[1]) / draws; math.Abs(share-40.0/44) > 0.01 {
-		t.Errorf("abuser share = %.3f, want ≈ %.3f", share, 40.0/44)
-	}
-	for i, c := range counts {
-		if i != 1 {
-			if share := float64(c) / draws; math.Abs(share-1.0/44) > 0.005 {
-				t.Errorf("tenant %d share = %.3f, want ≈ %.3f", i, share, 1.0/44)
-			}
-		}
-	}
-}
-
-func TestWeightedPickZeroWeightNeverDrawn(t *testing.T) {
-	w := NewWeightedPick([]float64{0, 1, 0})
-	rng := simrand.New(5)
-	for i := 0; i < 10000; i++ {
-		if got := w.Sample(rng); got != 1 {
-			t.Fatalf("draw %d: picked zero-weight index %d", i, got)
-		}
-	}
-}

@@ -50,7 +50,6 @@ type Mesh struct {
 	net       *netsim.Network
 	rng       *simrand.RNG
 	endpoints map[string]*Endpoint
-	topics    map[string]*Topic
 	nextReq   uint64
 }
 
@@ -89,14 +88,8 @@ type Endpoint struct {
 	closed  bool
 }
 
-// Name returns the endpoint's stable name.
-func (e *Endpoint) Name() string { return e.name }
-
 // Node returns the network node the endpoint is bound to.
 func (e *Endpoint) Node() *netsim.Node { return e.node }
-
-// Closed reports whether the endpoint has been closed.
-func (e *Endpoint) Closed() bool { return e.closed }
 
 // deliveryDelay computes the one-way latency for a payload of size bytes.
 func (m *Mesh) deliveryDelay(src, dst *netsim.Node, size int) time.Duration {

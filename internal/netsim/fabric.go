@@ -66,9 +66,6 @@ func (l *Link) Name() string { return l.name }
 // Capacity returns the link's total capacity.
 func (l *Link) Capacity() Bps { return l.capacity }
 
-// ActiveFlows reports the number of flows currently crossing the link.
-func (l *Link) ActiveFlows() int { return len(l.flowIDs) }
-
 // SetCapacity changes the link's capacity; rates of in-flight flows are
 // re-derived immediately (used by ablations that upgrade NICs mid-run).
 // Only the link's connected component is re-solved.

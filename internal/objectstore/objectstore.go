@@ -10,7 +10,7 @@
 //
 // The endpoint node, request round trip, and metering all live in the
 // shared service layer (internal/service); this package owns only what is
-// S3-specific: object versions, streaming, range reads, and multipart.
+// S3-specific: object versions and streaming.
 package objectstore
 
 import (
@@ -83,7 +83,6 @@ type Store struct {
 	// objects maps key -> version history (latest last). History beyond
 	// the staleness window is pruned on write.
 	objects map[string][]version
-	uploads map[string]*Upload
 	nextVer int64
 }
 
@@ -95,7 +94,6 @@ func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 			cfg.NICBps, catalog, meter),
 		cfg:     cfg,
 		objects: make(map[string][]version),
-		uploads: make(map[string]*Upload),
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // The endpoint node, request round trip, and metering all live in the
 // shared service layer (internal/service); this package owns only what is
-// SQS-specific: queues, visibility timeouts, long polling, and redrive.
+// SQS-specific: queues, visibility timeouts and long polling.
 package queue
 
 import (
@@ -40,12 +40,6 @@ var ErrTooLarge = errors.New("queue: message exceeds 256KB limit")
 
 // ErrBatchTooBig is returned when more than MaxBatch messages are batched.
 var ErrBatchTooBig = errors.New("queue: batch exceeds 10 messages")
-
-// Redrive policy configuration errors.
-var (
-	errSelfRedrive    = errors.New("queue: dead-letter queue cannot be the source queue")
-	errBadMaxReceives = errors.New("queue: MaxReceives must be at least 1")
-)
 
 // Message is a received message. Receipt identifies this delivery for
 // Delete; Attempts counts deliveries (1 on first receipt).
@@ -125,9 +119,6 @@ type Queue struct {
 	idle       []*pollWaiter // recycled long-poll wait state
 	nextID     int64
 	nextRcpt   int64
-
-	redrive      *RedrivePolicy
-	deadLettered int64
 }
 
 type stored struct {
@@ -285,9 +276,6 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 	for len(msgs) < max && len(q.available) > 0 {
 		m := q.available[0]
 		q.available = q.available[1:]
-		if q.exhausted(m) {
-			continue // moved to the dead-letter queue
-		}
 		q.nextRcpt++
 		m.receipt = formatID(q.rcptPrefix, q.nextRcpt)
 		m.attempts++

@@ -55,9 +55,6 @@ func NewGenerator(seed uint64, vocabSize int) *Generator {
 	}
 }
 
-// VocabSize returns the feature-vector width.
-func (g *Generator) VocabSize() int { return g.vocab }
-
 // Next synthesizes one review. Word frequencies follow a Zipf-like decay;
 // the rating is 3 plus the sentiment balance, clamped to [1, 5], with mild
 // noise.

@@ -462,9 +462,6 @@ func (c *Cache) Cluster() *Cluster { return c.cl }
 // re-attach, and a Detach on the wrong cluster is a silent no-op.
 func (c *Cache) Detach() { c.cl.Detach(c.node) }
 
-// ReplicaID returns the replica's unique CRDT actor id.
-func (c *Cache) ReplicaID() string { return c.replica }
-
 // Ops reports how many local cache operations this replica served.
 func (c *Cache) Ops() int64 { return c.ops }
 
