@@ -84,8 +84,9 @@ type rfResult struct {
 	crashedVM int   // VMs lost to the storm (0 in the control run)
 }
 
-// rfKey renders the shared key for slot i.
-func rfKey(i int) string { return fmt.Sprintf("kv/%03d", i) }
+// rfKey holds the shared key for each slot, rendered once rather than per
+// request.
+var rfKey = renderKeys("kv/%03d", rfKeys)
 
 // rfHash spreads a (region, sequence) pair into op and key choices without
 // consuming simulation RNG — the op mix is a pure function of the arrival.
@@ -148,7 +149,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p := ctx.Proc()
 		op := payload[0]
-		key := rfKey(int(payload[1])<<8 | int(payload[2]))
+		key := rfKey[int(payload[1])<<8|int(payload[2])]
 		switch {
 		case op < 40: // cache read: always region-local (AP)
 			ctx.Cache().Counter(p, key)

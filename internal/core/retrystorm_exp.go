@@ -134,8 +134,9 @@ type rsResult struct {
 	hotCost pricing.USD      // total metered cost of the run
 }
 
-// rsKey renders the key for popularity rank r.
-func rsKey(r int) string { return fmt.Sprintf("key/%04d", r) }
+// rsKey holds the key for each popularity rank, rendered once rather than
+// per request.
+var rsKey = renderKeys("key/%04d", rsKeys)
 
 // rsZipf is the shared popularity curve (CDF precomputed once; reads are
 // concurrency-safe, so sweep workers share it).
@@ -144,13 +145,29 @@ var rsZipf = loadgen.NewZipf(rsKeys, rsZipfS)
 // rsHotShard returns which of n shards owns the hottest key, and the
 // fraction of traffic the popularity curve sends to it.
 func rsHotShard(n int) (shard int, share float64) {
-	shard = kvstore.ShardIndex(rsKey(0), n)
-	for r := 0; r < rsKeys; r++ {
-		if kvstore.ShardIndex(rsKey(r), n) == shard {
+	shard = kvstore.ShardIndex(rsKey[0], n)
+	for r, key := range rsKey {
+		if kvstore.ShardIndex(key, n) == shard {
 			share += rsZipf.Share(r+1) - rsZipf.Share(r)
 		}
 	}
 	return shard, share
+}
+
+// rsWorker is one client-pool worker: its resilience client, and the call
+// record that its attempt closure reads. The record and the closure are
+// built once at setup and reused by every request the worker serves, so a
+// request allocates no closure. That is sound because resilience.Client
+// invokes op only at attempt start (first attempt, retries and hedges
+// alike), while the calling process is parked in Do, and ddb.Get copies
+// key and host into its parameters at that moment. An abandoned attempt
+// that outlives its call keeps its own key and host, even after the worker
+// has been handed the next request.
+type rsWorker struct {
+	cl   *resilience.Client
+	key  string
+	host *netsim.Node
+	op   func(*sim.Proc) error
 }
 
 // runRetryStorm measures one policy. scale shrinks the window (tests run
@@ -195,16 +212,25 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		}
 	}
 
-	// The worker pool and its client free list: at most rsWorkers calls in
-	// flight; each holds one resilience.Client for the call's duration.
+	// The worker pool and its worker free list: at most rsWorkers calls in
+	// flight; each holds one worker, and its resilience.Client, for the
+	// call's duration.
 	pool := sim.NewResource(rsWorkers)
-	clients := make([]*resilience.Client, rsWorkers)
-	for i := range clients {
+	workers := make([]*rsWorker, rsWorkers)
+	for i := range workers {
 		c := resilience.NewClient(k, rng.Fork(), pol.cfg)
 		c.SetBudget(budget)
 		c.SetBreakers(brs)
 		c.SetStatsSink(&sink)
-		clients[i] = c
+		w := &rsWorker{cl: c}
+		w.op = func(cp *sim.Proc) error {
+			if _, err := ddb.Get(cp, w.host, w.key, false); err != nil &&
+				!errors.Is(err, kvstore.ErrNotFound) {
+				return err
+			}
+			return nil
+		}
+		workers[i] = w
 	}
 
 	// App-tier hosts the arrivals originate from.
@@ -227,7 +253,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		// simulation RNG draw): hash the sequence into a uniform, map it
 		// through the Zipf CDF.
 		u := float64(rfHash(17, seq)>>11) / float64(uint64(1)<<53)
-		key := rsKey(rsZipf.RankOf(u))
+		key := rsKey[rsZipf.RankOf(u)]
 		ep := ddb.ShardFor(key)
 		host := hosts[seq%len(hosts)]
 		start := p.Now()
@@ -242,16 +268,11 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 			ph.rec.Add(time.Duration(p.Now() - start))
 			return
 		}
-		cl := clients[len(clients)-1]
-		clients = clients[:len(clients)-1]
-		err := cl.Do(p, ep, func(cp *sim.Proc) error {
-			if _, gerr := ddb.Get(cp, host, key, false); gerr != nil &&
-				!errors.Is(gerr, kvstore.ErrNotFound) {
-				return gerr
-			}
-			return nil
-		})
-		clients = append(clients, cl)
+		w := workers[len(workers)-1]
+		workers = workers[:len(workers)-1]
+		w.key, w.host = key, host
+		err := w.cl.Do(p, ep, w.op)
+		workers = append(workers, w)
 		pool.Release()
 		ph.rec.Add(time.Duration(p.Now() - start))
 		if err == nil {
@@ -348,7 +369,7 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 				if time.Duration(p.Now()) >= window {
 					return
 				}
-				key := rsKey(int(crng.Float64() * 512))
+				key := rsKey[int(crng.Float64()*512)]
 				start := p.Now()
 				_, err := ddb.Get(p, node, key, false)
 				out.rec.Add(time.Duration(p.Now() - start))

@@ -67,12 +67,7 @@ type stateCacheResult struct {
 
 // stateCacheKey holds the shared counter key for each slot, rendered once
 // rather than per operation.
-var stateCacheKey = func() (keys [stateCacheKeys]string) {
-	for i := range keys {
-		keys[i] = fmt.Sprintf("ctr/%02d", i)
-	}
-	return keys
-}()
+var stateCacheKey = renderKeys("ctr/%02d", stateCacheKeys)
 
 // uncachedAdd is the blackboard-pattern counter write: read the stored
 // lattice, join the delta, conditionally write back, retrying lost races.

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -33,7 +32,9 @@ import (
 // MaxItemSize is the DynamoDB item-size limit.
 const MaxItemSize = 400 * 1024
 
-// ErrNotFound is returned when a key is absent.
+// ErrNotFound is returned when a key is absent. Get returns the sentinel
+// itself, not a wrapper naming the key: misses are routine on read-heavy
+// load, and the bare sentinel costs no allocation.
 var ErrNotFound = errors.New("kvstore: key not found")
 
 // ErrConditionFailed is returned when a conditional write's precondition
@@ -185,23 +186,10 @@ func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent boo
 	sh.fe.Charge("dynamodb.read", pricing.DynamoReadUnits(size, consistent),
 		sh.fe.Catalog().DynamoReadPerUnit)
 	if !found {
-		return Item{}, notFoundError(key)
+		return Item{}, ErrNotFound
 	}
 	return it, nil
 }
-
-// notFoundError is a lazily formatted ErrNotFound carrying the key. Misses
-// are a routine outcome on read-heavy load (not-yet-written keys), so the
-// miss path must not pay fmt.Errorf's eager formatting per request; the
-// message is rendered only if someone actually prints it, and renders
-// byte-identically to the former fmt.Errorf("%w: %q", ErrNotFound, key).
-type notFoundError string
-
-func (e notFoundError) Error() string {
-	return ErrNotFound.Error() + ": " + strconv.Quote(string(e))
-}
-
-func (e notFoundError) Unwrap() error { return ErrNotFound }
 
 // eventualView resolves what an eventually consistent read of rec observes.
 func (s *Store) eventualView(sh *shard, now sim.Time, rec *record) (Item, bool) {

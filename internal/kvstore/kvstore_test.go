@@ -19,7 +19,7 @@ type fixture struct {
 	meter  *pricing.Meter
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
@@ -57,6 +57,33 @@ func TestGetMissing(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// BenchmarkGetMiss is one eventually consistent read of an absent key per
+// op on a 4-shard table with bounded shard concurrency, the retrystorm
+// request's store path. A miss returns the bare ErrNotFound sentinel and
+// the round trip rides recycled kernel machinery, so it allocates nothing
+// once warm.
+func BenchmarkGetMiss(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.ShardCount = 4
+	cfg.ShardConcurrency = 4
+	f := newFixture(b, cfg)
+	keys := []string{"key/0000", "key/0001", "key/0002", "key/0003"} // one per shard
+	f.k.Spawn("c", func(p *sim.Proc) {
+		for _, key := range keys { // warm every shard's round-trip path
+			f.store.Get(p, f.caller, key, false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.store.Get(p, f.caller, keys[i%len(keys)], false); err != ErrNotFound {
+				b.Fatalf("Get = %v, want ErrNotFound", err)
+			}
+		}
+		b.StopTimer()
+	})
+	f.k.Run()
 }
 
 // Calibration: 1KB write+read should land near the paper's 11ms.

@@ -38,7 +38,8 @@ func (s *Store) shardFor(key string) *shard {
 // ShardCount reports how many partitions the table has.
 func (s *Store) ShardCount() int { return len(s.shards) }
 
-// ShardFor reports which partition owns key (routing test hook).
+// ShardFor reports which partition owns key: the endpoint index a caller
+// hands a per-shard policy such as a resilience.Client breaker table.
 func (s *Store) ShardFor(key string) int {
 	return ShardIndex(key, len(s.shards))
 }

@@ -84,6 +84,14 @@ type Config struct {
 // safe for concurrent calls: a Client runs one Do at a time, like the
 // per-worker handle of a connection pool. Budget, breakers, and the stats
 // sink may be shared across clients.
+//
+// Do invokes op at attempt start (first attempt, retries and hedges
+// alike), while the calling process is parked in Do (or, with neither a
+// deadline nor hedging, inline on it). Whatever op reads from caller-owned
+// state before its first blocking call is therefore the state of the call
+// that launched it: a caller may reuse one op closure for every call and
+// rewrite the state it reads between calls, and an attempt abandoned at
+// its deadline keeps the values it started with.
 type Client struct {
 	k      *sim.Kernel
 	rng    *simrand.RNG

@@ -102,6 +102,39 @@ func TestDeadlineAbandonsSlowOp(t *testing.T) {
 	}
 }
 
+// TestAbandonedAttemptKeepsArgumentsReadAtStart pins the contract that
+// lets a caller reuse one op closure across calls: op is invoked at
+// attempt start, while the caller is parked in Do, so an op that copies
+// caller-owned state at entry keeps that copy even after a timed-out call
+// returns and the caller rewrites the state for its next call.
+func TestAbandonedAttemptKeepsArgumentsReadAtStart(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	c := NewClient(k, simrand.New(1), Config{Attempts: 1, Deadline: 10 * time.Millisecond})
+	arg := 0
+	var recorded []int
+	op := func(q *sim.Proc) error {
+		mine := arg
+		q.Sleep(50 * time.Millisecond) // far past the deadline
+		recorded = append(recorded, mine)
+		return nil
+	}
+	k.Spawn("test", func(p *sim.Proc) {
+		arg = 1
+		if err := c.Do(p, -1, op); !errors.Is(err, ErrDeadline) {
+			t.Errorf("first Do = %v, want ErrDeadline", err)
+		}
+		arg = 2 // the first attempt is still sleeping
+		if err := c.Do(p, -1, op); !errors.Is(err, ErrDeadline) {
+			t.Errorf("second Do = %v, want ErrDeadline", err)
+		}
+	})
+	k.Run()
+	if len(recorded) != 2 || recorded[0] != 1 || recorded[1] != 2 {
+		t.Errorf("abandoned attempts recorded %v, want [1 2]", recorded)
+	}
+}
+
 func TestDeadlineTimerStoppedOnFastSuccess(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
