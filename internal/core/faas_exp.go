@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/crdt"
 	"repro/internal/faas"
 	"repro/internal/loadgen"
 	"repro/internal/sim"
@@ -88,38 +89,19 @@ func parseFaaSScaleMsg(s string) (faasScaleMsg, error) {
 	if !ok {
 		return m, errFaaSScaleMsg
 	}
-	seq, rest, ok := scanCanonicalInt(rest, strconv.IntSize)
+	seq, n, ok := crdt.ScanCanonicalInt(rest, strconv.IntSize)
 	if !ok {
 		return m, errFaaSScaleMsg
 	}
-	if rest, ok = strings.CutPrefix(rest, `,"sent":`); !ok {
+	if rest, ok = strings.CutPrefix(rest[n:], `,"sent":`); !ok {
 		return m, errFaaSScaleMsg
 	}
-	sent, rest, ok := scanCanonicalInt(rest, 64)
-	if !ok || rest != "}" {
+	sent, n, ok := crdt.ScanCanonicalInt(rest, 64)
+	if !ok || rest[n:] != "}" {
 		return m, errFaaSScaleMsg
 	}
 	m.Seq, m.Sent = int(seq), sent
 	return m, nil
-}
-
-// scanCanonicalInt consumes the leading integer of s, which must fit in
-// bits bits and read exactly as strconv.AppendInt writes it back (no
-// leading zeros, no -0).
-func scanCanonicalInt(s string, bits int) (int64, string, bool) {
-	i := 0
-	if i < len(s) && s[i] == '-' {
-		i++
-	}
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
-	}
-	v, err := strconv.ParseInt(s[:i], 10, bits)
-	var canon [20]byte
-	if err != nil || string(strconv.AppendInt(canon[:0], v, 10)) != s[:i] {
-		return 0, s, false
-	}
-	return v, s[i:], true
 }
 
 // faasScaleKey is fmt.Sprintf("evt/%07d", n) with one allocation.

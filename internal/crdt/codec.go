@@ -4,19 +4,20 @@ package crdt
 // through encoding/json's reflection: the statecache re-serializes a
 // lattice on every refresh to size and digest it, and gossip digests are
 // FNV hashes of these bytes, so the encoders must emit exactly what
-// json.Marshal emits — map keys sorted bytewise, null for nil maps and
+// json.Marshal emits for each lattice's map-shaped wire form — map keys
+// sorted bytewise, null for nil maps (a counter's nil slot list) and
 // pointers, strings escaped the way encoding/json escapes them.
 // TestAppendJSONMatchesEncodingJSON pins that byte for byte.
 //
 // The counters also get a strict scanner that accepts only that canonical
-// form (no whitespace, no escapes, no leading zeros); any other input goes
-// to encoding/json, so errors and decoded states stay encoding/json's.
+// form (no whitespace, no escapes, no leading zeros, no null counts); any
+// other input goes to encoding/json, so errors and decoded states stay
+// encoding/json's.
 
 import (
 	"encoding/json"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // AppendJSON appends the counter's JSON encoding to b.
@@ -25,21 +26,11 @@ func (c *GCounter) AppendJSON(b []byte) []byte {
 		return append(b, "null"...)
 	}
 	b = append(b, `{"counts":`...)
-	if c.Counts == nil {
+	if c.slots == nil {
 		b = append(b, "null"...)
 	} else {
-		type slot struct {
-			replica string
-			n       int64
-		}
-		var arr [16]slot // up to 16 replicas sort on the stack: no allocation
-		slots := arr[:0]
-		for r, n := range c.Counts {
-			slots = append(slots, slot{r, n})
-		}
-		slices.SortFunc(slots, func(a, b slot) int { return strings.Compare(a.replica, b.replica) })
 		b = append(b, '{')
-		for i, s := range slots {
+		for i, s := range c.slots {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -200,82 +191,105 @@ func (s *scanner) str() ([]byte, bool) {
 	return s.b[start:end], true
 }
 
-// int consumes an integer as strconv.AppendInt writes it: an optional
-// minus, then 0 or digits without a leading zero, within int64.
-func (s *scanner) int() (int64, bool) {
-	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
+// ScanCanonicalInt consumes the integer at the start of s written exactly
+// as strconv.AppendInt writes an int of the given bit size: an optional
+// minus, then 0 or digits without a leading zero (so no -0), within range.
+// It returns the value and the number of bytes consumed; ok is false when
+// s does not begin with such an integer. It never allocates.
+func ScanCanonicalInt[S string | []byte](s S, bits int) (v int64, n int, ok bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		n = 1
 	}
-	digits := s.i
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		s.i++
+	limit := uint64(1)<<(bits-1) - 1 // the largest magnitude in range
+	if neg {
+		limit++
 	}
-	switch {
-	case s.i == digits:
-		return 0, false
-	case s.b[digits] == '0' && s.i-start > 1: // leading zero, or -0
-		return 0, false
+	start := n
+	var u uint64
+	for ; n < len(s) && s[n] >= '0' && s[n] <= '9'; n++ {
+		d := uint64(s[n] - '0')
+		if u > (limit-d)/10 {
+			return 0, 0, false
+		}
+		u = u*10 + d
 	}
-	n, err := strconv.ParseInt(string(s.b[start:s.i]), 10, 64)
-	return n, err == nil
+	if n == start || s[start] == '0' && (n-start > 1 || neg) {
+		return 0, 0, false // no digits, a leading zero, or -0
+	}
+	if neg {
+		return int64(-u), n, true
+	}
+	return int64(u), n, true
 }
 
-// gcounter consumes {"counts":null} or {"counts":{...}} with strictly
-// ascending keys. A null map decodes empty, as UnmarshalGCounter leaves it.
+// keys counts the keys of the flat object whose '{' was just consumed, to
+// size its slots once. Canonical keys hold no quote, so every key is
+// exactly two quotes before the first '}' outside a string. The count is
+// only a capacity hint; the walk that follows validates.
+func (s *scanner) keys() int {
+	quotes, inStr := 0, false
+	for _, c := range s.b[s.i:] {
+		switch {
+		case c == '"':
+			quotes++
+			inStr = !inStr
+		case c == '}' && !inStr:
+			return quotes / 2
+		}
+	}
+	return quotes / 2
+}
+
+// gcounter consumes {"counts":{...}} with strictly ascending keys. It
+// rejects {"counts":null}: that decodes empty, which re-encodes as
+// {"counts":{}}, and the scanner accepts only input that re-encodes to
+// itself, so the encoding/json fallback decodes it instead.
 func (s *scanner) gcounter() (*GCounter, bool) {
-	if !s.lit(`{"counts":`) {
+	if !s.lit(`{"counts":{`) {
 		return nil, false
 	}
 	c := NewGCounter()
-	if !s.lit("null") {
-		if !s.lit("{") {
+	if s.lit("}") {
+		return c, s.lit("}")
+	}
+	c.slots = make([]slot, 0, s.keys())
+	var prev []byte
+	for i := 0; ; i++ {
+		k, ok := s.str()
+		if !ok || (i > 0 && string(k) <= string(prev)) || !s.lit(":") {
 			return nil, false
 		}
-		if !s.lit("}") {
-			var prev []byte
-			for i := 0; ; i++ {
-				k, ok := s.str()
-				if !ok || (i > 0 && string(k) <= string(prev)) || !s.lit(":") {
-					return nil, false
-				}
-				v, ok := s.int()
-				if !ok {
-					return nil, false
-				}
-				c.Counts[string(k)] = v
-				prev = k
-				if s.lit("}") {
-					break
-				}
-				if !s.lit(",") {
-					return nil, false
-				}
-			}
+		v, n, ok := ScanCanonicalInt(s.b[s.i:], 64)
+		if !ok {
+			return nil, false
+		}
+		s.i += n
+		c.slots = append(c.slots, slot{string(k), v})
+		prev = k
+		if s.lit("}") {
+			break
+		}
+		if !s.lit(",") {
+			return nil, false
 		}
 	}
 	return c, s.lit("}")
 }
 
-// pncounter consumes {"p":G,"n":G}, each G null or a G-Counter.
+// pncounter consumes {"p":G,"n":G}, each G a G-Counter (null is left to
+// the fallback, as in gcounter).
 func (s *scanner) pncounter() (*PNCounter, bool) {
 	if !s.lit(`{"p":`) {
 		return nil, false
 	}
-	p, ok := s.gcounterOrNull()
+	p, ok := s.gcounter()
 	if !ok || !s.lit(`,"n":`) {
 		return nil, false
 	}
-	n, ok := s.gcounterOrNull()
+	n, ok := s.gcounter()
 	if !ok || !s.lit("}") {
 		return nil, false
 	}
 	return &PNCounter{P: p, N: n}, true
-}
-
-func (s *scanner) gcounterOrNull() (*GCounter, bool) {
-	if s.lit("null") {
-		return NewGCounter(), true
-	}
-	return s.gcounter()
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -30,12 +33,12 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	cases := map[string]interface{ AppendJSON([]byte) []byte }{
 		"gcounter/nil map":    &GCounter{},
 		"gcounter/empty":      NewGCounter(),
-		"gcounter/awkward":    &GCounter{Counts: counts},
+		"gcounter/awkward":    gcounterOf(counts),
 		"gcounter/nil":        (*GCounter)(nil),
 		"pncounter/nil P N":   &PNCounter{},
 		"pncounter/nil maps":  &PNCounter{P: &GCounter{}, N: &GCounter{}},
 		"pncounter/empty":     NewPNCounter(),
-		"pncounter/awkward":   &PNCounter{P: &GCounter{Counts: counts}, N: &GCounter{Counts: map[string]int64{"a": 1}}},
+		"pncounter/awkward":   &PNCounter{P: gcounterOf(counts), N: gcounterOf(map[string]int64{"a": 1})},
 		"register/empty":      &LWWRegister{},
 		"register/extremes":   &LWWRegister{Val: "", Stamp: math.MinInt64, Replica: ""},
 		"register/max stamp":  &LWWRegister{Val: "v", Stamp: math.MaxInt64, Replica: "r"},
@@ -52,7 +55,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	for name, v := range cases {
-		want, err := json.Marshal(v)
+		want, err := json.Marshal(mapShaped(v))
 		if err != nil {
 			t.Fatalf("%s: json.Marshal: %v", name, err)
 		}
@@ -63,5 +66,107 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 		if got := v.AppendJSON([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
 			t.Errorf("%s: AppendJSON clobbered its buffer: %s", name, got)
 		}
+	}
+}
+
+// gcounterOf builds a counter holding exactly counts; a nil map gives a
+// counter with a nil slot list, which encodes its counts as null.
+func gcounterOf(counts map[string]int64) *GCounter {
+	if counts == nil {
+		return &GCounter{}
+	}
+	c := NewGCounter()
+	for r, n := range counts {
+		c.slots = append(c.slots, slot{r, n})
+	}
+	slices.SortFunc(c.slots, func(a, b slot) int { return strings.Compare(a.replica, b.replica) })
+	return c
+}
+
+// countsOf returns c's slots as a map (nil for a nil slot list).
+func countsOf(c *GCounter) map[string]int64 {
+	if c.slots == nil {
+		return nil
+	}
+	m := make(map[string]int64, len(c.slots))
+	for _, s := range c.slots {
+		m[s.replica] = s.n
+	}
+	return m
+}
+
+// mapGCounter and mapPNCounter are the counters' map-shaped wire form:
+// marshalled by encoding/json, they are the oracle the hand-written
+// encoders must match byte for byte.
+type mapGCounter struct {
+	Counts map[string]int64 `json:"counts"`
+}
+
+type mapPNCounter struct {
+	P *mapGCounter `json:"p"`
+	N *mapGCounter `json:"n"`
+}
+
+func mapShapedG(c *GCounter) *mapGCounter {
+	if c == nil {
+		return nil
+	}
+	return &mapGCounter{Counts: countsOf(c)}
+}
+
+// mapShaped returns the value encoding/json must marshal to give v's
+// encoding: the map-shaped twin of a counter, v itself otherwise.
+func mapShaped(v any) any {
+	switch c := v.(type) {
+	case *GCounter:
+		return mapShapedG(c)
+	case *PNCounter:
+		if c == nil {
+			return (*mapPNCounter)(nil)
+		}
+		return &mapPNCounter{P: mapShapedG(c.P), N: mapShapedG(c.N)}
+	}
+	return v
+}
+
+// TestScanCanonicalInt holds ScanCanonicalInt to its definition, the
+// strconv round trip: the leading run of an optional minus and digits is
+// accepted exactly when strconv.ParseInt reads it within bits and
+// strconv.AppendInt writes the value back as the same bytes.
+func TestScanCanonicalInt(t *testing.T) {
+	inputs := []string{
+		"", "-", "0", "-0", "00", "01", "-01", "7", "-7", "42}", "1,", "+1", " 1", "1 ",
+		"127", "128", "-128", "-129", "255", "32767", "-32768", "2147483647", "2147483648",
+		"-2147483648", "-2147483649", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "-9223372036854775809", "18446744073709551616",
+		"99999999999999999999999", "1e3", "-x", "0x1f",
+	}
+	for _, s := range inputs {
+		for _, bits := range []int{8, 16, 32, 64} {
+			i := 0
+			if i < len(s) && s[i] == '-' {
+				i++
+			}
+			for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+				i++
+			}
+			want, err := strconv.ParseInt(s[:i], 10, bits)
+			wantOK := err == nil && strconv.FormatInt(want, 10) == s[:i]
+			v, n, ok := ScanCanonicalInt(s, bits)
+			if ok != wantOK || ok && (v != want || n != i) {
+				t.Errorf("ScanCanonicalInt(%q, %d) = %d, %d, %v; want %d, %d, %v", s, bits, v, n, ok, want, i, wantOK)
+			}
+			bv, bn, bok := ScanCanonicalInt([]byte(s), bits)
+			if bv != v || bn != n || bok != ok {
+				t.Errorf("ScanCanonicalInt([]byte(%q), %d) = %d, %d, %v; the string form gives %d, %d, %v", s, bits, bv, bn, bok, v, n, ok)
+			}
+		}
+	}
+	b := []byte("-9223372036854775808,")
+	if allocs := testing.AllocsPerRun(100, func() {
+		ScanCanonicalInt(b, 64)
+		ScanCanonicalInt("123}", 64)
+	}); allocs != 0 {
+		t.Errorf("ScanCanonicalInt allocates %v times per call pair, want 0", allocs)
 	}
 }

@@ -14,14 +14,28 @@
 // stateful patterns break.
 //
 // Every lattice serializes itself with AppendJSON, a hand-written encoder
-// whose output is byte-for-byte what encoding/json produces (sorted map
-// keys included), so equal states always encode to equal bytes and a hash
-// of the encoding is a sound convergence digest. Marshal wraps it.
+// whose output is byte-for-byte what encoding/json produces for the
+// lattice's map-shaped wire form (sorted map keys included), so equal
+// states always encode to equal bytes and a hash of the encoding is a
+// sound convergence digest. Marshal wraps it.
+//
+// The counters keep one slot per replica in a slice sorted bytewise by
+// replica id, which is the order the encoding lists them in: Inc, Value,
+// Merge, AppendJSON and the decoder walk the slice, with no map hashing
+// and no per-encode sort.
+//
+// Merge reports what the join did to the receiver's encoding, as
+// (changed, equal): !changed means the encoding is unchanged, and equal
+// means it is now exactly other's. A holder of a digest can then keep its
+// own or take other's instead of re-encoding. The counters report both
+// exactly; an LWW-Register's join is one side or the other, so it reports
+// whether other won as both; an OR-Set always reports (true, false).
 package crdt
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,38 +43,96 @@ import (
 
 // GCounter is a grow-only counter: one monotone slot per replica.
 type GCounter struct {
-	Counts map[string]int64 `json:"counts"`
+	// slots holds one count per replica, sorted bytewise by replica id,
+	// so Inc and Merge find a replica by binary search or a merge walk and
+	// AppendJSON emits encoding/json's sorted-key order without sorting.
+	// A nil slice encodes as null, as a nil map does.
+	slots []slot
+}
+
+// slot is one replica's count.
+type slot struct {
+	replica string
+	n       int64
 }
 
 // NewGCounter returns an empty counter.
 func NewGCounter() *GCounter {
-	return &GCounter{Counts: make(map[string]int64)}
+	return &GCounter{slots: []slot{}}
 }
 
-// Inc adds n (n >= 0) on behalf of replica.
+// Inc adds n (n >= 0) on behalf of replica. A replica's first Inc creates
+// its slot, even at n == 0.
 func (c *GCounter) Inc(replica string, n int64) {
 	if n < 0 {
 		panic("crdt: GCounter cannot decrease")
 	}
-	c.Counts[replica] += n
+	i, found := slices.BinarySearchFunc(c.slots, replica, func(s slot, r string) int {
+		return strings.Compare(s.replica, r)
+	})
+	if !found {
+		c.slots = slices.Insert(c.slots, i, slot{replica: replica})
+	}
+	c.slots[i].n += n
 }
 
 // Value returns the counter total.
 func (c *GCounter) Value() int64 {
 	var sum int64
-	for _, v := range c.Counts {
-		sum += v
+	for _, s := range c.slots {
+		sum += s.n
 	}
 	return sum
 }
 
-// Merge joins other into c (pointwise max).
-func (c *GCounter) Merge(other *GCounter) {
-	for r, v := range other.Counts {
-		if v > c.Counts[r] {
-			c.Counts[r] = v
+// Merge joins other into c (pointwise max). It reports whether c's
+// encoding changed and whether it now equals other's, both exactly, from
+// one walk of the two sorted slot lists. A replica c lacks is taken over
+// only when its count is positive (an absent slot joined with a zero one
+// stays absent), and only then are the slots rebuilt.
+func (c *GCounter) Merge(other *GCounter) (changed, equal bool) {
+	a, b := c.slots, other.slots
+	equal = true
+	var out []slot // non-nil once a replica is inserted: the join is rebuilt here
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case i < len(a) && j < len(b) && a[i].replica == b[j].replica:
+			switch n := b[j].n; {
+			case n > a[i].n:
+				a[i].n = n
+				changed = true
+			case n < a[i].n:
+				equal = false
+			}
+			if out != nil {
+				out = append(out, a[i])
+			}
+			i++
+			j++
+		case j == len(b) || i < len(a) && a[i].replica < b[j].replica:
+			equal = false // a replica other lacks
+			if out != nil {
+				out = append(out, a[i])
+			}
+			i++
+		default: // a replica c lacks
+			if b[j].n > 0 {
+				if out == nil {
+					out = append(make([]slot, 0, len(a)+len(b)-j), a[:i]...)
+				}
+				out = append(out, b[j])
+				changed = true
+			} else {
+				equal = false
+			}
+			j++
 		}
 	}
+	if out != nil {
+		c.slots = out
+	}
+	return changed, equal && (c.slots == nil) == (b == nil)
 }
 
 // PNCounter supports increments and decrements as two G-Counters.
@@ -86,10 +158,12 @@ func (c *PNCounter) Add(replica string, n int64) {
 // Value returns the net total.
 func (c *PNCounter) Value() int64 { return c.P.Value() - c.N.Value() }
 
-// Merge joins other into c.
-func (c *PNCounter) Merge(other *PNCounter) {
-	c.P.Merge(other.P)
-	c.N.Merge(other.N)
+// Merge joins other into c, reporting changed and equal as
+// GCounter.Merge does.
+func (c *PNCounter) Merge(other *PNCounter) (changed, equal bool) {
+	pc, pe := c.P.Merge(other.P)
+	nc, ne := c.N.Merge(other.N)
+	return pc || nc, pe && ne
 }
 
 // LWWRegister is a last-writer-wins register ordered by (timestamp,
@@ -126,11 +200,14 @@ func (r *LWWRegister) wins(stamp int64, replica, val string) bool {
 // Get returns the current value.
 func (r *LWWRegister) Get() string { return r.Val }
 
-// Merge joins other into r.
-func (r *LWWRegister) Merge(other *LWWRegister) {
-	if r.wins(other.Stamp, other.Replica, other.Val) {
+// Merge joins other into r. The join is either r or other, so both
+// reports are whether other won: then r changed and now equals other.
+func (r *LWWRegister) Merge(other *LWWRegister) (changed, equal bool) {
+	wins := r.wins(other.Stamp, other.Replica, other.Val)
+	if wins {
 		r.Val, r.Stamp, r.Replica = other.Val, other.Stamp, other.Replica
 	}
+	return wins, wins
 }
 
 // ORSet is an observed-remove set: adds are tagged uniquely per replica,
@@ -193,8 +270,10 @@ func (s *ORSet) Elements() []string {
 	return out
 }
 
-// Merge joins other into s (union of adds and tombstones).
-func (s *ORSet) Merge(other *ORSet) {
+// Merge joins other into s (union of adds and tombstones). It does not
+// track what the union changed, so it always reports changed and never
+// equal; callers re-encode the result.
+func (s *ORSet) Merge(other *ORSet) (changed, equal bool) {
 	for e, tags := range other.Adds {
 		if s.Adds[e] == nil {
 			s.Adds[e] = make(map[string]bool)
@@ -214,6 +293,7 @@ func (s *ORSet) Merge(other *ORSet) {
 	if other.seq > s.seq {
 		s.seq = other.seq
 	}
+	return true, false
 }
 
 // Marshal serializes a CRDT state for storage (the blackboard pattern).
@@ -229,15 +309,38 @@ func UnmarshalGCounter(data []byte) (*GCounter, error) {
 	return unmarshalGCounterJSON(data)
 }
 
-func unmarshalGCounterJSON(data []byte) (*GCounter, error) {
+// gcounterWire and pncounterWire are the counters' wire shapes for the
+// encoding/json fallback decoder.
+type gcounterWire struct {
+	Counts map[string]int64 `json:"counts"`
+}
+
+type pncounterWire struct {
+	P *gcounterWire `json:"p"`
+	N *gcounterWire `json:"n"`
+}
+
+// gcounter converts a decoded wire counter; a null or absent one decodes
+// empty.
+func (w *gcounterWire) gcounter() *GCounter {
 	c := NewGCounter()
-	if err := json.Unmarshal(data, c); err != nil {
+	if w == nil || len(w.Counts) == 0 {
+		return c
+	}
+	c.slots = make([]slot, 0, len(w.Counts))
+	for r, n := range w.Counts {
+		c.slots = append(c.slots, slot{r, n})
+	}
+	slices.SortFunc(c.slots, func(a, b slot) int { return strings.Compare(a.replica, b.replica) })
+	return c
+}
+
+func unmarshalGCounterJSON(data []byte) (*GCounter, error) {
+	var w gcounterWire
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
 	}
-	if c.Counts == nil {
-		c.Counts = make(map[string]int64)
-	}
-	return c, nil
+	return w.gcounter(), nil
 }
 
 // UnmarshalPNCounter decodes a stored PN-Counter.
@@ -249,17 +352,11 @@ func UnmarshalPNCounter(data []byte) (*PNCounter, error) {
 }
 
 func unmarshalPNCounterJSON(data []byte) (*PNCounter, error) {
-	c := NewPNCounter()
-	if err := json.Unmarshal(data, c); err != nil {
+	var w pncounterWire
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
 	}
-	if c.P == nil || c.P.Counts == nil {
-		c.P = NewGCounter()
-	}
-	if c.N == nil || c.N.Counts == nil {
-		c.N = NewGCounter()
-	}
-	return c, nil
+	return &PNCounter{P: w.P.gcounter(), N: w.N.gcounter()}, nil
 }
 
 // UnmarshalLWWRegister decodes a stored LWW register.

@@ -141,18 +141,17 @@ func cloneG(c *GCounter) *GCounter {
 }
 
 func equalG(a, b *GCounter) bool {
-	if len(a.Counts) != len(b.Counts) {
-		// Zero entries may differ structurally; compare semantically.
-	}
+	// Zero entries may differ structurally; compare semantically.
+	ac, bc := countsOf(a), countsOf(b)
 	keys := map[string]bool{}
-	for k := range a.Counts {
+	for k := range ac {
 		keys[k] = true
 	}
-	for k := range b.Counts {
+	for k := range bc {
 		keys[k] = true
 	}
 	for k := range keys {
-		if a.Counts[k] != b.Counts[k] {
+		if ac[k] != bc[k] {
 			return false
 		}
 	}

@@ -3,24 +3,27 @@ package crdt
 // Native fuzz targets for the JSON round-trips. The statecache gossip and
 // write-behind paths decode lattice state that came off the wire or out of
 // the kvstore, so the decoders must (a) never panic on arbitrary bytes,
-// (b) always return a usable value on success — no nil maps that would
-// crash the next Inc/Add — and (c) be stable: decode(encode(decode(x)))
-// reproduces the same state bytes. Each target is also differential: a
-// decoded value's AppendJSON matches json.Marshal, and whenever a counter
-// scanner accepts an input it decodes what encoding/json decodes.
+// (b) always return a usable value on success — no nil maps or counters
+// that would crash the next Inc/Add — and (c) be stable:
+// decode(encode(decode(x))) reproduces the same state bytes. Each target
+// is also differential: a decoded value's AppendJSON matches json.Marshal
+// (of a counter's map-shaped twin), and whenever a counter scanner accepts
+// an input it decodes what encoding/json decodes. FuzzMergeOutcome holds
+// the counters' Merge reports to their encodings.
 
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"reflect"
 	"testing"
 )
 
 // checkMatchesEncodingJSON fails t unless v encodes exactly as json.Marshal
-// encodes it.
+// encodes it (a counter's map-shaped twin, see mapShaped).
 func checkMatchesEncodingJSON(t *testing.T, v interface{ AppendJSON([]byte) []byte }) {
 	t.Helper()
-	want, err := json.Marshal(v)
+	want, err := json.Marshal(mapShaped(v))
 	if err != nil {
 		t.Fatalf("json.Marshal: %v", err)
 	}
@@ -64,7 +67,7 @@ func FuzzUnmarshalGCounter(f *testing.F) {
 			return
 		}
 		checkMatchesEncodingJSON(t, c)
-		c.Inc("fuzz", 1) // must not panic: maps are always initialized
+		c.Inc("fuzz", 1) // must not panic
 		c.Merge(c)       // self-merge is the identity
 		before := c.Value()
 		rt, err := UnmarshalGCounter(Marshal(c))
@@ -178,5 +181,119 @@ func FuzzUnmarshalORSet(f *testing.F) {
 		if !bytes.Equal(Marshal(rt), Marshal(s)) {
 			t.Fatal("decoded set minted a different tag than the original")
 		}
+	})
+}
+
+// gcounterFromBytes decodes a G-Counter from fuzzer bytes: each byte is one
+// slot, its high bits picking one of eight replicas (so two counters hold
+// disjoint, overlapping or equal replica sets) and its low bits a count in
+// [-3, 12] (zero slots and the negative counts a stored counter may carry
+// included; a repeated replica keeps its last count). An empty input
+// gives a nil slot list when nilList is set, an empty one otherwise.
+func gcounterFromBytes(data []byte, nilList bool) *GCounter {
+	if len(data) == 0 && nilList {
+		return &GCounter{}
+	}
+	counts := map[string]int64{}
+	for _, b := range data {
+		counts[string(rune('a'+b>>4&7))] = int64(b&0x0f) - 3
+	}
+	return gcounterOf(counts)
+}
+
+// pncounterFromBytes splits data in half for the P and N counters.
+func pncounterFromBytes(data []byte, nilList bool) *PNCounter {
+	h := len(data) / 2
+	return &PNCounter{P: gcounterFromBytes(data[:h], nilList), N: gcounterFromBytes(data[h:], nilList)}
+}
+
+// mergeRef is the map-based join Merge must match: pointwise max, with a
+// replica c lacks taken over only when its count is positive.
+func mergeRef(c, other *GCounter) map[string]int64 {
+	ref := countsOf(c)
+	for r, n := range countsOf(other) {
+		if n > ref[r] {
+			if ref == nil {
+				ref = map[string]int64{}
+			}
+			ref[r] = n
+		}
+	}
+	return ref
+}
+
+// checkGCounterRef fails t unless got holds exactly the counts of want,
+// with strictly ascending replicas and a nil slot list only for a nil map.
+func checkGCounterRef(t *testing.T, got *GCounter, want map[string]int64) {
+	t.Helper()
+	if (got.slots == nil) != (want == nil) || !maps.Equal(countsOf(got), want) {
+		t.Fatalf("merged counts %v (nil %v), map reference %v (nil %v)",
+			countsOf(got), got.slots == nil, want, want == nil)
+	}
+	for i := 1; i < len(got.slots); i++ {
+		if got.slots[i-1].replica >= got.slots[i].replica {
+			t.Fatalf("slots out of order: %v", got.slots)
+		}
+	}
+}
+
+// FuzzMergeOutcome holds the counters' Merge reports to their encodings:
+// changed is false exactly when the receiver's AppendJSON bytes are
+// unchanged, and equal is true exactly when they now equal other's. The
+// joined counts must match a map-based pointwise-max reference, and other
+// must be left as it was.
+func FuzzMergeOutcome(f *testing.F) {
+	f.Add(false, uint8(0), []byte{}, []byte{})                                 // empty, empty
+	f.Add(false, uint8(1), []byte{}, []byte{})                                 // nil, empty
+	f.Add(false, uint8(2), []byte{}, []byte{})                                 // empty, nil
+	f.Add(false, uint8(3), []byte{}, []byte{})                                 // nil, nil
+	f.Add(true, uint8(1), []byte{}, []byte{0x03})                              // zero slot into nil lists
+	f.Add(false, uint8(0), []byte{0x05, 0x17}, []byte{0x06, 0x17})             // equal sets, one dominated slot
+	f.Add(false, uint8(0), []byte{0x05, 0x17}, []byte{0x28, 0x33})             // disjoint sets
+	f.Add(false, uint8(0), []byte{0x05, 0x17, 0x29}, []byte{0x13, 0x2f, 0x3f}) // overlapping sets
+	f.Add(true, uint8(0), []byte{0x05, 0x13, 0x24, 0x36}, []byte{0x05, 0x13, 0x24, 0x36})
+	f.Add(true, uint8(3), []byte{0x01, 0x12}, []byte{0x0f, 0x03, 0x30, 0x44})
+	f.Fuzz(func(t *testing.T, pn bool, nils uint8, x, y []byte) {
+		// Bit 0 of nils makes the receiver's empty slot lists nil, bit 1
+		// other's.
+		cNil, oNil := nils&1 != 0, nils&2 != 0
+		var c, other interface{ AppendJSON([]byte) []byte }
+		var merge func() (bool, bool)
+		var check func()
+		if pn {
+			cc, oc := pncounterFromBytes(x, cNil), pncounterFromBytes(y, oNil)
+			wantP, wantN := mergeRef(cc.P, oc.P), mergeRef(cc.N, oc.N)
+			c, other, merge = cc, oc, func() (bool, bool) { return cc.Merge(oc) }
+			check = func() {
+				checkGCounterRef(t, cc.P, wantP)
+				checkGCounterRef(t, cc.N, wantN)
+				if changed, equal := cc.Merge(cc); changed || !equal {
+					t.Fatalf("self-merge reported changed %v, equal %v", changed, equal)
+				}
+			}
+		} else {
+			cc, oc := gcounterFromBytes(x, cNil), gcounterFromBytes(y, oNil)
+			want := mergeRef(cc, oc)
+			c, other, merge = cc, oc, func() (bool, bool) { return cc.Merge(oc) }
+			check = func() {
+				checkGCounterRef(t, cc, want)
+				if changed, equal := cc.Merge(cc); changed || !equal {
+					t.Fatalf("self-merge reported changed %v, equal %v", changed, equal)
+				}
+			}
+		}
+		before, otherBytes := Marshal(c), Marshal(other)
+		changed, equal := merge()
+		after := Marshal(c)
+		if changed == bytes.Equal(before, after) {
+			t.Fatalf("changed = %v, but %s became %s", changed, before, after)
+		}
+		if equal != bytes.Equal(after, otherBytes) {
+			t.Fatalf("equal = %v, but the join %s vs other %s", equal, after, otherBytes)
+		}
+		if !bytes.Equal(Marshal(other), otherBytes) {
+			t.Fatalf("merge modified other: %s became %s", otherBytes, Marshal(other))
+		}
+		check()
 	})
 }

@@ -65,3 +65,60 @@ func BenchmarkEntryRefresh(b *testing.B) {
 		e.refresh(&buf)
 	}
 }
+
+// BenchmarkEntryMerge measures entry.merge of two 8-replica PN-counters
+// with equal replica sets and a warm scratch buffer, one sub-benchmark per
+// merge outcome:
+//
+//   - noop: the incoming state is dominated, so the digest is kept;
+//   - dominated: the incoming state is one increment ahead, so the join
+//     equals it and its digest is taken;
+//   - concurrent: each side is one increment ahead on its own replica, so
+//     the join is re-encoded and re-digested.
+//
+// The incoming entry is advanced and refreshed inside the timed loop in
+// the last two, as a live peer's fresh digest would be. CI requires every
+// outcome to stay at 0 allocs/op.
+func BenchmarkEntryMerge(b *testing.B) {
+	pair := func() (e, other *entry, buf []byte) {
+		e, other = newEntry(KindPNCounter), newEntry(KindPNCounter)
+		for i := 0; i < 8; i++ {
+			r := fmt.Sprintf("vm-%d#%d", i, i+1)
+			e.pn.Add(r, int64(i-4))
+			other.pn.Add(r, int64(i-4))
+		}
+		e.refresh(&buf)
+		other.refresh(&buf)
+		return e, other, buf
+	}
+	b.Run("noop", func(b *testing.B) {
+		e, other, buf := pair()
+		e.pn.Add("vm-0#1", 1)
+		e.refresh(&buf)
+		b.ReportAllocs()
+		for b.Loop() {
+			e.merge(other, &buf)
+		}
+	})
+	b.Run("dominated", func(b *testing.B) {
+		e, other, buf := pair()
+		var obuf []byte
+		b.ReportAllocs()
+		for b.Loop() {
+			other.pn.Add("vm-7#8", 1)
+			other.refresh(&obuf)
+			e.merge(other, &buf)
+		}
+	})
+	b.Run("concurrent", func(b *testing.B) {
+		e, other, buf := pair()
+		var obuf []byte
+		b.ReportAllocs()
+		for b.Loop() {
+			e.pn.Add("vm-0#1", 1)
+			other.pn.Add("vm-7#8", 1)
+			other.refresh(&obuf)
+			e.merge(other, &buf)
+		}
+	})
+}

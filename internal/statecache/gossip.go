@@ -49,6 +49,12 @@ type entry struct {
 	// sharedReg marks a register borrowed from the cluster's Preload
 	// template; the entry must clone it before any mutation (unshare).
 	sharedReg bool
+
+	// rawDigest marks a digest unmarshalEntry took over stored bytes that
+	// need not be the canonical encoding of the decoded state. It is still
+	// sound to compare (unequal bytes only cost a merge), but merge must
+	// not assign it to another entry.
+	rawDigest bool
 }
 
 // unshare gives a preloaded entry its own register before a mutating
@@ -170,9 +176,8 @@ func scanEntry(data []byte) *entry {
 	if !ok {
 		return nil
 	}
-	lastWrite, err := strconv.ParseInt(string(stamp), 10, 64)
-	var canon [20]byte
-	if err != nil || string(strconv.AppendInt(canon[:0], lastWrite, 10)) != string(stamp) {
+	lastWrite, n, ok := crdt.ScanCanonicalInt(stamp, 64)
+	if !ok || n != len(stamp) {
 		return nil // not the digits AppendInt writes: leading zeros, a sign, ...
 	}
 	e.lastWrite = sim.Time(lastWrite)
@@ -208,8 +213,11 @@ func unmarshalEntry(data []byte) (*entry, error) {
 	// decoded from them: for canonically encoded input (everything encode
 	// produces) the hash and footprint are identical, and a non-canonical
 	// encoding only makes the hash conservatively unequal — the comparison
-	// consumers skip work on equality, so that stays sound.
+	// consumers skip work on equality, so that stays sound. Merge never
+	// adopts such a digest (rawDigest), since equal state would then be
+	// assigned unequal hashes.
 	e.digest(env.State)
+	e.rawDigest = true
 	return e, nil
 }
 
@@ -243,23 +251,43 @@ func (e *entry) refresh(buf *[]byte) int64 {
 // merge joins other into e, returning the footprint change; buf is the
 // refresh scratch. Kinds must match (the caller's key addressed a
 // different lattice otherwise).
+//
+// The lattice's Merge reports what the join did to e's encoding, which
+// usually spares the re-encode: a join that changed nothing keeps e's
+// digest, and a join that made e encode exactly as other takes other's
+// digest, since equal bytes hash equal. Both shortcuts leave e exactly as
+// refresh would, so digests stay the hash of the canonical encoding
+// (TestEntryDigestIsCanonical). Keeping needs a digest that is current:
+// e digested (a fresh entry's bytes include the envelope overhead, so 0
+// means never) and not stale. Taking needs other's to be canonical: a
+// fresh live entry's or scanEntry's, not one unmarshalEntry took over raw
+// bytes.
 func (e *entry) merge(other *entry, buf *[]byte) int64 {
 	if other.kind != e.kind {
 		panic(fmt.Sprintf("statecache: merging %v into %v", other.kind, e.kind))
 	}
+	var changed, equal bool
 	switch e.kind {
 	case KindGCounter:
-		e.g.Merge(other.g)
+		changed, equal = e.g.Merge(other.g)
 	case KindPNCounter:
-		e.pn.Merge(other.pn)
+		changed, equal = e.pn.Merge(other.pn)
 	case KindRegister:
 		e.unshare()
-		e.reg.Merge(other.reg)
+		changed, equal = e.reg.Merge(other.reg)
 	case KindSet:
-		e.set.Merge(other.set)
+		changed, equal = e.set.Merge(other.set)
 	}
 	if other.lastWrite > e.lastWrite {
 		e.lastWrite = other.lastWrite
+	}
+	switch {
+	case !changed && e.bytes != 0 && !e.stale:
+		return 0
+	case equal && !other.stale && !other.rawDigest:
+		old := e.bytes
+		e.hash, e.bytes, e.stale = other.hash, other.bytes, false
+		return e.bytes - old
 	}
 	return e.refresh(buf)
 }
