@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/crdt"
@@ -104,17 +105,11 @@ func parseFaaSScaleMsg(s string) (faasScaleMsg, error) {
 	return m, nil
 }
 
-// faasScaleKey is fmt.Sprintf("evt/%07d", n) with one allocation.
-func faasScaleKey(n uint64) string {
-	var digits [20]byte
-	d := strconv.AppendUint(digits[:0], n, 10)
-	var buf [24]byte
-	b := append(buf[:0], "evt/"...)
-	for i := len(d); i < 7; i++ {
-		b = append(b, '0')
-	}
-	return string(append(b, d...))
-}
+// faasScaleKeys is the handlers' key table, rendered on first use so that
+// processes which never run faasscale pay no setup time or memory for it.
+var faasScaleKeys = sync.OnceValue(func() []string {
+	return renderKeys("evt/%07d", faasScaleKeySpace)
+})
 
 // faasScaleResult is one provisioned-concurrency level's measurement.
 type faasScaleResult struct {
@@ -144,6 +139,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 	value := make([]byte, faasScaleValueBytes)
 	completed := 0
 	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
+	keys := faasScaleKeys()
 
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p, node := ctx.Proc(), ctx.Node()
@@ -156,7 +152,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 			if err != nil {
 				return nil, err
 			}
-			key := faasScaleKey(uint64(m.Seq) * 2654435761 % faasScaleKeySpace)
+			key := keys[uint64(m.Seq)*2654435761%faasScaleKeySpace]
 			if _, err := c.DDB.Put(p, node, key, value); err != nil {
 				return nil, err
 			}

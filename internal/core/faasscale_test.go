@@ -80,8 +80,8 @@ func TestFaaSScaleTable(t *testing.T) {
 // TestFaaSScaleMsgMatchesEncodingJSON pins the hand codec behind the
 // faasscale message path: appendJSON must emit json.Marshal's bytes (the
 // body length is metered and transferred), parseFaaSScaleMsg must invert
-// it and reject every other form, and faasScaleKey must render fmt's
-// zero-padded key.
+// it and reject every other form, and faasScaleKeys must hold fmt's
+// zero-padded keys.
 func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 	msgs := []faasScaleMsg{
 		{},
@@ -112,14 +112,13 @@ func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("parseFaaSScaleMsg(%s) = %+v, want an error for a non-canonical body", body, m)
 		}
 	}
-	for n := uint64(0); n < faasScaleKeySpace; n++ {
-		if got, want := faasScaleKey(n), fmt.Sprintf("evt/%07d", n); got != want {
-			t.Fatalf("faasScaleKey(%d) = %q, want %q", n, got, want)
-		}
+	keys := faasScaleKeys()
+	if len(keys) != faasScaleKeySpace {
+		t.Fatalf("faasScaleKeys() has %d keys, want %d", len(keys), faasScaleKeySpace)
 	}
-	for _, n := range []uint64{9_999_999, 10_000_000, 123_456_789, 1 << 40, math.MaxUint64} {
-		if got, want := faasScaleKey(n), fmt.Sprintf("evt/%07d", n); got != want {
-			t.Errorf("faasScaleKey(%d) = %q, want %q", n, got, want)
+	for n, got := range keys {
+		if want := fmt.Sprintf("evt/%07d", n); got != want {
+			t.Fatalf("faasScaleKeys()[%d] = %q, want %q", n, got, want)
 		}
 	}
 }

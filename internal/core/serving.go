@@ -95,6 +95,10 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p, node := ctx.Proc(), ctx.Node()
+		ev, err := faas.DecodeSQSEvent(payload)
+		if err != nil {
+			return nil, err
+		}
 		model := compiled
 		if fetchModel {
 			obj, err := c.S3.Get(p, node, "models/dirty-words")
@@ -102,10 +106,6 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 				return nil, err
 			}
 			model = wordfilter.Parse(obj.Data)
-		}
-		ev, err := faas.DecodeSQSEvent(payload)
-		if err != nil {
-			return nil, err
 		}
 		batch := -1
 		var cleaned []string

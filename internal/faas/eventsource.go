@@ -16,7 +16,7 @@ type SQSRecord struct {
 }
 
 // SQSEvent is the payload shape delivered to SQS-triggered functions.
-// EncodeSQSEvent and DecodeSQSEvent (sqsjson.go) convert between message
+// AppendSQSEvent and DecodeSQSEvent (sqsjson.go) convert between message
 // batches and payload bytes.
 type SQSEvent struct {
 	Records []SQSRecord `json:"records"`
@@ -26,7 +26,9 @@ type SQSEvent struct {
 // function, modeling Lambda's SQS trigger: each poller long-polls the
 // queue, pushes its batch through the mapping pipeline, invokes
 // synchronously, and deletes the batch only on success (failures reappear
-// after the visibility timeout).
+// after the visibility timeout). Each poller encodes every batch into the
+// same payload buffer, which the Handler contract makes safe: a payload is
+// valid only until the handler returns.
 type EventSourceMapping struct {
 	pf        *Platform
 	q         *queue.Queue
@@ -75,7 +77,9 @@ func (e *EventSourceMapping) Pollers() int { return e.pollers }
 func (e *EventSourceMapping) Stop() { e.stopped = true }
 
 func (e *EventSourceMapping) run(p *sim.Proc) {
-	var receipts []string // reused across the poller's batches
+	// Reused across the poller's batches.
+	var payload []byte
+	var receipts []string
 	for !e.stopped {
 		msgs, err := e.q.Receive(p, e.pf.ctlNode, e.batchSize, e.idleWait)
 		if err != nil || len(msgs) == 0 {
@@ -83,7 +87,8 @@ func (e *EventSourceMapping) run(p *sim.Proc) {
 		}
 		// Mapping pipeline delay between poll and invocation.
 		p.Sleep(e.pf.cfg.ESMDispatchDelay.Sample(e.pf.rng))
-		_, _, invErr := e.pf.Invoke(p, e.fnName, EncodeSQSEvent(msgs))
+		payload = AppendSQSEvent(payload[:0], msgs)
+		_, _, invErr := e.pf.Invoke(p, e.fnName, payload)
 		if invErr != nil {
 			continue // not deleted; visibility timeout will redeliver
 		}

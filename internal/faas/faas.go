@@ -43,6 +43,11 @@ const PayloadLimit = 6 * 1024 * 1024
 // blocking work must go through ctx (compute) or the simulated services
 // (I/O), using ctx.Node() as the network caller so that traffic shares the
 // host VM's NIC with co-located functions.
+//
+// The payload is valid only until the handler returns: the caller may
+// reuse its buffer for the next invocation (an event-source poller does).
+// A handler that keeps any of it must copy it, or decode it first —
+// DecodeSQSEvent's result never aliases the payload.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Function is a registered function.
@@ -274,7 +279,9 @@ type Report struct {
 // Invoke synchronously executes the named function, blocking the caller
 // through routing overhead, container acquisition, execution, and response.
 // It returns the handler's response, an execution report, and an error
-// (handler error, ErrTimeout, or a platform error).
+// (handler error, ErrTimeout, or a platform error). The handler may read
+// payload only until it returns, so the caller may reuse the buffer once
+// Invoke does.
 func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Report, error) {
 	fn, ok := pf.functions[name]
 	if !ok {

@@ -332,7 +332,7 @@ func TestSQSEventRoundTrip(t *testing.T) {
 		{ID: "m1", Receipt: "r1", Body: []byte("hello")},
 		{ID: "m2", Receipt: "r2", Body: []byte("world")},
 	}
-	ev, err := DecodeSQSEvent(EncodeSQSEvent(msgs))
+	ev, err := DecodeSQSEvent(AppendSQSEvent(nil, msgs))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -9,12 +9,15 @@ package faas
 // encoding/json verbatim for anything else (control characters, the
 // HTML-escaped <, >, &, non-ASCII, unexpected layout), so the payload
 // bytes (and therefore every metered size and golden trace) are identical
-// by construction. The fast decoder copies the payload once: each decoded
-// field is a substring of that one string, except a field with escapes,
-// which gets a single exactly-sized copy of its own.
+// by construction. The encoder appends into a caller-owned buffer, so a
+// poller reuses one payload buffer across batches; the fast decoder
+// unescapes every field into one string and allocates the records once,
+// and never aliases the payload.
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 
 	"repro/internal/queue"
@@ -48,11 +51,13 @@ func appendQuoted[T string | []byte](b []byte, s T) []byte {
 	return append(b, '"')
 }
 
-// EncodeSQSEvent serializes messages into an invocation payload.
-func EncodeSQSEvent(msgs []queue.Message) []byte {
+// AppendSQSEvent appends messages' invocation payload to dst and returns
+// the extended buffer. A caller that reuses one buffer across batches
+// (dst[:0]) allocates only when a batch outgrows it.
+func AppendSQSEvent(dst []byte, msgs []queue.Message) []byte {
 	for _, m := range msgs {
 		if !fastEncodable(m.ID) || !fastEncodable(m.Receipt) || !fastEncodable(m.Body) {
-			return encodeSQSEventSlow(msgs)
+			return append(dst, encodeSQSEventSlow(msgs)...)
 		}
 	}
 	size := len(`{"records":[]}`)
@@ -60,7 +65,7 @@ func EncodeSQSEvent(msgs []queue.Message) []byte {
 		size += len(`{"messageId":"","receiptHandle":"","body":""},`) +
 			len(m.ID) + len(m.Receipt) + len(m.Body) + 8
 	}
-	b := make([]byte, 0, size)
+	b := slices.Grow(dst, size)
 	b = append(b, `{"records":[`...)
 	for i, m := range msgs {
 		if i > 0 {
@@ -89,7 +94,9 @@ func encodeSQSEventSlow(msgs []queue.Message) []byte {
 	return b
 }
 
-// DecodeSQSEvent parses an invocation payload back into an event.
+// DecodeSQSEvent parses an invocation payload back into an event. The
+// event never aliases payload, so it stays intact after the payload's
+// buffer is reused.
 func DecodeSQSEvent(payload []byte) (SQSEvent, error) {
 	if ev, ok := decodeSQSEventFast(payload); ok {
 		return ev, nil
@@ -99,55 +106,58 @@ func DecodeSQSEvent(payload []byte) (SQSEvent, error) {
 	return ev, err
 }
 
-// decodeSQSEventFast parses exactly the layout EncodeSQSEvent's fast path
+// recordStart opens every record in the layout AppendSQSEvent's fast path
+// emits. Inside a string every quote is escaped, so in a well-formed
+// payload each occurrence opens a record.
+const recordStart = `{"messageId":`
+
+// decodeSQSEventFast parses exactly the layout AppendSQSEvent's fast path
 // emits. Any deviation — stray whitespace, reordered fields, an escape
 // other than \" or \\, a control or non-ASCII byte, trailing bytes —
 // reports !ok and the caller falls back to encoding/json, so hand-built
 // payloads still decode.
 //
-// The payload is copied into a string once; every field without escapes
-// is a substring of that copy, and a field with escapes is unescaped into
-// one exactly-sized string.
-func decodeSQSEventFast(payload []byte) (SQSEvent, bool) {
+// It allocates twice: the records, at the length counted up front, and
+// one string builder sized to the payload that every field is unescaped
+// into. Each field is a substring of the builder's contents, which only
+// grow, so earlier fields stay valid as later ones are written.
+func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 	var ev SQSEvent
-	p := string(payload)
 	i, n := 0, len(p)
 	eat := func(lit string) bool {
-		if !strings.HasPrefix(p[i:], lit) {
+		if n-i < len(lit) || string(p[i:i+len(lit)]) != lit {
 			return false
 		}
 		i += len(lit)
 		return true
 	}
+	var sb strings.Builder
 	str := func() (string, bool) {
 		if i >= n || p[i] != '"' {
 			return "", false
 		}
 		i++
-		start, escapes := i, 0
+		start, run := sb.Len(), i
 		for i < n {
-			switch p[i] {
-			case '"':
-				raw := p[start:i]
+			switch c := p[i]; {
+			case c == '"':
+				sb.Write(p[run:i])
 				i++
-				if escapes == 0 {
-					return raw, true
-				}
-				return unescapeQuoted(raw, len(raw)-escapes), true
-			case '\\':
+				return sb.String()[start:], true
+			case c == '\\':
 				// Only the two escapes the fast encoder emits; anything
 				// else falls back to encoding/json.
 				if i+1 >= n || (p[i+1] != '"' && p[i+1] != '\\') {
 					return "", false
 				}
-				escapes++
+				sb.Write(p[run:i])
+				run = i + 1 // the escaped byte starts the next run
 				i += 2
-			default:
+			case c < 0x20 || c >= 0x80:
 				// encoding/json rejects raw control bytes and rewrites
 				// invalid UTF-8; leave both, and all non-ASCII, to it.
-				if p[i] < 0x20 || p[i] >= 0x80 {
-					return "", false
-				}
+				return "", false
+			default:
 				i++
 			}
 		}
@@ -156,14 +166,16 @@ func decodeSQSEventFast(payload []byte) (SQSEvent, bool) {
 	if !eat(`{"records":[`) {
 		return ev, false
 	}
-	if p[i:] == `]}` {
+	if string(p[i:]) == `]}` {
 		ev.Records = []SQSRecord{}
 		return ev, true
 	}
-	for {
-		var r SQSRecord
+	ev.Records = make([]SQSRecord, bytes.Count(p[i:], []byte(recordStart)))
+	sb.Grow(n)
+	for k := range ev.Records {
+		r := &ev.Records[k]
 		var ok bool
-		if !eat(`{"messageId":`) {
+		if !eat(recordStart) {
 			return ev, false
 		}
 		if r.MessageID, ok = str(); !ok {
@@ -184,28 +196,9 @@ func decodeSQSEventFast(payload []byte) (SQSEvent, bool) {
 		if !eat(`}`) {
 			return ev, false
 		}
-		ev.Records = append(ev.Records, r)
-		if eat(`,`) {
-			continue
+		if k < len(ev.Records)-1 && !eat(`,`) {
+			return ev, false
 		}
-		if eat(`]}`) && i == n {
-			return ev, true
-		}
-		return ev, false
 	}
-}
-
-// unescapeQuoted drops the backslash of every \" and \\ escape in raw, a
-// string literal's contents that holds only those escapes, into a string of
-// the given (already counted) length.
-func unescapeQuoted(raw string, size int) string {
-	var sb strings.Builder
-	sb.Grow(size)
-	for j := 0; j < len(raw); j++ {
-		if raw[j] == '\\' {
-			j++
-		}
-		sb.WriteByte(raw[j])
-	}
-	return sb.String()
+	return ev, len(ev.Records) > 0 && eat(`]}`) && i == n
 }

@@ -2,10 +2,16 @@ package faas
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/pricing"
 	"repro/internal/queue"
+	"repro/internal/sim"
+	"repro/internal/simrand"
 )
 
 // TestSQSEventCodecMatchesEncodingJSON pins the fast codec's contract: for
@@ -28,7 +34,7 @@ func TestSQSEventCodecMatchesEncodingJSON(t *testing.T) {
 		{{ID: "", Receipt: "", Body: nil}},
 	}
 	for i, msgs := range cases {
-		got := EncodeSQSEvent(msgs)
+		got := AppendSQSEvent(nil, msgs)
 		ev := SQSEvent{Records: make([]SQSRecord, len(msgs))}
 		for j, m := range msgs {
 			ev.Records[j] = SQSRecord{MessageID: m.ID, Receipt: m.Receipt, Body: string(m.Body)}
@@ -92,13 +98,25 @@ func FuzzDecodeSQSEvent(f *testing.F) {
 		{{ID: "q", Receipt: "r", Body: []byte("ünïcode ☃")}},
 		{{ID: "", Receipt: "", Body: nil}},
 	} {
-		f.Add(EncodeSQSEvent(msgs))
+		f.Add(AppendSQSEvent(nil, msgs))
 	}
 	f.Add([]byte(`{"records":[]}{"messageId":"m","receiptHandle":"r","body":"b"}]}`))
 	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"A\/"}]}`))
 	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"b"}] }`))
 	f.Add([]byte("{\"records\":[{\"messageId\":\"\xff\",\"receiptHandle\":\"r\",\"body\":\"b\"}]}"))
 	f.Add([]byte(`{"records":null}`))
+	// Multi-record batches whose bodies carry escapes, the faasscale shape.
+	for _, msgs := range [][]queue.Message{
+		escapedBatch(3),
+		escapedBatch(queue.MaxBatch),
+		{
+			{ID: "q-1", Receipt: "rcpt-q-1", Body: []byte(`\`)},
+			{ID: `q"2`, Receipt: `r\2`, Body: []byte(`"`)},
+			{ID: "q-3", Receipt: "rcpt-q-3", Body: nil},
+		},
+	} {
+		f.Add(AppendSQSEvent(nil, msgs))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got, gotErr := DecodeSQSEvent(payload)
 		var want SQSEvent
@@ -110,4 +128,112 @@ func FuzzDecodeSQSEvent(f *testing.F) {
 			t.Fatalf("DecodeSQSEvent = %+v, encoding/json = %+v", got, want)
 		}
 	})
+}
+
+// escapedBatch returns n messages whose bodies, like faasscale's JSON
+// bodies, carry quote escapes, one with a backslash as well.
+func escapedBatch(n int) []queue.Message {
+	msgs := make([]queue.Message, n)
+	for i := range msgs {
+		msgs[i] = queue.Message{
+			ID:      fmt.Sprintf("faasscale-in-%d", i+1),
+			Receipt: fmt.Sprintf("rcpt-faasscale-in-%d", i+1),
+			Body:    fmt.Appendf(nil, `{"seq":%d,"sent":%d,"path":"a\\b"}`, i, 1_000_000*i),
+		}
+	}
+	return msgs
+}
+
+// TestDecodedEventOutlivesPayload: DecodeSQSEvent's records must not
+// alias the payload, so overwriting the payload buffer — what a poller
+// does with the next batch — leaves every decoded field unchanged, on the
+// fast path and the encoding/json fallback alike.
+func TestDecodedEventOutlivesPayload(t *testing.T) {
+	for _, msgs := range [][]queue.Message{
+		escapedBatch(queue.MaxBatch),
+		{{ID: "q-1", Receipt: "r-1", Body: []byte("plain")}, {ID: "q-2", Receipt: "r-2", Body: []byte("ünïcode")}},
+	} {
+		payload := AppendSQSEvent(nil, msgs)
+		ev, err := DecodeSQSEvent(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 'X'
+		}
+		for i, r := range ev.Records {
+			m := msgs[i]
+			if r.MessageID != m.ID || r.Receipt != m.Receipt || r.Body != string(m.Body) {
+				t.Errorf("record %d changed with its payload: %+v, want %s %s %s", i, r, m.ID, m.Receipt, m.Body)
+			}
+		}
+	}
+}
+
+// TestEventSourceReusesPayloadBuffer: a handler that keeps its decoded
+// records across batches must find them intact while the poller encodes
+// later batches into the same payload buffer, and the poller must in fact
+// reuse it.
+func TestEventSourceReusesPayloadBuffer(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	qsvc := queue.NewService("sqs", f.net, 9, simrand.New(41), queue.DefaultConfig(),
+		pricing.Fall2018(), f.meter)
+	q := qsvc.CreateQueue("in", 2*time.Minute)
+	const n = 30
+	var kept []SQSRecord
+	buffers := make(map[*byte]int) // payload backing array -> batches it carried
+	f.pf.Register(Function{Name: "keep", MemoryMB: 256, Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
+		ev, err := DecodeSQSEvent(payload)
+		if err != nil {
+			return nil, err
+		}
+		buffers[&payload[0]]++
+		kept = append(kept, ev.Records...)
+		return nil, nil
+	}})
+	esm := f.pf.MapQueue(q, "keep", 3)
+	want := make(map[string]string) // message ID -> body
+	f.k.Spawn("producer", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			body := fmt.Sprintf(`{"job":%d,"note":"say \"%s\""}`, i, strings.Repeat("x", i))
+			id, err := q.Send(p, f.caller, []byte(body))
+			if err != nil {
+				t.Errorf("Send: %v", err)
+			}
+			want[id] = body
+			p.Sleep(time.Second)
+		}
+		p.Sleep(time.Minute)
+		esm.Stop()
+	})
+	f.k.RunUntil(5 * time.Minute)
+	if len(kept) != n {
+		t.Fatalf("kept %d records, want %d", len(kept), n)
+	}
+	for _, r := range kept {
+		if body, ok := want[r.MessageID]; !ok || r.Body != body || !strings.HasPrefix(r.Receipt, "rcpt-in-") {
+			t.Errorf("kept record %+v corrupted; want body %q", r, body)
+		}
+	}
+	reused := false
+	for _, batches := range buffers {
+		reused = reused || batches > 1
+	}
+	if !reused {
+		t.Errorf("the poller used a new payload buffer for each of %d batches", len(buffers))
+	}
+}
+
+// BenchmarkDecodeSQSEvent decodes a full 10-record batch whose bodies all
+// carry escapes: the records and one builder holding every field are the
+// only allocations.
+func BenchmarkDecodeSQSEvent(b *testing.B) {
+	payload := AppendSQSEvent(nil, escapedBatch(queue.MaxBatch))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSQSEvent(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

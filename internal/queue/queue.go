@@ -103,18 +103,30 @@ func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
 		visibility: visibility,
 		inflight:   make(map[string]*stored),
 	}
+	q.vis = s.fe.Net().Kernel().NewTimer(q.expire)
 	s.queues[name] = q
 	return q
 }
 
 // Queue is one named message queue.
+//
+// Visibility deadlines are kept in receipt order in the hidden FIFO, and
+// only its head is scheduled: the queue's single timer vis is armed at the
+// head's deadline exactly when the FIFO is non-empty. Because visibility
+// is fixed per queue, deadlines never decrease along the FIFO, and each
+// entry's sim.Deadline is the (time, sequence) place its own timer would
+// have taken at receipt, so expiries fire in the same total event order as
+// one timer per delivery would.
 type Queue struct {
 	svc        *Service
 	name       string
 	rcptPrefix string // "rcpt-" + name, the receipt handle's stem
 	visibility time.Duration
-	available  []*stored
+	available  sim.Ring[*stored]
 	inflight   map[string]*stored // by receipt
+	hidden     sim.Ring[visEntry] // deliveries in receipt order; the head is live
+	vis        *sim.Timer         // armed at the head's deadline
+	free       []*stored          // acknowledged records awaiting reuse
 	waiters    []*pollWaiter
 	idle       []*pollWaiter // recycled long-poll wait state
 	nextID     int64
@@ -127,12 +139,22 @@ type stored struct {
 	attempts int
 	// receipt is the current delivery's handle, the in-flight map key.
 	receipt string
-	// vis is the message's visibility timer, created on its first receipt
-	// and re-armed on every redelivery. It is active while the message is
-	// in flight; Delete stops it, so acknowledged messages leave the
-	// kernel queue immediately instead of firing a dead reappear event.
-	vis *sim.Timer
+	// delivery is the receipt number of the message's latest delivery (0
+	// before the first and once acknowledged). A visEntry is live only
+	// while its delivery matches, so an entry left behind by an ack never
+	// matches the record again, even once it is recycled.
+	delivery int64
 }
+
+// visEntry is one delivery's visibility deadline.
+type visEntry struct {
+	due      sim.Deadline
+	m        *stored
+	delivery int64
+}
+
+// live reports whether the entry's delivery is still in flight.
+func (e *visEntry) live() bool { return e.m.delivery == e.delivery }
 
 // pollWaiter is one long poller's wait state: a latch the arrival path or
 // the poll's deadline timer releases. Waiters are recycled through the
@@ -156,7 +178,7 @@ func formatID(prefix string, n int64) string {
 func (q *Queue) Name() string { return q.name }
 
 // Depth reports the number of immediately receivable messages.
-func (q *Queue) Depth() int { return len(q.available) }
+func (q *Queue) Depth() int { return q.available.Len() }
 
 // InFlight reports the number of received-but-undeleted messages.
 func (q *Queue) InFlight() int { return len(q.inflight) }
@@ -221,13 +243,20 @@ func (q *Queue) admit(p *sim.Proc, caller *netsim.Node, bodies ...[]byte) error 
 
 // enqueue stores a copy of body as a new receivable message and returns its
 // ID. The caller wakes long pollers once the whole request is enqueued.
+// The message record is recycled from an acknowledged one when it can be;
+// the body never is, because received Messages alias it.
 func (q *Queue) enqueue(body []byte) string {
 	q.nextID++
-	m := &stored{
-		id:   formatID(q.name, q.nextID),
-		body: append([]byte(nil), body...),
+	var m *stored
+	if n := len(q.free); n > 0 {
+		m = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		m = &stored{}
 	}
-	q.available = append(q.available, m)
+	m.id = formatID(q.name, q.nextID)
+	m.body = append([]byte(nil), body...)
+	q.available.Push(m)
 	return m.id
 }
 
@@ -263,7 +292,7 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 	service := fe.SampleOp()
 	fe.InLeg(p, caller, service/2)
 	deadline := p.Now() + wait
-	for len(q.available) == 0 && p.Now() < deadline {
+	for q.available.Len() == 0 && p.Now() < deadline {
 		w := q.waiter(p.Kernel())
 		q.waiters = append(q.waiters, w)
 		w.timer.ResetAt(deadline)
@@ -272,15 +301,15 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 		q.dropWaiter(w)
 		q.idle = append(q.idle, w)
 	}
-	msgs := make([]Message, 0, min(max, len(q.available)))
-	for len(msgs) < max && len(q.available) > 0 {
-		m := q.available[0]
-		q.available = q.available[1:]
+	msgs := make([]Message, 0, min(max, q.available.Len()))
+	for len(msgs) < max && q.available.Len() > 0 {
+		m := q.available.Pop()
 		q.nextRcpt++
 		m.receipt = formatID(q.rcptPrefix, q.nextRcpt)
+		m.delivery = q.nextRcpt
 		m.attempts++
 		q.inflight[m.receipt] = m
-		q.scheduleReappear(p.Kernel(), m)
+		q.hide(p.Kernel(), m)
 		msgs = append(msgs, Message{
 			ID:       m.id,
 			Body:     m.body,
@@ -322,30 +351,60 @@ func (q *Queue) dropWaiter(w *pollWaiter) {
 	}
 }
 
-// scheduleReappear arms the in-flight message's visibility timer: when it
-// fires the undeleted message becomes receivable again (the at-least-once
-// contract). Delete cancels the timer, so a normally acknowledged message
-// costs the kernel no dead event. The timer is created on the first
-// receipt and re-armed on each redelivery; it is never active here, so
-// Reset takes a fresh sequence number exactly as a new timer would.
-func (q *Queue) scheduleReappear(k *sim.Kernel, m *stored) {
-	if m.vis == nil {
-		m.vis = k.NewTimer(func() {
-			delete(q.inflight, m.receipt)
-			q.available = append(q.available, m)
-			q.wakeWaiters(1)
-		})
+// hide starts the in-flight message's visibility timeout: its deadline
+// joins the FIFO, and arms the queue's timer if it is the only one.
+// Reserving the deadline takes a sequence number here, at receipt, as
+// scheduling a timer of its own would.
+func (q *Queue) hide(k *sim.Kernel, m *stored) {
+	due := k.DeadlineAfter(q.visibility)
+	q.hidden.Push(visEntry{due: due, m: m, delivery: m.delivery})
+	if q.hidden.Len() == 1 {
+		q.vis.ResetTo(due)
 	}
-	m.vis.Reset(q.visibility)
 }
 
-// ack removes a receipt's message from the in-flight set, cancelling its
-// visibility timer. Unknown receipts (already expired and redelivered) are
-// ignored, matching SQS.
+// expire fires at the head delivery's deadline: the undeleted message
+// becomes receivable again (the at-least-once contract). One delivery
+// expires per firing; a later one due at the same instant fires at its own
+// place in the event order, after anything scheduled between the two
+// receipts.
+func (q *Queue) expire() {
+	m := q.hidden.Pop().m
+	delete(q.inflight, m.receipt)
+	q.available.Push(m)
+	q.wakeWaiters(1)
+	q.rearm()
+}
+
+// rearm drops acknowledged deliveries from the head of the FIFO, then arms
+// the timer at the first live deadline, or stops it when none is left.
+func (q *Queue) rearm() {
+	for q.hidden.Len() > 0 && !q.hidden.Peek().live() {
+		q.hidden.Pop()
+	}
+	if q.hidden.Len() == 0 {
+		q.vis.Stop()
+		return
+	}
+	q.vis.ResetTo(q.hidden.Peek().due)
+}
+
+// ack removes a receipt's message from the in-flight set and recycles its
+// record. Its FIFO entry goes stale in place; if it was the head, the
+// timer moves on to the next live deadline, so an acknowledged message
+// costs the kernel no dead event. Unknown receipts (already expired and
+// redelivered) are ignored, matching SQS.
 func (q *Queue) ack(receipt string) {
-	if m, ok := q.inflight[receipt]; ok {
-		m.vis.Stop()
-		delete(q.inflight, receipt)
+	m, ok := q.inflight[receipt]
+	if !ok {
+		return
+	}
+	delete(q.inflight, receipt)
+	head := q.hidden.Peek().m == m
+	*m = stored{}
+	q.free = append(q.free, m)
+	if head {
+		q.rearm()
 	}
 }
 

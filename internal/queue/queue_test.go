@@ -2,6 +2,8 @@ package queue
 
 import (
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,12 +23,17 @@ type fixture struct {
 
 func newFixture(t testing.TB, visibility time.Duration) *fixture {
 	t.Helper()
+	return newFixtureWith(t, visibility, netsim.DefaultLatency(), DefaultConfig())
+}
+
+func newFixtureWith(t testing.TB, visibility time.Duration, lat netsim.LatencyProfile, cfg Config) *fixture {
+	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
 	rng := simrand.New(11)
-	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
+	net := netsim.NewNetwork(k, rng.Fork(), lat)
 	meter := &pricing.Meter{}
-	svc := NewService("sqs", net, 9, rng.Fork(), DefaultConfig(), pricing.Fall2018(), meter)
+	svc := NewService("sqs", net, 9, rng.Fork(), cfg, pricing.Fall2018(), meter)
 	caller := net.NewNode("caller", 0, netsim.Mbps(538))
 	return &fixture{k: k, svc: svc, q: svc.CreateQueue("jobs", visibility), caller: caller, meter: meter}
 }
@@ -290,7 +297,7 @@ func TestArrivalWakeUpSkipsTimedOutWaiter(t *testing.T) {
 	f.k.At(sim.Time(500*time.Millisecond), func() {
 		deadA.Release() // what A's deadline timer does
 		// What a message arrival does, before A has resumed/dropped:
-		f.q.available = append(f.q.available, &stored{id: "m", body: []byte("x")})
+		f.q.available.Push(&stored{id: "m", body: []byte("x")})
 		f.q.wakeWaiters(1)
 		if !liveB.Released() {
 			t.Error("arrival wake-up absorbed by timed-out waiter; live long-poller left sleeping")
@@ -459,4 +466,201 @@ func BenchmarkQueueMessageCycle(b *testing.B) {
 		b.StopTimer()
 	})
 	f.k.Run()
+}
+
+// newInstantFixture is newFixture with every network and service latency
+// zero, so a request's effects land at the instant it is issued and a
+// delivery's receipt time is the time Receive returns.
+func newInstantFixture(t testing.TB, visibility time.Duration) *fixture {
+	t.Helper()
+	zero := simrand.Const(0)
+	return newFixtureWith(t, visibility, netsim.LatencyProfile{SameHost: zero, SameRack: zero, CrossRack: zero},
+		Config{OpLatency: zero, NICBps: netsim.Gbps(400)})
+}
+
+// visModel is the reference semantics of visibility timeouts: every
+// delivery not acknowledged by receipt + visibility makes its message
+// receivable again at exactly that instant, deliveries expiring in receipt
+// order; an acknowledged message never reappears.
+type visModel struct {
+	visibility time.Duration
+	available  []string            // message IDs, receive order
+	inflight   map[string]*visCase // by current receipt
+	order      []*visCase          // every delivery, receipt order
+	attempts   map[string]int
+	acked      map[string]bool
+	expiries   []visExpiry // expected, in firing order
+}
+
+type visCase struct {
+	id      string
+	receipt string
+	due     sim.Time
+	done    bool // acknowledged or expired
+}
+
+type visExpiry struct {
+	at sim.Time
+	id string
+}
+
+// advance expires every in-flight delivery due by now, in receipt order.
+func (m *visModel) advance(now sim.Time) {
+	for len(m.order) > 0 && m.order[0].due <= now {
+		d := m.order[0]
+		m.order = m.order[1:]
+		if d.done {
+			continue
+		}
+		d.done = true
+		delete(m.inflight, d.receipt)
+		m.available = append(m.available, d.id)
+		m.expiries = append(m.expiries, visExpiry{d.due, d.id})
+	}
+}
+
+// TestVisibilityMatchesReferenceModel drives one queue through random
+// sends, batch receives, acknowledgements (current receipts out of order,
+// stale receipts of expired deliveries, repeated acks) and expiries with
+// redelivery, and checks each against visModel. The queue's timer is
+// wrapped to log every expiry, so redelivery times are checked exactly,
+// and recycled message records must never expire at a stale deadline.
+// Driver steps fall on 100ms boundaries and deadlines between them, while
+// each receipt instant may hold several deliveries: expiries at one
+// instant must keep their receipt order.
+func TestVisibilityMatchesReferenceModel(t *testing.T) {
+	const visibility = time.Second + 50*time.Millisecond
+	for seed := uint64(1); seed <= 20; seed++ {
+		f := newInstantFixture(t, visibility)
+		q := f.q
+		var got []visExpiry
+		q.vis = f.k.NewTimer(func() {
+			got = append(got, visExpiry{f.k.Now(), q.hidden.Peek().m.id})
+			q.expire()
+		})
+		m := &visModel{
+			visibility: visibility,
+			inflight:   make(map[string]*visCase),
+			attempts:   make(map[string]int),
+			acked:      make(map[string]bool),
+		}
+		rng := rand.New(rand.NewPCG(seed, 0))
+		var receipts []string // every receipt ever handed out
+		var pendingAfterDrain int
+
+		receive := func(p *sim.Proc, max int) {
+			msgs, err := q.Receive(p, f.caller, max, 0)
+			if err != nil {
+				t.Fatalf("seed %d: Receive: %v", seed, err)
+			}
+			want := m.available[:min(max, len(m.available))]
+			if len(msgs) != len(want) {
+				t.Fatalf("seed %d at %v: received %d messages, model has %d available",
+					seed, p.Now(), len(msgs), len(want))
+			}
+			for i, msg := range msgs {
+				if msg.ID != want[i] || m.acked[msg.ID] {
+					t.Fatalf("seed %d at %v: received %s (acked %v), want %s",
+						seed, p.Now(), msg.ID, m.acked[msg.ID], want[i])
+				}
+				m.attempts[msg.ID]++
+				if msg.Attempts != m.attempts[msg.ID] {
+					t.Fatalf("seed %d: %s attempts = %d, want %d", seed, msg.ID, msg.Attempts, m.attempts[msg.ID])
+				}
+				d := &visCase{id: msg.ID, receipt: msg.Receipt, due: p.Now() + visibility}
+				m.inflight[msg.Receipt] = d
+				m.order = append(m.order, d)
+				receipts = append(receipts, msg.Receipt)
+			}
+			m.available = m.available[len(msgs):]
+		}
+		ack := func(p *sim.Proc, batch []string) {
+			if len(batch) == 1 && rng.IntN(2) == 0 {
+				q.Delete(p, f.caller, batch[0])
+			} else if err := q.DeleteBatch(p, f.caller, batch); err != nil {
+				t.Fatalf("seed %d: DeleteBatch: %v", seed, err)
+			}
+			for _, r := range batch {
+				if d, ok := m.inflight[r]; ok {
+					d.done = true
+					delete(m.inflight, r)
+					m.acked[d.id] = true
+				}
+			}
+		}
+		check := func(p *sim.Proc) {
+			if q.Depth() != len(m.available) || q.InFlight() != len(m.inflight) {
+				t.Fatalf("seed %d at %v: depth %d in flight %d, model %d and %d",
+					seed, p.Now(), q.Depth(), q.InFlight(), len(m.available), len(m.inflight))
+			}
+		}
+
+		f.k.Spawn("driver", func(p *sim.Proc) {
+			for step := 0; step < 300; step++ {
+				p.Sleep(time.Duration(1+rng.IntN(6)) * 100 * time.Millisecond)
+				m.advance(p.Now())
+				check(p)
+				switch op := rng.IntN(10); {
+				case op < 3:
+					bodies := make([][]byte, 1+rng.IntN(4))
+					for i := range bodies {
+						bodies[i] = []byte{byte(step)}
+					}
+					ids, err := q.SendBatch(p, f.caller, bodies)
+					if err != nil {
+						t.Fatalf("seed %d: SendBatch: %v", seed, err)
+					}
+					m.available = append(m.available, ids...)
+				case op < 6:
+					// Several receives in one instant share a deadline.
+					for n := 1 + rng.IntN(3); n > 0; n-- {
+						receive(p, 1+rng.IntN(MaxBatch))
+					}
+				default:
+					// Any receipts, in any order: current ones ack,
+					// expired and already-acked ones are no-ops.
+					if len(receipts) == 0 {
+						continue
+					}
+					batch := make([]string, 1+rng.IntN(min(MaxBatch, len(receipts))))
+					for i := range batch {
+						batch[i] = receipts[rng.IntN(len(receipts))]
+					}
+					ack(p, batch)
+				}
+				check(p)
+			}
+			// Drain: ack every current delivery, then receive and ack
+			// everything still receivable.
+			var current []string
+			for r := range m.inflight {
+				current = append(current, r)
+			}
+			slices.Sort(current)
+			for len(current) > 0 {
+				n := min(MaxBatch, len(current))
+				ack(p, current[:n])
+				current = current[n:]
+			}
+			for len(m.available) > 0 {
+				before := len(receipts)
+				receive(p, MaxBatch)
+				ack(p, receipts[before:])
+			}
+			check(p)
+			pendingAfterDrain = f.k.Pending()
+		})
+		f.k.Run()
+		m.advance(f.k.Now())
+		if !slices.Equal(got, m.expiries) {
+			t.Fatalf("seed %d: expiries\n %v\nwant\n %v", seed, got, m.expiries)
+		}
+		if len(got) == 0 {
+			t.Errorf("seed %d: no delivery expired; the test exercises nothing", seed)
+		}
+		if pendingAfterDrain != 0 || q.vis.Active() {
+			t.Errorf("seed %d: %d events pending after the last ack (timer active %v), want 0",
+				seed, pendingAfterDrain, q.vis.Active())
+		}
+	}
 }

@@ -62,7 +62,7 @@ type Kernel struct {
 	// order. Together they form one logical queue totally ordered by
 	// (at, seq) — see nextIsRQ.
 	events eventHeap
-	rq     ring[rqEntry]
+	rq     Ring[rqEntry]
 
 	// allProcs is every Proc ever created, so Close can unwind the live
 	// ones and return every coroutine to the pool; freeProcs is the subset
@@ -100,7 +100,7 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of scheduled events (stopped timers leave the
 // queue immediately and are not counted).
-func (k *Kernel) Pending() int { return k.events.len() + k.rq.len() }
+func (k *Kernel) Pending() int { return k.events.len() + k.rq.Len() }
 
 // LiveProcs reports the number of processes that have been spawned and have
 // not yet exited (parked processes count as live).
@@ -130,7 +130,7 @@ func (k *Kernel) After(d Time, fn func()) {
 func (k *Kernel) schedule(t Time, fn func(), proc *Proc) {
 	k.seq++
 	if t <= k.now {
-		k.rq.push(rqEntry{seq: k.seq, fn: fn, proc: proc})
+		k.rq.Push(rqEntry{seq: k.seq, fn: fn, proc: proc})
 		return
 	}
 	k.events.push(t, k.seq, fn, proc)
@@ -179,7 +179,7 @@ func (k *Kernel) nextIsRQ() bool {
 		return true
 	}
 	top := &k.events.arena[k.events.min()]
-	return top.at > k.now || top.seq > k.rq.peek().seq
+	return top.at > k.now || top.seq > k.rq.Peek().seq
 }
 
 // RunUntil executes events with timestamps <= until (all events if until is
@@ -193,12 +193,12 @@ func (k *Kernel) RunUntil(until Time) Time {
 	for {
 		var fn func()
 		var proc *Proc
-		if k.rq.len() > 0 && k.nextIsRQ() {
+		if k.rq.Len() > 0 && k.nextIsRQ() {
 			// Run-queue entries are due at the current time.
 			if until >= 0 && k.now > until {
 				break
 			}
-			e := k.rq.pop()
+			e := k.rq.Pop()
 			fn, proc = e.fn, e.proc
 		} else if k.events.len() > 0 {
 			s := k.events.min()

@@ -140,12 +140,12 @@ func (p *Proc) cycle() {
 // sleep interval.
 func (p *Proc) park() {
 	k := p.k
-	if k.rq.len() > 0 {
+	if k.rq.Len() > 0 {
 		if k.nextIsRQ() {
 			// Run-queue head is due at the current time; no clock
 			// advance and the RunUntil bound already admits now.
-			if e := k.rq.peek(); e.proc == p {
-				k.rq.pop()
+			if e := k.rq.Peek(); e.proc == p {
+				k.rq.Pop()
 				return
 			}
 		}
@@ -174,7 +174,7 @@ func (p *Proc) park() {
 func (p *Proc) wake() {
 	k := p.k
 	k.seq++
-	k.rq.push(rqEntry{seq: k.seq, proc: p})
+	k.rq.Push(rqEntry{seq: k.seq, proc: p})
 }
 
 // wakeAt schedules this process to resume at absolute time t.

@@ -1,20 +1,21 @@
 package sim
 
-// ring is a growable FIFO over a power-of-two circular buffer. Capacity is
-// retained across drain/fill cycles, so steady-state push/pop allocates
-// nothing — the property the kernel run queue and Queue buffers rely on for
-// the zero-allocation hot path.
-type ring[T any] struct {
+// Ring is a growable FIFO over a power-of-two circular buffer. Capacity is
+// retained across drain/fill cycles, so steady-state Push/Pop allocates
+// nothing — the property the kernel run queue, the Queue and Resource
+// buffers, and the SQS simulator's message and visibility queues rely on
+// for their zero-allocation hot paths. The zero value is an empty ring.
+type Ring[T any] struct {
 	buf  []T
 	head int
 	n    int
 }
 
-// len reports the number of buffered elements.
-func (r *ring[T]) len() int { return r.n }
+// Len reports the number of buffered elements.
+func (r *Ring[T]) Len() int { return r.n }
 
-// push appends v at the tail, growing the buffer if full.
-func (r *ring[T]) push(v T) {
+// Push appends v at the tail, growing the buffer if full.
+func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -22,8 +23,8 @@ func (r *ring[T]) push(v T) {
 	r.n++
 }
 
-// pop removes and returns the head element. It panics on an empty ring.
-func (r *ring[T]) pop() T {
+// Pop removes and returns the head element. It panics on an empty ring.
+func (r *Ring[T]) Pop() T {
 	if r.n == 0 {
 		panic("sim: pop from empty ring")
 	}
@@ -35,16 +36,17 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
-// peek returns a pointer to the head element without removing it.
-func (r *ring[T]) peek() *T {
+// Peek returns a pointer to the head element without removing it. It
+// panics on an empty ring.
+func (r *Ring[T]) Peek() *T {
 	if r.n == 0 {
 		panic("sim: peek on empty ring")
 	}
 	return &r.buf[r.head]
 }
 
-// at returns a pointer to the i-th element from the head (0-based).
-func (r *ring[T]) at(i int) *T {
+// At returns a pointer to the i-th element from the head (0-based).
+func (r *Ring[T]) At(i int) *T {
 	if i < 0 || i >= r.n {
 		panic("sim: ring index out of range")
 	}
@@ -52,7 +54,7 @@ func (r *ring[T]) at(i int) *T {
 }
 
 // grow doubles the buffer (minimum 8), compacting elements to the front.
-func (r *ring[T]) grow() {
+func (r *Ring[T]) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
 		size = 8

@@ -6,23 +6,23 @@ import (
 )
 
 func TestRingFIFOAcrossWrap(t *testing.T) {
-	var r ring[int]
+	var r Ring[int]
 	next, expect := 0, 0
 	// Push/pop in a skewed pattern so head travels around the buffer.
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 3; i++ {
-			r.push(next)
+			r.Push(next)
 			next++
 		}
 		for i := 0; i < 2; i++ {
-			if got := r.pop(); got != expect {
+			if got := r.Pop(); got != expect {
 				t.Fatalf("pop = %d, want %d", got, expect)
 			}
 			expect++
 		}
 	}
-	for r.len() > 0 {
-		if got := r.pop(); got != expect {
+	for r.Len() > 0 {
+		if got := r.Pop(); got != expect {
 			t.Fatalf("drain pop = %d, want %d", got, expect)
 		}
 		expect++
@@ -33,35 +33,35 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 }
 
 func TestRingPeekAndAt(t *testing.T) {
-	var r ring[string]
-	r.push("a")
-	r.push("b")
-	r.push("c")
-	r.pop()
-	r.push("d")
-	if *r.peek() != "b" {
-		t.Errorf("peek = %q, want b", *r.peek())
+	var r Ring[string]
+	r.Push("a")
+	r.Push("b")
+	r.Push("c")
+	r.Pop()
+	r.Push("d")
+	if *r.Peek() != "b" {
+		t.Errorf("peek = %q, want b", *r.Peek())
 	}
 	for i, want := range []string{"b", "c", "d"} {
-		if got := *r.at(i); got != want {
+		if got := *r.At(i); got != want {
 			t.Errorf("at(%d) = %q, want %q", i, got, want)
 		}
 	}
 }
 
 func TestRingReusesCapacity(t *testing.T) {
-	var r ring[int]
+	var r Ring[int]
 	for i := 0; i < 4; i++ {
-		r.push(i)
+		r.Push(i)
 	}
 	grown := len(r.buf)
 	// Many full drain/fill cycles at the same depth must not regrow.
 	for cycle := 0; cycle < 1000; cycle++ {
-		for r.len() > 0 {
-			r.pop()
+		for r.Len() > 0 {
+			r.Pop()
 		}
 		for i := 0; i < 4; i++ {
-			r.push(i)
+			r.Push(i)
 		}
 	}
 	if len(r.buf) != grown {

@@ -101,9 +101,9 @@ func (f *Promise[T]) Get(p *Proc) T {
 // re-slicing (and eventually reallocating) its way through memory.
 type Queue[T any] struct {
 	cap     int
-	items   ring[T]
-	getters ring[*Proc]
-	putters ring[*Proc]
+	items   Ring[T]
+	getters Ring[*Proc]
+	putters Ring[*Proc]
 	closed  bool
 }
 
@@ -113,7 +113,7 @@ func NewQueue[T any](capacity int) *Queue[T] {
 }
 
 // Len reports the number of buffered items.
-func (q *Queue[T]) Len() int { return q.items.len() }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
@@ -124,12 +124,12 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	if q.cap > 0 && q.items.len() >= q.cap {
+	if q.cap > 0 && q.items.Len() >= q.cap {
 		return false
 	}
-	q.items.push(v)
-	if q.getters.len() > 0 {
-		q.getters.pop().wake()
+	q.items.Push(v)
+	if q.getters.Len() > 0 {
+		q.getters.Pop().wake()
 	}
 	return true
 }
@@ -137,7 +137,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 // Put appends an item, blocking the calling process while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
 	for !q.TryPut(v) {
-		q.putters.push(p)
+		q.putters.Push(p)
 		p.park()
 		if q.closed {
 			panic("sim: Put on closed Queue")
@@ -147,13 +147,13 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 
 // TryGet removes and returns the head item if one is buffered.
 func (q *Queue[T]) TryGet() (T, bool) {
-	if q.items.len() == 0 {
+	if q.items.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items.pop()
-	if q.putters.len() > 0 {
-		q.putters.pop().wake()
+	v := q.items.Pop()
+	if q.putters.Len() > 0 {
+		q.putters.Pop().wake()
 	}
 	return v, true
 }
@@ -170,7 +170,7 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 			var zero T
 			return zero, false
 		}
-		q.getters.push(p)
+		q.getters.Push(p)
 		p.park()
 	}
 }
@@ -182,11 +182,11 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for q.getters.len() > 0 {
-		q.getters.pop().wake()
+	for q.getters.Len() > 0 {
+		q.getters.Pop().wake()
 	}
-	for q.putters.len() > 0 {
-		q.putters.pop().wake()
+	for q.putters.Len() > 0 {
+		q.putters.Pop().wake()
 	}
 }
 
@@ -195,7 +195,7 @@ func (q *Queue[T]) Close() {
 type Resource struct {
 	capacity int
 	inUse    int
-	waiters  ring[*Proc]
+	waiters  Ring[*Proc]
 }
 
 // NewResource returns a resource with the given number of slots.
@@ -213,7 +213,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // Waiting returns the number of processes queued for a slot.
-func (r *Resource) Waiting() int { return r.waiters.len() }
+func (r *Resource) Waiting() int { return r.waiters.Len() }
 
 // TryAcquire claims a slot without blocking, reporting success.
 func (r *Resource) TryAcquire() bool {
@@ -227,11 +227,11 @@ func (r *Resource) TryAcquire() bool {
 // Acquire claims a slot, blocking the calling process until one is free.
 // Admission is strictly FIFO among blocked processes.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && r.waiters.len() == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++
 		return
 	}
-	r.waiters.push(p)
+	r.waiters.Push(p)
 	p.park()
 	// Our releaser granted the slot on our behalf (inUse stays claimed).
 }
@@ -242,8 +242,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Resource released more than acquired")
 	}
-	if r.waiters.len() > 0 {
-		r.waiters.pop().wake() // slot ownership transfers; inUse unchanged
+	if r.waiters.Len() > 0 {
+		r.waiters.Pop().wake() // slot ownership transfers; inUse unchanged
 		return
 	}
 	r.inUse--
