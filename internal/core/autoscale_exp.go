@@ -82,17 +82,15 @@ func autoscaleLambda(seed uint64, rate float64, window time.Duration) (p50, p99 
 	}
 	rec := stats.NewRecorder("lambda")
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: rate})
-	completed := 0
 	gen.Run(c.K, window, func(p *sim.Proc, _ int) {
 		start := p.Now()
 		if _, _, err := c.Lambda.Invoke(p, "work", nil); err != nil {
 			panic(err)
 		}
 		rec.Add(time.Duration(p.Now() - start))
-		completed++
 	})
 	if !runKernelUntil(c.K, sim.Time(window)+sim.Time(30*time.Minute), sim.Time(10*time.Second),
-		func() bool { return completed == gen.Submitted && gen.Submitted > 0 }) {
+		func() bool { return rec.Count() == gen.Submitted && gen.Submitted > 0 }) {
 		panic("autoscale: lambda drain stalled")
 	}
 	return rec.Median(), rec.Percentile(99)
@@ -108,7 +106,6 @@ func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 tim
 		done  *sim.Latch
 	}
 	queue := sim.NewQueue[req](0)
-	completed := 0
 
 	ready := &sim.Latch{}
 	c.K.Spawn("server", func(p *sim.Proc) {
@@ -124,7 +121,6 @@ func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 tim
 						return
 					}
 					rec.Add(time.Duration(wp.Now() - r.start))
-					completed++
 					r.done.Release()
 				}
 			})
@@ -146,7 +142,7 @@ func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 tim
 		})
 	})
 	if !runKernelUntil(c.K, sim.Time(window)+sim.Time(2*time.Hour), sim.Time(30*time.Second),
-		func() bool { return submitted > 0 && completed == submitted }) {
+		func() bool { return submitted > 0 && rec.Count() == submitted }) {
 		panic("autoscale: ec2 drain stalled")
 	}
 	return rec.Median(), rec.Percentile(99)

@@ -75,8 +75,6 @@ const (
 	// ServingTargetRate is the cost analysis's offered load.
 	ServingTargetRate = 1e6 // messages per second
 
-	// ElectionClusterForCost is the cost analysis's cluster size.
-	ElectionClusterForCost = 1000
 	// LambdaLifetime is the invocation cap the 1.9% figure divides by.
 	LambdaLifetime = 15 * time.Minute
 

@@ -21,15 +21,40 @@ const (
 	ServiceRack = 9
 )
 
-// Cloud is a fully assembled simulated region: the deterministic kernel,
-// the network, the four managed services, the FaaS platform, the EC2
-// provider, direct messaging, and a single cost meter everything charges.
-type Cloud struct {
+// World is what every simulation here is built on: the deterministic
+// kernel, the seeded RNG, the network (on the RNG's first fork), the price
+// catalog and the one cost meter everything charges. A Cloud is a World
+// plus the managed services; the experiments that assemble their own
+// service mix start from a bare World.
+type World struct {
 	K       *sim.Kernel
 	RNG     *simrand.RNG
 	Net     *netsim.Network
 	Catalog *pricing.Catalog
 	Meter   *pricing.Meter
+}
+
+// NewWorld builds the kernel, RNG, network, catalog and meter for seed.
+func NewWorld(seed uint64, lat netsim.LatencyProfile) World {
+	k := sim.NewKernel()
+	rng := simrand.New(seed)
+	return World{
+		K:       k,
+		RNG:     rng,
+		Net:     netsim.NewNetwork(k, rng.Fork(), lat),
+		Catalog: pricing.Fall2018(),
+		Meter:   &pricing.Meter{},
+	}
+}
+
+// Close tears down the kernel, reaping any parked processes.
+func (w *World) Close() { w.K.Close() }
+
+// Cloud is a fully assembled simulated region: the World, the four
+// managed services, the FaaS platform, the EC2 provider and direct
+// messaging.
+type Cloud struct {
+	World
 
 	S3     *objectstore.Store
 	DDB    *kvstore.Store
@@ -46,28 +71,18 @@ func NewCloud(seed uint64) *Cloud {
 
 // NewCloudWith assembles a region with explicit configuration (ablations).
 func NewCloudWith(seed uint64, cfg Config) *Cloud {
-	k := sim.NewKernel()
-	rng := simrand.New(seed)
-	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
-	catalog := pricing.Fall2018()
-	meter := &pricing.Meter{}
+	w := NewWorld(seed, cfg.Latency)
+	net, rng, catalog, meter := w.Net, w.RNG, w.Catalog, w.Meter
 	return &Cloud{
-		K:       k,
-		RNG:     rng,
-		Net:     net,
-		Catalog: catalog,
-		Meter:   meter,
-		S3:      objectstore.New("s3", net, ServiceRack, rng.Fork(), cfg.S3, catalog, meter),
-		DDB:     kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), cfg.DDB, catalog, meter),
-		SQS:     queue.NewService("sqs", net, ServiceRack, rng.Fork(), cfg.SQS, catalog, meter),
-		Lambda:  faas.New("lambda", net, rng.Fork(), cfg.Lambda, catalog, meter),
-		EC2:     compute.NewProvider(net, rng.Fork(), cfg.EC2, catalog, meter),
-		Mesh:    msgnet.NewMesh(net, rng.Fork()),
+		World:  w,
+		S3:     objectstore.New("s3", net, ServiceRack, rng.Fork(), cfg.S3, catalog, meter),
+		DDB:    kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), cfg.DDB, catalog, meter),
+		SQS:    queue.NewService("sqs", net, ServiceRack, rng.Fork(), cfg.SQS, catalog, meter),
+		Lambda: faas.New("lambda", net, rng.Fork(), cfg.Lambda, catalog, meter),
+		EC2:    compute.NewProvider(net, rng.Fork(), cfg.EC2, catalog, meter),
+		Mesh:   msgnet.NewMesh(net, rng.Fork()),
 	}
 }
-
-// Close tears down the kernel, reaping any parked processes.
-func (c *Cloud) Close() { c.K.Close() }
 
 // ClientNode registers a client host (e.g. a measurement driver) in the
 // client rack with a 10 Gbps NIC.

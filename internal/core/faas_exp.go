@@ -137,7 +137,6 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 	inQ := c.SQS.CreateQueue("faasscale-in", 2*time.Minute)
 	rec := stats.NewRecorder("faasscale")
 	value := make([]byte, faasScaleValueBytes)
-	completed := 0
 	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
 	keys := faasScaleKeys()
 
@@ -161,7 +160,6 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 			}
 			seen[m.Seq] = true
 			rec.Add(time.Duration(p.Now() - sim.Time(m.Sent)))
-			completed++
 		}
 		return nil, nil
 	}
@@ -223,8 +221,8 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 			panic(err)
 		}
 		res.submitted = gen.Submitted
-		res.completed = completed
-		res.throughput = float64(completed) / faasScaleWindow.Seconds()
+		res.completed = rec.Count()
+		res.throughput = float64(rec.Count()) / faasScaleWindow.Seconds()
 		res.p50 = rec.Percentile(50)
 		res.p99 = rec.Percentile(99)
 		res.coldFrac = st.ColdStartRate()

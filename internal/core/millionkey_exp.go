@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/pricing"
 	"repro/internal/sim"
 	"repro/internal/simrand"
 	"repro/internal/statecache"
@@ -72,12 +71,9 @@ type millionKeyResult struct {
 // runMillionKey measures one protocol at one replica count, parameterized
 // by key count so tests and the bench smoke can scale it down.
 func runMillionKey(seed uint64, replicas, keyCount int, reconcile bool) millionKeyResult {
-	k := sim.NewKernel()
-	defer k.Close()
-	rng := simrand.New(seed)
-	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
-	meter := &pricing.Meter{}
-	catalog := pricing.Fall2018()
+	world := NewWorld(seed, netsim.DefaultLatency())
+	defer world.Close()
+	k, rng, net, catalog, meter := world.K, world.RNG, world.Net, world.Catalog, world.Meter
 	store := kvstore.New("mk-ddb", net, 9, rng.Fork(), kvstore.DefaultConfig(), catalog, meter)
 
 	sc := statecache.DefaultConfig()

@@ -84,7 +84,6 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 	}
 
 	rec := stats.NewSketch("millionuser-kv")
-	completed := 0
 	value := make([]byte, millionValueBytes)
 	pop := loadgen.NewPopulation(c.RNG.Fork(), c.RNG.Fork(), users, rate/float64(users))
 	pop.MaxProcs = millionMaxProcs
@@ -101,7 +100,6 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 			_, _ = c.DDB.Get(p, node, key, seq%4 == 1)
 		}
 		rec.Add(time.Duration(p.Now() - start))
-		completed++
 	})
 	c.K.RunUntil(sim.Time(window))
 
@@ -110,8 +108,8 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 		users:       users,
 		submitted:   pop.Submitted,
 		late:        pop.Late,
-		completed:   completed,
-		throughput:  float64(completed) / window.Seconds(),
+		completed:   rec.Count(),
+		throughput:  float64(rec.Count()) / window.Seconds(),
 		p50:         rec.Percentile(50),
 		p99:         rec.Percentile(99),
 		p999:        rec.Percentile(99.9),

@@ -57,7 +57,6 @@ func regionKey(v uint64) string {
 // regionResult is one shard count's measurement.
 type regionResult struct {
 	shards     int
-	offered    float64 // requests/second presented
 	completed  int     // requests finished inside the window
 	throughput float64 // completed / window
 	p50, p99   time.Duration
@@ -79,7 +78,6 @@ func runRegionScale(seed uint64, shards int) regionResult {
 	}
 
 	rec := stats.NewRecorder("region-kv")
-	completed := 0
 	value := make([]byte, regionValueBytes)
 	gen := loadgen.New(c.RNG.Fork(), loadgen.Poisson{Rate: regionOfferedRate})
 	gen.Run(c.K, regionWindow, func(p *sim.Proc, seq int) {
@@ -98,7 +96,6 @@ func runRegionScale(seed uint64, shards int) regionResult {
 			_, _ = c.DDB.Get(p, node, key, seq%4 == 1)
 		}
 		rec.Add(time.Duration(p.Now() - start))
-		completed++
 	})
 	c.K.RunUntil(sim.Time(regionWindow))
 
@@ -116,9 +113,8 @@ func runRegionScale(seed uint64, shards int) regionResult {
 	}
 	return regionResult{
 		shards:     shards,
-		offered:    regionOfferedRate,
-		completed:  completed,
-		throughput: float64(completed) / regionWindow.Seconds(),
+		completed:  rec.Count(),
+		throughput: float64(rec.Count()) / regionWindow.Seconds(),
 		p50:        rec.Percentile(50),
 		p99:        rec.Percentile(99),
 		hotShare:   hotShare,

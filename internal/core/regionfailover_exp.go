@@ -38,9 +38,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pricing"
 	"repro/internal/sim"
-	"repro/internal/simrand"
 	"repro/internal/statecache"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
@@ -65,16 +63,12 @@ const (
 // signal (a real client would surface it as a 5xx).
 var errRegionUnavailable = errors.New("regionfailover: required region unreachable")
 
-// rfPhase is one phase's measurements.
-type rfPhase struct {
-	phaseCount
-	rec  *stats.Recorder
-	cost pricing.USD
-}
-
-// rfResult is one variant's full measurement.
+// rfResult is one variant's full measurement. A phase's recorder holds
+// served requests only.
 type rfResult struct {
-	phases    [3]rfPhase
+	phases [3]tally
+	cost   [3]pricing.USD // metered cost incurred in each phase
+
 	egress    int64 // total inter-region bytes
 	aborted   int64 // gossip rounds severed or partition-aborted
 	rounds    int64 // gossip rounds completed
@@ -107,13 +101,10 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	window := time.Duration(float64(rfWindow) * scale)
 	partAt, partDur := window/3, window/3
 
-	k := sim.NewKernel()
-	defer k.Close()
-	rng := simrand.New(seed)
 	cfg := DefaultConfig()
-	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
-	catalog := pricing.Fall2018()
-	meter := &pricing.Meter{}
+	world := NewWorld(seed, cfg.Latency)
+	defer world.Close()
+	k, rng, net, catalog, meter := world.K, world.RNG, world.Net, world.Catalog, world.Meter
 	// Region 0 is the primary, region 1 the secondary the chaos run severs.
 	regions := []int{0, 1}
 	net.ConnectRegions(0, 1, netsim.Gbps(1), netsim.WANUniform(rfWANMean, rfWANSpread))
@@ -140,10 +131,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 		pf.AttachStateCache(cl)
 	}
 
-	var res rfResult
-	for i := range res.phases {
-		res.phases[i].rec = stats.NewRecorder("rf-" + faultPhases[i])
-	}
+	res := rfResult{phases: phaseTallies("rf-")}
 
 	value := make([]byte, rfValueBytes)
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
@@ -210,36 +198,32 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 			h := rfHash(region, seq)
 			keyIdx := int(h>>32) % rfKeys
 			payload := []byte{byte(h % 100), byte(keyIdx >> 8), byte(keyIdx)}
-			phase := faultPhase(p.Now(), window)
+			ph := &res.phases[faultPhase(p.Now(), window)]
 			start := p.Now()
 			_, _, err := pf.Invoke(p, "serve", payload)
 			switch {
 			case err == nil:
-				res.phases[phase].rec.Add(time.Duration(p.Now() - start))
-				res.phases[phase].served++
+				ph.done(time.Duration(p.Now()-start), true)
 			case errors.Is(err, errRegionUnavailable):
-				res.phases[phase].failed++
+				ph.failed++
 			default:
 				panic(err)
 			}
 		})
 	}
 
-	// Phase accountant: settle time-based billing (provisioned GB-s, cache
-	// GB-s) at each boundary and snapshot the meter, so each phase's cost
-	// is the delta it actually incurred.
-	k.Spawn("rf-phase-accountant", func(p *sim.Proc) {
-		last := pricing.USD(0)
-		for i, b := range []time.Duration{partAt, partAt + partDur, window} {
-			p.Sleep(b - time.Duration(p.Now()))
-			for _, pf := range pfs {
-				pf.AccrueProvisioned(p.Now())
-			}
-			cl.Accrue(p.Now())
-			total := meter.Total()
-			res.phases[i].cost = total - last
-			last = total
+	// Settle time-based billing (provisioned GB-s, cache GB-s) at each
+	// phase boundary and snapshot the meter, so each phase's cost is the
+	// delta it actually incurred.
+	phase, last := 0, pricing.USD(0)
+	sampleEvery(k, partAt, window, func(now sim.Time) {
+		for _, pf := range pfs {
+			pf.AccrueProvisioned(now)
 		}
+		cl.Accrue(now)
+		total := meter.Total()
+		res.cost[phase] = total - last
+		phase, last = phase+1, total
 	})
 
 	// Drain: every in-flight request and parked queue resolves well inside
@@ -350,7 +334,7 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 				FmtDur(ph.rec.Percentile(99)),
 				FmtDur(ph.rec.Percentile(99.9)),
 				fmt.Sprintf("%.2f%%", ph.availPct()),
-				fmt.Sprintf("$%.2f/hr", float64(ph.cost)/phaseDur.Hours()),
+				fmt.Sprintf("$%.2f/hr", float64(r.cost[i])/phaseDur.Hours()),
 			)
 		}
 	}

@@ -56,13 +56,10 @@ func TestRegionFailoverDeterminism(t *testing.T) {
 func TestRegionFailoverReportsAvailabilityHole(t *testing.T) {
 	res := runRegionFailover(1, true, 0.2)
 	pre, during, post := &res.phases[0], &res.phases[1], &res.phases[2]
-	availOf := func(ph *rfPhase) float64 {
-		return float64(ph.served) / float64(ph.served+ph.failed)
-	}
 	if during.failed == 0 {
 		t.Fatalf("no requests failed during the partition")
 	}
-	if a := availOf(during); a > 0.99 || a < 0.80 {
+	if a := during.availPct() / 100; a > 0.99 || a < 0.80 {
 		t.Errorf("partition-phase availability = %.4f, want a visible but partial hole", a)
 	}
 	if post.failed != 0 {

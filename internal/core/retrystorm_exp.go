@@ -44,7 +44,6 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
-	"repro/internal/pricing"
 	"repro/internal/resilience"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -116,22 +115,15 @@ func rsPolicies() []rsPolicy {
 	}
 }
 
-// rsPhaseM is one phase's measurements.
-type rsPhaseM struct {
-	phaseCount
-	rec   *stats.Recorder
-	hotQ  int // peak hot-shard admission-queue depth observed
-	poolQ int // peak client-pool backlog observed
-}
-
 // rsResult is one policy's full measurement.
 type rsResult struct {
-	phases  [3]rsPhaseM
-	cstats  resilience.Stats // client-side policy counters (shared sink)
-	gaveUp  int64            // arrivals that outwaited rsPatience
-	shed    int64            // server-side admission sheds (all shards)
-	trips   int64            // breaker trips (all shards)
-	hotCost pricing.USD      // total metered cost of the run
+	phases [3]tally
+	hotQ   [3]int           // peak hot-shard admission-queue depth per phase
+	poolQ  [3]int           // peak client-pool backlog per phase
+	cstats resilience.Stats // client-side policy counters (shared sink)
+	gaveUp int64            // arrivals that outwaited rsPatience
+	shed   int64            // server-side admission sheds (all shards)
+	trips  int64            // breaker trips (all shards)
 }
 
 // rsKey holds the key for each popularity rank, rendered once rather than
@@ -176,18 +168,15 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	window := time.Duration(float64(rsWindow) * scale)
 	faultAt, faultDur := window/3, window/3
 
-	k := sim.NewKernel()
-	defer k.Close()
-	rng := simrand.New(seed)
 	cfg := DefaultConfig()
-	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
-	catalog := pricing.Fall2018()
-	meter := &pricing.Meter{}
+	world := NewWorld(seed, cfg.Latency)
+	defer world.Close()
+	k, rng, net := world.K, world.RNG, world.Net
 
 	dcfg := cfg.DDB
 	dcfg.ShardCount = rsShards
 	dcfg.ShardConcurrency = 4
-	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, catalog, meter)
+	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, world.Catalog, world.Meter)
 	if pol.shed {
 		ddb.SetAdmission(service.AdmissionConfig{MaxQueue: rsMaxQueue})
 	}
@@ -239,10 +228,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		hosts[i] = net.NewNode(fmt.Sprintf("app-%d", i), i%ServiceRack, netsim.Gbps(10))
 	}
 
-	var res rsResult
-	for i := range res.phases {
-		res.phases[i].rec = stats.NewRecorder("rs-" + faultPhases[i])
-	}
+	res := rsResult{phases: phaseTallies("rs-")}
 
 	eng := chaos.New(k, rng.Fork())
 	eng.SlowFrontendAt(hotFE, rsSlowFactor, faultAt, faultDur)
@@ -264,8 +250,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 			// backlog; release the worker untouched.
 			pool.Release()
 			res.gaveUp++
-			ph.failed++
-			ph.rec.Add(time.Duration(p.Now() - start))
+			ph.done(time.Duration(p.Now()-start), false)
 			return
 		}
 		w := workers[len(workers)-1]
@@ -274,27 +259,15 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		err := w.cl.Do(p, ep, w.op)
 		workers = append(workers, w)
 		pool.Release()
-		ph.rec.Add(time.Duration(p.Now() - start))
-		if err == nil {
-			ph.served++
-		} else {
-			ph.failed++
-		}
+		ph.done(time.Duration(p.Now()-start), err == nil)
 	})
 
-	// Queue observer: sample the hot shard's admission queue and the
-	// client-pool backlog, keeping each phase's peak.
-	k.Spawn("rs-queue-observer", func(p *sim.Proc) {
-		for time.Duration(p.Now()) < window {
-			p.Sleep(50 * time.Millisecond)
-			ph := &res.phases[faultPhase(p.Now(), window)]
-			if q := hotFE.QueueDepth(); q > ph.hotQ {
-				ph.hotQ = q
-			}
-			if q := pool.Waiting(); q > ph.poolQ {
-				ph.poolQ = q
-			}
-		}
+	// Sample the hot shard's admission queue and the client-pool backlog,
+	// keeping each phase's peak.
+	sampleEvery(k, 50*time.Millisecond, window, func(now sim.Time) {
+		i := faultPhase(now, window)
+		res.hotQ[i] = max(res.hotQ[i], hotFE.QueueDepth())
+		res.poolQ[i] = max(res.poolQ[i], pool.Waiting())
 	})
 
 	// Drain: the pool backlog and every abandoned attempt resolve well
@@ -309,21 +282,14 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	for _, b := range brs {
 		res.trips += b.Trips()
 	}
-	res.hotCost = meter.Total()
 	return res
 }
 
-// rsTenant is one tenant class's measurement in the hot-tenant table.
-type rsTenant struct {
-	rec      *stats.Recorder
-	served   int
-	rejected int
-}
-
-// rsJailResult is one jail setting's measurement.
+// rsJailResult is one jail setting's measurement; a tenant's failed
+// requests are the ones the server rejected.
 type rsJailResult struct {
-	polite rsTenant
-	abuser rsTenant
+	polite tally
+	abuser tally
 	jailed int64 // server-side jail rejections
 }
 
@@ -339,30 +305,28 @@ const (
 func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	window := time.Duration(float64(rsJailWindow) * scale)
 
-	k := sim.NewKernel()
-	defer k.Close()
-	rng := simrand.New(seed)
 	cfg := DefaultConfig()
-	net := netsim.NewNetwork(k, rng.Fork(), cfg.Latency)
-	catalog := pricing.Fall2018()
-	meter := &pricing.Meter{}
+	world := NewWorld(seed, cfg.Latency)
+	defer world.Close()
+	k, rng, net := world.K, world.RNG, world.Net
 
 	dcfg := cfg.DDB
 	dcfg.ShardCount = 1
 	dcfg.ShardConcurrency = 4
-	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, catalog, meter)
+	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, world.Catalog, world.Meter)
 	if jail {
 		ddb.SetAdmission(service.AdmissionConfig{
 			JailWindow: 100 * time.Millisecond, JailLimit: 30,
 		})
 	}
 
-	var res rsJailResult
-	res.polite.rec = stats.NewRecorder("jail-polite")
-	res.abuser.rec = stats.NewRecorder("jail-abuser")
+	res := rsJailResult{
+		polite: tally{rec: stats.NewRecorder("jail-polite")},
+		abuser: tally{rec: stats.NewRecorder("jail-abuser")},
+	}
 
 	run := func(name string, node *netsim.Node, crng *simrand.RNG,
-		think time.Duration, out *rsTenant) {
+		think time.Duration, out *tally) {
 		k.Spawn(name, func(p *sim.Proc) {
 			for {
 				p.Sleep(time.Duration(crng.ExpFloat64() * float64(think)))
@@ -372,15 +336,11 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 				key := rsKey[int(crng.Float64()*512)]
 				start := p.Now()
 				_, err := ddb.Get(p, node, key, false)
-				out.rec.Add(time.Duration(p.Now() - start))
-				switch {
-				case err == nil || errors.Is(err, kvstore.ErrNotFound):
-					out.served++
-				case service.Overloaded(err):
-					out.rejected++
-				default:
+				served := err == nil || errors.Is(err, kvstore.ErrNotFound)
+				if !served && !service.Overloaded(err) {
 					panic(err)
 				}
+				out.done(time.Duration(p.Now()-start), served)
 			}
 		})
 	}
@@ -431,8 +391,8 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 				FmtDur(ph.rec.Percentile(50)),
 				FmtDur(ph.rec.Percentile(99)),
 				fmt.Sprintf("%.2f%%", ph.availPct()),
-				fmt.Sprintf("%d", ph.hotQ),
-				fmt.Sprintf("%d", ph.poolQ),
+				fmt.Sprintf("%d", r.hotQ[i]),
+				fmt.Sprintf("%d", r.poolQ[i]),
 			)
 		}
 		c := r.cstats
@@ -466,7 +426,7 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 		r := jres[ji]
 		for _, row := range []struct {
 			tenant string
-			m      *rsTenant
+			m      *tally
 		}{{"polite", &r.polite}, {"abuser", &r.abuser}} {
 			jt.AddRow(
 				label,
@@ -474,7 +434,7 @@ func runRetryStormTables(seed uint64, scale float64) []*Table {
 				fmt.Sprintf("%.0f", float64(row.m.served)/jailWindow.Seconds()),
 				FmtDur(row.m.rec.Percentile(50)),
 				FmtDur(row.m.rec.Percentile(99)),
-				fmt.Sprintf("%d", row.m.rejected),
+				fmt.Sprintf("%d", row.m.failed),
 			)
 		}
 	}

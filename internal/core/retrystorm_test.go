@@ -62,10 +62,7 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 	for _, pol := range pols {
 		byName[pol.name] = runRetryStorm(1, pol, 1)
 	}
-	avail := func(r rsResult, phase int) float64 {
-		ph := r.phases[phase]
-		return float64(ph.served) / float64(ph.served+ph.failed)
-	}
+	avail := func(r rsResult, phase int) float64 { return r.phases[phase].availPct() / 100 }
 	nr, nv, full := byName["no-retry"], byName["naive-retry"], byName["full-policy"]
 
 	// Healthy phase: everyone serves everything.
@@ -86,9 +83,9 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 	// The collapse spreads beyond the hot shard: the client pool backlogs
 	// (cold traffic starves) and arrivals give up, which never happens
 	// without retries.
-	if nv.gaveUp == 0 || nv.phases[1].poolQ == 0 {
+	if nv.gaveUp == 0 || nv.poolQ[1] == 0 {
 		t.Errorf("naive retries did not exhaust the client pool (gaveUp %d, peak backlog %d)",
-			nv.gaveUp, nv.phases[1].poolQ)
+			nv.gaveUp, nv.poolQ[1])
 	}
 	if nr.gaveUp != 0 {
 		t.Errorf("no-retry saw %d pool give-ups; the collapse should need retries", nr.gaveUp)
@@ -111,12 +108,12 @@ func TestRetryStormShowsMetastableCollapse(t *testing.T) {
 		t.Errorf("full policy idle: trips %d, shed %d, retries %d",
 			full.trips, full.shed, full.cstats.Retries)
 	}
-	if q := full.phases[1].hotQ; q > rsMaxQueue {
+	if q := full.hotQ[1]; q > rsMaxQueue {
 		t.Errorf("full-policy hot-shard queue peaked at %d, admission bound is %d", q, rsMaxQueue)
 	}
-	if nv.phases[2].hotQ <= nr.phases[2].hotQ/2 {
+	if nv.hotQ[2] <= nr.hotQ[2]/2 {
 		t.Errorf("naive post-heal backlog %d not deeper than no-retry's %d",
-			nv.phases[2].hotQ, nr.phases[2].hotQ)
+			nv.hotQ[2], nr.hotQ[2])
 	}
 }
 
@@ -129,14 +126,14 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 	}
 	off := runHotTenant(1, false, 0.5)
 	on := runHotTenant(1, true, 0.5)
-	if off.abuser.rejected != 0 || off.jailed != 0 {
-		t.Fatalf("jail off still rejected: abuser %d, server %d", off.abuser.rejected, off.jailed)
+	if off.abuser.failed != 0 || off.jailed != 0 {
+		t.Fatalf("jail off still rejected: abuser %d, server %d", off.abuser.failed, off.jailed)
 	}
-	if on.jailed == 0 || on.abuser.rejected == 0 {
-		t.Fatalf("jail on rejected nothing (server %d, abuser %d)", on.jailed, on.abuser.rejected)
+	if on.jailed == 0 || on.abuser.failed == 0 {
+		t.Fatalf("jail on rejected nothing (server %d, abuser %d)", on.jailed, on.abuser.failed)
 	}
-	if on.polite.rejected != 0 {
-		t.Errorf("jail caught %d polite requests; it must be per-caller", on.polite.rejected)
+	if on.polite.failed != 0 {
+		t.Errorf("jail caught %d polite requests; it must be per-caller", on.polite.failed)
 	}
 	if on.polite.served <= off.polite.served {
 		t.Errorf("jail did not raise polite throughput: %d -> %d", off.polite.served, on.polite.served)
