@@ -45,8 +45,6 @@ const (
 	millionClientNodes = 32
 	// millionValueBytes is the written record size.
 	millionValueBytes = 128
-	// millionMaxProcs caps the submission fan-out (in-flight requests).
-	millionMaxProcs = 2048
 )
 
 // millionResult is one shard count's measurement.
@@ -86,7 +84,6 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 	rec := stats.NewSketch("millionuser-kv")
 	value := make([]byte, millionValueBytes)
 	pop := loadgen.NewPopulation(c.RNG.Fork(), c.RNG.Fork(), users, rate/float64(users))
-	pop.MaxProcs = millionMaxProcs
 	pop.Run(c.K, window, func(p *sim.Proc, seq, client int) {
 		// Knuth-hash the user id onto the shared record set.
 		key := keys[uint64(client)*2654435761%millionKeySpace]
@@ -156,7 +153,7 @@ func RunMillionUser(seed uint64) []*Table {
 	t.AddNote("(%.1f req/s per user), thinned onto %d shared records; 50%% writes, 25%% consistent",
 		millionRate/float64(users), millionKeySpace)
 	t.AddNote("reads, 25%% eventual reads from %d driver hosts, fan-out capped at %d in-flight;",
-		millionClientNodes, millionMaxProcs)
+		millionClientNodes, loadgen.MaxProcs)
 	t.AddNote("latency percentiles from a fixed-memory sketch (≤1%% relative error, exact mean/extremes);")
 	t.AddNote("per-shard front end serves %d concurrent requests (~%.1fk req/s capacity each)",
 		millionShardConcurrency, float64(millionShardConcurrency)/(4.18e-3)/1000)

@@ -115,7 +115,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	dcfg := cfg.DDB
 	dcfg.ShardCount = 4
 	gt := kvstore.NewGlobal("dynamodb", net, ServiceRack, rng.Fork(), dcfg,
-		kvstore.DefaultGlobalConfig(), regions, catalog, meter)
+		regions, catalog, meter)
 	defer gt.Close()
 
 	pfs := make([]*faas.Platform, len(regions))
@@ -143,11 +143,8 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 			ctx.Cache().Counter(p, key)
 		case op < 55: // cache counter write: absorbed locally, gossiped
 			ctx.Cache().AddCounter(p, key, 1)
-		case op < 75: // eventual read against the nearest table replica
-			st, ok := gt.Nearest(ctx.Node())
-			if !ok {
-				return nil, errRegionUnavailable
-			}
+		case op < 75: // eventual read against the region's own table replica
+			st := gt.StoreIn(ctx.Node().Region())
 			if _, err := st.Get(p, ctx.Node(), key, false); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 				panic(err)
 			}
@@ -159,11 +156,8 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 			if _, err := primary.Get(p, ctx.Node(), key, true); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 				panic(err)
 			}
-		default: // global write through the nearest replica, replicated async
-			st, ok := gt.Nearest(ctx.Node())
-			if !ok {
-				return nil, errRegionUnavailable
-			}
+		default: // global write through the region's own replica, replicated async
+			st := gt.StoreIn(ctx.Node().Region())
 			if _, err := st.Put(p, ctx.Node(), key, value); err != nil {
 				panic(err)
 			}

@@ -68,14 +68,15 @@ func (st *StragglerTracker) Identify() (ids []uint64, ok bool) {
 // mixedID returns the element Identify reports for partition id.
 func mixedID(id uint64) uint64 { return recon.Mix(id) }
 
+// trackerCells sizes ExecuteResilient's straggler-tracker IBF.
+const trackerCells = 64
+
 // StragglerPolicy configures re-dispatch for ExecuteResilient.
 type StragglerPolicy struct {
 	// Patience is the coordinator's poll interval: once the work queue is
 	// drained, any partition still outstanding after a full patience window
 	// is declared a straggler.
 	Patience time.Duration
-	// Cells sizes the tracker's IBF (0 = 64).
-	Cells int
 	// Spares is how many rescue agents re-dispatch uses (0 disables rescue
 	// — the baseline that just waits for stragglers).
 	Spares int
@@ -111,13 +112,9 @@ func (ex *Executor) ExecuteResilient(p *sim.Proc, plan *Plan, workers int, pol S
 	if pol.Patience <= 0 {
 		pol.Patience = 500 * time.Millisecond
 	}
-	cells := pol.Cells
-	if cells <= 0 {
-		cells = 64
-	}
 	start := p.Now()
 	parts := plan.Job.Partitions
-	tracker := NewStragglerTracker(cells)
+	tracker := NewStragglerTracker(trackerCells)
 	rep := &RedispatchReport{DecodeOK: true}
 
 	// Partition ids are 1-based queue order; id→key for rescue dispatch.

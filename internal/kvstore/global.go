@@ -24,7 +24,6 @@ import (
 type GlobalTable struct {
 	name    string
 	net     *netsim.Network
-	gcfg    GlobalConfig
 	catalog *pricing.Catalog
 	meter   *pricing.Meter
 	regions []int
@@ -43,49 +42,29 @@ type repEntry struct {
 	origin sim.Time
 }
 
-// GlobalConfig parameterizes a multi-region table.
-type GlobalConfig struct {
-	// ShipInterval is each region's replication-shipping cadence.
-	ShipInterval time.Duration
-	// BatchOverheadBytes frames one replication batch on the wire.
-	BatchOverheadBytes int
-	// EntryOverheadBytes covers per-item stamp/versioning framing.
-	EntryOverheadBytes int
-}
-
-// DefaultGlobalConfig returns the calibrated multi-region parameters.
-func DefaultGlobalConfig() GlobalConfig {
-	return GlobalConfig{
-		ShipInterval:       200 * time.Millisecond,
-		BatchOverheadBytes: 64,
-		EntryOverheadBytes: 24,
-	}
-}
+// Calibrated multi-region replication parameters.
+const (
+	// shipInterval is each region's replication-shipping cadence.
+	shipInterval = 200 * time.Millisecond
+	// batchOverheadBytes frames one replication batch on the wire.
+	batchOverheadBytes = 64
+	// entryOverheadBytes covers per-item stamp/versioning framing.
+	entryOverheadBytes = 24
+)
 
 // NewGlobal creates one replica Store per region (named `name-r<region>`,
 // built inside that region) plus a replicator agent per region, and starts
 // the shipping processes. The regions slice orders the replica slots;
 // regions[0] is the primary consistent reads should pin to.
 func NewGlobal(name string, net *netsim.Network, rack int, rng *simrand.RNG,
-	cfg Config, gcfg GlobalConfig, regions []int,
+	cfg Config, regions []int,
 	catalog *pricing.Catalog, meter *pricing.Meter) *GlobalTable {
 	if len(regions) < 2 {
 		panic("kvstore: a global table needs at least two regions")
 	}
-	def := DefaultGlobalConfig()
-	if gcfg.ShipInterval <= 0 {
-		gcfg.ShipInterval = def.ShipInterval
-	}
-	if gcfg.BatchOverheadBytes <= 0 {
-		gcfg.BatchOverheadBytes = def.BatchOverheadBytes
-	}
-	if gcfg.EntryOverheadBytes <= 0 {
-		gcfg.EntryOverheadBytes = def.EntryOverheadBytes
-	}
 	gt := &GlobalTable{
 		name:    name,
 		net:     net,
-		gcfg:    gcfg,
 		catalog: catalog,
 		meter:   meter,
 		regions: regions,
@@ -114,11 +93,11 @@ func NewGlobal(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 		src := slot
 		// Stagger the shippers across the interval so regions do not ship
 		// in lockstep (deterministically — no RNG draw).
-		stagger := time.Duration(int64(gt.gcfg.ShipInterval) * int64(src+1) / int64(len(regions)+1))
+		stagger := time.Duration(int64(shipInterval) * int64(src+1) / int64(len(regions)+1))
 		net.Kernel().Spawn(fmt.Sprintf("%s-replicator-r%d", name, regions[slot]), func(p *sim.Proc) {
 			p.Sleep(stagger)
 			for !gt.closed {
-				p.Sleep(gt.gcfg.ShipInterval)
+				p.Sleep(shipInterval)
 				if gt.closed {
 					return
 				}
@@ -160,10 +139,10 @@ func (gt *GlobalTable) shipFrom(p *sim.Proc, src int) {
 			continue // partitioned: hold the queue, retry next tick
 		}
 		keys := make([]string, 0, len(m))
-		bytes := int64(gt.gcfg.BatchOverheadBytes)
+		bytes := int64(batchOverheadBytes)
 		for k, e := range m {
 			keys = append(keys, k)
-			bytes += int64(len(k)+len(e.value)) + int64(gt.gcfg.EntryOverheadBytes)
+			bytes += int64(len(k)+len(e.value)) + entryOverheadBytes
 		}
 		sort.Strings(keys)
 		// Take the batch before the transfer: writes landing while it is in
@@ -213,43 +192,6 @@ func (gt *GlobalTable) StoreIn(region int) *Store {
 		}
 	}
 	return nil
-}
-
-// Nearest returns the replica a client node should talk to: the one in its
-// own region when present, otherwise the reachable replica with the lowest
-// measured trunk RTT from the client's region (see
-// netsim.MeasuredTrunkRTT — passively observed from real traffic, the way
-// latency-based DNS routing measures rather than assumes). Replicas over
-// never-measured trunks rank after measured ones, in slot order, so a cold
-// table degrades to the old declaration-order behavior. ok is false when
-// no replica is reachable.
-func (gt *GlobalTable) Nearest(client *netsim.Node) (st *Store, ok bool) {
-	if local := gt.StoreIn(client.Region()); local != nil {
-		return local, true
-	}
-	bestSlot := -1
-	var bestRTT time.Duration
-	bestMeasured := false
-	for slot := range gt.stores {
-		if !gt.net.Reachable(client, gt.agents[slot]) {
-			continue
-		}
-		rtt, measured := gt.net.MeasuredTrunkRTT(client.Region(), gt.regions[slot])
-		switch {
-		case bestSlot < 0:
-			// First reachable replica: take it as the baseline.
-		case measured && !bestMeasured:
-			// A measured path beats any unmeasured guess.
-		case measured && bestMeasured && rtt < bestRTT:
-		default:
-			continue
-		}
-		bestSlot, bestRTT, bestMeasured = slot, rtt, measured
-	}
-	if bestSlot < 0 {
-		return nil, false
-	}
-	return gt.stores[bestSlot], true
 }
 
 // PendingWrites reports how many deduplicated writes are queued for

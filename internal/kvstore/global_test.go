@@ -29,7 +29,7 @@ func newGlobalFixture(t *testing.T) *globalFixture {
 	net.SetBuildRegion(0)
 	net.ConnectRegions(0, 1, netsim.Gbps(1), netsim.WANUniform(30*time.Millisecond, 2*time.Millisecond))
 	meter := &pricing.Meter{}
-	gt := NewGlobal("gdb", net, 9, rng.Fork(), DefaultConfig(), DefaultGlobalConfig(),
+	gt := NewGlobal("gdb", net, 9, rng.Fork(), DefaultConfig(),
 		[]int{0, 1}, pricing.Fall2018(), meter)
 	f := &globalFixture{k: k, net: net, gt: gt, meter: meter}
 	for r := 0; r < 2; r++ {
@@ -60,7 +60,7 @@ func TestGlobalReplicatesWrites(t *testing.T) {
 	var got Item
 	var err error
 	f.k.Spawn("reader", func(p *sim.Proc) {
-		got, err = f.gt.Store(1).Get(p, f.caller[1], "user:1", true)
+		got, err = f.gt.StoreIn(f.caller[1].Region()).Get(p, f.caller[1], "user:1", true)
 	})
 	f.k.Run()
 	if err != nil || string(got.Value) != "east" {
@@ -181,104 +181,4 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 		}
 	})
 	f.k.Run()
-}
-
-func TestGlobalNearestFailover(t *testing.T) {
-	f := newGlobalFixture(t)
-	if st, ok := f.gt.Nearest(f.caller[1]); !ok || st != f.gt.Store(1) {
-		t.Errorf("Nearest in-region: got %v ok %v", st, ok)
-	}
-	prev := f.net.SetBuildRegion(2)
-	orphan := f.net.NewNode("client-south", 0, netsim.Mbps(538))
-	f.net.SetBuildRegion(prev)
-	if _, ok := f.gt.Nearest(orphan); ok {
-		t.Errorf("Nearest found a replica for an unconnected region")
-	}
-	f.net.ConnectRegions(2, 0, netsim.Gbps(1), netsim.WANUniform(60*time.Millisecond, 2*time.Millisecond))
-	if st, ok := f.gt.Nearest(orphan); !ok || st != f.gt.Store(0) {
-		t.Errorf("Nearest failover: got %v ok %v", st, ok)
-	}
-	f.net.PartitionRegions(2, 0)
-	if _, ok := f.gt.Nearest(orphan); ok {
-		t.Errorf("Nearest reached a replica across a partition")
-	}
-	f.gt.Close()
-}
-
-// Nearest must rank remote replicas by measured trunk RTT, not by the
-// order regions were declared in: the declaration-order fallback applies
-// only to trunks that have never carried traffic.
-func TestGlobalNearestRanksByMeasuredRTT(t *testing.T) {
-	f := newGlobalFixture(t)
-	prev := f.net.SetBuildRegion(2)
-	client := f.net.NewNode("client-south", 0, netsim.Mbps(538))
-	f.net.SetBuildRegion(prev)
-	// Region 2 reaches replica region 0 over a slow trunk and replica
-	// region 1 over a fast one. Slot order would pick 0; measurement must
-	// pick 1.
-	f.net.ConnectRegions(2, 0, netsim.Gbps(1), netsim.WANUniform(60*time.Millisecond, 2*time.Millisecond))
-	f.net.ConnectRegions(2, 1, netsim.Gbps(1), netsim.WANUniform(10*time.Millisecond, 1*time.Millisecond))
-
-	// Cold table: no traffic observed on either trunk, so Nearest keeps
-	// the declaration-order fallback.
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(0) {
-		t.Errorf("cold Nearest: got %v ok %v, want slot-order Store(0)", st, ok)
-	}
-
-	// Warm both trunks passively: every cross-region delay sample is an
-	// RTT observation.
-	for i := 0; i < 8; i++ {
-		f.net.OneWayDelay(client, f.gt.Store(0).Node())
-		f.net.OneWayDelay(client, f.gt.Store(1).Node())
-	}
-	if rtt, ok := f.net.MeasuredTrunkRTT(2, 1); !ok || rtt > 25*time.Millisecond {
-		t.Fatalf("fast trunk RTT = %v ok %v, want ~20ms", rtt, ok)
-	}
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(1) {
-		t.Errorf("measured Nearest: got %v ok %v, want fast-trunk Store(1)", st, ok)
-	}
-
-	// With only the slow trunk measured, measured still beats unmeasured…
-	// (simulate by checking the failover order under partitions instead:
-	// losing the fast trunk must fail over to the slow replica, and the
-	// heal must restore the fast choice.)
-	f.net.PartitionRegions(2, 1)
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(0) {
-		t.Errorf("failover Nearest: got %v ok %v, want surviving Store(0)", st, ok)
-	}
-	f.net.PartitionRegions(2, 0)
-	if _, ok := f.gt.Nearest(client); ok {
-		t.Error("Nearest found a replica with every trunk severed")
-	}
-	f.net.HealRegions(2, 1)
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(1) {
-		t.Errorf("healed Nearest: got %v ok %v, want fast-trunk Store(1)", st, ok)
-	}
-	f.net.HealRegions(2, 0)
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(1) {
-		t.Errorf("fully healed Nearest: got %v ok %v, want fast-trunk Store(1)", st, ok)
-	}
-	// A client inside a replica region always stays local, measurements
-	// or not.
-	if st, ok := f.gt.Nearest(f.caller[0]); !ok || st != f.gt.Store(0) {
-		t.Errorf("local Nearest: got %v ok %v, want local Store(0)", st, ok)
-	}
-	f.gt.Close()
-}
-
-// A measured replica must outrank an unmeasured one even when the
-// unmeasured replica comes first in slot order.
-func TestGlobalNearestMeasuredBeatsUnmeasured(t *testing.T) {
-	f := newGlobalFixture(t)
-	prev := f.net.SetBuildRegion(2)
-	client := f.net.NewNode("client-south", 0, netsim.Mbps(538))
-	f.net.SetBuildRegion(prev)
-	f.net.ConnectRegions(2, 0, netsim.Gbps(1), netsim.WANUniform(20*time.Millisecond, 1*time.Millisecond))
-	f.net.ConnectRegions(2, 1, netsim.Gbps(1), netsim.WANUniform(80*time.Millisecond, 2*time.Millisecond))
-	// Only the *slower, later-slot* trunk has been measured.
-	f.net.OneWayDelay(client, f.gt.Store(1).Node())
-	if st, ok := f.gt.Nearest(client); !ok || st != f.gt.Store(1) {
-		t.Errorf("Nearest: got %v ok %v, want measured Store(1) over unmeasured Store(0)", st, ok)
-	}
-	f.gt.Close()
 }

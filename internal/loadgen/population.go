@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -19,28 +18,13 @@ import (
 // Population sharing a gap RNG seed with a per-arrival Generator at the
 // aggregate rate produces bit-identical arrival times — the equivalence the
 // randomized suite pins. Submission fans out over a fixed pool of MaxProcs
-// worker processes (the fan-out budget) fed in Batch-sized windows, rather
-// than one fresh process per arrival.
+// worker processes (the fan-out budget) fed in 10 ms windows, rather than
+// one fresh process per arrival.
 type Population struct {
 	gapRNG  *simrand.RNG
 	thinRNG *simrand.RNG
 	clients int
 	ratePer float64
-
-	// Weights optionally skews the thinning: client i receives a share
-	// Weights[i]/Σ Weights of the aggregate stream (per-tenant or
-	// per-shard rates). Empty means uniform. Len must equal the client
-	// count. Set before Run.
-	Weights []float64
-	// Batch is how far ahead the generator materializes arrivals per
-	// emission round (default 10ms of virtual time). Smaller batches bound
-	// queue memory; larger ones amortize generator wakeups.
-	Batch time.Duration
-	// MaxProcs caps submission fan-out: at most this many requests are in
-	// flight at once (default 1024). When all workers are busy past an
-	// arrival's time, the request still submits — late, counted in Late —
-	// so the budget bounds memory, not the workload.
-	MaxProcs int
 
 	// Submitted counts requests issued (arrivals inside the window).
 	Submitted int
@@ -49,6 +33,18 @@ type Population struct {
 	// is distorting the open loop and should be raised.
 	Late int
 }
+
+const (
+	// MaxProcs caps a Population's submission fan-out: at most this many
+	// requests are in flight at once. When all workers are busy past an
+	// arrival's time, the request still submits — late, counted in Late —
+	// so the budget bounds memory, not the workload.
+	MaxProcs = 2048
+	// popBatch is how far ahead the generator materializes arrivals per
+	// emission round. Smaller batches bound queue memory; larger ones
+	// amortize generator wakeups.
+	popBatch = 10 * time.Millisecond
+)
 
 // popArrival is one thinned arrival: its absolute time, global sequence
 // number, and assigned client.
@@ -62,7 +58,7 @@ type popArrival struct {
 // source at ratePerClient req/s. The two RNGs keep the streams aligned with
 // the per-arrival mode: gapRNG drives inter-arrival gaps exactly as a
 // Generator over Poisson{Rate: clients·ratePerClient} would consume it, and
-// thinRNG independently assigns each arrival to a client.
+// thinRNG independently assigns each arrival to a client, uniformly.
 func NewPopulation(gapRNG, thinRNG *simrand.RNG, clients int, ratePerClient float64) *Population {
 	if clients <= 0 {
 		panic("loadgen: population needs at least one client")
@@ -73,63 +69,17 @@ func NewPopulation(gapRNG, thinRNG *simrand.RNG, clients int, ratePerClient floa
 	return &Population{gapRNG: gapRNG, thinRNG: thinRNG, clients: clients, ratePer: ratePerClient}
 }
 
-// pick assigns an arrival to a client: uniform thinning, or a cumulative-
-// weight search when Weights is set.
-func (pop *Population) pick(cum []float64) int {
-	if cum == nil {
-		return pop.thinRNG.Intn(pop.clients)
-	}
-	u := pop.thinRNG.Float64() * cum[len(cum)-1]
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Run spawns the aggregated generation loop on k for `for_` of virtual
 // time, calling submit(p, seq, client) once per arrival from a pool of
 // MaxProcs worker processes. Sequence numbers follow arrival order. It
 // returns a latch that releases when the generation window ends, matching
 // Generator.Run's contract (in-flight requests may still be running).
 func (pop *Population) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim.Proc, seq, client int)) *sim.Latch {
-	var cum []float64
-	if len(pop.Weights) > 0 {
-		if len(pop.Weights) != pop.clients {
-			panic(fmt.Sprintf("loadgen: %d weights for %d clients", len(pop.Weights), pop.clients))
-		}
-		cum = make([]float64, len(pop.Weights))
-		total := 0.0
-		for i, w := range pop.Weights {
-			if w < 0 {
-				panic("loadgen: negative client weight")
-			}
-			total += w
-			cum[i] = total
-		}
-		if total <= 0 {
-			panic("loadgen: client weights sum to zero")
-		}
-	}
 	rate := pop.ratePer * float64(pop.clients)
-	batch := pop.Batch
-	if batch <= 0 {
-		batch = 10 * time.Millisecond
-	}
-	workers := pop.MaxProcs
-	if workers <= 0 {
-		workers = 1024
-	}
-
-	q := sim.NewQueue[popArrival](0) // unbounded: Batch bounds its depth
+	q := sim.NewQueue[popArrival](0) // unbounded: popBatch bounds its depth
 	doneGen := &sim.Latch{}
 
-	for w := 0; w < workers; w++ {
+	for w := 0; w < MaxProcs; w++ {
 		k.Spawn("popworker", func(wp *sim.Proc) {
 			for {
 				a, ok := q.Get(wp)
@@ -156,12 +106,12 @@ func (pop *Population) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim
 		next := p.Now() + gap()
 		seq := 0
 		for next < end {
-			bend := p.Now() + sim.Time(batch)
+			bend := p.Now() + sim.Time(popBatch)
 			if bend > end {
 				bend = end
 			}
 			for next < bend {
-				q.TryPut(popArrival{at: next, seq: seq, client: pop.pick(cum)})
+				q.TryPut(popArrival{at: next, seq: seq, client: pop.thinRNG.Intn(pop.clients)})
 				seq++
 				pop.Submitted++
 				next += gap()

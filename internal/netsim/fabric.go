@@ -67,8 +67,8 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Capacity() Bps { return l.capacity }
 
 // SetCapacity changes the link's capacity; rates of in-flight flows are
-// re-derived immediately (used by ablations that upgrade NICs mid-run).
-// Only the link's connected component is re-solved.
+// re-derived immediately. Only the link's connected component is
+// re-solved.
 //
 // A capacity of zero severs the link: water-filling hands its flows a fair
 // share of zero, so they stall in place — remaining bytes frozen — until a
@@ -300,7 +300,7 @@ func (f *Fabric) recomputeSeeded() {
 	f.advance()
 	f.completeDrained()
 	if len(f.seedLinks) > 0 {
-		f.solveComponent(f.seedLinks, nil)
+		f.solveComponent(f.seedLinks)
 	}
 	f.reschedule()
 }
@@ -336,18 +336,6 @@ func (f *Fabric) reschedule() {
 	}
 }
 
-// Rate returns the current max-min fair rate a new flow over the given links
-// would receive, without starting a transfer. It is a read-only probe: the
-// hypothetical flow is water-filled against the live component in scratch
-// space, with no attach/detach churn, no progress advance and no completion
-// timer movement.
-func (f *Fabric) Rate(links ...*Link) Bps {
-	if len(links) == 0 {
-		return 0
-	}
-	return Bps(f.solveComponent(links, links))
-}
-
 // solveComponent re-solves the connected components of links reachable from
 // seeds by progressive water-filling: repeatedly find the most constrained
 // link, freeze its flows at the fair share, remove that capacity, and
@@ -357,16 +345,9 @@ func (f *Fabric) Rate(links ...*Link) Bps {
 // neither changes the allocation — the max-min fair point is unique, and
 // every flow frozen in one round subtracts the same share, so the float
 // arithmetic is order-independent.
-//
-// With probe non-nil, a hypothetical flow over the probe links rides along:
-// it contributes to its links' demand and freezes like any other flow, but
-// no real flow's stored rate is modified. Probe links must be included in
-// seeds (Rate passes one slice as both). The return value is the probe's
-// rate (0 when probe is nil).
-func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
+func (f *Fabric) solveComponent(seeds []*Link) {
 	f.epoch++
 	epoch := f.epoch
-	readOnly := probe != nil
 
 	// Flood the component(s): links reachable from the seeds through
 	// shared flows. compLinks doubles as the BFS queue.
@@ -399,24 +380,8 @@ func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
 		l.free = float64(l.capacity)
 		l.unfrozen = int32(len(l.flowIDs))
 	}
-	var probeRate float64
-	probeFrozen := probe == nil
-	if probe != nil {
-		// The probe raises demand once per distinct link it crosses
-		// (membership is a set), like an attached flow would. Probe links
-		// are always among the seeds (Rate passes the same slice), so
-		// their scratch was initialized just above.
-		for i, l := range probe {
-			if !dupLink(probe, i) {
-				l.unfrozen++
-			}
-		}
-	}
 
 	total := len(f.compFlows)
-	if probe != nil {
-		total++
-	}
 	frozenCount := 0
 	for frozenCount < total {
 		// Find the bottleneck link: smallest fair share among links that
@@ -437,18 +402,6 @@ func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
 			// cannot happen while unfrozen flows exist on real links.
 			break
 		}
-		if !probeFrozen && containsLink(probe, bottleneck) {
-			probeFrozen = true
-			probeRate = share
-			frozenCount++
-			for _, l := range probe {
-				l.free -= share
-				if l.free < 0 {
-					l.free = 0
-				}
-				l.unfrozen--
-			}
-		}
 		for _, id := range bottleneck.flowIDs {
 			s := &f.flows[id]
 			if s.frozen == epoch {
@@ -456,9 +409,7 @@ func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
 			}
 			s.frozen = epoch
 			frozenCount++
-			if !readOnly {
-				s.rate = Bps(share)
-			}
+			s.rate = Bps(share)
 			// Capacity is subtracted once per slice entry, membership
 			// counted once per distinct link — preserving the historical
 			// semantics for flows listing a link twice.
@@ -471,16 +422,13 @@ func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
 			}
 		}
 	}
-	if !readOnly {
-		for _, id := range f.compFlows {
-			if f.flows[id].frozen != epoch {
-				// The break path left this flow without a rate; surface it
-				// as the starvation panic reschedule would raise.
-				f.flows[id].rate = 0
-			}
+	for _, id := range f.compFlows {
+		if f.flows[id].frozen != epoch {
+			// The break path left this flow without a rate; surface it as
+			// the starvation panic reschedule would raise.
+			f.flows[id].rate = 0
 		}
 	}
-	return probeRate
 }
 
 // stalled reports whether any crossed link is severed (zero capacity) —
@@ -488,16 +436,6 @@ func (f *Fabric) solveComponent(seeds []*Link, probe []*Link) float64 {
 func stalled(links []*Link) bool {
 	for _, l := range links {
 		if l.capacity <= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// containsLink reports whether links holds l.
-func containsLink(links []*Link, l *Link) bool {
-	for _, v := range links {
-		if v == l {
 			return true
 		}
 	}

@@ -112,23 +112,6 @@ func TestMaxMinBottleneckRates(t *testing.T) {
 	}
 }
 
-func TestRateProbe(t *testing.T) {
-	k := sim.NewKernel()
-	defer k.Close()
-	f := NewFabric(k)
-	l := f.NewLink("nic", Mbps(538))
-	if r := f.Rate(l); !almostEqual(float64(r), float64(Mbps(538)), 0.001) {
-		t.Errorf("idle rate = %v, want full capacity", r)
-	}
-	f.TransferAsync(1e12, l)
-	if r := f.Rate(l); !almostEqual(float64(r), float64(Mbps(538))/2, 0.001) {
-		t.Errorf("rate with 1 competitor = %v, want half capacity", r)
-	}
-	if f.InFlight() != 1 {
-		t.Errorf("probe leaked a flow: InFlight = %d", f.InFlight())
-	}
-}
-
 func TestBandwidthCollapseUnderPacking(t *testing.T) {
 	// The paper's constraint (2): 538 Mbps for one function; ~28 Mbps
 	// average with 20 functions packed on one host. With a fair-shared

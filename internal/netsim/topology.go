@@ -113,14 +113,7 @@ func (n *Network) OneWayDelay(src, dst *Node) time.Duration {
 	case src == dst:
 		return n.latency.SameHost.Sample(n.rng)
 	case src.region != dst.region:
-		pair := n.wanPairOf(src.region, dst.region)
-		d := pair.lat.Sample(n.rng)
-		// Passive measurement: every cross-region message is an RTT probe
-		// (pure accounting — no extra RNG draw, so event order and goldens
-		// are untouched).
-		pair.obsSum += d
-		pair.obsN++
-		return d
+		return n.wanPairOf(src.region, dst.region).lat.Sample(n.rng)
 	case src.rack == dst.rack:
 		return n.latency.SameRack.Sample(n.rng)
 	default:

@@ -34,10 +34,6 @@ type wanPair struct {
 	partitioned bool
 	severs      int64 // cumulative partition count, for in-flight loss detection
 	bytes       int64 // cumulative cross-region payload bytes
-	// Passive one-way-delay observations (sum and count of every sampled
-	// delay across this trunk), the measurement base for MeasuredTrunkRTT.
-	obsSum time.Duration
-	obsN   int64
 }
 
 // SetBuildRegion switches the region new nodes are created in and returns
@@ -165,23 +161,6 @@ func (n *Network) SendMsg(p *sim.Proc, src, dst *Node, size int64, extra ...*Lin
 	before := pair.severs
 	n.Send(p, src, dst, size, extra...)
 	return pair.severs == before
-}
-
-// MeasuredTrunkRTT returns the mean observed round-trip time between two
-// regions (2× the mean of every one-way delay sampled across their trunk)
-// and whether any traffic has been observed. Unconnected region pairs and
-// silent trunks report false — latency-based routing falls back to
-// declaration order for paths it has never measured. Same region reports
-// (0, true): local is always the best guess.
-func (n *Network) MeasuredTrunkRTT(a, b int) (time.Duration, bool) {
-	if a == b {
-		return 0, true
-	}
-	pair := n.wan[pairKey(a, b)]
-	if pair == nil || pair.obsN == 0 {
-		return 0, false
-	}
-	return 2 * (pair.obsSum / time.Duration(pair.obsN)), true
 }
 
 // WANUniform is a convenience one-way-latency distribution for trunks:

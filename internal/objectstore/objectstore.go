@@ -1,7 +1,6 @@
 // Package objectstore simulates an S3-style large-object storage service:
 // a multi-tenant front end reachable over the network, per-request service
-// latency, per-connection streaming throughput, and (optionally) eventual
-// consistency for overwrites, as S3 behaved in 2018.
+// latency and per-connection streaming throughput, as S3 behaved in 2018.
 //
 // Objects can carry real payload bytes (small objects like serialized
 // models) or be "sized" — metadata-only objects standing in for bulk data
@@ -10,7 +9,7 @@
 //
 // The endpoint node, request round trip, and metering all live in the
 // shared service layer (internal/service); this package owns only what is
-// S3-specific: object versions and streaming.
+// S3-specific: objects and streaming.
 package objectstore
 
 import (
@@ -27,7 +26,7 @@ import (
 	"repro/internal/simrand"
 )
 
-// ErrNotFound is returned when a key has no (visible) object.
+// ErrNotFound is returned when a key has no object.
 var ErrNotFound = errors.New("objectstore: key not found")
 
 // Object describes a stored blob. Data is nil for sized (virtual) objects.
@@ -51,11 +50,6 @@ type Config struct {
 	// Calibrated so that a 100 MB GET from Lambda takes ~2.49 s.
 	PerConnBps netsim.Bps
 
-	// OverwriteStaleness, when positive, makes overwrites eventually
-	// consistent: a read within the window of an overwrite may return
-	// the previous version (new-key PUTs are read-after-write, like S3).
-	OverwriteStaleness time.Duration
-
 	// NICBps is the front end's aggregate network capacity.
 	NICBps netsim.Bps
 }
@@ -69,20 +63,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// version is one write of a key.
-type version struct {
-	obj       Object
-	writtenAt sim.Time
-}
-
 // Store is a simulated object store.
 type Store struct {
 	fe  *service.Frontend
 	cfg Config
 
-	// objects maps key -> version history (latest last). History beyond
-	// the staleness window is pruned on write.
-	objects map[string][]version
+	objects map[string]Object
 	nextVer int64
 }
 
@@ -93,7 +79,7 @@ func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 		fe: service.NewFrontend(name, net, rack, rng, cfg.OpLatency,
 			cfg.NICBps, catalog, meter),
 		cfg:     cfg,
-		objects: make(map[string][]version),
+		objects: make(map[string]Object),
 	}
 }
 
@@ -134,49 +120,22 @@ func (s *Store) put(p *sim.Proc, caller *netsim.Node, key string, size int64, da
 	s.stream(p, caller, size)
 	s.nextVer++
 	obj := Object{Key: key, Size: size, Data: data, Version: s.nextVer}
-	hist := s.objects[key]
-	// Prune history that can no longer be served.
-	if n := len(hist); n > 1 {
-		hist = hist[n-1:]
-	}
-	s.objects[key] = append(hist, version{obj: obj, writtenAt: p.Now()})
+	s.objects[key] = obj
 	return obj
 }
 
 // Get retrieves the object at key, blocking the caller for the download.
-// Under eventual overwrite consistency, a recent overwrite may yield the
-// previous version.
 func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string) (Object, error) {
 	s.fe.Charge("s3.get", 1, s.fe.Catalog().S3GetPerRequest)
 	if err := s.fe.RoundTripErr(p, caller, 0); err != nil {
 		return Object{}, err
 	}
-	obj, ok := s.visible(p.Now(), key)
+	obj, ok := s.objects[key]
 	if !ok {
 		return Object{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	s.stream(p, caller, obj.Size)
 	return obj, nil
-}
-
-// visible resolves which version of key a read started at time now sees.
-func (s *Store) visible(now sim.Time, key string) (Object, bool) {
-	hist := s.objects[key]
-	if len(hist) == 0 {
-		return Object{}, false
-	}
-	latest := hist[len(hist)-1]
-	if s.cfg.OverwriteStaleness > 0 && len(hist) > 1 &&
-		now-latest.writtenAt < s.cfg.OverwriteStaleness {
-		// Overwrite still propagating: serve the prior version with
-		// probability proportional to remaining window.
-		remain := float64(s.cfg.OverwriteStaleness-(now-latest.writtenAt)) /
-			float64(s.cfg.OverwriteStaleness)
-		if s.fe.RNG().Float64() < remain {
-			return hist[len(hist)-2].obj, true
-		}
-	}
-	return latest.obj, true
 }
 
 // Head returns object metadata without transferring the payload.
@@ -185,7 +144,7 @@ func (s *Store) Head(p *sim.Proc, caller *netsim.Node, key string) (Object, erro
 	if err := s.fe.RoundTripErr(p, caller, 0); err != nil {
 		return Object{}, err
 	}
-	obj, ok := s.visible(p.Now(), key)
+	obj, ok := s.objects[key]
 	if !ok {
 		return Object{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}

@@ -167,58 +167,6 @@ func TestOverwriteVisibleImmediatelyByDefault(t *testing.T) {
 	}
 }
 
-func TestEventualOverwriteCanServeStaleVersion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OverwriteStaleness = 10 * time.Second
-	f := newFixture(t, cfg)
-	staleSeen, freshSeen := false, false
-	f.k.Spawn("client", func(p *sim.Proc) {
-		f.store.Put(p, f.caller, "k", []byte("v1"))
-		f.store.Put(p, f.caller, "k", []byte("v2"))
-		for i := 0; i < 50; i++ {
-			got, err := f.store.Get(p, f.caller, "k")
-			if err != nil {
-				t.Errorf("Get: %v", err)
-				return
-			}
-			switch string(got.Data) {
-			case "v1":
-				staleSeen = true
-			case "v2":
-				freshSeen = true
-			}
-		}
-		// Far beyond the window, reads must be fresh.
-		p.Sleep(time.Minute)
-		got, _ := f.store.Get(p, f.caller, "k")
-		if string(got.Data) != "v2" {
-			t.Errorf("read %q long after overwrite", got.Data)
-		}
-	})
-	f.k.Run()
-	if !staleSeen {
-		t.Error("no stale read observed within the staleness window")
-	}
-	if !freshSeen {
-		t.Error("no fresh read observed")
-	}
-}
-
-func TestNewKeyIsReadAfterWriteEvenWithStaleness(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OverwriteStaleness = 10 * time.Second
-	f := newFixture(t, cfg)
-	var err error
-	f.k.Spawn("client", func(p *sim.Proc) {
-		f.store.Put(p, f.caller, "fresh", []byte("v"))
-		_, err = f.store.Get(p, f.caller, "fresh")
-	})
-	f.k.Run()
-	if err != nil {
-		t.Errorf("new-key read failed: %v (S3 guarantees read-after-write for new PUTs)", err)
-	}
-}
-
 func TestRequestsAreMetered(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	f.k.Spawn("client", func(p *sim.Proc) {

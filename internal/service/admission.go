@@ -36,12 +36,10 @@ type AdmissionConfig struct {
 	// finite slots there is no queue to bound.
 	MaxQueue int
 	// JailWindow / JailLimit: a caller issuing more than JailLimit
-	// requests within one JailWindow is banned. Both must be set to enable
-	// the jail.
+	// requests within one JailWindow is banned for one JailWindow. Both
+	// must be set to enable the jail.
 	JailWindow time.Duration
 	JailLimit  int
-	// JailFor is how long a ban lasts (default: one JailWindow).
-	JailFor time.Duration
 }
 
 // jailEntry is one caller's rate-window state.
@@ -62,9 +60,6 @@ func (f *Frontend) SetAdmission(cfg AdmissionConfig) {
 	if cfg == (AdmissionConfig{}) {
 		f.adm = nil
 		return
-	}
-	if cfg.JailFor <= 0 {
-		cfg.JailFor = cfg.JailWindow
 	}
 	f.adm = &admission{cfg: cfg, jail: make(map[*netsim.Node]*jailEntry)}
 }
@@ -106,7 +101,7 @@ func (f *Frontend) admit(p *sim.Proc, caller *netsim.Node) error {
 		if e.count > a.cfg.JailLimit {
 			// Over the rate limit: ban the caller and reject this request
 			// too. The window restarts when the ban lifts.
-			e.until = now + a.cfg.JailFor
+			e.until = now + a.cfg.JailWindow
 			e.winStart = e.until
 			e.count = 0
 			f.stats.Jailed++

@@ -61,7 +61,7 @@ func TestShedRequiresFiniteSlots(t *testing.T) {
 
 func TestJailBansHotCaller(t *testing.T) {
 	k, fe, caller, _ := newFrontend(t, 0)
-	fe.SetAdmission(AdmissionConfig{JailWindow: 100 * time.Millisecond, JailLimit: 5, JailFor: time.Second})
+	fe.SetAdmission(AdmissionConfig{JailWindow: time.Second, JailLimit: 5})
 	var served, jailed int
 	var afterBan error
 	k.Spawn("hot", func(p *sim.Proc) {
@@ -74,7 +74,7 @@ func TestJailBansHotCaller(t *testing.T) {
 				t.Errorf("request %d: unexpected err %v", i, err)
 			}
 		}
-		// The ban must lift after JailFor.
+		// The ban lasts one JailWindow and must then lift.
 		p.Sleep(1200 * time.Millisecond)
 		afterBan = fe.RoundTripErr(p, caller, 0)
 	})
@@ -93,7 +93,7 @@ func TestJailBansHotCaller(t *testing.T) {
 func TestJailIsPerCaller(t *testing.T) {
 	k, fe, caller, _ := newFrontend(t, 0)
 	other := fe.Net().NewNode("other", 0, netsim.Gbps(10))
-	fe.SetAdmission(AdmissionConfig{JailWindow: 100 * time.Millisecond, JailLimit: 2, JailFor: time.Second})
+	fe.SetAdmission(AdmissionConfig{JailWindow: 100 * time.Millisecond, JailLimit: 2})
 	var hotErr, bystanderErr error
 	k.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -112,7 +112,7 @@ func TestJailIsPerCaller(t *testing.T) {
 
 func TestJailWindowResets(t *testing.T) {
 	k, fe, caller, _ := newFrontend(t, 0)
-	fe.SetAdmission(AdmissionConfig{JailWindow: 50 * time.Millisecond, JailLimit: 3, JailFor: time.Second})
+	fe.SetAdmission(AdmissionConfig{JailWindow: 50 * time.Millisecond, JailLimit: 3})
 	var errs []error
 	k.Spawn("c", func(p *sim.Proc) {
 		// 3 requests per window at a polite pace: never banned.

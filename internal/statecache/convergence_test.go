@@ -2,13 +2,14 @@ package statecache
 
 // Randomized gossip-convergence property test: N replicas absorb a random
 // interleaving of writes to all four lattice types while the cluster is
-// split into two halves (gossip between halves blocked), then the
-// partition heals and anti-entropy runs with no further writes. Every
-// replica must converge to the same state, and that state must equal the
-// reference: exact arithmetic for the counters, the lexicographic-max
-// write for the register, and — for the OR-set — a superset check plus
-// pairwise equality (add-wins keeps concurrently re-added elements, so the
-// reference for removed elements is convergence itself).
+// split into two halves (replicas 0–1 in region 1 behind a severed WAN
+// trunk), then the trunk heals and anti-entropy runs with no further
+// writes. Every replica must converge to the same state, and that state
+// must equal the reference: exact arithmetic for the counters, the
+// lexicographic-max write for the register, and — for the OR-set — a
+// superset check plus pairwise equality (add-wins keeps concurrently
+// re-added elements, so the reference for removed elements is convergence
+// itself).
 
 import (
 	"fmt"
@@ -72,6 +73,27 @@ func TestReconFallbackStillConverges(t *testing.T) {
 	}
 }
 
+// attachSplit attaches n replicas with the given NIC capacity, building
+// replicas 0–1 in region 1 and the rest beside the backing store in region
+// 0. It joins the regions with a trunk of the given capacity and one-way
+// latency and severs it, so replicas 0..1 cannot gossip with 2..n-1
+// (either direction) until HealRegions(0, 1).
+func attachSplit(f *fixture, n int, nic, trunk netsim.Bps, lat simrand.Dist) []*Cache {
+	f.net.ConnectRegions(0, 1, trunk, lat)
+	caches := make([]*Cache, n)
+	for i := range caches {
+		region := 0
+		if i < 2 {
+			region = 1
+		}
+		prev := f.net.SetBuildRegion(region)
+		caches[i] = f.cl.Attach(f.net.NewNode(fmt.Sprintf("vm-%d", i), 1, nic))
+		f.net.SetBuildRegion(prev)
+	}
+	f.net.PartitionRegions(0, 1)
+	return caches
+}
+
 func testPartitionedConvergence(t *testing.T, seed uint64, tweak func(*Config)) {
 	const (
 		replicaCount = 5
@@ -84,14 +106,8 @@ func testPartitionedConvergence(t *testing.T, seed uint64, tweak func(*Config)) 
 	cfg.FlushInterval = 300 * time.Millisecond
 	tweak(&cfg)
 	f := newFixture(t, cfg, seed)
-
-	caches := make([]*Cache, replicaCount)
-	for i := range caches {
-		caches[i] = f.cl.Attach(f.node(t, fmt.Sprintf("vm-%d", i)))
-	}
-	// Partition: replicas 0..1 cannot gossip with 2..4 (either direction).
-	half := map[*netsim.Node]bool{caches[0].node: true, caches[1].node: true}
-	f.cl.Partition(func(from, to *netsim.Node) bool { return half[from] != half[to] })
+	caches := attachSplit(f, replicaCount, netsim.Mbps(538),
+		netsim.Gbps(1), netsim.WANUniform(30*time.Millisecond, 2*time.Millisecond))
 
 	var (
 		counterRef  int64
@@ -136,7 +152,7 @@ func testPartitionedConvergence(t *testing.T, seed uint64, tweak func(*Config)) 
 	f.k.RunUntil(sim.Time(window))
 
 	// Writes done; heal and let anti-entropy finish.
-	f.cl.Partition(nil)
+	f.net.HealRegions(0, 1)
 	f.k.RunUntil(f.k.Now() + sim.Time(time.Second))
 
 	// Sum the replicas' PN totals via one replica after convergence; all

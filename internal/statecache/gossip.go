@@ -369,19 +369,16 @@ func (c *Cache) digestDiff(p *sim.Proc, peer *Cache) (diff []string, aborted boo
 	return diffKeys(c, peer), false
 }
 
-// pickPeer selects one uniformly random gossip partner, honoring the
-// cluster's partition hook and WAN reachability (a replica behind a
-// severed trunk is not a candidate, so partitioned halves keep converging
-// internally). It returns nil when no peer is reachable.
+// pickPeer selects one uniformly random gossip partner, honoring WAN
+// reachability (a replica behind a severed trunk is not a candidate, so
+// partitioned halves keep converging internally). It returns nil when no
+// peer is reachable.
 func (c *Cache) pickPeer() *Cache {
 	cl := c.cl
 	candidates := c.candScratch[:0]
 	defer func() { c.candScratch = candidates[:0] }()
 	for _, cand := range cl.replicas {
 		if cand == c {
-			continue
-		}
-		if cl.partition != nil && cl.partition(c.node, cand.node) {
 			continue
 		}
 		if !cl.net.Reachable(c.node, cand.node) {

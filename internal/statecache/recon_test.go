@@ -37,11 +37,6 @@ func newZeroLatFixture(t *testing.T, cfg Config, seed uint64) *fixture {
 	return &fixture{k: k, net: net, store: store, meter: meter, cl: cl}
 }
 
-func (f *fixture) fastNode(t *testing.T, id string) *netsim.Node {
-	t.Helper()
-	return f.net.NewNode(id, 1, netsim.Bps(1e15))
-}
-
 // equivRun is everything one protocol run exposes for comparison.
 type equivRun struct {
 	rounds   int64
@@ -53,7 +48,7 @@ type equivRun struct {
 }
 
 // runEquivWorkload drives a randomized multi-lattice workload (with a
-// mid-run partition) over a zero-latency cluster and snapshots everything
+// mid-run WAN partition) over a zero-latency cluster and snapshots everything
 // observable: per-replica state for every key, staleness sample
 // statistics, and round counts.
 func runEquivWorkload(t *testing.T, seed uint64, reconcile bool) equivRun {
@@ -69,12 +64,7 @@ func runEquivWorkload(t *testing.T, seed uint64, reconcile bool) equivRun {
 	cfg.FlushInterval = 300 * time.Millisecond
 	cfg.Reconcile = reconcile
 	f := newZeroLatFixture(t, cfg, seed)
-	caches := make([]*Cache, replicaCount)
-	for i := range caches {
-		caches[i] = f.cl.Attach(f.fastNode(t, fmt.Sprintf("vm-%d", i)))
-	}
-	half := map[*netsim.Node]bool{caches[0].node: true, caches[1].node: true}
-	f.cl.Partition(func(from, to *netsim.Node) bool { return half[from] != half[to] })
+	caches := attachSplit(f, replicaCount, netsim.Bps(1e15), netsim.Bps(1e15), simrand.Const(0))
 
 	opRNG := simrand.New(seed * 977)
 	f.k.Spawn("driver", func(p *sim.Proc) {
@@ -100,7 +90,7 @@ func runEquivWorkload(t *testing.T, seed uint64, reconcile bool) equivRun {
 		}
 	})
 	f.k.RunUntil(sim.Time(window))
-	f.cl.Partition(nil)
+	f.net.HealRegions(0, 1)
 	f.k.RunUntil(f.k.Now() + sim.Time(time.Second))
 
 	run := equivRun{

@@ -144,10 +144,6 @@ type Cluster struct {
 
 	replicas []*Cache                // attach order; peer picks index this slice
 	byNode   map[*netsim.Node]*Cache // at most one replica per VM node
-	// partition, when set, blocks gossip between node pairs it reports
-	// true for (chaos/test hook; delivery stays blocked both ways only if
-	// the hook says so for both orders).
-	partition func(from, to *netsim.Node) bool
 
 	staleness stats.Summary
 
@@ -309,10 +305,6 @@ func (cl *Cluster) Replica(node *netsim.Node) *Cache { return cl.byNode[node] }
 
 // Replicas reports how many replicas are attached.
 func (cl *Cluster) Replicas() int { return len(cl.replicas) }
-
-// Partition installs a chaos hook: gossip rounds skip peers for which
-// fn(from, to) reports true. Passing nil heals the network.
-func (cl *Cluster) Partition(fn func(from, to *netsim.Node) bool) { cl.partition = fn }
 
 // Staleness returns the summary of anti-entropy propagation delays: one
 // sample per gossip merge that changed a replica's state, measuring the

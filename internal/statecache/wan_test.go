@@ -2,10 +2,9 @@ package statecache
 
 // WAN-tier property tests: the statecache cluster stretched across netsim
 // regions, with its backing store pinned in region 0 and replicas spread
-// behind high-latency trunks that sever and heal mid-run. Partitions here
-// are real topology events (zero-capacity trunks), not the Partition()
-// gossip hook the single-region convergence suite uses, so they exercise
-// the mid-flight sever path and the flush reachability gate too.
+// behind high-latency trunks that sever and heal mid-run. Partitions are
+// real topology events (zero-capacity trunks), so they exercise the
+// mid-flight sever path and the flush reachability gate too.
 
 import (
 	"fmt"

@@ -20,8 +20,6 @@ import (
 // Add is O(1) and allocation-free once the array covers the observed range.
 type Sketch struct {
 	name     string
-	subBits  uint
-	subMask  uint64
 	counts   []int64
 	count    int
 	min, max time.Duration
@@ -33,37 +31,23 @@ type Sketch struct {
 
 var _ Summary = (*Sketch)(nil)
 
-// DefaultSketchError is the relative-error bound NewSketch configures:
-// subBits=6 gives 2^-7 ≈ 0.78%, inside the ≤1% target.
-const DefaultSketchError = 0.01
+const (
+	// subBits=6 gives a percentile error bound of 2^-7 ≈ 0.78%, inside
+	// the ≤1% target. Each extra bit halves the bound and doubles memory.
+	subBits uint   = 6
+	subMask uint64 = 1<<subBits - 1
+)
 
-// NewSketch returns an empty sketch labeled name with the default ≤1%
-// percentile relative-error bound.
-func NewSketch(name string) *Sketch {
-	return NewSketchRelErr(name, DefaultSketchError)
-}
-
-// NewSketchRelErr returns an empty sketch whose percentile relative error
-// is at most relErr, which must be in (0, 0.5]. Tighter bounds cost one
-// extra sub-bucket bit per halving: memory doubles as relErr halves.
-func NewSketchRelErr(name string, relErr float64) *Sketch {
-	if relErr <= 0 || relErr > 0.5 {
-		panic(fmt.Sprintf("stats: sketch relative error %v outside (0, 0.5]", relErr))
-	}
-	// Smallest b with 2^-(b+1) <= relErr.
-	b := uint(0)
-	for 1/float64(uint64(2)<<b) > relErr {
-		b++
-	}
-	return &Sketch{name: name, subBits: b, subMask: uint64(1)<<b - 1}
-}
+// NewSketch returns an empty sketch labeled name with a ≤1% percentile
+// relative-error bound.
+func NewSketch(name string) *Sketch { return &Sketch{name: name} }
 
 // Name returns the sketch's label.
 func (s *Sketch) Name() string { return s.name }
 
-// RelativeError returns the configured percentile error bound 2^-(subBits+1).
+// RelativeError returns the percentile error bound 2^-(subBits+1).
 func (s *Sketch) RelativeError() float64 {
-	return 1 / float64(uint64(2)<<s.subBits)
+	return 1 / float64(uint64(2)<<subBits)
 }
 
 // Footprint returns the current bucket-array size in bytes — the part of
@@ -76,24 +60,24 @@ func (s *Sketch) Footprint() int {
 // exact values [0, 2^subBits); group g >= 1 covers one octave split into
 // 2^subBits sub-buckets of width 2^(g-1).
 func (s *Sketch) bucketIndex(v uint64) int {
-	if v < uint64(1)<<s.subBits {
+	if v < uint64(1)<<subBits {
 		return int(v)
 	}
 	e := uint(bits.Len64(v)) - 1
-	g := e - s.subBits + 1
-	sub := (v >> (e - s.subBits)) & s.subMask
-	return int(g<<s.subBits) + int(sub)
+	g := e - subBits + 1
+	sub := (v >> (e - subBits)) & subMask
+	return int(g<<subBits) + int(sub)
 }
 
 // bucketValue returns the representative (midpoint) duration for a bucket,
 // the inverse of bucketIndex up to half a bucket width.
 func (s *Sketch) bucketValue(index int) time.Duration {
-	g := uint(index) >> s.subBits
+	g := uint(index) >> subBits
 	if g == 0 {
 		return time.Duration(index)
 	}
-	sub := uint64(index) & s.subMask
-	lower := (uint64(1)<<s.subBits + sub) << (g - 1)
+	sub := uint64(index) & subMask
+	lower := (uint64(1)<<subBits + sub) << (g - 1)
 	width := uint64(1) << (g - 1)
 	return time.Duration(lower + width/2)
 }

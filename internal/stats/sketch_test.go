@@ -99,26 +99,9 @@ func TestEmptySketch(t *testing.T) {
 }
 
 func TestSketchRelErrSelection(t *testing.T) {
-	if got := NewSketch("d").RelativeError(); got > DefaultSketchError {
-		t.Errorf("default RelativeError = %v, want <= %v", got, DefaultSketchError)
-	}
 	// 1% requires subBits=6: 2^-7 = 0.78%; 2^-6 = 1.5625% would miss.
-	if got := NewSketchRelErr("e", 0.01).RelativeError(); got != 1.0/128 {
-		t.Errorf("RelativeError(0.01) = %v, want 1/128", got)
-	}
-	// Looser bound: 2^-1 = 50% needs no sub-bucketing at all.
-	if got := NewSketchRelErr("l", 0.5).RelativeError(); got != 0.5 {
-		t.Errorf("RelativeError(0.5) = %v, want 0.5", got)
-	}
-	for _, bad := range []float64{0, -0.01, 0.51, 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewSketchRelErr(%v) should panic", bad)
-				}
-			}()
-			NewSketchRelErr("bad", bad)
-		}()
+	if got := NewSketch("d").RelativeError(); got != 1.0/128 {
+		t.Errorf("RelativeError = %v, want 1/128", got)
 	}
 }
 
