@@ -48,14 +48,55 @@ type coordRecord struct {
 // Blackboard is the shared configuration for DynamoDB-mediated elections:
 // one table, one record per node, one coordinator record, all communication
 // via polling — the paper's only option on FaaS.
+//
+// Every node scans every record each polling cycle, but only the records
+// written since the last cycle change, so the blackboard decodes each
+// stored value once on the host and shares the result among its nodes.
+// The simulated reads, their latency and their billing are unchanged.
 type Blackboard struct {
 	table  *kvstore.Store
 	params Params
+	boards map[string]*decoded[boardRecord] // by record key
+	coord  decoded[coordRecord]
 }
 
 // NewBlackboard wraps a kvstore table as an election medium.
 func NewBlackboard(table *kvstore.Store, params Params) *Blackboard {
-	return &Blackboard{table: table, params: params}
+	return &Blackboard{table: table, params: params,
+		boards: make(map[string]*decoded[boardRecord])}
+}
+
+// decoded memoizes the JSON decode of one record key's stored value.
+// kvstore copies the value on every write and never reuses the copy, so
+// the memo is valid exactly while the store hands back the same slice:
+// the same first byte and the same length. Holding val keeps its memory
+// from being reused for another value. Versions cannot validate it: a
+// deleted record rewritten starts over at version 1.
+type decoded[T any] struct {
+	val []byte
+	rec T
+	ok  bool // whether val decoded
+}
+
+// of returns the decode of val, decoding only when val is not the slice
+// the memo holds. The zero memo holds the empty value, which never decodes.
+func (d *decoded[T]) of(val []byte) (T, bool) {
+	if len(val) != len(d.val) || (len(val) > 0 && &val[0] != &d.val[0]) {
+		var rec T
+		d.ok = json.Unmarshal(val, &rec) == nil
+		d.val, d.rec = val, rec
+	}
+	return d.rec, d.ok
+}
+
+// board returns the decode of a node record read from the table.
+func (b *Blackboard) board(it kvstore.Item) (boardRecord, bool) {
+	d := b.boards[it.Key]
+	if d == nil {
+		d = new(decoded[boardRecord])
+		b.boards[it.Key] = d
+	}
+	return d.of(it.Value)
 }
 
 // ForNode creates the per-node transport. caller is the network node the
@@ -127,8 +168,8 @@ func (t *BBTransport) Observe(p *sim.Proc, id int) View {
 
 	var view View
 	for _, item := range t.bb.table.Scan(p, t.caller, "node/") {
-		var rec boardRecord
-		if json.Unmarshal(item.Value, &rec) != nil {
+		rec, ok := t.bb.board(item)
+		if !ok {
 			continue
 		}
 		view.Members = append(view.Members, rec.ID)
@@ -151,8 +192,7 @@ func (t *BBTransport) Observe(p *sim.Proc, id int) View {
 		t.coordVer = 0
 	case err == nil:
 		t.coordVer = item.Version
-		var rec coordRecord
-		if json.Unmarshal(item.Value, &rec) == nil {
+		if rec, ok := t.bb.coord.of(item.Value); ok {
 			t.coordSeen = rec
 			view.Coord = CoordView{
 				Leader: rec.Leader,

@@ -203,7 +203,8 @@ func (n *Node) Start(k *sim.Kernel) {
 func (n *Node) Stop() { n.stopped = true }
 
 // Restart revives a stopped node as a fresh follower that will bully its
-// way back per the protocol.
+// way back per the protocol. No experiment restarts a node; it is kept as
+// a test oracle for rejoining after a crash (the chaos and restart tests).
 func (n *Node) Restart(k *sim.Kernel) {
 	if !n.stopped {
 		return

@@ -301,3 +301,49 @@ func TestRestartHelper(t *testing.T) {
 		t.Error("restarted node never rejoined")
 	}
 }
+
+// TestBlackboardMemoSurvivesDeleteAndRecreate: a record that is removed
+// and written again restarts at version 1, the version the memo last saw
+// for its key. The memo must still decode the new value, because it is
+// validated by the stored slice, not by the version.
+func TestBlackboardMemoSurvivesDeleteAndRecreate(t *testing.T) {
+	k := sim.NewKernel()
+	t.Cleanup(k.Close)
+	rng := simrand.New(55)
+	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
+	table := kvstore.New("ddb", net, 9, rng.Fork(), kvstore.DefaultConfig(),
+		pricing.Fall2018(), &pricing.Meter{})
+	bb := NewBlackboard(table, PaperParams())
+	writer := bb.ForNode(1, net.NewNode("w", 1, netsim.Mbps(538)))
+	reader := bb.ForNode(2, net.NewNode("r", 1, netsim.Mbps(538)))
+	k.Spawn("c", func(p *sim.Proc) {
+		writer.Heartbeat(p, 1, 3)
+		if v := reader.Observe(p, 2); len(v.Members) != 1 || len(v.Inbox) != 0 {
+			t.Fatalf("first view: %+v", v)
+		}
+		memo := bb.boards[nodeKey(1)]
+		held := &memo.val[0]
+		if v := reader.Observe(p, 2); len(v.Members) != 1 || &memo.val[0] != held {
+			t.Fatalf("unchanged record re-decoded or lost: %+v", v)
+		}
+
+		writer.Remove(p)
+		if v := reader.Observe(p, 2); len(v.Members) != 0 {
+			t.Fatalf("removed record still a member: %+v", v)
+		}
+		writer.Send(p, 1, 2, MsgElection, 7) // rewrite at version 1
+		it, err := table.Get(p, reader.caller, nodeKey(1), true)
+		if err != nil || it.Version != 1 {
+			t.Fatalf("rewritten record: %+v err %v", it, err)
+		}
+		v := reader.Observe(p, 2)
+		want := Message{Type: MsgElection, From: 1, Term: 7}
+		if len(v.Members) != 1 || len(v.Inbox) != 1 || v.Inbox[0] != want {
+			t.Fatalf("view after rewrite at version 1 = %+v, want inbox [%+v]", v, want)
+		}
+		if rec, ok := bb.board(it); !ok || rec.Term != 3 || len(rec.Msgs) != 1 {
+			t.Fatalf("memo holds %+v ok=%v for the rewritten record", rec, ok)
+		}
+	})
+	k.Run()
+}

@@ -89,7 +89,8 @@ func TestZeroReplicationLagReadsAreAlwaysFresh(t *testing.T) {
 }
 
 // TestEventualReadCanServePreviousVersion: an overwrite inside the window
-// may surface the prior version, never anything older or newer.
+// may surface the prior version with its own bytes, never anything older
+// or newer.
 func TestEventualReadCanServePreviousVersion(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	sawOld, sawNew := 0, 0
@@ -107,13 +108,13 @@ func TestEventualReadCanServePreviousVersion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("overwritten key vanished: %v", err)
 			}
-			switch it.Version {
-			case 1:
+			switch {
+			case it.Version == 1 && string(it.Value) == "v1":
 				sawOld++
-			case 2:
+			case it.Version == 2 && string(it.Value) == "v2":
 				sawNew++
 			default:
-				t.Fatalf("impossible version %d", it.Version)
+				t.Fatalf("impossible read %+v", it)
 			}
 		}
 	})

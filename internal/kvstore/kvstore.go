@@ -98,9 +98,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// record is one stored key's state; the key itself is the map key. An
+// overwrite updates the record in place, so a write allocates only its
+// value copy. Readers therefore copy what they return out of the record
+// (as Get, eventualView and Scan do) and must never hold a *record across
+// a park: a write that runs meanwhile would change it under them.
 type record struct {
-	item      Item
-	prev      *Item // previous version, for eventual reads
+	value   []byte
+	version int64 // 1 on a first write, and on a rewrite after Delete
+	// prev is the value at version-1, what a lagging replica still
+	// serves; at version 1 there is no previous version.
+	prev      []byte
 	writtenAt sim.Time
 	// Cross-region replication stamps (see global.go): when and where the
 	// write originated. Conflicts between regions resolve last-writer-wins
@@ -109,10 +117,25 @@ type record struct {
 	originSrc int
 }
 
+// slabRecords is how many records one slab chunk holds.
+const slabRecords = 128
+
 // shard is one hash partition: a front end plus its slice of the key space.
 type shard struct {
 	fe    *service.Frontend
 	items map[string]*record
+	slab  []record // unused records of the current chunk
+}
+
+// newRecord carves a record for a first write out of the shard's slab,
+// starting a new chunk when the current one is used up.
+func (sh *shard) newRecord() *record {
+	if len(sh.slab) == 0 {
+		sh.slab = make([]record, slabRecords)
+	}
+	rec := &sh.slab[0]
+	sh.slab = sh.slab[1:]
+	return rec
 }
 
 // Store is a simulated key-value table, split over one or more shards.
@@ -175,9 +198,9 @@ func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent boo
 	case !ok:
 		found = false
 	case consistent:
-		it, found = rec.item, true
+		it, found = Item{Key: key, Value: rec.value, Version: rec.version}, true
 	default:
-		it, found = s.eventualView(sh, p.Now(), rec)
+		it, found = s.eventualView(sh, p.Now(), key, rec)
 	}
 	size := int64(0)
 	if found {
@@ -191,19 +214,21 @@ func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent boo
 	return it, nil
 }
 
-// eventualView resolves what an eventually consistent read of rec observes.
-func (s *Store) eventualView(sh *shard, now sim.Time, rec *record) (Item, bool) {
+// eventualView resolves what an eventually consistent read of key's
+// record observes.
+func (s *Store) eventualView(sh *shard, now sim.Time, key string, rec *record) (Item, bool) {
+	cur := Item{Key: key, Value: rec.value, Version: rec.version}
 	if s.cfg.ReplicationLag <= 0 || now-rec.writtenAt >= s.cfg.ReplicationLag {
-		return rec.item, true
+		return cur, true
 	}
 	remain := float64(s.cfg.ReplicationLag-(now-rec.writtenAt)) / float64(s.cfg.ReplicationLag)
 	if sh.fe.RNG().Float64() < remain {
-		if rec.prev == nil {
+		if rec.version == 1 {
 			return Item{}, false // key did not exist on the lagging replica
 		}
-		return *rec.prev, true
+		return Item{Key: key, Value: rec.prev, Version: rec.version - 1}, true
 	}
-	return rec.item, true
+	return cur, true
 }
 
 // Put writes key unconditionally and returns the stored item.
@@ -235,24 +260,37 @@ func (s *Store) write(p *sim.Proc, caller *netsim.Node, key string,
 	rec := sh.items[key]
 	var curVer int64
 	if rec != nil {
-		curVer = rec.item.Version
+		curVer = rec.version
 	}
 	if expect != nil && *expect != curVer {
 		return Item{}, fmt.Errorf("%w: %q at version %d, expected %d",
 			ErrConditionFailed, key, curVer, *expect)
 	}
-	it := Item{Key: key, Value: append([]byte(nil), value...), Version: curVer + 1}
-	var prev *Item
-	if rec != nil {
-		prevCopy := rec.item
-		prev = &prevCopy
-	}
 	now := p.Now()
-	sh.items[key] = &record{item: it, prev: prev, writtenAt: now, origin: now, originSrc: s.origin}
+	rec = sh.install(key, rec, value, now, now, s.origin)
+	it := Item{Key: key, Value: rec.value, Version: rec.version}
 	if s.onWrite != nil {
 		s.onWrite(key, it.Value, now)
 	}
 	return it, nil
+}
+
+// install stores a copy of value as key's next version: in place over
+// rec, which keeps the value it replaces as prev, or in a fresh slab
+// record when rec is nil. The copy is the write's one allocation; it is
+// never reused, so an Item handed out earlier keeps its bytes.
+func (sh *shard) install(key string, rec *record, value []byte, now, origin sim.Time, originSrc int) *record {
+	v := append([]byte(nil), value...)
+	if rec == nil {
+		rec = sh.newRecord()
+		*rec = record{value: v, version: 1}
+		sh.items[key] = rec
+	} else {
+		rec.prev, rec.value = rec.value, v
+		rec.version++
+	}
+	rec.writtenAt, rec.origin, rec.originSrc = now, origin, originSrc
+	return rec
 }
 
 // applyReplicated installs a cross-region replicated write without a
@@ -265,18 +303,10 @@ func (s *Store) write(p *sim.Proc, caller *netsim.Node, key string,
 func (s *Store) applyReplicated(now sim.Time, key string, value []byte, origin sim.Time, source int) bool {
 	sh := s.shardFor(key)
 	rec := sh.items[key]
-	var curVer int64
-	var prev *Item
-	if rec != nil {
-		if rec.origin > origin || (rec.origin == origin && rec.originSrc <= source) {
-			return false
-		}
-		curVer = rec.item.Version
-		prevCopy := rec.item
-		prev = &prevCopy
+	if rec != nil && (rec.origin > origin || (rec.origin == origin && rec.originSrc <= source)) {
+		return false
 	}
-	it := Item{Key: key, Value: append([]byte(nil), value...), Version: curVer + 1}
-	sh.items[key] = &record{item: it, prev: prev, writtenAt: now, origin: origin, originSrc: source}
+	sh.install(key, rec, value, now, origin, source)
 	return true
 }
 
@@ -289,11 +319,15 @@ func (s *Store) Delete(p *sim.Proc, caller *netsim.Node, key string) {
 	sh.fe.RoundTrip(p, caller, 0)
 	var size int64 = 0
 	if rec, ok := sh.items[key]; ok {
-		size = rec.item.Size()
+		size = int64(len(key) + len(rec.value))
+		delete(sh.items, key)
+		// The record stays in its slab chunk, which outlives it: drop
+		// its values so they can be collected. A rewrite takes a fresh
+		// record at version 1.
+		*rec = record{}
 	}
 	sh.fe.Charge("dynamodb.write", pricing.DynamoWriteUnits(size),
 		sh.fe.Catalog().DynamoWritePerUnit)
-	delete(sh.items, key)
 }
 
 // Scan returns all items whose keys start with prefix, sorted by key,
@@ -308,8 +342,9 @@ func (s *Store) Scan(p *sim.Proc, caller *netsim.Node, prefix string) []Item {
 		shardStart := len(out)
 		for k, rec := range sh.items {
 			if strings.HasPrefix(k, prefix) {
-				out = append(out, rec.item)
-				bytes += rec.item.Size()
+				it := Item{Key: k, Value: rec.value, Version: rec.version}
+				out = append(out, it)
+				bytes += it.Size()
 			}
 		}
 		sh.fe.RoundTrip(p, caller,

@@ -15,6 +15,7 @@ package queue
 import (
 	"errors"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/netsim"
@@ -128,7 +129,8 @@ type Queue struct {
 	vis        *sim.Timer         // armed at the head's deadline
 	free       []*stored          // acknowledged records awaiting reuse
 	waiters    []*pollWaiter
-	idle       []*pollWaiter // recycled long-poll wait state
+	idle       []*pollWaiter   // recycled long-poll wait state
+	ids        strings.Builder // current block of IDs and receipts
 	nextID     int64
 	nextRcpt   int64
 }
@@ -165,19 +167,35 @@ type pollWaiter struct {
 	timer *sim.Timer
 }
 
+// idBlockBytes is the size of one block of ID and receipt bytes.
+const idBlockBytes = 4096
+
 // formatID renders prefix-n, the form of message IDs and receipt handles,
-// with a single string allocation.
-func formatID(prefix string, n int64) string {
-	var buf [64]byte
-	b := append(buf[:0], prefix...)
-	b = append(b, '-')
-	return string(strconv.AppendInt(b, n, 10))
+// into the queue's current ID block and returns it as a substring of the
+// block, so a handle costs a share of one allocation. A full block is
+// replaced, never reset or written over, so every string handed out keeps
+// its bytes.
+func (q *Queue) formatID(prefix string, n int64) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], n, 10)
+	need := len(prefix) + 1 + len(digits)
+	if q.ids.Cap()-q.ids.Len() < need {
+		q.ids = strings.Builder{}
+		q.ids.Grow(max(idBlockBytes, need))
+	}
+	start := q.ids.Len()
+	q.ids.WriteString(prefix)
+	q.ids.WriteByte('-')
+	q.ids.Write(digits)
+	return q.ids.String()[start:]
 }
 
 // Name returns the queue name.
 func (q *Queue) Name() string { return q.name }
 
-// Depth reports the number of immediately receivable messages.
+// Depth reports the number of immediately receivable messages. No
+// experiment reads it; it is kept as a test oracle, with InFlight, for
+// the drain checks and the visibility reference model.
 func (q *Queue) Depth() int { return q.available.Len() }
 
 // InFlight reports the number of received-but-undeleted messages.
@@ -254,7 +272,7 @@ func (q *Queue) enqueue(body []byte) string {
 	} else {
 		m = &stored{}
 	}
-	m.id = formatID(q.name, q.nextID)
+	m.id = q.formatID(q.name, q.nextID)
 	m.body = append([]byte(nil), body...)
 	q.available.Push(m)
 	return m.id
@@ -305,7 +323,7 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 	for len(msgs) < max && q.available.Len() > 0 {
 		m := q.available.Pop()
 		q.nextRcpt++
-		m.receipt = formatID(q.rcptPrefix, q.nextRcpt)
+		m.receipt = q.formatID(q.rcptPrefix, q.nextRcpt)
 		m.delivery = q.nextRcpt
 		m.attempts++
 		q.inflight[m.receipt] = m

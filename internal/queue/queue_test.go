@@ -2,8 +2,10 @@ package queue
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -663,4 +665,59 @@ func TestVisibilityMatchesReferenceModel(t *testing.T) {
 				seed, pendingAfterDrain, q.vis.Active())
 		}
 	}
+}
+
+// TestIDsAndReceiptsSurviveBlockRollover: IDs and receipts are carved out
+// of shared blocks. With a long queue name, a name longer than a whole
+// block, and more than 1,000 messages, many blocks fill and are replaced.
+// Every handle must read as its fmt.Sprintf form when it is handed out,
+// and still after every later send and receive.
+func TestIDsAndReceiptsSurviveBlockRollover(t *testing.T) {
+	f := newInstantFixture(t, time.Minute)
+	long := strings.Repeat("queue-name-", 20)
+	huge := strings.Repeat("q", idBlockBytes+100)
+	type handle struct{ got, want string }
+	var handles []handle
+	check := func(when string) {
+		t.Helper()
+		for _, h := range handles {
+			if h.got != h.want {
+				t.Fatalf("%s: handle %q, want %q", when, h.got, h.want)
+			}
+		}
+	}
+	for _, name := range []string{long, huge} {
+		q := f.svc.CreateQueue(name, time.Minute)
+		sent, rcpts := 0, 0
+		f.k.Spawn("c", func(p *sim.Proc) {
+			bodies := make([][]byte, MaxBatch)
+			for i := range bodies {
+				bodies[i] = []byte("m")
+			}
+			for round := 0; round < 110; round++ {
+				ids, err := q.SendBatch(p, f.caller, bodies)
+				if err != nil {
+					t.Fatalf("SendBatch: %v", err)
+				}
+				for _, id := range ids {
+					sent++
+					handles = append(handles, handle{id, fmt.Sprintf("%s-%d", name, sent)})
+				}
+				msgs, err := q.Receive(p, f.caller, MaxBatch, 0)
+				if err != nil || len(msgs) != MaxBatch {
+					t.Fatalf("Receive: %d messages, err %v", len(msgs), err)
+				}
+				for _, m := range msgs {
+					rcpts++
+					handles = append(handles, handle{m.Receipt, fmt.Sprintf("rcpt-%s-%d", name, rcpts)})
+				}
+				check(fmt.Sprintf("queue of %d-byte name, round %d", len(name), round))
+			}
+		})
+		f.k.Run()
+		if sent != 1100 || rcpts != 1100 {
+			t.Fatalf("sent %d and received %d, want 1100 each", sent, rcpts)
+		}
+	}
+	check("after both queues ran")
 }
