@@ -56,7 +56,7 @@ func main() {
 	done := false
 	cloud.K.Spawn("driver", func(p *sim.Proc) {
 		run := func(pl *dataflow.Plan, label string) {
-			res, err := ex.Execute(p, pl, 8)
+			res, err := ex.Execute(p, pl, 8, dataflow.StragglerPolicy{})
 			if err != nil {
 				panic(err)
 			}

@@ -84,10 +84,10 @@ Straggler re-dispatch: IBF-named stragglers re-run on spare agents
 Rescue    Makespan  Stragglers  Re-dispatched  Rescued
 --------------------------------------------------------
 off       1.30s     0           0              0      
-2 spares  650.0ms   1           1              1      
+2 spares  608.2ms   1           1              1      
 note: one of 4 workers runs 20x slow over 8 x 50MB partitions; the coordinator tracks outstanding
 note: work in a constant-size invertible Bloom filter and names the stragglers by decoding it
-note: (1.30s -> 650.0ms makespan, 2.00x faster)
+note: (1.30s -> 608.2ms makespan, 2.14x faster)
 `,
 	"retrystorm": `Retry storm: 450 req/s through a 64-worker client pool, hot shard 20x slower for the middle third
 Policy       Phase   Done req/s  p50      p99      Avail    HotQ  PoolQ

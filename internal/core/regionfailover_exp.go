@@ -234,18 +234,9 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	return res
 }
 
-// stragglerResult is one rescue policy's measurement.
-type stragglerResult struct {
-	spares    int
-	makespan  time.Duration
-	report    dataflow.RedispatchReport
-	decodeOK  bool
-	partCount int
-}
-
 // runStragglerRescue measures dataflow makespan with one 20×-slowed
 // primary worker, with and without IBF-named re-dispatch to spare agents.
-func runStragglerRescue(seed uint64, spares int) stragglerResult {
+func runStragglerRescue(seed uint64, spares int) dataflow.Result {
 	c := NewCloud(seed)
 	defer c.Close()
 	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
@@ -263,12 +254,11 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 	if err != nil {
 		panic(err)
 	}
-	var out stragglerResult
-	out.spares = spares
+	var out dataflow.Result
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
 		ex := dataflow.NewExecutor(pf, dataflow.DefaultEnv())
-		res, rep, err := ex.ExecuteResilient(p, plan, 4, dataflow.StragglerPolicy{
+		res, err := ex.Execute(p, plan, 4, dataflow.StragglerPolicy{
 			Patience: 200 * time.Millisecond,
 			Spares:   spares,
 			Slow: func(w int) float64 {
@@ -281,10 +271,7 @@ func runStragglerRescue(seed uint64, spares int) stragglerResult {
 		if err != nil {
 			panic(err)
 		}
-		out.makespan = res.Elapsed
-		out.report = *rep
-		out.decodeOK = rep.DecodeOK
-		out.partCount = res.Partitions
+		out = *res
 		done = true
 	})
 	if !runKernelUntil(c.K, sim.Time(10*time.Minute), sim.Time(time.Second),
@@ -348,28 +335,29 @@ func runRegionFailoverTables(seed uint64, scale float64) []*Table {
 		Header: []string{"Rescue", "Makespan", "Stragglers", "Re-dispatched", "Rescued"},
 	}
 	spares := []int{0, 2}
-	sres := sweep.Map(spares, func(_ int, s int) stragglerResult {
+	sres := sweep.Map(spares, func(_ int, s int) dataflow.Result {
 		return runStragglerRescue(seed, s)
 	})
-	for _, r := range sres {
+	for i, r := range sres {
 		label := "off"
-		if r.spares > 0 {
-			label = fmt.Sprintf("%d spares", r.spares)
+		if spares[i] > 0 {
+			label = fmt.Sprintf("%d spares", spares[i])
 		}
 		st.AddRow(
 			label,
-			FmtDur(r.makespan),
-			fmt.Sprintf("%d", r.report.Stragglers),
-			fmt.Sprintf("%d", r.report.Redispatched),
-			fmt.Sprintf("%d", r.report.Rescued),
+			FmtDur(r.Elapsed),
+			fmt.Sprintf("%d", r.Stragglers),
+			fmt.Sprintf("%d", r.Redispatched),
+			fmt.Sprintf("%d", r.Rescued),
 		)
 	}
-	if len(sres) == 2 && sres[1].makespan > 0 {
+	if len(sres) == 2 && sres[1].Elapsed > 0 {
 		st.AddNote("one of 4 workers runs 20x slow over %d x 50MB partitions; the coordinator tracks outstanding",
-			sres[0].partCount)
+			sres[0].Partitions)
 		st.AddNote("work in a constant-size invertible Bloom filter and names the stragglers by decoding it")
-		st.AddNote("(%s -> %s makespan, %s faster)", FmtDur(sres[0].makespan), FmtDur(sres[1].makespan),
-			FmtRatio(float64(sres[0].makespan)/float64(sres[1].makespan)))
+		off, rescued := sres[0].Elapsed, sres[1].Elapsed
+		st.AddNote("(%s -> %s makespan, %s faster)", FmtDur(off), FmtDur(rescued),
+			FmtRatio(float64(off)/float64(rescued)))
 	}
 	return []*Table{t, st}
 }

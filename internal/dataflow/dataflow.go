@@ -183,13 +183,19 @@ func (e Env) Plan(j *Job) (*Plan, map[Placement]float64, error) {
 	return &Plan{Job: j, Placement: pl, PredictedSeconds: costs[pl]}, costs, nil
 }
 
-// Result summarizes one executed job.
+// Result summarizes one executed job. Elapsed is the makespan, up to the
+// last partition's first completion. Without spares the straggler counts
+// stay 0; with them they count partitions named, rescue copies started and
+// rescue copies that finished first. DecodeOK is false if any decode of
+// the straggler tracker failed to peel.
 type Result struct {
-	Placement        Placement
-	Partitions       int
-	Elapsed          time.Duration
-	OutputBytes      int64
-	PredictedSeconds float64
+	Placement                         Placement
+	Partitions                        int
+	Elapsed                           time.Duration
+	OutputBytes                       int64
+	PredictedSeconds                  float64
+	Stragglers, Redispatched, Rescued int
+	DecodeOK                          bool
 }
 
 // Executor runs physical plans on a future-platform.
@@ -204,81 +210,129 @@ func NewExecutor(pf *future.Platform, env Env) *Executor {
 	return &Executor{pf: pf, env: env}
 }
 
-// Execute runs the plan with `workers` parallel agents, blocking the
-// calling process until every partition is processed.
-func (ex *Executor) Execute(p *sim.Proc, plan *Plan, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(plan.Job.Partitions) {
-		workers = len(plan.Job.Partitions)
-	}
-	start := p.Now()
-	var outputBytes int64
+// execution is one Execute call's shared state. Every process it starts
+// joins wg, which Execute waits on, so none outlives the call.
+type execution struct {
+	ex      *Executor
+	plan    *Plan
+	run     int
+	near    *future.DataSet // where agents are placed; nil = anywhere
+	start   sim.Time
+	wg      sim.WaitGroup
+	tracker *StragglerTracker
+	done    []bool // by 1-based partition id
+	left    int    // partitions not yet completed
+	err     error
+	res     Result
+}
 
-	// Work queue over partitions.
-	work := sim.NewQueue[string](0)
-	for _, part := range plan.Job.Partitions {
-		work.TryPut(part)
+// Execute runs the plan with `workers` parallel agents, blocking the
+// calling process until every partition is processed. Primary workers
+// drain a queue of partitions, slowed per pol.Slow; with pol.Spares > 0 a
+// coordinator also re-dispatches named stragglers to spare agents (see
+// straggler.go). The zero policy runs every worker at full speed and
+// rescues nothing.
+func (ex *Executor) Execute(p *sim.Proc, plan *Plan, workers int, pol StragglerPolicy) (*Result, error) {
+	if err := plan.Job.Validate(); err != nil {
+		return nil, err
+	}
+	parts := plan.Job.Partitions
+	workers = min(max(workers, 1), len(parts))
+	ex.runs++
+	r := &execution{ex: ex, plan: plan, run: ex.runs, start: p.Now(), left: len(parts),
+		tracker: NewStragglerTracker(trackerCells), done: make([]bool, len(parts)+1),
+		res: Result{Placement: plan.Placement, Partitions: len(parts),
+			PredictedSeconds: plan.PredictedSeconds, DecodeOK: true}}
+	if plan.Placement == ShipCodeToData {
+		r.near = plan.Job.Input
+	}
+
+	// Work queue over 1-based partition ids.
+	work := sim.NewQueue[uint64](0)
+	for i := range parts {
+		work.TryPut(uint64(i + 1))
 	}
 	work.Close()
 
-	ex.runs++
-	var wg sim.WaitGroup
-	var firstErr error
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		name := fmt.Sprintf("df-run%d-worker%d", ex.runs, w)
-		p.Spawn(name, func(wp *sim.Proc) {
-			defer wg.Done()
-			var near *future.DataSet
-			if plan.Placement == ShipCodeToData {
-				near = plan.Job.Input
+		slow := 1.0
+		if pol.Slow != nil {
+			if f := pol.Slow(w); f > 1 {
+				slow = f
 			}
-			agent := ex.pf.SpawnAgent(wp, name, 1024, near)
-			defer agent.Stop(wp)
+		}
+		r.spawn(p, fmt.Sprintf("df-run%d-worker%d", r.run, w), func(wp *sim.Proc, agent *future.Agent) {
 			for {
-				part, ok := work.Get(wp)
+				id, ok := work.Get(wp)
 				if !ok {
 					return
 				}
-				size, _ := plan.Job.Input.Extent(part)
-				if err := agent.Read(wp, plan.Job.Input, part); err != nil {
-					if firstErr == nil {
-						firstErr = err
+				r.tracker.Dispatch(id)
+				if _, err := r.partition(wp, agent, id, slow); err != nil {
+					if r.err == nil {
+						r.err = err
 					}
 					return
 				}
-				out := runOps(wp, plan.Job.Ops, size)
-				// Ship the (reduced) result if code ran at the data.
-				if plan.Placement == ShipCodeToData && out > 0 {
-					secs := float64(out) / (ex.env.NetworkMBps * 1e6)
-					wp.Sleep(time.Duration(secs * float64(time.Second)))
-				}
-				outputBytes += out
 			}
 		})
 	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	if pol.Spares > 0 {
+		r.wg.Add(1)
+		p.Spawn(fmt.Sprintf("df-run%d-coord", r.run), func(cp *sim.Proc) {
+			defer r.wg.Done()
+			r.coordinate(cp, work, pol)
+		})
 	}
-	return &Result{
-		Placement:        plan.Placement,
-		Partitions:       len(plan.Job.Partitions),
-		Elapsed:          time.Duration(p.Now() - start),
-		OutputBytes:      outputBytes,
-		PredictedSeconds: plan.PredictedSeconds,
-	}, nil
+	r.wg.Wait(p)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return &r.res, nil
 }
 
-// runOps charges compute for the operator chain and returns output bytes.
-func runOps(p *sim.Proc, ops []Op, input int64) int64 {
-	cur := float64(input)
-	for _, op := range ops {
-		secs := cur / (op.CostMBps * 1e6)
+// spawn starts a process on p that runs body on its own agent.
+func (r *execution) spawn(p *sim.Proc, name string, body func(*sim.Proc, *future.Agent)) {
+	r.wg.Add(1)
+	p.Spawn(name, func(ap *sim.Proc) {
+		defer r.wg.Done()
+		agent := r.ex.pf.SpawnAgent(ap, name, 1024, r.near)
+		defer agent.Stop(ap)
+		body(ap, agent)
+	})
+}
+
+// partition reads partition id, runs the operator chain on a host slowed
+// by factor slow (1 = full speed), ships the reduced result if code ran at
+// the data, and records the completion unless a twin finished first. first
+// reports whether this copy's completion counted.
+func (r *execution) partition(p *sim.Proc, agent *future.Agent, id uint64, slow float64) (first bool, err error) {
+	job := r.plan.Job
+	part := job.Partitions[id-1]
+	size, _ := job.Input.Extent(part)
+	if err = agent.Read(p, job.Input, part); err != nil {
+		return false, err
+	}
+	// Operator chain: each op crunches its input then shrinks it.
+	cur := float64(size)
+	for _, op := range job.Ops {
+		secs := cur / (op.CostMBps / slow * 1e6)
 		p.Sleep(time.Duration(secs * float64(time.Second)))
 		cur *= op.Selectivity
 	}
-	return int64(cur)
+	out := int64(cur)
+	if r.near != nil && out > 0 {
+		secs := float64(out) / (r.ex.env.NetworkMBps * 1e6)
+		p.Sleep(time.Duration(secs * float64(time.Second)))
+	}
+	if r.done[id] {
+		return false, nil // a twin (primary or rescue) got here first
+	}
+	r.done[id] = true
+	r.tracker.Complete(id)
+	r.res.OutputBytes += out
+	if r.left--; r.left == 0 {
+		r.res.Elapsed = time.Duration(p.Now() - r.start)
+	}
+	return true, nil
 }

@@ -106,7 +106,7 @@ func TestExecuteProcessesAllPartitions(t *testing.T) {
 	ex := NewExecutor(f.pf, DefaultEnv())
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		res, err = ex.Execute(p, plan, 4)
+		res, err = ex.Execute(p, plan, 4, StragglerPolicy{})
 	})
 	f.k.Run()
 	if err != nil {
@@ -137,11 +137,11 @@ func TestPlannerChoiceBeatsForcedAlternative(t *testing.T) {
 	ex := NewExecutor(f.pf, DefaultEnv())
 	var chosen, other *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		chosen, err = ex.Execute(p, plan, 3)
+		chosen, err = ex.Execute(p, plan, 3, StragglerPolicy{})
 		if err != nil {
 			return
 		}
-		other, err = ex.Execute(p, forced, 3)
+		other, err = ex.Execute(p, forced, 3, StragglerPolicy{})
 	})
 	f.k.Run()
 	if err != nil {
@@ -163,7 +163,7 @@ func TestCostModelTracksExecution(t *testing.T) {
 	ex := NewExecutor(f.pf, DefaultEnv())
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		res, err = ex.Execute(p, plan, 1) // sequential: prediction is per partition
+		res, err = ex.Execute(p, plan, 1, StragglerPolicy{}) // sequential: prediction is per partition
 	})
 	f.k.Run()
 	if err != nil {
@@ -185,11 +185,11 @@ func TestParallelWorkersScale(t *testing.T) {
 	ex := NewExecutor(f.pf, DefaultEnv())
 	var seq, par *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		seq, err = ex.Execute(p, plan, 1)
+		seq, err = ex.Execute(p, plan, 1, StragglerPolicy{})
 		if err != nil {
 			return
 		}
-		par, err = ex.Execute(p, plan, 6)
+		par, err = ex.Execute(p, plan, 6, StragglerPolicy{})
 	})
 	f.k.Run()
 	if err != nil {
@@ -208,11 +208,11 @@ func TestExecuteInvalidWorkerCountsClamped(t *testing.T) {
 	ex := NewExecutor(f.pf, DefaultEnv())
 	var err error
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		_, err = ex.Execute(p, plan, 0) // clamps to 1
+		_, err = ex.Execute(p, plan, 0, StragglerPolicy{}) // clamps to 1
 		if err != nil {
 			return
 		}
-		_, err = ex.Execute(p, plan, 99) // clamps to len(partitions)
+		_, err = ex.Execute(p, plan, 99, StragglerPolicy{}) // clamps to len(partitions)
 	})
 	f.k.Run()
 	if err != nil {
@@ -269,7 +269,7 @@ func TestExecutionIsVirtualTime(t *testing.T) {
 	wall := time.Now()
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
-		res, _ = ex.Execute(p, plan, 2)
+		res, _ = ex.Execute(p, plan, 2, StragglerPolicy{})
 	})
 	f.k.Run()
 	if res.Elapsed < 500*time.Millisecond {

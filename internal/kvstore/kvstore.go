@@ -18,7 +18,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -352,7 +352,7 @@ func (s *Store) Scan(p *sim.Proc, caller *netsim.Node, prefix string) []Item {
 		sh.fe.Charge("dynamodb.read", pricing.DynamoReadUnits(bytes, true),
 			sh.fe.Catalog().DynamoReadPerUnit)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Item) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
