@@ -69,26 +69,42 @@ type stateCacheResult struct {
 // rather than per operation.
 var stateCacheKey = renderKeys("ctr/%02d", stateCacheKeys)
 
+// uncachedWorker is one uncached worker's identity and decode/encode
+// scratch. The worker is one sequential process, and the kvstore copies a
+// written value once the write's round trip completes, so the counter and
+// the buffer are free again whenever the worker is between operations.
+type uncachedWorker struct {
+	replica string
+	ctr     crdt.PNCounter // the last counter read back from the store
+	buf     []byte         // the last counter written
+}
+
+// read decodes a stored counter into the worker's scratch counter.
+func (w *uncachedWorker) read(value []byte) {
+	if err := crdt.UnmarshalPNCounterInto(&w.ctr, value); err != nil {
+		panic(err)
+	}
+}
+
 // uncachedAdd is the blackboard-pattern counter write: read the stored
 // lattice, join the delta, conditionally write back, retrying lost races.
-func uncachedAdd(p *sim.Proc, c *Cloud, ctx *faas.Ctx, replica, key string, delta int64) {
+func uncachedAdd(p *sim.Proc, c *Cloud, ctx *faas.Ctx, w *uncachedWorker, key string, delta int64) {
 	for attempt := 0; ; attempt++ {
 		var ver int64
-		ctr := crdt.NewPNCounter()
 		it, err := c.DDB.Get(p, ctx.Node(), key, true)
 		switch {
 		case err == nil:
-			if ctr, err = crdt.UnmarshalPNCounter(it.Value); err != nil {
-				panic(err)
-			}
+			w.read(it.Value)
 			ver = it.Version
 		case errors.Is(err, kvstore.ErrNotFound):
+			w.ctr.Reset()
 			ver = 0
 		default:
 			panic(err)
 		}
-		ctr.Add(replica, delta)
-		if _, err := c.DDB.ConditionalPut(p, ctx.Node(), key, crdt.Marshal(ctr), ver); err == nil {
+		w.ctr.Add(w.replica, delta)
+		w.buf = w.ctr.AppendJSON(w.buf[:0])
+		if _, err := c.DDB.ConditionalPut(p, ctx.Node(), key, w.buf, ver); err == nil {
 			return
 		} else if !errors.Is(err, kvstore.ErrConditionFailed) {
 			panic(err)
@@ -127,7 +143,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		worker := int(payload[0])
 		rng := simrand.New(seed*1000 + uint64(worker) + 1)
 		think := simrand.Exponential{Mean: stateCacheThink}
-		replica := fmt.Sprintf("w%d", worker)
+		w := &uncachedWorker{replica: fmt.Sprintf("w%d", worker)}
 		for p.Now() < end {
 			p.Sleep(think.Sample(rng))
 			key := stateCacheKey[rng.Intn(stateCacheKeys)]
@@ -135,7 +151,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 				if cached {
 					ctx.Cache().AddCounter(p, key, 1)
 				} else {
-					uncachedAdd(p, c, ctx, replica, key, 1)
+					uncachedAdd(p, c, ctx, w, key, 1)
 				}
 			} else {
 				start := p.Now()
@@ -145,9 +161,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 					// Eventual reads: the cheaper, paper-typical serving
 					// read; misses on unwritten keys read as zero.
 					if it, err := c.DDB.Get(p, ctx.Node(), key, false); err == nil {
-						if _, derr := crdt.UnmarshalPNCounter(it.Value); derr != nil {
-							panic(derr)
-						}
+						w.read(it.Value)
 					} else if !errors.Is(err, kvstore.ErrNotFound) {
 						panic(err)
 					}

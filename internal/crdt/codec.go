@@ -147,16 +147,40 @@ func safeByte(c byte) bool {
 // and the length of its encoding. ok is false when data does not begin
 // with that form; UnmarshalGCounter is the general decoder.
 func ScanGCounter(data []byte) (c *GCounter, n int, ok bool) {
-	s := scanner{b: data}
-	c, ok = s.gcounter()
-	return c, s.i, ok
+	c = &GCounter{}
+	if n, ok = ScanGCounterInto(c, data); !ok {
+		return nil, n, false
+	}
+	return c, n, true
 }
 
 // ScanPNCounter is ScanGCounter for a PN-Counter.
 func ScanPNCounter(data []byte) (c *PNCounter, n int, ok bool) {
+	c = &PNCounter{}
+	if n, ok = ScanPNCounterInto(c, data); !ok {
+		return nil, n, false
+	}
+	return c, n, true
+}
+
+// ScanGCounterInto is ScanGCounter decoding into c, which ends up equal to
+// what ScanGCounter would return. It is the one counter decoder: it reuses
+// c's slot capacity, and where a replica id matches the one c already held
+// at the same slot position it keeps that string, so decoding a counter
+// into one that holds the previous version of it allocates nothing. When
+// ok is false c's contents are unspecified.
+func ScanGCounterInto(c *GCounter, data []byte) (n int, ok bool) {
 	s := scanner{b: data}
-	c, ok = s.pncounter()
-	return c, s.i, ok
+	ok = s.gcounter(c)
+	return s.i, ok
+}
+
+// ScanPNCounterInto is ScanGCounterInto for a PN-Counter; it allocates c's
+// halves only when they are nil.
+func ScanPNCounterInto(c *PNCounter, data []byte) (n int, ok bool) {
+	s := scanner{b: data}
+	ok = s.pncounter(c)
+	return s.i, ok
 }
 
 // scanner walks canonical encoder output; every method reports false on
@@ -241,55 +265,57 @@ func (s *scanner) keys() int {
 	return quotes / 2
 }
 
-// gcounter consumes {"counts":{...}} with strictly ascending keys. It
-// rejects {"counts":null}: that decodes empty, which re-encodes as
+// gcounter consumes {"counts":{...}} with strictly ascending keys into c.
+// It rejects {"counts":null}: that decodes empty, which re-encodes as
 // {"counts":{}}, and the scanner accepts only input that re-encodes to
 // itself, so the encoding/json fallback decodes it instead.
-func (s *scanner) gcounter() (*GCounter, bool) {
+func (s *scanner) gcounter(c *GCounter) bool {
 	if !s.lit(`{"counts":{`) {
-		return nil, false
+		return false
 	}
-	c := NewGCounter()
+	old := c.slots // read at position i before slot i is overwritten
+	c.reset()
 	if s.lit("}") {
-		return c, s.lit("}")
+		return s.lit("}")
 	}
-	c.slots = make([]slot, 0, s.keys())
+	if k := s.keys(); cap(c.slots) < k {
+		c.slots = make([]slot, 0, k)
+	}
 	var prev []byte
 	for i := 0; ; i++ {
 		k, ok := s.str()
 		if !ok || (i > 0 && string(k) <= string(prev)) || !s.lit(":") {
-			return nil, false
+			return false
 		}
 		v, n, ok := ScanCanonicalInt(s.b[s.i:], 64)
 		if !ok {
-			return nil, false
+			return false
 		}
 		s.i += n
-		c.slots = append(c.slots, slot{string(k), v})
+		var r string
+		if i < len(old) && old[i].replica == string(k) {
+			r = old[i].replica
+		} else {
+			r = string(k)
+		}
+		c.slots = append(c.slots, slot{r, v})
 		prev = k
 		if s.lit("}") {
 			break
 		}
 		if !s.lit(",") {
-			return nil, false
+			return false
 		}
 	}
-	return c, s.lit("}")
+	return s.lit("}")
 }
 
-// pncounter consumes {"p":G,"n":G}, each G a G-Counter (null is left to
-// the fallback, as in gcounter).
-func (s *scanner) pncounter() (*PNCounter, bool) {
+// pncounter consumes {"p":G,"n":G} into c, each G a G-Counter (null is
+// left to the fallback, as in gcounter).
+func (s *scanner) pncounter(c *PNCounter) bool {
 	if !s.lit(`{"p":`) {
-		return nil, false
+		return false
 	}
-	p, ok := s.gcounter()
-	if !ok || !s.lit(`,"n":`) {
-		return nil, false
-	}
-	n, ok := s.gcounter()
-	if !ok || !s.lit("}") {
-		return nil, false
-	}
-	return &PNCounter{P: p, N: n}, true
+	c.halves()
+	return s.gcounter(c.P) && s.lit(`,"n":`) && s.gcounter(c.N) && s.lit("}")
 }

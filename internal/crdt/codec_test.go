@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -168,5 +169,66 @@ func TestScanCanonicalInt(t *testing.T) {
 		ScanCanonicalInt("123}", 64)
 	}); allocs != 0 {
 		t.Errorf("ScanCanonicalInt allocates %v times per call pair, want 0", allocs)
+	}
+}
+
+// TestScanIntoWarmScratch decodes two counters into one scratch, the
+// second with a different replica at a slot position the first filled:
+// the scratch must then equal a fresh decode of the second, and keep
+// nothing of the first.
+func TestScanIntoWarmScratch(t *testing.T) {
+	a := &PNCounter{
+		P: gcounterOf(map[string]int64{"vm-1#1": 4, "vm-2#2": 9, "vm-3#3": 1}),
+		N: gcounterOf(map[string]int64{"vm-2#2": 2}),
+	}
+	b := &PNCounter{
+		P: gcounterOf(map[string]int64{"vm-1#1": 5, "vm-4#4": 7}), // vm-4#4 where vm-2#2 was
+		N: gcounterOf(map[string]int64{}),
+	}
+	encA, encB := Marshal(a), Marshal(b)
+	var scratch PNCounter
+	if n, ok := ScanPNCounterInto(&scratch, encA); !ok || n != len(encA) {
+		t.Fatalf("scan of A = (%d, %v), want (%d, true)", n, ok, len(encA))
+	}
+	if n, ok := ScanPNCounterInto(&scratch, encB); !ok || n != len(encB) {
+		t.Fatalf("scan of B = (%d, %v), want (%d, true)", n, ok, len(encB))
+	}
+	fresh, _, _ := ScanPNCounter(encB)
+	if !reflect.DeepEqual(&scratch, fresh) {
+		t.Fatalf("B into A's scratch = %s, fresh decode = %s", Marshal(&scratch), Marshal(fresh))
+	}
+	if got := Marshal(&scratch); !bytes.Equal(got, encB) {
+		t.Fatalf("B into A's scratch re-encodes as %s, want %s", got, encB)
+	}
+	if scratch.P.slots[0].replica != "vm-1#1" || scratch.P.slots[1].replica != "vm-4#4" {
+		t.Fatalf("scratch replicas = %+v", scratch.P.slots)
+	}
+}
+
+// TestScanIntoWarmScratchAllocatesNothing pins the point of decoding into
+// a scratch: a counter decoded into one holding its previous version — the
+// same replicas, other counts — allocates nothing.
+func TestScanIntoWarmScratchAllocatesNothing(t *testing.T) {
+	c := NewPNCounter()
+	for i := 0; i < 8; i++ {
+		c.Add("vm-"+strconv.Itoa(i), int64(i-4))
+	}
+	prev := Marshal(c)
+	c.Add("vm-3", 1)
+	next := Marshal(c)
+	var scratch PNCounter
+	if err := UnmarshalPNCounterInto(&scratch, prev); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := UnmarshalPNCounterInto(&scratch, next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decode into a warm scratch made %v allocations, want 0", allocs)
+	}
+	if scratch.Value() != c.Value() {
+		t.Fatalf("scratch value %d, want %d", scratch.Value(), c.Value())
 	}
 }

@@ -61,6 +61,15 @@ func NewGCounter() *GCounter {
 	return &GCounter{slots: []slot{}}
 }
 
+// reset empties c, keeping its slot capacity. The slots stay non-nil, so
+// the counter encodes as a new one does ({"counts":{}}).
+func (c *GCounter) reset() {
+	c.slots = c.slots[:0]
+	if c.slots == nil {
+		c.slots = []slot{}
+	}
+}
+
 // Inc adds n (n >= 0) on behalf of replica. A replica's first Inc creates
 // its slot, even at n == 0.
 func (c *GCounter) Inc(replica string, n int64) {
@@ -144,6 +153,24 @@ type PNCounter struct {
 // NewPNCounter returns an empty counter.
 func NewPNCounter() *PNCounter {
 	return &PNCounter{P: NewGCounter(), N: NewGCounter()}
+}
+
+// Reset makes c equal to a new counter, keeping its slot capacity for the
+// next decode into it (see ScanPNCounterInto).
+func (c *PNCounter) Reset() {
+	c.halves()
+	c.P.reset()
+	c.N.reset()
+}
+
+// halves gives c whichever of its two G-Counters it lacks.
+func (c *PNCounter) halves() {
+	if c.P == nil {
+		c.P = &GCounter{}
+	}
+	if c.N == nil {
+		c.N = &GCounter{}
+	}
 }
 
 // Add applies a signed delta on behalf of replica.
@@ -345,10 +372,26 @@ func unmarshalGCounterJSON(data []byte) (*GCounter, error) {
 
 // UnmarshalPNCounter decodes a stored PN-Counter.
 func UnmarshalPNCounter(data []byte) (*PNCounter, error) {
-	if c, n, ok := ScanPNCounter(data); ok && n == len(data) {
-		return c, nil
+	c := &PNCounter{}
+	if err := UnmarshalPNCounterInto(c, data); err != nil {
+		return nil, err
 	}
-	return unmarshalPNCounterJSON(data)
+	return c, nil
+}
+
+// UnmarshalPNCounterInto is UnmarshalPNCounter decoding into c: canonical
+// input goes through ScanPNCounterInto and reuses c's memory, anything
+// else through encoding/json. On error c's contents are unspecified.
+func UnmarshalPNCounterInto(c *PNCounter, data []byte) error {
+	if n, ok := ScanPNCounterInto(c, data); ok && n == len(data) {
+		return nil
+	}
+	v, err := unmarshalPNCounterJSON(data)
+	if err != nil {
+		return err
+	}
+	*c = *v
+	return nil
 }
 
 func unmarshalPNCounterJSON(data []byte) (*PNCounter, error) {

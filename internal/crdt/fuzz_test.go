@@ -8,8 +8,10 @@ package crdt
 // decode(encode(decode(x))) reproduces the same state bytes. Each target
 // is also differential: a decoded value's AppendJSON matches json.Marshal
 // (of a counter's map-shaped twin), and whenever a counter scanner accepts
-// an input it decodes what encoding/json decodes. FuzzMergeOutcome holds
-// the counters' Merge reports to their encodings.
+// an input it decodes what encoding/json decodes. FuzzUnmarshalPNCounter
+// is also differential between decoding into a new counter and into one
+// that holds another decode. FuzzMergeOutcome holds the counters' Merge
+// reports to their encodings.
 
 import (
 	"bytes"
@@ -47,6 +49,46 @@ func checkScanMatchesJSON[T any](t *testing.T, data []byte,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scanner decoded %q as %+v, encoding/json as %+v", data[:n], got, want)
+	}
+}
+
+// prevPNInput is the input FuzzUnmarshalPNCounter ran before the current
+// one (fuzz inputs run one at a time in each process).
+var prevPNInput []byte
+
+// checkWarmScratchMatchesFresh decodes data into scratch counters that
+// already hold another decode — the previous fuzz input's and data's own —
+// and fails t unless ScanPNCounterInto reports the n and ok ScanPNCounter
+// reports and UnmarshalPNCounterInto the error UnmarshalPNCounter reports,
+// and each scratch then equals the fresh decode.
+func checkWarmScratchMatchesFresh(t *testing.T, data []byte) {
+	t.Helper()
+	prev := prevPNInput
+	prevPNInput = bytes.Clone(data)
+	warm := func(from []byte) *PNCounter {
+		var c PNCounter
+		UnmarshalPNCounterInto(&c, from) // a failed decode leaves a scratch as warm
+		return &c
+	}
+	fresh, n, ok := ScanPNCounter(data)
+	want, wantErr := UnmarshalPNCounter(data)
+	for _, from := range [][]byte{prev, data} {
+		c := warm(from)
+		gotN, gotOK := ScanPNCounterInto(c, data)
+		if gotN != n || gotOK != ok {
+			t.Fatalf("scan of %q into a scratch warm with %q = (%d, %v), fresh (%d, %v)", data, from, gotN, gotOK, n, ok)
+		}
+		if ok && !reflect.DeepEqual(c, fresh) {
+			t.Fatalf("scan of %q into a scratch warm with %q = %+v, fresh %+v", data, from, c, fresh)
+		}
+		c = warm(from)
+		err := UnmarshalPNCounterInto(c, data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decode of %q into a scratch warm with %q: err %v, fresh err %v", data, from, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(c, want) {
+			t.Fatalf("decode of %q into a scratch warm with %q = %+v, fresh %+v", data, from, c, want)
+		}
 	}
 }
 
@@ -95,6 +137,7 @@ func FuzzUnmarshalPNCounter(f *testing.F) {
 	f.Add([]byte(`{"p":{"counts":{"\u0041":1}},"n":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkScanMatchesJSON(t, data, ScanPNCounter, unmarshalPNCounterJSON)
+		checkWarmScratchMatchesFresh(t, data)
 		c, err := UnmarshalPNCounter(data)
 		if err != nil {
 			return

@@ -11,7 +11,9 @@ import (
 // FuzzDecodeEntry holds decodeEntry's canonical-envelope fast path to the
 // encoding/json path it short-circuits: on any input both fail, or both
 // decode the same kind, write stamp, lattice, footprint and digest — and
-// the digest is FNV-1a over the kind byte and the raw state bytes.
+// the digest is FNV-1a over the kind byte and the raw state bytes. It also
+// holds decoding into a scratch entry, as the write-behind flush does, to
+// decoding into a new one (see checkWarmScratchMatchesFresh).
 func FuzzDecodeEntry(f *testing.F) {
 	for _, kind := range []Kind{KindGCounter, KindPNCounter, KindRegister, KindSet} {
 		e := newEntry(kind)
@@ -30,12 +32,13 @@ func FuzzDecodeEntry(f *testing.F) {
 			e.set.Add("vm-2#2", "y")
 		}
 		e.lastWrite = 123456789
-		f.Add(e.encode())
+		f.Add(e.encode(nil))
 	}
 	f.Add([]byte(`{"kind":2,"state":{"p":null,"n":null},"lastWrite":-0}`))
 	f.Add([]byte(`{"kind":1,"state":{"counts":{}},"lastWrite":01}`))
 	f.Add([]byte(`{"kind":1, "state":{"counts":{"a":1}},"lastWrite":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWarmScratchMatchesFresh(t, data)
 		got, gotErr := decodeEntry(data)
 		want, wantErr := unmarshalEntry(data)
 		if (gotErr == nil) != (wantErr == nil) {
@@ -68,4 +71,46 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("digest %x/%d is not FNV-1a/size of state %q", got.hash, got.bytes, env.State)
 		}
 	})
+}
+
+// prevEntryInput is the input FuzzDecodeEntry ran before the current one
+// (fuzz inputs run one at a time in each process).
+var prevEntryInput []byte
+
+// checkWarmScratchMatchesFresh decodes data into scratch entries that
+// already hold another decode — the previous fuzz input's and data's own,
+// with every bookkeeping field set the way a live entry sets it — and
+// fails t unless scanEntryInto reports what it reports into a new entry and
+// decodeEntryInto the error decodeEntry reports, and each scratch then
+// equals the fresh decode field for field.
+func checkWarmScratchMatchesFresh(t *testing.T, data []byte) {
+	t.Helper()
+	prev := prevEntryInput
+	prevEntryInput = bytes.Clone(data)
+	warm := func(from []byte) *entry {
+		var e entry
+		decodeEntryInto(&e, from) // a failed decode leaves a scratch as warm
+		e.stale, e.staleSince, e.sharedReg, e.rawDigest = true, 7, true, true
+		e.storeKey = "cache/warm"
+		return &e
+	}
+	fresh := &entry{}
+	freshOK := scanEntryInto(fresh, data)
+	want, wantErr := decodeEntry(data)
+	for _, from := range [][]byte{prev, data} {
+		e := warm(from)
+		if ok := scanEntryInto(e, data); ok != freshOK {
+			t.Fatalf("scan of %q into a scratch warm with %q = %v, fresh %v", data, from, ok, freshOK)
+		} else if ok && !reflect.DeepEqual(e, fresh) {
+			t.Fatalf("scan of %q into a scratch warm with %q = %+v, fresh %+v", data, from, e, fresh)
+		}
+		e = warm(from)
+		err := decodeEntryInto(e, data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decode of %q into a scratch warm with %q: err %v, fresh err %v", data, from, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(e, want) {
+			t.Fatalf("decode of %q into a scratch warm with %q = %+v, fresh %+v", data, from, e, want)
+		}
+	}
 }

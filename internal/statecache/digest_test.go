@@ -16,13 +16,18 @@ import (
 // encoding — what refresh would compute now. Merges keep or take digests
 // instead of recomputing them, so this is what keeps gossip's
 // equal-digest-means-equal-state rule sound. It reports the first
-// mismatch only, and whether there was none. (It runs inside simulated
-// processes, so it uses Errorf, not Fatalf.)
+// mismatch only, and whether there was none. It also checks that each
+// replica's aligned entry slice holds the map's entry for every key. (It
+// runs inside simulated processes, so it uses Errorf, not Fatalf.)
 func checkDigestsCanonical(t *testing.T, when string, caches []*Cache) bool {
 	t.Helper()
 	for _, c := range caches {
-		for _, key := range c.sortedKeys() {
+		for i, key := range c.keys {
 			e := c.entries[key]
+			if c.ents[i] != e {
+				t.Errorf("%s: replica %s key %q: entry at index %d is not the map's", when, c.replica, key, i)
+				return false
+			}
 			if e.stale {
 				continue
 			}

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -27,24 +28,31 @@ import (
 
 // entry is one cached lattice plus its gossip/flush bookkeeping.
 type entry struct {
-	kind Kind
-	g    *crdt.GCounter
-	pn   *crdt.PNCounter
-	reg  *crdt.LWWRegister
-	set  *crdt.ORSet
+	g   *crdt.GCounter
+	pn  *crdt.PNCounter
+	reg *crdt.LWWRegister
+	set *crdt.ORSet
 
 	bytes     int64    // serialized footprint at last refresh
 	hash      uint64   // FNV-1a of the serialized state (digest line)
 	lastWrite sim.Time // latest originating local write merged in
 
+	// staleSince remembers when a deferred refresh's growth appeared (see
+	// stale below).
+	staleSince sim.Time
+
+	// storeKey is the backing-store key the write-behind flush writes the
+	// entry under, built on the entry's first flush.
+	storeKey string
+
+	kind Kind
+
 	// Local writes run at memory speed, so they must not pay a JSON
 	// marshal per op: wrote() only flags the entry stale and the
 	// footprint/hash are recomputed at the first consumer — a gossip
-	// diff, a flush, a billing settlement (Cache.fresh). staleSince
-	// remembers when the deferred growth appeared so the settlement can
-	// bill it from then, not from when it was noticed.
-	stale      bool
-	staleSince sim.Time
+	// diff, a flush, a billing settlement (Cache.fresh), which bills the
+	// growth from staleSince, not from when it was noticed.
+	stale bool
 
 	// sharedReg marks a register borrowed from the cluster's Preload
 	// template; the entry must clone it before any mutation (unshare).
@@ -113,12 +121,14 @@ func (e *entry) appendState(b []byte) []byte {
 	}
 }
 
-// encode serializes the entry for storage and gossip transfer. It returns
-// a fresh slice: the kvstore retains the bytes it is given.
-func (e *entry) encode() []byte {
+// encode appends the entry's storage and gossip-transfer form to b. The
+// kvstore copies a written value once its round trip completes, so a
+// flush can encode into a buffer it reuses, provided the buffer stays
+// untouched while the write is in flight.
+func (e *entry) encode(b []byte) []byte {
 	// A fresh e.bytes is the state plus envelopeOverheadBytes, and the
 	// framing never exceeds 52 bytes, so the slice never regrows.
-	b := make([]byte, 0, e.bytes+4)
+	b = slices.Grow(b, int(e.bytes)+4)
 	b = append(b, `{"kind":`...)
 	b = strconv.AppendInt(b, int64(e.kind), 10)
 	b = append(b, `,"state":`...)
@@ -132,57 +142,85 @@ func (e *entry) encode() []byte {
 // payload when sizing an entry's storage/transfer footprint.
 const envelopeOverheadBytes = 48
 
-// decodeEntry parses a stored envelope back into an entry. A counter
-// envelope exactly as encode writes it is scanned directly; anything else
-// goes through encoding/json.
+// decodeEntry parses a stored envelope back into a new entry.
 func decodeEntry(data []byte) (*entry, error) {
-	if e := scanEntry(data); e != nil {
-		return e, nil
+	e := &entry{}
+	if err := decodeEntryInto(e, data); err != nil {
+		return nil, err
 	}
-	return unmarshalEntry(data)
+	return e, nil
 }
 
-// scanEntry decodes a counter envelope in exactly the form encode writes,
-// delimiting the state with the lattice's own scanner. It returns nil for
-// any other input, register and set envelopes included.
-func scanEntry(data []byte) *entry {
+// decodeEntryInto parses a stored envelope into e, which ends up equal to
+// what decodeEntry would return, every bookkeeping field included. A
+// counter envelope exactly as encode writes it is scanned into e's own
+// counter (see crdt.ScanPNCounterInto), so decoding a key's stored state
+// into an entry that holds an earlier version of it allocates nothing;
+// anything else goes through encoding/json. On error e's contents are
+// unspecified.
+func decodeEntryInto(e *entry, data []byte) error {
+	if scanEntryInto(e, data) {
+		return nil
+	}
+	u, err := unmarshalEntry(data)
+	if err != nil {
+		return err
+	}
+	*e = *u
+	return nil
+}
+
+// scanEntryInto decodes a counter envelope in exactly the form encode
+// writes into e, delimiting the state with the lattice's own scanner. It
+// keeps only e's counter of the envelope's kind and resets every other
+// field. It reports false for any other input, register and set envelopes
+// included, and then e's contents are unspecified.
+func scanEntryInto(e *entry, data []byte) bool {
 	const head, mid, tail = `{"kind":`, `,"state":`, `,"lastWrite":`
 	if len(data) <= len(head) || string(data[:len(head)]) != head {
-		return nil
+		return false
 	}
-	e := &entry{kind: Kind(data[len(head)] - '0')}
+	kind := Kind(data[len(head)] - '0')
 	rest, ok := bytes.CutPrefix(data[len(head)+1:], []byte(mid))
 	if !ok {
-		return nil
+		return false
 	}
 	var n int
-	switch e.kind {
+	switch kind {
 	case KindGCounter:
-		e.g, n, ok = crdt.ScanGCounter(rest)
+		if e.g == nil {
+			e.g = &crdt.GCounter{}
+		}
+		*e = entry{kind: kind, g: e.g}
+		n, ok = crdt.ScanGCounterInto(e.g, rest)
 	case KindPNCounter:
-		e.pn, n, ok = crdt.ScanPNCounter(rest)
+		if e.pn == nil {
+			e.pn = &crdt.PNCounter{}
+		}
+		*e = entry{kind: kind, pn: e.pn}
+		n, ok = crdt.ScanPNCounterInto(e.pn, rest)
 	default:
 		ok = false
 	}
 	if !ok {
-		return nil
+		return false
 	}
 	state := rest[:n]
 	stamp, ok := bytes.CutPrefix(rest[n:], []byte(tail))
 	if !ok {
-		return nil
+		return false
 	}
 	stamp, ok = bytes.CutSuffix(stamp, []byte("}"))
 	if !ok {
-		return nil
+		return false
 	}
 	lastWrite, n, ok := crdt.ScanCanonicalInt(stamp, 64)
 	if !ok || n != len(stamp) {
-		return nil // not the digits AppendInt writes: leading zeros, a sign, ...
+		return false // not the digits AppendInt writes: leading zeros, a sign, ...
 	}
 	e.lastWrite = sim.Time(lastWrite)
 	e.digest(state)
-	return e
+	return true
 }
 
 // unmarshalEntry is decodeEntry's general path, for any JSON encoding of
@@ -260,7 +298,7 @@ func (e *entry) refresh(buf *[]byte) int64 {
 // (TestEntryDigestIsCanonical). Keeping needs a digest that is current:
 // e digested (a fresh entry's bytes include the envelope overhead, so 0
 // means never) and not stale. Taking needs other's to be canonical: a
-// fresh live entry's or scanEntry's, not one unmarshalEntry took over raw
+// fresh live entry's or scanEntryInto's, not one unmarshalEntry took over raw
 // bytes.
 func (e *entry) merge(other *entry, buf *[]byte) int64 {
 	if other.kind != e.kind {
@@ -397,12 +435,13 @@ func (c *Cache) pickPeer() *Cache {
 // freshened on the way, so the hashes compared (and the entry bytes the
 // caller sizes transfers with) reflect every local write so far.
 //
-// Both replicas maintain their key sets pre-sorted, so the diff is a
-// single merge walk — no map iteration (whose order would scramble the
-// freshen-time billing settlements) and no per-round sort. The result
-// reuses a's scratch buffer: a is the round initiator, and one round is a
-// single sequential process, so the buffer cannot be clobbered before the
-// round finishes with it.
+// Both replicas maintain their key sets pre-sorted, with each key's entry
+// at the same index of ents, so the diff is a single merge walk that
+// indexes instead of hashing — no map iteration (whose order would
+// scramble the freshen-time billing settlements), no map lookup and no
+// per-round sort. The result reuses a's scratch buffer: a is the round
+// initiator, and one round is a single sequential process, so the buffer
+// cannot be clobbered before the round finishes with it.
 func diffKeys(a, b *Cache) []string {
 	out := a.diffScratch[:0]
 	ak, bk := a.keys, b.keys
@@ -410,15 +449,15 @@ func diffKeys(a, b *Cache) []string {
 	for i < len(ak) || j < len(bk) {
 		switch {
 		case j >= len(bk) || (i < len(ak) && ak[i] < bk[j]):
-			a.fresh(ak[i], a.entries[ak[i]])
+			a.fresh(ak[i], a.ents[i])
 			out = append(out, ak[i])
 			i++
 		case i >= len(ak) || bk[j] < ak[i]:
-			b.fresh(bk[j], b.entries[bk[j]])
+			b.fresh(bk[j], b.ents[j])
 			out = append(out, bk[j])
 			j++
 		default: // both hold the key: compare freshened digests
-			ae, be := a.entries[ak[i]], b.entries[bk[j]]
+			ae, be := a.ents[i], b.ents[j]
 			a.fresh(ak[i], ae)
 			b.fresh(bk[j], be)
 			if ae.hash != be.hash {
@@ -444,9 +483,7 @@ func (c *Cache) mergeFrom(now sim.Time, src *Cache, keys []string) {
 		e, ok := c.entries[k]
 		if !ok {
 			e = newEntry(se.kind)
-			c.entries[k] = e
-			c.addKey(k)
-			c.reconInsert(k, e)
+			c.insert(k, e)
 		}
 		// Settle any deferred local growth first, so the merge delta and
 		// the changed-state check are against a current footprint/hash.

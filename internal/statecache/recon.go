@@ -102,8 +102,8 @@ func (c *Cache) settleRecon() {
 // live summary failed to decode.
 func (c *Cache) rebuildFilter(cells int) *recon.Filter {
 	f := recon.New(cells)
-	for _, k := range c.keys {
-		f.Add(element(keyDigest(k), c.entries[k].hash))
+	for i, k := range c.keys {
+		f.Add(element(keyDigest(k), c.ents[i].hash))
 	}
 	return f
 }

@@ -25,6 +25,7 @@ package statecache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -272,9 +273,7 @@ func (cl *Cluster) Detach(node *netsim.Node) {
 	}
 	// Settle deferred refreshes while the replica is still billed, so the
 	// bytes subtracted below are the bytes that were being charged.
-	for _, k := range c.sortedKeys() {
-		c.fresh(k, c.entries[k])
-	}
+	c.freshAll()
 	c.detached = true
 	delete(cl.byNode, node)
 	for i, cand := range cl.replicas {
@@ -366,9 +365,7 @@ func (cl *Cluster) FlushWrites() int64 { return cl.flushWrites }
 // meter so charges cover the full run.
 func (cl *Cluster) Accrue(now sim.Time) {
 	for _, c := range cl.replicas {
-		for _, k := range c.sortedKeys() {
-			c.fresh(k, c.entries[k])
-		}
+		c.freshAll()
 	}
 	cl.accrue(now)
 }
@@ -402,10 +399,12 @@ type Cache struct {
 	entries map[string]*entry
 	// keys mirrors entries' key set in sorted order, maintained
 	// incrementally on insert (entries are never individually removed), so
-	// per-gossip-round key iteration neither allocates nor re-sorts.
-	// keyBytes is the running sum of key lengths, which makes digest
-	// sizing O(1).
+	// per-gossip-round key iteration neither allocates nor re-sorts, and
+	// ents holds each key's entry at the same index, so the walks over
+	// keys index instead of hashing. keyBytes is the running sum of key
+	// lengths, which makes digest sizing O(1).
 	keys     []string
+	ents     []*entry
 	keyBytes int64
 	dirty    map[string]bool
 	bytes    int64 // this replica's resident state
@@ -414,32 +413,33 @@ type Cache struct {
 
 	// Reusable scratch. diffScratch backs diffKeys' result and candScratch
 	// pickPeer's candidate list; both are only used by this replica's own
-	// gossip round, which is a single sequential process. flushScratch
-	// backs flushDirty's key list — a separate buffer because the flush
-	// process interleaves with gossip rounds at park points.
-	diffScratch  []string
-	candScratch  []*Cache
-	flushScratch []string
+	// gossip round, which is a single sequential process. flush is the
+	// write-behind cycle's own (see flushScratch) — separate because the
+	// flush process interleaves with gossip rounds at park points.
+	diffScratch []string
+	candScratch []*Cache
+	flush       *flushScratch
 
 	// rc is the IBF reconciliation state (nil unless Config.Reconcile).
 	rc *reconState
 }
 
-// addKey records a newly created entry's key in the sorted key slice.
-// Keys arriving in ascending order (bulk preloads, merge walks over a
-// peer's sorted diff into an empty replica) append in O(1) instead of
-// paying the binary search and shift.
-func (c *Cache) addKey(key string) {
+// insert adds a new entry: to the map, and to the sorted key slice and
+// its aligned entry slice. Keys arriving in ascending order (bulk
+// preloads, merge walks over a peer's sorted diff into an empty replica)
+// append in O(1) instead of paying the binary search and shift.
+func (c *Cache) insert(key string, e *entry) {
+	c.entries[key] = e
+	c.keyBytes += int64(len(key))
 	if n := len(c.keys); n == 0 || c.keys[n-1] < key {
 		c.keys = append(c.keys, key)
-		c.keyBytes += int64(len(key))
-		return
+		c.ents = append(c.ents, e)
+	} else {
+		i := sort.SearchStrings(c.keys, key)
+		c.keys = slices.Insert(c.keys, i, key)
+		c.ents = slices.Insert(c.ents, i, e)
 	}
-	i := sort.SearchStrings(c.keys, key)
-	c.keys = append(c.keys, "")
-	copy(c.keys[i+1:], c.keys[i:])
-	c.keys[i] = key
-	c.keyBytes += int64(len(key))
+	c.reconInsert(key, e)
 }
 
 // Node returns the VM node the replica is colocated with.
@@ -484,9 +484,7 @@ func (c *Cache) at(key string, kind Kind, create bool) *entry {
 		return nil
 	}
 	e = newEntry(kind)
-	c.entries[key] = e
-	c.addKey(key)
-	c.reconInsert(key, e)
+	c.insert(key, e)
 	return e
 }
 
@@ -695,16 +693,28 @@ func (c *Cache) Preload(key, val string) {
 		bytes:     cl.preBytes,
 		hash:      cl.preHash,
 	}
-	c.entries[key] = e
-	c.addKey(key)
-	c.reconInsert(key, e)
+	c.insert(key, e)
 	c.reweigh(e.bytes)
 }
 
-// sortedKeys returns the replica's key set in deterministic order. The
-// slice is the incrementally maintained index itself — callers must not
-// mutate or retain it across entry creations.
-func (c *Cache) sortedKeys() []string { return c.keys }
+// freshAll settles every entry's deferred refresh, in key order.
+func (c *Cache) freshAll() {
+	for i, k := range c.keys {
+		c.fresh(k, c.ents[i])
+	}
+}
+
+// flushScratch is the working memory of one write-behind cycle: the dirty
+// keys it walks, the entry each stored envelope is decoded into, and the
+// buffer each join is encoded into. The kvstore holds on to neither the
+// decoded entry nor the buffer: the decode copies what it keeps out of the
+// stored bytes Get hands out, and ConditionalPut copies the value once its
+// round trip completes.
+type flushScratch struct {
+	keys   []string
+	stored entry
+	enc    []byte
+}
 
 // flushDirty write-behind-flushes every currently dirty entry, in key
 // order. Each key is cleared from the dirty set before its flush starts:
@@ -716,26 +726,31 @@ func (c *Cache) flushDirty(p *sim.Proc) {
 	}
 	// Walk the sorted key index and pick the dirty ones: same key order as
 	// collecting and sorting the dirty set, without the per-flush sort.
-	// The scratch is taken by ownership for the duration of the walk:
-	// flushKey parks, and a drain process spawned by Detach can call
-	// flushDirty on this replica while the periodic flusher is still
-	// parked mid-iteration — the second caller must not rewrite the
-	// buffer under the first (it allocates its own instead). The scratch
-	// is restored at the normal exits only, NOT via defer: a kernel Close
-	// panic-unwinds every parked proc, and the periodic flusher and a
-	// drain proc can both be parked inside flushKey — two concurrently
-	// unwinding deferred restores would race on the field. Losing the
-	// scratch on unwind is free; the cache is being torn down.
-	keys := c.flushScratch[:0]
-	c.flushScratch = nil
+	// The scratch — key list, decode entry and encode buffer — is taken by
+	// ownership for the duration of the cycle: flushKey parks, and a drain
+	// process spawned by Detach can call flushDirty on this replica while
+	// the periodic flusher is still parked mid-iteration. The second caller
+	// must not rewrite the keys, the decoded state or the bytes of a write
+	// in flight under the first (it allocates its own scratch instead). The
+	// scratch is restored at the normal exits only, NOT via defer: a
+	// kernel Close panic-unwinds every parked proc, and the periodic
+	// flusher and a drain proc can both be parked inside flushKey — two
+	// concurrently unwinding deferred restores would race on the field.
+	// Losing the scratch on unwind is free; the cache is being torn down.
+	fs := c.flush
+	c.flush = nil
+	if fs == nil {
+		fs = &flushScratch{}
+	}
+	fs.keys = fs.keys[:0]
 	for _, k := range c.keys {
 		if c.dirty[k] {
-			keys = append(keys, k)
+			fs.keys = append(fs.keys, k)
 		}
 	}
-	for _, key := range keys {
+	for _, key := range fs.keys {
 		delete(c.dirty, key)
-		if err := c.flushKey(p, key); err != nil {
+		if err := c.flushKey(p, key, fs); err != nil {
 			if errors.Is(err, errUnreachable) || service.Overloaded(err) {
 				// The store sits across a severed WAN trunk, or its shard
 				// is shedding load. Re-mark the key and stop the cycle:
@@ -750,7 +765,7 @@ func (c *Cache) flushDirty(p *sim.Proc) {
 			panic("statecache: flush: " + err.Error())
 		}
 	}
-	c.flushScratch = keys
+	c.flush = fs
 }
 
 // Value is a decoded stored entry: the read surface for consumers pulling
@@ -806,8 +821,11 @@ func (v Value) SetElements() []string {
 // stored lattice, join it into the local state (the store is just another
 // replica), and conditionally write the join back. Losing the conditional
 // write means another replica flushed concurrently; the retry re-reads and
-// re-joins, so no side's deltas are lost.
-func (c *Cache) flushKey(p *sim.Proc, key string) error {
+// re-joins, so no side's deltas are lost. fs is the calling cycle's
+// scratch: the stored state is decoded into fs.stored and the join encoded
+// into fs.enc. The merge copies what it takes from fs.stored, so the next
+// decode into it leaves e untouched.
+func (c *Cache) flushKey(p *sim.Proc, key string, fs *flushScratch) error {
 	e := c.entries[key]
 	if e == nil {
 		return nil
@@ -816,15 +834,17 @@ func (c *Cache) flushKey(p *sim.Proc, key string) error {
 		return errUnreachable
 	}
 	c.fresh(key, e)
-	storeKey := c.cl.name + "/" + key
+	if e.storeKey == "" {
+		e.storeKey = c.cl.name + "/" + key
+	}
 	for attempt := 0; attempt < c.cl.cfg.FlushRetries; attempt++ {
 		var version int64
-		it, err := c.cl.store.Get(p, c.node, storeKey, true)
+		it, err := c.cl.store.Get(p, c.node, e.storeKey, true)
 		switch {
 		case err == nil:
-			stored, derr := decodeEntry(it.Value)
-			if derr != nil {
-				return fmt.Errorf("stored %q: %w", storeKey, derr)
+			stored := &fs.stored
+			if derr := decodeEntryInto(stored, it.Value); derr != nil {
+				return fmt.Errorf("stored %q: %w", e.storeKey, derr)
 			}
 			// Equal digests mean the stored state is byte-identical to the
 			// local join — merging it back in would be an identity, so the
@@ -842,7 +862,8 @@ func (c *Cache) flushKey(p *sim.Proc, key string) error {
 		default:
 			return err
 		}
-		_, err = c.cl.store.ConditionalPut(p, c.node, storeKey, e.encode(), version)
+		fs.enc = e.encode(fs.enc[:0])
+		_, err = c.cl.store.ConditionalPut(p, c.node, e.storeKey, fs.enc, version)
 		if err == nil {
 			c.cl.flushWrites++
 			return nil
@@ -851,5 +872,5 @@ func (c *Cache) flushKey(p *sim.Proc, key string) error {
 			return err
 		}
 	}
-	return fmt.Errorf("lost %d conditional writes on %q", c.cl.cfg.FlushRetries, storeKey)
+	return fmt.Errorf("lost %d conditional writes on %q", c.cl.cfg.FlushRetries, e.storeKey)
 }

@@ -230,10 +230,10 @@ func TestEntryEnvelopeRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc := e.encode(); !bytes.Equal(enc, want) {
+		if enc := e.encode(nil); !bytes.Equal(enc, want) {
 			t.Errorf("%v: encode %s, json.Marshal %s", kind, enc, want)
 		}
-		got, err := decodeEntry(e.encode())
+		got, err := decodeEntry(e.encode(nil))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", kind, err)
 		}

@@ -79,8 +79,13 @@ func NewRecorder(name string) *Recorder {
 // Name returns the recorder's label.
 func (r *Recorder) Name() string { return r.name }
 
-// Add records one sample.
+// Add records one sample. The sample slice doubles when full (from at
+// least 256): append's own growth slows to about 1.25x on large slices,
+// which allocates about five times the final slice over a long run.
 func (r *Recorder) Add(d time.Duration) {
+	if len(r.samples) == cap(r.samples) {
+		r.samples = slices.Grow(r.samples, max(len(r.samples), 256))
+	}
 	r.samples = append(r.samples, d)
 	r.sorted = false
 	f := float64(d)
