@@ -20,19 +20,12 @@ import (
 	"repro/internal/simrand"
 )
 
-// Event is one logged injection, for reports and debugging.
-type Event struct {
-	At   sim.Time
-	What string
-}
-
 // Engine schedules fault injections on a kernel. Not safe for concurrent
 // use; like the rest of the simulator it lives on one kernel's timeline.
 type Engine struct {
 	k       *sim.Kernel
 	rng     *simrand.RNG
 	slow    map[string]float64
-	events  []Event
 	n       int // injection counter, names the injector procs
 	crashed int // VMs reclaimed by crash storms so far
 }
@@ -43,16 +36,9 @@ func New(k *sim.Kernel, rng *simrand.RNG) *Engine {
 	return &Engine{k: k, rng: rng, slow: make(map[string]float64)}
 }
 
-// Events returns the injection log in occurrence order.
-func (e *Engine) Events() []Event { return e.events }
-
 // CrashedVMs reports how many VMs the engine's crash storms have reclaimed
 // so far, summed over every CrashStormAt that has fired.
 func (e *Engine) CrashedVMs() int { return e.crashed }
-
-func (e *Engine) log(p *sim.Proc, format string, args ...any) {
-	e.events = append(e.events, Event{At: p.Now(), What: fmt.Sprintf(format, args...)})
-}
 
 // spawn names and launches one injector process.
 func (e *Engine) spawn(kind string, fn func(p *sim.Proc)) {
@@ -67,10 +53,8 @@ func (e *Engine) PartitionAt(net *netsim.Network, a, b int, at, dur time.Duratio
 	e.spawn("partition", func(p *sim.Proc) {
 		p.Sleep(at)
 		net.PartitionRegions(a, b)
-		e.log(p, "partition %d-%d", a, b)
 		p.Sleep(dur)
 		net.HealRegions(a, b)
-		e.log(p, "heal %d-%d", a, b)
 	})
 }
 
@@ -80,9 +64,7 @@ func (e *Engine) PartitionAt(net *netsim.Network, a, b int, at, dur time.Duratio
 func (e *Engine) CrashStormAt(pf *faas.Platform, n int, at time.Duration) {
 	e.spawn("crash", func(p *sim.Proc) {
 		p.Sleep(at)
-		crashed := pf.CrashVMs(n)
-		e.crashed += crashed
-		e.log(p, "crash storm: %d VMs", crashed)
+		e.crashed += pf.CrashVMs(n)
 	})
 }
 
@@ -92,10 +74,8 @@ func (e *Engine) SlowNodeAt(pf *faas.Platform, node *netsim.Node, factor float64
 	e.spawn("slow", func(p *sim.Proc) {
 		p.Sleep(at)
 		pf.SetComputeSlowdown(node, factor)
-		e.log(p, "slow %s ×%g", node.ID(), factor)
 		p.Sleep(dur)
 		pf.SetComputeSlowdown(node, 1)
-		e.log(p, "restore %s", node.ID())
 	})
 }
 
@@ -106,10 +86,8 @@ func (e *Engine) SlowFrontendAt(fe *service.Frontend, factor float64, at, dur ti
 	e.spawn("slow-frontend", func(p *sim.Proc) {
 		p.Sleep(at)
 		fe.SetSlowdown(factor)
-		e.log(p, "slow frontend %s ×%g", fe.Name(), factor)
 		p.Sleep(dur)
 		fe.SetSlowdown(1)
-		e.log(p, "restore frontend %s", fe.Name())
 	})
 }
 

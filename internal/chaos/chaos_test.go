@@ -44,9 +44,6 @@ func TestPartitionAtWindow(t *testing.T) {
 	probe(150*time.Millisecond, true)
 	probe(350*time.Millisecond, false)
 	f.k.Run()
-	if n := len(f.eng.Events()); n != 2 {
-		t.Errorf("logged %d events, want partition+heal", n)
-	}
 }
 
 func TestCrashStormDestroysWarmPool(t *testing.T) {
@@ -136,9 +133,6 @@ func TestCrashStormCountsReclaimedVMs(t *testing.T) {
 	}
 	if pf.VMCount() != 0 {
 		t.Errorf("%d VMs survived the unbounded storm", pf.VMCount())
-	}
-	if n := len(eng.Events()); n != 2 {
-		t.Errorf("logged %d events, want one per storm", n)
 	}
 }
 

@@ -81,7 +81,7 @@ func runMillionUser(seed uint64, shards, users int, rate float64, window time.Du
 		keys[i] = regionKey(uint64(i))
 	}
 
-	rec := stats.NewSketch("millionuser-kv")
+	rec := stats.NewSketch()
 	value := make([]byte, millionValueBytes)
 	pop := loadgen.NewPopulation(c.RNG.Fork(), c.RNG.Fork(), users, rate/float64(users))
 	pop.Run(c.K, window, func(p *sim.Proc, seq, client int) {

@@ -154,15 +154,6 @@ func ScanGCounter(data []byte) (c *GCounter, n int, ok bool) {
 	return c, n, true
 }
 
-// ScanPNCounter is ScanGCounter for a PN-Counter.
-func ScanPNCounter(data []byte) (c *PNCounter, n int, ok bool) {
-	c = &PNCounter{}
-	if n, ok = ScanPNCounterInto(c, data); !ok {
-		return nil, n, false
-	}
-	return c, n, true
-}
-
 // ScanGCounterInto is ScanGCounter decoding into c, which ends up equal to
 // what ScanGCounter would return. It is the one counter decoder: it reuses
 // c's slot capacity, and where a replica id matches the one c already held

@@ -193,7 +193,8 @@ func TestScanIntoWarmScratch(t *testing.T) {
 	if n, ok := ScanPNCounterInto(&scratch, encB); !ok || n != len(encB) {
 		t.Fatalf("scan of B = (%d, %v), want (%d, true)", n, ok, len(encB))
 	}
-	fresh, _, _ := ScanPNCounter(encB)
+	fresh := &PNCounter{}
+	ScanPNCounterInto(fresh, encB)
 	if !reflect.DeepEqual(&scratch, fresh) {
 		t.Fatalf("B into A's scratch = %s, fresh decode = %s", Marshal(&scratch), Marshal(fresh))
 	}

@@ -58,9 +58,9 @@ var prevPNInput []byte
 
 // checkWarmScratchMatchesFresh decodes data into scratch counters that
 // already hold another decode — the previous fuzz input's and data's own —
-// and fails t unless ScanPNCounterInto reports the n and ok ScanPNCounter
-// reports and UnmarshalPNCounterInto the error UnmarshalPNCounter reports,
-// and each scratch then equals the fresh decode.
+// and fails t unless ScanPNCounterInto reports the n and ok a scan into a
+// zero counter reports and UnmarshalPNCounterInto the error
+// UnmarshalPNCounter reports, and each scratch then equals the fresh decode.
 func checkWarmScratchMatchesFresh(t *testing.T, data []byte) {
 	t.Helper()
 	prev := prevPNInput
@@ -70,7 +70,8 @@ func checkWarmScratchMatchesFresh(t *testing.T, data []byte) {
 		UnmarshalPNCounterInto(&c, from) // a failed decode leaves a scratch as warm
 		return &c
 	}
-	fresh, n, ok := ScanPNCounter(data)
+	fresh := &PNCounter{}
+	n, ok := ScanPNCounterInto(fresh, data)
 	want, wantErr := UnmarshalPNCounter(data)
 	for _, from := range [][]byte{prev, data} {
 		c := warm(from)
@@ -136,7 +137,11 @@ func FuzzUnmarshalPNCounter(f *testing.F) {
 	f.Add([]byte(`{"p":{"counts":{"x":9223372036854775807}},"n":{"counts":null}}`))
 	f.Add([]byte(`{"p":{"counts":{"\u0041":1}},"n":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkScanMatchesJSON(t, data, ScanPNCounter, unmarshalPNCounterJSON)
+		checkScanMatchesJSON(t, data, func(b []byte) (*PNCounter, int, bool) {
+			c := &PNCounter{}
+			n, ok := ScanPNCounterInto(c, b)
+			return c, n, ok
+		}, unmarshalPNCounterJSON)
 		checkWarmScratchMatchesFresh(t, data)
 		c, err := UnmarshalPNCounter(data)
 		if err != nil {

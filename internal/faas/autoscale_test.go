@@ -91,8 +91,8 @@ func TestReclaimedVMNodeIsRecycled(t *testing.T) {
 	}
 }
 
-// TestFleetStatsSnapshot: concurrency high-water mark, packing utilization,
-// and cold-start rate across the whole platform.
+// TestFleetStatsSnapshot: concurrency high-water mark, VM packing, the
+// drained warm pool and the cold-start rate.
 func TestFleetStatsSnapshot(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	hold := &sim.Latch{}
@@ -110,28 +110,20 @@ func TestFleetStatsSnapshot(t *testing.T) {
 	}
 	f.k.Spawn("probe", func(p *sim.Proc) {
 		p.Sleep(5 * time.Second) // all 20 in their handlers
-		s := f.pf.FleetStats()
-		if s.InFlight != 20 || s.PeakConcurrency != 20 {
-			t.Errorf("in-flight/peak = %d/%d, want 20/20", s.InFlight, s.PeakConcurrency)
+		if st, _ := f.pf.Stats("f"); st.PeakConcurrency != 20 {
+			t.Errorf("peak = %d, want 20", st.PeakConcurrency)
 		}
-		if s.ActiveVMs != 1 || s.Containers != 20 {
-			t.Errorf("VMs/containers = %d/%d, want 1/20", s.ActiveVMs, s.Containers)
-		}
-		if s.VMUtilization != 1.0 {
-			t.Errorf("VM utilization = %.2f, want 1.0 (fully packed)", s.VMUtilization)
+		if n := f.pf.VMCount(); n != 1 {
+			t.Errorf("VMs = %d, want 1 (20 containers fully packed)", n)
 		}
 		hold.Release()
 		wg.Wait(p)
-		after := f.pf.FleetStats()
-		if after.InFlight != 0 {
-			t.Errorf("in-flight after drain = %d, want 0", after.InFlight)
-		}
-		if after.WarmIdle != 20 {
-			t.Errorf("warm idle after drain = %d, want 20", after.WarmIdle)
+		if n := f.pf.WarmIdle("f"); n != 20 {
+			t.Errorf("warm idle after drain = %d, want 20", n)
 		}
 		// Counters land when invocations complete: 20 of 20 cold.
-		if after.ColdStartRate() != 1.0 {
-			t.Errorf("cold-start rate = %.2f, want 1.0", after.ColdStartRate())
+		if st, _ := f.pf.Stats("f"); st.ColdStartRate() != 1.0 {
+			t.Errorf("cold-start rate = %.2f, want 1.0", st.ColdStartRate())
 		}
 	})
 	f.k.RunUntil(sim.Time(time.Minute))

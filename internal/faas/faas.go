@@ -188,10 +188,6 @@ type Platform struct {
 	// chaos engine's straggler knob); absent means full speed.
 	slow map[*netsim.Node]float64
 
-	// Fleet-wide concurrency accounting (see stats.go).
-	inFlight        int
-	peakConcurrency int
-
 	// Provisioned-concurrency billing accrual (see prewarm.go).
 	provisionedGB    float64  // GB currently allocated as provisioned
 	provisionedCount int      // provisioned containers allocated (idle or busy)
@@ -295,8 +291,8 @@ func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Re
 
 	pf.concurrency.Acquire(p)
 	defer pf.concurrency.Release()
-	pf.beginExecution(fn)
-	defer pf.endExecution(fn)
+	fn.stats.beginExecution()
+	defer fn.stats.endExecution()
 
 	cont, cold := pf.acquireContainer(p, fn)
 	// Ship the argument to the hosting VM through its shared NIC.

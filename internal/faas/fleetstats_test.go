@@ -1,8 +1,8 @@
 package faas
 
-// Direct table-driven coverage for the fleet-wide concurrency accounting:
-// FleetStats' high-water marks were previously only read through the
-// faasscale experiment, where a bookkeeping regression shows up as a
+// Direct table-driven coverage for the concurrency accounting and VM
+// packing: per-function high-water marks were previously only read through
+// the faasscale experiment, where a bookkeeping regression shows up as a
 // golden diff rather than a pointed unit failure.
 
 import (
@@ -12,13 +12,20 @@ import (
 	"repro/internal/sim"
 )
 
+// fleetSnap is what the tests read of the serving fleet.
+type fleetSnap struct {
+	vms        int // VMCount
+	containers int // container slots in use across those VMs
+	warmIdle   int // WarmIdle summed over the waves' functions
+}
+
 // runWaves registers one holding function per named wave and invokes each
 // wave's count concurrently, waves back to back (each waits for the
 // previous to finish). Handlers hold for 2s of virtual time so a wave's
 // invocations overlap each other but not the next wave's. The returned
-// FleetStats snapshot is taken the instant the last wave returns — before
-// the warm-pool reaper starts emptying the fleet.
-func runWaves(t *testing.T, f *fixture, waves [][2]any) FleetStats {
+// snapshot is taken the instant the last wave returns — before the
+// warm-pool reaper starts emptying the fleet.
+func runWaves(t *testing.T, f *fixture, waves [][2]any) fleetSnap {
 	t.Helper()
 	const hold = 2 * time.Second
 	for _, w := range waves {
@@ -34,7 +41,7 @@ func runWaves(t *testing.T, f *fixture, waves [][2]any) FleetStats {
 		}
 	}
 	done := false
-	var snap FleetStats
+	var snap fleetSnap
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		for _, w := range waves {
 			name, n := w[0].(string), w[1].(int)
@@ -50,7 +57,13 @@ func runWaves(t *testing.T, f *fixture, waves [][2]any) FleetStats {
 			}
 			wg.Wait(p)
 		}
-		snap = f.pf.FleetStats()
+		snap.vms = f.pf.VMCount()
+		for _, vm := range f.pf.vms {
+			snap.containers += vm.containers
+		}
+		for _, w := range waves {
+			snap.warmIdle += f.pf.WarmIdle(w[0].(string))
+		}
 		done = true
 	})
 	f.k.RunUntil(sim.Time(time.Hour))
@@ -62,32 +75,26 @@ func runWaves(t *testing.T, f *fixture, waves [][2]any) FleetStats {
 
 func TestFleetStatsHighWaterMarks(t *testing.T) {
 	cases := []struct {
-		name  string
-		waves [][2]any // function name, concurrent invocations
-		// wantPeak is the fleet-wide high-water mark: the largest single
-		// wave (waves do not overlap each other).
-		wantPeak     int
+		name         string
+		waves        [][2]any // function name, concurrent invocations
 		wantFnPeak   map[string]int
 		wantActiveVM int // ceil(largest wave / ContainersPerVM) with 20/VM
 	}{
 		{
 			name:         "single wave",
 			waves:        [][2]any{{"a", 7}},
-			wantPeak:     7,
 			wantFnPeak:   map[string]int{"a": 7},
 			wantActiveVM: 1,
 		},
 		{
 			name:         "later smaller wave keeps the mark",
 			waves:        [][2]any{{"a", 12}, {"b", 5}},
-			wantPeak:     12,
 			wantFnPeak:   map[string]int{"a": 12, "b": 5},
 			wantActiveVM: 1,
 		},
 		{
 			name:         "later larger wave raises the mark",
 			waves:        [][2]any{{"a", 4}, {"b", 25}},
-			wantPeak:     25,
 			wantFnPeak:   map[string]int{"a": 4, "b": 25},
 			wantActiveVM: 2,
 		},
@@ -96,12 +103,6 @@ func TestFleetStatsHighWaterMarks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, DefaultConfig())
 			s := runWaves(t, f, tc.waves)
-			if s.PeakConcurrency != tc.wantPeak {
-				t.Errorf("fleet PeakConcurrency = %d, want %d", s.PeakConcurrency, tc.wantPeak)
-			}
-			if s.InFlight != 0 {
-				t.Errorf("InFlight = %d after all waves returned, want 0", s.InFlight)
-			}
 			for name, want := range tc.wantFnPeak {
 				st, err := f.pf.Stats(name)
 				if err != nil {
@@ -114,19 +115,12 @@ func TestFleetStatsHighWaterMarks(t *testing.T) {
 					t.Errorf("function %s Invocations = %d, want %d", name, st.Invocations, want)
 				}
 			}
-			if s.ActiveVMs != tc.wantActiveVM {
-				t.Errorf("ActiveVMs = %d, want %d (20 containers pack per VM)", s.ActiveVMs, tc.wantActiveVM)
+			if s.vms != tc.wantActiveVM {
+				t.Errorf("VMCount = %d, want %d (20 containers pack per VM)", s.vms, tc.wantActiveVM)
 			}
-			// All containers idle-warm now; utilization ties the two counts.
-			if s.Containers != s.WarmIdle {
-				t.Errorf("Containers = %d but WarmIdle = %d with nothing in flight", s.Containers, s.WarmIdle)
-			}
-			wantUtil := float64(s.Containers) / float64(s.ActiveVMs*20)
-			if s.VMUtilization != wantUtil {
-				t.Errorf("VMUtilization = %v, want %v", s.VMUtilization, wantUtil)
-			}
-			if got := s.ColdStartRate(); got <= 0 || got > 1 {
-				t.Errorf("ColdStartRate = %v, want in (0, 1]", got)
+			// Nothing in flight: every container in use is idle-warm.
+			if s.containers != s.warmIdle {
+				t.Errorf("containers = %d but WarmIdle = %d with nothing in flight", s.containers, s.warmIdle)
 			}
 		})
 	}

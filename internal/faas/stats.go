@@ -1,8 +1,8 @@
 package faas
 
-// Per-function and fleet-wide invocation statistics, mirroring Lambda's
-// CloudWatch-style counters. They are how experiments observe cold-start
-// rates and peak concurrency without instrumenting handlers.
+// Per-function invocation statistics, mirroring Lambda's CloudWatch-style
+// counters. They are how experiments observe cold-start rates and peak
+// concurrency without instrumenting handlers.
 
 import (
 	"fmt"
@@ -55,28 +55,20 @@ func (pf *Platform) Stats(name string) (FunctionStats, error) {
 	return *fn.stats, nil
 }
 
-// beginExecution admits one execution into the fleet's and the function's
-// concurrency accounting (called after the account-concurrency slot is
-// held, so the high-water marks measure actual simultaneous executions).
-func (pf *Platform) beginExecution(fn *Function) {
-	pf.inFlight++
-	if pf.inFlight > pf.peakConcurrency {
-		pf.peakConcurrency = pf.inFlight
+// beginExecution admits one execution into the function's concurrency
+// accounting (called after the account-concurrency slot is held, so the
+// high-water marks measure actual simultaneous executions).
+func (s *FunctionStats) beginExecution() {
+	s.inFlight++
+	if s.inFlight > s.PeakConcurrency {
+		s.PeakConcurrency = s.inFlight
 	}
-	st := fn.stats
-	st.inFlight++
-	if st.inFlight > st.PeakConcurrency {
-		st.PeakConcurrency = st.inFlight
-	}
-	if st.inFlight > st.intervalPeak {
-		st.intervalPeak = st.inFlight
+	if s.inFlight > s.intervalPeak {
+		s.intervalPeak = s.inFlight
 	}
 }
 
-func (pf *Platform) endExecution(fn *Function) {
-	pf.inFlight--
-	fn.stats.inFlight--
-}
+func (s *FunctionStats) endExecution() { s.inFlight-- }
 
 // TakePeakConcurrency returns the named function's peak simultaneous
 // executions since the previous call (or since startup) and restarts the
@@ -90,56 +82,4 @@ func (pf *Platform) TakePeakConcurrency(name string) (int, error) {
 	peak := fn.stats.intervalPeak
 	fn.stats.intervalPeak = fn.stats.inFlight
 	return peak, nil
-}
-
-// FleetStats snapshots the platform-wide serving fleet: how many VMs are
-// active, how tightly containers are packed, how much warm capacity is
-// idle, and the concurrency/cold-start picture across all functions.
-type FleetStats struct {
-	ActiveVMs       int     // VMs hosting at least one container
-	Containers      int     // container slots in use across those VMs
-	VMUtilization   float64 // Containers / (ActiveVMs x ContainersPerVM)
-	WarmIdle        int     // idle warm containers, all functions
-	ProvisionedIdle int     // the provisioned subset of WarmIdle
-	InFlight        int     // executions running now
-	PeakConcurrency int     // fleet-wide high-water mark
-	Invocations     int64   // cumulative, all functions
-	ColdStarts      int64
-}
-
-// ColdStartRate returns the fleet-wide fraction of invocations that
-// cold-started.
-func (s FleetStats) ColdStartRate() float64 {
-	if s.Invocations == 0 {
-		return 0
-	}
-	return float64(s.ColdStarts) / float64(s.Invocations)
-}
-
-// FleetStats returns the current platform-wide snapshot.
-func (pf *Platform) FleetStats() FleetStats {
-	s := FleetStats{
-		ActiveVMs:       len(pf.vms),
-		InFlight:        pf.inFlight,
-		PeakConcurrency: pf.peakConcurrency,
-	}
-	for _, vm := range pf.vms {
-		s.Containers += vm.containers
-	}
-	if s.ActiveVMs > 0 {
-		s.VMUtilization = float64(s.Containers) / float64(s.ActiveVMs*pf.cfg.ContainersPerVM)
-	}
-	for _, pool := range pf.idle {
-		s.WarmIdle += len(pool)
-		for _, cont := range pool {
-			if cont.provisioned {
-				s.ProvisionedIdle++
-			}
-		}
-	}
-	for _, fn := range pf.functions {
-		s.Invocations += fn.stats.Invocations
-		s.ColdStarts += fn.stats.ColdStarts
-	}
-	return s
 }

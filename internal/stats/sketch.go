@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -11,22 +10,20 @@ import (
 // bucketing: each power-of-two octave of the duration range splits into
 // 2^subBits equal-width sub-buckets, so values below 2^subBits ns are exact
 // and every larger bucket's midpoint is within 2^-(subBits+1) relative
-// error of any value it absorbs. Count, Sum, Min, Max, Mean, and Stddev are
-// tracked exactly alongside the buckets; only Percentile approximates.
+// error of any value it absorbs. Count, Sum and Max are tracked exactly
+// alongside the buckets; only Percentile approximates.
 //
 // The bucket array grows lazily to the largest observed octave and tops out
 // near 30 KB even for full int64 range — a few KB for realistic latency
 // ranges — so a million-user run costs the same memory as a ten-sample one.
 // Add is O(1) and allocation-free once the array covers the observed range.
 type Sketch struct {
-	name     string
-	counts   []int64
-	count    int
+	counts []int64
+	count  int
+	// min and max are the exact extremes: the envelope Percentile clamps
+	// bucket midpoints to.
 	min, max time.Duration
-	// Exact moments, maintained with the same arithmetic as Recorder.Add so
-	// Mean/Sum/Stddev agree bit-for-bit with the exact path.
-	wmean, m2 float64
-	sumExact  time.Duration
+	sumExact time.Duration
 }
 
 var _ Summary = (*Sketch)(nil)
@@ -38,17 +35,9 @@ const (
 	subMask uint64 = 1<<subBits - 1
 )
 
-// NewSketch returns an empty sketch labeled name with a ≤1% percentile
-// relative-error bound.
-func NewSketch(name string) *Sketch { return &Sketch{name: name} }
-
-// Name returns the sketch's label.
-func (s *Sketch) Name() string { return s.name }
-
-// RelativeError returns the percentile error bound 2^-(subBits+1).
-func (s *Sketch) RelativeError() float64 {
-	return 1 / float64(uint64(2)<<subBits)
-}
+// NewSketch returns an empty sketch with a ≤1% percentile relative-error
+// bound.
+func NewSketch() *Sketch { return &Sketch{} }
 
 // Footprint returns the current bucket-array size in bytes — the part of
 // the sketch that scales with observed range rather than sample count.
@@ -84,8 +73,8 @@ func (s *Sketch) bucketValue(index int) time.Duration {
 
 // Add records one sample in O(1), allocation-free once the bucket array
 // spans the observed range. Negative durations (which Recorder stores
-// verbatim but no experiment produces) clamp into bucket 0; Min still
-// reports the true value.
+// verbatim but no experiment produces) clamp into bucket 0; Percentile(0)
+// still reports the true minimum.
 func (s *Sketch) Add(d time.Duration) {
 	v := uint64(0)
 	if d > 0 {
@@ -105,51 +94,20 @@ func (s *Sketch) Add(d time.Duration) {
 		s.max = d
 	}
 	s.count++
-	f := float64(d)
-	delta := f - s.wmean
-	s.wmean += delta / float64(s.count)
-	s.m2 += delta * (f - s.wmean)
 	s.sumExact += d
-}
-
-// Reset empties the sketch while retaining the bucket array — the same
-// capacity-retention contract as Recorder.Reset, so a sweep worker reusing
-// one sketch across points never re-grows the array.
-func (s *Sketch) Reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.count = 0
-	s.min = 0
-	s.max = 0
-	s.wmean = 0
-	s.m2 = 0
-	s.sumExact = 0
 }
 
 // Count returns the number of samples.
 func (s *Sketch) Count() int { return s.count }
-
-// Mean returns the exact arithmetic mean (0 with no samples), computed
-// identically to Recorder.Mean.
-func (s *Sketch) Mean() time.Duration {
-	if s.count == 0 {
-		return 0
-	}
-	return meanOf(s.sumExact, s.count)
-}
-
-// Min returns the exact smallest sample (0 with no samples).
-func (s *Sketch) Min() time.Duration { return s.min }
 
 // Max returns the exact largest sample (0 with no samples).
 func (s *Sketch) Max() time.Duration { return s.max }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) with the same
 // nearest-rank interpolation as Recorder, evaluated over bucket midpoints
-// and clamped to the exact [Min, Max] envelope; the result is within
-// RelativeError of the exact recorder's answer. It returns 0 with no
-// samples.
+// and clamped to the exact [min, max] envelope; the result is within
+// 2^-(subBits+1) relative error of the exact recorder's answer. It returns
+// 0 with no samples.
 func (s *Sketch) Percentile(p float64) time.Duration {
 	if s.count == 0 {
 		return 0
@@ -194,23 +152,5 @@ func (s *Sketch) valueAtRank(rank int) time.Duration {
 	return s.max
 }
 
-// Median returns the 50th percentile.
-func (s *Sketch) Median() time.Duration { return s.Percentile(50) }
-
-// Stddev returns the exact population standard deviation (0 with <2
-// samples), computed identically to Recorder.Stddev.
-func (s *Sketch) Stddev() time.Duration {
-	if s.count < 2 {
-		return 0
-	}
-	return time.Duration(math.Sqrt(s.m2 / float64(s.count)))
-}
-
 // Sum returns the exact total of all samples.
 func (s *Sketch) Sum() time.Duration { return s.sumExact }
-
-// String summarizes the distribution in the same format as Recorder.
-func (s *Sketch) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p99=%v min=%v max=%v",
-		s.name, s.Count(), s.Mean(), s.Median(), s.Percentile(99), s.Min(), s.Max())
-}

@@ -6,7 +6,7 @@
 // sample and computes exact percentiles (the default for calibrated
 // experiments and the reference for equivalence tests), and Sketch holds a
 // fixed-memory HDR-histogram-style log-linear bucketing whose percentiles
-// carry a configurable relative-error bound — the summary million-user
+// carry a fixed relative-error bound — the summary million-user
 // experiments use, where retaining every sample would dominate memory.
 package stats
 
@@ -19,30 +19,21 @@ import (
 
 // Summary is the measurement-accumulation interface experiments consume:
 // anything that can absorb duration samples and report the distribution.
-// Count, Sum, Min, Max, Mean and Stddev are exact in both implementations;
-// Percentile (and Median) are exact on Recorder and bounded-relative-error
-// on Sketch. Reset empties the summary while retaining its backing storage
-// so sweep workers can reuse one summary across points.
+// Count, Sum and Max are exact in both implementations; Percentile is
+// exact on Recorder and bounded-relative-error on Sketch.
 type Summary interface {
-	Name() string
 	Add(d time.Duration)
 	Count() int
-	Mean() time.Duration
-	Min() time.Duration
 	Max() time.Duration
 	Percentile(p float64) time.Duration
-	Median() time.Duration
-	Stddev() time.Duration
 	Sum() time.Duration
-	Reset()
-	String() string
 }
 
-// NewSummary returns the exact Recorder, or a default-error Sketch when
+// NewSummary returns the exact Recorder, or a Sketch when
 // sketch is set — the switch behind statecache.Config.SketchStaleness.
 func NewSummary(name string, sketch bool) Summary {
 	if sketch {
-		return NewSketch(name)
+		return NewSketch()
 	}
 	return NewRecorder(name)
 }
@@ -50,17 +41,12 @@ func NewSummary(name string, sketch bool) Summary {
 // Recorder accumulates duration samples. The zero value is unusable; create
 // one with NewRecorder. Recorders keep every sample (experiments record at
 // most tens of thousands; larger runs use Sketch), so percentiles are
-// exact. Add maintains running sums, so Mean, Sum, and Stddev are O(1)
-// instead of re-scanning all samples per call.
+// exact. Add maintains a running sum, so Mean and Sum are O(1) instead of
+// re-scanning all samples per call.
 type Recorder struct {
 	name    string
 	samples []time.Duration
 	sorted  bool
-	// wmean/m2 are Welford running moments for the O(1) population
-	// variance; the naive E[x²]−mean² form cancels catastrophically for
-	// large-magnitude, low-spread samples (hour-scale durations with
-	// millisecond spread), Welford does not.
-	wmean, m2 float64
 	// sumExact is the overflow-safe integer total backing Sum — and, since
 	// integer addition is associative, the order-independent numerator
 	// backing Mean: a float64 running sum accumulated in Add order could
@@ -88,22 +74,7 @@ func (r *Recorder) Add(d time.Duration) {
 	}
 	r.samples = append(r.samples, d)
 	r.sorted = false
-	f := float64(d)
-	delta := f - r.wmean
-	r.wmean += delta / float64(len(r.samples))
-	r.m2 += delta * (f - r.wmean)
 	r.sumExact += d
-}
-
-// Reset empties the recorder while retaining the backing samples slice,
-// so a sweep worker can reuse one recorder across points (one recorder
-// per point otherwise re-grows the samples array from scratch each time).
-func (r *Recorder) Reset() {
-	r.samples = r.samples[:0]
-	r.sorted = false
-	r.wmean = 0
-	r.m2 = 0
-	r.sumExact = 0
 }
 
 // Count returns the number of samples.
@@ -111,19 +82,14 @@ func (r *Recorder) Count() int { return len(r.samples) }
 
 // Mean returns the arithmetic mean (0 with no samples). It derives from the
 // exact integer sum, so its value is independent of Add order and of
-// whether a sorting accessor (Percentile/Median/Min/Max) ran first.
+// whether a sorting accessor (Percentile/Median/Min/Max) ran first. The
+// float division and truncating conversion are those of the historical
+// float64 running-sum Mean, so rendered tables stay byte-stable.
 func (r *Recorder) Mean() time.Duration {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	return meanOf(r.sumExact, len(r.samples))
-}
-
-// meanOf renders an exact integer sum over n samples the way the historical
-// float64 running-sum Mean did (float division, truncating conversion), so
-// summary formatting stays byte-stable across the exact and sketch paths.
-func meanOf(sum time.Duration, n int) time.Duration {
-	return time.Duration(float64(sum) / float64(n))
+	return time.Duration(float64(r.sumExact) / float64(len(r.samples)))
 }
 
 // Min returns the smallest sample (0 with no samples).
@@ -170,15 +136,6 @@ func (r *Recorder) Percentile(p float64) time.Duration {
 
 // Median returns the 50th percentile.
 func (r *Recorder) Median() time.Duration { return r.Percentile(50) }
-
-// Stddev returns the population standard deviation (0 with <2 samples).
-func (r *Recorder) Stddev() time.Duration {
-	n := len(r.samples)
-	if n < 2 {
-		return 0
-	}
-	return time.Duration(math.Sqrt(r.m2 / float64(n)))
-}
 
 // Sum returns the total of all samples.
 func (r *Recorder) Sum() time.Duration { return r.sumExact }
