@@ -96,13 +96,14 @@ func (c *GCounter) Value() int64 {
 
 // Merge joins other into c (pointwise max). It reports whether c's
 // encoding changed and whether it now equals other's, both exactly, from
-// one walk of the two sorted slot lists. A replica c lacks is taken over
-// only when its count is positive (an absent slot joined with a zero one
-// stays absent), and only then are the slots rebuilt.
+// one walk of the two sorted slot lists that also raises c's shared slots
+// in place. A replica c lacks is taken over only when its count is
+// positive (an absent slot joined with a zero one stays absent); when the
+// walk counted any, insertLacking adds them.
 func (c *GCounter) Merge(other *GCounter) (changed, equal bool) {
 	a, b := c.slots, other.slots
 	equal = true
-	var out []slot // non-nil once a replica is inserted: the join is rebuilt here
+	taken := 0 // replicas c lacks that the join takes over
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		switch {
@@ -114,23 +115,14 @@ func (c *GCounter) Merge(other *GCounter) (changed, equal bool) {
 			case n < a[i].n:
 				equal = false
 			}
-			if out != nil {
-				out = append(out, a[i])
-			}
 			i++
 			j++
 		case j == len(b) || i < len(a) && a[i].replica < b[j].replica:
 			equal = false // a replica other lacks
-			if out != nil {
-				out = append(out, a[i])
-			}
 			i++
 		default: // a replica c lacks
 			if b[j].n > 0 {
-				if out == nil {
-					out = append(make([]slot, 0, len(a)+len(b)-j), a[:i]...)
-				}
-				out = append(out, b[j])
+				taken++
 				changed = true
 			} else {
 				equal = false
@@ -138,10 +130,41 @@ func (c *GCounter) Merge(other *GCounter) (changed, equal bool) {
 			j++
 		}
 	}
-	if out != nil {
-		c.slots = out
+	if taken > 0 {
+		c.slots = insertLacking(a, b, len(a)+taken)
 	}
 	return changed, equal && (c.slots == nil) == (b == nil)
+}
+
+// insertLacking returns the n-slot join of a with every replica of b that a
+// lacks and b counts positive, both sorted. It writes the join backward
+// from the end: in place when a's capacity holds it, since every slot of a
+// is read before its position is written, and into a new slice only when
+// the capacity is short.
+func insertLacking(a, b []slot, n int) []slot {
+	var out []slot
+	if n <= cap(a) {
+		out = a[:n]
+	} else {
+		out = make([]slot, n, len(a)+len(b))
+	}
+	k := n - 1
+	for i, j := len(a)-1, len(b)-1; i >= 0 || j >= 0; {
+		if i >= 0 && (j < 0 || a[i].replica >= b[j].replica) {
+			if j >= 0 && a[i].replica == b[j].replica {
+				j--
+			}
+			out[k] = a[i]
+			i, k = i-1, k-1
+			continue
+		}
+		if b[j].n > 0 {
+			out[k] = b[j]
+			k--
+		}
+		j--
+	}
+	return out
 }
 
 // PNCounter supports increments and decrements as two G-Counters.

@@ -272,3 +272,18 @@ func TestQuickORSetMergeConverges(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkGCounterMergeGrow joins into a receiver with spare slot capacity
+// a counter holding one replica the receiver lacks, in the middle of its
+// slots: the join is written in place and must allocate nothing.
+func BenchmarkGCounterMergeGrow(b *testing.B) {
+	other := gcounterOf(map[string]int64{"r0": 2, "r1": 2, "r2": 2, "r3": 2})
+	base := []slot{{"r0", 1}, {"r1", 3}, {"r3", 1}}
+	c := &GCounter{slots: make([]slot, 0, 4)}
+	for i := 0; i < b.N; i++ {
+		c.slots = append(c.slots[:0], base...)
+		if changed, _ := c.Merge(other); !changed {
+			b.Fatal("join reported no change")
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -301,15 +302,25 @@ func FuzzMergeOutcome(f *testing.F) {
 	f.Add(false, uint8(0), []byte{0x05, 0x17, 0x29}, []byte{0x13, 0x2f, 0x3f}) // overlapping sets
 	f.Add(true, uint8(0), []byte{0x05, 0x13, 0x24, 0x36}, []byte{0x05, 0x13, 0x24, 0x36})
 	f.Add(true, uint8(3), []byte{0x01, 0x12}, []byte{0x0f, 0x03, 0x30, 0x44})
+	f.Add(false, uint8(4), []byte{0x05, 0x29}, []byte{0x13, 0x2f, 0x3f, 0x45}) // grows in place
+	f.Add(true, uint8(4), []byte{0x15, 0x29}, []byte{0x03, 0x2f, 0x13, 0x45})
 	f.Fuzz(func(t *testing.T, pn bool, nils uint8, x, y []byte) {
 		// Bit 0 of nils makes the receiver's empty slot lists nil, bit 1
-		// other's.
-		cNil, oNil := nils&1 != 0, nils&2 != 0
+		// other's. Bit 2 gives the receiver's non-nil slot lists room for
+		// every replica, so the join is written in place.
+		cNil, oNil, spare := nils&1 != 0, nils&2 != 0, nils&4 != 0
+		grow := func(c *GCounter) {
+			if spare && c.slots != nil {
+				c.slots = slices.Grow(c.slots, 8)
+			}
+		}
 		var c, other interface{ AppendJSON([]byte) []byte }
 		var merge func() (bool, bool)
 		var check func()
 		if pn {
 			cc, oc := pncounterFromBytes(x, cNil), pncounterFromBytes(y, oNil)
+			grow(cc.P)
+			grow(cc.N)
 			wantP, wantN := mergeRef(cc.P, oc.P), mergeRef(cc.N, oc.N)
 			c, other, merge = cc, oc, func() (bool, bool) { return cc.Merge(oc) }
 			check = func() {
@@ -321,6 +332,7 @@ func FuzzMergeOutcome(f *testing.F) {
 			}
 		} else {
 			cc, oc := gcounterFromBytes(x, cNil), gcounterFromBytes(y, oNil)
+			grow(cc)
 			want := mergeRef(cc, oc)
 			c, other, merge = cc, oc, func() (bool, bool) { return cc.Merge(oc) }
 			check = func() {

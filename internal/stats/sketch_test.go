@@ -69,13 +69,12 @@ func checkSketchMatchesExact(t *testing.T, seed uint64, kind, n int) {
 		// the exact samples at the bracketing ranks, so the interpolated
 		// value is within relErr of the larger bracketing sample (plus 1ns
 		// of integer truncation).
-		r.sort()
 		rank := p / 100 * float64(r.Count()-1)
 		hi := int(math.Ceil(rank))
 		if hi >= r.Count() {
 			hi = r.Count() - 1
 		}
-		tol := time.Duration(relErr*float64(r.samples[hi])) + time.Nanosecond
+		tol := time.Duration(relErr*float64(r.rank(hi))) + time.Nanosecond
 		if diff := sk - ex; diff < -tol || diff > tol {
 			t.Errorf("seed %d n %d p%g: sketch %v vs exact %v exceeds tolerance %v",
 				seed, n, p, sk, ex, tol)

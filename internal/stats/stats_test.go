@@ -1,9 +1,14 @@
 package stats
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/simrand"
 )
 
 func recorderWith(ds ...time.Duration) *Recorder {
@@ -97,6 +102,166 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refPercentile is the recorder's nearest-rank interpolation over a sorted
+// copy of every sample: the reference the chunked storage must match.
+func refPercentile(sorted []time.Duration, p float64) time.Duration {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[n-1]
+	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
+}
+
+// checkRecorderMatchesCopy compares every read of r with the same read
+// computed from a sorted copy of samples.
+func checkRecorderMatchesCopy(t *testing.T, r *Recorder, samples []time.Duration, rng *simrand.RNG) {
+	t.Helper()
+	ref := slices.Sorted(slices.Values(samples))
+	var sum time.Duration
+	for _, d := range ref {
+		sum += d
+	}
+	n := len(ref)
+	if r.Count() != n || r.Sum() != sum {
+		t.Fatalf("n=%d: Count/Sum = %d/%v, want %d/%v", n, r.Count(), r.Sum(), n, sum)
+	}
+	var mean, lo, hi time.Duration
+	if n > 0 {
+		mean = time.Duration(float64(sum) / float64(n))
+		lo, hi = ref[0], ref[n-1]
+	}
+	if r.Mean() != mean || r.Min() != lo || r.Max() != hi {
+		t.Fatalf("n=%d: Mean/Min/Max = %v/%v/%v, want %v/%v/%v",
+			n, r.Mean(), r.Min(), r.Max(), mean, lo, hi)
+	}
+	if got, want := r.Median(), refPercentile(ref, 50); got != want {
+		t.Fatalf("n=%d: Median = %v, want %v", n, got, want)
+	}
+	ps := []float64{0, 0.1, 1, 50, 90, 99, 99.9, 100, -1, 101}
+	for range 8 {
+		ps = append(ps, rng.Float64()*100)
+	}
+	for _, p := range ps {
+		if got, want := r.Percentile(p), refPercentile(ref, p); got != want {
+			t.Fatalf("n=%d: p%v = %v, want %v", n, p, got, want)
+		}
+	}
+}
+
+// recorderStream draws samples of one of several shapes: heavy
+// duplicates, full-range signed values, the int64 extremes mixed into a
+// narrow cluster, and a monotone ramp.
+func recorderStream(kind int, rng *simrand.RNG, i int) time.Duration {
+	switch kind % 4 {
+	case 0:
+		return time.Duration(rng.Intn(8) - 4)
+	case 1:
+		return time.Duration(rng.Uint64())
+	case 2:
+		switch rng.Intn(10) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64
+		}
+		return time.Duration(rng.Intn(1000))
+	default:
+		return time.Duration(i)
+	}
+}
+
+// TestRecorderMatchesSortedCopy checks the chunked recorder against a
+// sort-a-copy reference at sizes on and around every chunk boundary, with
+// Adds interleaved with reads.
+func TestRecorderMatchesSortedCopy(t *testing.T) {
+	sizes := []int{0, 1, 2, 100_000}
+	total := 0 // samples held by the full chunks so far
+	for size := minChunk; size <= maxChunk; size *= 2 {
+		total += size
+		sizes = append(sizes, size-1, size, size+1, total-1, total, total+1)
+	}
+	total += maxChunk // the second chunk at the cap
+	sizes = append(sizes, total-1, total, total+1)
+	rng := simrand.New(1)
+	for kind := range 4 {
+		for _, n := range sizes {
+			r := NewRecorder("eq")
+			var samples []time.Duration
+			for i := range n {
+				d := recorderStream(kind, rng, i)
+				r.Add(d)
+				samples = append(samples, d)
+				if rng.Intn(n/4+1) == 0 { // a handful of reads mid-stream
+					checkRecorderMatchesCopy(t, r, samples, rng)
+				}
+			}
+			checkRecorderMatchesCopy(t, r, samples, rng)
+		}
+	}
+}
+
+// TestRecorderAddAllocatesOnce bounds what recording 10⁵ samples allocates:
+// each sample is written once into chunks that are never copied, so the
+// total is the samples' 8 bytes each, plus at most one partly filled chunk
+// and 10% for the chunk list and rounding.
+func TestRecorderAddAllocatesOnce(t *testing.T) {
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder("mem")
+	for i := range n {
+		r.Add(time.Duration(i))
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(1.1*8*n + 8*maxChunk); got > limit {
+		t.Errorf("recording %d samples allocated %d B, want at most %d", n, got, limit)
+	}
+}
+
+// TestRecorderReadsDoNotAllocate checks that reads of a sorted recorder
+// allocate nothing.
+func TestRecorderReadsDoNotAllocate(t *testing.T) {
+	r := NewRecorder("reads")
+	for i := range 100_000 {
+		r.Add(time.Duration(i*2654435761) % time.Second)
+	}
+	r.Percentile(50) // sorts
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Percentile(99)
+		r.Min()
+		r.Max()
+	})
+	if allocs != 0 {
+		t.Errorf("Percentile/Min/Max allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkRecorderAdd records 10⁵ samples into a new recorder per op; run
+// with -benchmem, B/op is the storage written per 10⁵ samples.
+func BenchmarkRecorderAdd(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		r := NewRecorder("bench")
+		for j := range 100_000 {
+			r.Add(time.Duration(j))
+		}
 	}
 }
 
