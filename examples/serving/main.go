@@ -119,7 +119,7 @@ func sqsWay() time.Duration {
 	cloud.K.Spawn("server", func(p *sim.Proc) {
 		inst := cloud.EC2.Launch(p, compute.M5Large, core.ClientRack)
 		for !stop {
-			msgs, err := in.Receive(p, inst.Node(), queue.MaxBatch, time.Second)
+			msgs, err := in.Receive(p, inst.Node(), nil, queue.MaxBatch, time.Second)
 			if err != nil || len(msgs) == 0 {
 				continue
 			}

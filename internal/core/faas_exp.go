@@ -137,7 +137,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 	inQ := c.SQS.CreateQueue("faasscale-in", 2*time.Minute)
 	rec := stats.NewRecorder("faasscale")
 	value := make([]byte, faasScaleValueBytes)
-	seen := make(map[int]bool) // SQS is at-least-once; count each Seq once
+	var seen []bool // by Seq: SQS is at-least-once; count each Seq once
 	keys := faasScaleKeys()
 
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
@@ -154,6 +154,9 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 			key := keys[uint64(m.Seq)*2654435761%faasScaleKeySpace]
 			if _, err := c.DDB.Put(p, node, key, value); err != nil {
 				return nil, err
+			}
+			if m.Seq >= len(seen) {
+				seen = append(seen, make([]bool, m.Seq+1-len(seen))...)
 			}
 			if seen[m.Seq] {
 				continue // a visibility-timeout redelivery, already measured

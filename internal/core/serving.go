@@ -180,7 +180,7 @@ func runServingEC2SQS(seed uint64) time.Duration {
 		inst := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		node := inst.Node()
 		for !stop {
-			msgs, err := inQ.Receive(p, node, ServingBatchSize, time.Second)
+			msgs, err := inQ.Receive(p, node, nil, ServingBatchSize, time.Second)
 			if err != nil || len(msgs) == 0 {
 				continue
 			}

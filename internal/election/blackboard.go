@@ -67,11 +67,13 @@ func NewBlackboard(table *kvstore.Store, params Params) *Blackboard {
 }
 
 // decoded memoizes the JSON decode of one record key's stored value.
-// kvstore copies the value on every write and never reuses the copy, so
-// the memo is valid exactly while the store hands back the same slice:
-// the same first byte and the same length. Holding val keeps its memory
-// from being reused for another value. Versions cannot validate it: a
-// deleted record rewritten starts over at version 1.
+// kvstore's stored values are immutable (a write shares an equal stored
+// copy or makes a new one, and never writes over either), so the same
+// slice, the same first byte and the same length, always holds the same
+// bytes, and the memo is valid exactly while the store hands it back.
+// Holding val keeps its memory from being reused for another value.
+// Versions cannot validate it: a deleted record rewritten starts over at
+// version 1.
 type decoded[T any] struct {
 	val []byte
 	rec T

@@ -26,9 +26,10 @@ type SQSEvent struct {
 // function, modeling Lambda's SQS trigger: each poller long-polls the
 // queue, pushes its batch through the mapping pipeline, invokes
 // synchronously, and deletes the batch only on success (failures reappear
-// after the visibility timeout). Each poller encodes every batch into the
-// same payload buffer, which the Handler contract makes safe: a payload is
-// valid only until the handler returns.
+// after the visibility timeout). Each poller receives every batch into the
+// same message buffer and encodes it into the same payload buffer, which
+// the Handler contract makes safe: a payload is valid only until the
+// handler returns.
 type EventSourceMapping struct {
 	pf        *Platform
 	q         *queue.Queue
@@ -80,8 +81,10 @@ func (e *EventSourceMapping) run(p *sim.Proc) {
 	// Reused across the poller's batches.
 	var payload []byte
 	var receipts []string
+	msgs := make([]queue.Message, 0, e.batchSize)
 	for !e.stopped {
-		msgs, err := e.q.Receive(p, e.pf.ctlNode, e.batchSize, e.idleWait)
+		var err error
+		msgs, err = e.q.Receive(p, e.pf.ctlNode, msgs[:0], e.batchSize, e.idleWait)
 		if err != nil || len(msgs) == 0 {
 			continue
 		}

@@ -111,6 +111,13 @@ func DecodeSQSEvent(payload []byte) (SQSEvent, error) {
 // payload each occurrence opens a record.
 const recordStart = `{"messageId":`
 
+// sqsEventFraming is the length of the fast layout of k records with
+// every field empty: all of a payload that is not field bytes.
+func sqsEventFraming(k int) int {
+	const record = len(recordStart + `"","receiptHandle":"","body":""}`)
+	return len(`{"records":[]}`) + k*record + max(0, k-1)
+}
+
 // decodeSQSEventFast parses exactly the layout AppendSQSEvent's fast path
 // emits. Any deviation — stray whitespace, reordered fields, an escape
 // other than \" or \\, a control or non-ASCII byte, trailing bytes —
@@ -118,9 +125,11 @@ const recordStart = `{"messageId":`
 // payloads still decode.
 //
 // It allocates twice: the records, at the length counted up front, and
-// one string builder sized to the payload that every field is unescaped
-// into. Each field is a substring of the builder's contents, which only
-// grow, so earlier fields stay valid as later ones are written.
+// one string builder that every field is unescaped into, sized to the
+// payload less its framing (an upper bound on the field bytes, since an
+// escape only shrinks). Each field is a substring of the builder's
+// contents, which only grow, so earlier fields stay valid as later ones
+// are written.
 func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 	var ev SQSEvent
 	i, n := 0, len(p)
@@ -171,7 +180,7 @@ func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 		return ev, true
 	}
 	ev.Records = make([]SQSRecord, bytes.Count(p[i:], []byte(recordStart)))
-	sb.Grow(n)
+	sb.Grow(max(0, n-sqsEventFraming(len(ev.Records))))
 	for k := range ev.Records {
 		r := &ev.Records[k]
 		var ok bool

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -221,6 +222,37 @@ func TestEventSourceReusesPayloadBuffer(t *testing.T) {
 	}
 	if !reused {
 		t.Errorf("the poller used a new payload buffer for each of %d batches", len(buffers))
+	}
+}
+
+// TestDecodeSQSEventStringFitsFields: the fast decoder's one string is
+// sized to the payload's field bytes, not to the whole payload. Over many
+// decodes of a 10-record batch with escaped bodies, the allocated bytes
+// (TotalAlloc delta) must stay within the records plus the escaped field
+// bytes, with an eighth for size-class rounding. Growing the string to the
+// whole payload length allocates about a quarter more and fails it.
+func TestDecodeSQSEventStringFitsFields(t *testing.T) {
+	const decodes = 1000
+	msgs := escapedBatch(queue.MaxBatch)
+	payload := AppendSQSEvent(nil, msgs)
+	escaped := func(s string) int { return len(s) + strings.Count(s, `"`) + strings.Count(s, `\`) }
+	fields := 0
+	for _, m := range msgs {
+		fields += escaped(m.ID) + escaped(m.Receipt) + escaped(string(m.Body))
+	}
+	records := len(msgs) * int(reflect.TypeFor[SQSRecord]().Size())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range decodes {
+		if _, err := DecodeSQSEvent(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(decodes * float64(records+fields) * 1.125); got > limit {
+		t.Errorf("%d decodes of a %d B payload (%d B of fields) allocated %d B, want at most %d",
+			decodes, len(payload), fields, got, limit)
 	}
 }
 

@@ -77,6 +77,46 @@ func TestGlobalReplicatesWrites(t *testing.T) {
 	}
 }
 
+// TestGlobalReplicatedEqualValuesApply: a replicated write still applies
+// when its bytes equal the peer shard's last stored copy, and then
+// shares that copy, while a write of new bytes replicates as a copy.
+func TestGlobalReplicatedEqualValuesApply(t *testing.T) {
+	f := newGlobalFixture(t)
+	f.k.Spawn("writers", func(p *sim.Proc) {
+		if _, err := f.gt.Store(1).Put(p, f.caller[1], "a", []byte("shared")); err != nil {
+			t.Errorf("Put(a): %v", err)
+		}
+		for _, w := range [][2]string{{"b", "shared"}, {"c", "fresh"}} {
+			if _, err := f.gt.Store(0).Put(p, f.caller[0], w[0], []byte(w[1])); err != nil {
+				t.Errorf("Put(%s): %v", w[0], err)
+			}
+		}
+	})
+	f.runFor(t, 2*time.Second)
+	got := make(map[string]Item)
+	f.k.Spawn("reader", func(p *sim.Proc) {
+		for _, key := range []string{"a", "b", "c"} {
+			it, err := f.gt.Store(1).Get(p, f.caller[1], key, true)
+			if err != nil {
+				t.Errorf("west Get(%q): %v", key, err)
+			}
+			got[key] = it
+		}
+	})
+	f.k.Run()
+	for key, want := range map[string]string{"a": "shared", "b": "shared", "c": "fresh"} {
+		if it := got[key]; string(it.Value) != want || it.Version != 1 {
+			t.Errorf("west %q = %+v, want %q at version 1", key, it, want)
+		}
+	}
+	if a, b := got["a"].Value, got["b"].Value; len(a) == 0 || len(b) == 0 || &a[0] != &b[0] {
+		t.Error("the replicated equal value was stored as a second copy")
+	}
+	if f.gt.Replicated() != 3 {
+		t.Errorf("Replicated = %d, want 3", f.gt.Replicated())
+	}
+}
+
 // A partition must neither drop nor double-apply (nor double-bill) writes:
 // many writes to one key while the trunk is down replicate as exactly one
 // write after heal.

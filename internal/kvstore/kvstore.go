@@ -16,6 +16,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -99,7 +100,7 @@ func DefaultConfig() Config {
 }
 
 // record is one stored key's state; the key itself is the map key. An
-// overwrite updates the record in place, so a write allocates only its
+// overwrite updates the record in place, so a write allocates at most its
 // value copy. Readers therefore copy what they return out of the record
 // (as Get, eventualView and Scan do) and must never hold a *record across
 // a park: a write that runs meanwhile would change it under them.
@@ -125,6 +126,9 @@ type shard struct {
 	fe    *service.Frontend
 	items map[string]*record
 	slab  []record // unused records of the current chunk
+	// last is the value copy install made most recently; a write of
+	// equal bytes shares it instead of copying again.
+	last []byte
 }
 
 // newRecord carves a record for a first write out of the shard's slab,
@@ -275,12 +279,17 @@ func (s *Store) write(p *sim.Proc, caller *netsim.Node, key string,
 	return it, nil
 }
 
-// install stores a copy of value as key's next version: in place over
-// rec, which keeps the value it replaces as prev, or in a fresh slab
-// record when rec is nil. The copy is the write's one allocation; it is
-// never reused, so an Item handed out earlier keeps its bytes.
+// install stores value as key's next version: in place over rec, which
+// keeps the value it replaces as prev, or in a fresh slab record when rec
+// is nil. A value equal to the shard's last copy shares that copy;
+// anything else is copied, the write's one allocation, and becomes the
+// last copy. Stored values are immutable, never written over or reused
+// for other bytes, so an Item handed out earlier keeps its bytes.
 func (sh *shard) install(key string, rec *record, value []byte, now, origin sim.Time, originSrc int) *record {
-	v := append([]byte(nil), value...)
+	if !bytes.Equal(value, sh.last) {
+		sh.last = append([]byte(nil), value...)
+	}
+	v := sh.last
 	if rec == nil {
 		rec = sh.newRecord()
 		*rec = record{value: v, version: 1}

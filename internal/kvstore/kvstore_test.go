@@ -275,19 +275,26 @@ func TestDeleteIdempotent(t *testing.T) {
 	}
 }
 
+// TestValueIsCopied: a caller may mutate or reuse its buffer as soon as
+// Put returns, on the copy path and the sharing path alike.
 func TestValueIsCopied(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	var got Item
 	f.k.Spawn("c", func(p *sim.Proc) {
 		buf := []byte("orig")
-		f.store.Put(p, f.caller, "k", buf)
+		for _, key := range []string{"a", "b"} { // a copy, then a share
+			f.store.Put(p, f.caller, key, buf)
+		}
 		buf[0] = 'X'
-		got, _ = f.store.Get(p, f.caller, "k", true)
+		buf = append(buf[:0], "next"...)
+		f.store.Put(p, f.caller, "c", buf)
+		buf[0] = 'Y'
+		for key, want := range map[string]string{"a": "orig", "b": "orig", "c": "next"} {
+			if got, _ := f.store.Get(p, f.caller, key, true); string(got.Value) != want {
+				t.Errorf("Get(%q) = %q, want %q: the stored value aliased the caller's buffer", key, got.Value, want)
+			}
+		}
 	})
 	f.k.Run()
-	if string(got.Value) != "orig" {
-		t.Errorf("stored value aliased caller buffer: %q", got.Value)
-	}
 }
 
 // Property: per-key version numbers strictly increase across any write

@@ -170,10 +170,114 @@ func TestDeleteDropsRecordValues(t *testing.T) {
 	f.k.Run()
 }
 
+// TestEqualValuesShareOneCopy: two keys written with equal bytes from
+// different caller buffers share one stored copy, which is neither
+// caller's buffer.
+func TestEqualValuesShareOneCopy(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	f.k.Spawn("c", func(p *sim.Proc) {
+		b1, b2 := []byte("same-bytes"), []byte("same-bytes")
+		it1, err1 := f.store.Put(p, f.caller, "k1", b1)
+		it2, err2 := f.store.Put(p, f.caller, "k2", b2)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("Put: %v, %v", err1, err2)
+		}
+		if &it1.Value[0] != &it2.Value[0] {
+			t.Error("equal values written to two keys are stored as two copies")
+		}
+		if &it1.Value[0] == &b1[0] || &it1.Value[0] == &b2[0] {
+			t.Error("the stored value aliases a caller's buffer")
+		}
+	})
+	f.k.Run()
+}
+
+// TestItemKeepsBytesAcrossLaterWrites: an Item handed out earlier keeps
+// its bytes through later writes of equal and of different content, to
+// its own key and to others.
+func TestItemKeepsBytesAcrossLaterWrites(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	f.k.Spawn("c", func(p *sim.Proc) {
+		type held struct {
+			it   Item
+			want string
+		}
+		var items []held
+		for _, w := range []struct{ key, value string }{
+			{"k", "aaaa"}, // a first copy
+			{"k", "aaaa"}, // equal, same key
+			{"o", "aaaa"}, // equal, other key
+			{"k", "bbbb"}, // different, same key
+			{"o", "cccc"}, // different, other key
+			{"k", "cccc"}, // equal to the other key's latest
+			{"x", "dddd"}, // different, new key
+			{"k", "aaaa"}, // earlier content again
+		} {
+			items = append(items, held{f.mustPut(t, p, w.key, w.value), w.value})
+			for _, key := range []string{"k", "o"} {
+				if it, err := f.store.Get(p, f.caller, key, true); err == nil {
+					items = append(items, held{it, string(it.Value)})
+				}
+			}
+			for _, h := range items {
+				if string(h.it.Value) != h.want {
+					t.Fatalf("after writing %s=%s: item %s v%d reads %q, want %q",
+						w.key, w.value, h.it.Key, h.it.Version, h.it.Value, h.want)
+				}
+			}
+		}
+		if it, ok := f.lagging("k"); !ok || string(it.Value) != "cccc" {
+			t.Errorf("lagging read of k = %+v ok=%v, want the previous value %q", it, ok, "cccc")
+		}
+	})
+	f.k.Run()
+}
+
+// TestEmptyValueReadsBackNil: an empty value is stored as nil whether the
+// shard's last copy is unset, nil or non-empty, and reads back as such.
+func TestEmptyValueReadsBackNil(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	f.k.Spawn("c", func(p *sim.Proc) {
+		for i, w := range []struct {
+			key   string
+			value []byte
+		}{{"e1", nil}, {"e2", []byte{}}, {"full", []byte("x")}, {"e3", []byte{}}, {"e1", nil}} {
+			if _, err := f.store.Put(p, f.caller, w.key, w.value); err != nil {
+				t.Fatalf("write %d: Put(%q): %v", i, w.key, err)
+			}
+		}
+		for key, version := range map[string]int64{"e1": 2, "e2": 1, "e3": 1} {
+			it, err := f.store.Get(p, f.caller, key, true)
+			if err != nil || it.Value != nil || it.Version != version || it.Size() != int64(len(key)) {
+				t.Errorf("Get(%q) = %+v err %v, want a nil value at version %d", key, it, err, version)
+			}
+		}
+	})
+	f.k.Run()
+}
+
 // BenchmarkPutOverwrite is one 256 B overwrite of a warm key per op on a
-// 4-shard table with every latency zero. The record is updated in place,
-// so the value copy is the write's only allocation.
+// 4-shard table with every latency zero. Each shard's writes alternate
+// between two distinct values, so every write misses the shard's last
+// copy: the record is updated in place, and the value copy is the write's
+// only allocation.
 func BenchmarkPutOverwrite(b *testing.B) {
+	values := [2][]byte{make([]byte, 256), make([]byte, 256)}
+	values[1][0] = 1
+	benchmarkPut(b, func(i int) []byte { return values[i/4%2] })
+}
+
+// BenchmarkPutSameValue is BenchmarkPutOverwrite writing one value
+// throughout: every write shares the shard's stored copy, so a warm
+// overwrite allocates nothing.
+func BenchmarkPutSameValue(b *testing.B) {
+	value := make([]byte, 256)
+	benchmarkPut(b, func(int) []byte { return value })
+}
+
+// benchmarkPut writes value(i) to one of four keys, one per shard in
+// turn, as op i.
+func benchmarkPut(b *testing.B, value func(i int) []byte) {
 	k := sim.NewKernel()
 	b.Cleanup(k.Close)
 	rng := simrand.New(7)
@@ -186,15 +290,14 @@ func BenchmarkPutOverwrite(b *testing.B) {
 	store := New("ddb", net, 9, rng.Fork(), cfg, pricing.Fall2018(), &pricing.Meter{})
 	caller := net.NewNode("caller", 0, netsim.Mbps(538))
 	keys := []string{"key/0000", "key/0001", "key/0002", "key/0003"} // one per shard
-	value := make([]byte, 256)
 	k.Spawn("c", func(p *sim.Proc) {
-		for _, key := range keys { // first writes, and warm every shard
-			store.Put(p, caller, key, value)
+		for i, key := range keys { // first writes, and warm every shard
+			store.Put(p, caller, key, value(i+len(keys)))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Put(p, caller, keys[i%len(keys)], value); err != nil {
+			if _, err := store.Put(p, caller, keys[i%len(keys)], value(i)); err != nil {
 				b.Fatalf("Put: %v", err)
 			}
 		}

@@ -14,6 +14,7 @@ package queue
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -295,16 +296,18 @@ func (q *Queue) wakeWaiters(n int) {
 	}
 }
 
-// Receive returns up to max (≤ MaxBatch) messages, long-polling for up to
-// wait if the queue is empty. Received messages become invisible for the
-// queue's visibility timeout and reappear unless deleted — the at-least-once
-// contract.
+// Receive appends up to max (≤ MaxBatch) messages to dst and returns the
+// extended slice, long-polling for up to wait if the queue is empty. A
+// caller that polls in a loop can pass its last batch's buffer as
+// dst[:0]; a nil dst gets a slice sized to the messages received.
+// Received messages become invisible for the queue's visibility timeout
+// and reappear unless deleted — the at-least-once contract.
 //
 // Unlike one-shot requests, the service time is split around the poll so a
 // long-polled message still pays the response leg after it arrives.
-func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Duration) ([]Message, error) {
+func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration) ([]Message, error) {
 	if max <= 0 || max > MaxBatch {
-		return nil, ErrBatchTooBig
+		return dst, ErrBatchTooBig
 	}
 	fe := q.svc.fe
 	service := fe.SampleOp()
@@ -319,8 +322,12 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 		q.dropWaiter(w)
 		q.idle = append(q.idle, w)
 	}
-	msgs := make([]Message, 0, min(max, q.available.Len()))
-	for len(msgs) < max && q.available.Len() > 0 {
+	n := min(max, q.available.Len())
+	dst = slices.Grow(dst, n)
+	// The response is billed like a send: one request per started 64KB
+	// chunk of returned payload (an empty poll still bills one request).
+	var payload int64
+	for range n {
 		m := q.available.Pop()
 		q.nextRcpt++
 		m.receipt = q.formatID(q.rcptPrefix, q.nextRcpt)
@@ -328,22 +335,17 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, max int, wait time.Dur
 		m.attempts++
 		q.inflight[m.receipt] = m
 		q.hide(p.Kernel(), m)
-		msgs = append(msgs, Message{
+		dst = append(dst, Message{
 			ID:       m.id,
 			Body:     m.body,
 			Receipt:  m.receipt,
 			Attempts: m.attempts,
 		})
-	}
-	// The response is billed like a send: one request per started 64KB
-	// chunk of returned payload (an empty poll still bills one request).
-	var payload int64
-	for _, m := range msgs {
-		payload += int64(len(m.Body))
+		payload += int64(len(m.body))
 	}
 	fe.Charge("sqs.request", billedRequests(payload), fe.Catalog().SQSPerRequest)
 	fe.OutLeg(p, caller, service/2)
-	return msgs, nil
+	return dst, nil
 }
 
 // waiter returns an unreleased wait state for a long poll, recycling one

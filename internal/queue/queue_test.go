@@ -48,7 +48,7 @@ func TestSendReceiveDelete(t *testing.T) {
 			t.Errorf("Send: %v", err)
 		}
 		var err error
-		msgs, err = f.q.Receive(p, f.caller, 10, 0)
+		msgs, err = f.q.Receive(p, f.caller, nil, 10, 0)
 		if err != nil {
 			t.Errorf("Receive: %v", err)
 		}
@@ -77,7 +77,7 @@ func TestReceiveBatchesUpToTen(t *testing.T) {
 			t.Errorf("SendBatch: %v", err)
 		}
 		f.q.Send(p, f.caller, []byte("extra"))
-		msgs, _ := f.q.Receive(p, f.caller, 10, 0)
+		msgs, _ := f.q.Receive(p, f.caller, nil, 10, 0)
 		got = len(msgs)
 	})
 	f.k.Run()
@@ -95,7 +95,7 @@ func TestBatchLimits(t *testing.T) {
 			bodies[i] = []byte("x")
 		}
 		_, sendErr = f.q.SendBatch(p, f.caller, bodies)
-		_, recvErr = f.q.Receive(p, f.caller, 11, 0)
+		_, recvErr = f.q.Receive(p, f.caller, nil, 11, 0)
 		_, bigErr = f.q.Send(p, f.caller, make([]byte, MaxMessageSize+1))
 	})
 	f.k.Run()
@@ -115,7 +115,7 @@ func TestFIFOWithinSim(t *testing.T) {
 			f.q.Send(p, f.caller, []byte{i})
 		}
 		for len(order) < 3 {
-			msgs, _ := f.q.Receive(p, f.caller, 1, 0)
+			msgs, _ := f.q.Receive(p, f.caller, nil, 1, 0)
 			for _, m := range msgs {
 				order = append(order, m.Body[0])
 				f.q.Delete(p, f.caller, m.Receipt)
@@ -133,7 +133,7 @@ func TestLongPollWaitsForMessage(t *testing.T) {
 	var recvAt sim.Time
 	var got int
 	f.k.Spawn("consumer", func(p *sim.Proc) {
-		msgs, _ := f.q.Receive(p, f.caller, 10, 20*time.Second)
+		msgs, _ := f.q.Receive(p, f.caller, nil, 10, 20*time.Second)
 		recvAt = p.Now()
 		got = len(msgs)
 	})
@@ -155,7 +155,7 @@ func TestLongPollTimesOutEmpty(t *testing.T) {
 	var recvAt sim.Time
 	var got int
 	f.k.Spawn("consumer", func(p *sim.Proc) {
-		msgs, _ := f.q.Receive(p, f.caller, 10, 2*time.Second)
+		msgs, _ := f.q.Receive(p, f.caller, nil, 10, 2*time.Second)
 		recvAt = p.Now()
 		got = len(msgs)
 	})
@@ -173,10 +173,10 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	var first, second []Message
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, []byte("work"))
-		first, _ = f.q.Receive(p, f.caller, 1, 0)
+		first, _ = f.q.Receive(p, f.caller, nil, 1, 0)
 		// Do not delete; wait past the visibility timeout.
 		p.Sleep(15 * time.Second)
-		second, _ = f.q.Receive(p, f.caller, 1, 0)
+		second, _ = f.q.Receive(p, f.caller, nil, 1, 0)
 	})
 	f.k.Run()
 	if len(first) != 1 || len(second) != 1 {
@@ -198,10 +198,10 @@ func TestDeleteBeforeTimeoutPreventsRedelivery(t *testing.T) {
 	var redelivered int
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, []byte("once"))
-		msgs, _ := f.q.Receive(p, f.caller, 1, 0)
+		msgs, _ := f.q.Receive(p, f.caller, nil, 1, 0)
 		f.q.Delete(p, f.caller, msgs[0].Receipt)
 		p.Sleep(20 * time.Second)
-		again, _ := f.q.Receive(p, f.caller, 1, 0)
+		again, _ := f.q.Receive(p, f.caller, nil, 1, 0)
 		redelivered = len(again)
 	})
 	f.k.Run()
@@ -217,9 +217,9 @@ func TestStaleTimerDoesNotDuplicateAfterRedelivery(t *testing.T) {
 	var finalDepth int
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, []byte("x"))
-		f.q.Receive(p, f.caller, 1, 0)
+		f.q.Receive(p, f.caller, nil, 1, 0)
 		p.Sleep(3 * time.Second) // expires, redelivered to queue
-		msgs, _ := f.q.Receive(p, f.caller, 1, 0)
+		msgs, _ := f.q.Receive(p, f.caller, nil, 1, 0)
 		f.q.Delete(p, f.caller, msgs[0].Receipt)
 		p.Sleep(10 * time.Second)
 		finalDepth = f.q.Depth() + f.q.InFlight()
@@ -235,7 +235,7 @@ func TestRequestMetering(t *testing.T) {
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, []byte("a"))                             // 1 request
 		f.q.SendBatch(p, f.caller, [][]byte{[]byte("b"), []byte("c")}) // 1 request
-		msgs, _ := f.q.Receive(p, f.caller, 10, 0)                     // 1 request
+		msgs, _ := f.q.Receive(p, f.caller, nil, 10, 0)                // 1 request
 		var receipts []string
 		for _, m := range msgs {
 			receipts = append(receipts, m.Receipt)
@@ -268,7 +268,7 @@ func TestReceiveBillsResponsePerChunk(t *testing.T) {
 	f := newFixture(t, time.Second)
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, make([]byte, 200*1024)) // 4 x 64KB chunks
-		f.q.Receive(p, f.caller, 1, 0)                // response carries the same 4
+		f.q.Receive(p, f.caller, nil, 1, 0)           // response carries the same 4
 	})
 	f.k.Run()
 	if got := f.meter.Count("sqs.request"); got != 8 {
@@ -285,11 +285,11 @@ func TestReceiveBillsResponsePerChunk(t *testing.T) {
 func TestArrivalWakeUpSkipsTimedOutWaiter(t *testing.T) {
 	f := newFixture(t, 30*time.Second)
 	f.k.Spawn("A", func(p *sim.Proc) {
-		f.q.Receive(p, f.caller, 1, time.Second)
+		f.q.Receive(p, f.caller, nil, 1, time.Second)
 	})
 	f.k.RunUntil(sim.Time(100 * time.Millisecond)) // A is parked
 	f.k.Spawn("B", func(p *sim.Proc) {
-		f.q.Receive(p, f.caller, 1, 20*time.Second)
+		f.q.Receive(p, f.caller, nil, 1, 20*time.Second)
 	})
 	f.k.RunUntil(sim.Time(500 * time.Millisecond)) // B is parked behind A
 	if len(f.q.waiters) != 2 {
@@ -326,7 +326,7 @@ func TestOpLatencyCalibration(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			f.q.Send(p, f.caller, []byte("ping"))
 			start := p.Now()
-			msgs, _ := f.q.Receive(p, f.caller, 10, time.Second)
+			msgs, _ := f.q.Receive(p, f.caller, nil, 10, time.Second)
 			f.q.Send(p, f.caller, []byte("result"))
 			total += p.Now() - start
 			for _, m := range msgs {
@@ -352,15 +352,15 @@ func TestRedeliveryRearmsVisibilityTimer(t *testing.T) {
 	var staleInFlight, pendingAfterAck int
 	f.k.Spawn("c", func(p *sim.Proc) {
 		f.q.Send(p, f.caller, []byte("x"))
-		first, _ = f.q.Receive(p, f.caller, 1, 0)
+		first, _ = f.q.Receive(p, f.caller, nil, 1, 0)
 		p.Sleep(3 * time.Second) // the first receipt expires
-		second, _ = f.q.Receive(p, f.caller, 1, 0)
+		second, _ = f.q.Receive(p, f.caller, nil, 1, 0)
 		f.q.Delete(p, f.caller, first[0].Receipt)
 		staleInFlight = f.q.InFlight()
 		f.q.Delete(p, f.caller, second[0].Receipt)
 		pendingAfterAck = f.k.Pending()
 		p.Sleep(10 * time.Second)
-		third, _ = f.q.Receive(p, f.caller, 1, 0)
+		third, _ = f.q.Receive(p, f.caller, nil, 1, 0)
 	})
 	f.k.Run()
 	if len(first) != 1 || len(second) != 1 {
@@ -394,7 +394,7 @@ func TestRecycledLongPollWaiters(t *testing.T) {
 		for round := 0; round < 6; round++ {
 			start := p.Now()
 			if round%2 == 0 {
-				msgs, _ := f.q.Receive(p, f.caller, 10, wait)
+				msgs, _ := f.q.Receive(p, f.caller, nil, 10, wait)
 				if len(msgs) != 0 {
 					t.Fatalf("round %d: empty poll returned %d messages", round, len(msgs))
 				}
@@ -408,7 +408,7 @@ func TestRecycledLongPollWaiters(t *testing.T) {
 					f.q.Send(pp, f.caller, []byte("job"))
 					arrived = pp.Now()
 				})
-				msgs, _ := f.q.Receive(p, f.caller, 10, wait)
+				msgs, _ := f.q.Receive(p, f.caller, nil, 10, wait)
 				if len(msgs) != 1 {
 					t.Fatalf("round %d: woken poll returned %d messages", round, len(msgs))
 				}
@@ -429,17 +429,70 @@ func TestRecycledLongPollWaiters(t *testing.T) {
 	}
 }
 
+// TestReceiveReusedBufferKeepsEarlierMessages: a poller that receives
+// every batch into the same buffer overwrites its Message values, but the
+// bodies, IDs and receipts a copy of an earlier batch holds stay intact,
+// even once those messages are deleted and their records recycled.
+func TestReceiveReusedBufferKeepsEarlierMessages(t *testing.T) {
+	f := newFixture(t, 30*time.Second)
+	f.k.Spawn("c", func(p *sim.Proc) {
+		dst := make([]Message, 0, MaxBatch)
+		var kept []Message
+		want := make(map[string]string) // message ID -> body
+		for batch := 0; batch < 4; batch++ {
+			for i := 0; i < 3; i++ {
+				body := fmt.Sprintf("batch-%d-msg-%d", batch, i)
+				id, err := f.q.Send(p, f.caller, []byte(body))
+				if err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				want[id] = body
+			}
+			got, err := f.q.Receive(p, f.caller, dst[:0], MaxBatch, 0)
+			if err != nil || len(got) != 3 {
+				t.Fatalf("batch %d: Receive = %d messages, err %v", batch, len(got), err)
+			}
+			if &got[0] != &dst[:1][0] {
+				t.Fatalf("batch %d: Receive did not append into the buffer it was given", batch)
+			}
+			kept = append(kept, got...)
+			receipts := make([]string, len(got))
+			for i, m := range got {
+				receipts[i] = m.Receipt
+			}
+			if err := f.q.DeleteBatch(p, f.caller, receipts); err != nil {
+				t.Fatalf("DeleteBatch: %v", err)
+			}
+			dst = got
+		}
+		receipts := make(map[string]bool)
+		for _, m := range kept {
+			if body, ok := want[m.ID]; !ok || string(m.Body) != body {
+				t.Errorf("kept message %s reads %q, want %q", m.ID, m.Body, body)
+			}
+			if !strings.HasPrefix(m.Receipt, "rcpt-jobs-") || receipts[m.Receipt] {
+				t.Errorf("kept message %s has receipt %q, a duplicate or malformed one", m.ID, m.Receipt)
+			}
+			receipts[m.Receipt] = true
+		}
+		if len(kept) != len(want) {
+			t.Errorf("kept %d messages, want %d", len(kept), len(want))
+		}
+	})
+	f.k.Run()
+}
+
 // BenchmarkQueueEmptyLongPoll is one long poll that times out empty per
 // op: the waiter and its deadline timer are recycled, so it allocates
 // nothing once warm.
 func BenchmarkQueueEmptyLongPoll(b *testing.B) {
 	f := newFixture(b, 30*time.Second)
 	f.k.Spawn("c", func(p *sim.Proc) {
-		f.q.Receive(p, f.caller, 10, time.Second) // warm the waiter
+		f.q.Receive(p, f.caller, nil, 10, time.Second) // warm the waiter
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.q.Receive(p, f.caller, 10, time.Second)
+			f.q.Receive(p, f.caller, nil, 10, time.Second)
 		}
 		b.StopTimer()
 	})
@@ -447,14 +500,17 @@ func BenchmarkQueueEmptyLongPoll(b *testing.B) {
 }
 
 // BenchmarkQueueMessageCycle is one Send + Receive + DeleteBatch per op,
-// the event-source mapping's steady state with a one-message batch.
+// the event-source mapping's steady state with a one-message batch: the
+// receive appends into a reused buffer, so the body copy is the cycle's
+// one allocation.
 func BenchmarkQueueMessageCycle(b *testing.B) {
 	f := newFixture(b, 30*time.Second)
 	body := make([]byte, 32)
 	receipts := make([]string, 1)
+	var msgs []Message
 	cycle := func(p *sim.Proc) {
 		f.q.Send(p, f.caller, body)
-		msgs, _ := f.q.Receive(p, f.caller, 10, time.Second)
+		msgs, _ = f.q.Receive(p, f.caller, msgs[:0], 10, time.Second)
 		receipts[0] = msgs[0].Receipt
 		f.q.DeleteBatch(p, f.caller, receipts)
 	}
@@ -551,7 +607,7 @@ func TestVisibilityMatchesReferenceModel(t *testing.T) {
 		var pendingAfterDrain int
 
 		receive := func(p *sim.Proc, max int) {
-			msgs, err := q.Receive(p, f.caller, max, 0)
+			msgs, err := q.Receive(p, f.caller, nil, max, 0)
 			if err != nil {
 				t.Fatalf("seed %d: Receive: %v", seed, err)
 			}
@@ -703,7 +759,7 @@ func TestIDsAndReceiptsSurviveBlockRollover(t *testing.T) {
 					sent++
 					handles = append(handles, handle{id, fmt.Sprintf("%s-%d", name, sent)})
 				}
-				msgs, err := q.Receive(p, f.caller, MaxBatch, 0)
+				msgs, err := q.Receive(p, f.caller, nil, MaxBatch, 0)
 				if err != nil || len(msgs) != MaxBatch {
 					t.Fatalf("Receive: %d messages, err %v", len(msgs), err)
 				}

@@ -181,7 +181,7 @@ func (pl *Pipeline) runStep(ctx *faas.Ctx, i int, payload []byte) error {
 func (pl *Pipeline) collect(p *sim.Proc) {
 	caller := pl.store.Node() // collector runs near the services
 	for {
-		msgs, err := pl.doneQ.Receive(p, caller, 10, time.Second)
+		msgs, err := pl.doneQ.Receive(p, caller, nil, 10, time.Second)
 		if err != nil {
 			return
 		}
