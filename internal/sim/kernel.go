@@ -64,13 +64,15 @@ type Kernel struct {
 	events eventHeap
 	rq     Ring[rqEntry]
 
-	// allProcs is every Proc ever created, so Close can unwind the live
-	// ones and return every coroutine to the pool; freeProcs is the subset
+	// slabs holds every Proc ever created, carved in spawn order from
+	// fixed procSlab-entry slabs that are never reallocated, so Close can
+	// unwind the live ones and return every coroutine to the pool.
+	// freeProcs heads the LIFO list, linked through Proc.nextFree, of those
 	// whose bodies have exited, awaiting a new assignment from Spawn.
 	// Recycling them makes steady-state Spawn allocation-free: no Proc or
 	// coroutine per process on per-request workloads.
-	allProcs  []*Proc
-	freeProcs []*Proc
+	slabs     [][]Proc
+	freeProcs *Proc
 	// closed is also the kill flag: a process Close resumes finds it set
 	// and unwinds instead of continuing.
 	closed bool
@@ -144,21 +146,36 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		panic("sim: Spawn on closed kernel")
 	}
 	k.spawned++
-	var p *Proc
-	if n := len(k.freeProcs); n > 0 {
+	p := k.freeProcs
+	if p != nil {
 		// Reuse an exited process slot: its coroutine has yielded
 		// between assignments.
-		p = k.freeProcs[n-1]
-		k.freeProcs = k.freeProcs[:n-1]
-		p.name, p.id, p.body = name, k.spawned, fn
+		k.freeProcs, p.nextFree = p.nextFree, nil
 	} else {
-		p = &Proc{k: k, name: name, id: k.spawned, body: fn}
+		p = k.carve()
 		p.co = adoptCoro(p)
-		k.allProcs = append(k.allProcs, p)
 	}
+	p.name, p.id, p.body = name, k.spawned, fn
 	k.liveProcs++
 	k.schedule(k.now, nil, p)
 	return p
+}
+
+// procSlab is the number of Procs a kernel allocates at once.
+const procSlab = 64
+
+// carve returns a fresh Proc slot from the last slab, opening a new slab
+// when it is full. A slab is never reallocated, so a *Proc stays valid for
+// the kernel's lifetime.
+func (k *Kernel) carve() *Proc {
+	n := len(k.slabs)
+	if n == 0 || len(k.slabs[n-1]) == procSlab {
+		k.slabs = append(k.slabs, make([]Proc, 0, procSlab))
+		n++
+	}
+	s := &k.slabs[n-1]
+	*s = append(*s, Proc{k: k})
+	return &(*s)[len(*s)-1]
 }
 
 // Run executes events until the queue is empty, then returns the final
@@ -241,13 +258,16 @@ func (k *Kernel) Close() {
 		return
 	}
 	k.closed = true
-	for _, p := range k.allProcs {
-		if p.body != nil {
-			p.co.next()
+	for _, s := range k.slabs {
+		for i := range s {
+			p := &s[i]
+			if p.body != nil {
+				p.co.next()
+			}
+			p.co.release()
+			p.co = nil
 		}
-		p.co.release()
-		p.co = nil
 	}
-	k.allProcs = nil
+	k.slabs = nil
 	k.freeProcs = nil
 }

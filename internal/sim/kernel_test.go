@@ -385,3 +385,78 @@ func TestProcIdentity(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 }
+
+// TestCloseUnwindsEverySlabInSpawnOrder: with processes parked across
+// several slabs, Close unwinds every body exactly once, in spawn order.
+func TestCloseUnwindsEverySlabInSpawnOrder(t *testing.T) {
+	const n = 200 // four slabs
+	k := NewKernel()
+	var never Signal
+	var unwound []int
+	for i := 0; i < n; i++ {
+		k.Spawn("parked", func(p *Proc) {
+			defer func() { unwound = append(unwound, i) }()
+			never.Wait(p)
+		})
+	}
+	k.Run()
+	if len(k.slabs) != (n+procSlab-1)/procSlab {
+		t.Fatalf("%d procs carved %d slabs, want %d", n, len(k.slabs), (n+procSlab-1)/procSlab)
+	}
+	k.Close()
+	if len(unwound) != n {
+		t.Fatalf("Close unwound %d bodies, want %d", len(unwound), n)
+	}
+	for i, got := range unwound {
+		if got != i {
+			t.Fatalf("unwind %d was process %d, want spawn order", i, got)
+		}
+	}
+}
+
+// TestProcSurvivesLaterSlabs: a *Proc carved from the first slab keeps its
+// name and ID while later slabs are carved, and is still the Proc its body
+// resumes as.
+func TestProcSurvivesLaterSlabs(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var go1, never Signal
+	var resumed *Proc
+	first := k.Spawn("first", func(p *Proc) {
+		go1.Wait(p)
+		resumed = p
+	})
+	for i := 0; i < 3*procSlab; i++ {
+		k.Spawn("later", func(p *Proc) { never.Wait(p) })
+	}
+	k.Run()
+	if first.Name() != "first" || first.ID() != 1 || first.Kernel() != k {
+		t.Fatalf("first proc reads %q id %d after later slabs, want \"first\" id 1",
+			first.Name(), first.ID())
+	}
+	go1.Fire()
+	k.Run()
+	if resumed != first {
+		t.Fatal("first body resumed as a different *Proc than Spawn returned")
+	}
+}
+
+// TestExitedSlotsReusedLIFO: Spawn reuses the slot of the most recently
+// exited process first.
+func TestExitedSlotsReusedLIFO(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	a := k.Spawn("a", func(p *Proc) {})
+	b := k.Spawn("b", func(p *Proc) {})
+	c := k.Spawn("c", func(p *Proc) {})
+	k.Run() // a, b, c exit in spawn order
+	for i, want := range []*Proc{c, b, a} {
+		if got := k.Spawn("reuse", func(p *Proc) {}); got != want {
+			t.Fatalf("spawn %d after exits reused the wrong slot", i)
+		}
+	}
+	if fresh := k.Spawn("fresh", func(p *Proc) {}); fresh == a || fresh == b || fresh == c {
+		t.Fatal("spawn with an empty free list reused a live slot")
+	}
+	k.Run()
+}

@@ -24,6 +24,8 @@ type Proc struct {
 	co   *coro
 	// body is the current assignment, set by Spawn and cleared on exit.
 	body func(*Proc)
+	// nextFree links the kernel's free list while the Proc awaits reuse.
+	nextFree *Proc
 }
 
 // Name returns the name given to Spawn.
@@ -120,7 +122,7 @@ func (p *Proc) cycle() {
 		}
 		k.liveProcs--
 		p.body = nil
-		k.freeProcs = append(k.freeProcs, p)
+		p.nextFree, k.freeProcs = k.freeProcs, p
 	}()
 	// Close resumes a process that never started only to retire it.
 	if !k.closed {

@@ -4,7 +4,8 @@
 //
 // Two implementations of the Summary interface exist: Recorder keeps every
 // sample and computes exact percentiles (the default for calibrated
-// experiments and the reference for equivalence tests), and Sketch holds a
+// experiments and the reference for equivalence tests; a sample from 0 to
+// about 4.29 s is stored in 32 bits, any other in 64), and Sketch holds a
 // fixed-memory HDR-histogram-style log-linear bucketing whose percentiles
 // carry a fixed relative-error bound — the summary million-user
 // experiments use, where retaining every sample would dominate memory.
@@ -41,24 +42,25 @@ func NewSummary(name string, sketch bool) Summary {
 // Recorder accumulates duration samples. The zero value is unusable; create
 // one with NewRecorder. Recorders keep every sample (experiments record at
 // most tens of thousands; larger runs use Sketch), so percentiles are
-// exact. Samples are written once into fixed chunks that are never
+// exact. A sample in [0, 2³²) ns, 0 to about 4.29 s, is stored in 32 bits
+// in the narrow chunk list; any other sample goes whole into the wide
+// list, so every sample stays exact and nearly all take half the bytes.
+// Each list writes its samples once into fixed chunks that are never
 // reallocated or copied: the first holds minChunk samples, each next one
 // twice its predecessor, up to maxChunk. A read sorts each unsorted chunk
-// in place and selects order statistics by rank across the sorted chunks,
-// so no read allocates once the selection scratch has grown with the chunk
-// list. Add maintains a running sum, so Mean and Sum are O(1).
+// in place and selects order statistics by rank across the sorted chunks
+// of both lists, so no read allocates once the selection scratch has grown
+// with the chunk lists. Add maintains a running sum, so Mean and Sum are
+// O(1).
 type Recorder struct {
 	name string
-	// chunks holds the samples; every chunk but the last is full. Add
-	// appends to tail, the last chunk, and leaves its header in chunks
-	// stale: sort refreshes it before any read walks the chunks.
-	chunks [][]time.Duration
-	tail   []time.Duration
-	full   int // samples in the chunks before the last
-	// sorted counts the leading chunks already sorted. Add appends only
-	// to the last chunk, so a read after an Add re-sorts at most that one.
-	sorted int
-	win    []window // rank-selection scratch, one window per chunk
+	// narrow holds the samples in [0, 2³²), wide every other one. Add
+	// appends to narrow's tail inline and calls out for the rest.
+	narrow chunkList[uint32]
+	wide   chunkList[time.Duration]
+	// win is the rank-selection scratch: one window per chunk, narrow's
+	// chunks first, then wide's.
+	win []window
 	// sumExact is the overflow-safe integer total backing Sum — and, since
 	// integer addition is associative, the order-independent numerator
 	// backing Mean: a float64 running sum accumulated in Add order could
@@ -69,14 +71,30 @@ type Recorder struct {
 
 // Chunk capacities grow geometrically from minChunk to maxChunk samples, so
 // a recorder holding few samples stays small and a large one wastes at most
-// one partly filled chunk. The chunk list starts with room for listSlots
-// chunks (20,224 samples), which holds most recorders' lists in one
+// one partly filled chunk per list. A chunk list starts with room for
+// listSlots chunks (20,224 samples), which holds most lists in one
 // allocation.
 const (
 	minChunk  = 256
 	maxChunk  = 4096
 	listSlots = 8
 )
+
+// sample is the stored form of a sample in one chunk list.
+type sample interface{ uint32 | time.Duration }
+
+// chunkList holds the samples of one width in chunks.
+type chunkList[T sample] struct {
+	// chunks holds the samples; every chunk but the last is full. Add
+	// appends to tail, the last chunk, and leaves its header in chunks
+	// stale: sort refreshes it before any read walks the chunks.
+	chunks [][]T
+	tail   []T
+	full   int // samples in the chunks before the last
+	// sorted counts the leading chunks already sorted. Add appends only
+	// to the last chunk, so a read after an Add re-sorts at most that one.
+	sorted int
+}
 
 // window is the part of one sorted chunk that a rank selection has not yet
 // ruled out: chunk[:lo] lies below the searched value range, chunk[hi:]
@@ -93,42 +111,29 @@ func NewRecorder(name string) *Recorder {
 // Name returns the recorder's label.
 func (r *Recorder) Name() string { return r.name }
 
-// Add records one sample, appending it to the last chunk; when that chunk
-// is full, it opens a new one instead of growing and copying the old.
+// Add records one sample, appending it to the last chunk of its width's
+// list; when that chunk is full, it opens a new one instead of growing and
+// copying the old.
 func (r *Recorder) Add(d time.Duration) {
-	if len(r.tail) == cap(r.tail) {
-		r.open()
+	if uint64(d) >= 1<<32 || len(r.narrow.tail) == cap(r.narrow.tail) {
+		r.addSlow(d)
+	} else {
+		r.narrow.tail = append(r.narrow.tail, uint32(d))
 	}
-	r.tail = append(r.tail, d)
 	r.sumExact += d
 }
 
-// open starts a new last chunk after the full tail: twice its size, from
-// minChunk up to maxChunk.
-func (r *Recorder) open() {
-	size := minChunk
-	if len(r.chunks) == 0 {
-		r.chunks = make([][]time.Duration, 0, listSlots)
+// addSlow stores a sample that is wide or finds the narrow tail full.
+func (r *Recorder) addSlow(d time.Duration) {
+	if uint64(d) < 1<<32 {
+		r.narrow.add(uint32(d))
 	} else {
-		r.syncTail()
-		r.full += len(r.tail)
-		size = min(2*cap(r.tail), maxChunk)
-	}
-	r.tail = make([]time.Duration, 0, size)
-	r.chunks = append(r.chunks, r.tail)
-}
-
-// syncTail refreshes the last chunk's header from tail; a chunk that Add
-// grew since the last sort is no longer sorted.
-func (r *Recorder) syncTail() {
-	if last := len(r.chunks) - 1; last >= 0 && len(r.chunks[last]) != len(r.tail) {
-		r.chunks[last] = r.tail
-		r.sorted = min(r.sorted, last)
+		r.wide.add(d)
 	}
 }
 
 // Count returns the number of samples.
-func (r *Recorder) Count() int { return r.full + len(r.tail) }
+func (r *Recorder) Count() int { return r.narrow.count() + r.wide.count() }
 
 // Mean returns the arithmetic mean (0 with no samples). It derives from the
 // exact integer sum, so its value is independent of Add order and of
@@ -143,30 +148,22 @@ func (r *Recorder) Mean() time.Duration {
 	return time.Duration(float64(r.sumExact) / float64(n))
 }
 
-// Min returns the smallest sample (0 with no samples): the least first
-// sample of a sorted chunk.
+// Min returns the smallest sample (0 with no samples).
 func (r *Recorder) Min() time.Duration {
 	r.sort()
-	if len(r.chunks) == 0 {
-		return 0
-	}
-	v := r.chunks[0][0]
-	for _, c := range r.chunks[1:] {
-		v = min(v, c[0])
+	v, ok := r.narrow.least()
+	if w, wok := r.wide.least(); wok && (!ok || w < v) {
+		v = w
 	}
 	return v
 }
 
-// Max returns the largest sample (0 with no samples): the greatest last
-// sample of a sorted chunk.
+// Max returns the largest sample (0 with no samples).
 func (r *Recorder) Max() time.Duration {
 	r.sort()
-	if len(r.chunks) == 0 {
-		return 0
-	}
-	v := r.chunks[0][len(r.chunks[0])-1]
-	for _, c := range r.chunks[1:] {
-		v = max(v, c[len(c)-1])
+	v, ok := r.narrow.greatest()
+	if w, wok := r.wide.greatest(); wok && (!ok || w > v) {
+		v = w
 	}
 	return v
 }
@@ -209,10 +206,8 @@ func (r *Recorder) String() string {
 
 // sort sorts in place every chunk not sorted since its last Add.
 func (r *Recorder) sort() {
-	r.syncTail()
-	for ; r.sorted < len(r.chunks); r.sorted++ {
-		slices.Sort(r.chunks[r.sorted])
-	}
+	r.narrow.sort()
+	r.wide.sort()
 }
 
 // rank returns the k-th smallest sample (0 <= k < Count). It bisects on the
@@ -222,52 +217,173 @@ func (r *Recorder) sort() {
 // read from it by index.
 func (r *Recorder) rank(k int) time.Duration {
 	lo, hi := r.Min(), r.Max() // sorts; the answer lies in [lo, hi]
-	if len(r.chunks) == 1 {
-		return r.chunks[0][k]
+	nn, nw := len(r.narrow.chunks), len(r.wide.chunks)
+	switch {
+	case nn == 1 && nw == 0:
+		return time.Duration(r.narrow.chunks[0][k])
+	case nn == 0 && nw == 1:
+		return r.wide.chunks[0][k]
 	}
-	if cap(r.win) < len(r.chunks) {
-		r.win = make([]window, len(r.chunks), cap(r.chunks))
+	if cap(r.win) < nn+nw {
+		r.win = make([]window, nn+nw, cap(r.narrow.chunks)+cap(r.wide.chunks))
 	}
-	win := r.win[:len(r.chunks)]
-	for i, c := range r.chunks {
-		win[i] = window{hi: len(c)}
-	}
+	nwin, wwin := r.win[:nn], r.win[nn:nn+nw]
+	r.narrow.open(nwin)
+	r.wide.open(wwin)
 	below := 0 // samples known to be below lo: the sum of the windows' lo
 	for lo < hi {
 		// Overflow-safe midpoint: hi-lo may exceed MaxInt64, but not
 		// MaxUint64, and lo <= mid < hi.
 		mid := lo + time.Duration((uint64(hi)-uint64(lo))/2)
-		atOrBelow, left, last := below, 0, 0
-		for i, c := range r.chunks {
-			w := &win[i]
-			if w.lo == w.hi {
-				continue
-			}
-			// mid < hi <= MaxInt64, so mid+1 does not overflow.
-			w.cut, _ = slices.BinarySearch(c[w.lo:w.hi], mid+1)
-			atOrBelow += w.cut
-		}
-		if atOrBelow > k {
+		atOrBelow := below + r.narrow.cut(nwin, mid) + r.wide.cut(wwin, mid)
+		up := atOrBelow > k // the answer is at or below mid
+		if up {
 			hi = mid
 		} else {
 			lo, below = mid+1, atOrBelow
 		}
-		for i := range win {
-			w := &win[i]
-			if w.lo == w.hi {
-				continue
-			}
-			if atOrBelow > k {
-				w.hi = w.lo + w.cut
-			} else {
-				w.lo += w.cut
-			}
-			if w.lo < w.hi {
-				left, last = left+1, i
-			}
+		nleft, nlast := keep(nwin, up)
+		wleft, wlast := keep(wwin, up)
+		switch {
+		case nleft == 1 && wleft == 0:
+			return time.Duration(r.narrow.chunks[nlast][nwin[nlast].lo+k-below])
+		case nleft == 0 && wleft == 1:
+			return r.wide.chunks[wlast][wwin[wlast].lo+k-below]
 		}
-		if left == 1 {
-			return r.chunks[last][win[last].lo+k-below]
+	}
+	return lo
+}
+
+// keep shrinks every open window to the part of it on the answer's side of
+// the probe: at or below it when up, above it otherwise. It returns the
+// number of windows left open and the index of the last.
+func keep(win []window, up bool) (left, last int) {
+	for i := range win {
+		w := &win[i]
+		if w.lo == w.hi {
+			continue
+		}
+		if up {
+			w.hi = w.lo + w.cut
+		} else {
+			w.lo += w.cut
+		}
+		if w.lo < w.hi {
+			left, last = left+1, i
+		}
+	}
+	return left, last
+}
+
+// add appends v to the tail, opening a new chunk when the tail is full.
+func (l *chunkList[T]) add(v T) {
+	if len(l.tail) == cap(l.tail) {
+		l.grow()
+	}
+	l.tail = append(l.tail, v)
+}
+
+// grow starts a new last chunk after the full tail: twice its size, from
+// minChunk up to maxChunk.
+func (l *chunkList[T]) grow() {
+	size := minChunk
+	if len(l.chunks) == 0 {
+		l.chunks = make([][]T, 0, listSlots)
+	} else {
+		l.syncTail()
+		l.full += len(l.tail)
+		size = min(2*cap(l.tail), maxChunk)
+	}
+	l.tail = make([]T, 0, size)
+	l.chunks = append(l.chunks, l.tail)
+}
+
+// syncTail refreshes the last chunk's header from tail; a chunk that Add
+// grew since the last sort is no longer sorted.
+func (l *chunkList[T]) syncTail() {
+	if last := len(l.chunks) - 1; last >= 0 && len(l.chunks[last]) != len(l.tail) {
+		l.chunks[last] = l.tail
+		l.sorted = min(l.sorted, last)
+	}
+}
+
+// count returns the number of samples in the list.
+func (l *chunkList[T]) count() int { return l.full + len(l.tail) }
+
+// sort sorts in place every chunk not sorted since its last Add.
+func (l *chunkList[T]) sort() {
+	l.syncTail()
+	for ; l.sorted < len(l.chunks); l.sorted++ {
+		slices.Sort(l.chunks[l.sorted])
+	}
+}
+
+// least returns the smallest sample of a sorted list, the least first
+// sample of a chunk; ok is false when the list is empty.
+func (l *chunkList[T]) least() (v time.Duration, ok bool) {
+	if len(l.chunks) == 0 {
+		return 0, false
+	}
+	m := l.chunks[0][0]
+	for _, c := range l.chunks[1:] {
+		m = min(m, c[0])
+	}
+	return time.Duration(m), true
+}
+
+// greatest returns the largest sample of a sorted list, the greatest last
+// sample of a chunk; ok is false when the list is empty.
+func (l *chunkList[T]) greatest() (v time.Duration, ok bool) {
+	if len(l.chunks) == 0 {
+		return 0, false
+	}
+	m := l.chunks[0][len(l.chunks[0])-1]
+	for _, c := range l.chunks[1:] {
+		m = max(m, c[len(c)-1])
+	}
+	return time.Duration(m), true
+}
+
+// open sets each chunk's window to the whole chunk.
+func (l *chunkList[T]) open(win []window) {
+	for i, c := range l.chunks {
+		win[i] = window{hi: len(c)}
+	}
+}
+
+// cut sets each open window's cut to its count of samples at or below v
+// and returns their total. A v outside T's range lies below every sample
+// (v < 0, only for the narrow list) or above every one.
+func (l *chunkList[T]) cut(win []window, v time.Duration) int {
+	t := T(v)
+	inRange := time.Duration(t) == v
+	total := 0
+	for i, c := range l.chunks {
+		w := &win[i]
+		switch {
+		case w.lo == w.hi:
+			continue
+		case inRange:
+			w.cut = atOrBelow(c[w.lo:w.hi], t)
+		case v < 0:
+			w.cut = 0
+		default:
+			w.cut = w.hi - w.lo
+		}
+		total += w.cut
+	}
+	return total
+}
+
+// atOrBelow returns the number of samples in sorted s at or below t.
+func atOrBelow[T sample](s []T, t T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] <= t {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
 	return lo

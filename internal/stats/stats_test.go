@@ -164,11 +164,16 @@ func checkRecorderMatchesCopy(t *testing.T, r *Recorder, samples []time.Duration
 	}
 }
 
+// widthEdges are the samples on either side of each edge of the narrow
+// list's range [0, 2³²), and the int64 extremes.
+var widthEdges = []time.Duration{math.MinInt64, -1, 0, 1<<32 - 1, 1 << 32, math.MaxInt64}
+
 // recorderStream draws samples of one of several shapes: heavy
 // duplicates, full-range signed values, the int64 extremes mixed into a
-// narrow cluster, and a monotone ramp.
+// narrow cluster, a monotone ramp, the width edges, and an even mix of
+// narrow and wide samples.
 func recorderStream(kind int, rng *simrand.RNG, i int) time.Duration {
-	switch kind % 4 {
+	switch kind % 6 {
 	case 0:
 		return time.Duration(rng.Intn(8) - 4)
 	case 1:
@@ -181,8 +186,15 @@ func recorderStream(kind int, rng *simrand.RNG, i int) time.Duration {
 			return math.MaxInt64
 		}
 		return time.Duration(rng.Intn(1000))
-	default:
+	case 3:
 		return time.Duration(i)
+	case 4:
+		return widthEdges[rng.Intn(len(widthEdges))] + time.Duration(rng.Intn(3)-1)
+	default:
+		if rng.Intn(2) == 0 {
+			return time.Duration(rng.Uint64() >> 32) // narrow
+		}
+		return time.Duration(rng.Uint64()>>29) - 1<<34 // seven in eight wide
 	}
 }
 
@@ -199,7 +211,7 @@ func TestRecorderMatchesSortedCopy(t *testing.T) {
 	total += maxChunk // the second chunk at the cap
 	sizes = append(sizes, total-1, total, total+1)
 	rng := simrand.New(1)
-	for kind := range 4 {
+	for kind := range 6 {
 		for _, n := range sizes {
 			r := NewRecorder("eq")
 			var samples []time.Duration
@@ -216,23 +228,45 @@ func TestRecorderMatchesSortedCopy(t *testing.T) {
 	}
 }
 
+// TestRecorderWidthEdges checks every read against a sorted copy for each
+// pair of samples drawn from the edges of the narrow range, so that one
+// sample of each pair may land in either list.
+func TestRecorderWidthEdges(t *testing.T) {
+	rng := simrand.New(1)
+	for _, a := range widthEdges {
+		for _, b := range widthEdges {
+			checkRecorderMatchesCopy(t, recorderWith(a, b), []time.Duration{a, b}, rng)
+		}
+	}
+	checkRecorderMatchesCopy(t, recorderWith(widthEdges...), widthEdges, rng)
+}
+
 // TestRecorderAddAllocatesOnce bounds what recording 10⁵ samples allocates:
 // each sample is written once into chunks that are never copied, so the
-// total is the samples' 8 bytes each, plus at most one partly filled chunk
-// and 10% for the chunk list and rounding.
+// total is 4 bytes per sample in [0, 2³²) and 8 per other sample, plus at
+// most one partly filled chunk and 10% for the chunk list and rounding.
 func TestRecorderAddAllocatesOnce(t *testing.T) {
 	const n = 100_000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := NewRecorder("mem")
-	for i := range n {
-		r.Add(time.Duration(i))
-	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(r)
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(1.1*8*n + 8*maxChunk); got > limit {
-		t.Errorf("recording %d samples allocated %d B, want at most %d", n, got, limit)
+	for _, tc := range []struct {
+		name  string
+		base  time.Duration // the samples are base+i
+		width uint64        // bytes a sample is stored in
+	}{
+		{"narrow", 0, 4},
+		{"wide", 1 << 32, 8},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewRecorder("mem")
+		for i := range n {
+			r.Add(tc.base + time.Duration(i))
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(1.1*float64(tc.width*n)) + tc.width*maxChunk; got > limit {
+			t.Errorf("%s: recording %d samples allocated %d B, want at most %d", tc.name, n, got, limit)
+		}
 	}
 }
 
