@@ -58,14 +58,14 @@ func lambdaWay() time.Duration {
 	err := cloud.Lambda.Register(faas.Function{
 		Name: "classify", MemoryMB: 512, Timeout: time.Minute,
 		Handler: func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-			ev, err := faas.DecodeSQSEvent(payload)
-			if err != nil {
-				return nil, err
-			}
 			b := -1
-			for _, r := range ev.Records {
-				cleaned, _ := model.Clean(r.Body)
-				fmt.Sscanf(r.Body, "batch %d", &b)
+			for body, err := range faas.SQSBodies(payload) {
+				if err != nil {
+					return nil, err
+				}
+				text := string(body)
+				cleaned, _ := model.Clean(text)
+				fmt.Sscanf(text, "batch %d", &b)
 				_ = cleaned
 			}
 			if _, err := out.Send(ctx.Proc(), ctx.Node(), []byte("done")); err != nil {

@@ -16,10 +16,10 @@ package core
 // cold-start fraction, and the metered hourly bill.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -84,9 +84,9 @@ var errFaaSScaleMsg = errors.New("faasscale: message is not a canonical {\"seq\"
 // them. Only the generator below writes to the queue, so anything else
 // (whitespace, reordered keys, escapes, leading zeros, -0, out-of-range
 // numbers) is an error rather than a second decoder.
-func parseFaaSScaleMsg(s string) (faasScaleMsg, error) {
+func parseFaaSScaleMsg(b []byte) (faasScaleMsg, error) {
 	var m faasScaleMsg
-	rest, ok := strings.CutPrefix(s, `{"seq":`)
+	rest, ok := bytes.CutPrefix(b, []byte(`{"seq":`))
 	if !ok {
 		return m, errFaaSScaleMsg
 	}
@@ -94,11 +94,11 @@ func parseFaaSScaleMsg(s string) (faasScaleMsg, error) {
 	if !ok {
 		return m, errFaaSScaleMsg
 	}
-	if rest, ok = strings.CutPrefix(rest[n:], `,"sent":`); !ok {
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(`,"sent":`)); !ok {
 		return m, errFaaSScaleMsg
 	}
 	sent, n, ok := crdt.ScanCanonicalInt(rest, 64)
-	if !ok || rest[n:] != "}" {
+	if !ok || string(rest[n:]) != "}" {
 		return m, errFaaSScaleMsg
 	}
 	m.Seq, m.Sent = int(seq), sent
@@ -142,12 +142,11 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p, node := ctx.Proc(), ctx.Node()
-		ev, err := faas.DecodeSQSEvent(payload)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range ev.Records {
-			m, err := parseFaaSScaleMsg(r.Body)
+		for body, err := range faas.SQSBodies(payload) {
+			if err != nil {
+				return nil, err
+			}
+			m, err := parseFaaSScaleMsg(body)
 			if err != nil {
 				return nil, err
 			}

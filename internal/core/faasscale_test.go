@@ -102,13 +102,13 @@ func TestFaaSScaleMsgMatchesEncodingJSON(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("appendJSON(%+v) = %s, want %s", m, got, want)
 		}
-		back, err := parseFaaSScaleMsg(string(got))
+		back, err := parseFaaSScaleMsg(got)
 		if err != nil || back != m {
 			t.Errorf("parseFaaSScaleMsg(%s) = %+v, %v; want %+v", got, back, err, m)
 		}
 	}
 	for _, body := range nonCanonicalFaaSScaleBodies {
-		if m, err := parseFaaSScaleMsg(body); err == nil {
+		if m, err := parseFaaSScaleMsg([]byte(body)); err == nil {
 			t.Errorf("parseFaaSScaleMsg(%s) = %+v, want an error for a non-canonical body", body, m)
 		}
 	}
@@ -158,7 +158,7 @@ func FuzzParseFaaSScaleMsg(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		got, gotErr := parseFaaSScaleMsg(body)
+		got, gotErr := parseFaaSScaleMsg([]byte(body))
 		var want faasScaleMsg
 		wantErr := json.Unmarshal([]byte(body), &want)
 		if gotErr == nil && (wantErr != nil || got != want) {

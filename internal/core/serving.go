@@ -95,10 +95,6 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 
 	handler := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 		p, node := ctx.Proc(), ctx.Node()
-		ev, err := faas.DecodeSQSEvent(payload)
-		if err != nil {
-			return nil, err
-		}
 		model := compiled
 		if fetchModel {
 			obj, err := c.S3.Get(p, node, "models/dirty-words")
@@ -109,9 +105,12 @@ func runServingLambda(seed uint64, fetchModel bool) time.Duration {
 		}
 		batch := -1
 		var cleaned []string
-		for _, r := range ev.Records {
+		for body, err := range faas.SQSBodies(payload) {
+			if err != nil {
+				return nil, err
+			}
 			var doc servingDoc
-			if err := json.Unmarshal([]byte(r.Body), &doc); err != nil {
+			if err := json.Unmarshal(body, &doc); err != nil {
 				return nil, err
 			}
 			batch = doc.Batch

@@ -16,8 +16,9 @@ type SQSRecord struct {
 }
 
 // SQSEvent is the payload shape delivered to SQS-triggered functions.
-// AppendSQSEvent and DecodeSQSEvent (sqsjson.go) convert between message
-// batches and payload bytes.
+// AppendSQSEvent (sqsjson.go) encodes a message batch into payload bytes,
+// and SQSBodies reads the record bodies back; both keep to encoding/json's
+// form of this type.
 type SQSEvent struct {
 	Records []SQSRecord `json:"records"`
 }

@@ -46,8 +46,9 @@ const PayloadLimit = 6 * 1024 * 1024
 //
 // The payload is valid only until the handler returns: the caller may
 // reuse its buffer for the next invocation (an event-source poller does).
-// A handler that keeps any of it must copy it, or decode it first —
-// DecodeSQSEvent's result never aliases the payload.
+// A handler that keeps any of it must copy it. A handler may overwrite its
+// payload, and SQSBodies does, so a caller must not rely on the payload's
+// contents after Invoke. ctx, too, is valid only until the handler returns.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Function is a registered function.
@@ -162,6 +163,9 @@ type container struct {
 	// the warm pool (see scheduleReap). Allocated once per container and
 	// re-armed on every release.
 	reap *sim.Timer
+	// ctx is the handler context, reset by every invocation: a container
+	// serves one invocation at a time (see Ctx).
+	ctx Ctx
 }
 
 // Platform is the FaaS control plane plus its fleet of hosting VMs.
@@ -277,7 +281,9 @@ type Report struct {
 // It returns the handler's response, an execution report, and an error
 // (handler error, ErrTimeout, or a platform error). The handler may read
 // payload only until it returns, so the caller may reuse the buffer once
-// Invoke does.
+// Invoke does. The handler may also overwrite it, so a caller that sends
+// the same bytes again must write them again. The handler's Ctx is the
+// container's own, reset for each invocation.
 func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Report, error) {
 	fn, ok := pf.functions[name]
 	if !ok {
@@ -301,7 +307,8 @@ func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Re
 	}
 
 	start := p.Now()
-	ctx := &Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout, cold: cold}
+	ctx := &cont.ctx
+	*ctx = Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout, cold: cold}
 	resp, err := fn.Handler(ctx, payload)
 	dur := p.Now() - start
 
@@ -578,7 +585,10 @@ func (pf *Platform) reclaimVM(vm *hostVM) {
 	}
 }
 
-// Ctx is the execution context passed to handlers.
+// Ctx is the execution context passed to handlers. It is valid only during
+// the handler call it was passed to: each container keeps one Ctx and
+// rewrites it for its next invocation, so a Ctx kept past its handler's
+// return reads a later invocation's state.
 type Ctx struct {
 	proc     *sim.Proc
 	pf       *Platform

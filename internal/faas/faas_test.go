@@ -332,12 +332,15 @@ func TestSQSEventRoundTrip(t *testing.T) {
 		{ID: "m1", Receipt: "r1", Body: []byte("hello")},
 		{ID: "m2", Receipt: "r2", Body: []byte("world")},
 	}
-	ev, err := DecodeSQSEvent(AppendSQSEvent(nil, msgs))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	var bodies []string
+	for body, err := range SQSBodies(AppendSQSEvent(nil, msgs)) {
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		bodies = append(bodies, string(body))
 	}
-	if len(ev.Records) != 2 || ev.Records[0].Body != "hello" || ev.Records[1].MessageID != "m2" {
-		t.Errorf("round trip = %+v", ev)
+	if len(bodies) != 2 || bodies[0] != "hello" || bodies[1] != "world" {
+		t.Errorf("round trip = %q", bodies)
 	}
 }
 
@@ -350,12 +353,11 @@ func TestEventSourceMappingDrivesFunction(t *testing.T) {
 
 	var processed []string
 	f.pf.Register(Function{Name: "consumer", MemoryMB: 256, Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
-		ev, err := DecodeSQSEvent(payload)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range ev.Records {
-			processed = append(processed, r.Body)
+		for body, err := range SQSBodies(payload) {
+			if err != nil {
+				return nil, err
+			}
+			processed = append(processed, string(body))
 		}
 		return nil, nil
 	}})
@@ -433,5 +435,54 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 	}
 	if last < 20*time.Second {
 		t.Errorf("third invocation finished at %v, want >=20s (throttled)", last)
+	}
+}
+
+// TestWarmContainerReusesCtx: two sequential invocations on one warm
+// container share its Ctx, and each still sees its own ColdStart and
+// Remaining, at the handler's start and after it has run for a while.
+func TestWarmContainerReusesCtx(t *testing.T) {
+	f := newFixture(t, DefaultConfig())
+	type seen struct {
+		ctx         *Ctx
+		cold        bool
+		atStart     time.Duration
+		afterWork   time.Duration
+		reportsCold bool
+	}
+	var calls []seen
+	work := []time.Duration{3 * time.Second, 5 * time.Second}
+	f.pf.Register(Function{Name: "f", MemoryMB: 128, Timeout: 10 * time.Second,
+		Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
+			s := seen{ctx: ctx, cold: ctx.ColdStart(), atStart: ctx.Remaining()}
+			ctx.Proc().Sleep(work[len(calls)])
+			s.afterWork = ctx.Remaining()
+			calls = append(calls, s)
+			return nil, nil
+		}})
+	f.k.Spawn("c", func(p *sim.Proc) {
+		for range work {
+			_, rep, err := f.pf.Invoke(p, "f", nil)
+			if err != nil {
+				t.Errorf("Invoke: %v", err)
+			}
+			calls[len(calls)-1].reportsCold = rep.ColdStart
+		}
+	})
+	f.k.Run()
+	if len(calls) != 2 {
+		t.Fatalf("%d invocations ran, want 2", len(calls))
+	}
+	if calls[0].ctx != calls[1].ctx {
+		t.Error("the second invocation did not reuse the warm container's Ctx")
+	}
+	for i, c := range calls {
+		if wantCold := i == 0; c.cold != wantCold || c.reportsCold != wantCold {
+			t.Errorf("invocation %d: ColdStart %v (report %v), want %v", i, c.cold, c.reportsCold, wantCold)
+		}
+		if c.atStart != 10*time.Second || c.afterWork != 10*time.Second-work[i] {
+			t.Errorf("invocation %d: Remaining %v at start and %v after %v of work, want 10s and %v",
+				i, c.atStart, c.afterWork, work[i], 10*time.Second-work[i])
+		}
 	}
 }

@@ -11,14 +11,14 @@ package faas
 // bytes (and therefore every metered size and golden trace) are identical
 // by construction. The encoder appends into a caller-owned buffer, so a
 // poller reuses one payload buffer across batches; the fast decoder
-// unescapes every field into one string and allocates the records once,
-// and never aliases the payload.
+// unescapes each record body in place and hands it out as a subslice of
+// the payload, so a batch decodes without allocating.
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
+	"iter"
 	"slices"
-	"strings"
 
 	"repro/internal/queue"
 )
@@ -94,45 +94,67 @@ func encodeSQSEventSlow(msgs []queue.Message) []byte {
 	return b
 }
 
-// DecodeSQSEvent parses an invocation payload back into an event. The
-// event never aliases payload, so it stays intact after the payload's
-// buffer is reused.
-func DecodeSQSEvent(payload []byte) (SQSEvent, error) {
-	if ev, ok := decodeSQSEventFast(payload); ok {
-		return ev, nil
-	}
-	var ev SQSEvent
-	err := json.Unmarshal(payload, &ev)
-	return ev, err
-}
-
-// recordStart opens every record in the layout AppendSQSEvent's fast path
-// emits. Inside a string every quote is escaped, so in a well-formed
-// payload each occurrence opens a record.
-const recordStart = `{"messageId":`
-
-// sqsEventFraming is the length of the fast layout of k records with
-// every field empty: all of a payload that is not field bytes.
-func sqsEventFraming(k int) int {
-	const record = len(recordStart + `"","receiptHandle":"","body":""}`)
-	return len(`{"records":[]}`) + k*record + max(0, k-1)
-}
-
-// decodeSQSEventFast parses exactly the layout AppendSQSEvent's fast path
-// emits. Any deviation — stray whitespace, reordered fields, an escape
-// other than \" or \\, a control or non-ASCII byte, trailing bytes —
-// reports !ok and the caller falls back to encoding/json, so hand-built
-// payloads still decode.
+// SQSBodies returns an iterator over the record bodies of an SQS-event
+// payload, in record order. Each body is a subslice of payload (its
+// capacity ends with it), valid while the payload's buffer is, which for a
+// handler means until it returns.
 //
-// It allocates twice: the records, at the length counted up front, and
-// one string builder that every field is unescaped into, sized to the
-// payload less its framing (an upper bound on the field bytes, since an
-// escape only shrinks). Each field is a substring of the builder's
-// contents, which only grow, so earlier fields stay valid as later ones
-// are written.
-func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
-	var ev SQSEvent
-	i, n := 0, len(p)
+// A payload in exactly the layout AppendSQSEvent's fast path emits is read
+// twice. The first pass validates all of it without writing. The second
+// unescapes each body in place, where \" and \\ only shrink so the write
+// cursor never passes the read cursor, and yields it. Any other payload goes
+// to encoding/json, which sees the original bytes because nothing is
+// written until the whole payload has validated; an error is yielded once,
+// as (nil, err), before any body.
+//
+// Ranging a fast-layout payload consumes it: the second pass first
+// overwrites its opening brace, so ranging the same payload again yields
+// an error rather than bodies unescaped twice. (encoding/json never writes
+// to the payload it is given.)
+func SQSBodies(payload []byte) iter.Seq2[[]byte, error] {
+	return func(yield func([]byte, error) bool) { sqsBodies(payload, yield) }
+}
+
+// consumedMark replaces a fast-path payload's opening brace once SQSBodies
+// starts rewriting it. No JSON value starts with it, so a second range
+// reaches encoding/json and fails.
+const consumedMark = 0
+
+var errSQSChanged = errors.New("faas: SQS payload changed while being ranged over")
+
+func sqsBodies(p []byte, yield func([]byte, error) bool) {
+	if len(p) == 0 || p[0] != '{' || !walkSQSEvent(p, nil) {
+		var ev SQSEvent
+		if err := json.Unmarshal(p, &ev); err != nil {
+			yield(nil, err)
+			return
+		}
+		for _, r := range ev.Records {
+			if !yield([]byte(r.Body), nil) {
+				return
+			}
+		}
+		return
+	}
+	p[0] = consumedMark
+	if !walkSQSEvent(p, yield) {
+		// Only a write to the payload while it is ranged over gets here.
+		yield(nil, errSQSChanged)
+	}
+}
+
+// walkSQSEvent reports whether p is exactly in the layout AppendSQSEvent's
+// fast path emits. Any deviation — stray whitespace, reordered fields, an
+// escape other than \" or \\, a control or non-ASCII byte, trailing bytes —
+// reports false, and the caller falls back to encoding/json, so hand-built
+// payloads still decode. The opening brace is not read: the caller checks
+// it, and the second pass walks a payload whose brace it has overwritten.
+//
+// With a nil yield the walk only reads p. Otherwise it unescapes each body
+// in place and yields it; if yield returns false the walk stops and reports
+// true.
+func walkSQSEvent(p []byte, yield func([]byte, error) bool) bool {
+	i, n := 1, len(p)
 	eat := func(lit string) bool {
 		if n-i < len(lit) || string(p[i:i+len(lit)]) != lit {
 			return false
@@ -140,74 +162,66 @@ func decodeSQSEventFast(p []byte) (SQSEvent, bool) {
 		i += len(lit)
 		return true
 	}
-	var sb strings.Builder
-	str := func() (string, bool) {
+	// str walks one string literal and returns its contents, unescaped in
+	// place when unescape is set: w trails i by the escapes seen so far.
+	str := func(unescape bool) ([]byte, bool) {
 		if i >= n || p[i] != '"' {
-			return "", false
+			return nil, false
 		}
 		i++
-		start, run := sb.Len(), i
+		start, w := i, i
 		for i < n {
-			switch c := p[i]; {
+			c := p[i]
+			switch {
 			case c == '"':
-				sb.Write(p[run:i])
 				i++
-				return sb.String()[start:], true
+				return p[start:w:w], true
 			case c == '\\':
 				// Only the two escapes the fast encoder emits; anything
 				// else falls back to encoding/json.
 				if i+1 >= n || (p[i+1] != '"' && p[i+1] != '\\') {
-					return "", false
+					return nil, false
 				}
-				sb.Write(p[run:i])
-				run = i + 1 // the escaped byte starts the next run
-				i += 2
+				c = p[i+1]
+				i++
 			case c < 0x20 || c >= 0x80:
 				// encoding/json rejects raw control bytes and rewrites
 				// invalid UTF-8; leave both, and all non-ASCII, to it.
-				return "", false
-			default:
-				i++
+				return nil, false
 			}
+			if unescape {
+				p[w] = c
+			}
+			i++
+			w++
 		}
-		return "", false
+		return nil, false
 	}
-	if !eat(`{"records":[`) {
-		return ev, false
+	if !eat(`"records":[`) {
+		return false
 	}
 	if string(p[i:]) == `]}` {
-		ev.Records = []SQSRecord{}
-		return ev, true
+		return true
 	}
-	ev.Records = make([]SQSRecord, bytes.Count(p[i:], []byte(recordStart)))
-	sb.Grow(max(0, n-sqsEventFraming(len(ev.Records))))
-	for k := range ev.Records {
-		r := &ev.Records[k]
-		var ok bool
-		if !eat(recordStart) {
-			return ev, false
+	for {
+		if !eat(`{"messageId":`) {
+			return false
 		}
-		if r.MessageID, ok = str(); !ok {
-			return ev, false
+		if _, ok := str(false); !ok || !eat(`,"receiptHandle":`) {
+			return false
 		}
-		if !eat(`,"receiptHandle":`) {
-			return ev, false
+		if _, ok := str(false); !ok || !eat(`,"body":`) {
+			return false
 		}
-		if r.Receipt, ok = str(); !ok {
-			return ev, false
+		body, ok := str(yield != nil)
+		if !ok || !eat(`}`) {
+			return false
 		}
-		if !eat(`,"body":`) {
-			return ev, false
+		if yield != nil && !yield(body, nil) {
+			return true
 		}
-		if r.Body, ok = str(); !ok {
-			return ev, false
-		}
-		if !eat(`}`) {
-			return ev, false
-		}
-		if k < len(ev.Records)-1 && !eat(`,`) {
-			return ev, false
+		if !eat(`,`) {
+			return eat(`]}`) && i == n
 		}
 	}
-	return ev, len(ev.Records) > 0 && eat(`]}`) && i == n
 }

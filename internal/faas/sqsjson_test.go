@@ -1,10 +1,10 @@
 package faas
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +14,42 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simrand"
 )
+
+// rangeBodies ranges over SQSBodies(payload), copying each body, and
+// returns the bodies and the first error. It fails the test if an error
+// follows a body or is not the last value yielded.
+func rangeBodies(t testing.TB, payload []byte) ([]string, error) {
+	t.Helper()
+	var bodies []string
+	var err error
+	for body, e := range SQSBodies(payload) {
+		if err != nil {
+			t.Fatalf("SQSBodies yielded %q after the error %v", body, err)
+		}
+		if e != nil {
+			if body != nil || len(bodies) > 0 {
+				t.Fatalf("SQSBodies yielded error %v with body %q after %d bodies", e, body, len(bodies))
+			}
+			err = e
+			continue
+		}
+		bodies = append(bodies, string(body))
+	}
+	return bodies, err
+}
+
+// jsonBodies is the reference decoder: encoding/json's record bodies.
+func jsonBodies(payload []byte) ([]string, error) {
+	var ev SQSEvent
+	if err := json.Unmarshal(payload, &ev); err != nil {
+		return nil, err
+	}
+	var bodies []string
+	for _, r := range ev.Records {
+		bodies = append(bodies, r.Body)
+	}
+	return bodies, nil
+}
 
 // TestSQSEventCodecMatchesEncodingJSON pins the fast codec's contract: for
 // every input — fast path or fallback — the encoded payload must be
@@ -47,45 +83,47 @@ func TestSQSEventCodecMatchesEncodingJSON(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("case %d: encoded\n %s\nwant\n %s", i, got, want)
 		}
-		dec, err := DecodeSQSEvent(got)
+		bodies, err := rangeBodies(t, got)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if len(dec.Records) != len(msgs) {
-			t.Fatalf("case %d: decoded %d records, want %d", i, len(dec.Records), len(msgs))
+		if len(bodies) != len(msgs) {
+			t.Fatalf("case %d: decoded %d bodies, want %d", i, len(bodies), len(msgs))
 		}
-		for j, r := range dec.Records {
-			m := msgs[j]
-			if r.MessageID != m.ID || r.Receipt != m.Receipt || r.Body != string(m.Body) {
-				t.Errorf("case %d record %d: round trip %+v != %+v", i, j, r, m)
+		for j, b := range bodies {
+			if b != string(msgs[j].Body) {
+				t.Errorf("case %d record %d: body %q, want %q", i, j, b, msgs[j].Body)
 			}
 		}
 	}
 }
 
-// TestDecodeSQSEventForeignLayout verifies the strict fast parser defers
-// to encoding/json on layouts it did not produce.
-func TestDecodeSQSEventForeignLayout(t *testing.T) {
+// TestSQSBodiesForeignLayout verifies the strict fast parser defers to
+// encoding/json on layouts it did not produce, and that a malformed
+// payload yields one error and no body.
+func TestSQSBodiesForeignLayout(t *testing.T) {
 	payload := []byte(` { "records" : [ { "body" : "b" , "messageId" : "m" , "receiptHandle" : "r" } ] } `)
-	ev, err := DecodeSQSEvent(payload)
+	bodies, err := rangeBodies(t, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev.Records) != 1 || ev.Records[0].MessageID != "m" ||
-		ev.Records[0].Receipt != "r" || ev.Records[0].Body != "b" {
-		t.Errorf("foreign layout decoded to %+v", ev.Records)
+	if !slices.Equal(bodies, []string{"b"}) {
+		t.Errorf("foreign layout decoded to %q", bodies)
 	}
-	if _, err := DecodeSQSEvent([]byte(`{"records":`)); err == nil {
+	if _, err := rangeBodies(t, []byte(`{"records":`)); err == nil {
 		t.Error("truncated payload decoded without error")
 	}
 }
 
-// FuzzDecodeSQSEvent is the decoder's differential oracle: on any payload,
-// DecodeSQSEvent and encoding/json must both fail, or both succeed with
-// equal records. The seeds are the encoder's own output for the codec
-// cases above (quote and backslash escapes take the single-copy unescape
-// path) plus layouts only the fallback accepts.
-func FuzzDecodeSQSEvent(f *testing.F) {
+// FuzzSQSBodies is the decoder's differential oracle: on any payload,
+// ranging over SQSBodies of a copy and encoding/json on the original must
+// both fail, or both succeed with equal bodies. A second range over the
+// same copy must then fail or give the same bodies again, never different
+// ones. The seeds are the encoder's own output for the codec cases above
+// (quote and backslash escapes take the in-place unescape path), layouts
+// only the fallback accepts, and a batch that leaves the fast layout only
+// in its third record.
+func FuzzSQSBodies(f *testing.F) {
 	for _, msgs := range [][]queue.Message{
 		{},
 		{{ID: "q-1", Receipt: "rcpt-q-1", Body: []byte("hello")}},
@@ -118,15 +156,25 @@ func FuzzDecodeSQSEvent(f *testing.F) {
 	} {
 		f.Add(AppendSQSEvent(nil, msgs))
 	}
+	f.Add(offLayoutThirdRecord())
+	f.Add(AppendSQSEvent(nil, twiceValidBatch))
+	// One byte off the fast layout each: an escape the encoder never
+	// writes, a byte after the closing brace, and no opening brace.
+	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"a\nb"}]}`))
+	f.Add([]byte(`{"records":[{"messageId":"m","receiptHandle":"r","body":"b"}]}x`))
+	f.Add([]byte(`["records":[{"messageId":"m","receiptHandle":"r","body":"b"}]}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, gotErr := DecodeSQSEvent(payload)
-		var want SQSEvent
-		wantErr := json.Unmarshal(payload, &want)
+		buf := bytes.Clone(payload)
+		got, gotErr := rangeBodies(t, buf)
+		want, wantErr := jsonBodies(payload)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("DecodeSQSEvent err %v, encoding/json err %v", gotErr, wantErr)
+			t.Fatalf("SQSBodies err %v, encoding/json err %v", gotErr, wantErr)
 		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeSQSEvent = %+v, encoding/json = %+v", got, want)
+		if gotErr == nil && !slices.Equal(got, want) {
+			t.Fatalf("SQSBodies = %q, encoding/json = %q", got, want)
+		}
+		if again, err := rangeBodies(t, buf); err == nil && !slices.Equal(again, got) {
+			t.Fatalf("a second range gave %q, the first %q", again, got)
 		}
 	})
 }
@@ -145,76 +193,161 @@ func escapedBatch(n int) []queue.Message {
 	return msgs
 }
 
-// TestDecodedEventOutlivesPayload: DecodeSQSEvent's records must not
-// alias the payload, so overwriting the payload buffer — what a poller
-// does with the next batch — leaves every decoded field unchanged, on the
-// fast path and the encoding/json fallback alike.
-func TestDecodedEventOutlivesPayload(t *testing.T) {
-	for _, msgs := range [][]queue.Message{
-		escapedBatch(queue.MaxBatch),
-		{{ID: "q-1", Receipt: "r-1", Body: []byte("plain")}, {ID: "q-2", Receipt: "r-2", Body: []byte("ünïcode")}},
-	} {
-		payload := AppendSQSEvent(nil, msgs)
-		ev, err := DecodeSQSEvent(payload)
-		if err != nil {
-			t.Fatal(err)
+// offLayoutThirdRecord is a three-record payload whose first two records
+// are in the fast layout with escaped bodies and whose third has a space
+// before its body: it must decode entirely through encoding/json.
+func offLayoutThirdRecord() []byte {
+	p := AppendSQSEvent(nil, escapedBatch(3))
+	at := bytes.LastIndex(p, []byte(`,"body":`)) + len(`,"body":`)
+	return slices.Insert(p, at, ' ')
+}
+
+// TestSQSBodiesFallbackSeesOriginalBytes: when the third record is off
+// the fast layout, every body, the first two included, comes from
+// encoding/json on the payload as it was sent. Had the fast path unescaped
+// the first two bodies before finding the third, encoding/json would read
+// them unescaped once too often.
+func TestSQSBodiesFallbackSeesOriginalBytes(t *testing.T) {
+	payload := offLayoutThirdRecord()
+	orig := bytes.Clone(payload)
+	got, err := rangeBodies(t, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jsonBodies(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || len(got) != 3 {
+		t.Errorf("bodies %q, want encoding/json's %q", got, want)
+	}
+	for i, m := range escapedBatch(3) {
+		if got[i] != string(m.Body) {
+			t.Errorf("body %d = %q, want %q", i, got[i], m.Body)
 		}
-		for i := range payload {
-			payload[i] = 'X'
-		}
-		for i, r := range ev.Records {
-			m := msgs[i]
-			if r.MessageID != m.ID || r.Receipt != m.Receipt || r.Body != string(m.Body) {
-				t.Errorf("record %d changed with its payload: %+v, want %s %s %s", i, r, m.ID, m.Receipt, m.Body)
+	}
+	if !bytes.Equal(payload, orig) {
+		t.Error("the fallback path wrote to the payload")
+	}
+}
+
+// TestSQSBodiesSecondRangeErrors: ranging a fast-layout payload consumes
+// it, whether the first range ran to the end or stopped after one body, so
+// a second range yields an error instead of bodies unescaped twice. The
+// body x\" is the case that needs the guard: unescaped in place it leaves
+// x\"\" before its closing quote, which reads again as the valid x"".
+func TestSQSBodiesSecondRangeErrors(t *testing.T) {
+	for _, msgs := range [][]queue.Message{escapedBatch(4), twiceValidBatch} {
+		for _, stopEarly := range []bool{false, true} {
+			payload := AppendSQSEvent(nil, msgs)
+			for range SQSBodies(payload) {
+				if stopEarly {
+					break
+				}
+			}
+			if bodies, err := rangeBodies(t, payload); err == nil {
+				t.Errorf("stopEarly=%v: a second range gave %q and no error", stopEarly, bodies)
 			}
 		}
 	}
 }
 
-// TestEventSourceReusesPayloadBuffer: a handler that keeps its decoded
-// records across batches must find them intact while the poller encodes
-// later batches into the same payload buffer, and the poller must in fact
-// reuse it.
+// twiceValidBatch's first body is x\", which stays in the fast layout
+// after being unescaped in place (see TestSQSBodiesSecondRangeErrors).
+var twiceValidBatch = []queue.Message{
+	{ID: "q-1", Receipt: "r-1", Body: []byte(`x\"`)},
+	{ID: "q-2", Receipt: "r-2", Body: []byte("plain")},
+}
+
+// TestSQSBodiesAreBoundedSubslices: each body is a subslice of the payload
+// whose capacity ends with it, so a handler that appends to one body
+// cannot overwrite the records after it.
+func TestSQSBodiesAreBoundedSubslices(t *testing.T) {
+	msgs := escapedBatch(3)
+	payload := AppendSQSEvent(nil, msgs)
+	i := 0
+	for body, err := range SQSBodies(payload) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(msgs[i].Body) {
+			t.Fatalf("body %d = %q, want %q", i, body, msgs[i].Body)
+		}
+		if cap(body) != len(body) {
+			t.Errorf("body %d has capacity %d past its length %d", i, cap(body), len(body))
+		}
+		_ = append(body, "clobber"...)
+		i++
+	}
+	if i != len(msgs) {
+		t.Errorf("yielded %d bodies, want %d", i, len(msgs))
+	}
+}
+
+// TestSQSBodiesAllocationFree: a warm 10-record batch whose bodies all
+// carry escapes decodes without allocating.
+func TestSQSBodiesAllocationFree(t *testing.T) {
+	payload := AppendSQSEvent(nil, escapedBatch(queue.MaxBatch))
+	buf := make([]byte, len(payload))
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(buf, payload)
+		for body, err := range SQSBodies(buf) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(body)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SQSBodies allocated %.1f times per 10-record batch, want 0", allocs)
+	}
+	if n == 0 {
+		t.Error("no body bytes seen")
+	}
+}
+
+// TestEventSourceReusesPayloadBuffer: a handler that copies its bodies
+// and keeps them across batches must find them intact while the poller
+// encodes later batches into the same payload buffer, and the poller must
+// in fact reuse it.
 func TestEventSourceReusesPayloadBuffer(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	qsvc := queue.NewService("sqs", f.net, 9, simrand.New(41), queue.DefaultConfig(),
 		pricing.Fall2018(), f.meter)
 	q := qsvc.CreateQueue("in", 2*time.Minute)
 	const n = 30
-	var kept []SQSRecord
+	var kept []string
 	buffers := make(map[*byte]int) // payload backing array -> batches it carried
 	f.pf.Register(Function{Name: "keep", MemoryMB: 256, Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
-		ev, err := DecodeSQSEvent(payload)
-		if err != nil {
-			return nil, err
-		}
 		buffers[&payload[0]]++
-		kept = append(kept, ev.Records...)
+		for body, err := range SQSBodies(payload) {
+			if err != nil {
+				return nil, err
+			}
+			kept = append(kept, string(body))
+		}
 		return nil, nil
 	}})
 	esm := f.pf.MapQueue(q, "keep", 3)
-	want := make(map[string]string) // message ID -> body
+	var want []string
 	f.k.Spawn("producer", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			body := fmt.Sprintf(`{"job":%d,"note":"say \"%s\""}`, i, strings.Repeat("x", i))
-			id, err := q.Send(p, f.caller, []byte(body))
-			if err != nil {
+			if _, err := q.Send(p, f.caller, []byte(body)); err != nil {
 				t.Errorf("Send: %v", err)
 			}
-			want[id] = body
+			want = append(want, body)
 			p.Sleep(time.Second)
 		}
 		p.Sleep(time.Minute)
 		esm.Stop()
 	})
 	f.k.RunUntil(5 * time.Minute)
-	if len(kept) != n {
-		t.Fatalf("kept %d records, want %d", len(kept), n)
-	}
-	for _, r := range kept {
-		if body, ok := want[r.MessageID]; !ok || r.Body != body || !strings.HasPrefix(r.Receipt, "rcpt-in-") {
-			t.Errorf("kept record %+v corrupted; want body %q", r, body)
-		}
+	slices.Sort(kept)
+	slices.Sort(want)
+	if !slices.Equal(kept, want) {
+		t.Errorf("kept bodies\n %q\nwant\n %q", kept, want)
 	}
 	reused := false
 	for _, batches := range buffers {
@@ -225,47 +358,20 @@ func TestEventSourceReusesPayloadBuffer(t *testing.T) {
 	}
 }
 
-// TestDecodeSQSEventStringFitsFields: the fast decoder's one string is
-// sized to the payload's field bytes, not to the whole payload. Over many
-// decodes of a 10-record batch with escaped bodies, the allocated bytes
-// (TotalAlloc delta) must stay within the records plus the escaped field
-// bytes, with an eighth for size-class rounding. Growing the string to the
-// whole payload length allocates about a quarter more and fails it.
-func TestDecodeSQSEventStringFitsFields(t *testing.T) {
-	const decodes = 1000
-	msgs := escapedBatch(queue.MaxBatch)
-	payload := AppendSQSEvent(nil, msgs)
-	escaped := func(s string) int { return len(s) + strings.Count(s, `"`) + strings.Count(s, `\`) }
-	fields := 0
-	for _, m := range msgs {
-		fields += escaped(m.ID) + escaped(m.Receipt) + escaped(string(m.Body))
-	}
-	records := len(msgs) * int(reflect.TypeFor[SQSRecord]().Size())
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range decodes {
-		if _, err := DecodeSQSEvent(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(decodes * float64(records+fields) * 1.125); got > limit {
-		t.Errorf("%d decodes of a %d B payload (%d B of fields) allocated %d B, want at most %d",
-			decodes, len(payload), fields, got, limit)
-	}
-}
-
-// BenchmarkDecodeSQSEvent decodes a full 10-record batch whose bodies all
-// carry escapes: the records and one builder holding every field are the
-// only allocations.
-func BenchmarkDecodeSQSEvent(b *testing.B) {
+// BenchmarkSQSBodies decodes a full 10-record batch whose bodies all
+// carry escapes, copying the encoded batch into a warm buffer first (a
+// range consumes its payload). It allocates nothing.
+func BenchmarkSQSBodies(b *testing.B) {
 	payload := AppendSQSEvent(nil, escapedBatch(queue.MaxBatch))
+	buf := make([]byte, len(payload))
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSQSEvent(payload); err != nil {
-			b.Fatal(err)
+		copy(buf, payload)
+		for _, err := range SQSBodies(buf) {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -92,39 +92,69 @@ func New(rng *simrand.RNG, arrivals Arrivals) *Generator {
 	return &Generator{rng: rng, arrivals: arrivals}
 }
 
-// Run spawns the generation loop on k for `for_` of virtual time, calling
+// Run drives the arrival process on k for `for_` of virtual time, calling
 // submit(p, seq) in a fresh process per request. It returns a latch that
 // releases when the generation window ends (in-flight requests may still be
 // running; callers track completion themselves).
+//
+// The arrivals are a chain of kernel callbacks, not a process, so an
+// arrival costs one event and no coroutine switch. The chain schedules the
+// events a generator process would, at the same times and in the same
+// order: its start at Now, one event per arrival (which spawns the request
+// and draws the next gap), and the window's end.
 func (g *Generator) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim.Proc, seq int)) *sim.Latch {
-	doneGen := &sim.Latch{}
-	k.Spawn("loadgen", func(p *sim.Proc) {
-		// One shared body serves every request process: processes start
-		// in spawn order (the kernel's start events are FIFO), so the
-		// sequence numbers handed out at start time are exactly the ones
-		// a per-request closure would have captured at spawn time —
-		// without allocating a closure per arrival.
-		next := 0
-		body := func(rp *sim.Proc) {
-			seq := next
-			next++
-			submit(rp, seq)
-		}
-		end := p.Now() + sim.Time(for_)
-		for {
-			gap := g.arrivals.Next(g.rng)
-			if p.Now()+sim.Time(gap) >= end {
-				break
-			}
-			p.Sleep(gap)
-			g.Submitted++
-			p.Spawn("req", body)
-		}
+	// The start runs at Now, so the window's end is known already.
+	r := &genRun{g: g, k: k, submit: submit, end: k.Now() + sim.Time(for_)}
+	r.step, r.body = r.advance, r.request
+	k.At(k.Now(), r.step)
+	return &r.done
+}
+
+// genRun is one Run's state. Its two funcs are bound once, so an arrival
+// allocates nothing.
+type genRun struct {
+	g       *Generator
+	k       *sim.Kernel
+	submit  func(p *sim.Proc, seq int)
+	started bool
+	end     sim.Time
+	next    int // the seq the next request process takes
+	step    func()
+	body    func(*sim.Proc)
+	done    sim.Latch
+}
+
+// advance is every event of the chain: the start, each arrival and the
+// window's end. Arrivals fall strictly before end, so the clock tells the
+// last from the others.
+func (r *genRun) advance() {
+	k, g := r.k, r.g
+	switch {
+	case !r.started:
+		r.started = true
+	case k.Now() >= r.end:
 		// The latch promises the end of the generation window, not the
-		// last arrival: sleep out the remainder so timing measurements
-		// keyed to the latch cover the full window.
-		p.Sleep(end - p.Now())
-		doneGen.Release()
-	})
-	return doneGen
+		// last arrival, so timing keyed to it covers the full window.
+		r.done.Release()
+		return
+	default:
+		g.Submitted++
+		k.Spawn("req", r.body)
+	}
+	gap := g.arrivals.Next(g.rng)
+	if k.Now()+sim.Time(gap) >= r.end {
+		k.At(r.end, r.step)
+		return
+	}
+	k.After(gap, r.step)
+}
+
+// request is the one body every request process shares. Processes start in
+// spawn order (the kernel's start events are FIFO), so the sequence number
+// taken at start is the one a per-request closure would have captured at
+// spawn time, without allocating a closure per arrival.
+func (r *genRun) request(p *sim.Proc) {
+	seq := r.next
+	r.next++
+	r.submit(p, seq)
 }

@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,5 +154,94 @@ func TestGeneratorSequencesAreUnique(t *testing.T) {
 	k.Run()
 	if len(seen) == 0 {
 		t.Fatal("no requests generated")
+	}
+}
+
+// TestGeneratorSchedulePinned pins the generator's place in the kernel's
+// event order. With a 10ms uniform gap, two 10ms sleepers spawned either
+// side of Run wake at the same instants as every arrival and log how many
+// arrivals they have seen, so any change to how many events the generator
+// schedules, or when, changes the trace. The Poisson run pins the arrival
+// times and sequence numbers themselves (count, first arrivals and an
+// FNV-1a digest of every (time, seq) pair).
+func TestGeneratorSchedulePinned(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	g := New(simrand.New(1), Uniform{Interval: 10 * time.Millisecond})
+	var trace []string
+	sleeper := func(name string) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			for range 4 {
+				trace = append(trace, fmt.Sprintf("%v %s saw %d", time.Duration(p.Now()), name, g.Submitted))
+				p.Sleep(10 * time.Millisecond)
+			}
+		}
+	}
+	k.Spawn("before", sleeper("before"))
+	done := g.Run(k, 35*time.Millisecond, func(p *sim.Proc, seq int) {
+		trace = append(trace, fmt.Sprintf("%v req %d", time.Duration(p.Now()), seq))
+	})
+	k.Spawn("after", sleeper("after"))
+	k.Spawn("watch", func(p *sim.Proc) {
+		done.Wait(p)
+		trace = append(trace, fmt.Sprintf("%v released", time.Duration(p.Now())))
+	})
+	k.Run()
+	want := []string{
+		"0s before saw 0", "0s after saw 0",
+		"10ms before saw 0", "10ms after saw 1", "10ms req 0",
+		"20ms before saw 1", "20ms after saw 2", "20ms req 1",
+		"30ms before saw 2", "30ms after saw 3", "30ms req 2",
+		"35ms released",
+	}
+	if !slices.Equal(trace, want) {
+		t.Errorf("trace\n %q\nwant\n %q", trace, want)
+	}
+
+	k2 := sim.NewKernel()
+	defer k2.Close()
+	g2 := New(simrand.New(9), &Burst{On: Poisson{Rate: 200}, OnFor: 100 * time.Millisecond, OffFor: 50 * time.Millisecond})
+	h := fnv.New64a()
+	var first []time.Duration
+	n := 0
+	g2.Run(k2, 2*time.Second, func(p *sim.Proc, seq int) {
+		if seq != n {
+			t.Errorf("arrival %d got seq %d", n, seq)
+		}
+		n++
+		if len(first) < 3 {
+			first = append(first, time.Duration(p.Now()))
+		}
+		fmt.Fprintf(h, "%d/%d;", p.Now(), seq)
+	})
+	k2.Run()
+	wantFirst := []time.Duration{1910969, 3344748, 9978795}
+	if n != 278 || g2.Submitted != 278 || !slices.Equal(first, wantFirst) || h.Sum64() != 0xf9a364d4aac582e6 {
+		t.Errorf("Poisson burst: %d arrivals (Submitted %d), first %v, digest %#x; want 278, first %v, digest 0xf9a364d4aac582e6",
+			n, g2.Submitted, first, h.Sum64(), wantFirst)
+	}
+}
+
+// TestGeneratorRunAllocations: an arrival allocates nothing (a run of 1,000
+// arrivals allocates what a run of 10 does), and a whole run, the kernel's
+// own queues included, stays within the 9 allocations it measures. Three
+// of them are Run's state and its two bound funcs; a generator process, as
+// Run used before, made it 10.
+func TestGeneratorRunAllocations(t *testing.T) {
+	g := New(simrand.New(1), Uniform{Interval: time.Millisecond})
+	run := func(arrivals int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			k := sim.NewKernel()
+			g.Run(k, time.Duration(arrivals)*time.Millisecond+time.Microsecond, func(*sim.Proc, int) {})
+			k.Run()
+			k.Close()
+		})
+	}
+	few, many := run(10), run(1000)
+	if many != few {
+		t.Errorf("1,000 arrivals allocated %.0f, 10 allocated %.0f: arrivals must allocate nothing", many, few)
+	}
+	if few > 9 {
+		t.Errorf("a 10-arrival run allocated %.0f, want at most 9", few)
 	}
 }

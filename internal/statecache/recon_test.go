@@ -392,3 +392,41 @@ func TestPreloadSharedRegisterCloneOnWrite(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyIndexDoublesWhenFull: the sorted key slice and its aligned entry
+// slice double when full, on the ascending append path of a bulk preload
+// and on the sorted-insert path alike, so n inserts leave the index at the
+// next power of two at or above n. append alone grows by about 1.25x past
+// 256 entries.
+func TestKeyIndexDoublesWhenFull(t *testing.T) {
+	f := newFixture(t, quietCfg(true), 8)
+	c := f.cl.Attach(f.node(t, "vm-a"))
+	check := func(n int) {
+		t.Helper()
+		want := 1
+		for want < n {
+			want *= 2
+		}
+		if len(c.keys) != n || cap(c.keys) != want || cap(c.ents) != want {
+			t.Fatalf("after %d inserts: %d keys, capacities %d and %d, want %d", n, len(c.keys), cap(c.keys), cap(c.ents), want)
+		}
+	}
+	const n = 5000
+	for i := range n {
+		c.Preload(fmt.Sprintf("k%05d", 2*i), "v")
+		check(i + 1)
+	}
+	// Odd keys land between the preloaded ones, through slices.Insert.
+	for i := range n {
+		c.Preload(fmt.Sprintf("k%05d", 2*i+1), "v")
+		check(n + i + 1)
+	}
+	if !slices.IsSorted(c.keys) {
+		t.Error("keys are not sorted")
+	}
+	for i, k := range c.keys {
+		if c.ents[i] != c.entries[k] {
+			t.Fatalf("ents[%d] is not the entry of %q", i, k)
+		}
+	}
+}

@@ -428,9 +428,17 @@ type Cache struct {
 // its aligned entry slice. Keys arriving in ascending order (bulk
 // preloads, merge walks over a peer's sorted diff into an empty replica)
 // append in O(1) instead of paying the binary search and shift.
+//
+// Both slices double when full. append grows by about 1.25x past 256
+// entries, which made a bulk preload leave several times its final size
+// in garbage; below that, doubling is what append does.
 func (c *Cache) insert(key string, e *entry) {
 	c.entries[key] = e
 	c.keyBytes += int64(len(key))
+	if n := len(c.keys); n == cap(c.keys) {
+		c.keys = append(make([]string, 0, max(2*n, 1)), c.keys...)
+		c.ents = append(make([]*entry, 0, max(2*n, 1)), c.ents...)
+	}
 	if n := len(c.keys); n == 0 || c.keys[n-1] < key {
 		c.keys = append(c.keys, key)
 		c.ents = append(c.ents, e)

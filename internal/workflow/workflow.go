@@ -139,14 +139,13 @@ func (pl *Pipeline) Deploy(k *sim.Kernel) error {
 
 // runStep executes step i's logic for every record in an SQS event.
 func (pl *Pipeline) runStep(ctx *faas.Ctx, i int, payload []byte) error {
-	ev, err := faas.DecodeSQSEvent(payload)
-	if err != nil {
-		return err
-	}
 	step := pl.steps[i]
-	for _, rec := range ev.Records {
+	for body, err := range faas.SQSBodies(payload) {
+		if err != nil {
+			return err
+		}
 		var env envelope
-		if err := json.Unmarshal([]byte(rec.Body), &env); err != nil {
+		if err := json.Unmarshal(body, &env); err != nil {
 			return fmt.Errorf("workflow: step %d envelope: %w", i, err)
 		}
 		// Functions are stateless: prior state must come from storage.
@@ -169,8 +168,8 @@ func (pl *Pipeline) runStep(ctx *faas.Ctx, i int, payload []byte) error {
 		if i+1 < len(pl.steps) {
 			next = pl.queues[i+1]
 		}
-		body, _ := json.Marshal(env)
-		if _, err := next.Send(ctx.Proc(), ctx.Node(), body); err != nil {
+		out, _ := json.Marshal(env)
+		if _, err := next.Send(ctx.Proc(), ctx.Node(), out); err != nil {
 			return err
 		}
 	}
