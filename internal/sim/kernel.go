@@ -87,6 +87,38 @@ type Kernel struct {
 
 	liveProcs int
 	spawned   uint64
+
+	sched Sched
+}
+
+// Sched is a kernel's dispatch record: plain counts of what the scheduler
+// did, plus a running hash over the (at, seq) key of every event it
+// consumed, in consumption order. Two runs with equal hashes consumed the
+// same events in the same order; the hash does not see what kind of event
+// each was, so a change that turns one kind of wake-up into another keeps
+// it.
+type Sched struct {
+	// Dispatched counts events the kernel loop popped: callbacks and
+	// process resumes alike.
+	Dispatched uint64
+	// Resumes counts coroutine switches into a process body by the kernel
+	// loop.
+	Resumes uint64
+	// Handoffs counts wake-ups a parking process consumed itself, without
+	// a switch (see park).
+	Handoffs uint64
+	// Hash folds in the (at, seq) of every consumed event, whether the
+	// kernel loop or a self-handoff consumed it.
+	Hash uint64
+}
+
+// Sched returns the kernel's dispatch counters and schedule hash so far.
+func (k *Kernel) Sched() Sched { return k.sched }
+
+// consumed folds one consumed event's key into the schedule hash: a
+// multiply-add chain, so the hash depends on the order of the keys.
+func (s *Sched) consumed(at Time, seq uint64) {
+	s.Hash = s.Hash*0x100000001b3 + (uint64(at) ^ seq*0x9e3779b97f4a7c15)
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
@@ -210,13 +242,14 @@ func (k *Kernel) RunUntil(until Time) Time {
 	for {
 		var fn func()
 		var proc *Proc
+		var seq uint64
 		if k.rq.Len() > 0 && k.nextIsRQ() {
 			// Run-queue entries are due at the current time.
 			if until >= 0 && k.now > until {
 				break
 			}
 			e := k.rq.Pop()
-			fn, proc = e.fn, e.proc
+			fn, proc, seq = e.fn, e.proc, e.seq
 		} else if k.events.len() > 0 {
 			s := k.events.min()
 			e := &k.events.arena[s]
@@ -224,13 +257,16 @@ func (k *Kernel) RunUntil(until Time) Time {
 				break
 			}
 			k.now = e.at
-			fn, proc = e.fn, e.proc
+			fn, proc, seq = e.fn, e.proc, e.seq
 			k.events.removeAt(0)
 		} else {
 			break
 		}
+		k.sched.Dispatched++
+		k.sched.consumed(k.now, seq)
 		if proc != nil {
 			// Runs the process until it parks or its body exits.
+			k.sched.Resumes++
 			proc.co.next()
 		} else {
 			fn()

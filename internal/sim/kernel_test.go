@@ -460,3 +460,62 @@ func TestExitedSlotsReusedLIFO(t *testing.T) {
 	}
 	k.Run()
 }
+
+// TestSchedCountsEveryConsumedEvent: every event is consumed exactly once,
+// by the kernel loop or by a self-handoff, and the counters say which.
+func TestSchedCountsEveryConsumedEvent(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var sig Signal
+	k.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Millisecond) // nothing else due: self-handoffs
+		}
+		sig.Wait(p)
+	})
+	k.After(10*time.Millisecond, sig.Fire)
+	k.Run()
+	got := k.Sched()
+	// Spawn start, three sleeps, the Fire callback and the wake it sends.
+	if got.Dispatched+got.Handoffs != 6 {
+		t.Fatalf("consumed %d+%d events, want 6", got.Dispatched, got.Handoffs)
+	}
+	if got.Handoffs != 3 || got.Resumes != 2 {
+		t.Errorf("sched = %+v, want 3 handoffs and 2 resumes (start, Fire wake)", got)
+	}
+	if got.Hash == 0 {
+		t.Error("schedule hash is zero after six events")
+	}
+}
+
+// TestSchedHashSeesOrderNotKind: the hash is a function of the consumed
+// (at, seq) sequence alone. The same keys consumed as process wake-ups and
+// as callbacks hash equal; swapping two same-instant events does not.
+func TestSchedHashSeesOrderNotKind(t *testing.T) {
+	run := func(schedule func(k *Kernel)) Sched {
+		k := NewKernel()
+		defer k.Close()
+		schedule(k)
+		k.Run()
+		return k.Sched()
+	}
+	sleeps := run(func(k *Kernel) {
+		k.Spawn("a", func(p *Proc) { p.Sleep(time.Millisecond) })
+	})
+	startThenCallback := run(func(k *Kernel) {
+		k.At(0, func() {})
+		k.At(time.Millisecond, func() {})
+	})
+	if sleeps.Hash != startThenCallback.Hash {
+		t.Errorf("a process start and sleep hash %x, the same keys as callbacks %x",
+			sleeps.Hash, startThenCallback.Hash)
+	}
+	var a, b Sched
+	a.consumed(time.Millisecond, 1)
+	a.consumed(time.Millisecond, 2)
+	b.consumed(time.Millisecond, 2)
+	b.consumed(time.Millisecond, 1)
+	if a.Hash == b.Hash {
+		t.Error("swapping two same-instant events left the hash unchanged")
+	}
+}

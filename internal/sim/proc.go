@@ -147,6 +147,8 @@ func (p *Proc) park() {
 			// Run-queue head is due at the current time; no clock
 			// advance and the RunUntil bound already admits now.
 			if e := k.rq.Peek(); e.proc == p {
+				k.sched.Handoffs++
+				k.sched.consumed(k.now, e.seq)
 				k.rq.Pop()
 				return
 			}
@@ -156,6 +158,8 @@ func (p *Proc) park() {
 		e := &k.events.arena[s]
 		if e.proc == p && (k.until < 0 || e.at <= k.until) {
 			k.now = e.at
+			k.sched.Handoffs++
+			k.sched.consumed(e.at, e.seq)
 			k.events.removeAt(0)
 			return
 		}
