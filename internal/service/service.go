@@ -54,6 +54,10 @@ type Frontend struct {
 	adm     *admission    // nil = no admission control
 	slow    float64       // chaos service-time multiplier; <=0 or 1 = normal
 	stats   Stats
+
+	// The round trip's steps (see RoundTripErr), bound once here so that a
+	// trip allocates nothing.
+	arriveStep, serveStep, finishStep func(*sim.Proc)
 }
 
 // NewFrontend registers a front-end node named name in rack rack with a NIC
@@ -62,7 +66,7 @@ type Frontend struct {
 func NewFrontend(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 	opLat simrand.Dist, nic netsim.Bps, catalog *pricing.Catalog,
 	meter *pricing.Meter) *Frontend {
-	return &Frontend{
+	f := &Frontend{
 		name:    name,
 		net:     net,
 		node:    net.NewNode(name, rack, nic),
@@ -71,6 +75,8 @@ func NewFrontend(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 		catalog: catalog,
 		meter:   meter,
 	}
+	f.arriveStep, f.serveStep, f.finishStep = f.arrive, f.serve, f.finish
+	return f
 }
 
 // LimitConcurrency caps how many requests may be in service at once; excess
@@ -166,23 +172,51 @@ func (f *Frontend) RoundTrip(p *sim.Proc, caller *netsim.Node, extra time.Durati
 // the propagation back, never a service slot or a service-time sample — or
 // proceeds exactly as RoundTrip. Without SetAdmission it never returns an
 // error.
+//
+// The caller's process parks once. Everything between the legs is
+// kernel-side work, so it runs as a chain of steps (see sim.Proc.SleepStep)
+// at the events where the process would have resumed: arrive, serve and
+// finish. The trip keeps the caller in p.Trip.Ref, and its error there
+// once the return leg is scheduled, and extra in p.Trip.D.
 func (f *Frontend) RoundTripErr(p *sim.Proc, caller *netsim.Node, extra time.Duration) error {
-	p.Sleep(f.net.OneWayDelay(caller, f.node))
+	p.Trip = sim.Trip{Ref: caller, D: extra}
+	p.SleepStep(f.net.OneWayDelay(caller, f.node), f.arriveStep)
+	err, _ := p.Trip.Ref.(error)
+	p.Trip = sim.Trip{}
+	return err
+}
+
+// arrive ends the request leg: admission, then a slot now (serving at
+// once) or a place in the slot queue, whose grant serves. A rejected
+// request takes the return leg at once.
+func (f *Frontend) arrive(p *sim.Proc) {
+	caller := p.Trip.Ref.(*netsim.Node)
 	if err := f.admit(p, caller); err != nil {
-		p.Sleep(f.net.OneWayDelay(f.node, caller))
-		return err
+		p.Trip.Ref = err
+		p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
+		return
 	}
-	if f.slots != nil {
-		f.slots.Acquire(p)
+	if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
+		f.serve(p)
 	}
+}
+
+// serve starts the service time, with the slot held when there are slots.
+func (f *Frontend) serve(p *sim.Proc) {
 	svc := f.SampleOp()
-	f.stats.Busy += extra
-	p.Sleep(svc + extra)
+	f.stats.Busy += p.Trip.D
+	p.WakeAfter(svc+p.Trip.D, f.finishStep)
+}
+
+// finish ends the service time: the slot goes back, and the response leg
+// resumes the caller.
+func (f *Frontend) finish(p *sim.Proc) {
 	if f.slots != nil {
 		f.slots.Release()
 	}
-	p.Sleep(f.net.OneWayDelay(f.node, caller))
-	return nil
+	caller := p.Trip.Ref.(*netsim.Node)
+	p.Trip.Ref = nil
+	p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
 }
 
 // InLeg spends the request leg of a split round trip: propagation from the

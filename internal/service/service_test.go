@@ -113,3 +113,35 @@ func TestChargeFlowsToMeter(t *testing.T) {
 		t.Errorf("lump cost = %v", meter.Cost("x.lump"))
 	}
 }
+
+// BenchmarkRoundTripContended measures one round trip through a frontend
+// with two slots and a shed bound of four waiters, under 16 closed-loop
+// clients: every admission outcome (served at once, queued for a slot,
+// shed) runs as kernel steps. Gated at 0 allocs/op in CI.
+func BenchmarkRoundTripContended(b *testing.B) {
+	k := sim.NewKernel()
+	defer k.Close()
+	rng := simrand.New(1)
+	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
+	fe := NewFrontend("svc", net, 9, rng.Fork(), simrand.LogNormal{Median: time.Millisecond, Sigma: 0.5},
+		netsim.Gbps(100), pricing.Fall2018(), &pricing.Meter{})
+	fe.LimitConcurrency(2)
+	fe.SetAdmission(AdmissionConfig{MaxQueue: 4})
+	caller := net.NewNode("caller", 0, netsim.Gbps(10))
+	left := b.N
+	for i := 0; i < 16; i++ {
+		k.Spawn("client", func(p *sim.Proc) {
+			for left > 0 {
+				left--
+				_ = fe.RoundTripErr(p, caller, 0)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	if st := fe.Stats(); b.N >= 1000 && st.Shed == 0 {
+		b.Fatalf("no request was shed in %d round trips: stats %+v", b.N, st)
+	}
+}

@@ -22,6 +22,7 @@ package sim
 import (
 	"fmt"
 	"time"
+	"unsafe"
 )
 
 // Time is virtual time measured as an offset from the simulation start.
@@ -86,7 +87,9 @@ type Kernel struct {
 	until Time
 
 	liveProcs int
-	spawned   uint64
+	// stepping is the process whose step the kernel loop is running, so a
+	// panic in it fails the run as that process's panic.
+	stepping *Proc
 
 	sched Sched
 }
@@ -98,8 +101,8 @@ type Kernel struct {
 // each was, so a change that turns one kind of wake-up into another keeps
 // it.
 type Sched struct {
-	// Dispatched counts events the kernel loop popped: callbacks and
-	// process resumes alike.
+	// Dispatched counts events the kernel loop popped: callbacks, process
+	// resumes and steps alike.
 	Dispatched uint64
 	// Resumes counts coroutine switches into a process body by the kernel
 	// loop.
@@ -107,6 +110,8 @@ type Sched struct {
 	// Handoffs counts wake-ups a parking process consumed itself, without
 	// a switch (see park).
 	Handoffs uint64
+	// Steps counts steps run, by the kernel loop or inside park.
+	Steps uint64
 	// Hash folds in the (at, seq) of every consumed event, whether the
 	// kernel loop or a self-handoff consumed it.
 	Hash uint64
@@ -115,10 +120,10 @@ type Sched struct {
 // Sched returns the kernel's dispatch counters and schedule hash so far.
 func (k *Kernel) Sched() Sched { return k.sched }
 
-// consumed folds one consumed event's key into the schedule hash: a
-// multiply-add chain, so the hash depends on the order of the keys.
+// consumed folds one consumed event's key into the schedule hash: an
+// xor-multiply-add chain, so the hash depends on the order of the keys.
 func (s *Sched) consumed(at Time, seq uint64) {
-	s.Hash = s.Hash*0x100000001b3 + (uint64(at) ^ seq*0x9e3779b97f4a7c15)
+	s.Hash = (s.Hash^seq)*0x9e3779b97f4a7c15 + uint64(at)
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
@@ -177,7 +182,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
 	}
-	k.spawned++
 	p := k.freeProcs
 	if p != nil {
 		// Reuse an exited process slot: its coroutine has yielded
@@ -187,14 +191,17 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		p = k.carve()
 		p.co = adoptCoro(p)
 	}
-	p.name, p.id, p.body = name, k.spawned, fn
+	p.name, p.co.body = name, fn
 	k.liveProcs++
 	k.schedule(k.now, nil, p)
 	return p
 }
 
-// procSlab is the number of Procs a kernel allocates at once.
-const procSlab = 64
+// procSlab is the number of Procs a kernel allocates at once: as many as
+// fit, with the 8-byte header the Go allocator puts on a pointer-holding
+// object over 512 B, in the 4,096-byte size class. One more would spill the
+// slab into the 4,864-byte class.
+const procSlab = (4096 - 8) / int(unsafe.Sizeof(Proc{}))
 
 // carve returns a fresh Proc slot from the last slab, opening a new slab
 // when it is full. A slab is never reallocated, so a *Proc stays valid for
@@ -238,6 +245,12 @@ func (k *Kernel) RunUntil(until Time) Time {
 	if k.closed {
 		panic("sim: Run on closed kernel")
 	}
+	defer func() {
+		if p := k.stepping; p != nil {
+			k.stepping = nil
+			panic(procPanic{proc: p.name, val: recover()}.String())
+		}
+	}()
 	k.until = until
 	for {
 		var fn func()
@@ -251,25 +264,30 @@ func (k *Kernel) RunUntil(until Time) Time {
 			e := k.rq.Pop()
 			fn, proc, seq = e.fn, e.proc, e.seq
 		} else if k.events.len() > 0 {
-			s := k.events.min()
-			e := &k.events.arena[s]
+			e := &k.events.arena[k.events.min()]
 			if until >= 0 && e.at > until {
 				break
 			}
-			k.now = e.at
 			fn, proc, seq = e.fn, e.proc, e.seq
+			k.now = e.at
 			k.events.removeAt(0)
 		} else {
 			break
 		}
 		k.sched.Dispatched++
 		k.sched.consumed(k.now, seq)
-		if proc != nil {
+		if proc == nil {
+			fn()
+		} else if step := proc.step; step != nil {
+			proc.step = nil
+			k.sched.Steps++
+			k.stepping = proc
+			step(proc)
+			k.stepping = nil
+		} else {
 			// Runs the process until it parks or its body exits.
 			k.sched.Resumes++
 			proc.co.next()
-		} else {
-			fn()
 		}
 		if k.failure != nil {
 			f := *k.failure
@@ -297,7 +315,7 @@ func (k *Kernel) Close() {
 	for _, s := range k.slabs {
 		for i := range s {
 			p := &s[i]
-			if p.body != nil {
+			if p.co.body != nil {
 				p.co.next()
 			}
 			p.co.release()

@@ -365,12 +365,12 @@ func TestNegativeSleepYields(t *testing.T) {
 func TestProcIdentity(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	var ids []uint64
+	var procs []*Proc
 	var names []string
 	for _, n := range []string{"one", "two"} {
 		n := n
 		k.Spawn(n, func(p *Proc) {
-			ids = append(ids, p.ID())
+			procs = append(procs, p)
 			names = append(names, p.Name())
 			if p.Kernel() != k {
 				t.Error("Kernel() mismatch")
@@ -378,8 +378,8 @@ func TestProcIdentity(t *testing.T) {
 		})
 	}
 	k.Run()
-	if len(ids) != 2 || ids[0] == ids[1] {
-		t.Errorf("ids = %v, want unique", ids)
+	if len(procs) != 2 || procs[0] == procs[1] {
+		t.Errorf("two live processes ran as %v, want distinct Procs", procs)
 	}
 	if names[0] != "one" || names[1] != "two" {
 		t.Errorf("names = %v", names)
@@ -415,8 +415,8 @@ func TestCloseUnwindsEverySlabInSpawnOrder(t *testing.T) {
 }
 
 // TestProcSurvivesLaterSlabs: a *Proc carved from the first slab keeps its
-// name and ID while later slabs are carved, and is still the Proc its body
-// resumes as.
+// name while later slabs are carved, and is still the Proc its body resumes
+// as.
 func TestProcSurvivesLaterSlabs(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
@@ -430,9 +430,9 @@ func TestProcSurvivesLaterSlabs(t *testing.T) {
 		k.Spawn("later", func(p *Proc) { never.Wait(p) })
 	}
 	k.Run()
-	if first.Name() != "first" || first.ID() != 1 || first.Kernel() != k {
-		t.Fatalf("first proc reads %q id %d after later slabs, want \"first\" id 1",
-			first.Name(), first.ID())
+	if first.Name() != "first" || first.Kernel() != k || &k.slabs[0][0] != first {
+		t.Fatalf("first proc reads %q after later slabs, want \"first\" in slab 0 slot 0",
+			first.Name())
 	}
 	go1.Fire()
 	k.Run()

@@ -14,25 +14,36 @@ import (
 // and write shared simulation state without locks.
 // A Proc's backing coroutine outlives the process body: when the body
 // returns, the coroutine yields back to the kernel and the Proc joins the
-// kernel's free list for the next Spawn to reuse (with a fresh name and
-// ID). Spawning therefore allocates nothing in steady state — the dominant
-// cost of per-request process workloads such as open-loop load generators.
+// kernel's free list for the next Spawn to reuse (with a fresh name).
+// Spawning therefore allocates nothing in steady state — the dominant cost
+// of per-request process workloads such as open-loop load generators.
+//
+// A parked process's wake-up may carry a step (see SleepStep): kernel-side
+// work the kernel runs in place of resuming the body, so a blocking call
+// whose middle needs no stack switches into the body once, at its end.
 type Proc struct {
 	k    *Kernel
 	name string
-	id   uint64
 	co   *coro
-	// body is the current assignment, set by Spawn and cleared on exit.
-	body func(*Proc)
 	// nextFree links the kernel's free list while the Proc awaits reuse.
 	nextFree *Proc
+	// step, when set, is what the process's pending wake-up runs in place
+	// of resuming the body; the wake-up clears it first.
+	step func(*Proc)
+	// Trip is scratch for a chain of steps. The kernel never reads it.
+	Trip Trip
+}
+
+// Trip is the state a chain of steps carries from one step to the next,
+// kept in the process so that a chain allocates nothing. Its meaning
+// belongs to whoever started the chain.
+type Trip struct {
+	Ref any
+	D   Time
 }
 
 // Name returns the name given to Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns a kernel-unique process identifier (1-based, in spawn order).
-func (p *Proc) ID() uint64 { return p.id }
 
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -52,6 +63,10 @@ type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	p     *Proc
+	// body is p's current assignment, set by Spawn and cleared on exit.
+	// It lives here rather than in the Proc because every kernel carves
+	// its Procs afresh, while coroutines are pooled across kernels.
+	body func(*Proc)
 	// dead is set once the coroutine has ended, which only runtime.Goexit
 	// in a body (t.FailNow in a test process) can cause; iter.Pull
 	// re-raises the Goexit on the resuming goroutine.
@@ -121,48 +136,62 @@ func (p *Proc) cycle() {
 			}
 		}
 		k.liveProcs--
-		p.body = nil
+		p.co.body = nil
 		p.nextFree, k.freeProcs = k.freeProcs, p
 	}()
 	// Close resumes a process that never started only to retire it.
 	if !k.closed {
-		p.body(p)
+		p.co.body(p)
 	}
 }
 
-// park returns control to the scheduler and blocks until this process is
-// resumed. On a closed kernel it panics with killedPanic instead, which
-// unwinds the body (defers included) back to cycle.
+// park returns control to the scheduler and blocks until a wake-up that
+// carries no step is dispatched for this process. Wake-ups that carry a
+// step run the step instead (see SleepStep). On a closed kernel it panics
+// with killedPanic instead, which unwinds the body (defers included) back to
+// cycle.
 //
 // Self-handoff fast path: when the next due event in the kernel's (time,
-// seq) order is this process's own wake-up, park consumes it inline and
-// returns without switching at all — exactly the event the kernel loop
-// would have picked next, so the event order (and every golden trace) is
-// unchanged. The common case for Sleep when no other event lands inside the
-// sleep interval.
+// seq) order is this process's own wake-up, park consumes it inline without
+// switching at all — exactly the event the kernel loop would have picked
+// next, so the event order (and every golden trace) is unchanged. A wake-up
+// without a step returns; one with a step runs the step here, on the body's
+// coroutine, and looks again. The common case for Sleep when no other event
+// lands inside the sleep interval.
 func (p *Proc) park() {
 	k := p.k
-	if k.rq.Len() > 0 {
-		if k.nextIsRQ() {
+	for {
+		if k.rq.Len() > 0 {
 			// Run-queue head is due at the current time; no clock
 			// advance and the RunUntil bound already admits now.
-			if e := k.rq.Peek(); e.proc == p {
-				k.sched.Handoffs++
-				k.sched.consumed(k.now, e.seq)
-				k.rq.Pop()
-				return
+			e := k.rq.Peek()
+			if e.proc != p || !k.nextIsRQ() {
+				break
 			}
-		}
-	} else if k.events.len() > 0 {
-		s := k.events.min()
-		e := &k.events.arena[s]
-		if e.proc == p && (k.until < 0 || e.at <= k.until) {
-			k.now = e.at
+			seq := e.seq
 			k.sched.Handoffs++
-			k.sched.consumed(e.at, e.seq)
+			k.sched.consumed(k.now, seq)
+			k.rq.Pop()
+		} else if k.events.len() > 0 {
+			e := &k.events.arena[k.events.min()]
+			at, seq := e.at, e.seq
+			if e.proc != p || (k.until >= 0 && at > k.until) {
+				break
+			}
+			k.now = at
+			k.sched.Handoffs++
+			k.sched.consumed(at, seq)
 			k.events.removeAt(0)
+		} else {
+			break
+		}
+		step := p.step
+		if step == nil {
 			return
 		}
+		p.step = nil
+		k.sched.Steps++
+		step(p)
 	}
 	if !k.closed {
 		p.co.yield(struct{}{})
@@ -183,19 +212,40 @@ func (p *Proc) wake() {
 	k.rq.Push(rqEntry{seq: k.seq, proc: p})
 }
 
-// wakeAt schedules this process to resume at absolute time t.
-func (p *Proc) wakeAt(t Time) {
-	p.k.schedule(t, nil, p)
-}
-
 // Sleep suspends the process for d of virtual time. Negative durations sleep
 // zero time (but still yield to other ready processes).
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.wakeAt(p.k.now + d)
+	p.k.schedule(p.k.now+d, nil, p)
 	p.park()
+}
+
+// SleepStep is Sleep whose wake-up runs step(p) in place of resuming the
+// body; a nil step is Sleep. The step runs at exactly the event the body
+// would have resumed at, on the kernel's side: it may draw, schedule and
+// touch shared state like process code, but must not block. It ends by
+// arranging the process's next wake-up: WakeAfter, carrying the next step
+// or none, or a Resource.AcquireStep that queues. SleepStep returns when a
+// wake-up without a step is dispatched, so a chain of steps costs the body
+// one switch instead of one per sleep. A step that panics fails the run as
+// a panic of this process.
+func (p *Proc) SleepStep(d Time, step func(*Proc)) {
+	p.WakeAfter(d, step)
+	p.park()
+}
+
+// WakeAfter schedules the process's next wake-up d from now (negative d
+// counts as zero), carrying step, or resuming the body when step is nil.
+// Only a step calls it: it continues the chain SleepStep started, and a
+// process may have only one wake-up pending.
+func (p *Proc) WakeAfter(d Time, step func(*Proc)) {
+	if d < 0 {
+		d = 0
+	}
+	p.step = step
+	p.k.schedule(p.k.now+d, nil, p)
 }
 
 // Yield lets every other process that is ready at the current virtual time

@@ -227,13 +227,25 @@ func (r *Resource) TryAcquire() bool {
 // Acquire claims a slot, blocking the calling process until one is free.
 // Admission is strictly FIFO among blocked processes.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.AcquireStep(p, nil) {
+		p.park()
+		// Our releaser granted the slot on our behalf (inUse stays claimed).
+	}
+}
+
+// AcquireStep is Acquire for a step (see Proc.SleepStep), which must not
+// park: it claims a slot now and reports true, or queues p in Acquire's
+// FIFO and reports false. A queued process's grant is its wake-up, and it
+// runs step with the slot held, at the event where Acquire would have
+// returned.
+func (r *Resource) AcquireStep(p *Proc, step func(*Proc)) bool {
 	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++
-		return
+		return true
 	}
+	p.step = step
 	r.waiters.Push(p)
-	p.park()
-	// Our releaser granted the slot on our behalf (inUse stays claimed).
+	return false
 }
 
 // Release returns a slot. If processes are waiting, the slot passes directly
