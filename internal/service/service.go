@@ -75,7 +75,7 @@ func NewFrontend(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 		catalog: catalog,
 		meter:   meter,
 	}
-	f.arriveStep, f.serveStep, f.finishStep = f.arrive, f.serve, f.finish
+	f.bindSteps()
 	return f
 }
 
@@ -174,49 +174,61 @@ func (f *Frontend) RoundTrip(p *sim.Proc, caller *netsim.Node, extra time.Durati
 // error.
 //
 // The caller's process parks once. Everything between the legs is
-// kernel-side work, so it runs as a chain of steps (see sim.Proc.SleepStep)
+// kernel-side work, so it runs as a chain of steps (see sim.Proc.WakeAfter)
 // at the events where the process would have resumed: arrive, serve and
-// finish. The trip keeps the caller in p.Trip.Ref, and its error there
-// once the return leg is scheduled, and extra in p.Trip.D.
+// finish (see bindSteps). The trip keeps the caller in p.Trip.Ref, and its
+// error there once the return leg is scheduled, and extra in p.Trip.D.
 func (f *Frontend) RoundTripErr(p *sim.Proc, caller *netsim.Node, extra time.Duration) error {
 	p.Trip = sim.Trip{Ref: caller, D: extra}
-	p.SleepStep(f.net.OneWayDelay(caller, f.node), f.arriveStep)
+	p.WakeAfter(f.net.OneWayDelay(caller, f.node), f.arriveStep)
+	p.Park()
 	err, _ := p.Trip.Ref.(error)
 	p.Trip = sim.Trip{}
 	return err
 }
 
-// arrive ends the request leg: admission, then a slot now (serving at
-// once) or a place in the slot queue, whose grant serves. A rejected
-// request takes the return leg at once.
-func (f *Frontend) arrive(p *sim.Proc) {
-	caller := p.Trip.Ref.(*netsim.Node)
-	if err := f.admit(p, caller); err != nil {
-		p.Trip.Ref = err
+// bindSteps builds the round trip's steps once per frontend, so a trip
+// allocates nothing. They are closures over f, not method values: a step
+// that Park runs sits on the caller's coroutine stack, and a method value
+// would add a wrapper frame there. Each step's schedule calls and draws are
+// the ones the blocking round trip made at the same event, in the same
+// order, so the event order is unchanged.
+func (f *Frontend) bindSteps() {
+	// arrive ends the request leg: admission, then a slot now or a place
+	// in the slot queue, whose grant runs serve. A rejected request takes
+	// the return leg at once. It repeats serve's three lines rather than
+	// calling it: arrive often runs inside Park, on the caller's stack, and
+	// retrystorm's processes sit within about 120 bytes of outgrowing their
+	// 2 KB stacks there, which one more frame crosses.
+	f.arriveStep = func(p *sim.Proc) {
+		caller := p.Trip.Ref.(*netsim.Node)
+		if err := f.admit(p, caller); err != nil {
+			p.Trip.Ref = err
+			p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
+			return
+		}
+		if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
+			svc := f.SampleOp()
+			f.stats.Busy += p.Trip.D
+			p.WakeAfter(svc+p.Trip.D, f.finishStep)
+		}
+	}
+	// serve starts the service time of a request granted a queued slot.
+	f.serveStep = func(p *sim.Proc) {
+		svc := f.SampleOp()
+		f.stats.Busy += p.Trip.D
+		p.WakeAfter(svc+p.Trip.D, f.finishStep)
+	}
+	// finish ends the service time: the slot goes back, and the response
+	// leg resumes the caller.
+	f.finishStep = func(p *sim.Proc) {
+		if f.slots != nil {
+			f.slots.Release()
+		}
+		caller := p.Trip.Ref.(*netsim.Node)
+		p.Trip.Ref = nil
 		p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
-		return
 	}
-	if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
-		f.serve(p)
-	}
-}
-
-// serve starts the service time, with the slot held when there are slots.
-func (f *Frontend) serve(p *sim.Proc) {
-	svc := f.SampleOp()
-	f.stats.Busy += p.Trip.D
-	p.WakeAfter(svc+p.Trip.D, f.finishStep)
-}
-
-// finish ends the service time: the slot goes back, and the response leg
-// resumes the caller.
-func (f *Frontend) finish(p *sim.Proc) {
-	if f.slots != nil {
-		f.slots.Release()
-	}
-	caller := p.Trip.Ref.(*netsim.Node)
-	p.Trip.Ref = nil
-	p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
 }
 
 // InLeg spends the request leg of a split round trip: propagation from the

@@ -82,7 +82,7 @@ type Kernel struct {
 	failure *procPanic
 
 	// until is the active RunUntil bound (negative = unbounded), read by
-	// the park self-handoff fast path so it never advances the clock past
+	// the Park self-handoff fast path so it never advances the clock past
 	// the bound the kernel loop is enforcing.
 	until Time
 
@@ -108,9 +108,9 @@ type Sched struct {
 	// loop.
 	Resumes uint64
 	// Handoffs counts wake-ups a parking process consumed itself, without
-	// a switch (see park).
+	// a switch (see Proc.Park).
 	Handoffs uint64
-	// Steps counts steps run, by the kernel loop or inside park.
+	// Steps counts steps run, by the kernel loop or inside Park.
 	Steps uint64
 	// Hash folds in the (at, seq) of every consumed event, whether the
 	// kernel loop or a self-handoff consumed it.

@@ -18,7 +18,7 @@ import (
 // Spawning therefore allocates nothing in steady state — the dominant cost
 // of per-request process workloads such as open-loop load generators.
 //
-// A parked process's wake-up may carry a step (see SleepStep): kernel-side
+// A parked process's wake-up may carry a step (see WakeAfter): kernel-side
 // work the kernel runs in place of resuming the body, so a blocking call
 // whose middle needs no stack switches into the body once, at its end.
 type Proc struct {
@@ -145,20 +145,21 @@ func (p *Proc) cycle() {
 	}
 }
 
-// park returns control to the scheduler and blocks until a wake-up that
-// carries no step is dispatched for this process. Wake-ups that carry a
-// step run the step instead (see SleepStep). On a closed kernel it panics
-// with killedPanic instead, which unwinds the body (defers included) back to
-// cycle.
+// Park returns control to the scheduler and blocks until a wake-up that
+// carries no step is dispatched for this process; wake-ups that carry a
+// step run the step instead (see WakeAfter), so a chain of steps costs the
+// body one switch instead of one per wake-up. The caller must have
+// arranged a wake-up first. On a closed kernel it panics with killedPanic
+// instead, which unwinds the body (defers included) back to cycle.
 //
 // Self-handoff fast path: when the next due event in the kernel's (time,
-// seq) order is this process's own wake-up, park consumes it inline without
+// seq) order is this process's own wake-up, Park consumes it inline without
 // switching at all — exactly the event the kernel loop would have picked
 // next, so the event order (and every golden trace) is unchanged. A wake-up
 // without a step returns; one with a step runs the step here, on the body's
 // coroutine, and looks again. The common case for Sleep when no other event
 // lands inside the sleep interval.
-func (p *Proc) park() {
+func (p *Proc) Park() {
 	k := p.k
 	for {
 		if k.rq.Len() > 0 {
@@ -219,27 +220,21 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.k.schedule(p.k.now+d, nil, p)
-	p.park()
-}
-
-// SleepStep is Sleep whose wake-up runs step(p) in place of resuming the
-// body; a nil step is Sleep. The step runs at exactly the event the body
-// would have resumed at, on the kernel's side: it may draw, schedule and
-// touch shared state like process code, but must not block. It ends by
-// arranging the process's next wake-up: WakeAfter, carrying the next step
-// or none, or a Resource.AcquireStep that queues. SleepStep returns when a
-// wake-up without a step is dispatched, so a chain of steps costs the body
-// one switch instead of one per sleep. A step that panics fails the run as
-// a panic of this process.
-func (p *Proc) SleepStep(d Time, step func(*Proc)) {
-	p.WakeAfter(d, step)
-	p.park()
+	p.Park()
 }
 
 // WakeAfter schedules the process's next wake-up d from now (negative d
-// counts as zero), carrying step, or resuming the body when step is nil.
-// Only a step calls it: it continues the chain SleepStep started, and a
-// process may have only one wake-up pending.
+// counts as zero). When it is dispatched, the kernel runs step(p) in place
+// of resuming the body, or resumes the body when step is nil; a process has
+// at most one wake-up pending. The body calls WakeAfter and then Park to
+// start a chain of steps, and each step ends the same way a blocking call
+// would have parked: with WakeAfter, carrying the next step or none, or
+// with a Resource.AcquireStep that queues.
+//
+// A step runs at exactly the event where the body would have resumed, on
+// the kernel's side: it may draw, schedule and touch shared state like
+// process code, but must not block. A step that panics fails the run as a
+// panic of this process.
 func (p *Proc) WakeAfter(d Time, step func(*Proc)) {
 	if d < 0 {
 		d = 0

@@ -16,19 +16,20 @@ func runPanic(fn func()) (r any) {
 }
 
 // A step that panics fails the run as a panic of its process, whether the
-// kernel loop ran it or the process's own park did (self-handoff).
+// kernel loop ran it or the process's own Park did (self-handoff).
 func TestStepPanicSurfacesAsProcPanic(t *testing.T) {
 	for _, inline := range []bool{false, true} {
 		t.Run(fmt.Sprintf("inline=%v", inline), func(t *testing.T) {
 			k := NewKernel()
 			defer k.Close()
 			if !inline {
-				// An event inside the sleep makes park switch out, so
+				// An event inside the sleep makes Park switch out, so
 				// the kernel loop dispatches the step.
 				k.At(time.Millisecond/2, func() {})
 			}
 			k.Spawn("stepper", func(p *Proc) {
-				p.SleepStep(time.Millisecond, func(*Proc) { panic("boom") })
+				p.WakeAfter(time.Millisecond, func(*Proc) { panic("boom") })
+				p.Park()
 				t.Error("body resumed after its step panicked")
 			})
 			r := runPanic(func() { k.Run() })
@@ -63,14 +64,15 @@ func TestCloseUnwindsSteppedProcsOnce(t *testing.T) {
 		k.Spawn(name, func(p *Proc) {
 			defer func() { unwound[p.Name()]++ }()
 			if name == "sleeper" {
-				p.SleepStep(time.Second, step)
+				p.WakeAfter(time.Second, step)
 			} else {
-				p.SleepStep(0, func(p *Proc) {
+				p.WakeAfter(0, func(p *Proc) {
 					if r.AcquireStep(p, step) {
 						t.Error("queued process claimed the held slot")
 					}
 				})
 			}
+			p.Park()
 			t.Errorf("%s resumed on a closed kernel", name)
 		})
 	}
@@ -135,11 +137,12 @@ func TestPendingStepInExactlyOneWaitStructure(t *testing.T) {
 	}
 	var done Time
 	stepper := k.Spawn("stepper", func(p *Proc) {
-		p.SleepStep(time.Millisecond, func(p *Proc) {
+		p.WakeAfter(time.Millisecond, func(p *Proc) {
 			if r.AcquireStep(p, serve) {
 				t.Error("stepper claimed the held slot")
 			}
 		})
+		p.Park()
 		done = p.Now()
 	})
 	probes := 0
@@ -169,7 +172,7 @@ func TestPendingStepInExactlyOneWaitStructure(t *testing.T) {
 }
 
 // With nothing else scheduled, every wake-up of a chain is the parking
-// process's own next event, so park runs the steps itself: the body is
+// process's own next event, so Park runs the steps itself: the body is
 // resumed once, at its start, and never switched out.
 func TestStepRunsOnSelfHandoff(t *testing.T) {
 	k := NewKernel()
@@ -181,10 +184,11 @@ func TestStepRunsOnSelfHandoff(t *testing.T) {
 		p.WakeAfter(time.Millisecond, nil)
 	}
 	k.Spawn("chain", func(p *Proc) {
-		p.SleepStep(time.Millisecond, func(p *Proc) {
+		p.WakeAfter(time.Millisecond, func(p *Proc) {
 			at = append(at, p.Now())
 			p.WakeAfter(time.Millisecond, step2)
 		})
+		p.Park()
 		done = p.Now()
 	})
 	k.Run()
@@ -215,7 +219,8 @@ func TestStepSelfHandoffHonoursRunUntil(t *testing.T) {
 		}
 	}
 	k.Spawn("chain", func(p *Proc) {
-		p.SleepStep(time.Millisecond, step)
+		p.WakeAfter(time.Millisecond, step)
+		p.Park()
 		done = p.Now()
 	})
 	if now := k.RunUntil(3 * time.Millisecond / 2); now != 3*time.Millisecond/2 || steps != 1 {

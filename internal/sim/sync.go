@@ -17,7 +17,7 @@ type Signal struct {
 // Wait parks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.park()
+	p.Park()
 }
 
 // Fire wakes every process currently waiting, in Wait order. It is safe to
@@ -138,7 +138,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 func (q *Queue[T]) Put(p *Proc, v T) {
 	for !q.TryPut(v) {
 		q.putters.Push(p)
-		p.park()
+		p.Park()
 		if q.closed {
 			panic("sim: Put on closed Queue")
 		}
@@ -171,7 +171,7 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 			return zero, false
 		}
 		q.getters.Push(p)
-		p.park()
+		p.Park()
 	}
 }
 
@@ -228,12 +228,12 @@ func (r *Resource) TryAcquire() bool {
 // Admission is strictly FIFO among blocked processes.
 func (r *Resource) Acquire(p *Proc) {
 	if !r.AcquireStep(p, nil) {
-		p.park()
+		p.Park()
 		// Our releaser granted the slot on our behalf (inUse stays claimed).
 	}
 }
 
-// AcquireStep is Acquire for a step (see Proc.SleepStep), which must not
+// AcquireStep is Acquire for a step (see Proc.WakeAfter), which must not
 // park: it claims a slot now and reports true, or queues p in Acquire's
 // FIFO and reports false. A queued process's grant is its wake-up, and it
 // runs step with the slot held, at the event where Acquire would have
