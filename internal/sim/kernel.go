@@ -68,7 +68,7 @@ type Kernel struct {
 	// slabs holds every Proc ever created, carved in spawn order from
 	// fixed procSlab-entry slabs that are never reallocated, so Close can
 	// unwind the live ones and return every coroutine to the pool.
-	// freeProcs heads the LIFO list, linked through Proc.nextFree, of those
+	// freeProcs heads the LIFO list, linked through coro.nextFree, of those
 	// whose bodies have exited, awaiting a new assignment from Spawn.
 	// Recycling them makes steady-state Spawn allocation-free: no Proc or
 	// coroutine per process on per-request workloads.
@@ -186,7 +186,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if p != nil {
 		// Reuse an exited process slot: its coroutine has yielded
 		// between assignments.
-		k.freeProcs, p.nextFree = p.nextFree, nil
+		k.freeProcs, p.co.nextFree = p.co.nextFree, nil
 	} else {
 		p = k.carve()
 		p.co = adoptCoro(p)

@@ -25,8 +25,6 @@ type Proc struct {
 	k    *Kernel
 	name string
 	co   *coro
-	// nextFree links the kernel's free list while the Proc awaits reuse.
-	nextFree *Proc
 	// step, when set, is what the process's pending wake-up runs in place
 	// of resuming the body; the wake-up clears it first.
 	step func(*Proc)
@@ -63,10 +61,12 @@ type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	p     *Proc
-	// body is p's current assignment, set by Spawn and cleared on exit.
-	// It lives here rather than in the Proc because every kernel carves
-	// its Procs afresh, while coroutines are pooled across kernels.
-	body func(*Proc)
+	// body is p's current assignment, set by Spawn and cleared on exit;
+	// nextFree links the kernel's free list while p awaits reuse. They
+	// live here rather than in the Proc because every kernel carves its
+	// Procs afresh, while coroutines are pooled across kernels.
+	body     func(*Proc)
+	nextFree *Proc
 	// dead is set once the coroutine has ended, which only runtime.Goexit
 	// in a body (t.FailNow in a test process) can cause; iter.Pull
 	// re-raises the Goexit on the resuming goroutine.
@@ -100,10 +100,10 @@ func adoptCoro(p *Proc) *coro {
 	return c
 }
 
-// release returns c to the pool, dropping its Proc so the pool does not
+// release returns c to the pool, dropping its Procs so the pool does not
 // keep a closed kernel reachable.
 func (c *coro) release() {
-	c.p = nil
+	c.p, c.nextFree = nil, nil
 	if c.dead {
 		return
 	}
@@ -137,7 +137,7 @@ func (p *Proc) cycle() {
 		}
 		k.liveProcs--
 		p.co.body = nil
-		p.nextFree, k.freeProcs = k.freeProcs, p
+		p.co.nextFree, k.freeProcs = k.freeProcs, p
 	}()
 	// Close resumes a process that never started only to retire it.
 	if !k.closed {
