@@ -214,7 +214,10 @@ func (p *Proc) wake() {
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations sleep
-// zero time (but still yield to other ready processes).
+// zero time (but still yield to other ready processes). It schedules
+// directly rather than through WakeAfter: a running body has no step
+// pending, and going through WakeAfter read about 7% slower on
+// BenchmarkKernelSleep.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
