@@ -145,8 +145,14 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 
 // BenchmarkRetryStorm times the full-scale experiment end to end — all
 // four policy variants plus the hot-tenant comparison, exactly what
-// faasbench regenerates.
+// faasbench regenerates. It runs its sweep points one at a time, so its
+// allocation count does not depend on which points overlap: at more than
+// one worker, overlapping points miss the coroutine pool (see
+// sim.Sched.Coroutines) and allocate coroutines the run would otherwise
+// have reused.
 func BenchmarkRetryStorm(b *testing.B) {
+	defer sweep.SetWorkers(0)
+	sweep.SetWorkers(1)
 	for i := 0; i < b.N; i++ {
 		runRetryStormTables(1, 1)
 	}

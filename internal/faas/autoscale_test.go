@@ -350,9 +350,10 @@ func TestMapQueueNRunsParallelPollers(t *testing.T) {
 		ctx.Proc().Sleep(time.Second)
 		return nil, nil
 	}})
+	live := f.k.LiveProcs()
 	esm := f.pf.MapQueueN(q, "consumer", 10, 4)
-	if esm.Pollers() != 4 {
-		t.Fatalf("pollers = %d, want 4", esm.Pollers())
+	if n := f.k.LiveProcs() - live; n != 4 {
+		t.Fatalf("MapQueueN spawned %d pollers, want 4", n)
 	}
 	f.k.Spawn("producer", func(p *sim.Proc) {
 		var bodies [][]byte

@@ -36,8 +36,7 @@ type EventSourceMapping struct {
 	q         *queue.Queue
 	fnName    string
 	batchSize int
-	pollers   int
-	stopped   bool
+	stop      queue.PollStop
 	idleWait  time.Duration
 }
 
@@ -63,7 +62,6 @@ func (pf *Platform) MapQueueN(q *queue.Queue, fnName string, batchSize, n int) *
 		q:         q,
 		fnName:    fnName,
 		batchSize: batchSize,
-		pollers:   n,
 		idleWait:  time.Second,
 	}
 	for i := 0; i < n; i++ {
@@ -72,27 +70,26 @@ func (pf *Platform) MapQueueN(q *queue.Queue, fnName string, batchSize, n int) *
 	return esm
 }
 
-// Pollers reports the size of the mapping's poller fleet.
-func (e *EventSourceMapping) Pollers() int { return e.pollers }
-
 // Stop halts every poller after its current cycle.
-func (e *EventSourceMapping) Stop() { e.stopped = true }
+func (e *EventSourceMapping) Stop() { e.stop.Stop() }
 
 func (e *EventSourceMapping) run(p *sim.Proc) {
 	// Reused across the poller's batches.
 	var payload []byte
 	var receipts []string
 	msgs := make([]queue.Message, 0, e.batchSize)
-	for !e.stopped {
+	for !e.stop.Stopped() {
+		// Idle polls repeat inside PollUntil without resuming the poller.
 		var err error
-		msgs, err = e.q.Receive(p, e.pf.ctlNode, msgs[:0], e.batchSize, e.idleWait)
+		msgs, err = e.q.PollUntil(p, e.pf.ctlNode, msgs[:0], e.batchSize, e.idleWait, &e.stop)
 		if err != nil || len(msgs) == 0 {
 			continue
 		}
-		// Mapping pipeline delay between poll and invocation.
-		p.Sleep(e.pf.cfg.ESMDispatchDelay.Sample(e.pf.rng))
+		// Mapping pipeline delay between poll and invocation: the
+		// invocation's first wake-up ends it.
+		delay := e.pf.cfg.ESMDispatchDelay.Sample(e.pf.rng)
 		payload = AppendSQSEvent(payload[:0], msgs)
-		_, _, invErr := e.pf.Invoke(p, e.fnName, payload)
+		_, _, invErr := e.pf.invoke(p, delay, e.fnName, payload)
 		if invErr != nil {
 			continue // not deleted; visibility timeout will redeliver
 		}

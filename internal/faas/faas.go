@@ -200,12 +200,30 @@ type Platform struct {
 	// cache, when attached, colocates a state-cache replica with every
 	// hosting VM (the paper's §4 fluid-state platform).
 	cache *statecache.Cluster
+
+	// trips recycles invocation step state, and the invocation's steps
+	// (see Invoke) are bound once here, so an invocation's prologue
+	// allocates nothing.
+	trips                                       []*invokeTrip
+	startStep, acquireStep, grantStep, shipStep func(*sim.Proc)
+}
+
+// invokeTrip is one invocation's state from its start to its handler,
+// reached through the caller's Trip.Ref while its chain of steps runs.
+type invokeTrip struct {
+	fn      *Function
+	payload []byte
+	cont    *container
+	cold    bool
+	// held is set once the account-concurrency slot is held and the
+	// execution counted, so an unwinding body gives both back.
+	held bool
 }
 
 // New creates a platform.
 func New(name string, net *netsim.Network, rng *simrand.RNG, cfg Config,
 	catalog *pricing.Catalog, meter *pricing.Meter) *Platform {
-	return &Platform{
+	pf := &Platform{
 		name:        name,
 		net:         net,
 		rng:         rng,
@@ -218,6 +236,8 @@ func New(name string, net *netsim.Network, rng *simrand.RNG, cfg Config,
 		concurrency: sim.NewResource(cfg.AccountConcurrency),
 		region:      net.BuildRegion(),
 	}
+	pf.bindSteps()
+	return pf
 }
 
 // Register adds (or replaces) a function. Memory must be positive and the
@@ -284,27 +304,42 @@ type Report struct {
 // Invoke does. The handler may also overwrite it, so a caller that sends
 // the same bytes again must write them again. The handler's Ctx is the
 // container's own, reset for each invocation.
+//
+// Everything before the handler is platform-side work, so it runs as a
+// chain of steps (see sim.Proc.WakeAfter) at the events where the caller
+// would have resumed: acquire after the routing overhead, grant once the
+// concurrency slot is held, ship after the warm or cold start (see
+// bindSteps). The caller resumes once, when its handler starts.
 func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Report, error) {
+	return pf.invoke(p, -1, name, payload)
+}
+
+// invoke is Invoke after a delay (none when negative) that the caller
+// waits out as the invocation's first wake-up: the event-source mapping's
+// pipeline delay.
+func (pf *Platform) invoke(p *sim.Proc, delay time.Duration, name string, payload []byte) ([]byte, Report, error) {
 	fn, ok := pf.functions[name]
-	if !ok {
-		return nil, Report{}, fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
-	}
-	if len(payload) > PayloadLimit {
+	if !ok || len(payload) > PayloadLimit {
+		if delay >= 0 {
+			p.Sleep(delay)
+		}
+		if !ok {
+			return nil, Report{}, fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
+		}
 		return nil, Report{}, ErrPayloadTooLarge
 	}
-	pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
-	p.Sleep(pf.cfg.InvokeOverhead.Sample(pf.rng))
-
-	pf.concurrency.Acquire(p)
-	defer pf.concurrency.Release()
-	fn.stats.beginExecution()
-	defer fn.stats.endExecution()
-
-	cont, cold := pf.acquireContainer(p, fn)
-	// Ship the argument to the hosting VM through its shared NIC.
-	if len(payload) > 0 {
-		pf.net.Fabric().Transfer(p, int64(len(payload)), cont.vm.node.NIC())
+	t := pf.trip()
+	t.fn, t.payload = fn, payload
+	defer pf.endTrip(t)
+	p.Trip = sim.Trip{Ref: t}
+	if delay < 0 {
+		pf.startStep(p)
+	} else {
+		p.WakeAfter(delay, pf.startStep)
 	}
+	p.Park()
+	p.Trip = sim.Trip{}
+	fn, cont, cold := t.fn, t.cont, t.cold
 
 	start := p.Now()
 	ctx := &cont.ctx
@@ -346,30 +381,100 @@ func (pf *Platform) Invoke(p *sim.Proc, name string, payload []byte) ([]byte, Re
 	return resp, rep, err
 }
 
-// acquireContainer returns a warm container if one is idle, otherwise cold
-// starts a new one on a packed VM.
-func (pf *Platform) acquireContainer(p *sim.Proc, fn *Function) (*container, bool) {
+// trip returns a cleared invocation record, recycling one when it can.
+func (pf *Platform) trip() *invokeTrip {
+	if n := len(pf.trips); n > 0 {
+		t := pf.trips[n-1]
+		pf.trips = pf.trips[:n-1]
+		return t
+	}
+	return &invokeTrip{}
+}
+
+// endTrip ends an invocation, returned or unwound: once the slot is held,
+// the execution ends and the slot goes back, in that order. A body that a
+// closed kernel unwinds before its grant step ran holds neither.
+func (pf *Platform) endTrip(t *invokeTrip) {
+	if t.held {
+		t.fn.stats.endExecution()
+		pf.concurrency.Release()
+	}
+	*t = invokeTrip{}
+	pf.trips = append(pf.trips, t)
+}
+
+// bindSteps builds the invocation's steps once per platform. They are
+// closures over pf, not method values, which would add a wrapper frame on
+// the caller's stack when Park runs them. Each step's schedule calls and
+// draws are the ones a blocking invocation made at the same event, in the
+// same order, so the event order is unchanged.
+func (pf *Platform) bindSteps() {
+	// start routes the request: it is billed, and the routing overhead is
+	// drawn. A function replaced during a leading delay is looked up again
+	// here, where a blocking Invoke would have started.
+	pf.startStep = func(p *sim.Proc) {
+		t := p.Trip.Ref.(*invokeTrip)
+		t.fn = pf.functions[t.fn.Name]
+		pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
+		p.WakeAfter(pf.cfg.InvokeOverhead.Sample(pf.rng), pf.acquireStep)
+	}
+	// acquire ends the routing overhead: a concurrency slot now, or a
+	// place in the slot queue whose grant runs grant.
+	pf.acquireStep = func(p *sim.Proc) {
+		if pf.concurrency.AcquireStep(p, pf.grantStep) {
+			pf.place(p)
+		}
+	}
+	pf.grantStep = func(p *sim.Proc) { pf.place(p) }
+	// ship ends the container start and sends the payload to the hosting
+	// VM through its shared NIC; the transfer's completion resumes the
+	// caller.
+	pf.shipStep = func(p *sim.Proc) {
+		t := p.Trip.Ref.(*invokeTrip)
+		if pf.net.Fabric().TransferStep(p, int64(len(t.payload)), nil, t.cont.vm.node.NIC()) {
+			panic("faas: a payload transfer completed without a wait")
+		}
+	}
+}
+
+// place runs with the concurrency slot held: it counts the execution and
+// takes a warm container if one is idle, otherwise cold starts a new one on
+// a packed VM. The start's wake-up runs ship, or resumes the caller when
+// there is no payload to send.
+func (pf *Platform) place(p *sim.Proc) {
+	t := p.Trip.Ref.(*invokeTrip)
+	t.held = true
+	fn := t.fn
+	fn.stats.beginExecution()
+	var d time.Duration
 	pool := pf.idle[fn.Name]
-	for len(pool) > 0 {
+	for len(pool) > 0 && t.cont == nil {
 		cont := pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
 		if !cont.provisioned && p.Now()-cont.lastUsed > pf.cfg.WarmTTL {
 			pf.destroyContainer(cont) // expired; fall through to next candidate
 			continue
 		}
-		pf.idle[fn.Name] = pool
 		if cont.reap != nil {
 			cont.reap.Stop() // checked out; release re-arms
 		}
-		p.Sleep(pf.cfg.WarmStart.Sample(pf.rng))
-		return cont, false
+		t.cont = cont
 	}
 	pf.idle[fn.Name] = pool
-
-	vm := pf.pickVM()
-	vm.containers++
-	p.Sleep(pf.cfg.ColdStart.Sample(pf.rng))
-	return &container{fn: fn, vm: vm, local: make(map[string]any)}, true
+	if t.cont != nil {
+		d = pf.cfg.WarmStart.Sample(pf.rng)
+	} else {
+		vm := pf.pickVM()
+		vm.containers++
+		t.cont = &container{fn: fn, vm: vm, local: make(map[string]any)}
+		t.cold = true
+		d = pf.cfg.ColdStart.Sample(pf.rng)
+	}
+	if len(t.payload) > 0 {
+		p.WakeAfter(d, pf.shipStep)
+	} else {
+		p.WakeAfter(d, nil)
+	}
 }
 
 // pickVM returns the first VM with packing room, reusing a reclaimed VM's

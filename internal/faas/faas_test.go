@@ -20,7 +20,7 @@ type fixture struct {
 	caller *netsim.Node
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
@@ -485,4 +485,28 @@ func TestWarmContainerReusesCtx(t *testing.T) {
 				i, c.atStart, c.afterWork, work[i], 10*time.Second-work[i])
 		}
 	}
+}
+
+// BenchmarkInvokeWarm is one warm invocation per op with a 1 KB payload:
+// the routing overhead, the concurrency slot, the warm start and the
+// payload transfer run as steps with their state in a recycled record,
+// and the container's Ctx is reused, so it allocates nothing once warm.
+func BenchmarkInvokeWarm(b *testing.B) {
+	f := newFixture(b, DefaultConfig())
+	f.pf.Register(Function{Name: "nop", MemoryMB: 128, Handler: func(*Ctx, []byte) ([]byte, error) {
+		return nil, nil
+	}})
+	payload := make([]byte, 1024)
+	f.k.Spawn("c", func(p *sim.Proc) {
+		f.pf.Invoke(p, "nop", payload) // cold start, then warm
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, rep, err := f.pf.Invoke(p, "nop", payload); err != nil || rep.ColdStart {
+				b.Fatalf("invoke: %v (cold %v)", err, rep.ColdStart)
+			}
+		}
+		b.StopTimer()
+	})
+	f.k.Run()
 }

@@ -36,14 +36,6 @@ func (s FunctionStats) ColdStartRate() float64 {
 	return float64(s.ColdStarts) / float64(s.Invocations)
 }
 
-// MeanDuration returns the mean handler execution time.
-func (s FunctionStats) MeanDuration() time.Duration {
-	if s.Invocations == 0 {
-		return 0
-	}
-	return s.TotalTime / time.Duration(s.Invocations)
-}
-
 // Stats returns a copy of the named function's counters. Counters are
 // cumulative across deployments: replacing a function with Register keeps
 // its history, like CloudWatch metrics keyed by function name.

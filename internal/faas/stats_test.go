@@ -50,7 +50,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.ColdStartRate() != 0.5 {
 		t.Errorf("ColdStartRate = %v", st.ColdStartRate())
 	}
-	if st.MeanDuration() <= 0 || st.BilledTime <= 0 {
+	if st.TotalTime <= 0 || st.BilledTime <= 0 {
 		t.Error("durations not accumulated")
 	}
 }

@@ -160,14 +160,27 @@ func (f *Fabric) InFlight() int { return len(f.order) }
 // links) completes immediately. The elapsed virtual time reflects max-min
 // fair sharing with every other concurrent transfer.
 func (f *Fabric) Transfer(p *sim.Proc, size int64, links ...*Link) {
+	if !f.TransferStep(p, size, nil, links...) {
+		p.Park()
+	}
+}
+
+// TransferStep is Transfer for a step (see sim.Proc.WakeAfter), which must
+// not park. An empty transfer reports true at once, as Transfer returns at
+// once. Any other starts its flow and reports false, and the flow's
+// completion runs step (or resumes the body when step is nil) at the event
+// where Transfer would have returned. A flow of at least one byte over at
+// least one link never completes within the call.
+func (f *Fabric) TransferStep(p *sim.Proc, size int64, step func(*sim.Proc), links ...*Link) bool {
 	id := f.start(size, links)
 	if id == noFlow {
-		return
+		return true
 	}
-	// The slot cannot complete between start and Wait (its remaining is
-	// >= 1 byte and no event runs in between), so the signal is armed
+	// The slot cannot complete between start and the wait (its remaining
+	// is >= 1 byte and no event runs in between), so the signal is armed
 	// before any completion can fire it.
-	f.flows[id].done.Wait(p)
+	f.flows[id].done.WaitStep(p, step)
+	return false
 }
 
 // TransferAsync begins a transfer and returns a latch that is released on

@@ -312,3 +312,43 @@ func TestQuickMaxMinFeasibleAndEfficient(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TransferStep's flow completes where Transfer's would, sharing the link
+// the same way, and its completion runs the step there; an empty transfer
+// reports true and starts nothing.
+func TestTransferStepMatchesTransfer(t *testing.T) {
+	run := func(stepped bool) (done, stepAt sim.Time) {
+		k := sim.NewKernel()
+		defer k.Close()
+		f := NewFabric(k)
+		l := f.NewLink("nic", MBps(100))
+		k.Spawn("rival", func(p *sim.Proc) { f.Transfer(p, 50e6, l) })
+		k.Spawn("xfer", func(p *sim.Proc) {
+			p.Sleep(100 * time.Millisecond)
+			if !stepped {
+				f.Transfer(p, 100e6, l)
+				done = p.Now()
+				return
+			}
+			if !f.TransferStep(p, 0, nil, l) {
+				t.Error("an empty TransferStep started a flow")
+			}
+			if f.TransferStep(p, 100e6, func(p *sim.Proc) {
+				stepAt = p.Now()
+				p.WakeAfter(0, nil)
+			}, l) {
+				t.Error("a 100 MB TransferStep completed at once")
+			}
+			p.Park()
+			done = p.Now()
+		})
+		k.Run()
+		return done, stepAt
+	}
+	want, _ := run(false)
+	done, stepAt := run(true)
+	if stepAt != want || done != want {
+		t.Errorf("stepped transfer's step ran at %v and the body resumed at %v, blocking transfer done at %v",
+			stepAt, done, want)
+	}
+}

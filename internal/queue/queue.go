@@ -106,6 +106,7 @@ func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
 		inflight:   make(map[string]*stored),
 	}
 	q.vis = s.fe.Net().Kernel().NewTimer(q.expire)
+	q.bindSteps()
 	s.queues[name] = q
 	return q
 }
@@ -129,11 +130,19 @@ type Queue struct {
 	hidden     sim.Ring[visEntry] // deliveries in receipt order; the head is live
 	vis        *sim.Timer         // armed at the head's deadline
 	free       []*stored          // acknowledged records awaiting reuse
-	waiters    []*pollWaiter
-	idle       []*pollWaiter   // recycled long-poll wait state
-	ids        strings.Builder // current block of IDs and receipts
-	nextID     int64
-	nextRcpt   int64
+	// waiters holds the long polls waiting for a message, oldest first.
+	// It is compacted in place, never resliced from the front, so its
+	// backing array is reused.
+	waiters  []*pollWaiter
+	idle     []*pollWaiter   // recycled long-poll wait state
+	trips    []*recvTrip     // recycled long-poll step state
+	ids      strings.Builder // current block of IDs and receipts
+	nextID   int64
+	nextRcpt int64
+
+	// The long poll's steps (see Receive and PollUntil), bound once here
+	// so that a poll allocates nothing.
+	pollStep, wokeStep, againStep func(*sim.Proc)
 }
 
 type stored struct {
@@ -166,6 +175,58 @@ func (e *visEntry) live() bool { return e.m.delivery == e.delivery }
 type pollWaiter struct {
 	sim.Latch
 	timer *sim.Timer
+}
+
+// recvTrip is one Receive's state while its chain of steps runs, reached
+// through the poller's Trip.Ref. Records are recycled through the queue's
+// trips list, so a poll allocates nothing in steady state.
+type recvTrip struct {
+	caller   *netsim.Node
+	dst      []Message
+	max      int
+	wait     time.Duration
+	half     time.Duration // each leg's share of the sampled service time
+	deadline sim.Time
+	w        *pollWaiter // the waiter queued on, while the poll waits
+	stop     *PollStop   // PollUntil's stop; nil for Receive
+}
+
+// PollStop ends the PollUntil loops it is given. The zero value is not
+// stopped.
+type PollStop struct {
+	stopped bool
+	// queued holds the loops whose next poll is the step that their
+	// current response leg's wake-up runs.
+	queued []*sim.Proc
+}
+
+// Stopped reports whether Stop has been called.
+func (s *PollStop) Stopped() bool { return s.stopped }
+
+// Stop ends every loop given s at the end of its current poll's response
+// leg, the event where a loop of Receive calls would next check a stop
+// flag: a loop whose next poll is already queued there resumes its caller
+// instead.
+func (s *PollStop) Stop() {
+	s.stopped = true
+	for _, p := range s.queued {
+		p.Redirect(nil)
+	}
+	clear(s.queued)
+	s.queued = s.queued[:0]
+}
+
+// dequeue removes p from the loops whose next poll is queued.
+func (s *PollStop) dequeue(p *sim.Proc) {
+	for i, cand := range s.queued {
+		if cand == p {
+			last := len(s.queued) - 1
+			s.queued[i] = s.queued[last]
+			s.queued[last] = nil
+			s.queued = s.queued[:last]
+			return
+		}
+	}
 }
 
 // idBlockBytes is the size of one block of ID and receipt bytes.
@@ -279,13 +340,15 @@ func (q *Queue) enqueue(body []byte) string {
 	return m.id
 }
 
+// wakeWaiters releases up to n waiting long polls, oldest first, and
+// removes them from the list by moving the rest to the front.
 func (q *Queue) wakeWaiters(n int) {
-	for n > 0 && len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	i := 0
+	for ; n > 0 && i < len(q.waiters); i++ {
+		w := q.waiters[i]
 		if w.Released() {
 			// The waiter's deadline latch already fired: its receiver
-			// timed out and just hasn't resumed to remove itself yet.
+			// timed out and its step just hasn't run to remove it yet.
 			// Spending an arrival wake-up on it would leave a live
 			// long-poller asleep until its full deadline, so prune it
 			// without consuming the wake-up.
@@ -293,6 +356,11 @@ func (q *Queue) wakeWaiters(n int) {
 		}
 		w.Release()
 		n--
+	}
+	if i > 0 {
+		rest := copy(q.waiters, q.waiters[i:])
+		clear(q.waiters[rest:])
+		q.waiters = q.waiters[:rest]
 	}
 }
 
@@ -305,25 +373,119 @@ func (q *Queue) wakeWaiters(n int) {
 //
 // Unlike one-shot requests, the service time is split around the poll so a
 // long-polled message still pays the response leg after it arrives.
+//
+// The caller's process parks once. Everything from the end of the request
+// leg to the start of the response leg is queue-side work, so it runs as a
+// chain of steps (see sim.Proc.WakeAfter) at the events where the process
+// would have resumed: poll at the end of the request leg, woke at each
+// release of the poll's waiter (see bindSteps).
 func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration) ([]Message, error) {
+	return q.receive(p, caller, dst, max, wait, nil)
+}
+
+// PollUntil is Receive called again and again until a poll returns
+// messages or stop is stopped when a poll's response leg ends: the idle
+// loop of an event-source poller. A poll that comes back empty starts the
+// next one at the end of its response leg as a step, so an idle loop
+// resumes its caller only when it returns: with messages, with none once
+// stopped, or with ErrBatchTooBig at once.
+func (q *Queue) PollUntil(p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration, stop *PollStop) ([]Message, error) {
+	return q.receive(p, caller, dst, max, wait, stop)
+}
+
+// receive runs Receive's chain, repeated while polls come back empty when
+// stop is not nil and not stopped.
+func (q *Queue) receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration, stop *PollStop) ([]Message, error) {
 	if max <= 0 || max > MaxBatch {
 		return dst, ErrBatchTooBig
 	}
-	fe := q.svc.fe
-	service := fe.SampleOp()
-	fe.InLeg(p, caller, service/2)
-	deadline := p.Now() + wait
-	for q.available.Len() == 0 && p.Now() < deadline {
+	t := q.trip()
+	t.caller, t.dst, t.max, t.wait, t.stop = caller, dst, max, wait, stop
+	p.Trip = sim.Trip{Ref: t}
+	q.againStep(p)
+	p.Park()
+	p.Trip = sim.Trip{}
+	dst = t.dst
+	*t = recvTrip{}
+	q.trips = append(q.trips, t)
+	return dst, nil
+}
+
+// trip returns a cleared long-poll record, recycling one when it can.
+func (q *Queue) trip() *recvTrip {
+	if n := len(q.trips); n > 0 {
+		t := q.trips[n-1]
+		q.trips = q.trips[:n-1]
+		return t
+	}
+	return &recvTrip{}
+}
+
+// bindSteps builds the long poll's steps once per queue. Each step's
+// schedule calls and draws are the ones a blocking poll made at the same
+// event, in the same order, so the event order is unchanged.
+func (q *Queue) bindSteps() {
+	// again starts a poll: it samples the service time and draws the
+	// request leg. The caller's body runs it for the first poll, and the
+	// end of an empty poll's response leg runs it for the next one in a
+	// PollUntil loop.
+	q.againStep = func(p *sim.Proc) {
+		t := p.Trip.Ref.(*recvTrip)
+		if t.stop != nil {
+			t.stop.dequeue(p)
+		}
+		fe := q.svc.fe
+		t.half = fe.SampleOp() / 2
+		p.WakeAfter(fe.InLeg(t.caller, t.half), q.pollStep)
+	}
+	// poll ends the request leg: the poll's deadline starts now.
+	q.pollStep = func(p *sim.Proc) {
+		t := p.Trip.Ref.(*recvTrip)
+		t.deadline = p.Now() + t.wait
+		q.poll(p, t)
+	}
+	// woke runs when the poll's waiter is released, by an arrival or by
+	// its deadline: the waiter is retired and the poll looks again.
+	q.wokeStep = func(p *sim.Proc) {
+		t := p.Trip.Ref.(*recvTrip)
+		q.unwait(t.w)
+		t.w = nil
+		q.poll(p, t)
+	}
+}
+
+// poll waits for a message while the queue is empty and the deadline has
+// not passed, queuing p on a waiter whose release runs wokeStep; otherwise
+// it delivers.
+func (q *Queue) poll(p *sim.Proc, t *recvTrip) {
+	for q.available.Len() == 0 && p.Now() < t.deadline {
 		w := q.waiter(p.Kernel())
 		q.waiters = append(q.waiters, w)
-		w.timer.ResetAt(deadline)
-		w.Wait(p)
-		w.timer.Stop() // woken by an arrival: drop the deadline event
-		q.dropWaiter(w)
-		q.idle = append(q.idle, w)
+		w.timer.ResetAt(t.deadline)
+		if !w.WaitStep(p, q.wokeStep) {
+			t.w = w
+			return
+		}
+		q.unwait(w)
 	}
-	n := min(max, q.available.Len())
-	dst = slices.Grow(dst, n)
+	q.deliver(p, t)
+}
+
+// unwait retires a released waiter: its deadline event goes (it is gone
+// already if the deadline released it), it leaves the waiter list if an
+// arrival did not take it off, and it awaits reuse.
+func (q *Queue) unwait(w *pollWaiter) {
+	w.timer.Stop()
+	q.dropWaiter(w)
+	q.idle = append(q.idle, w)
+}
+
+// deliver hands out up to t.max messages, bills the response and starts
+// the response leg, whose end resumes the caller, or starts the next poll
+// of a PollUntil loop that got nothing and is not stopped.
+func (q *Queue) deliver(p *sim.Proc, t *recvTrip) {
+	n := min(t.max, q.available.Len())
+	dst := slices.Grow(t.dst, n)
 	// The response is billed like a send: one request per started 64KB
 	// chunk of returned payload (an empty poll still bills one request).
 	var payload int64
@@ -343,9 +505,15 @@ func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int
 		})
 		payload += int64(len(m.body))
 	}
+	t.dst = dst
+	fe := q.svc.fe
 	fe.Charge("sqs.request", billedRequests(payload), fe.Catalog().SQSPerRequest)
-	fe.OutLeg(p, caller, service/2)
-	return dst, nil
+	if n == 0 && t.stop != nil && !t.stop.stopped {
+		t.stop.queued = append(t.stop.queued, p)
+		p.WakeAfter(fe.OutLeg(t.caller, t.half), q.againStep)
+		return
+	}
+	p.WakeAfter(fe.OutLeg(t.caller, t.half), nil)
 }
 
 // waiter returns an unreleased wait state for a long poll, recycling one

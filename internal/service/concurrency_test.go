@@ -77,11 +77,11 @@ func TestSplitLegBypassesConcurrencyCap(t *testing.T) {
 	k.Spawn("poller", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond) // start while the slot is held
 		svc := fe.SampleOp()
-		fe.InLeg(p, caller, svc/2)
+		p.Sleep(fe.InLeg(caller, svc/2))
 		if got := fe.QueueDepth(); got != 0 {
 			t.Errorf("split-leg request counted as a waiter: QueueDepth = %d", got)
 		}
-		fe.OutLeg(p, caller, svc/2)
+		p.Sleep(fe.OutLeg(caller, svc/2))
 		pollerDone = p.Now()
 	})
 	k.Run()

@@ -8,7 +8,8 @@
 // A Frontend models one endpoint node: requests pay a one-way propagation
 // delay in, a sampled op-latency service time, and a one-way delay back.
 // Services that split their service time around a blocking poll (SQS long
-// polling) use SampleOp with the InLeg/OutLeg halves instead of RoundTrip.
+// polling) use SampleOp with the InLeg/OutLeg halves instead of RoundTrip,
+// waiting each leg out themselves.
 //
 // With LimitConcurrency set, the front end becomes a finite-capacity
 // server: at most n requests are in service simultaneously and the rest
@@ -231,14 +232,15 @@ func (f *Frontend) bindSteps() {
 	}
 }
 
-// InLeg spends the request leg of a split round trip: propagation from the
-// caller plus the given share of service time, as one sleep.
-func (f *Frontend) InLeg(p *sim.Proc, caller *netsim.Node, service time.Duration) {
-	p.Sleep(f.net.OneWayDelay(caller, f.node) + service)
+// InLeg returns the length of a split round trip's request leg:
+// propagation from the caller, drawn now, plus the given share of service
+// time. The caller waits it out as one sleep or one step's wake-up.
+func (f *Frontend) InLeg(caller *netsim.Node, service time.Duration) time.Duration {
+	return f.net.OneWayDelay(caller, f.node) + service
 }
 
-// OutLeg spends the response leg of a split round trip: the remaining
-// service time plus propagation back to the caller, as one sleep.
-func (f *Frontend) OutLeg(p *sim.Proc, caller *netsim.Node, service time.Duration) {
-	p.Sleep(service + f.net.OneWayDelay(f.node, caller))
+// OutLeg returns the length of a split round trip's response leg: the
+// remaining service time plus propagation back to the caller, drawn now.
+func (f *Frontend) OutLeg(caller *netsim.Node, service time.Duration) time.Duration {
+	return service + f.net.OneWayDelay(f.node, caller)
 }

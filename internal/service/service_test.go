@@ -64,8 +64,8 @@ func TestSplitLegsMatchRoundTrip(t *testing.T) {
 	k.Spawn("c", func(p *sim.Proc) {
 		start := p.Now()
 		svc := fe.SampleOp()
-		fe.InLeg(p, caller, svc/2)
-		fe.OutLeg(p, caller, svc/2)
+		p.Sleep(fe.InLeg(caller, svc/2))
+		p.Sleep(fe.OutLeg(caller, svc/2))
 		split = p.Now() - start
 	})
 	k.Run()

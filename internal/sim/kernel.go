@@ -112,6 +112,11 @@ type Sched struct {
 	Handoffs uint64
 	// Steps counts steps run, by the kernel loop or inside Park.
 	Steps uint64
+	// Spawns counts processes started; Coroutines counts those that found
+	// the cross-kernel coroutine pool empty and created a coroutine: the
+	// pool's misses, a host-side cost that depends on which kernels ran
+	// before and alongside this one, never on the seed.
+	Spawns, Coroutines uint64
 	// Hash folds in the (at, seq) of every consumed event, whether the
 	// kernel loop or a self-handoff consumed it.
 	Hash uint64
@@ -189,8 +194,9 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		k.freeProcs, p.co.nextFree = p.co.nextFree, nil
 	} else {
 		p = k.carve()
-		p.co = adoptCoro(p)
+		p.co = adoptCoro(p, &k.sched)
 	}
+	k.sched.Spawns++
 	p.name, p.co.body = name, fn
 	k.liveProcs++
 	k.schedule(k.now, nil, p)

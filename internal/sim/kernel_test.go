@@ -519,3 +519,36 @@ func TestSchedHashSeesOrderNotKind(t *testing.T) {
 		t.Error("swapping two same-instant events left the hash unchanged")
 	}
 }
+
+// TestSchedCountsSpawnsAndPoolMisses: every Spawn counts, and only a Spawn
+// that finds the cross-kernel coroutine pool empty counts a coroutine.
+func TestSchedCountsSpawnsAndPoolMisses(t *testing.T) {
+	// Start from an empty pool, and give the coroutines back afterwards.
+	coroPool.mu.Lock()
+	saved := coroPool.free
+	coroPool.free = nil
+	coroPool.mu.Unlock()
+	defer func() {
+		coroPool.mu.Lock()
+		coroPool.free = append(coroPool.free, saved...)
+		coroPool.mu.Unlock()
+	}()
+	run := func() Sched {
+		k := NewKernel()
+		defer k.Close()
+		for range 3 {
+			k.Spawn("a", func(p *Proc) { p.Sleep(time.Millisecond) })
+		}
+		k.Run()
+		k.Spawn("b", func(p *Proc) {}) // reuses an exited Proc
+		k.Run()
+		return k.Sched()
+	}
+	if got := run(); got.Spawns != 4 || got.Coroutines != 3 {
+		t.Errorf("first kernel: %d spawns and %d coroutines created, want 4 and 3", got.Spawns, got.Coroutines)
+	}
+	// The first kernel's Close pooled its three coroutines.
+	if got := run(); got.Spawns != 4 || got.Coroutines != 0 {
+		t.Errorf("second kernel: %d spawns and %d coroutines created, want 4 and 0", got.Spawns, got.Coroutines)
+	}
+}

@@ -82,8 +82,9 @@ var coroPool struct {
 	free []*coro
 }
 
-// adoptCoro binds p to a pooled coroutine, creating one if the pool is empty.
-func adoptCoro(p *Proc) *coro {
+// adoptCoro binds p to a pooled coroutine, creating one if the pool is
+// empty and counting it in s.
+func adoptCoro(p *Proc, s *Sched) *coro {
 	var c *coro
 	coroPool.mu.Lock()
 	if n := len(coroPool.free); n > 0 {
@@ -93,6 +94,7 @@ func adoptCoro(p *Proc) *coro {
 	}
 	coroPool.mu.Unlock()
 	if c == nil {
+		s.Coroutines++
 		c = &coro{}
 		c.next, _ = iter.Pull(c.run)
 	}
@@ -232,7 +234,8 @@ func (p *Proc) Sleep(d Time) {
 // at most one wake-up pending. The body calls WakeAfter and then Park to
 // start a chain of steps, and each step ends the same way a blocking call
 // would have parked: with WakeAfter, carrying the next step or none, or
-// with a Resource.AcquireStep that queues.
+// with a step form that queues (Resource.AcquireStep, Signal.WaitStep,
+// Latch.WaitStep, netsim's Fabric.TransferStep).
 //
 // A step runs at exactly the event where the body would have resumed, on
 // the kernel's side: it may draw, schedule and touch shared state like
@@ -245,6 +248,13 @@ func (p *Proc) WakeAfter(d Time, step func(*Proc)) {
 	p.step = step
 	p.k.schedule(p.k.now+d, nil, p)
 }
+
+// Redirect replaces the step that the process's pending wake-up runs; with
+// a nil step the wake-up resumes the body. It is for the code that
+// arranged the wake-up and changes its mind before the wake-up is due: a
+// stopped poll loop whose next poll was queued as a step, say. The wake-up
+// keeps its place in the event order.
+func (p *Proc) Redirect(step func(*Proc)) { p.step = step }
 
 // Yield lets every other process that is ready at the current virtual time
 // run before this one continues.

@@ -196,7 +196,9 @@ func TestStepRunsOnSelfHandoff(t *testing.T) {
 		t.Fatalf("steps at %v, body resumed at %v; want [1ms 2ms] and 3ms", at, done)
 	}
 	got := k.Sched()
-	want := Sched{Dispatched: 1, Resumes: 1, Handoffs: 3, Steps: 2, Hash: got.Hash}
+	// Whether the one spawn found a pooled coroutine depends on the tests
+	// that ran before.
+	want := Sched{Dispatched: 1, Resumes: 1, Handoffs: 3, Steps: 2, Spawns: 1, Coroutines: got.Coroutines, Hash: got.Hash}
 	if got != want {
 		t.Errorf("sched = %+v, want %+v", got, want)
 	}
@@ -259,5 +261,86 @@ func TestProcSlabFitsSizeClass(t *testing.T) {
 	}
 	if least > 4096 {
 		t.Errorf("carving one slab allocated %d B, want at most 4,096", least)
+	}
+}
+
+// Signal.WaitStep and Latch.WaitStep queue a process whose wake-up runs a
+// step at the Fire or Release, as Wait would have resumed it there; a
+// released latch reports true and queues nothing.
+func TestWaitStepRunsAtFire(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var sig Signal
+	var l Latch
+	var at []Time
+	var done Time
+	k.Spawn("waiter", func(p *Proc) {
+		sig.WaitStep(p, func(p *Proc) {
+			at = append(at, p.Now())
+			if l.WaitStep(p, func(p *Proc) {
+				at = append(at, p.Now())
+				if !l.WaitStep(p, nil) {
+					t.Error("a released latch queued its waiter")
+				}
+				p.WakeAfter(time.Millisecond, nil)
+			}) {
+				t.Error("an unreleased latch reported released")
+			}
+		})
+		p.Park()
+		done = p.Now()
+	})
+	k.At(2*time.Millisecond, sig.Fire)
+	k.At(5*time.Millisecond, l.Release)
+	k.Run()
+	if len(at) != 2 || at[0] != 2*time.Millisecond || at[1] != 5*time.Millisecond || done != 6*time.Millisecond {
+		t.Fatalf("steps at %v, body resumed at %v; want [2ms 5ms] and 6ms", at, done)
+	}
+	if sig.Waiting() != 0 {
+		t.Errorf("%d processes still wait on the fired signal", sig.Waiting())
+	}
+	if got := k.Sched(); got.Steps != 2 || got.Resumes != 2 {
+		t.Errorf("sched = %+v, want two steps and two resumes (start, last wake-up)", got)
+	}
+}
+
+// Redirect changes what a pending wake-up runs and nothing else: the
+// wake-up keeps its time and its place in the event order.
+func TestRedirectKeepsTheWakeUp(t *testing.T) {
+	run := func(redirect bool) (ran bool, done Time, hash uint64) {
+		k := NewKernel()
+		defer k.Close()
+		p := k.Spawn("p", func(p *Proc) {
+			p.WakeAfter(3*time.Millisecond, func(p *Proc) {
+				ran = true
+				p.WakeAfter(time.Millisecond, nil)
+			})
+			p.Park()
+			done = p.Now()
+		})
+		k.At(time.Millisecond, func() {
+			if redirect {
+				p.Redirect(nil)
+			}
+		})
+		k.Run()
+		return ran, done, k.Sched().Hash
+	}
+	ran, done, _ := run(false)
+	if !ran || done != 4*time.Millisecond {
+		t.Fatalf("unredirected: step ran %v, body resumed at %v; want a step and 4ms", ran, done)
+	}
+	ran, done, hash := run(true)
+	if ran || done != 3*time.Millisecond {
+		t.Fatalf("redirected: step ran %v, body resumed at %v; want no step and 3ms", ran, done)
+	}
+	// The same events, less the step's own wake-up, in the same order.
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("p", func(p *Proc) { p.Sleep(3 * time.Millisecond) })
+	k.At(time.Millisecond, func() {})
+	k.Run()
+	if want := k.Sched().Hash; hash != want {
+		t.Errorf("redirected run hashed %x, a plain sleep %x", hash, want)
 	}
 }

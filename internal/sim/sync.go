@@ -16,8 +16,17 @@ type Signal struct {
 
 // Wait parks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.WaitStep(p, nil)
 	p.Park()
+}
+
+// WaitStep is Wait for a step (see Proc.WakeAfter), which must not park:
+// it queues p among the waiters, and the next Fire's wake-up runs step,
+// or resumes the body when step is nil, at the event where Wait would
+// have returned.
+func (s *Signal) WaitStep(p *Proc, step func(*Proc)) {
+	p.step = step
+	s.waiters = append(s.waiters, p)
 }
 
 // Fire wakes every process currently waiting, in Wait order. It is safe to
@@ -49,10 +58,21 @@ func (l *Latch) Released() bool { return l.released }
 // Wait parks the calling process until the latch is released; if it already
 // is, Wait returns immediately without yielding.
 func (l *Latch) Wait(p *Proc) {
-	if l.released {
-		return
+	if !l.WaitStep(p, nil) {
+		p.Park()
 	}
-	l.sig.Wait(p)
+}
+
+// WaitStep is Wait for a step (see Proc.WakeAfter), which must not park:
+// on a released latch it reports true and queues nothing, and the caller
+// goes on at once, as Wait returns at once; otherwise it queues p as
+// Signal.WaitStep does and reports false.
+func (l *Latch) WaitStep(p *Proc, step func(*Proc)) bool {
+	if l.released {
+		return true
+	}
+	l.sig.WaitStep(p, step)
+	return false
 }
 
 // Release opens the latch, waking all waiters. Releasing twice is a no-op.

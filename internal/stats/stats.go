@@ -50,22 +50,31 @@ func NewSummary(name string, sketch bool) Summary {
 // twice its predecessor, up to maxChunk. A read sorts each unsorted chunk
 // in place and selects order statistics by rank across the sorted chunks
 // of both lists, so no read allocates once the selection scratch has grown
-// with the chunk lists. Add maintains a running sum, so Mean and Sum are
-// O(1).
+// with the chunk lists.
+//
+// Add is small enough for the compiler to inline: one comparison against
+// lim admits a sample to the narrow tail. lim is limStep times the tail's
+// free slots, so it never exceeds 2³² (no wide sample passes) and is 0
+// when the tail is full. Every other sample, wide or not, goes to addSlow,
+// which files it the same way and resets lim. Add keeps no running sum, so
+// Sum and Mean add up the narrow tail, at most maxChunk samples, to the
+// total kept for everything else.
 type Recorder struct {
 	name string
-	// narrow holds the samples in [0, 2³²), wide every other one. Add
-	// appends to narrow's tail inline and calls out for the rest.
+	lim  uint64
+	// narrow holds the samples in [0, 2³²), wide every other one.
 	narrow chunkList[uint32]
 	wide   chunkList[time.Duration]
 	// win is the rank-selection scratch: one window per chunk, narrow's
 	// chunks first, then wide's.
 	win []window
-	// sumExact is the overflow-safe integer total backing Sum — and, since
-	// integer addition is associative, the order-independent numerator
-	// backing Mean: a float64 running sum accumulated in Add order could
-	// differ in the final bit from any other summation order, which is the
-	// last-bit drift Mean used to document.
+	// sumExact, plus the narrow tail's samples, is the overflow-safe
+	// integer total backing Sum — and, since integer addition is
+	// associative, the order-independent numerator backing Mean: a float64
+	// running sum accumulated in Add order could differ in the final bit
+	// from any other summation order, which is the last-bit drift Mean
+	// used to document. It holds the wide samples and the full narrow
+	// chunks.
 	sumExact time.Duration
 }
 
@@ -79,6 +88,12 @@ const (
 	maxChunk  = 4096
 	listSlots = 8
 )
+
+// limStep is what each free slot of the narrow tail adds to Recorder.lim:
+// 2³² / maxChunk, so a tail of maxChunk free slots admits every narrow
+// sample. A sample at or above lim in a fuller or smaller tail takes the
+// slow path, which stores it in the same place.
+const limStep = 1 << 32 / maxChunk
 
 // sample is the stored form of a sample in one chunk list.
 type sample interface{ uint32 | time.Duration }
@@ -115,21 +130,38 @@ func (r *Recorder) Name() string { return r.name }
 // list; when that chunk is full, it opens a new one instead of growing and
 // copying the old.
 func (r *Recorder) Add(d time.Duration) {
-	if uint64(d) >= 1<<32 || len(r.narrow.tail) == cap(r.narrow.tail) {
-		r.addSlow(d)
-	} else {
+	if uint64(d) < r.lim {
 		r.narrow.tail = append(r.narrow.tail, uint32(d))
+		r.lim -= limStep
+	} else {
+		r.addSlow(d)
 	}
-	r.sumExact += d
 }
 
-// addSlow stores a sample that is wide or finds the narrow tail full.
+// addSlow stores a sample that Add did not admit inline: a wide one, or a
+// narrow one at or above lim, which may find the narrow tail full.
 func (r *Recorder) addSlow(d time.Duration) {
-	if uint64(d) < 1<<32 {
-		r.narrow.add(uint32(d))
-	} else {
+	if uint64(d) >= 1<<32 {
 		r.wide.add(d)
+		r.sumExact += d
+		return
 	}
+	n := &r.narrow
+	if len(n.tail) == cap(n.tail) {
+		r.sumExact += r.tailSum()
+		n.grow()
+	}
+	n.tail = append(n.tail, uint32(d))
+	r.lim = uint64(cap(n.tail)-len(n.tail)) * limStep
+}
+
+// tailSum returns the total of the narrow tail's samples.
+func (r *Recorder) tailSum() time.Duration {
+	var sum time.Duration
+	for _, v := range r.narrow.tail {
+		sum += time.Duration(v)
+	}
+	return sum
 }
 
 // Count returns the number of samples.
@@ -145,7 +177,7 @@ func (r *Recorder) Mean() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(float64(r.sumExact) / float64(n))
+	return time.Duration(float64(r.Sum()) / float64(n))
 }
 
 // Min returns the smallest sample (0 with no samples).
@@ -196,7 +228,7 @@ func (r *Recorder) Percentile(p float64) time.Duration {
 func (r *Recorder) Median() time.Duration { return r.Percentile(50) }
 
 // Sum returns the total of all samples.
-func (r *Recorder) Sum() time.Duration { return r.sumExact }
+func (r *Recorder) Sum() time.Duration { return r.sumExact + r.tailSum() }
 
 // String summarizes the distribution.
 func (r *Recorder) String() string {
