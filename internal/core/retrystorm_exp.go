@@ -299,6 +299,67 @@ const (
 	rsAbuserConns = 32
 )
 
+// rsConn is one closed-loop tenant connection: it thinks for an
+// exponential time of mean think, reads one of the 512 hottest keys
+// eventually consistently, reports the read to done, and thinks again,
+// until a think ends at or past until. A read the table serves, a miss
+// included, counts as served; one it sheds or jails as failed.
+//
+// The connection runs as a stepped process, one record and one step, so
+// it holds no coroutine: each draw and each schedule call happens at the
+// event where the blocking loop
+//
+//	for { Sleep(think); if now >= until { return }; Get; done }
+//
+// made it, and in the same order, so the event order is that loop's.
+type rsConn struct {
+	ddb   *kvstore.Store
+	rng   *simrand.RNG
+	think time.Duration
+	until sim.Time
+	done  func(latency time.Duration, served bool)
+	// caller is the connection's node, and its step for the reads to wake
+	// into.
+	caller service.Caller
+
+	thinking bool     // the pending wake-up ends a think
+	key      string   // the key last read; "" before the first read
+	issued   sim.Time // when the read in progress was issued
+}
+
+// start spawns the connection; its first think starts at once.
+func (c *rsConn) start(k *sim.Kernel, name string) {
+	c.caller.Then = c.wake
+	k.SpawnStep(name, c.caller.Then)
+}
+
+// wake is the connection's one step. At the end of a think it exits or
+// issues a read; at its start and at the end of a read it records the
+// read, if any, and starts the next think.
+func (c *rsConn) wake(p *sim.Proc) {
+	if c.thinking {
+		c.thinking = false
+		if p.Now() >= c.until {
+			p.Exit()
+			return
+		}
+		c.key = rsKey[int(c.rng.Float64()*512)]
+		c.issued = p.Now()
+		c.ddb.GetStep(p, &c.caller, c.key)
+		return
+	}
+	if c.key != "" {
+		_, err := c.ddb.GetResult(p, c.key, false)
+		served := err == nil || errors.Is(err, kvstore.ErrNotFound)
+		if !served && !service.Overloaded(err) {
+			panic(err)
+		}
+		c.done(time.Duration(p.Now()-c.issued), served)
+	}
+	c.thinking = true
+	p.WakeAfter(time.Duration(c.rng.ExpFloat64()*float64(c.think)), c.caller.Then)
+}
+
 // runHotTenant measures 12 polite closed-loop tenants sharing a
 // 4-slot table with one abusive tenant hammering from 32 connections,
 // with the per-caller rate-window jail off or on.
@@ -325,36 +386,21 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 		abuser: tally{rec: stats.NewRecorder("jail-abuser")},
 	}
 
-	run := func(name string, node *netsim.Node, crng *simrand.RNG,
-		think time.Duration, out *tally) {
-		k.Spawn(name, func(p *sim.Proc) {
-			for {
-				p.Sleep(time.Duration(crng.ExpFloat64() * float64(think)))
-				if time.Duration(p.Now()) >= window {
-					return
-				}
-				key := rsKey[int(crng.Float64()*512)]
-				start := p.Now()
-				_, err := ddb.Get(p, node, key, false)
-				served := err == nil || errors.Is(err, kvstore.ErrNotFound)
-				if !served && !service.Overloaded(err) {
-					panic(err)
-				}
-				out.done(time.Duration(p.Now()-start), served)
-			}
-		})
-	}
+	// Each tally's method value is bound once, not per connection.
+	politeDone, abuserDone := res.polite.done, res.abuser.done
 	for i := 0; i < rsPoliteN; i++ {
 		node := net.NewNode(fmt.Sprintf("tenant-%02d", i), i%ServiceRack, netsim.Gbps(10))
-		run(fmt.Sprintf("polite-%02d", i), node, rng.Fork(),
-			40*time.Millisecond, &res.polite)
+		c := &rsConn{ddb: ddb, rng: rng.Fork(), think: 40 * time.Millisecond,
+			until: sim.Time(window), done: politeDone, caller: service.Caller{Node: node}}
+		c.start(k, fmt.Sprintf("polite-%02d", i))
 	}
 	// The abuser: one caller identity (one node — the jail keys on it),
 	// many concurrent connections.
 	abuser := net.NewNode("tenant-abuser", 0, netsim.Gbps(10))
-	for c := 0; c < rsAbuserConns; c++ {
-		run(fmt.Sprintf("abuser-%02d", c), abuser, rng.Fork(),
-			5*time.Millisecond, &res.abuser)
+	for i := 0; i < rsAbuserConns; i++ {
+		c := &rsConn{ddb: ddb, rng: rng.Fork(), think: 5 * time.Millisecond,
+			until: sim.Time(window), done: abuserDone, caller: service.Caller{Node: abuser}}
+		c.start(k, fmt.Sprintf("abuser-%02d", i))
 	}
 
 	k.RunUntil(sim.Time(2 * window))

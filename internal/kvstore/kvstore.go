@@ -191,48 +191,75 @@ func (s *Store) Node() *netsim.Node { return s.shards[0].fe.Node() }
 // version (or miss a brand-new key). Metering follows DynamoDB on-demand
 // read units (half units for eventual reads).
 func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent bool) (Item, error) {
+	return s.get(p, caller, key, consistent, true)
+}
+
+// GetStep is Get for a step (see sim.Proc.WakeAfter), which must not park:
+// it starts the read's round trip from c.Node, whose end wakes into c.Then,
+// which takes the result with GetResult, passing the same key.
+func (s *Store) GetStep(p *sim.Proc, c *service.Caller, key string) {
+	s.shardFor(key).fe.RoundTripStep(p, c, 0)
+}
+
+// GetResult ends a read GetStep started, at the step it woke into: it
+// returns what Get would have returned there.
+func (s *Store) GetResult(p *sim.Proc, key string, consistent bool) (Item, error) {
+	return s.get(p, nil, key, consistent, false)
+}
+
+// get reads key. With trip set it is Get: it makes the read's round trip
+// from caller and parks. Without, it is GetResult: the round trip GetStep
+// started has just ended. Both share the read's tail (the admission
+// outcome, the item lookup and the read-unit charge) in this one frame: a
+// blocking Get runs it on the caller's coroutine stack, where a frame more
+// below the caller would grow every pooled stack (see DESIGN.md "Kernel
+// internals").
+func (s *Store) get(p *sim.Proc, caller *netsim.Node, key string, consistent, trip bool) (Item, error) {
 	sh := s.shardFor(key)
-	if err := sh.fe.RoundTripErr(p, caller, 0); err != nil {
+	var err error
+	if trip {
+		err = sh.fe.RoundTripErr(p, caller, 0)
+	} else {
+		err = service.TripErr(p)
+	}
+	if err != nil {
 		return Item{}, err
 	}
-	rec, ok := sh.items[key]
-	var it Item
-	var found bool
-	switch {
-	case !ok:
-		found = false
-	case consistent:
-		it, found = Item{Key: key, Value: rec.value, Version: rec.version}, true
-	default:
-		it, found = s.eventualView(sh, p.Now(), key, rec)
+	// value and version are what the read found; version 0: nothing.
+	var value []byte
+	var version int64
+	if rec := sh.items[key]; rec != nil && consistent {
+		value, version = rec.value, rec.version
+	} else if rec != nil {
+		value, version = s.eventualView(sh, p.Now(), rec)
 	}
 	size := int64(0)
-	if found {
-		size = it.Size()
+	if version > 0 {
+		size = int64(len(key) + len(value))
 	}
 	sh.fe.Charge("dynamodb.read", pricing.DynamoReadUnits(size, consistent),
 		sh.fe.Catalog().DynamoReadPerUnit)
-	if !found {
+	if version == 0 {
 		return Item{}, ErrNotFound
 	}
-	return it, nil
+	return Item{Key: key, Value: value, Version: version}, nil
 }
 
-// eventualView resolves what an eventually consistent read of key's
-// record observes.
-func (s *Store) eventualView(sh *shard, now sim.Time, key string, rec *record) (Item, bool) {
-	cur := Item{Key: key, Value: rec.value, Version: rec.version}
+// eventualView resolves what an eventually consistent read of rec, a
+// record of shard sh, observes: its value and version, or version 0 where
+// the lagging replica has no version of the key yet.
+func (s *Store) eventualView(sh *shard, now sim.Time, rec *record) ([]byte, int64) {
 	if s.cfg.ReplicationLag <= 0 || now-rec.writtenAt >= s.cfg.ReplicationLag {
-		return cur, true
+		return rec.value, rec.version
 	}
 	remain := float64(s.cfg.ReplicationLag-(now-rec.writtenAt)) / float64(s.cfg.ReplicationLag)
 	if sh.fe.RNG().Float64() < remain {
 		if rec.version == 1 {
-			return Item{}, false // key did not exist on the lagging replica
+			return nil, 0 // key did not exist on the lagging replica
 		}
-		return Item{Key: key, Value: rec.prev, Version: rec.version - 1}, true
+		return rec.prev, rec.version - 1
 	}
-	return cur, true
+	return rec.value, rec.version
 }
 
 // Put writes key unconditionally and returns the stored item.

@@ -2,12 +2,15 @@ package kvstore
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/pricing"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simrand"
 )
@@ -337,5 +340,60 @@ func TestQuickPerKeyLinearizability(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A read through GetStep and GetResult, from a stepped process, returns
+// what Get returns at the same point (a hit, a miss or a lagging replica's
+// version), at the same time, and bills the same.
+func TestGetStepReadsWhatGetReads(t *testing.T) {
+	keys := []string{"k", "nope", "k", "k", "k"}
+	run := func(stepped bool) (reads []string, cost pricing.USD) {
+		f := newFixture(t, DefaultConfig())
+		record := func(p *sim.Proc, it Item, err error) {
+			reads = append(reads, fmt.Sprintf("%v %q v%d %v", p.Now(), it.Value, it.Version, err))
+		}
+		f.k.Spawn("c", func(p *sim.Proc) {
+			for _, v := range []string{"v1", "v2"} {
+				if _, err := f.store.Put(p, f.caller, "k", []byte(v)); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+			if !stepped {
+				for _, key := range keys {
+					it, err := f.store.Get(p, f.caller, key, false)
+					record(p, it, err)
+				}
+				return
+			}
+			i := 0
+			c := &service.Caller{Node: f.caller}
+			c.Then = func(p *sim.Proc) {
+				if i > 0 {
+					it, err := f.store.GetResult(p, keys[i-1], false)
+					record(p, it, err)
+				}
+				if i == len(keys) {
+					p.Exit()
+					return
+				}
+				f.store.GetStep(p, c, keys[i])
+				i++
+			}
+			f.k.SpawnStep("s", c.Then)
+		})
+		f.k.Run()
+		return reads, f.meter.Total()
+	}
+	ref, refCost := run(false)
+	got, cost := run(true)
+	if fmt.Sprint(got) != fmt.Sprint(ref) || cost != refCost {
+		t.Fatalf("stepped reads %q billed %v, Get read %q billed %v", got, cost, ref, refCost)
+	}
+	joined := strings.Join(ref, "\n")
+	for _, want := range []string{`"v2" v2 <nil>`, `"v1" v1 <nil>`, ErrNotFound.Error()} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("the reads never returned %s:\n%s", want, joined)
+		}
 	}
 }

@@ -23,7 +23,11 @@ import (
 func (f *fixture) lagging(key string) (Item, bool) {
 	sh := f.store.shardFor(key)
 	rec := sh.items[key]
-	return f.store.eventualView(sh, rec.writtenAt, key, rec)
+	value, version := f.store.eventualView(sh, rec.writtenAt, rec)
+	if version == 0 {
+		return Item{}, false
+	}
+	return Item{Key: key, Value: value, Version: version}, true
 }
 
 func (f *fixture) mustPut(t *testing.T, p *sim.Proc, key, value string) Item {

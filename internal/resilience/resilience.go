@@ -13,7 +13,7 @@
 // draw, budget take, breaker allow/record) allocates nothing in steady
 // state (CI-gated via BenchmarkRetryDecision), and a Client's call scratch
 // (timers, signal, attempt body) is allocated once and reused for the
-// client's lifetime.
+// client's lifetime, its timers inside the Client itself.
 //
 // A Client belongs to one calling process: it executes one call at a time,
 // like a connection-pool handle. Breakers and budgets are designed to be
@@ -93,7 +93,6 @@ type Config struct {
 // rewrite the state it reads between calls, and an attempt abandoned at
 // its deadline keeps the values it started with.
 type Client struct {
-	k      *sim.Kernel
 	rng    *simrand.RNG
 	cfg    Config
 	budget *Budget
@@ -104,14 +103,15 @@ type Client struct {
 	// Per-call scratch, allocated once and reused: the attempt body reads
 	// the op/gen fields at start time (the parent is parked for the whole
 	// call, so they cannot change underneath it), and a generation counter
-	// makes completions of abandoned attempts harmless no-ops.
-	gen       uint64
-	op        func(*sim.Proc) error
+	// makes completions of abandoned attempts harmless no-ops. gen and
+	// done share a word, which keeps the Client in the 256-byte size class.
+	gen       uint32
 	done      bool
+	op        func(*sim.Proc) error
 	err       error
 	sig       sim.Signal
-	deadlineT *sim.Timer
-	hedgeT    *sim.Timer
+	deadlineT sim.Timer
+	hedgeT    sim.Timer
 	body      func(*sim.Proc)
 }
 
@@ -123,7 +123,7 @@ func NewClient(k *sim.Kernel, rng *simrand.RNG, cfg Config) *Client {
 	if cfg.BaseBackoff > 0 && cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 16 * cfg.BaseBackoff
 	}
-	c := &Client{k: k, rng: rng, cfg: cfg}
+	c := &Client{rng: rng, cfg: cfg}
 	c.stats = &c.own
 	c.body = func(cp *sim.Proc) {
 		// Read the call state at start: the parent is parked in sig.Wait
@@ -136,17 +136,17 @@ func NewClient(k *sim.Kernel, rng *simrand.RNG, cfg Config) *Client {
 			c.sig.Fire()
 		}
 	}
-	c.deadlineT = k.NewTimer(func() {
+	c.deadlineT.Init(k, func() {
 		if !c.done {
 			c.done = true
 			c.err = ErrDeadline
 			c.sig.Fire()
 		}
 	})
-	c.hedgeT = k.NewTimer(func() {
+	c.hedgeT.Init(k, func() {
 		if !c.done {
 			c.stats.Hedges++
-			c.k.Spawn("resilience-hedge", c.body)
+			k.Spawn("resilience-hedge", c.body)
 		}
 	})
 	return c

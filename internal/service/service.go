@@ -174,15 +174,60 @@ func (f *Frontend) RoundTrip(p *sim.Proc, caller *netsim.Node, extra time.Durati
 // proceeds exactly as RoundTrip. Without SetAdmission it never returns an
 // error.
 //
-// The caller's process parks once. Everything between the legs is
-// kernel-side work, so it runs as a chain of steps (see sim.Proc.WakeAfter)
-// at the events where the process would have resumed: arrive, serve and
-// finish (see bindSteps). The trip keeps the caller in p.Trip.Ref, and its
-// error there once the return leg is scheduled, and extra in p.Trip.D.
+// The caller's process parks once: RoundTripErr is the round trip
+// RoundTripStep makes, with the body to wake into, then Park and TripErr.
 func (f *Frontend) RoundTripErr(p *sim.Proc, caller *netsim.Node, extra time.Duration) error {
 	p.Trip = sim.Trip{Ref: caller, D: extra}
 	p.WakeAfter(f.net.OneWayDelay(caller, f.node), f.arriveStep)
 	p.Park()
+	return TripErr(p)
+}
+
+// A Caller is the client end of round trips made from steps: the node the
+// requests come from, and the step each trip's end wakes into. It lives in
+// the stepping process's own record, and a trip points to it, so a stepped
+// round trip takes no more room in the process than a blocking one.
+type Caller struct {
+	Node *netsim.Node
+	Then func(*sim.Proc)
+}
+
+// RoundTripStep is RoundTripErr for a step (see sim.Proc.WakeAfter), which
+// must not park: it starts a round trip from c.Node, and the wake-up that
+// ends it, the response leg or a rejection's return leg, runs c.Then, which
+// reads the outcome with TripErr.
+//
+// Both start the same chain of steps. Everything between the legs is
+// kernel-side work, so it runs as steps at the events where a blocking
+// round trip would have resumed: arrive, serve and finish (see bindSteps).
+// The trip keeps its caller in p.Trip.Ref, the node for a blocking trip and
+// the *Caller for a stepped one, and its error there once the return leg
+// is scheduled, and extra in p.Trip.D.
+func (f *Frontend) RoundTripStep(p *sim.Proc, c *Caller, extra time.Duration) {
+	p.Trip = sim.Trip{Ref: c, D: extra}
+	p.WakeAfter(f.net.OneWayDelay(c.Node, f.node), f.arriveStep)
+}
+
+// tripCaller returns the node a trip in flight came from.
+func tripCaller(ref any) *netsim.Node {
+	if c, ok := ref.(*Caller); ok {
+		return c.Node
+	}
+	return ref.(*netsim.Node)
+}
+
+// tripThen returns the step a trip in flight wakes into at its end: the
+// *Caller's Then, or nil, the body, for a blocking trip.
+func tripThen(ref any) func(*sim.Proc) {
+	if c, ok := ref.(*Caller); ok {
+		return c.Then
+	}
+	return nil
+}
+
+// TripErr ends a round trip, once it has woken the caller: it returns the
+// admission rejection (ErrShed or ErrJailed) or nil, and clears p.Trip.
+func TripErr(p *sim.Proc) error {
 	err, _ := p.Trip.Ref.(error)
 	p.Trip = sim.Trip{}
 	return err
@@ -199,13 +244,15 @@ func (f *Frontend) bindSteps() {
 	// in the slot queue, whose grant runs serve. A rejected request takes
 	// the return leg at once. It repeats serve's three lines rather than
 	// calling it: arrive often runs inside Park, on the caller's stack, and
-	// retrystorm's processes sit within about 120 bytes of outgrowing their
-	// 2 KB stacks there, which one more frame crosses.
+	// retrystorm's processes have less than 96 bytes of their 2 KB stacks to
+	// spare there (a frame padded by 96 bytes in arrive grows them), which
+	// one more frame would take.
 	f.arriveStep = func(p *sim.Proc) {
-		caller := p.Trip.Ref.(*netsim.Node)
+		caller := tripCaller(p.Trip.Ref)
 		if err := f.admit(p, caller); err != nil {
+			then := tripThen(p.Trip.Ref)
 			p.Trip.Ref = err
-			p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
+			p.WakeAfter(f.net.OneWayDelay(f.node, caller), then)
 			return
 		}
 		if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
@@ -221,14 +268,13 @@ func (f *Frontend) bindSteps() {
 		p.WakeAfter(svc+p.Trip.D, f.finishStep)
 	}
 	// finish ends the service time: the slot goes back, and the response
-	// leg resumes the caller.
+	// leg wakes the caller.
 	f.finishStep = func(p *sim.Proc) {
 		if f.slots != nil {
 			f.slots.Release()
 		}
-		caller := p.Trip.Ref.(*netsim.Node)
+		p.WakeAfter(f.net.OneWayDelay(f.node, tripCaller(p.Trip.Ref)), tripThen(p.Trip.Ref))
 		p.Trip.Ref = nil
-		p.WakeAfter(f.net.OneWayDelay(f.node, caller), nil)
 	}
 }
 

@@ -27,18 +27,60 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcContextSwitch measures the park/wake handshake between the
-// kernel and a process coroutine.
-func BenchmarkProcContextSwitch(b *testing.B) {
+// BenchmarkProcResume measures one real switch between two processes: a
+// wake-up the kernel loop dispatches by resuming a parked coroutine, never
+// a self-handoff. The two processes take turns, each firing the other's
+// signal and then waiting on its own; one op is one resume. Gated at 0
+// allocs/op in CI.
+func BenchmarkProcResume(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
-	k.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
+	var sigs [2]Signal
+	turns := 0
+	for i := range sigs {
+		mine, theirs := &sigs[i], &sigs[1-i]
+		k.Spawn("turn", func(p *Proc) {
+			for turns < b.N {
+				turns++
+				theirs.Fire()
+				mine.Wait(p)
+			}
+			theirs.Fire()
+		})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
+	b.StopTimer()
+	if s := k.Sched(); s.Handoffs != 0 || s.Resumes < uint64(b.N) {
+		b.Fatalf("sched = %+v: want %d resumes and no self-handoffs", s, b.N)
+	}
+}
+
+// BenchmarkStepWake measures a stepped process's sleep-and-wake loop: each
+// op is one wake-up that runs a step, which schedules the next one, with
+// no coroutine involved. Against BenchmarkProcResume it prices a step
+// against a resume. Gated at 0 allocs/op in CI.
+func BenchmarkStepWake(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	n := 0
+	var step func(*Proc)
+	step = func(p *Proc) {
+		if n++; n >= b.N {
+			p.Exit()
+			return
+		}
+		p.WakeAfter(time.Microsecond, step)
+	}
+	k.SpawnStep("stepper", step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	if s := k.Sched(); s.Resumes != 0 || s.Steps != uint64(b.N) {
+		b.Fatalf("sched = %+v: want %d steps and no resumes", s, b.N)
+	}
 }
 
 // BenchmarkKernelSleep measures the full Sleep hot path — heap push, park,

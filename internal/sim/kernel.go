@@ -68,10 +68,10 @@ type Kernel struct {
 	// slabs holds every Proc ever created, carved in spawn order from
 	// fixed procSlab-entry slabs that are never reallocated, so Close can
 	// unwind the live ones and return every coroutine to the pool.
-	// freeProcs heads the LIFO list, linked through coro.nextFree, of those
-	// whose bodies have exited, awaiting a new assignment from Spawn.
-	// Recycling them makes steady-state Spawn allocation-free: no Proc or
-	// coroutine per process on per-request workloads.
+	// freeProcs heads the LIFO list, linked through Trip.Ref, of the slots
+	// whose processes have ended, awaiting the next Spawn or SpawnStep.
+	// Recycling them makes steady-state spawning allocation-free: no Proc
+	// or coroutine per process on per-request workloads.
 	slabs     [][]Proc
 	freeProcs *Proc
 	// closed is also the kill flag: a process Close resumes finds it set
@@ -184,23 +184,56 @@ func (k *Kernel) schedule(t Time, fn func(), proc *Proc) {
 // current virtual time. It returns immediately; the process body executes
 // when the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
+	p := k.slot(name)
+	if p.co == nil {
+		p.co = adoptCoro(p, &k.sched)
+	}
+	// A reused slot's coroutine has yielded between assignments.
+	p.co.body = fn
+	k.schedule(k.now, nil, p)
+	return p
+}
+
+// SpawnStep creates a stepped process: one with no body, which never holds
+// or resumes a coroutine. Its start event runs step at the current virtual
+// time, in FIFO order with Spawn's starts. Each step ends the way a step
+// of a blocking call does (see Proc.WakeAfter), except that every wake-up
+// must carry a step, there being no body to resume; the chain's last step
+// calls p.Exit instead. Close runs nothing of a stepped process: its
+// pending wake-up is dropped with the kernel.
+func (k *Kernel) SpawnStep(name string, step func(*Proc)) *Proc {
+	if step == nil {
+		panic("sim: SpawnStep with nil step")
+	}
+	p := k.slot(name)
+	p.step = step
+	k.schedule(k.now, nil, p)
+	return p
+}
+
+// slot takes a Proc for a new process: the most recently freed slot, or a
+// fresh one.
+func (k *Kernel) slot(name string) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
 	}
 	p := k.freeProcs
 	if p != nil {
-		// Reuse an exited process slot: its coroutine has yielded
-		// between assignments.
-		k.freeProcs, p.co.nextFree = p.co.nextFree, nil
+		k.freeProcs, _ = p.Trip.Ref.(*Proc)
+		p.Trip = Trip{}
 	} else {
 		p = k.carve()
-		p.co = adoptCoro(p, &k.sched)
 	}
 	k.sched.Spawns++
-	p.name, p.co.body = name, fn
 	k.liveProcs++
-	k.schedule(k.now, nil, p)
+	p.name = name
 	return p
+}
+
+// free puts an ended process's slot at the head of the free list.
+func (k *Kernel) free(p *Proc) {
+	p.Trip = Trip{Ref: k.freeProcs}
+	k.freeProcs = p
 }
 
 // procSlab is the number of Procs a kernel allocates at once: as many as
@@ -290,10 +323,12 @@ func (k *Kernel) RunUntil(until Time) Time {
 			k.stepping = proc
 			step(proc)
 			k.stepping = nil
-		} else {
+		} else if c := proc.co; c != nil && c.body != nil {
 			// Runs the process until it parks or its body exits.
 			k.sched.Resumes++
-			proc.co.next()
+			c.next()
+		} else {
+			panic(procPanic{proc: proc.name, val: "stepped process woke without a step"}.String())
 		}
 		if k.failure != nil {
 			f := *k.failure
@@ -307,12 +342,14 @@ func (k *Kernel) RunUntil(until Time) Time {
 	return k.now
 }
 
-// Close tears down the kernel. Each live process is resumed once: a parked
-// body unwinds (its defers included) and one that never started is retired
-// without running. The caller waits while each process unwinds, one at a
-// time, so all of it is finished when Close returns; every coroutine then
-// goes back to the cross-kernel pool. After Close the kernel cannot be
-// used. Close is idempotent.
+// Close tears down the kernel. Each live process with a body is resumed
+// once: a parked body unwinds (its defers included) and one that never
+// started is retired without running. The caller waits while each process
+// unwinds, one at a time, so all of it is finished when Close returns;
+// every coroutine then goes back to the cross-kernel pool. A stepped
+// process runs nothing: its pending wake-up, wherever it waits, is dropped.
+// After Close the kernel cannot be used and has no live processes. Close
+// is idempotent.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
@@ -321,6 +358,9 @@ func (k *Kernel) Close() {
 	for _, s := range k.slabs {
 		for i := range s {
 			p := &s[i]
+			if p.co == nil {
+				continue
+			}
 			if p.co.body != nil {
 				p.co.next()
 			}
@@ -330,4 +370,5 @@ func (k *Kernel) Close() {
 	}
 	k.slabs = nil
 	k.freeProcs = nil
+	k.liveProcs = 0
 }

@@ -20,11 +20,15 @@ import (
 //
 // A parked process's wake-up may carry a step (see WakeAfter): kernel-side
 // work the kernel runs in place of resuming the body, so a blocking call
-// whose middle needs no stack switches into the body once, at its end.
+// whose middle needs no stack switches into the body once, at its end. A
+// process started by SpawnStep has no body at all: every wake-up runs a
+// step, and it never holds or resumes a coroutine.
 type Proc struct {
 	k    *Kernel
 	name string
-	co   *coro
+	// co is nil for a slot that only stepped processes have used; a slot
+	// keeps its coroutine, idle, while a stepped process holds it.
+	co *coro
 	// step, when set, is what the process's pending wake-up runs in place
 	// of resuming the body; the wake-up clears it first.
 	step func(*Proc)
@@ -34,13 +38,14 @@ type Proc struct {
 
 // Trip is the state a chain of steps carries from one step to the next,
 // kept in the process so that a chain allocates nothing. Its meaning
-// belongs to whoever started the chain.
+// belongs to whoever started the chain. While the slot is free, Ref links
+// the kernel's free list.
 type Trip struct {
 	Ref any
 	D   Time
 }
 
-// Name returns the name given to Spawn.
+// Name returns the name given to Spawn or SpawnStep.
 func (p *Proc) Name() string { return p.name }
 
 // Kernel returns the kernel this process belongs to.
@@ -61,12 +66,10 @@ type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	p     *Proc
-	// body is p's current assignment, set by Spawn and cleared on exit;
-	// nextFree links the kernel's free list while p awaits reuse. They
-	// live here rather than in the Proc because every kernel carves its
-	// Procs afresh, while coroutines are pooled across kernels.
-	body     func(*Proc)
-	nextFree *Proc
+	// body is p's current assignment, set by Spawn and cleared on exit.
+	// It lives here rather than in the Proc because every kernel carves
+	// its Procs afresh, while coroutines are pooled across kernels.
+	body func(*Proc)
 	// dead is set once the coroutine has ended, which only runtime.Goexit
 	// in a body (t.FailNow in a test process) can cause; iter.Pull
 	// re-raises the Goexit on the resuming goroutine.
@@ -102,10 +105,10 @@ func adoptCoro(p *Proc, s *Sched) *coro {
 	return c
 }
 
-// release returns c to the pool, dropping its Procs so the pool does not
+// release returns c to the pool, dropping its Proc so the pool does not
 // keep a closed kernel reachable.
 func (c *coro) release() {
-	c.p, c.nextFree = nil, nil
+	c.p = nil
 	if c.dead {
 		return
 	}
@@ -139,7 +142,7 @@ func (p *Proc) cycle() {
 		}
 		k.liveProcs--
 		p.co.body = nil
-		p.co.nextFree, k.freeProcs = k.freeProcs, p
+		k.free(p)
 	}()
 	// Close resumes a process that never started only to retire it.
 	if !k.closed {
@@ -197,12 +200,28 @@ func (p *Proc) Park() {
 		step(p)
 	}
 	if !k.closed {
+		if p.co == nil || p.co.body == nil {
+			panic("sim: Park in a stepped process")
+		}
 		p.co.yield(struct{}{})
 		if !k.closed {
 			return
 		}
 	}
 	panic(killedPanic{})
+}
+
+// Exit ends a stepped process (see Kernel.SpawnStep): its slot goes back
+// to the kernel for the next spawn, and LiveProcs drops by one. It is the
+// last thing the chain's final step does, with no wake-up pending; a
+// process with a body ends by returning from it instead, and Exit there
+// panics.
+func (p *Proc) Exit() {
+	if p.co != nil && p.co.body != nil {
+		panic("sim: Exit in process " + p.name + ", which has a body")
+	}
+	p.k.liveProcs--
+	p.k.free(p)
 }
 
 // wake schedules this process to resume at the current virtual time.
@@ -235,7 +254,9 @@ func (p *Proc) Sleep(d Time) {
 // start a chain of steps, and each step ends the same way a blocking call
 // would have parked: with WakeAfter, carrying the next step or none, or
 // with a step form that queues (Resource.AcquireStep, Signal.WaitStep,
-// Latch.WaitStep, netsim's Fabric.TransferStep).
+// Latch.WaitStep, netsim's Fabric.TransferStep). A stepped process (see
+// Kernel.SpawnStep) has no body to park, so its steps always carry a step
+// on, and its last one calls Exit.
 //
 // A step runs at exactly the event where the body would have resumed, on
 // the kernel's side: it may draw, schedule and touch shared state like

@@ -22,10 +22,20 @@ type Timer struct {
 // warm-pool reaper, the fabric's completion estimate) allocate one Timer up
 // front and reuse it for the run's lifetime.
 func (k *Kernel) NewTimer(fn func()) *Timer {
+	t := new(Timer)
+	t.Init(k, fn)
+	return t
+}
+
+// Init makes t an unarmed timer on k that runs fn when it fires, as
+// NewTimer does, in place: for a Timer held by value in the struct that
+// re-arms it, which saves the Timer its own allocation. t must not be
+// armed.
+func (t *Timer) Init(k *Kernel, fn func()) {
 	if fn == nil {
-		panic("sim: NewTimer with nil fn")
+		panic("sim: timer with nil fn")
 	}
-	return &Timer{k: k, fn: fn, slot: noSlot}
+	*t = Timer{k: k, fn: fn, slot: noSlot}
 }
 
 // AfterTimer schedules fn to run d after the current virtual time and
