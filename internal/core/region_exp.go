@@ -101,10 +101,11 @@ func runRegionScale(seed uint64, shards int) regionResult {
 
 	served := int64(0)
 	hot := int64(0)
-	for _, st := range c.DDB.ShardStats() {
-		served += st.Requests
-		if st.Requests > hot {
-			hot = st.Requests
+	for i := 0; i < c.DDB.ShardCount(); i++ {
+		n := c.DDB.ShardFrontend(i).Stats().Requests
+		served += n
+		if n > hot {
+			hot = n
 		}
 	}
 	hotShare := 0.0

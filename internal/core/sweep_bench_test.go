@@ -4,15 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/simrand"
 	"repro/internal/sweep"
 )
 
 // stateCacheGrid is the full replicas × gossip benchmark grid: 3×3 cached
-// configurations, each an independent simulation whose seed derives from
-// (base seed 1, point index) via simrand.Derive. Unlike the statecache
-// experiment table (which keeps its golden-pinned 6 points), this grid is
-// the wall-clock yardstick for the sweep engine.
+// configurations, each an independent simulation at seed 1, as the
+// experiment's own points are. Unlike the statecache experiment table
+// (which keeps its golden-pinned 6 points), this grid is the wall-clock
+// yardstick for the sweep engine.
 func stateCacheGrid() []struct {
 	workers  int
 	interval time.Duration
@@ -38,12 +37,12 @@ func stateCacheGrid() []struct {
 func runStateCacheGrid(workers int) []stateCacheResult {
 	grid := stateCacheGrid()
 	return sweep.PointsN(workers, len(grid), func(i int) stateCacheResult {
-		return runStateCache(simrand.Derive(1, i), grid[i].workers, grid[i].interval, true)
+		return runStateCache(1, grid[i].workers, grid[i].interval, true)
 	})
 }
 
-// TestStateCacheGridWorkerInvariance: the Derive-seeded benchmark grid
-// produces identical measurements sequentially and in parallel.
+// TestStateCacheGridWorkerInvariance: the benchmark grid produces identical
+// measurements sequentially and in parallel.
 func TestStateCacheGridWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3×3 statecache grid in -short mode")

@@ -44,8 +44,6 @@ type Autoscaler struct {
 	pf      *Platform
 	cfg     AutoscalerConfig
 	target  int
-	outs    int
-	ins     int
 	stopped bool
 }
 
@@ -76,12 +74,6 @@ func (pf *Platform) Autoscale(cfg AutoscalerConfig) (*Autoscaler, error) {
 // Target reports the current provisioned-concurrency target.
 func (a *Autoscaler) Target() int { return a.target }
 
-// ScaleOuts reports how many ticks grew the target.
-func (a *Autoscaler) ScaleOuts() int { return a.outs }
-
-// ScaleIns reports how many ticks shrank the target.
-func (a *Autoscaler) ScaleIns() int { return a.ins }
-
 // Stop halts the control loop after its current tick. Provisioned
 // containers already allocated stay (and keep billing) until retired.
 func (a *Autoscaler) Stop() { a.stopped = true }
@@ -106,8 +98,8 @@ func (a *Autoscaler) run(p *sim.Proc) {
 			return // function disappeared; nothing left to scale
 		}
 		// Reconcile with reality before acting: provisioned containers
-		// can be destroyed out-of-band (a re-deploy drains the pool, a
-		// timeout kills the container it ran in), and the loop must
+		// can be destroyed out-of-band (a crash storm destroys idle ones,
+		// a timeout kills the container it ran in), and the loop must
 		// replace them rather than trust its own last target.
 		if actual := a.pf.ProvisionedFor(a.cfg.Function); actual < a.target {
 			a.target = actual
@@ -126,7 +118,6 @@ func (a *Autoscaler) run(p *sim.Proc) {
 		case desired > a.target:
 			n := desired - a.target
 			a.target = desired
-			a.outs++
 			if err := a.pf.ProvisionConcurrency(p, a.cfg.Function, n); err != nil {
 				panic("faas: autoscaler scale-out: " + err.Error())
 			}
@@ -135,7 +126,6 @@ func (a *Autoscaler) run(p *sim.Proc) {
 			// shortfall stays in the target and is retried next tick.
 			if removed := a.pf.RetireProvisioned(a.cfg.Function, a.target-desired); removed > 0 {
 				a.target -= removed
-				a.ins++
 			}
 		}
 	}

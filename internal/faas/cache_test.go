@@ -102,66 +102,38 @@ func TestReclaimedVMDrainsCacheDeltas(t *testing.T) {
 	}
 }
 
-// TestReattachDrainsOldClusterReplicas: re-binding the platform to a
-// different cluster must drain each active VM's old replica into the OLD
-// cluster's store — and a VM reclaimed later must detach through the
-// cluster its replica actually belongs to, not whatever the platform now
-// points at (where Detach would be a silent no-op and the deltas lost).
-func TestReattachDrainsOldClusterReplicas(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WarmTTL = 5 * time.Second
-	f, cl1, store := cacheFixture(t, cfg, true)
-	sccfg := statecache.DefaultConfig()
-	sccfg.FlushInterval = 24 * time.Hour
-	sccfg.GossipInterval = 24 * time.Hour
-	cl2 := statecache.New("cache2", f.net, store, simrand.New(99), sccfg,
+// TestAttachStateCacheTwicePanics: a platform takes one state cache, once,
+// before any VM is active. A second attach, of the same cluster or another,
+// and a first attach to a platform already hosting a VM are wiring bugs.
+func TestAttachStateCacheTwicePanics(t *testing.T) {
+	mustPanic := func(what string, attach func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		attach()
+	}
+	f, cl, store := cacheFixture(t, DefaultConfig(), true)
+	cl2 := statecache.New("cache2", f.net, store, simrand.New(99), statecache.DefaultConfig(),
 		pricing.Fall2018(), f.meter)
+	mustPanic("attaching the same cluster again", func() { f.pf.AttachStateCache(cl) })
+	mustPanic("attaching a second cluster", func() { f.pf.AttachStateCache(cl2) })
 
-	if err := f.pf.Register(Function{
-		Name: "hit", MemoryMB: 256, Timeout: time.Minute,
-		Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
-			ctx.Cache().AddCounter(ctx.Proc(), "hits", 1)
-			return nil, nil
-		},
-	}); err != nil {
+	g := newFixture(t, DefaultConfig())
+	if err := g.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: noop}); err != nil {
 		t.Fatal(err)
 	}
-	var oldStored, newStored int64
-	f.k.Spawn("driver", func(p *sim.Proc) {
-		if _, _, err := f.pf.Invoke(p, "hit", nil); err != nil {
-			t.Errorf("invoke: %v", err)
-			return
-		}
-		f.pf.AttachStateCache(cl2) // re-bind: cl1's replica must drain
-		p.Sleep(time.Second)
-		if it, err := store.Get(p, f.caller, "cache/hits", true); err == nil {
-			if e, derr := statecache.DecodeValue(it.Value); derr == nil {
-				oldStored = e.Counter()
-			}
-		}
-		// A post-re-bind invocation writes into a cl2 replica; its VM's
-		// later reclaim must drain into cl2's keyspace.
-		if _, _, err := f.pf.Invoke(p, "hit", nil); err != nil {
-			t.Errorf("invoke: %v", err)
-			return
-		}
-		p.Sleep(cfg.WarmTTL + 2*time.Second)
-		if it, err := store.Get(p, f.caller, "cache2/hits", true); err == nil {
-			if e, derr := statecache.DecodeValue(it.Value); derr == nil {
-				newStored = e.Counter()
-			}
+	runDriver(t, g, func(p *sim.Proc) {
+		if _, _, err := g.pf.Invoke(p, "f", nil); err != nil {
+			t.Error(err)
 		}
 	})
-	f.k.RunUntil(sim.Time(time.Minute))
-	if oldStored != 1 {
-		t.Errorf("old cluster's store has counter %d after re-bind, want 1", oldStored)
+	if g.pf.VMCount() != 1 {
+		t.Fatalf("VM count = %d, want 1", g.pf.VMCount())
 	}
-	if cl1.Replicas() != 0 {
-		t.Errorf("old cluster still tracks %d replicas after re-bind", cl1.Replicas())
-	}
-	if newStored != 1 {
-		t.Errorf("new cluster's store has counter %d after reclaim, want 1", newStored)
-	}
+	mustPanic("attaching after a VM is active", func() { g.pf.AttachStateCache(cl2) })
 }
 
 // TestCtxCacheIsVMColocated: two containers packed onto the same VM share

@@ -33,7 +33,7 @@ var (
 	ErrNoSuchFunction  = errors.New("faas: no such function")
 	ErrPayloadTooLarge = errors.New("faas: payload exceeds 6MB limit")
 	ErrTimeout         = errors.New("faas: function timed out")
-	ErrBadTimeout      = errors.New("faas: timeout exceeds 15 minute maximum")
+	ErrBadTimeout      = errors.New("faas: timeout negative or over the 15 minute maximum")
 )
 
 // PayloadLimit is the maximum invocation payload size.
@@ -58,11 +58,8 @@ type Function struct {
 	Timeout  time.Duration
 	Handler  Handler
 
-	// stats is platform-managed (see stats.go) and shared across
-	// deployments of the same name: counters survive a Register replace,
-	// and in-flight invocations of a replaced version keep updating the
-	// same counters.
-	stats *FunctionStats
+	// stats is platform-managed (see stats.go).
+	stats FunctionStats
 }
 
 // Config holds platform parameters.
@@ -240,43 +237,24 @@ func New(name string, net *netsim.Network, rng *simrand.RNG, cfg Config,
 	return pf
 }
 
-// Register adds (or replaces) a function. Memory must be positive and the
-// timeout at most MaxTimeout; a zero timeout defaults to the maximum.
-//
-// Replacing an existing function drains its warm pool, like a real Lambda
-// deploy: idle containers hold the old handler's code and container-local
-// state, so the next invocation after a replace always cold-starts into the
-// new deployment. Containers mid-invocation at replace time finish on the
-// old code but are destroyed instead of re-pooled.
+// Register adds a function under a name not yet registered. Memory must be
+// positive and the timeout between zero and MaxTimeout; a zero timeout
+// defaults to the maximum.
 func (pf *Platform) Register(fn Function) error {
 	if fn.Name == "" || fn.Handler == nil || fn.MemoryMB <= 0 {
 		return fmt.Errorf("faas: invalid function %q", fn.Name)
 	}
+	if _, taken := pf.functions[fn.Name]; taken {
+		return fmt.Errorf("faas: function %q already registered", fn.Name)
+	}
 	if fn.Timeout == 0 {
 		fn.Timeout = pf.cfg.MaxTimeout
 	}
-	if fn.Timeout > pf.cfg.MaxTimeout {
+	if fn.Timeout < 0 || fn.Timeout > pf.cfg.MaxTimeout {
 		return ErrBadTimeout
-	}
-	if old, replacing := pf.functions[fn.Name]; replacing {
-		pf.drainWarmPool(fn.Name)
-		// CloudWatch-style counters are function-level history that
-		// survives a deploy.
-		fn.stats = old.stats
-	} else {
-		fn.stats = &FunctionStats{}
 	}
 	pf.functions[fn.Name] = &fn
 	return nil
-}
-
-// drainWarmPool retires every idle container of the named function,
-// releasing their VM packing slots.
-func (pf *Platform) drainWarmPool(name string) {
-	for _, cont := range pf.idle[name] {
-		pf.destroyContainer(cont)
-	}
-	delete(pf.idle, name)
 }
 
 // WarmIdle reports how many containers (provisioned or not) are idle-warm
@@ -361,16 +339,8 @@ func (pf *Platform) invoke(p *sim.Proc, delay time.Duration, name string, payloa
 		VMNode:         cont.vm.node,
 	}
 	fn.stats.Invocations++
-	fn.stats.TotalTime += dur
-	fn.stats.BilledTime += rep.BilledDuration
 	if cold {
 		fn.stats.ColdStarts++
-	}
-	if timedOut {
-		fn.stats.Timeouts++
-	}
-	if err != nil || timedOut {
-		fn.stats.Errors++
 	}
 	if timedOut {
 		// The sandbox is killed; its state is not reusable.
@@ -410,11 +380,8 @@ func (pf *Platform) endTrip(t *invokeTrip) {
 // same order, so the event order is unchanged.
 func (pf *Platform) bindSteps() {
 	// start routes the request: it is billed, and the routing overhead is
-	// drawn. A function replaced during a leading delay is looked up again
-	// here, where a blocking Invoke would have started.
+	// drawn.
 	pf.startStep = func(p *sim.Proc) {
-		t := p.Trip.Ref.(*invokeTrip)
-		t.fn = pf.functions[t.fn.Name]
 		pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
 		p.WakeAfter(pf.cfg.InvokeOverhead.Sample(pf.rng), pf.acquireStep)
 	}
@@ -576,36 +543,28 @@ func (pf *Platform) SetComputeSlowdown(node *netsim.Node, factor float64) {
 }
 
 // AttachStateCache colocates one replica of the given cluster with every
-// hosting VM, present and future: handlers reach the VM's replica through
-// Ctx.Cache, and reclaiming an emptied VM drains the replica's unflushed
-// deltas into the cluster's backing store before the node is recycled.
-//
-// Attaching a different cluster re-binds the fleet: each active VM's old
-// replica is detached — draining its deltas into the *old* cluster's
-// store — before the VM joins the new cluster.
+// hosting VM: handlers reach the VM's replica through Ctx.Cache, and
+// reclaiming an emptied VM drains the replica's unflushed deltas into the
+// cluster's backing store before the node is recycled. A platform takes one
+// cluster, once, before any VM is active; a second or later call panics.
 func (pf *Platform) AttachStateCache(cl *statecache.Cluster) {
-	pf.cache = cl
-	for _, vm := range pf.vms {
-		if vm.cache != nil && vm.cache.Cluster() != cl {
-			vm.cache.Detach()
-			vm.cache = nil
-		}
-		pf.attachCache(vm)
+	if pf.cache != nil || len(pf.vms) > 0 {
+		panic("faas: " + pf.name + ": a state cache attaches once, before the first VM")
 	}
+	pf.cache = cl
 }
 
 // attachCache binds a state-cache replica to an activating VM.
 func (pf *Platform) attachCache(vm *hostVM) {
-	if pf.cache != nil && vm.cache == nil {
+	if pf.cache != nil {
 		vm.cache = pf.cache.Attach(vm.node)
 	}
 }
 
 func (pf *Platform) releaseContainer(p *sim.Proc, cont *container) {
-	if pf.functions[cont.fn.Name] != cont.fn || cont.vm.doomed {
-		// The function was replaced while this invocation ran, or the
-		// hosting VM crashed under it; either way the container must not
-		// be pooled.
+	if cont.vm.doomed {
+		// The hosting VM crashed under this invocation: the container must
+		// not be pooled.
 		pf.destroyContainer(cont)
 		return
 	}
@@ -675,9 +634,6 @@ func (pf *Platform) removeFromVM(cont *container) {
 // never silently drops state.
 func (pf *Platform) reclaimVM(vm *hostVM) {
 	if vm.cache != nil {
-		// Detach through the replica itself: after a cluster re-bind,
-		// pf.cache can differ from the cluster this VM's replica lives
-		// in, and detaching the wrong cluster would skip the drain.
 		vm.cache.Detach()
 		vm.cache = nil
 	}

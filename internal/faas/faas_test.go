@@ -49,6 +49,10 @@ func TestRegisterValidation(t *testing.T) {
 	if !errors.Is(err, ErrBadTimeout) {
 		t.Errorf("over-limit timeout: %v", err)
 	}
+	err = f.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: noop, Timeout: -time.Second})
+	if !errors.Is(err, ErrBadTimeout) {
+		t.Errorf("negative timeout: %v", err)
+	}
 	if err := f.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: noop}); err != nil {
 		t.Errorf("valid function rejected: %v", err)
 	}

@@ -3,6 +3,7 @@ package faas
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,16 +63,8 @@ func refInvoke(pf *Platform, p *sim.Proc, delay time.Duration, name string, payl
 		VMNode:         cont.vm.node,
 	}
 	fn.stats.Invocations++
-	fn.stats.TotalTime += dur
-	fn.stats.BilledTime += rep.BilledDuration
 	if cold {
 		fn.stats.ColdStarts++
-	}
-	if timedOut {
-		fn.stats.Timeouts++
-	}
-	if err != nil || timedOut {
-		fn.stats.Errors++
 	}
 	if timedOut {
 		pf.destroyContainer(cont)
@@ -188,8 +181,8 @@ type invResult struct {
 
 // runInvoke runs plan in a fresh world whose invocations go through inv,
 // on a platform of three concurrency slots, two containers per VM and a
-// short warm TTL, with function a replaced mid-run. A non-negative cut
-// stops the run there and closes the kernel with processes mid-flight.
+// short warm TTL. A non-negative cut stops the run there and closes the
+// kernel with processes mid-flight.
 func runInvoke(t *testing.T, plan [][]invOp, inv invokeFunc, cut sim.Time) invResult {
 	t.Helper()
 	k := sim.NewKernel()
@@ -204,22 +197,21 @@ func runInvoke(t *testing.T, plan [][]invOp, inv invokeFunc, cut sim.Time) invRe
 	cfg.ContainersPerVM = 2
 	cfg.WarmTTL = 1500 * time.Millisecond
 	pf := New("lambda", net, pfRNG, cfg, pricing.Fall2018(), meter)
+	register := func(name string, mem int, h Handler) {
+		if err := pf.Register(Function{Name: name, MemoryMB: mem, Timeout: time.Second, Handler: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// a sleeps by its payload size and times out on some sizes; b
 	// computes over its payload and fails on some sizes.
-	handlerA := func(ctx *Ctx, payload []byte) ([]byte, error) {
+	register("a", 256, func(ctx *Ctx, payload []byte) ([]byte, error) {
 		d := time.Duration(len(payload)%7)*40*time.Millisecond + 5*time.Millisecond
 		if len(payload)%11 == 3 {
 			d = 1200 * time.Millisecond
 		}
 		ctx.Proc().Sleep(d)
 		return []byte(fmt.Sprintf("a%d", len(payload))), nil
-	}
-	register := func(name string, mem int, h Handler) {
-		if err := pf.Register(Function{Name: name, MemoryMB: mem, Timeout: time.Second, Handler: h}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	register("a", 256, handlerA)
+	})
 	register("b", 1024, func(ctx *Ctx, payload []byte) ([]byte, error) {
 		ctx.Compute(int64(len(payload)) * 500)
 		if len(payload)%5 == 1 {
@@ -227,7 +219,6 @@ func runInvoke(t *testing.T, plan [][]invOp, inv invokeFunc, cut sim.Time) invRe
 		}
 		return nil, nil
 	})
-	k.At(4*time.Second, func() { register("a", 256, handlerA) })
 
 	var res invResult
 	payload := make([]byte, PayloadLimit+1)
@@ -317,10 +308,10 @@ func compareInvoke(t *testing.T, label string, got, ref invResult) {
 // The stepped invocation is the blocking one, event for event: over
 // randomized mixes of warm, cold and expired containers, a saturated
 // concurrency limit, empty, large and oversized payloads, leading delays,
-// timeouts, handler errors and a redeploy mid-run, both consume the same
-// (at, seq) schedule, complete every invocation at the same time with the
-// same response, report and error, end with the same Stats, bill, fleet
-// and slot state, and leave every RNG at the same next draw.
+// timeouts and handler errors, both consume the same (at, seq) schedule,
+// complete every invocation at the same time with the same response, report
+// and error, end with the same Stats, bill, fleet and slot state, and leave
+// every RNG at the same next draw.
 func TestInvokeStepsMatchBlockingReference(t *testing.T) {
 	refQueuedForSlot = 0
 	var cold, warm, timeouts, errs int64
@@ -336,8 +327,14 @@ func TestInvokeStepsMatchBlockingReference(t *testing.T) {
 		for _, st := range ref.stats {
 			cold += st.ColdStarts
 			warm += st.Invocations - st.ColdStarts
-			timeouts += st.Timeouts
-			errs += st.Errors
+		}
+		for _, ev := range ref.events {
+			switch {
+			case strings.HasPrefix(ev.err, ErrTimeout.Error()):
+				timeouts++
+			case strings.HasPrefix(ev.err, "b failed"):
+				errs++
+			}
 		}
 	}
 	if cold == 0 || warm == 0 || timeouts == 0 || errs == 0 || refQueuedForSlot == 0 {

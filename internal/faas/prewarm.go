@@ -43,14 +43,6 @@ func (pf *Platform) ProvisionConcurrency(p *sim.Proc, name string, n int) error 
 				lastUsed:    wp.Now(),
 				provisioned: true,
 			}
-			if pf.functions[fn.Name] != fn {
-				// The function was replaced while this container
-				// initialized; it holds the old deployment and must not
-				// enter the new deployment's pool (it would serve stale
-				// code forever — provisioned containers never expire).
-				pf.removeFromVM(cont)
-				return
-			}
 			pf.idle[fn.Name] = append(pf.idle[fn.Name], cont)
 			pf.beginProvisioned(cont)
 		})
@@ -98,8 +90,8 @@ func (pf *Platform) ProvisionedAllocated() int { return pf.provisionedCount }
 
 // ProvisionedFor reports how many provisioned containers the named function
 // has allocated, idle or mid-invocation. The count is carried on the
-// function's stats, so it survives deploys and reflects out-of-band
-// destruction (a re-deploy drain, an invocation timeout).
+// function's stats, so it reflects out-of-band destruction (a crashed VM,
+// an invocation timeout).
 func (pf *Platform) ProvisionedFor(name string) int {
 	fn, ok := pf.functions[name]
 	if !ok {

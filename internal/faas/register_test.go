@@ -24,11 +24,10 @@ func runDriver(t *testing.T, f *fixture, fn func(p *sim.Proc)) {
 	}
 }
 
-// TestRegisterReplaceDrainsWarmPool: re-registering a function must retire
-// its idle warm containers so the next invocation cold-starts into the new
-// deployment instead of reusing a container holding the old handler's
-// container-local state.
-func TestRegisterReplaceDrainsWarmPool(t *testing.T) {
+// TestRegisterTakenNameKeepsFirstDeployment: a name is deployed once.
+// Registering it again is an error and leaves the first deployment serving
+// from its warm container, container-local state and counters intact.
+func TestRegisterTakenNameKeepsFirstDeployment(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	v1 := Function{Name: "fn", MemoryMB: 128, Timeout: time.Minute,
 		Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
@@ -49,144 +48,30 @@ func TestRegisterReplaceDrainsWarmPool(t *testing.T) {
 		t.Fatalf("warm idle after sequential invokes = %d, want 1", got)
 	}
 
-	v2 := Function{Name: "fn", MemoryMB: 128, Timeout: time.Minute,
-		Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
-			if stale, ok := ctx.Local()["deploy"]; ok {
-				t.Errorf("v2 invocation saw v1 container-local state %q", stale)
-			}
-			if !ctx.ColdStart() {
-				t.Error("first invocation after replace reused a stale warm container")
-			}
+	v2 := Function{Name: "fn", MemoryMB: 256, Timeout: time.Minute,
+		Handler: func(*Ctx, []byte) ([]byte, error) {
+			t.Error("the rejected deployment's handler ran")
 			return []byte("v2"), nil
 		}}
-	if err := f.pf.Register(v2); err != nil {
-		t.Fatal(err)
+	if err := f.pf.Register(v2); err == nil {
+		t.Fatal("Register of a taken name succeeded")
 	}
-	if got := f.pf.WarmIdle("fn"); got != 0 {
-		t.Fatalf("warm idle after replace = %d, want 0 (pool drained)", got)
+	if got := f.pf.WarmIdle("fn"); got != 1 {
+		t.Fatalf("warm idle after the rejected Register = %d, want 1", got)
 	}
 	runDriver(t, f, func(p *sim.Proc) {
 		resp, rep, err := f.pf.Invoke(p, "fn", nil)
 		if err != nil {
 			t.Error(err)
 		}
-		if string(resp) != "v2" {
-			t.Errorf("response = %q, want v2", resp)
+		if string(resp) != "v1" {
+			t.Errorf("response = %q, want v1", resp)
 		}
-		if !rep.ColdStart {
-			t.Error("report says warm start after replace")
-		}
-	})
-}
-
-// TestRegisterReplaceKeepsStats: counters are function-level state keyed
-// by name — a deploy must not reset them.
-func TestRegisterReplaceKeepsStats(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	if err := f.pf.Register(Function{Name: "fn", MemoryMB: 128,
-		Timeout: time.Minute, Handler: noop}); err != nil {
-		t.Fatal(err)
-	}
-	runDriver(t, f, func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			f.pf.Invoke(p, "fn", nil)
+		if rep.ColdStart {
+			t.Error("the first deployment lost its warm container")
 		}
 	})
-	if st, _ := f.pf.Stats("fn"); st.Invocations != 2 {
-		t.Fatalf("invocations before replace = %d, want 2", st.Invocations)
-	}
-	if err := f.pf.Register(Function{Name: "fn", MemoryMB: 128,
-		Timeout: time.Minute, Handler: noop}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := f.pf.Stats("fn"); st.Invocations != 2 {
-		t.Errorf("invocations reset by replace: %d, want 2", st.Invocations)
-	}
-	runDriver(t, f, func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			f.pf.Invoke(p, "fn", nil)
-		}
-	})
-	if st, _ := f.pf.Stats("fn"); st.Invocations != 4 {
-		t.Errorf("cumulative invocations = %d, want 4", st.Invocations)
-	}
-}
-
-// TestRegisterReplaceDropsInFlightContainer: a container that is executing
-// the old deployment when the replace happens must finish but not re-enter
-// the warm pool.
-func TestRegisterReplaceDropsInFlightContainer(t *testing.T) {
-	f := newFixture(t, DefaultConfig())
-	slow := Function{Name: "fn", MemoryMB: 128, Timeout: time.Minute,
-		Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
-			ctx.Proc().Sleep(10 * time.Second)
-			return []byte("old"), nil
-		}}
-	if err := f.pf.Register(slow); err != nil {
-		t.Fatal(err)
-	}
-	var resp []byte
-	f.k.Spawn("invoker", func(p *sim.Proc) {
-		resp, _, _ = f.pf.Invoke(p, "fn", nil)
-	})
-	// Let the invocation start executing, then replace mid-flight.
-	f.k.RunUntil(sim.Time(5 * time.Second))
-	if err := f.pf.Register(Function{Name: "fn", MemoryMB: 128,
-		Timeout: time.Minute, Handler: noop}); err != nil {
-		t.Fatal(err)
-	}
-	f.k.RunUntil(sim.Time(time.Hour))
-	if string(resp) != "old" {
-		t.Fatalf("in-flight invocation response = %q, want old deployment's output", resp)
-	}
-	if got := f.pf.WarmIdle("fn"); got != 0 {
-		t.Errorf("stale in-flight container re-entered the warm pool (idle = %d)", got)
-	}
-}
-
-// TestRegisterReplaceReleasesVMSlots: draining must free the containers'
-// VM packing slots so capacity is not leaked across deploys.
-func TestRegisterReplaceReleasesVMSlots(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ContainersPerVM = 2
-	f := newFixture(t, cfg)
-	if err := f.pf.Register(Function{Name: "fn", MemoryMB: 128,
-		Timeout: time.Minute, Handler: noop}); err != nil {
-		t.Fatal(err)
-	}
-	// Warm up two containers in parallel (fills one VM).
-	runDriver(t, f, func(p *sim.Proc) {
-		var wg sim.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			p.Spawn("par", func(ip *sim.Proc) {
-				defer wg.Done()
-				f.pf.Invoke(ip, "fn", nil)
-			})
-		}
-		wg.Wait(p)
-	})
-	if got := f.pf.VMCount(); got != 1 {
-		t.Fatalf("VM count = %d, want 1", got)
-	}
-	for i := 0; i < 3; i++ { // repeated deploys must not leak slots
-		if err := f.pf.Register(Function{Name: "fn", MemoryMB: 128,
-			Timeout: time.Minute, Handler: noop}); err != nil {
-			t.Fatal(err)
-		}
-		runDriver(t, f, func(p *sim.Proc) {
-			var wg sim.WaitGroup
-			for j := 0; j < 2; j++ {
-				wg.Add(1)
-				p.Spawn("par", func(ip *sim.Proc) {
-					defer wg.Done()
-					f.pf.Invoke(ip, "fn", nil)
-				})
-			}
-			wg.Wait(p)
-		})
-	}
-	if got := f.pf.VMCount(); got != 1 {
-		t.Errorf("VM count after 3 redeploys = %d, want 1 (packing slots leaked)", got)
+	if st, _ := f.pf.Stats("fn"); st.Invocations != 4 || st.ColdStarts != 1 {
+		t.Errorf("stats = %+v, want 4 invocations and 1 cold start", st)
 	}
 }

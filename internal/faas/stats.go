@@ -4,20 +4,13 @@ package faas
 // counters. They are how experiments observe cold-start rates and peak
 // concurrency without instrumenting handlers.
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // FunctionStats are cumulative per-function counters.
 type FunctionStats struct {
 	Invocations     int64
-	Errors          int64
-	Timeouts        int64
 	ColdStarts      int64
 	PeakConcurrency int // high-water mark of simultaneous executions
-	TotalTime       time.Duration
-	BilledTime      time.Duration
 
 	// inFlight is the platform-managed count of executions running now;
 	// intervalPeak is its high-water mark since the last
@@ -36,15 +29,13 @@ func (s FunctionStats) ColdStartRate() float64 {
 	return float64(s.ColdStarts) / float64(s.Invocations)
 }
 
-// Stats returns a copy of the named function's counters. Counters are
-// cumulative across deployments: replacing a function with Register keeps
-// its history, like CloudWatch metrics keyed by function name.
+// Stats returns a copy of the named function's counters.
 func (pf *Platform) Stats(name string) (FunctionStats, error) {
 	fn, ok := pf.functions[name]
 	if !ok {
 		return FunctionStats{}, fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
 	}
-	return *fn.stats, nil
+	return fn.stats, nil
 }
 
 // beginExecution admits one execution into the function's concurrency

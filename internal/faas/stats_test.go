@@ -23,24 +23,24 @@ func TestStatsCounters(t *testing.T) {
 			}
 			return nil, nil
 		}})
+	var errs []error
 	f.k.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			f.pf.Invoke(p, "flaky", nil)
+			_, _, err := f.pf.Invoke(p, "flaky", nil)
+			errs = append(errs, err)
 		}
 	})
 	f.k.Run()
+	if len(errs) != 4 || errs[0] != nil || errs[1] != boom ||
+		!errors.Is(errs[2], ErrTimeout) || errs[3] != nil {
+		t.Errorf("invoke errors = %v, want nil, boom, a timeout, nil", errs)
+	}
 	st, err := f.pf.Stats("flaky")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Invocations != 4 {
 		t.Errorf("Invocations = %d", st.Invocations)
-	}
-	if st.Errors != 2 { // handler error + timeout
-		t.Errorf("Errors = %d, want 2", st.Errors)
-	}
-	if st.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", st.Timeouts)
 	}
 	// Cold starts: first call, plus the call after the timeout destroyed
 	// the container.
@@ -50,8 +50,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.ColdStartRate() != 0.5 {
 		t.Errorf("ColdStartRate = %v", st.ColdStartRate())
 	}
-	if st.TotalTime <= 0 || st.BilledTime <= 0 {
-		t.Error("durations not accumulated")
+	if st.PeakConcurrency != 1 {
+		t.Errorf("PeakConcurrency = %d, want 1", st.PeakConcurrency)
 	}
 }
 

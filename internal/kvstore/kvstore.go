@@ -12,7 +12,8 @@
 // and service-time stream, mirroring how DynamoDB actually spreads a table
 // over partitions with per-partition throughput ceilings. ShardCount 1 (the
 // calibrated default) reproduces the original single-node behavior bit for
-// bit; see shard.go for routing and the hot-shard stats surface.
+// bit; see shard.go for routing. ShardFrontend(i).Stats() reports one
+// shard's traffic.
 package kvstore
 
 import (

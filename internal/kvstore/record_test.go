@@ -148,9 +148,13 @@ func TestFirstWritesSpanSlabChunks(t *testing.T) {
 		}
 	})
 	f.k.Run()
-	for _, st := range f.store.ShardStats() {
-		if st.Items <= slabRecords {
-			t.Errorf("shard %d holds %d keys; the test wants every shard past one slab chunk", st.Shard, st.Items)
+	var perShard [4]int
+	for i := 0; i < n; i++ {
+		perShard[ShardIndex(fmt.Sprintf("slab/%04d", i), 4)]++
+	}
+	for i, keys := range perShard {
+		if keys <= slabRecords {
+			t.Errorf("shard %d holds %d keys; the test wants every shard past one slab chunk", i, keys)
 		}
 	}
 }

@@ -1,15 +1,10 @@
 package kvstore
 
-// Shard routing and the hot-shard observability surface. Keys map to
-// partitions by FNV-1a hash, the stable, dependency-free choice: the same
-// key always lands on the same shard for a given shard count, across stores
-// and across runs.
+// Shard routing. Keys map to partitions by FNV-1a hash, the stable,
+// dependency-free choice: the same key always lands on the same shard for a
+// given shard count, across stores and across runs.
 
-import (
-	"time"
-
-	"repro/internal/service"
-)
+import "repro/internal/service"
 
 // fnv1a64 hashes key with the 64-bit FNV-1a function.
 func fnv1a64(key string) uint64 {
@@ -56,32 +51,4 @@ func (s *Store) SetAdmission(cfg service.AdmissionConfig) {
 	for _, sh := range s.shards {
 		sh.fe.SetAdmission(cfg)
 	}
-}
-
-// ShardStat summarizes one partition's traffic — the hot-shard surface a
-// region operator would watch.
-type ShardStat struct {
-	Shard    int
-	Node     string        // front-end node name
-	Requests int64         // API round trips served by this shard
-	Busy     time.Duration // cumulative service time spent
-	Queued   int           // requests currently waiting for a service slot
-	Items    int           // keys resident on this shard
-}
-
-// ShardStats returns per-partition traffic counters, indexed by shard.
-func (s *Store) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		fs := sh.fe.Stats()
-		out[i] = ShardStat{
-			Shard:    i,
-			Node:     sh.fe.Name(),
-			Requests: fs.Requests,
-			Busy:     fs.Busy,
-			Queued:   sh.fe.QueueDepth(),
-			Items:    len(sh.items),
-		}
-	}
-	return out
 }

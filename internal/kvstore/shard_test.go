@@ -95,11 +95,12 @@ func TestShardedDataPlane(t *testing.T) {
 	}
 }
 
-// TestShardStatsSurface: per-shard request metering and the hot-shard
-// surface reflect where traffic actually went.
+// TestShardStatsSurface: each shard front end's request count and each
+// shard's keys reflect where ShardIndex routed the traffic.
 func TestShardStatsSurface(t *testing.T) {
 	f := newShardedFixture(t, 4, 0)
 	const hotKey = "hot/key"
+	keys := []string{hotKey}
 	f.k.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < 32; i++ {
 			if _, err := f.store.Put(p, f.caller, hotKey, []byte("v")); err != nil {
@@ -107,44 +108,40 @@ func TestShardStatsSurface(t *testing.T) {
 			}
 		}
 		for i := 0; i < 4; i++ {
-			_, _ = f.store.Put(p, f.caller, fmt.Sprintf("cold/%d", i), []byte("v"))
+			key := fmt.Sprintf("cold/%d", i)
+			keys = append(keys, key)
+			_, _ = f.store.Put(p, f.caller, key, []byte("v"))
 		}
 	})
 	f.k.Run()
 
-	stats := f.store.ShardStats()
-	if len(stats) != 4 {
-		t.Fatalf("ShardStats len = %d, want 4", len(stats))
+	if n := f.store.ShardCount(); n != 4 {
+		t.Fatalf("ShardCount = %d, want 4", n)
+	}
+	var wantKeys [4]int
+	for _, key := range keys {
+		wantKeys[ShardIndex(key, 4)]++
 	}
 	var total int64
-	items := 0
-	for i, st := range stats {
-		if st.Shard != i {
-			t.Errorf("stat %d has Shard %d", i, st.Shard)
+	hot := 0
+	for i := 0; i < 4; i++ {
+		n := f.store.ShardFrontend(i).Stats().Requests
+		total += n
+		if n > f.store.ShardFrontend(hot).Stats().Requests {
+			hot = i
 		}
-		total += st.Requests
-		items += st.Items
-		if st.Requests > 0 && st.Busy <= 0 {
-			t.Errorf("shard %d served %d requests with zero busy time", i, st.Requests)
+		if got := len(f.store.shards[i].items); got != wantKeys[i] {
+			t.Errorf("shard %d holds %d keys, want %d", i, got, wantKeys[i])
 		}
 	}
 	if total != 36 {
 		t.Errorf("total shard requests = %d, want 36", total)
 	}
-	if items != f.store.Len() {
-		t.Errorf("shard item sum = %d, Len = %d", items, f.store.Len())
+	if want := ShardIndex(hotKey, 4); hot != want || f.store.ShardFor(hotKey) != want {
+		t.Errorf("hottest shard = %d, want %d (owner of the hot key)", hot, want)
 	}
-	hot := stats[0]
-	for _, st := range stats[1:] {
-		if st.Requests > hot.Requests {
-			hot = st
-		}
-	}
-	if hot.Shard != f.store.ShardFor(hotKey) {
-		t.Errorf("hottest shard = %d, want %d (owner of the hot key)", hot.Shard, f.store.ShardFor(hotKey))
-	}
-	if hot.Requests < 32 {
-		t.Errorf("hottest shard served %d requests, want >= 32", hot.Requests)
+	if n := f.store.ShardFrontend(hot).Stats().Requests; n < 32 {
+		t.Errorf("hottest shard served %d requests, want >= 32", n)
 	}
 }
 

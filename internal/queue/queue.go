@@ -456,17 +456,15 @@ func (q *Queue) bindSteps() {
 
 // poll waits for a message while the queue is empty and the deadline has
 // not passed, queuing p on a waiter whose release runs wokeStep; otherwise
-// it delivers.
+// it delivers. A fresh waiter is never released, so WaitStep always queues.
 func (q *Queue) poll(p *sim.Proc, t *recvTrip) {
-	for q.available.Len() == 0 && p.Now() < t.deadline {
+	if q.available.Len() == 0 && p.Now() < t.deadline {
 		w := q.waiter(p.Kernel())
 		q.waiters = append(q.waiters, w)
 		w.timer.ResetAt(t.deadline)
-		if !w.WaitStep(p, q.wokeStep) {
-			t.w = w
-			return
-		}
-		q.unwait(w)
+		w.WaitStep(p, q.wokeStep)
+		t.w = w
+		return
 	}
 	q.deliver(p, t)
 }

@@ -12,7 +12,6 @@ type Budget struct {
 	ratio   float64
 	burst   float64
 	balance float64
-	denied  int64
 }
 
 // NewBudget creates a budget granting ratio retries per call (e.g. 0.1 =
@@ -36,7 +35,6 @@ func (b *Budget) Deposit() {
 // TryTake withdraws one retry token, reporting whether one was available.
 func (b *Budget) TryTake() bool {
 	if b.balance < 1 {
-		b.denied++
 		return false
 	}
 	b.balance--
@@ -45,6 +43,3 @@ func (b *Budget) TryTake() bool {
 
 // Balance returns the current token balance.
 func (b *Budget) Balance() float64 { return b.balance }
-
-// Denied returns how many retries the budget has refused.
-func (b *Budget) Denied() int64 { return b.denied }

@@ -44,9 +44,8 @@ var ErrBreakerOpen = errors.New("resilience: circuit open")
 // to aggregate a population; counters are plain int64s on the kernel's
 // single timeline, so no atomics are needed.
 type Stats struct {
-	// Calls counts Do invocations; Attempts counts operations actually
-	// launched (retries and hedges included).
-	Calls, Attempts int64
+	// Calls counts Do invocations.
+	Calls int64
 	// Retries counts re-attempts after a failure; Timeouts counts attempts
 	// abandoned at their deadline; Hedges counts speculative second
 	// requests launched by the hedging timer.
@@ -212,7 +211,6 @@ func (c *Client) Do(p *sim.Proc, endpoint int, op func(*sim.Proc) error) error {
 			}
 			break
 		}
-		c.stats.Attempts++
 		err := c.once(p, op)
 		if br != nil {
 			br.Record(p.Now(), err == nil)

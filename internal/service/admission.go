@@ -66,8 +66,7 @@ func (f *Frontend) SetAdmission(cfg AdmissionConfig) {
 
 // SetSlowdown scales this front end's sampled service times by factor
 // (chaos hook: a degraded shard serves every request factor× slower).
-// factor 1 restores normal speed. The extra time is accounted in
-// Stats.Busy like real work — a slow server is busy, not idle.
+// factor 1 restores normal speed.
 func (f *Frontend) SetSlowdown(factor float64) {
 	if factor <= 0 {
 		factor = 1

@@ -24,7 +24,6 @@ func refRoundTripErr(f *Frontend, p *sim.Proc, caller *netsim.Node, extra time.D
 		f.slots.Acquire(p)
 	}
 	svc := f.SampleOp()
-	f.stats.Busy += extra
 	p.Sleep(svc + extra)
 	if f.slots != nil {
 		f.slots.Release()

@@ -33,8 +33,6 @@ import (
 type Stats struct {
 	// Requests counts service-time samples, i.e. API round trips served.
 	Requests int64
-	// Busy is the cumulative service time spent on those requests.
-	Busy time.Duration
 	// Shed counts requests rejected on arrival because the admission queue
 	// was full; Jailed counts requests rejected by the rate-window ban
 	// list. Both are zero unless SetAdmission enables them.
@@ -140,15 +138,14 @@ func (f *Frontend) ChargeCost(item string, cost pricing.USD) {
 // SampleOp draws one service time and accounts it to the front end's stats.
 // Requests that split their service time around a poll (long polling) call
 // this once and spend the halves via InLeg/OutLeg. A chaos SetSlowdown
-// factor scales the sample (and the Busy accounting) here, so both the
-// round-trip and split-leg paths degrade together.
+// factor scales the sample here, so both the round-trip and split-leg paths
+// degrade together.
 func (f *Frontend) SampleOp() time.Duration {
 	svc := f.opLat.Sample(f.rng)
 	if f.slow > 0 && f.slow != 1 {
 		svc = time.Duration(float64(svc) * f.slow)
 	}
 	f.stats.Requests++
-	f.stats.Busy += svc
 	return svc
 }
 
@@ -242,7 +239,7 @@ func TripErr(p *sim.Proc) error {
 func (f *Frontend) bindSteps() {
 	// arrive ends the request leg: admission, then a slot now or a place
 	// in the slot queue, whose grant runs serve. A rejected request takes
-	// the return leg at once. It repeats serve's three lines rather than
+	// the return leg at once. It repeats serve's two lines rather than
 	// calling it: arrive often runs inside Park, on the caller's stack, and
 	// retrystorm's processes have less than 96 bytes of their 2 KB stacks to
 	// spare there (a frame padded by 96 bytes in arrive grows them), which
@@ -257,14 +254,12 @@ func (f *Frontend) bindSteps() {
 		}
 		if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
 			svc := f.SampleOp()
-			f.stats.Busy += p.Trip.D
 			p.WakeAfter(svc+p.Trip.D, f.finishStep)
 		}
 	}
 	// serve starts the service time of a request granted a queued slot.
 	f.serveStep = func(p *sim.Proc) {
 		svc := f.SampleOp()
-		f.stats.Busy += p.Trip.D
 		p.WakeAfter(svc+p.Trip.D, f.finishStep)
 	}
 	// finish ends the service time: the slot goes back, and the response

@@ -42,19 +42,35 @@ func TestRoundTripTimingAndStats(t *testing.T) {
 		t.Errorf("round trip took %v, want within [%v, %v]", elapsed, lo, hi)
 	}
 	st := fe.Stats()
-	if st.Requests != 1 || st.Busy != 4*time.Millisecond {
-		t.Errorf("stats = %+v, want 1 request / 4ms busy", st)
+	if st.Requests != 1 {
+		t.Errorf("stats = %+v, want 1 request", st)
 	}
 }
 
+// TestRoundTripExtraCountsAsBusy: extra lengthens the round trip and holds
+// the service slot like service time, so a request queued behind it on a
+// one-slot front end waits out both.
 func TestRoundTripExtraCountsAsBusy(t *testing.T) {
-	k, fe, caller, _ := newFrontend(t, 0)
-	k.Spawn("c", func(p *sim.Proc) {
-		fe.RoundTrip(p, caller, 2*time.Millisecond)
-	})
+	k, fe, caller, _ := newFrontend(t, 1)
+	var elapsed [2]sim.Time
+	for i := range elapsed {
+		out := &elapsed[i]
+		k.Spawn("c", func(p *sim.Proc) {
+			start := p.Now()
+			fe.RoundTrip(p, caller, 2*time.Millisecond)
+			*out = p.Now() - start
+		})
+	}
 	k.Run()
-	if st := fe.Stats(); st.Busy != 6*time.Millisecond {
-		t.Errorf("busy = %v, want 6ms (service + extra)", st.Busy)
+	first, second := min(elapsed[0], elapsed[1]), max(elapsed[0], elapsed[1])
+	// 4ms of service plus 2ms of extra, and 550-710µs each way.
+	lo := sim.Time(6*time.Millisecond + 2*550*time.Microsecond)
+	hi := sim.Time(6*time.Millisecond + 2*710*time.Microsecond)
+	if first < lo || first > hi {
+		t.Errorf("first round trip took %v, want within [%v, %v]", first, lo, hi)
+	}
+	if second < lo+sim.Time(6*time.Millisecond) {
+		t.Errorf("queued round trip took %v, want the first's 6ms in the slot on top", second)
 	}
 }
 

@@ -30,20 +30,6 @@ func (r *RNG) Fork() *RNG {
 	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
-// Derive maps a (base seed, sweep point index) pair to an independent
-// seed, so every point of a parallel sweep owns a decorrelated RNG stream
-// that depends only on the pair — never on execution order or worker
-// count. The mixer is the splitmix64 finalizer over the pair: index is
-// folded in via the same golden-ratio increment the generator steps by,
-// offset by one so Derive(base, 0) differs from base itself. The result
-// is stable across runs, platforms, and Go versions (pure integer math).
-func Derive(base uint64, index int) uint64 {
-	z := base + (uint64(index)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -408,7 +408,6 @@ type Cache struct {
 	keyBytes int64
 	dirty    map[string]bool
 	bytes    int64 // this replica's resident state
-	ops      int64
 	detached bool
 
 	// Reusable scratch. diffScratch backs diffKeys' result and candScratch
@@ -453,17 +452,8 @@ func (c *Cache) insert(key string, e *entry) {
 // Node returns the VM node the replica is colocated with.
 func (c *Cache) Node() *netsim.Node { return c.node }
 
-// Cluster returns the cluster the replica belongs to.
-func (c *Cache) Cluster() *Cluster { return c.cl }
-
 // Detach removes this replica from its own cluster (see Cluster.Detach).
-// Holders of a replica handle must detach through it, not through
-// whichever cluster they currently know about: the two can differ after a
-// re-attach, and a Detach on the wrong cluster is a silent no-op.
 func (c *Cache) Detach() { c.cl.Detach(c.node) }
-
-// Ops reports how many local cache operations this replica served.
-func (c *Cache) Ops() int64 { return c.ops }
 
 // Len reports the number of cached entries (no simulated latency).
 func (c *Cache) Len() int { return len(c.entries) }
@@ -473,7 +463,6 @@ func (c *Cache) touch(p *sim.Proc) {
 	if c.detached {
 		panic("statecache: operation on a detached replica")
 	}
-	c.ops++
 	p.Sleep(c.cl.cfg.OpLatency.Sample(c.rng))
 }
 

@@ -5,10 +5,11 @@
 // Two implementations of the Summary interface exist: Recorder keeps every
 // sample and computes exact percentiles (the default for calibrated
 // experiments and the reference for equivalence tests; a sample from 0 to
-// about 4.29 s is stored in 32 bits, any other in 64), and Sketch holds a
-// fixed-memory HDR-histogram-style log-linear bucketing whose percentiles
-// carry a fixed relative-error bound — the summary million-user
-// experiments use, where retaining every sample would dominate memory.
+// about 4.29 s is stored in 32 bits, any other in 64, in chunks of 1,024
+// samples), and Sketch holds a fixed-memory HDR-histogram-style log-linear
+// bucketing whose percentiles carry a fixed relative-error bound — the
+// summary million-user experiments use, where retaining every sample would
+// dominate memory.
 package stats
 
 import (
@@ -45,9 +46,8 @@ func NewSummary(name string, sketch bool) Summary {
 // exact. A sample in [0, 2³²) ns, 0 to about 4.29 s, is stored in 32 bits
 // in the narrow chunk list; any other sample goes whole into the wide
 // list, so every sample stays exact and nearly all take half the bytes.
-// Each list writes its samples once into fixed chunks that are never
-// reallocated or copied: the first holds minChunk samples, each next one
-// twice its predecessor, up to maxChunk. A read sorts each unsorted chunk
+// Each list writes its samples once into fixed chunks of chunkSize samples
+// that are never reallocated or copied. A read sorts each unsorted chunk
 // in place and selects order statistics by rank across the sorted chunks
 // of both lists, so no read allocates once the selection scratch has grown
 // with the chunk lists.
@@ -57,7 +57,7 @@ func NewSummary(name string, sketch bool) Summary {
 // free slots, so it never exceeds 2³² (no wide sample passes) and is 0
 // when the tail is full. Every other sample, wide or not, goes to addSlow,
 // which files it the same way and resets lim. Add keeps no running sum, so
-// Sum and Mean add up the narrow tail, at most maxChunk samples, to the
+// Sum and Mean add up the narrow tail, at most chunkSize samples, to the
 // total kept for everything else.
 type Recorder struct {
 	name string
@@ -78,22 +78,19 @@ type Recorder struct {
 	sumExact time.Duration
 }
 
-// Chunk capacities grow geometrically from minChunk to maxChunk samples, so
-// a recorder holding few samples stays small and a large one wastes at most
-// one partly filled chunk per list. A chunk list starts with room for
-// listSlots chunks (20,224 samples), which holds most lists in one
-// allocation.
+// Every chunk holds chunkSize samples, so a list wastes at most the unfilled
+// part of its last chunk. A chunk list starts with room for listSlots
+// chunks (8,192 samples), which holds most lists in one allocation.
 const (
-	minChunk  = 256
-	maxChunk  = 4096
+	chunkSize = 1024
 	listSlots = 8
 )
 
 // limStep is what each free slot of the narrow tail adds to Recorder.lim:
-// 2³² / maxChunk, so a tail of maxChunk free slots admits every narrow
-// sample. A sample at or above lim in a fuller or smaller tail takes the
-// slow path, which stores it in the same place.
-const limStep = 1 << 32 / maxChunk
+// 2³² / chunkSize, so an empty tail admits every narrow sample. A sample at
+// or above lim in a fuller tail takes the slow path, which stores it in the
+// same place.
+const limStep = 1 << 32 / chunkSize
 
 // sample is the stored form of a sample in one chunk list.
 type sample interface{ uint32 | time.Duration }
@@ -315,18 +312,15 @@ func (l *chunkList[T]) add(v T) {
 	l.tail = append(l.tail, v)
 }
 
-// grow starts a new last chunk after the full tail: twice its size, from
-// minChunk up to maxChunk.
+// grow starts a new last chunk after the full tail.
 func (l *chunkList[T]) grow() {
-	size := minChunk
 	if len(l.chunks) == 0 {
 		l.chunks = make([][]T, 0, listSlots)
 	} else {
 		l.syncTail()
 		l.full += len(l.tail)
-		size = min(2*cap(l.tail), maxChunk)
 	}
-	l.tail = make([]T, 0, size)
+	l.tail = make([]T, 0, chunkSize)
 	l.chunks = append(l.chunks, l.tail)
 }
 

@@ -199,17 +199,15 @@ func recorderStream(kind int, rng *simrand.RNG, i int) time.Duration {
 }
 
 // TestRecorderMatchesSortedCopy checks the chunked recorder against a
-// sort-a-copy reference at sizes on and around every chunk boundary, with
-// Adds interleaved with reads.
+// sort-a-copy reference at sizes on and around chunk boundaries, the first
+// chunks' and those where the chunk list outgrows its first allocation,
+// with Adds interleaved with reads.
 func TestRecorderMatchesSortedCopy(t *testing.T) {
 	sizes := []int{0, 1, 2, 100_000}
-	total := 0 // samples held by the full chunks so far
-	for size := minChunk; size <= maxChunk; size *= 2 {
-		total += size
-		sizes = append(sizes, size-1, size, size+1, total-1, total, total+1)
+	for _, chunks := range []int{1, 2, 3, listSlots, listSlots + 1} {
+		total := chunks * chunkSize
+		sizes = append(sizes, total-1, total, total+1)
 	}
-	total += maxChunk // the second chunk at the cap
-	sizes = append(sizes, total-1, total, total+1)
 	rng := simrand.New(1)
 	for kind := range 6 {
 		for _, n := range sizes {
@@ -264,7 +262,7 @@ func TestRecorderAddAllocatesOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(r)
 		got := after.TotalAlloc - before.TotalAlloc
-		if limit := uint64(1.1*float64(tc.width*n)) + tc.width*maxChunk; got > limit {
+		if limit := uint64(1.1*float64(tc.width*n)) + tc.width*chunkSize; got > limit {
 			t.Errorf("%s: recording %d samples allocated %d B, want at most %d", tc.name, n, got, limit)
 		}
 	}

@@ -6,10 +6,12 @@
 // The engine's contract is that parallelism is invisible in the output:
 //
 //   - Point isolation: each point must be a pure function of its index —
-//     it builds its own sim.Kernel, derives its own RNG streams (see
-//     simrand.Derive), and shares no mutable state with other points. All
-//     repo experiments already have this shape: a sweep point assembles a
-//     fresh core.Cloud from (seed, point parameters) alone.
+//     it builds its own sim.Kernel, seeds its own RNG streams from the
+//     experiment's seed and the point's parameters, and shares no mutable
+//     state with other points. All repo experiments have this shape: a
+//     sweep point assembles a fresh core.Cloud with NewCloudWith(seed, cfg)
+//     and seeds any extra stream with simrand.New from the same values
+//     (statecache's workers take seed*1000+worker+1).
 //   - Ordered merge: results are returned in point-index order no matter
 //     which worker finished first, so tables, goldens, and notes render
 //     byte-identically to the sequential run at any worker count.
