@@ -9,10 +9,9 @@
 //	faasbench -run all [-seed 42] [-workers 8]
 //
 // Multi-point experiments fan their sweep points across -workers
-// concurrent simulator kernels (default GOMAXPROCS; the SWEEP_WORKERS
-// environment variable also overrides). Output is byte-identical at any
-// worker count — each point derives its randomness from (seed, point)
-// alone and results merge in point order.
+// concurrent simulator kernels (default GOMAXPROCS). Output is
+// byte-identical at any worker count — each point derives its randomness
+// from (seed, point) alone and results merge in point order.
 package main
 
 import (
@@ -30,7 +29,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic simulation seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", 0,
-		"concurrent sweep workers (0 = GOMAXPROCS or $SWEEP_WORKERS)")
+		"concurrent sweep workers (0 = GOMAXPROCS)")
 	flag.Parse()
 	sweep.SetWorkers(*workers)
 

@@ -9,6 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -17,11 +20,16 @@ import (
 	"repro/internal/sim"
 )
 
-var seed = flag.Uint64("seed", 77, "simulation seed")
-
 func main() {
+	seed := flag.Uint64("seed", 77, "simulation seed")
 	flag.Parse()
-	cloud := core.NewCloud(*seed)
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	pf := future.New(cloud.Net, cloud.Mesh, cloud.RNG.Fork(),
 		future.DefaultConfig(), cloud.Catalog, cloud.Meter)
@@ -46,31 +54,32 @@ func main() {
 	env := dataflow.DefaultEnv()
 	plan, costs, err := env.Plan(job)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("64 x 256MB partitions through parse|filter|sessionize\n\n")
-	fmt.Printf("planner: %v per-partition predictions: code->data %.3fs, data->code %.3fs\n",
+	fmt.Fprintf(w, "64 x 256MB partitions through parse|filter|sessionize\n\n")
+	fmt.Fprintf(w, "planner: %v per-partition predictions: code->data %.3fs, data->code %.3fs\n",
 		plan.Placement, costs[dataflow.ShipCodeToData], costs[dataflow.ShipDataToCode])
 
 	ex := dataflow.NewExecutor(pf, env)
 	done := false
 	cloud.K.Spawn("driver", func(p *sim.Proc) {
-		run := func(pl *dataflow.Plan, label string) {
+		execute := func(pl *dataflow.Plan, label string) {
 			res, err := ex.Execute(p, pl, 8, dataflow.StragglerPolicy{})
 			if err != nil {
 				panic(err)
 			}
-			fmt.Printf("  %-22s %-9v output %.1fMB\n", label,
+			fmt.Fprintf(w, "  %-22s %-9v output %.1fMB\n", label,
 				res.Elapsed.Round(10*time.Millisecond), float64(res.OutputBytes)/1e6)
 		}
-		run(plan, "planner ("+plan.Placement.String()+"):")
-		run(&dataflow.Plan{Job: job, Placement: dataflow.ShipDataToCode}, "forced data->code:")
-		run(&dataflow.Plan{Job: job, Placement: dataflow.ShipCodeToData}, "forced code->data:")
+		execute(plan, "planner ("+plan.Placement.String()+"):")
+		execute(&dataflow.Plan{Job: job, Placement: dataflow.ShipDataToCode}, "forced data->code:")
+		execute(&dataflow.Plan{Job: job, Placement: dataflow.ShipCodeToData}, "forced code->data:")
 		done = true
 	})
 	for t := sim.Time(0); !done; t += sim.Time(time.Minute) {
 		cloud.K.RunUntil(t)
 	}
-	fmt.Printf("\nagent-seconds billed: %v — pay-per-use survives the placement fix\n",
+	fmt.Fprintf(w, "\nagent-seconds billed: %v — pay-per-use survives the placement fix\n",
 		cloud.Meter.Cost("agent.gbsec"))
+	return nil
 }

@@ -13,6 +13,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"strconv"
 	"time"
 
@@ -28,23 +31,29 @@ const (
 	events  = 20 // per worker
 )
 
-var seed = flag.Uint64("seed", 41, "simulation seed (the naive run; the CRDT run uses seed+1)")
-
 func main() {
+	seed := flag.Uint64("seed", 41, "simulation seed (the naive run; the CRDT run uses seed+1)")
 	flag.Parse()
-	fmt.Printf("%d functions each record %d events via eventually consistent storage\n\n",
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	fmt.Fprintf(w, "%d functions each record %d events via eventually consistent storage\n\n",
 		workers, events)
-	naive := runNaive()
-	exact := runCRDT()
+	naive := runNaive(seed)
+	exact := runCRDT(seed + 1)
 	want := workers * events
-	fmt.Printf("\nnaive integer:   %3d / %d  (unconditional read-modify-write loses races)\n", naive, want)
-	fmt.Printf("G-Counter CRDT:  %3d / %d  (merge is commutative, associative, idempotent)\n", exact, want)
+	fmt.Fprintf(w, "\nnaive integer:   %3d / %d  (unconditional read-modify-write loses races)\n", naive, want)
+	fmt.Fprintf(w, "G-Counter CRDT:  %3d / %d  (merge is commutative, associative, idempotent)\n", exact, want)
+	return nil
 }
 
 // runNaive: read an integer (eventually consistent), add one, write it
 // back unconditionally — the pattern sequential programmers reach for.
-func runNaive() int64 {
-	cloud, table := setup(*seed)
+func runNaive(seed uint64) int64 {
+	cloud, table := setup(seed)
 	defer cloud.Close()
 	var wg sim.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -70,8 +79,8 @@ func runNaive() int64 {
 
 // runCRDT: the same traffic, but the shared state is a G-Counter and
 // writes go through compare-and-swap with merge-on-retry.
-func runCRDT() int64 {
-	cloud, table := setup(*seed + 1)
+func runCRDT(seed uint64) int64 {
+	cloud, table := setup(seed)
 	defer cloud.Close()
 	var wg sim.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -9,6 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -19,19 +22,25 @@ import (
 
 const members = 5
 
-var seed = flag.Uint64("seed", 21, "simulation seed (direct-messaging run uses seed+1)")
-
 func main() {
+	seed := flag.Uint64("seed", 21, "simulation seed (direct-messaging run uses seed+1)")
 	flag.Parse()
-	fmt.Println("bully leader election, 5 nodes, leader killed after things settle")
-	bbRound, bbCost := onBlackboard()
-	directRound := onDirect()
-	fmt.Printf("\nblackboard (DynamoDB, 4Hz polling): failover in %v, storage bill %v for the run\n",
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	fmt.Fprintln(w, "bully leader election, 5 nodes, leader killed after things settle")
+	bbRound, bbCost := onBlackboard(w, seed)
+	directRound := onDirect(w, seed+1)
+	fmt.Fprintf(w, "\nblackboard (DynamoDB, 4Hz polling): failover in %v, storage bill %v for the run\n",
 		bbRound.Round(100*time.Millisecond), bbCost)
-	fmt.Printf("direct messaging:                   failover in %v\n",
+	fmt.Fprintf(w, "direct messaging:                   failover in %v\n",
 		directRound.Round(time.Millisecond))
-	fmt.Printf("storage-mediated coordination is %.0fx slower\n",
+	fmt.Fprintf(w, "storage-mediated coordination is %.0fx slower\n",
 		bbRound.Seconds()/directRound.Seconds())
+	return nil
 }
 
 func agreed(nodes []*election.Node) int {
@@ -61,8 +70,8 @@ func waitFor(k *sim.Kernel, horizon sim.Time, cond func() bool) {
 	}
 }
 
-func onBlackboard() (time.Duration, string) {
-	cloud := core.NewCloud(*seed)
+func onBlackboard(w io.Writer, seed uint64) (time.Duration, string) {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	bb := election.NewBlackboard(cloud.DDB, election.PaperParams())
 	var nodes []*election.Node
@@ -73,7 +82,7 @@ func onBlackboard() (time.Duration, string) {
 		nodes = append(nodes, n)
 	}
 	waitFor(cloud.K, sim.Time(3*time.Minute), func() bool { return agreed(nodes) == members })
-	fmt.Printf("  [blackboard] initial leader: node %d (after %v)\n",
+	fmt.Fprintf(w, "  [blackboard] initial leader: node %d (after %v)\n",
 		agreed(nodes), time.Duration(cloud.K.Now()).Round(time.Second))
 	cloud.K.RunUntil(cloud.K.Now() + sim.Time(20*time.Second))
 
@@ -84,13 +93,13 @@ func onBlackboard() (time.Duration, string) {
 		return a > 0 && a != members
 	})
 	round := time.Duration(cloud.K.Now() - crash)
-	fmt.Printf("  [blackboard] node %d crashed; node %d took over after %v\n",
+	fmt.Fprintf(w, "  [blackboard] node %d crashed; node %d took over after %v\n",
 		members, agreed(nodes), round.Round(100*time.Millisecond))
 	return round, cloud.Meter.Total().String()
 }
 
-func onDirect() time.Duration {
-	cloud := core.NewCloud(*seed + 1)
+func onDirect(w io.Writer, seed uint64) time.Duration {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	ids := make([]int, members)
 	for i := range ids {
@@ -105,7 +114,7 @@ func onDirect() time.Duration {
 		nodes = append(nodes, n)
 	}
 	waitFor(cloud.K, sim.Time(time.Minute), func() bool { return agreed(nodes) == members })
-	fmt.Printf("  [direct]     initial leader: node %d (after %v)\n",
+	fmt.Fprintf(w, "  [direct]     initial leader: node %d (after %v)\n",
 		agreed(nodes), time.Duration(cloud.K.Now()).Round(time.Millisecond))
 	cloud.K.RunUntil(cloud.K.Now() + sim.Time(2*time.Second))
 
@@ -116,7 +125,7 @@ func onDirect() time.Duration {
 		return a > 0 && a != members
 	})
 	round := time.Duration(cloud.K.Now() - crash)
-	fmt.Printf("  [direct]     node %d crashed; node %d took over after %v\n",
+	fmt.Fprintf(w, "  [direct]     node %d crashed; node %d took over after %v\n",
 		members, agreed(nodes), round.Round(time.Millisecond))
 	return round
 }

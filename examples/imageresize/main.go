@@ -8,8 +8,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -18,11 +22,16 @@ import (
 	"repro/internal/stats"
 )
 
-var seed = flag.Uint64("seed", 7, "simulation seed")
-
 func main() {
+	seed := flag.Uint64("seed", 7, "simulation seed")
 	flag.Parse()
-	cloud := core.NewCloud(*seed)
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 
 	// Stage 100 "images" (sized objects) in the object store.
@@ -52,7 +61,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	lat := stats.NewRecorder("resize")
@@ -76,23 +85,24 @@ func main() {
 			})
 		}
 		wg.Wait(p)
-		fmt.Printf("%d images resized in %v of virtual time (sequential would take ~%v)\n",
+		fmt.Fprintf(w, "%d images resized in %v of virtual time (sequential would take ~%v)\n",
 			images, time.Duration(p.Now()-start).Round(time.Millisecond),
 			time.Duration(images)*lat.Mean())
 		done = true
 	})
 	cloud.K.RunUntil(sim.Time(time.Hour))
 	if !done {
-		panic("fan-out did not finish")
+		return errors.New("fan-out did not finish")
 	}
 
-	fmt.Printf("per-image latency: mean=%v p50=%v p99=%v\n",
+	fmt.Fprintf(w, "per-image latency: mean=%v p50=%v p99=%v\n",
 		lat.Mean().Round(time.Millisecond), lat.Median().Round(time.Millisecond),
 		lat.Percentile(99).Round(time.Millisecond))
-	fmt.Printf("platform autoscaled onto %d shared VMs (20 containers each)\n", cloud.Lambda.VMCount())
-	fmt.Printf("bill: %v across %d invocations\n",
+	fmt.Fprintf(w, "platform autoscaled onto %d shared VMs (20 containers each)\n", cloud.Lambda.VMCount())
+	fmt.Fprintf(w, "bill: %v across %d invocations\n",
 		cloud.Meter.Cost("lambda.gbsec")+cloud.Meter.Cost("lambda.request"),
 		cloud.Meter.Count("lambda.request"))
+	return nil
 }
 
 func key(i int) string { return fmt.Sprintf("images/img-%03d", i) }

@@ -7,6 +7,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -14,12 +17,17 @@ import (
 	"repro/internal/sim"
 )
 
-var seed = flag.Uint64("seed", 42, "simulation seed")
-
 func main() {
+	seed := flag.Uint64("seed", 42, "simulation seed")
 	flag.Parse()
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
 	// A deterministic cloud: same seed, same results, every run.
-	cloud := core.NewCloud(*seed)
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 
 	// Register a function that shouts its payload back.
@@ -33,7 +41,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	// Drive the simulation from a process; virtual time only advances
@@ -45,16 +53,17 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			fmt.Printf("call %d: %q  latency=%-9v cold=%-5v billed=%v\n",
+			fmt.Fprintf(w, "call %d: %q  latency=%-9v cold=%-5v billed=%v\n",
 				i+1, resp, time.Duration(p.Now()-start).Round(time.Millisecond),
 				rep.ColdStart, rep.BilledDuration)
 		}
 	})
 	cloud.K.Run()
 
-	fmt.Println("\nthe meter saw:")
+	fmt.Fprintln(w, "\nthe meter saw:")
 	for _, line := range cloud.Meter.Lines() {
-		fmt.Printf("  %-16s count=%-4d cost=%v\n", line.Item, line.Count, line.Cost)
+		fmt.Fprintf(w, "  %-16s count=%-4d cost=%v\n", line.Item, line.Count, line.Cost)
 	}
-	fmt.Printf("total: %v (virtual time elapsed: %v)\n", cloud.Meter.Total(), cloud.K.Now())
+	fmt.Fprintf(w, "total: %v (virtual time elapsed: %v)\n", cloud.Meter.Total(), cloud.K.Now())
+	return nil
 }

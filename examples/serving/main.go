@@ -10,6 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/compute"
@@ -24,18 +27,24 @@ import (
 
 const batches = 50
 
-var seed = flag.Uint64("seed", 31, "simulation seed (the three variants use seed, seed+1, seed+2)")
-
 func main() {
+	seed := flag.Uint64("seed", 31, "simulation seed (the three variants use seed, seed+1, seed+2)")
 	flag.Parse()
-	fmt.Printf("classifying %d batches of 10 documents each way:\n\n", batches)
-	l := lambdaWay()
-	s := sqsWay()
-	z := zmqWay()
-	fmt.Printf("\n%-28s %v/batch\n", "Lambda (SQS trigger):", l.Round(time.Millisecond))
-	fmt.Printf("%-28s %v/batch\n", "EC2 + SQS:", s.Round(time.Millisecond))
-	fmt.Printf("%-28s %v/batch\n", "EC2 + direct messaging:", z.Round(100*time.Microsecond))
-	fmt.Printf("\nFaaS pays %.0fx over direct messaging for every single batch\n", l.Seconds()/z.Seconds())
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	fmt.Fprintf(w, "classifying %d batches of 10 documents each way:\n\n", batches)
+	l := lambdaWay(w, seed)
+	s := sqsWay(w, seed+1)
+	z := zmqWay(w, seed+2)
+	fmt.Fprintf(w, "\n%-28s %v/batch\n", "Lambda (SQS trigger):", l.Round(time.Millisecond))
+	fmt.Fprintf(w, "%-28s %v/batch\n", "EC2 + SQS:", s.Round(time.Millisecond))
+	fmt.Fprintf(w, "%-28s %v/batch\n", "EC2 + direct messaging:", z.Round(100*time.Microsecond))
+	fmt.Fprintf(w, "\nFaaS pays %.0fx over direct messaging for every single batch\n", l.Seconds()/z.Seconds())
+	return nil
 }
 
 func docs(b int) [][]byte {
@@ -46,8 +55,8 @@ func docs(b int) [][]byte {
 	return out
 }
 
-func lambdaWay() time.Duration {
-	cloud := core.NewCloud(*seed)
+func lambdaWay(w io.Writer, seed uint64) time.Duration {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	in := cloud.SQS.CreateQueue("in", 2*time.Minute)
 	out := cloud.SQS.CreateQueue("out", 2*time.Minute)
@@ -102,12 +111,12 @@ func lambdaWay() time.Duration {
 	for t := sim.Time(0); !done; t += sim.Time(10 * time.Second) {
 		cloud.K.RunUntil(t)
 	}
-	fmt.Printf("  lambda: %s (every batch pays the invocation path)\n", rec)
+	fmt.Fprintf(w, "  lambda: %s (every batch pays the invocation path)\n", rec)
 	return rec.Mean()
 }
 
-func sqsWay() time.Duration {
-	cloud := core.NewCloud(*seed + 1)
+func sqsWay(w io.Writer, seed uint64) time.Duration {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	in := cloud.SQS.CreateQueue("in", 2*time.Minute)
 	out := cloud.SQS.CreateQueue("out", 2*time.Minute)
@@ -161,12 +170,12 @@ func sqsWay() time.Duration {
 	for t := sim.Time(0); !done; t += sim.Time(10 * time.Second) {
 		cloud.K.RunUntil(t)
 	}
-	fmt.Printf("  ec2+sqs: %s\n", rec)
+	fmt.Fprintf(w, "  ec2+sqs: %s\n", rec)
 	return rec.Mean()
 }
 
-func zmqWay() time.Duration {
-	cloud := core.NewCloud(*seed + 2)
+func zmqWay(w io.Writer, seed uint64) time.Duration {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	model := wordfilter.DefaultModel()
 	rec := stats.NewRecorder("ec2+zmq")
@@ -195,6 +204,6 @@ func zmqWay() time.Duration {
 	for t := sim.Time(0); !done; t += sim.Time(10 * time.Second) {
 		cloud.K.RunUntil(t)
 	}
-	fmt.Printf("  ec2+zmq: %s\n", rec)
+	fmt.Fprintf(w, "  ec2+zmq: %s\n", rec)
 	return rec.Mean()
 }

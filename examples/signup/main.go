@@ -9,6 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -37,22 +40,27 @@ func steps() []workflow.Step {
 	return out
 }
 
-var seed = flag.Uint64("seed", 55, "simulation seed")
-
 func main() {
+	seed := flag.Uint64("seed", 55, "simulation seed")
 	flag.Parse()
-	cloud := core.NewCloud(*seed)
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 
 	pl := workflow.New("signup", cloud.Lambda, cloud.SQS, cloud.S3, steps())
 	if err := pl.Deploy(cloud.K); err != nil {
-		panic(err)
+		return err
 	}
 
 	client := cloud.ClientNode("frontend")
 	done := false
 	cloud.K.Spawn("driver", func(p *sim.Proc) {
-		fmt.Printf("signing up 5 users through a %d-step FaaS pipeline:\n\n", pl.Steps())
+		fmt.Fprintf(w, "signing up 5 users through a %d-step FaaS pipeline:\n\n", pl.Steps())
 		for i := 0; i < 5; i++ {
 			user := fmt.Sprintf("user-%c", 'a'+i)
 			pr, err := pl.Submit(p, client, []byte(user))
@@ -60,7 +68,7 @@ func main() {
 				panic(err)
 			}
 			res := pr.Get(p)
-			fmt.Printf("  %-7s %-9v %s\n", user,
+			fmt.Fprintf(w, "  %-7s %-9v %s\n", user,
 				res.Latency.Round(10*time.Millisecond), trail(string(res.Output)))
 		}
 		pl.Stop()
@@ -78,13 +86,14 @@ func main() {
 			inst.Volume().Write(p, key, int64(len(data)))
 		}
 		mono := time.Duration(p.Now() - start)
-		fmt.Printf("\nsame steps in one process: %v — the pipeline's latency is pure\n", mono.Round(time.Millisecond))
-		fmt.Printf("queue/invoke/state overhead (the paper's Autodesk signups averaged ~10min)\n")
+		fmt.Fprintf(w, "\nsame steps in one process: %v — the pipeline's latency is pure\n", mono.Round(time.Millisecond))
+		fmt.Fprintf(w, "queue/invoke/state overhead (the paper's Autodesk signups averaged ~10min)\n")
 		done = true
 	})
 	for t := sim.Time(0); !done; t += sim.Time(10 * time.Second) {
 		cloud.K.RunUntil(t)
 	}
+	return nil
 }
 
 func trail(s string) string {

@@ -11,6 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -24,25 +27,32 @@ const (
 	rounds  = 40 // state ops per worker
 )
 
-var seed = flag.Uint64("seed", 11, "simulation seed (the cached run uses seed+1)")
-
 func main() {
+	seed := flag.Uint64("seed", 11, "simulation seed (the cached run uses seed+1)")
 	flag.Parse()
-	fmt.Printf("%d concurrent workers, %d session-counter ops each\n\n", workers, rounds)
-
-	unTime, unBill := run(*seed, false)
-	caTime, caBill := run(*seed+1, true)
-
-	fmt.Printf("\nuncached (DynamoDB round trips): %8v/op, state bill %v\n",
-		unTime.Round(100*time.Microsecond), unBill)
-	fmt.Printf("cached (colocated CRDT replicas): %8v/op, state bill %v\n",
-		caTime.Round(10*time.Nanosecond), caBill)
-	fmt.Printf("\ndata shipping costs %.0fx per op; lattice merges make the local copy safe\n",
-		unTime.Seconds()/caTime.Seconds())
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
 }
 
-// run measures mean per-op latency plus the state-tier bill for one variant.
-func run(seed uint64, cached bool) (time.Duration, string) {
+func run(w io.Writer, seed uint64) error {
+	fmt.Fprintf(w, "%d concurrent workers, %d session-counter ops each\n\n", workers, rounds)
+
+	unTime, unBill := variant(w, seed, false)
+	caTime, caBill := variant(w, seed+1, true)
+
+	fmt.Fprintf(w, "\nuncached (DynamoDB round trips): %8v/op, state bill %v\n",
+		unTime.Round(100*time.Microsecond), unBill)
+	fmt.Fprintf(w, "cached (colocated CRDT replicas): %8v/op, state bill %v\n",
+		caTime.Round(10*time.Nanosecond), caBill)
+	fmt.Fprintf(w, "\ndata shipping costs %.0fx per op; lattice merges make the local copy safe\n",
+		unTime.Seconds()/caTime.Seconds())
+	return nil
+}
+
+// variant measures mean per-op latency plus the state-tier bill for one
+// variant.
+func variant(out io.Writer, seed uint64, cached bool) (time.Duration, string) {
 	cfg := core.DefaultConfig()
 	cfg.Lambda.ContainersPerVM = 1 // one replica per worker VM
 	cloud := core.NewCloudWith(seed, cfg)
@@ -112,12 +122,12 @@ func run(seed uint64, cached bool) (time.Duration, string) {
 					continue
 				}
 				if rep := cl.Replica(node); rep != nil {
-					fmt.Printf("  replica on lambda-vm-%d: visits=%d active=%v last-seen=%q\n",
+					fmt.Fprintf(out, "  replica on lambda-vm-%d: visits=%d active=%v last-seen=%q\n",
 						w+1, rep.PeekCounter("visits"), rep.PeekSet("active"),
 						rep.PeekRegister("last-seen"))
 				}
 			}
-			fmt.Printf("  gossip staleness: %v\n", cl.Staleness())
+			fmt.Fprintf(out, "  gossip staleness: %v\n", cl.Staleness())
 		}
 	})
 	cloud.K.RunUntil(sim.Time(5 * time.Minute))

@@ -9,6 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"repro/internal/compute"
@@ -25,18 +28,24 @@ const (
 	vocab       = 128 // scaled-down feature width for the real model
 )
 
-var seed = flag.Uint64("seed", 3, "simulation seed (the EC2 run uses seed+1)")
-
 func main() {
+	seed := flag.Uint64("seed", 3, "simulation seed (the EC2 run uses seed+1)")
 	flag.Parse()
+	if err := run(os.Stdout, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, seed uint64) error {
 	batches := int(corpusBytes / batchBytes)
-	fmt.Printf("one epoch over %d batches of 100MB, real %d-feature MLP in the loop\n\n", batches, vocab)
-	lambdaTime, l0, l1 := onLambda(batches)
-	ec2Time, e0, e1 := onEC2(batches)
-	fmt.Printf("\nLambda: %-10v (holdout MSE %.3f -> %.3f)\n", lambdaTime.Round(time.Second), l0, l1)
-	fmt.Printf("EC2:    %-10v (holdout MSE %.3f -> %.3f)\n", ec2Time.Round(time.Second), e0, e1)
-	fmt.Printf("the data-shipping architecture costs %.1fx in wall clock\n",
+	fmt.Fprintf(w, "one epoch over %d batches of 100MB, real %d-feature MLP in the loop\n\n", batches, vocab)
+	lambdaTime, l0, l1 := onLambda(w, seed, batches)
+	ec2Time, e0, e1 := onEC2(w, seed+1, batches)
+	fmt.Fprintf(w, "\nLambda: %-10v (holdout MSE %.3f -> %.3f)\n", lambdaTime.Round(time.Second), l0, l1)
+	fmt.Fprintf(w, "EC2:    %-10v (holdout MSE %.3f -> %.3f)\n", ec2Time.Round(time.Second), e0, e1)
+	fmt.Fprintf(w, "the data-shipping architecture costs %.1fx in wall clock\n",
 		lambdaTime.Seconds()/ec2Time.Seconds())
+	return nil
 }
 
 // trainer couples the real model with whatever platform pays for the I/O.
@@ -70,8 +79,8 @@ func (tr *trainer) step() {
 
 func (tr *trainer) holdout() float64 { return tr.net.Loss(tr.hX, tr.hY) }
 
-func onLambda(batches int) (time.Duration, float64, float64) {
-	cloud := core.NewCloud(*seed)
+func onLambda(w io.Writer, seed uint64, batches int) (time.Duration, float64, float64) {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	tr := newTrainer()
 	before := tr.holdout()
@@ -107,12 +116,12 @@ func onLambda(batches int) (time.Duration, float64, float64) {
 		elapsed = time.Duration(p.Now() - start)
 	})
 	cloud.K.RunUntil(sim.Time(time.Hour))
-	fmt.Printf("Lambda (640MB): every batch fetched over the network from S3\n")
+	fmt.Fprintf(w, "Lambda (640MB): every batch fetched over the network from S3\n")
 	return elapsed, before, tr.holdout()
 }
 
-func onEC2(batches int) (time.Duration, float64, float64) {
-	cloud := core.NewCloud(*seed + 1)
+func onEC2(w io.Writer, seed uint64, batches int) (time.Duration, float64, float64) {
+	cloud := core.NewCloud(seed)
 	defer cloud.Close()
 	tr := newTrainer()
 	before := tr.holdout()
@@ -136,6 +145,6 @@ func onEC2(batches int) (time.Duration, float64, float64) {
 		elapsed = time.Duration(p.Now() - start)
 	})
 	cloud.K.RunUntil(sim.Time(time.Hour))
-	fmt.Printf("EC2 m4.large: batches read from the local page cache\n")
+	fmt.Fprintf(w, "EC2 m4.large: batches read from the local page cache\n")
 	return elapsed, before, tr.holdout()
 }

@@ -69,7 +69,7 @@ func BenchmarkSweepStateCacheSequential(b *testing.B) {
 }
 
 // BenchmarkSweepStateCacheParallel runs the same 3×3 grid at the resolved
-// sweep worker count (GOMAXPROCS unless -workers/SWEEP_WORKERS override).
+// sweep worker count (GOMAXPROCS, which go test's -cpu flag sets).
 // Compare ns/op against the sequential twin for the sweep engine's
 // wall-clock speedup; results are byte-identical either way.
 func BenchmarkSweepStateCacheParallel(b *testing.B) {

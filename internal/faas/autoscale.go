@@ -42,6 +42,7 @@ type AutoscalerConfig struct {
 // Autoscaler is a running provisioned-concurrency control loop.
 type Autoscaler struct {
 	pf      *Platform
+	fn      *Function
 	cfg     AutoscalerConfig
 	target  int
 	stopped bool
@@ -51,7 +52,8 @@ type Autoscaler struct {
 // provisioned concurrency. The control loop runs on the platform's kernel
 // until Stop.
 func (pf *Platform) Autoscale(cfg AutoscalerConfig) (*Autoscaler, error) {
-	if _, ok := pf.functions[cfg.Function]; !ok {
+	fn, ok := pf.functions[cfg.Function]
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchFunction, cfg.Function)
 	}
 	if cfg.Min < 0 || cfg.Max < cfg.Min {
@@ -66,7 +68,7 @@ func (pf *Platform) Autoscale(cfg AutoscalerConfig) (*Autoscaler, error) {
 	if cfg.ScaleInCooldown <= 0 {
 		cfg.ScaleInCooldown = 3 * cfg.Interval
 	}
-	a := &Autoscaler{pf: pf, cfg: cfg}
+	a := &Autoscaler{pf: pf, fn: fn, cfg: cfg}
 	pf.net.Kernel().Spawn("autoscaler/"+cfg.Function, a.run)
 	return a, nil
 }
@@ -86,22 +88,19 @@ func (a *Autoscaler) run(p *sim.Proc) {
 		}
 	}
 	// Discard concurrency observed before the loop's first full interval.
-	a.pf.TakePeakConcurrency(a.cfg.Function)
+	a.fn.stats.takePeak()
 	lastDemand := p.Now()
 	for !a.stopped {
 		p.Sleep(a.cfg.Interval)
 		if a.stopped {
 			return
 		}
-		peak, err := a.pf.TakePeakConcurrency(a.cfg.Function)
-		if err != nil {
-			return // function disappeared; nothing left to scale
-		}
+		peak := a.fn.stats.takePeak()
 		// Reconcile with reality before acting: provisioned containers
 		// can be destroyed out-of-band (a crash storm destroys idle ones,
 		// a timeout kills the container it ran in), and the loop must
 		// replace them rather than trust its own last target.
-		if actual := a.pf.ProvisionedFor(a.cfg.Function); actual < a.target {
+		if actual := a.fn.stats.provisioned; actual < a.target {
 			a.target = actual
 		}
 		desired := int(math.Ceil(float64(peak) / a.cfg.TargetUtilization))

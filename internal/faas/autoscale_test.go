@@ -147,17 +147,15 @@ func TestTakePeakConcurrencyWindows(t *testing.T) {
 	}
 	f.k.Spawn("sampler", func(p *sim.Proc) {
 		wg.Wait(p)
-		if peak, _ := f.pf.TakePeakConcurrency("f"); peak != 3 {
+		stats := &f.pf.functions["f"].stats
+		if peak := stats.takePeak(); peak != 3 {
 			t.Errorf("first window peak = %d, want 3", peak)
 		}
-		if peak, _ := f.pf.TakePeakConcurrency("f"); peak != 0 {
+		if peak := stats.takePeak(); peak != 0 {
 			t.Errorf("second window peak = %d, want 0 (idle)", peak)
 		}
 	})
 	f.k.RunUntil(sim.Time(time.Minute))
-	if _, err := f.pf.TakePeakConcurrency("ghost"); err == nil {
-		t.Error("unknown function accepted")
-	}
 }
 
 // TestAutoscalerTracksLoad is the control loop's end-to-end contract: a
@@ -265,7 +263,8 @@ func TestAutoscalerReprovisionsAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.k.RunUntil(sim.Time(10 * time.Second))
-	if got := f.pf.ProvisionedFor("f"); got != 4 {
+	stats := &f.pf.functions["f"].stats
+	if got := stats.provisioned; got != 4 {
 		t.Fatalf("provisioned before the crash = %d, want Min 4", got)
 	}
 	// The crash destroys the idle pool (allocation drops to 0, target
@@ -273,11 +272,11 @@ func TestAutoscalerReprovisionsAfterCrash(t *testing.T) {
 	if n := f.pf.CrashVMs(f.pf.VMCount()); n != 1 {
 		t.Fatalf("crashed %d VMs, want 1", n)
 	}
-	if got := f.pf.ProvisionedFor("f"); got != 0 {
+	if got := stats.provisioned; got != 0 {
 		t.Fatalf("provisioned right after the crash = %d, want 0 (pool destroyed)", got)
 	}
 	f.k.RunUntil(sim.Time(30 * time.Second))
-	if got := f.pf.ProvisionedFor("f"); got != 4 {
+	if got := stats.provisioned; got != 4 {
 		t.Errorf("provisioned after reconcile = %d, want 4 (shortfall re-provisioned)", got)
 	}
 	asc.Stop()

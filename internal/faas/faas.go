@@ -414,21 +414,12 @@ func (pf *Platform) place(p *sim.Proc) {
 	fn := t.fn
 	fn.stats.beginExecution()
 	var d time.Duration
-	pool := pf.idle[fn.Name]
-	for len(pool) > 0 && t.cont == nil {
-		cont := pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		if !cont.provisioned && p.Now()-cont.lastUsed > pf.cfg.WarmTTL {
-			pf.destroyContainer(cont) // expired; fall through to next candidate
-			continue
+	if pool := pf.idle[fn.Name]; len(pool) > 0 {
+		t.cont = pool[len(pool)-1]
+		pf.idle[fn.Name] = pool[:len(pool)-1]
+		if t.cont.reap != nil {
+			t.cont.reap.Stop() // checked out; release re-arms
 		}
-		if cont.reap != nil {
-			cont.reap.Stop() // checked out; release re-arms
-		}
-		t.cont = cont
-	}
-	pf.idle[fn.Name] = pool
-	if t.cont != nil {
 		d = pf.cfg.WarmStart.Sample(pf.rng)
 	} else {
 		vm := pf.pickVM()
@@ -573,15 +564,14 @@ func (pf *Platform) releaseContainer(p *sim.Proc, cont *container) {
 	pf.scheduleReap(cont)
 }
 
-// scheduleReap arms a pooled container's expiry timer so it leaves the warm
-// pool the moment its TTL passes, instead of lingering until the next
-// acquire walks over it: WarmIdle stays truthful and the emptied VM is
-// reclaimed promptly. The timer is a cancellable handle — acquireContainer
-// and destroyContainer stop it — so a reused container's stale expiry is
-// removed from the kernel queue outright rather than firing as a no-op and
-// re-arming. The extra nanosecond keeps eviction on the same strict "older
-// than TTL" boundary acquireContainer uses, so a container is never reaped
-// at an instant when an arriving invocation would still have reused it.
+// scheduleReap arms a pooled container's expiry timer. The reaper is the
+// warm pool's only expiry: a container leaves the pool the moment its TTL
+// passes, so WarmIdle stays truthful, the emptied VM is reclaimed
+// promptly, and place takes any pooled container as warm. The timer is a
+// cancellable handle — place and destroyContainer stop it — so a reused
+// container's stale expiry is removed from the kernel queue outright
+// rather than firing as a no-op. It fires one nanosecond past the TTL, so
+// a container idle for exactly WarmTTL is still reused.
 func (pf *Platform) scheduleReap(cont *container) {
 	if cont.provisioned {
 		return // never expires

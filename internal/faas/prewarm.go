@@ -88,18 +88,6 @@ func (pf *Platform) ProvisionedIdle(name string) int {
 // platform-wide, idle or mid-invocation.
 func (pf *Platform) ProvisionedAllocated() int { return pf.provisionedCount }
 
-// ProvisionedFor reports how many provisioned containers the named function
-// has allocated, idle or mid-invocation. The count is carried on the
-// function's stats, so it reflects out-of-band destruction (a crashed VM,
-// an invocation timeout).
-func (pf *Platform) ProvisionedFor(name string) int {
-	fn, ok := pf.functions[name]
-	if !ok {
-		return 0
-	}
-	return fn.stats.provisioned
-}
-
 // AccrueProvisioned settles provisioned-concurrency charges up to now.
 // The platform calls it on every allocation change; experiments call it
 // once before reading the meter so charges cover the full run.

@@ -13,9 +13,11 @@ type FunctionStats struct {
 	PeakConcurrency int // high-water mark of simultaneous executions
 
 	// inFlight is the platform-managed count of executions running now;
-	// intervalPeak is its high-water mark since the last
-	// TakePeakConcurrency call (the autoscaler's target-tracking signal);
-	// provisioned counts the function's allocated provisioned containers.
+	// intervalPeak is its high-water mark since the last takePeak call
+	// (the autoscaler's target-tracking signal); provisioned counts the
+	// function's allocated provisioned containers, idle or
+	// mid-invocation, so it reflects out-of-band destruction (a crashed
+	// VM, an invocation timeout).
 	inFlight     int
 	intervalPeak int
 	provisioned  int
@@ -53,16 +55,12 @@ func (s *FunctionStats) beginExecution() {
 
 func (s *FunctionStats) endExecution() { s.inFlight-- }
 
-// TakePeakConcurrency returns the named function's peak simultaneous
-// executions since the previous call (or since startup) and restarts the
-// observation window at the current in-flight level. This is the
-// target-tracking signal the provisioned-concurrency autoscaler consumes.
-func (pf *Platform) TakePeakConcurrency(name string) (int, error) {
-	fn, ok := pf.functions[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchFunction, name)
-	}
-	peak := fn.stats.intervalPeak
-	fn.stats.intervalPeak = fn.stats.inFlight
-	return peak, nil
+// takePeak returns the function's peak simultaneous executions since the
+// previous call (or since startup) and restarts the observation window at
+// the current in-flight level. This is the target-tracking signal the
+// provisioned-concurrency autoscaler consumes.
+func (s *FunctionStats) takePeak() int {
+	peak := s.intervalPeak
+	s.intervalPeak = s.inFlight
+	return peak
 }

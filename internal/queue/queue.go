@@ -116,10 +116,8 @@ func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
 // Visibility deadlines are kept in receipt order in the hidden FIFO, and
 // only its head is scheduled: the queue's single timer vis is armed at the
 // head's deadline exactly when the FIFO is non-empty. Because visibility
-// is fixed per queue, deadlines never decrease along the FIFO, and each
-// entry's sim.Deadline is the (time, sequence) place its own timer would
-// have taken at receipt, so expiries fire in the same total event order as
-// one timer per delivery would.
+// is fixed per queue, deadlines never decrease along the FIFO, so
+// expiries fire at their deadlines, one per firing, in receipt order.
 type Queue struct {
 	svc        *Service
 	name       string
@@ -133,9 +131,8 @@ type Queue struct {
 	// waiters holds the long polls waiting for a message, oldest first.
 	// It is compacted in place, never resliced from the front, so its
 	// backing array is reused.
-	waiters  []*pollWaiter
-	idle     []*pollWaiter   // recycled long-poll wait state
-	trips    []*recvTrip     // recycled long-poll step state
+	waiters  []*recvTrip
+	trips    []*recvTrip     // recycled long-poll records
 	ids      strings.Builder // current block of IDs and receipts
 	nextID   int64
 	nextRcpt int64
@@ -160,22 +157,13 @@ type stored struct {
 
 // visEntry is one delivery's visibility deadline.
 type visEntry struct {
-	due      sim.Deadline
+	due      sim.Time
 	m        *stored
 	delivery int64
 }
 
 // live reports whether the entry's delivery is still in flight.
 func (e *visEntry) live() bool { return e.m.delivery == e.delivery }
-
-// pollWaiter is one long poller's wait state: a latch the arrival path or
-// the poll's deadline timer releases. Waiters are recycled through the
-// queue's idle list, so a long poll allocates nothing in steady state; the
-// deadline timer is bound to Release once and re-armed per poll.
-type pollWaiter struct {
-	sim.Latch
-	timer *sim.Timer
-}
 
 // recvTrip is one Receive's state while its chain of steps runs, reached
 // through the poller's Trip.Ref. Records are recycled through the queue's
@@ -187,8 +175,13 @@ type recvTrip struct {
 	wait     time.Duration
 	half     time.Duration // each leg's share of the sampled service time
 	deadline sim.Time
-	w        *pollWaiter // the waiter queued on, while the poll waits
-	stop     *PollStop   // PollUntil's stop; nil for Receive
+	stop     *PollStop // PollUntil's stop; nil for Receive
+	// woke is the signal a waiting poll is queued on. An arrival, or
+	// timer at the poll's deadline, fires it after taking the record off
+	// the waiter list. The timer is bound once, when the record is made,
+	// and re-armed per wait.
+	woke  sim.Signal
+	timer sim.Timer
 }
 
 // PollStop ends the PollUntil loops it is given. The zero value is not
@@ -340,28 +333,17 @@ func (q *Queue) enqueue(body []byte) string {
 	return m.id
 }
 
-// wakeWaiters releases up to n waiting long polls, oldest first, and
-// removes them from the list by moving the rest to the front.
+// wakeWaiters wakes up to n waiting long polls, oldest first, and removes
+// them from the list by moving the rest to the front. Every poll on the
+// list is live: one whose deadline fired has already left it.
 func (q *Queue) wakeWaiters(n int) {
-	i := 0
-	for ; n > 0 && i < len(q.waiters); i++ {
-		w := q.waiters[i]
-		if w.Released() {
-			// The waiter's deadline latch already fired: its receiver
-			// timed out and its step just hasn't run to remove it yet.
-			// Spending an arrival wake-up on it would leave a live
-			// long-poller asleep until its full deadline, so prune it
-			// without consuming the wake-up.
-			continue
-		}
-		w.Release()
-		n--
+	n = min(n, len(q.waiters))
+	for _, t := range q.waiters[:n] {
+		t.woke.Fire()
 	}
-	if i > 0 {
-		rest := copy(q.waiters, q.waiters[i:])
-		clear(q.waiters[rest:])
-		q.waiters = q.waiters[:rest]
-	}
+	rest := copy(q.waiters, q.waiters[n:])
+	clear(q.waiters[rest:])
+	q.waiters = q.waiters[:rest]
 }
 
 // Receive appends up to max (≤ MaxBatch) messages to dst and returns the
@@ -378,7 +360,7 @@ func (q *Queue) wakeWaiters(n int) {
 // leg to the start of the response leg is queue-side work, so it runs as a
 // chain of steps (see sim.Proc.WakeAfter) at the events where the process
 // would have resumed: poll at the end of the request leg, woke at each
-// release of the poll's waiter (see bindSteps).
+// wake-up of the waiting poll (see bindSteps).
 func (q *Queue) Receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration) ([]Message, error) {
 	return q.receive(p, caller, dst, max, wait, nil)
 }
@@ -399,26 +381,32 @@ func (q *Queue) receive(p *sim.Proc, caller *netsim.Node, dst []Message, max int
 	if max <= 0 || max > MaxBatch {
 		return dst, ErrBatchTooBig
 	}
-	t := q.trip()
+	t := q.trip(p.Kernel())
 	t.caller, t.dst, t.max, t.wait, t.stop = caller, dst, max, wait, stop
 	p.Trip = sim.Trip{Ref: t}
 	q.againStep(p)
 	p.Park()
 	p.Trip = sim.Trip{}
 	dst = t.dst
-	*t = recvTrip{}
+	t.caller, t.dst, t.stop = nil, nil, nil
 	q.trips = append(q.trips, t)
 	return dst, nil
 }
 
-// trip returns a cleared long-poll record, recycling one when it can.
-func (q *Queue) trip() *recvTrip {
+// trip returns a long-poll record whose timer is bound and unarmed,
+// recycling one when it can.
+func (q *Queue) trip(k *sim.Kernel) *recvTrip {
 	if n := len(q.trips); n > 0 {
 		t := q.trips[n-1]
 		q.trips = q.trips[:n-1]
 		return t
 	}
-	return &recvTrip{}
+	t := &recvTrip{}
+	t.timer.Init(k, func() {
+		q.dropWaiter(t)
+		t.woke.Fire()
+	})
+	return t
 }
 
 // bindSteps builds the long poll's steps once per queue. Each step's
@@ -444,38 +432,29 @@ func (q *Queue) bindSteps() {
 		t.deadline = p.Now() + t.wait
 		q.poll(p, t)
 	}
-	// woke runs when the poll's waiter is released, by an arrival or by
-	// its deadline: the waiter is retired and the poll looks again.
+	// woke runs when the poll is woken, by an arrival or by its
+	// deadline, either of which has taken it off the waiter list: the
+	// deadline event goes (it is gone already if it fired) and the poll
+	// looks again.
 	q.wokeStep = func(p *sim.Proc) {
 		t := p.Trip.Ref.(*recvTrip)
-		q.unwait(t.w)
-		t.w = nil
+		t.timer.Stop()
 		q.poll(p, t)
 	}
 }
 
 // poll waits for a message while the queue is empty and the deadline has
-// not passed, queuing p on a waiter whose release runs wokeStep; otherwise
-// it delivers. A fresh waiter is never released, so WaitStep always queues.
+// not passed, queuing the record on the waiter list with its timer armed
+// at the deadline, so that its wake-up runs wokeStep; otherwise it
+// delivers.
 func (q *Queue) poll(p *sim.Proc, t *recvTrip) {
 	if q.available.Len() == 0 && p.Now() < t.deadline {
-		w := q.waiter(p.Kernel())
-		q.waiters = append(q.waiters, w)
-		w.timer.ResetAt(t.deadline)
-		w.WaitStep(p, q.wokeStep)
-		t.w = w
+		q.waiters = append(q.waiters, t)
+		t.timer.ResetAt(t.deadline)
+		t.woke.WaitStep(p, q.wokeStep)
 		return
 	}
 	q.deliver(p, t)
-}
-
-// unwait retires a released waiter: its deadline event goes (it is gone
-// already if the deadline released it), it leaves the waiter list if an
-// arrival did not take it off, and it awaits reuse.
-func (q *Queue) unwait(w *pollWaiter) {
-	w.timer.Stop()
-	q.dropWaiter(w)
-	q.idle = append(q.idle, w)
 }
 
 // deliver hands out up to t.max messages, bills the response and starts
@@ -514,46 +493,28 @@ func (q *Queue) deliver(p *sim.Proc, t *recvTrip) {
 	p.WakeAfter(fe.OutLeg(t.caller, t.half), nil)
 }
 
-// waiter returns an unreleased wait state for a long poll, recycling one
-// from the idle list when it can.
-func (q *Queue) waiter(k *sim.Kernel) *pollWaiter {
-	if n := len(q.idle); n > 0 {
-		w := q.idle[n-1]
-		q.idle = q.idle[:n-1]
-		w.Reset()
-		return w
-	}
-	w := &pollWaiter{}
-	w.timer = k.NewTimer(w.Release)
-	return w
-}
-
-func (q *Queue) dropWaiter(w *pollWaiter) {
-	for i, cand := range q.waiters {
-		if cand == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
+// dropWaiter takes a poll whose deadline fired off the waiter list, if an
+// arrival has not woken it in the same instant.
+func (q *Queue) dropWaiter(t *recvTrip) {
+	if i := slices.Index(q.waiters, t); i >= 0 {
+		q.waiters = slices.Delete(q.waiters, i, i+1)
 	}
 }
 
 // hide starts the in-flight message's visibility timeout: its deadline
 // joins the FIFO, and arms the queue's timer if it is the only one.
-// Reserving the deadline takes a sequence number here, at receipt, as
-// scheduling a timer of its own would.
 func (q *Queue) hide(k *sim.Kernel, m *stored) {
-	due := k.DeadlineAfter(q.visibility)
+	due := k.Now() + q.visibility
 	q.hidden.Push(visEntry{due: due, m: m, delivery: m.delivery})
 	if q.hidden.Len() == 1 {
-		q.vis.ResetTo(due)
+		q.vis.ResetAt(due)
 	}
 }
 
 // expire fires at the head delivery's deadline: the undeleted message
 // becomes receivable again (the at-least-once contract). One delivery
-// expires per firing; a later one due at the same instant fires at its own
-// place in the event order, after anything scheduled between the two
-// receipts.
+// expires per firing; a later one due at the same instant fires after the
+// events already scheduled for it, the timer being re-armed here.
 func (q *Queue) expire() {
 	m := q.hidden.Pop().m
 	delete(q.inflight, m.receipt)
@@ -572,7 +533,7 @@ func (q *Queue) rearm() {
 		q.vis.Stop()
 		return
 	}
-	q.vis.ResetTo(q.hidden.Peek().due)
+	q.vis.ResetAt(q.hidden.Peek().due)
 }
 
 // ack removes a receipt's message from the in-flight set and recycles its

@@ -277,31 +277,35 @@ func TestReceiveBillsResponsePerChunk(t *testing.T) {
 }
 
 // TestArrivalWakeUpSkipsTimedOutWaiter reproduces the lost-wake-up race
-// with two staggered long-pollers: receiver A's wait deadline fires (its
-// latch releases) in the same instant a message arrives, before A's process
-// has resumed and removed itself from the waiters list. The arrival's
-// wake-up must go to the live receiver B, not be absorbed by A's dead latch
-// — otherwise B sleeps until its full deadline even though work arrived.
+// with two staggered long-pollers: receiver A's deadline timer fires in
+// the same instant a message arrives, ahead of the arrival, so A's wake-up
+// is still pending when the arrival wakes a poll. The arrival's wake-up
+// must go to the live receiver B, not be spent on A, which has already
+// timed out — otherwise B sleeps until its full deadline even though work
+// arrived.
 func TestArrivalWakeUpSkipsTimedOutWaiter(t *testing.T) {
 	f := newFixture(t, 30*time.Second)
 	f.k.Spawn("A", func(p *sim.Proc) {
 		f.q.Receive(p, f.caller, nil, 1, time.Second)
 	})
-	f.k.RunUntil(sim.Time(100 * time.Millisecond)) // A is parked
+	f.k.RunUntil(sim.Time(100 * time.Millisecond)) // A is waiting
 	f.k.Spawn("B", func(p *sim.Proc) {
 		f.q.Receive(p, f.caller, nil, 1, 20*time.Second)
 	})
-	f.k.RunUntil(sim.Time(500 * time.Millisecond)) // B is parked behind A
+	f.k.RunUntil(sim.Time(500 * time.Millisecond)) // B waits behind A
 	if len(f.q.waiters) != 2 {
 		t.Fatalf("waiters = %d, want 2 staggered long-pollers", len(f.q.waiters))
 	}
 	deadA, liveB := f.q.waiters[0], f.q.waiters[1]
-	f.k.At(sim.Time(500*time.Millisecond), func() {
-		deadA.Release() // what A's deadline timer does
-		// What a message arrival does, before A has resumed/dropped:
+	// Scheduled after A's deadline timer was armed, the arrival runs in
+	// the same instant, after the timer.
+	f.k.At(deadA.deadline, func() {
+		if deadA.timer.Active() || slices.Contains(f.q.waiters, deadA) {
+			t.Fatal("A's deadline has not fired ahead of the arrival")
+		}
 		f.q.available.Push(&stored{id: "m", body: []byte("x")})
 		f.q.wakeWaiters(1)
-		if !liveB.Released() {
+		if slices.Contains(f.q.waiters, liveB) || liveB.woke.Waiting() != 0 {
 			t.Error("arrival wake-up absorbed by timed-out waiter; live long-poller left sleeping")
 		}
 	})
@@ -382,9 +386,10 @@ func TestRedeliveryRearmsVisibilityTimer(t *testing.T) {
 }
 
 // TestRecycledLongPollWaiters alternates long polls that time out empty
-// with polls an arrival wakes, so every poll after the first reuses
-// recycled wait state. A timed-out poll must return at its deadline, a
-// woken one at the arrival, and no deadline event may outlive its poll.
+// with polls an arrival wakes, so every poll after the first reuses the
+// first poll's record and its bound deadline timer. A timed-out poll must
+// return at its deadline, a woken one at the arrival, and no deadline
+// event may outlive its poll.
 func TestRecycledLongPollWaiters(t *testing.T) {
 	f := newFixture(t, 30*time.Second)
 	const wait = 2 * time.Second
@@ -423,9 +428,9 @@ func TestRecycledLongPollWaiters(t *testing.T) {
 		}
 	})
 	f.k.Run()
-	if len(f.q.waiters) != 0 || len(f.q.idle) != 1 {
-		t.Errorf("waiters = %d, idle = %d; want 0 and one recycled waiter",
-			len(f.q.waiters), len(f.q.idle))
+	if len(f.q.waiters) != 0 || len(f.q.trips) != 1 {
+		t.Errorf("waiters = %d, trips = %d; want 0 and one recycled record",
+			len(f.q.waiters), len(f.q.trips))
 	}
 }
 
@@ -781,11 +786,11 @@ func TestIDsAndReceiptsSurviveBlockRollover(t *testing.T) {
 // BenchmarkQueueContendedLongPoll is eight empty-bodied Sends per op, 10
 // ms apart, into a queue that eight long pollers drain, each deleting what
 // it receives: sends wake waiters off the front of the waiter list, and
-// polls that time out leave released waiters for the next send to prune.
-// The list is compacted in place, and waiters, poll records and message
-// records are recycled, so it allocates nothing once warm but a share of
-// a 4 KB block of IDs and receipts. A list resliced from the front
-// reallocates about once per eight wake-ups.
+// polls that time out take themselves off it. The list is compacted in
+// place, and poll records and message records are recycled, so it
+// allocates nothing once warm but a share of a 4 KB block of IDs and
+// receipts. A list resliced from the front reallocates about once per
+// eight wake-ups.
 func BenchmarkQueueContendedLongPoll(b *testing.B) {
 	f := newFixture(b, 30*time.Second)
 	stop := false

@@ -14,9 +14,9 @@ import (
 )
 
 // refReceive is Receive written as blocking process code: a sleep for the
-// request leg, a park per wait on a waiter's latch, and a sleep for the
-// response leg. It is the reference the stepped Receive must match event
-// for event.
+// request leg, a park per wait on a poll record's signal, and a sleep
+// for the response leg. It is the reference the stepped Receive must
+// match event for event.
 func refReceive(q *Queue, p *sim.Proc, caller *netsim.Node, dst []Message, max int, wait time.Duration) ([]Message, error) {
 	if max <= 0 || max > MaxBatch {
 		return dst, ErrBatchTooBig
@@ -25,18 +25,17 @@ func refReceive(q *Queue, p *sim.Proc, caller *netsim.Node, dst []Message, max i
 	svc := fe.SampleOp()
 	p.Sleep(fe.InLeg(caller, svc/2))
 	deadline := p.Now() + wait
+	t := q.trip(p.Kernel())
 	for q.available.Len() == 0 && p.Now() < deadline {
-		w := q.waiter(p.Kernel())
-		q.waiters = append(q.waiters, w)
-		w.timer.ResetAt(deadline)
-		w.Wait(p)
+		q.waiters = append(q.waiters, t)
+		t.timer.ResetAt(deadline)
+		t.woke.Wait(p)
 		if q.available.Len() > 0 {
 			refWokenByMessage++
 		}
-		w.timer.Stop()
-		q.dropWaiter(w)
-		q.idle = append(q.idle, w)
+		t.timer.Stop()
 	}
+	q.trips = append(q.trips, t)
 	n := min(max, q.available.Len())
 	var payload int64
 	for range n {

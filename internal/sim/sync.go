@@ -84,10 +84,6 @@ func (l *Latch) Release() {
 	l.sig.Fire()
 }
 
-// Reset closes a released latch again so it can be reused, keeping the
-// signal's waiter array. It must not be called while processes wait on it.
-func (l *Latch) Reset() { l.released = false }
-
 // Promise is a write-once container a process can block on; the simulated
 // analogue of a future. The zero value is an unresolved promise.
 type Promise[T any] struct {

@@ -85,32 +85,6 @@ func TestLatchIsSticky(t *testing.T) {
 	}
 }
 
-// TestLatchResetReuses checks that a reset latch blocks again until its
-// next Release, so one latch can serve successive waits.
-func TestLatchResetReuses(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	var l Latch
-	var woke []Time
-	k.Spawn("waiter", func(p *Proc) {
-		for range 2 {
-			l.Wait(p)
-			woke = append(woke, p.Now())
-			l.Reset()
-		}
-	})
-	k.Spawn("releaser", func(p *Proc) {
-		p.Sleep(time.Second)
-		l.Release()
-		p.Sleep(time.Second)
-		l.Release()
-	})
-	k.Run()
-	if len(woke) != 2 || woke[0] != Time(time.Second) || woke[1] != Time(2*time.Second) {
-		t.Errorf("waiter woke at %v, want [1s 2s]", woke)
-	}
-}
-
 func TestPromiseDeliversValue(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()

@@ -63,21 +63,15 @@ func (k *Kernel) AtTimer(at Time, fn func()) *Timer {
 }
 
 // arm schedules the timer's event at time at (clamped to the present)
-// under a fresh sequence number.
+// under a fresh sequence number. Timers always live in the heap, never the
+// run queue, because the run queue does not support removal.
 func (t *Timer) arm(at Time) {
-	t.k.seq++
-	t.armAt(at, t.k.seq)
-}
-
-// armAt schedules the timer's event at (at, seq), with at clamped to the
-// present. Timers always live in the heap, never the run queue, because
-// the run queue does not support removal.
-func (t *Timer) armAt(at Time, seq uint64) {
 	k := t.k
+	k.seq++
 	if at < k.now {
 		at = k.now
 	}
-	t.slot = k.events.push(at, seq, t.fn, nil)
+	t.slot = k.events.push(at, k.seq, t.fn, nil)
 	t.gen = k.events.arena[t.slot].gen
 }
 
@@ -120,44 +114,4 @@ func (t *Timer) ResetAt(at Time) {
 		return
 	}
 	t.arm(at)
-}
-
-// Deadline is a reserved place in the kernel's total event order: the
-// (time, sequence number) key that an event scheduled at the moment the
-// Deadline was taken would have had. A component that tracks many
-// deadlines in order but keeps only the earliest one scheduled takes a
-// Deadline per entry and arms a single Timer with ResetTo; its events then
-// fire exactly where one timer per entry would have, same-instant ties
-// against every other event included.
-type Deadline struct {
-	at  Time
-	seq uint64
-}
-
-// DeadlineAfter reserves the place in the event order of an event
-// scheduled now to run d later (clamped to the present). It consumes one
-// sequence number, exactly as scheduling that event would.
-func (k *Kernel) DeadlineAfter(d Time) Deadline {
-	k.seq++
-	return Deadline{at: max(k.now+d, k.now), seq: k.seq}
-}
-
-// At returns the deadline's virtual time.
-func (d Deadline) At() Time { return d.at }
-
-// ResetTo (re)schedules the timer at a reserved deadline, taking its
-// place in the event order instead of a fresh sequence number (a deadline
-// already in the past is clamped to the present, keeping its place among
-// same-instant events). At most one timer may be armed at a given
-// Deadline: two events with one key would have no defined order.
-func (t *Timer) ResetTo(d Deadline) {
-	k := t.k
-	if k.closed {
-		panic("sim: Timer.ResetTo on closed kernel")
-	}
-	if t.Active() {
-		k.events.update(t.slot, max(d.at, k.now), d.seq)
-		return
-	}
-	t.armAt(d.at, d.seq)
 }

@@ -230,34 +230,3 @@ func TestTimerStopInteriorRemoval(t *testing.T) {
 		}
 	}
 }
-
-// TestTimerResetToKeepsReservedPlace: a timer armed at a Deadline fires
-// where an event scheduled when the Deadline was taken would have — ahead
-// of a same-instant event scheduled in between — whether it is armed
-// fresh or rekeyed while active, and taking a Deadline schedules nothing.
-func TestTimerResetToKeepsReservedPlace(t *testing.T) {
-	for _, active := range []bool{false, true} {
-		k := NewKernel()
-		var order []string
-		tm := k.NewTimer(func() { order = append(order, "timer") })
-		pending := 1 // the At event below
-		if active {
-			tm.ResetAt(5 * time.Second)
-			pending++
-		}
-		d := k.DeadlineAfter(time.Second)
-		if d.At() != time.Second {
-			t.Errorf("DeadlineAfter(1s).At() = %v, want 1s", d.At())
-		}
-		k.At(time.Second, func() { order = append(order, "at") })
-		if k.Pending() != pending {
-			t.Errorf("active=%v: %d events pending after DeadlineAfter, want %d", active, k.Pending(), pending)
-		}
-		tm.ResetTo(d)
-		k.Run()
-		if len(order) != 2 || order[0] != "timer" || order[1] != "at" {
-			t.Errorf("active=%v: order = %v, want [timer at]", active, order)
-		}
-		k.Close()
-	}
-}

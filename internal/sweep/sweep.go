@@ -27,15 +27,12 @@
 //     from an anonymous goroutine.
 //
 // The worker count defaults to GOMAXPROCS and can be overridden per
-// process with SetWorkers (the faasbench -workers flag) or the
-// SWEEP_WORKERS environment variable.
+// process with SetWorkers (the faasbench -workers flag).
 package sweep
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -43,33 +40,17 @@ import (
 // override is the SetWorkers value; 0 means "not set".
 var override atomic.Int64
 
-// envWorkers parses SWEEP_WORKERS once; 0 means unset/invalid.
-var envWorkers = sync.OnceValue(func() int {
-	v := os.Getenv("SWEEP_WORKERS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
-})
-
 // Workers reports the worker count sweeps run at: the SetWorkers override
-// if set, else SWEEP_WORKERS from the environment, else GOMAXPROCS.
+// if set, else GOMAXPROCS.
 func Workers() int {
 	if n := int(override.Load()); n > 0 {
-		return n
-	}
-	if n := envWorkers(); n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
 // SetWorkers overrides the process-wide worker count; n <= 0 restores the
-// environment/GOMAXPROCS default.
+// GOMAXPROCS default.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
