@@ -31,8 +31,7 @@ func main() {
 func run(w io.Writer, seed uint64) error {
 	cloud := core.NewCloud(seed)
 	defer cloud.Close()
-	pf := future.New(cloud.Net, cloud.Mesh, cloud.RNG.Fork(),
-		future.DefaultConfig(), cloud.Catalog, cloud.Meter)
+	pf := future.New(cloud.Net, cloud.Mesh, cloud.RNG.Fork(), cloud.Catalog, cloud.Meter)
 
 	ds := pf.CreateDataSet("clickstream", 5)
 	var parts []string
@@ -51,8 +50,7 @@ func run(w io.Writer, seed uint64) error {
 		},
 	}
 
-	env := dataflow.DefaultEnv()
-	plan, costs, err := env.Plan(job)
+	plan, costs, err := dataflow.Plan(job)
 	if err != nil {
 		return err
 	}
@@ -60,10 +58,10 @@ func run(w io.Writer, seed uint64) error {
 	fmt.Fprintf(w, "planner: %v per-partition predictions: code->data %.3fs, data->code %.3fs\n",
 		plan.Placement, costs[dataflow.ShipCodeToData], costs[dataflow.ShipDataToCode])
 
-	ex := dataflow.NewExecutor(pf, env)
+	ex := dataflow.NewExecutor(pf)
 	done := false
 	cloud.K.Spawn("driver", func(p *sim.Proc) {
-		execute := func(pl *dataflow.Plan, label string) {
+		execute := func(pl *dataflow.PhysicalPlan, label string) {
 			res, err := ex.Execute(p, pl, 8, dataflow.StragglerPolicy{})
 			if err != nil {
 				panic(err)
@@ -72,8 +70,8 @@ func run(w io.Writer, seed uint64) error {
 				res.Elapsed.Round(10*time.Millisecond), float64(res.OutputBytes)/1e6)
 		}
 		execute(plan, "planner ("+plan.Placement.String()+"):")
-		execute(&dataflow.Plan{Job: job, Placement: dataflow.ShipDataToCode}, "forced data->code:")
-		execute(&dataflow.Plan{Job: job, Placement: dataflow.ShipCodeToData}, "forced code->data:")
+		execute(&dataflow.PhysicalPlan{Job: job, Placement: dataflow.ShipDataToCode}, "forced data->code:")
+		execute(&dataflow.PhysicalPlan{Job: job, Placement: dataflow.ShipCodeToData}, "forced code->data:")
 		done = true
 	})
 	for t := sim.Time(0); !done; t += sim.Time(time.Minute) {

@@ -45,55 +45,36 @@ var (
 	}
 )
 
-// VolumeConfig describes an EBS-style volume's throughput. Cold reads come
-// off the storage service; warm reads are served from the instance page
-// cache. Calibrated so a warm 100MB read takes the paper's 0.04s.
-type VolumeConfig struct {
-	ColdBps   netsim.Bps
-	WarmBps   netsim.Bps
-	IOLatency simrand.Dist // per-request seek/queue overhead
-}
+// EBS-style volume throughput. Cold reads come off the storage service;
+// warm reads are served from the instance page cache. Calibrated so a warm
+// 100MB read takes the paper's 0.04s.
+const (
+	// gp2 volumes sustained ~160 MB/s in 2018.
+	coldBps netsim.Bps = 160e6
+	// Warm data is in the page cache: 100MB in ~0.04s => 2.5 GB/s.
+	warmBps netsim.Bps = 2500e6
+)
 
-// DefaultVolumeConfig returns the calibrated EBS configuration.
-func DefaultVolumeConfig() VolumeConfig {
-	return VolumeConfig{
-		// gp2 volumes sustained ~160 MB/s in 2018.
-		ColdBps: netsim.MBps(160),
-		// Warm data is in the page cache: 100MB in ~0.04s => 2.5 GB/s.
-		WarmBps:   netsim.MBps(2500),
-		IOLatency: simrand.Uniform{Lo: 200 * time.Microsecond, Hi: 600 * time.Microsecond},
-	}
-}
-
-// Config holds provider-level parameters.
-type Config struct {
-	// BootDelay is the time from Launch to a usable instance.
-	BootDelay simrand.Dist
-	Volume    VolumeConfig
-}
-
-// DefaultConfig returns the calibrated provider configuration.
-func DefaultConfig() Config {
-	return Config{
-		BootDelay: simrand.Uniform{Lo: 45 * time.Second, Hi: 90 * time.Second},
-		Volume:    DefaultVolumeConfig(),
-	}
-}
+var (
+	// ioLatency is a volume request's seek/queue overhead.
+	ioLatency = simrand.Uniform{Lo: 200 * time.Microsecond, Hi: 600 * time.Microsecond}
+	// bootDelay is the time from Launch to a usable instance.
+	bootDelay = simrand.Uniform{Lo: 45 * time.Second, Hi: 90 * time.Second}
+)
 
 // Provider launches and bills instances.
 type Provider struct {
 	net     *netsim.Network
 	rng     *simrand.RNG
-	cfg     Config
 	catalog *pricing.Catalog
 	meter   *pricing.Meter
 	nextID  int
 }
 
 // NewProvider creates an EC2-style provider.
-func NewProvider(net *netsim.Network, rng *simrand.RNG, cfg Config,
+func NewProvider(net *netsim.Network, rng *simrand.RNG,
 	catalog *pricing.Catalog, meter *pricing.Meter) *Provider {
-	return &Provider{net: net, rng: rng, cfg: cfg, catalog: catalog, meter: meter}
+	return &Provider{net: net, rng: rng, catalog: catalog, meter: meter}
 }
 
 // Launch boots an instance of the given type in the given rack, blocking the
@@ -108,13 +89,12 @@ func (pr *Provider) Launch(p *sim.Proc, typ InstanceType, rack int) *Instance {
 		node:       pr.net.NewNode(id, rack, typ.NICBps),
 		launchedAt: p.Now(),
 		volume: &Volume{
-			cfg:  pr.cfg.Volume,
 			rng:  pr.rng.Fork(),
 			warm: make(map[string]bool),
 		},
 	}
 	inst.volume.inst = inst
-	p.Sleep(pr.cfg.BootDelay.Sample(pr.rng))
+	p.Sleep(bootDelay.Sample(pr.rng))
 	return inst
 }
 
@@ -174,7 +154,6 @@ func (i *Instance) Terminate(p *sim.Proc) error {
 // Volume is an EBS-style block volume with a warm-block cache model.
 type Volume struct {
 	inst *Instance
-	cfg  VolumeConfig
 	rng  *simrand.RNG
 	warm map[string]bool
 }
@@ -187,10 +166,10 @@ func (v *Volume) Read(p *sim.Proc, extent string, size int64) error {
 	if v.inst.terminated {
 		return ErrTerminated
 	}
-	p.Sleep(v.cfg.IOLatency.Sample(v.rng))
-	rate := v.cfg.ColdBps
+	p.Sleep(ioLatency.Sample(v.rng))
+	rate := coldBps
 	if v.warm[extent] {
-		rate = v.cfg.WarmBps
+		rate = warmBps
 	}
 	v.warm[extent] = true
 	if size > 0 {
@@ -206,9 +185,9 @@ func (v *Volume) Write(p *sim.Proc, extent string, size int64) error {
 	if v.inst.terminated {
 		return ErrTerminated
 	}
-	p.Sleep(v.cfg.IOLatency.Sample(v.rng))
+	p.Sleep(ioLatency.Sample(v.rng))
 	if size > 0 {
-		secs := float64(size) / float64(v.cfg.ColdBps)
+		secs := float64(size) / float64(coldBps)
 		p.Sleep(time.Duration(secs * float64(time.Second)))
 	}
 	v.warm[extent] = true

@@ -25,7 +25,7 @@ func newFixture(t *testing.T) *fixture {
 	rng := simrand.New(5)
 	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
 	meter := &pricing.Meter{}
-	prov := NewProvider(net, rng.Fork(), DefaultConfig(), pricing.Fall2018(), meter)
+	prov := NewProvider(net, rng.Fork(), pricing.Fall2018(), meter)
 	return &fixture{k: k, prov: prov, meter: meter}
 }
 

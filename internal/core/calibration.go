@@ -8,36 +8,34 @@ package core
 import (
 	"time"
 
-	"repro/internal/compute"
 	"repro/internal/faas"
 	"repro/internal/kvstore"
-	"repro/internal/netsim"
-	"repro/internal/objectstore"
-	"repro/internal/queue"
 )
 
-// Calibration constants. Everything here is a *primitive* (a per-operation
-// latency, a throughput, a price); every number the experiments report is
-// derived by running the simulated system. Provenance:
+// Calibration constants. Everything here and in the service packages is a
+// *primitive* (a per-operation latency, a throughput, a price); every
+// number the experiments report is derived by running the simulated
+// system. Each service package holds its own primitives as package
+// constants next to the code that uses them. Provenance:
 //
 //	Paper-measured primitives (Table 1 and §3.1):
 //	  - Lambda no-op invocation with 1KB argument: 303 ms mean
-//	    -> faas.DefaultConfig().InvokeOverhead (294 ms median) + warm
-//	       dispatch + payload shipping.
-//	  - S3 1KB write+read: 106-108 ms -> objectstore OpLatency (52 ms
+//	    -> faas invokeOverhead (294 ms median) + warm dispatch +
+//	       payload shipping.
+//	  - S3 1KB write+read: 106-108 ms -> objectstore opLatency (52 ms
 //	    median per op).
-//	  - DynamoDB 1KB write+read: 11 ms -> kvstore OpLatency (4.15 ms
+//	  - DynamoDB 1KB write+read: 11 ms -> kvstore opLatency (4.15 ms
 //	    median per op).
 //	  - ZeroMQ 1KB round trip: 290 µs -> netsim same-rack one-way delay
 //	    (127-157 µs) + NIC serialization + 2 µs software overhead.
 //	  - 100 MB S3 fetch from Lambda: 2.49 s -> objectstore PerConnBps
 //	    (41.2 MB/s per connection).
 //	  - Optimizer over 100 MB at 640 MB memory: 0.59 s -> faas
-//	    FullCoreComputeMBps (468.6) x memory share (640/1769).
+//	    fullCoreComputeMBps (468.6) x memory share (640/1769).
 //	  - Optimizer over 100 MB on m4.large: 0.10 s -> compute.M4Large
 //	    ComputeMBps (1000).
-//	  - Warm 100 MB EBS read: 0.04 s -> compute VolumeConfig WarmBps
-//	    (2.5 GB/s page cache).
+//	  - Warm 100 MB EBS read: 0.04 s -> compute warmBps (2.5 GB/s page
+//	    cache).
 //	  - Per-function bandwidth 538 Mbps (Wang et al. [26]) -> faas
 //	    VMNICBps; packing 20 containers per VM.
 //
@@ -49,8 +47,8 @@ import (
 //	Reconstructed assumptions (the paper does not state them; full
 //	derivations in EXPERIMENTS.md):
 //	  - SQS-triggered invocation adds an event-source dispatch delay of
-//	    105-145 ms, chosen so the optimized serving variant lands at the
-//	    measured 447 ms/batch.
+//	    115-155 ms (faas esmDispatchDelay), chosen so the optimized
+//	    serving variant lands at the measured 447 ms/batch.
 //	  - Election blackboard records are padded to 500 B so that a
 //	    1,000-node board scan costs ~123 read units, reproducing the
 //	    "$450/hr at minimum" claim.
@@ -75,9 +73,6 @@ const (
 	// ServingTargetRate is the cost analysis's offered load.
 	ServingTargetRate = 1e6 // messages per second
 
-	// LambdaLifetime is the invocation cap the 1.9% figure divides by.
-	LambdaLifetime = 15 * time.Minute
-
 	// SSDBandwidthMBps is the single-SSD reference the paper compares
 	// per-function bandwidth against (order of 2-3 GB/s in 2018).
 	SSDBandwidthMBps = 2500.0
@@ -86,25 +81,17 @@ const (
 	FirecrackerColdStart = 125 * time.Millisecond
 )
 
-// Config bundles every substrate's configuration so experiments can apply
-// targeted overrides (ablations) without touching the calibrated defaults.
+// Config holds the substrate settings experiments override (ablations,
+// sharding) without touching the calibrated defaults.
 type Config struct {
-	Latency netsim.LatencyProfile
-	S3      objectstore.Config
-	DDB     kvstore.Config
-	SQS     queue.Config
-	Lambda  faas.Config
-	EC2     compute.Config
+	DDB    kvstore.Config
+	Lambda faas.Config
 }
 
 // DefaultConfig returns the fully calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		Latency: netsim.DefaultLatency(),
-		S3:      objectstore.DefaultConfig(),
-		DDB:     kvstore.DefaultConfig(),
-		SQS:     queue.DefaultConfig(),
-		Lambda:  faas.DefaultConfig(),
-		EC2:     compute.DefaultConfig(),
+		DDB:    kvstore.DefaultConfig(),
+		Lambda: faas.DefaultConfig(),
 	}
 }

@@ -35,13 +35,13 @@ type World struct {
 }
 
 // NewWorld builds the kernel, RNG, network, catalog and meter for seed.
-func NewWorld(seed uint64, lat netsim.LatencyProfile) World {
+func NewWorld(seed uint64) World {
 	k := sim.NewKernel()
 	rng := simrand.New(seed)
 	return World{
 		K:       k,
 		RNG:     rng,
-		Net:     netsim.NewNetwork(k, rng.Fork(), lat),
+		Net:     netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency()),
 		Catalog: pricing.Fall2018(),
 		Meter:   &pricing.Meter{},
 	}
@@ -71,15 +71,15 @@ func NewCloud(seed uint64) *Cloud {
 
 // NewCloudWith assembles a region with explicit configuration (ablations).
 func NewCloudWith(seed uint64, cfg Config) *Cloud {
-	w := NewWorld(seed, cfg.Latency)
+	w := NewWorld(seed)
 	net, rng, catalog, meter := w.Net, w.RNG, w.Catalog, w.Meter
 	return &Cloud{
 		World:  w,
-		S3:     objectstore.New("s3", net, ServiceRack, rng.Fork(), cfg.S3, catalog, meter),
+		S3:     objectstore.New("s3", net, ServiceRack, rng.Fork(), objectstore.DefaultConfig(), catalog, meter),
 		DDB:    kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), cfg.DDB, catalog, meter),
-		SQS:    queue.NewService("sqs", net, ServiceRack, rng.Fork(), cfg.SQS, catalog, meter),
+		SQS:    queue.NewService("sqs", net, ServiceRack, rng.Fork(), catalog, meter),
 		Lambda: faas.New("lambda", net, rng.Fork(), cfg.Lambda, catalog, meter),
-		EC2:    compute.NewProvider(net, rng.Fork(), cfg.EC2, catalog, meter),
+		EC2:    compute.NewProvider(net, rng.Fork(), catalog, meter),
 		Mesh:   msgnet.NewMesh(net, rng.Fork()),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/election"
+	"repro/internal/faas"
 	"repro/internal/netsim"
 	"repro/internal/pricing"
 	"repro/internal/sim"
@@ -143,7 +144,7 @@ func RunElection(seed uint64) []*Table {
 	})
 	rounds, catalog := pts[0].rounds, pts[0].catalog
 	round := rounds.Mean()
-	share := round.Seconds() / LambdaLifetime.Seconds() * 100
+	share := round.Seconds() / faas.MaxTimeout.Seconds() * 100
 	r10, w10 := pts[1].read, pts[1].write
 	r100, w100 := pts[2].read, pts[2].write
 	perCycleAt := func(n float64) float64 {

@@ -48,7 +48,7 @@ func RunFuture(seed uint64) []*Table {
 func futureTraining(seed uint64) (time.Duration, pricing.USD) {
 	c := NewCloud(seed)
 	defer c.Close()
-	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
+	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), c.Catalog, c.Meter)
 
 	batches := int(TrainingCorpusBytes / TrainingBatchBytes)
 	totalIters := TrainingEpochs * batches
@@ -86,7 +86,7 @@ func futureTraining(seed uint64) (time.Duration, pricing.USD) {
 func futureServing(seed uint64) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
-	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
+	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), c.Catalog, c.Meter)
 	rec := stats.NewRecorder("batch")
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
@@ -120,7 +120,7 @@ func futureServing(seed uint64) time.Duration {
 func futureElection(seed uint64) time.Duration {
 	c := NewCloud(seed)
 	defer c.Close()
-	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
+	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), c.Catalog, c.Meter)
 
 	const n = 10
 	params := election.DirectParams()

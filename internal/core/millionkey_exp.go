@@ -71,7 +71,7 @@ type millionKeyResult struct {
 // runMillionKey measures one protocol at one replica count, parameterized
 // by key count so tests and the bench smoke can scale it down.
 func runMillionKey(seed uint64, replicas, keyCount int, reconcile bool) millionKeyResult {
-	world := NewWorld(seed, netsim.DefaultLatency())
+	world := NewWorld(seed)
 	defer world.Close()
 	k, rng, net, catalog, meter := world.K, world.RNG, world.Net, world.Catalog, world.Meter
 	store := kvstore.New("mk-ddb", net, 9, rng.Fork(), kvstore.DefaultConfig(), catalog, meter)

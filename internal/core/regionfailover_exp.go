@@ -101,8 +101,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	window := time.Duration(float64(rfWindow) * scale)
 	partAt, partDur := window/3, window/3
 
-	cfg := DefaultConfig()
-	world := NewWorld(seed, cfg.Latency)
+	world := NewWorld(seed)
 	defer world.Close()
 	k, rng, net, catalog, meter := world.K, world.RNG, world.Net, world.Catalog, world.Meter
 	// Region 0 is the primary, region 1 the secondary the chaos run severs.
@@ -112,7 +111,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 		meter.ChargeCost("wan.egress", catalog.WANEgressPerGB*pricing.USD(float64(bytes)/1e9))
 	})
 
-	dcfg := cfg.DDB
+	dcfg := kvstore.DefaultConfig()
 	dcfg.ShardCount = 4
 	gt := kvstore.NewGlobal("dynamodb", net, ServiceRack, rng.Fork(), dcfg,
 		regions, catalog, meter)
@@ -121,7 +120,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 	pfs := make([]*faas.Platform, len(regions))
 	for r := range pfs {
 		prev := net.SetBuildRegion(r)
-		pfs[r] = faas.New(fmt.Sprintf("lambda-r%d", r), net, rng.Fork(), cfg.Lambda, catalog, meter)
+		pfs[r] = faas.New(fmt.Sprintf("lambda-r%d", r), net, rng.Fork(), faas.DefaultConfig(), catalog, meter)
 		net.SetBuildRegion(prev)
 	}
 
@@ -239,7 +238,7 @@ func runRegionFailover(seed uint64, withChaos bool, scale float64) rfResult {
 func runStragglerRescue(seed uint64, spares int) dataflow.Result {
 	c := NewCloud(seed)
 	defer c.Close()
-	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), future.DefaultConfig(), c.Catalog, c.Meter)
+	pf := future.New(c.Net, c.Mesh, c.RNG.Fork(), c.Catalog, c.Meter)
 	ds := pf.CreateDataSet("shards", 5)
 	parts := make([]string, 8)
 	for i := range parts {
@@ -250,14 +249,14 @@ func runStragglerRescue(seed uint64, spares int) dataflow.Result {
 		{Name: "parse", Selectivity: 1.0, CostMBps: 1500},
 		{Name: "reduce", Selectivity: 0.01, CostMBps: 2000},
 	}}
-	plan, _, err := dataflow.DefaultEnv().Plan(job)
+	plan, _, err := dataflow.Plan(job)
 	if err != nil {
 		panic(err)
 	}
 	var out dataflow.Result
 	done := false
 	c.K.Spawn("driver", func(p *sim.Proc) {
-		ex := dataflow.NewExecutor(pf, dataflow.DefaultEnv())
+		ex := dataflow.NewExecutor(pf)
 		res, err := ex.Execute(p, plan, 4, dataflow.StragglerPolicy{
 			Patience: 200 * time.Millisecond,
 			Spares:   spares,

@@ -168,12 +168,11 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	window := time.Duration(float64(rsWindow) * scale)
 	faultAt, faultDur := window/3, window/3
 
-	cfg := DefaultConfig()
-	world := NewWorld(seed, cfg.Latency)
+	world := NewWorld(seed)
 	defer world.Close()
 	k, rng, net := world.K, world.RNG, world.Net
 
-	dcfg := cfg.DDB
+	dcfg := kvstore.DefaultConfig()
 	dcfg.ShardCount = rsShards
 	dcfg.ShardConcurrency = 4
 	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, world.Catalog, world.Meter)
@@ -366,12 +365,11 @@ func (c *rsConn) wake(p *sim.Proc) {
 func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	window := time.Duration(float64(rsJailWindow) * scale)
 
-	cfg := DefaultConfig()
-	world := NewWorld(seed, cfg.Latency)
+	world := NewWorld(seed)
 	defer world.Close()
 	k, rng, net := world.K, world.RNG, world.Net
 
-	dcfg := cfg.DDB
+	dcfg := kvstore.DefaultConfig()
 	dcfg.ShardCount = 1
 	dcfg.ShardConcurrency = 4
 	ddb := kvstore.New("dynamodb", net, ServiceRack, rng.Fork(), dcfg, world.Catalog, world.Meter)

@@ -284,12 +284,13 @@ func RunServingCost(seed uint64) []*Table {
 	c.K.Spawn("throughput", func(p *sim.Proc) {
 		inst := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		cores := sim.NewResource(inst.Type().VCPUs)
+		// Receive side is pipelined across workers; CPU is the binding
+		// constraint.
+		recv := queue.OpLatency()
 		for w := 0; w < 16; w++ {
 			p.Spawn("worker", func(wp *sim.Proc) {
 				for {
-					// Receive side is pipelined across workers; CPU is
-					// the binding constraint.
-					wp.Sleep(queue.DefaultConfig().OpLatency.Sample(c.RNG) / ServingBatchSize)
+					wp.Sleep(recv.Sample(c.RNG) / ServingBatchSize)
 					cores.Acquire(wp)
 					wp.Sleep(ServingCPUPerMessage)
 					cores.Release()

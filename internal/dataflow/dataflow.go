@@ -102,48 +102,37 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Plan is a physical plan: one placement decision per partition pipeline.
-type Plan struct {
+// PhysicalPlan is one placement decision per partition pipeline.
+type PhysicalPlan struct {
 	Job       *Job
 	Placement Placement
 	// PredictedSeconds is the cost model's per-partition estimate.
 	PredictedSeconds float64
 }
 
-// Env describes the execution environment the planner costs against.
-type Env struct {
-	// LocalReadMBps is co-located read throughput.
-	LocalReadMBps float64
-	// NetworkMBps is the effective partition-streaming throughput to a
+// The rates the planner costs against, those of the future-platform the
+// executor runs on.
+const (
+	// localReadMBps is co-located read throughput.
+	localReadMBps = float64(future.LocalReadBps) / 1e6
+	// networkMBps is the effective partition-streaming throughput to a
 	// remote agent.
-	NetworkMBps float64
-	// ComputeMBps is agent compute throughput (placement-independent).
-	ComputeMBps float64
-	// CodeShipSeconds is the one-time cost of placing code next to data
-	// (amortized per partition by the planner).
-	CodeShipSeconds float64
-}
-
-// DefaultEnv mirrors future.DefaultConfig.
-func DefaultEnv() Env {
-	return Env{
-		LocalReadMBps:   2500,
-		NetworkMBps:     1250, // 10 Gbps
-		ComputeMBps:     1000,
-		CodeShipSeconds: 0.125,
-	}
-}
+	networkMBps = float64(future.AgentNICBps) / 1e6
+	// codeShipSeconds is the one-time cost of placing code next to data,
+	// the mean placement delay (amortized per partition by the planner).
+	codeShipSeconds = float64(future.PlacementLo+future.PlacementHi) / 2 / float64(time.Second)
+)
 
 // costOf predicts per-partition seconds under a placement.
-func (e Env) costOf(j *Job, pl Placement, partitionBytes float64) float64 {
+func costOf(j *Job, pl Placement, partitionBytes float64) float64 {
 	mb := partitionBytes / 1e6
 	var secs float64
 	switch pl {
 	case ShipCodeToData:
-		secs = mb / e.LocalReadMBps
-		secs += e.CodeShipSeconds / float64(len(j.Partitions))
+		secs = mb / localReadMBps
+		secs += codeShipSeconds / float64(len(j.Partitions))
 	case ShipDataToCode:
-		secs = mb / e.NetworkMBps
+		secs = mb / networkMBps
 	}
 	// Operator chain: each op crunches its input then shrinks it.
 	cur := mb
@@ -154,14 +143,14 @@ func (e Env) costOf(j *Job, pl Placement, partitionBytes float64) float64 {
 	// Result shipping: only the final output moves for code->data;
 	// for data->code the result is already where the code is.
 	if pl == ShipCodeToData && cur > 0 {
-		secs += cur / e.NetworkMBps
+		secs += cur / networkMBps
 	}
 	return secs
 }
 
-// Plan picks the cheaper placement for the job under env. It returns the
-// plan plus both predictions so callers can inspect the margin.
-func (e Env) Plan(j *Job) (*Plan, map[Placement]float64, error) {
+// Plan picks the cheaper placement for the job. It returns the plan plus
+// both predictions so callers can inspect the margin.
+func Plan(j *Job) (*PhysicalPlan, map[Placement]float64, error) {
 	if err := j.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -173,14 +162,14 @@ func (e Env) Plan(j *Job) (*Plan, map[Placement]float64, error) {
 	avg /= float64(len(j.Partitions))
 
 	costs := map[Placement]float64{
-		ShipCodeToData: e.costOf(j, ShipCodeToData, avg),
-		ShipDataToCode: e.costOf(j, ShipDataToCode, avg),
+		ShipCodeToData: costOf(j, ShipCodeToData, avg),
+		ShipDataToCode: costOf(j, ShipDataToCode, avg),
 	}
 	pl := ShipCodeToData
 	if costs[ShipDataToCode] < costs[ShipCodeToData] {
 		pl = ShipDataToCode
 	}
-	return &Plan{Job: j, Placement: pl, PredictedSeconds: costs[pl]}, costs, nil
+	return &PhysicalPlan{Job: j, Placement: pl, PredictedSeconds: costs[pl]}, costs, nil
 }
 
 // Result summarizes one executed job. Elapsed is the makespan, up to the
@@ -201,20 +190,19 @@ type Result struct {
 // Executor runs physical plans on a future-platform.
 type Executor struct {
 	pf   *future.Platform
-	env  Env
 	runs int // distinguishes agent names across Execute calls
 }
 
 // NewExecutor binds an executor to the platform.
-func NewExecutor(pf *future.Platform, env Env) *Executor {
-	return &Executor{pf: pf, env: env}
+func NewExecutor(pf *future.Platform) *Executor {
+	return &Executor{pf: pf}
 }
 
 // execution is one Execute call's shared state. Every process it starts
 // joins wg, which Execute waits on, so none outlives the call.
 type execution struct {
 	ex      *Executor
-	plan    *Plan
+	plan    *PhysicalPlan
 	run     int
 	near    *future.DataSet // where agents are placed; nil = anywhere
 	start   sim.Time
@@ -232,7 +220,7 @@ type execution struct {
 // coordinator also re-dispatches named stragglers to spare agents (see
 // straggler.go). The zero policy runs every worker at full speed and
 // rescues nothing.
-func (ex *Executor) Execute(p *sim.Proc, plan *Plan, workers int, pol StragglerPolicy) (*Result, error) {
+func (ex *Executor) Execute(p *sim.Proc, plan *PhysicalPlan, workers int, pol StragglerPolicy) (*Result, error) {
 	if err := plan.Job.Validate(); err != nil {
 		return nil, err
 	}
@@ -322,7 +310,7 @@ func (r *execution) partition(p *sim.Proc, agent *future.Agent, id uint64, slow 
 	}
 	out := int64(cur)
 	if r.near != nil && out > 0 {
-		secs := float64(out) / (r.ex.env.NetworkMBps * 1e6)
+		secs := float64(out) / (networkMBps * 1e6)
 		p.Sleep(time.Duration(secs * float64(time.Second)))
 	}
 	if r.done[id] {

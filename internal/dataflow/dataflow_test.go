@@ -26,7 +26,7 @@ func newFixture(t *testing.T) *fixture {
 	rng := simrand.New(9)
 	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
 	mesh := msgnet.NewMesh(net, rng.Fork())
-	pf := future.New(net, mesh, rng.Fork(), future.DefaultConfig(), pricing.Fall2018(), &pricing.Meter{})
+	pf := future.New(net, mesh, rng.Fork(), pricing.Fall2018(), &pricing.Meter{})
 	return &fixture{k: k, pf: pf}
 }
 
@@ -70,7 +70,7 @@ func TestPlannerPrefersCodeToDataForSelectiveOps(t *testing.T) {
 	// Aggressive filter over big partitions: shipping 100MB over the
 	// network loses to reading locally and shipping 1MB of results.
 	job := makeJob(f.pf, 10, 100e6, []Op{filterOp()})
-	plan, costs, err := DefaultEnv().Plan(job)
+	plan, costs, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPlannerPrefersDataToCodeForTinyInputs(t *testing.T) {
 	// Tiny partitions: the per-partition share of code shipping dominates,
 	// so streaming the data to an existing remote agent wins.
 	job := makeJob(f.pf, 1, 64e3, []Op{mapOp()})
-	plan, costs, err := DefaultEnv().Plan(job)
+	plan, costs, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestPlannerPrefersDataToCodeForTinyInputs(t *testing.T) {
 func TestExecuteProcessesAllPartitions(t *testing.T) {
 	f := newFixture(t)
 	job := makeJob(f.pf, 8, 10e6, []Op{filterOp()})
-	plan, _, err := DefaultEnv().Plan(job)
+	plan, _, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(f.pf, DefaultEnv())
+	ex := NewExecutor(f.pf)
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		res, err = ex.Execute(p, plan, 4, StragglerPolicy{})
@@ -129,12 +129,12 @@ func TestPlannerChoiceBeatsForcedAlternative(t *testing.T) {
 	// both placements; the planner's pick must be the faster one.
 	f := newFixture(t)
 	job := makeJob(f.pf, 6, 100e6, []Op{filterOp()})
-	plan, _, err := DefaultEnv().Plan(job)
+	plan, _, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced := &Plan{Job: job, Placement: ShipDataToCode}
-	ex := NewExecutor(f.pf, DefaultEnv())
+	forced := &PhysicalPlan{Job: job, Placement: ShipDataToCode}
+	ex := NewExecutor(f.pf)
 	var chosen, other *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		chosen, err = ex.Execute(p, plan, 3, StragglerPolicy{})
@@ -156,11 +156,11 @@ func TestPlannerChoiceBeatsForcedAlternative(t *testing.T) {
 func TestCostModelTracksExecution(t *testing.T) {
 	f := newFixture(t)
 	job := makeJob(f.pf, 4, 50e6, []Op{mapOp(), filterOp()})
-	plan, _, err := DefaultEnv().Plan(job)
+	plan, _, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(f.pf, DefaultEnv())
+	ex := NewExecutor(f.pf)
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		res, err = ex.Execute(p, plan, 1, StragglerPolicy{}) // sequential: prediction is per partition
@@ -178,11 +178,11 @@ func TestCostModelTracksExecution(t *testing.T) {
 func TestParallelWorkersScale(t *testing.T) {
 	f := newFixture(t)
 	job := makeJob(f.pf, 12, 50e6, []Op{mapOp()})
-	plan, _, err := DefaultEnv().Plan(job)
+	plan, _, err := Plan(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(f.pf, DefaultEnv())
+	ex := NewExecutor(f.pf)
 	var seq, par *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		seq, err = ex.Execute(p, plan, 1, StragglerPolicy{})
@@ -204,8 +204,8 @@ func TestParallelWorkersScale(t *testing.T) {
 func TestExecuteInvalidWorkerCountsClamped(t *testing.T) {
 	f := newFixture(t)
 	job := makeJob(f.pf, 2, 1e6, []Op{mapOp()})
-	plan, _, _ := DefaultEnv().Plan(job)
-	ex := NewExecutor(f.pf, DefaultEnv())
+	plan, _, _ := Plan(job)
+	ex := NewExecutor(f.pf)
 	var err error
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		_, err = ex.Execute(p, plan, 0, StragglerPolicy{}) // clamps to 1
@@ -229,20 +229,18 @@ func TestPlacementString(t *testing.T) {
 // Property: for any partition size and selectivity, the planner never picks
 // a placement whose modeled cost exceeds the alternative's.
 func TestQuickPlannerOptimal(t *testing.T) {
-	env := DefaultEnv()
 	prop := func(sizeMB uint16, selPct uint8, parts uint8) bool {
 		k := sim.NewKernel()
 		defer k.Close()
 		rng := simrand.New(1)
 		net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
 		mesh := msgnet.NewMesh(net, rng.Fork())
-		pf := future.New(net, mesh, rng.Fork(), future.DefaultConfig(),
-			pricing.Fall2018(), &pricing.Meter{})
+		pf := future.New(net, mesh, rng.Fork(), pricing.Fall2018(), &pricing.Meter{})
 		n := int(parts%8) + 1
 		size := (int64(sizeMB) + 1) * 1e5
 		sel := float64(selPct%101) / 100
 		job := makeJob(pf, n, size, []Op{{Name: "op", Selectivity: sel, CostMBps: 1000}})
-		plan, costs, err := env.Plan(job)
+		plan, costs, err := Plan(job)
 		if err != nil {
 			return false
 		}
@@ -264,8 +262,8 @@ func otherPlacement(p Placement) Placement {
 func TestExecutionIsVirtualTime(t *testing.T) {
 	f := newFixture(t)
 	job := makeJob(f.pf, 20, 100e6, []Op{mapOp()})
-	plan, _, _ := DefaultEnv().Plan(job)
-	ex := NewExecutor(f.pf, DefaultEnv())
+	plan, _, _ := Plan(job)
+	ex := NewExecutor(f.pf)
 	wall := time.Now()
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {

@@ -58,8 +58,8 @@ func TestStragglerTrackerOverflowFailsDecode(t *testing.T) {
 func executeIn(t *testing.T, parts int, partBytes int64, ops []Op, pl Placement, workers int, pol StragglerPolicy) *Result {
 	t.Helper()
 	f := newFixture(t)
-	plan := &Plan{Job: makeJob(f.pf, parts, partBytes, ops), Placement: pl}
-	ex := NewExecutor(f.pf, DefaultEnv())
+	plan := &PhysicalPlan{Job: makeJob(f.pf, parts, partBytes, ops), Placement: pl}
+	ex := NewExecutor(f.pf)
 	var res *Result
 	f.k.Spawn("driver", func(p *sim.Proc) {
 		var err error

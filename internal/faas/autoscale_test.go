@@ -14,8 +14,7 @@ import (
 // one queue on it.
 func newTestQueue(t *testing.T, f *fixture, name string) *queue.Queue {
 	t.Helper()
-	svc := queue.NewService("sqs-"+name, f.net, 9, simrand.New(41),
-		queue.DefaultConfig(), pricing.Fall2018(), f.meter)
+	svc := queue.NewService("sqs-"+name, f.net, 9, simrand.New(41), pricing.Fall2018(), f.meter)
 	return svc.CreateQueue(name, 2*time.Minute)
 }
 

@@ -87,7 +87,7 @@ func (e *EventSourceMapping) run(p *sim.Proc) {
 		}
 		// Mapping pipeline delay between poll and invocation: the
 		// invocation's first wake-up ends it.
-		delay := e.pf.cfg.ESMDispatchDelay.Sample(e.pf.rng)
+		delay := esmDispatchDelay.Sample(e.pf.rng)
 		payload = AppendSQSEvent(payload[:0], msgs)
 		_, _, invErr := e.pf.invoke(p, delay, e.fnName, payload)
 		if invErr != nil {

@@ -62,26 +62,49 @@ type Function struct {
 	stats FunctionStats
 }
 
-// Config holds platform parameters.
-type Config struct {
-	// InvokeOverhead is the request routing/queueing delay per
+// MaxTimeout caps per-invocation lifetime (15 minutes).
+const MaxTimeout = 15 * time.Minute
+
+// The platform's calibration.
+const (
+	// fullCoreMemoryMB is the memory size at which a function receives a
+	// whole vCPU (1,769 MB on Lambda).
+	fullCoreMemoryMB = 1769
+
+	// fullCoreComputeMBps is the single-core data-crunching rate,
+	// calibrated so a 640MB function runs the optimizer over 100MB in the
+	// paper's 0.59 s.
+	fullCoreComputeMBps = 468.6
+
+	// accountConcurrency caps simultaneous executions.
+	accountConcurrency = 1000
+
+	// rack places the platform's VMs and control plane.
+	rack = 1
+)
+
+var (
+	// invokeOverhead is the request routing/queueing delay per
 	// invocation, calibrated so a warm no-op invoke with a 1KB argument
 	// averages Table 1's 303 ms.
-	InvokeOverhead simrand.Dist
+	invokeOverhead simrand.Dist = simrand.LogNormal{Median: 294 * time.Millisecond, Sigma: 0.08}
 
+	// warmStart is the dispatch delay into an existing container.
+	warmStart = simrand.Uniform{Lo: 3 * time.Millisecond, Hi: 7 * time.Millisecond}
+
+	// esmDispatchDelay is the event-source-mapping pipeline delay
+	// between an SQS poll returning and the function invocation
+	// starting, calibrated so SQS-triggered serving lands at the paper's
+	// 447 ms per batch.
+	esmDispatchDelay = simrand.Uniform{Lo: 115 * time.Millisecond, Hi: 155 * time.Millisecond}
+)
+
+// Config holds the platform settings that experiments vary.
+type Config struct {
 	// ColdStart is the sandbox provisioning delay when no warm container
 	// exists. The Firecracker ablation (footnote 5) replaces it with a
 	// 125 ms microVM boot.
 	ColdStart simrand.Dist
-
-	// WarmStart is the dispatch delay into an existing container.
-	WarmStart simrand.Dist
-
-	// ESMDispatchDelay is the event-source-mapping pipeline delay
-	// between an SQS poll returning and the function invocation
-	// starting, calibrated so SQS-triggered serving lands at the
-	// paper's 447 ms per batch.
-	ESMDispatchDelay simrand.Dist
 
 	// VMNICBps is the capacity of each function-hosting VM's NIC
 	// (538 Mbps, the per-function bandwidth Wang et al. measured for a
@@ -94,43 +117,17 @@ type Config struct {
 	// a single VM").
 	ContainersPerVM int
 
-	// FullCoreMemoryMB is the memory size at which a function receives
-	// a whole vCPU (1,769 MB on Lambda).
-	FullCoreMemoryMB int
-
-	// FullCoreComputeMBps is the single-core data-crunching rate,
-	// calibrated so a 640MB function runs the optimizer over 100MB in
-	// the paper's 0.59 s.
-	FullCoreComputeMBps float64
-
-	// MaxTimeout caps per-invocation lifetime (15 minutes).
-	MaxTimeout time.Duration
-
 	// WarmTTL is how long an idle container stays reusable.
 	WarmTTL time.Duration
-
-	// AccountConcurrency caps simultaneous executions (default 1000).
-	AccountConcurrency int
-
-	// Rack places the platform's VMs and control plane.
-	Rack int
 }
 
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		InvokeOverhead:      simrand.LogNormal{Median: 294 * time.Millisecond, Sigma: 0.08},
-		ColdStart:           simrand.LogNormal{Median: 650 * time.Millisecond, Sigma: 0.25},
-		WarmStart:           simrand.Uniform{Lo: 3 * time.Millisecond, Hi: 7 * time.Millisecond},
-		ESMDispatchDelay:    simrand.Uniform{Lo: 115 * time.Millisecond, Hi: 155 * time.Millisecond},
-		VMNICBps:            netsim.Mbps(538),
-		ContainersPerVM:     20,
-		FullCoreMemoryMB:    1769,
-		FullCoreComputeMBps: 468.6,
-		MaxTimeout:          15 * time.Minute,
-		WarmTTL:             10 * time.Minute,
-		AccountConcurrency:  1000,
-		Rack:                1,
+		ColdStart:       simrand.LogNormal{Median: 650 * time.Millisecond, Sigma: 0.25},
+		VMNICBps:        netsim.Mbps(538),
+		ContainersPerVM: 20,
+		WarmTTL:         10 * time.Minute,
 	}
 }
 
@@ -173,6 +170,9 @@ type Platform struct {
 	cfg     Config
 	catalog *pricing.Catalog
 	meter   *pricing.Meter
+	// overhead is invokeOverhead; a test may swap in another routing
+	// delay before the first invocation.
+	overhead simrand.Dist
 
 	ctlNode     *netsim.Node // control plane / event-source pollers
 	functions   map[string]*Function
@@ -227,10 +227,11 @@ func New(name string, net *netsim.Network, rng *simrand.RNG, cfg Config,
 		cfg:         cfg,
 		catalog:     catalog,
 		meter:       meter,
-		ctlNode:     net.NewNode(name+"/ctl", cfg.Rack, netsim.Gbps(100)),
+		overhead:    invokeOverhead,
+		ctlNode:     net.NewNode(name+"/ctl", rack, netsim.Gbps(100)),
 		functions:   make(map[string]*Function),
 		idle:        make(map[string][]*container),
-		concurrency: sim.NewResource(cfg.AccountConcurrency),
+		concurrency: sim.NewResource(accountConcurrency),
 		region:      net.BuildRegion(),
 	}
 	pf.bindSteps()
@@ -248,9 +249,9 @@ func (pf *Platform) Register(fn Function) error {
 		return fmt.Errorf("faas: function %q already registered", fn.Name)
 	}
 	if fn.Timeout == 0 {
-		fn.Timeout = pf.cfg.MaxTimeout
+		fn.Timeout = MaxTimeout
 	}
-	if fn.Timeout < 0 || fn.Timeout > pf.cfg.MaxTimeout {
+	if fn.Timeout < 0 || fn.Timeout > MaxTimeout {
 		return ErrBadTimeout
 	}
 	pf.functions[fn.Name] = &fn
@@ -383,7 +384,7 @@ func (pf *Platform) bindSteps() {
 	// drawn.
 	pf.startStep = func(p *sim.Proc) {
 		pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
-		p.WakeAfter(pf.cfg.InvokeOverhead.Sample(pf.rng), pf.acquireStep)
+		p.WakeAfter(pf.overhead.Sample(pf.rng), pf.acquireStep)
 	}
 	// acquire ends the routing overhead: a concurrency slot now, or a
 	// place in the slot queue whose grant runs grant.
@@ -420,7 +421,7 @@ func (pf *Platform) place(p *sim.Proc) {
 		if t.cont.reap != nil {
 			t.cont.reap.Stop() // checked out; release re-arms
 		}
-		d = pf.cfg.WarmStart.Sample(pf.rng)
+		d = warmStart.Sample(pf.rng)
 	} else {
 		vm := pf.pickVM()
 		vm.containers++
@@ -456,7 +457,7 @@ func (pf *Platform) pickVM() *hostVM {
 	pf.nextVM++
 	prev := pf.net.SetBuildRegion(pf.region)
 	vm := &hostVM{
-		node: pf.net.NewNode(fmt.Sprintf("%s-vm-%d", pf.name, pf.nextVM), pf.cfg.Rack, pf.cfg.VMNICBps),
+		node: pf.net.NewNode(fmt.Sprintf("%s-vm-%d", pf.name, pf.nextVM), rack, pf.cfg.VMNICBps),
 	}
 	pf.net.SetBuildRegion(prev)
 	pf.vms = append(pf.vms, vm)
@@ -684,7 +685,7 @@ func (c *Ctx) Cache() *statecache.Cache { return c.cont.vm.cache }
 // ComputeShare returns the fraction of a core this function receives
 // (memory-proportional, capped at one core for single-threaded handlers).
 func (c *Ctx) ComputeShare() float64 {
-	share := float64(c.fn.MemoryMB) / float64(c.pf.cfg.FullCoreMemoryMB)
+	share := float64(c.fn.MemoryMB) / fullCoreMemoryMB
 	if share > 1 {
 		share = 1
 	}
@@ -695,7 +696,7 @@ func (c *Ctx) ComputeShare() float64 {
 // of data at its memory-scaled CPU share (divided by any chaos-injected
 // slowdown on the hosting VM).
 func (c *Ctx) Compute(bytes int64) {
-	rate := c.pf.cfg.FullCoreComputeMBps * 1e6 * c.ComputeShare()
+	rate := fullCoreComputeMBps * 1e6 * c.ComputeShare()
 	if f := c.pf.slow[c.cont.vm.node]; f > 0 {
 		rate /= f
 	}

@@ -351,8 +351,7 @@ func TestSQSEventRoundTrip(t *testing.T) {
 func TestEventSourceMappingDrivesFunction(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	rng := simrand.New(31)
-	qsvc := queue.NewService("sqs", f.net, 9, rng, queue.DefaultConfig(),
-		pricing.Fall2018(), f.meter)
+	qsvc := queue.NewService("sqs", f.net, 9, rng, pricing.Fall2018(), f.meter)
 	q := qsvc.CreateQueue("in", 2*time.Minute)
 
 	var processed []string
@@ -386,8 +385,7 @@ func TestEventSourceMappingDrivesFunction(t *testing.T) {
 func TestEventSourceRedeliversOnFunctionError(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	rng := simrand.New(37)
-	qsvc := queue.NewService("sqs", f.net, 9, rng, queue.DefaultConfig(),
-		pricing.Fall2018(), f.meter)
+	qsvc := queue.NewService("sqs", f.net, 9, rng, pricing.Fall2018(), f.meter)
 	q := qsvc.CreateQueue("in", 10*time.Second)
 
 	attempts := 0
@@ -414,9 +412,8 @@ func TestEventSourceRedeliversOnFunctionError(t *testing.T) {
 }
 
 func TestConcurrencyLimitQueues(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AccountConcurrency = 2
-	f := newFixture(t, cfg)
+	f := newFixture(t, DefaultConfig())
+	f.pf.concurrency = sim.NewResource(2)
 	f.pf.Register(Function{Name: "f", MemoryMB: 128, Handler: func(ctx *Ctx, _ []byte) ([]byte, error) {
 		ctx.Proc().Sleep(10 * time.Second)
 		return nil, nil

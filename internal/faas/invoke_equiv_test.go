@@ -29,7 +29,7 @@ func refInvoke(pf *Platform, p *sim.Proc, delay time.Duration, name string, payl
 		return nil, Report{}, ErrPayloadTooLarge
 	}
 	pf.meter.Charge("lambda.request", 1, pf.catalog.LambdaPerRequest)
-	p.Sleep(pf.cfg.InvokeOverhead.Sample(pf.rng))
+	p.Sleep(pf.overhead.Sample(pf.rng))
 
 	if pf.concurrency.InUse() == pf.concurrency.Capacity() {
 		refQueuedForSlot++
@@ -90,7 +90,7 @@ func refAcquireContainer(pf *Platform, p *sim.Proc, fn *Function) (*container, b
 		if cont.reap != nil {
 			cont.reap.Stop()
 		}
-		p.Sleep(pf.cfg.WarmStart.Sample(pf.rng))
+		p.Sleep(warmStart.Sample(pf.rng))
 		return cont, false
 	}
 	pf.idle[fn.Name] = pool
@@ -191,12 +191,12 @@ func runInvoke(t *testing.T, plan [][]invOp, inv invokeFunc, cut sim.Time) invRe
 	net := netsim.NewNetwork(k, netRNG, netsim.DefaultLatency())
 	meter := &pricing.Meter{}
 	cfg := DefaultConfig()
-	cfg.InvokeOverhead = simrand.LogNormal{Median: 20 * time.Millisecond, Sigma: 0.3}
 	cfg.ColdStart = simrand.LogNormal{Median: 120 * time.Millisecond, Sigma: 0.3}
-	cfg.AccountConcurrency = 3
 	cfg.ContainersPerVM = 2
 	cfg.WarmTTL = 1500 * time.Millisecond
 	pf := New("lambda", net, pfRNG, cfg, pricing.Fall2018(), meter)
+	pf.overhead = simrand.LogNormal{Median: 20 * time.Millisecond, Sigma: 0.3}
+	pf.concurrency = sim.NewResource(3)
 	register := func(name string, mem int, h Handler) {
 		if err := pf.Register(Function{Name: name, MemoryMB: mem, Timeout: time.Second, Handler: h}); err != nil {
 			t.Fatal(err)

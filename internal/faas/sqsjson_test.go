@@ -313,8 +313,7 @@ func TestSQSBodiesAllocationFree(t *testing.T) {
 // in fact reuse it.
 func TestEventSourceReusesPayloadBuffer(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
-	qsvc := queue.NewService("sqs", f.net, 9, simrand.New(41), queue.DefaultConfig(),
-		pricing.Fall2018(), f.meter)
+	qsvc := queue.NewService("sqs", f.net, 9, simrand.New(41), pricing.Fall2018(), f.meter)
 	q := qsvc.CreateQueue("in", 2*time.Minute)
 	const n = 30
 	var kept []string

@@ -28,47 +28,42 @@ import (
 // ErrStopped is returned for operations on a stopped agent.
 var ErrStopped = errors.New("future: agent stopped")
 
-// Config holds platform parameters.
-type Config struct {
-	// PlacementDelay is agent spawn time (Firecracker-class microVMs).
-	PlacementDelay simrand.Dist
-	// LocalReadBps is the read rate for data co-located with the agent.
-	LocalReadBps netsim.Bps
-	// AgentNICBps sizes each agent's network endpoint.
-	AgentNICBps netsim.Bps
-	// ComputeMBps is the per-core crunch rate granted to agents
+// The prototype's parameters: microVM placement, page-cache-speed local
+// reads, and m4-class cores. The dataflow planner costs placements with
+// the exported ones.
+const (
+	// PlacementLo and PlacementHi bound an agent's spawn time, drawn
+	// uniformly (Firecracker-class microVMs).
+	PlacementLo = 110 * time.Millisecond
+	PlacementHi = 140 * time.Millisecond
+	// LocalReadBps is the read rate for data co-located with the agent
+	// (2,500 MB/s).
+	LocalReadBps netsim.Bps = 2500e6
+	// AgentNICBps sizes each agent's network endpoint (10 Gbps).
+	AgentNICBps netsim.Bps = 10e9 / 8
+	// computeMBps is the per-core crunch rate granted to agents
 	// (decoupled from memory, unlike Lambda).
-	ComputeMBps float64
-	// Rack places agents by default (ignored when spawning near data).
-	Rack int
-}
+	computeMBps = 1000.0
+	// rack places agents by default (ignored when spawning near data).
+	rack = 2
+)
 
-// DefaultConfig returns the prototype's parameters: microVM placement,
-// page-cache-speed local reads, and m4-class cores.
-func DefaultConfig() Config {
-	return Config{
-		PlacementDelay: simrand.Uniform{Lo: 110 * time.Millisecond, Hi: 140 * time.Millisecond},
-		LocalReadBps:   netsim.MBps(2500),
-		AgentNICBps:    netsim.Gbps(10),
-		ComputeMBps:    1000,
-		Rack:           2,
-	}
-}
+// placementDelay is agent spawn time.
+var placementDelay = simrand.Uniform{Lo: PlacementLo, Hi: PlacementHi}
 
 // Platform manages agents and data sets.
 type Platform struct {
 	net     *netsim.Network
 	mesh    *msgnet.Mesh
 	rng     *simrand.RNG
-	cfg     Config
 	catalog *pricing.Catalog
 	meter   *pricing.Meter
 }
 
 // New creates a platform sharing the cloud's network, mesh, and meter.
-func New(net *netsim.Network, mesh *msgnet.Mesh, rng *simrand.RNG, cfg Config,
+func New(net *netsim.Network, mesh *msgnet.Mesh, rng *simrand.RNG,
 	catalog *pricing.Catalog, meter *pricing.Meter) *Platform {
-	return &Platform{net: net, mesh: mesh, rng: rng, cfg: cfg, catalog: catalog, meter: meter}
+	return &Platform{net: net, mesh: mesh, rng: rng, catalog: catalog, meter: meter}
 }
 
 // DataSet is a named collection of extents living on a storage node.
@@ -111,11 +106,11 @@ type Agent struct {
 // With near != nil the agent is co-located with that data set (fluid
 // code placement: the scheduler ships code to data).
 func (pf *Platform) SpawnAgent(p *sim.Proc, name string, memoryMB int, near *DataSet) *Agent {
-	rack := pf.cfg.Rack
+	at := rack
 	if near != nil {
-		rack = near.node.Rack()
+		at = near.node.Rack()
 	}
-	node := pf.net.NewNode("agent/"+name, rack, pf.cfg.AgentNICBps)
+	node := pf.net.NewNode("agent/"+name, at, AgentNICBps)
 	a := &Agent{
 		pf:       pf,
 		name:     name,
@@ -125,7 +120,7 @@ func (pf *Platform) SpawnAgent(p *sim.Proc, name string, memoryMB int, near *Dat
 		near:     near,
 		started:  p.Now(),
 	}
-	p.Sleep(pf.cfg.PlacementDelay.Sample(pf.rng))
+	p.Sleep(placementDelay.Sample(pf.rng))
 	return a
 }
 
@@ -150,7 +145,7 @@ func (a *Agent) Read(p *sim.Proc, ds *DataSet, key string) error {
 		return errors.New("future: no extent " + key)
 	}
 	if a.near == ds {
-		secs := float64(size) / float64(a.pf.cfg.LocalReadBps)
+		secs := float64(size) / float64(LocalReadBps)
 		p.Sleep(time.Duration(secs * float64(time.Second)))
 		return nil
 	}
@@ -164,7 +159,7 @@ func (a *Agent) Compute(p *sim.Proc, bytes int64) error {
 	if a.stopped {
 		return ErrStopped
 	}
-	secs := float64(bytes) / (a.pf.cfg.ComputeMBps * 1e6)
+	secs := float64(bytes) / (computeMBps * 1e6)
 	p.Sleep(time.Duration(secs * float64(time.Second)))
 	return nil
 }

@@ -26,7 +26,7 @@ func newFixture(t *testing.T) *fixture {
 	net := netsim.NewNetwork(k, rng.Fork(), netsim.DefaultLatency())
 	mesh := msgnet.NewMesh(net, rng.Fork())
 	meter := &pricing.Meter{}
-	pf := New(net, mesh, rng.Fork(), DefaultConfig(), pricing.Fall2018(), meter)
+	pf := New(net, mesh, rng.Fork(), pricing.Fall2018(), meter)
 	return &fixture{k: k, pf: pf, mesh: mesh, meter: meter}
 }
 

@@ -57,22 +57,23 @@ type Item struct {
 // Size returns the item's billable size (key + value bytes).
 func (it Item) Size() int64 { return int64(len(it.Key) + len(it.Value)) }
 
-// Config holds service-level parameters.
+// opLatency is per-request service time. The paper measures a 1KB
+// write+read pair at 11 ms from both Lambda and EC2, so the median is
+// ~4.2 ms per operation (plus network round trip).
+var opLatency simrand.Dist = simrand.LogNormal{Median: 4150 * time.Microsecond, Sigma: 0.12}
+
+const (
+	// scanPerItem adds service time per item touched by a Scan.
+	scanPerItem = 3 * time.Microsecond
+	// nicBps is each front end's aggregate network capacity (400 Gbps).
+	nicBps netsim.Bps = 400e9 / 8
+)
+
+// Config holds the table's settings that programs and tests vary.
 type Config struct {
-	// OpLatency is per-request service time. The paper measures a 1KB
-	// write+read pair at 11 ms from both Lambda and EC2, so the default
-	// median is ~4.2 ms per operation (plus network round trip).
-	OpLatency simrand.Dist
-
-	// ScanPerItem adds service time per item touched by a Scan.
-	ScanPerItem time.Duration
-
 	// ReplicationLag, when positive, makes eventually consistent reads
 	// able to return the previous version of a recently written key.
 	ReplicationLag time.Duration
-
-	// NICBps is each front end's aggregate network capacity.
-	NICBps netsim.Bps
 
 	// ShardCount splits the table into this many hash partitions, each
 	// with its own front-end node, NIC, record map and RNG fork. Values
@@ -92,10 +93,7 @@ type Config struct {
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		OpLatency:      simrand.LogNormal{Median: 4150 * time.Microsecond, Sigma: 0.12},
-		ScanPerItem:    3 * time.Microsecond,
 		ReplicationLag: 50 * time.Millisecond,
-		NICBps:         netsim.Gbps(400),
 		ShardCount:     1,
 	}
 }
@@ -173,8 +171,7 @@ func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 			feName = fmt.Sprintf("%s-s%d", name, i)
 			feRNG = rng.Fork()
 		}
-		fe := service.NewFrontend(feName, net, rack, feRNG, cfg.OpLatency,
-			cfg.NICBps, catalog, meter)
+		fe := service.NewFrontend(feName, net, rack, feRNG, opLatency, nicBps, catalog, meter)
 		if cfg.ShardConcurrency > 0 {
 			fe.LimitConcurrency(cfg.ShardConcurrency)
 		}
@@ -385,7 +382,7 @@ func (s *Store) Scan(p *sim.Proc, caller *netsim.Node, prefix string) []Item {
 			}
 		}
 		sh.fe.RoundTrip(p, caller,
-			time.Duration(len(out)-shardStart)*s.cfg.ScanPerItem)
+			time.Duration(len(out)-shardStart)*scanPerItem)
 		sh.fe.Charge("dynamodb.read", pricing.DynamoReadUnits(bytes, true),
 			sh.fe.Catalog().DynamoReadPerUnit)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/pricing"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simrand"
 )
@@ -294,8 +295,12 @@ func benchmarkPut(b *testing.B, value func(i int) []byte) {
 		netsim.LatencyProfile{SameHost: zero, SameRack: zero, CrossRack: zero})
 	cfg := DefaultConfig()
 	cfg.ShardCount = 4
-	cfg.OpLatency = zero
 	store := New("ddb", net, 9, rng.Fork(), cfg, pricing.Fall2018(), &pricing.Meter{})
+	for i, sh := range store.shards { // front ends that take no service time
+		fe := sh.fe
+		sh.fe = service.NewFrontend(fmt.Sprintf("ddb-zero-s%d", i), net, 9, fe.RNG(), zero, nicBps,
+			fe.Catalog(), fe.Meter())
+	}
 	caller := net.NewNode("caller", 0, netsim.Mbps(538))
 	keys := []string{"key/0000", "key/0001", "key/0002", "key/0003"} // one per shard
 	k.Spawn("c", func(p *sim.Proc) {

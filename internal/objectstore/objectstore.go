@@ -37,30 +37,25 @@ type Object struct {
 	Version int64
 }
 
-// Config holds the store's service-level parameters. Calibration provenance
-// is documented in EXPERIMENTS.md.
-type Config struct {
-	// OpLatency is the per-request service time (excluding network
-	// propagation and payload streaming). The paper measures a 1KB
-	// write+read pair at 106–108 ms from EC2 and Lambda alike, so the
-	// default is ~52 ms median per operation.
-	OpLatency simrand.Dist
+// opLatency is the per-request service time (excluding network propagation
+// and payload streaming). The paper measures a 1KB write+read pair at
+// 106–108 ms from EC2 and Lambda alike, so it is ~52 ms median per
+// operation. Calibration provenance is documented in EXPERIMENTS.md.
+var opLatency simrand.Dist = simrand.LogNormal{Median: 52 * time.Millisecond, Sigma: 0.08}
 
+// nicBps is the front end's aggregate network capacity (400 Gbps).
+const nicBps netsim.Bps = 400e9 / 8
+
+// Config holds the store's one setting a test varies.
+type Config struct {
 	// PerConnBps caps a single connection's streaming throughput.
 	// Calibrated so that a 100 MB GET from Lambda takes ~2.49 s.
 	PerConnBps netsim.Bps
-
-	// NICBps is the front end's aggregate network capacity.
-	NICBps netsim.Bps
 }
 
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig() Config {
-	return Config{
-		OpLatency:  simrand.LogNormal{Median: 52 * time.Millisecond, Sigma: 0.08},
-		PerConnBps: netsim.MBps(41.2),
-		NICBps:     netsim.Gbps(400),
-	}
+	return Config{PerConnBps: netsim.MBps(41.2)}
 }
 
 // Store is a simulated object store.
@@ -76,8 +71,7 @@ type Store struct {
 func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 	cfg Config, catalog *pricing.Catalog, meter *pricing.Meter) *Store {
 	return &Store{
-		fe: service.NewFrontend(name, net, rack, rng, cfg.OpLatency,
-			cfg.NICBps, catalog, meter),
+		fe:      service.NewFrontend(name, net, rack, rng, opLatency, nicBps, catalog, meter),
 		cfg:     cfg,
 		objects: make(map[string]Object),
 	}

@@ -52,39 +52,29 @@ type Message struct {
 	Attempts int
 }
 
-// Config holds service-level parameters.
-type Config struct {
-	// OpLatency is per-request service time, calibrated so that an EC2
-	// client's send plus a long-polling server's response leg plus the
-	// result send lands at the paper's 13 ms serving batch.
-	OpLatency simrand.Dist
+// opLatency is per-request service time, calibrated so that an EC2
+// client's send plus a long-polling server's response leg plus the result
+// send lands at the paper's 13 ms serving batch.
+var opLatency simrand.Dist = simrand.LogNormal{Median: 4000 * time.Microsecond, Sigma: 0.15}
 
-	// NICBps is the front end's aggregate network capacity.
-	NICBps netsim.Bps
-}
+// nicBps is the front end's aggregate network capacity (400 Gbps).
+const nicBps netsim.Bps = 400e9 / 8
 
-// DefaultConfig returns the calibrated configuration.
-func DefaultConfig() Config {
-	return Config{
-		OpLatency: simrand.LogNormal{Median: 4000 * time.Microsecond, Sigma: 0.15},
-		NICBps:    netsim.Gbps(400),
-	}
-}
+// OpLatency returns the distribution each SQS request's service time is
+// drawn from.
+func OpLatency() simrand.Dist { return opLatency }
 
 // Service is a simulated SQS endpoint hosting any number of named queues.
 type Service struct {
 	fe     *service.Frontend
-	cfg    Config
 	queues map[string]*Queue
 }
 
 // NewService creates an SQS endpoint attached to the network.
 func NewService(name string, net *netsim.Network, rack int, rng *simrand.RNG,
-	cfg Config, catalog *pricing.Catalog, meter *pricing.Meter) *Service {
+	catalog *pricing.Catalog, meter *pricing.Meter) *Service {
 	return &Service{
-		fe: service.NewFrontend(name, net, rack, rng, cfg.OpLatency,
-			cfg.NICBps, catalog, meter),
-		cfg:    cfg,
+		fe:     service.NewFrontend(name, net, rack, rng, opLatency, nicBps, catalog, meter),
 		queues: make(map[string]*Queue),
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/pricing"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simrand"
 )
@@ -25,17 +26,17 @@ type fixture struct {
 
 func newFixture(t testing.TB, visibility time.Duration) *fixture {
 	t.Helper()
-	return newFixtureWith(t, visibility, netsim.DefaultLatency(), DefaultConfig())
+	return newFixtureWith(t, visibility, netsim.DefaultLatency())
 }
 
-func newFixtureWith(t testing.TB, visibility time.Duration, lat netsim.LatencyProfile, cfg Config) *fixture {
+func newFixtureWith(t testing.TB, visibility time.Duration, lat netsim.LatencyProfile) *fixture {
 	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
 	rng := simrand.New(11)
 	net := netsim.NewNetwork(k, rng.Fork(), lat)
 	meter := &pricing.Meter{}
-	svc := NewService("sqs", net, 9, rng.Fork(), cfg, pricing.Fall2018(), meter)
+	svc := NewService("sqs", net, 9, rng.Fork(), pricing.Fall2018(), meter)
 	caller := net.NewNode("caller", 0, netsim.Mbps(538))
 	return &fixture{k: k, svc: svc, q: svc.CreateQueue("jobs", visibility), caller: caller, meter: meter}
 }
@@ -537,8 +538,12 @@ func BenchmarkQueueMessageCycle(b *testing.B) {
 func newInstantFixture(t testing.TB, visibility time.Duration) *fixture {
 	t.Helper()
 	zero := simrand.Const(0)
-	return newFixtureWith(t, visibility, netsim.LatencyProfile{SameHost: zero, SameRack: zero, CrossRack: zero},
-		Config{OpLatency: zero, NICBps: netsim.Gbps(400)})
+	f := newFixtureWith(t, visibility, netsim.LatencyProfile{SameHost: zero, SameRack: zero, CrossRack: zero})
+	// NewService's front end draws calibrated service times; swap in one
+	// that takes none.
+	fe := f.svc.fe
+	f.svc.fe = service.NewFrontend("sqs-instant", fe.Net(), 9, fe.RNG(), zero, nicBps, fe.Catalog(), fe.Meter())
+	return f
 }
 
 // visModel is the reference semantics of visibility timeouts: every

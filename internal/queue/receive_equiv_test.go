@@ -152,7 +152,7 @@ func runRecv(t *testing.T, plan [][]recvOp, recv receiveFunc) recvResult {
 	netRNG, feRNG := rng.Fork(), rng.Fork()
 	net := netsim.NewNetwork(k, netRNG, netsim.DefaultLatency())
 	meter := &pricing.Meter{}
-	svc := NewService("sqs", net, 9, feRNG, DefaultConfig(), pricing.Fall2018(), meter)
+	svc := NewService("sqs", net, 9, feRNG, pricing.Fall2018(), meter)
 	qs := []*Queue{svc.CreateQueue("a", 30*time.Millisecond), svc.CreateQueue("b", 120*time.Millisecond)}
 	callers := []*netsim.Node{
 		net.NewNode("c0", 0, netsim.Gbps(10)),
@@ -319,7 +319,7 @@ func runLoops(t *testing.T, seed uint64, stopAt sim.Time, poll pollUntilFunc) lo
 	rng := simrand.New(5)
 	netRNG, feRNG := rng.Fork(), rng.Fork()
 	net := netsim.NewNetwork(k, netRNG, netsim.DefaultLatency())
-	svc := NewService("sqs", net, 9, feRNG, DefaultConfig(), pricing.Fall2018(), &pricing.Meter{})
+	svc := NewService("sqs", net, 9, feRNG, pricing.Fall2018(), &pricing.Meter{})
 	q := svc.CreateQueue("in", 400*time.Millisecond)
 	caller := net.NewNode("ctl", 1, netsim.Gbps(10))
 	var res loopResult

@@ -113,7 +113,7 @@ func BenchmarkSignalFire(b *testing.B) {
 	k.Spawn("firer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			sig.Fire()
-			p.Yield() // let the waiter re-park before the next fire
+			p.Sleep(0) // let the waiter re-park before the next fire
 		}
 	})
 	b.ReportAllocs()

@@ -279,7 +279,7 @@ func TestYieldRunsPeersFirst(t *testing.T) {
 	var trace []string
 	k.Spawn("a", func(p *Proc) {
 		trace = append(trace, "a1")
-		p.Yield()
+		p.Sleep(0)
 		trace = append(trace, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {

@@ -277,10 +277,6 @@ func (p *Proc) WakeAfter(d Time, step func(*Proc)) {
 // keeps its place in the event order.
 func (p *Proc) Redirect(step func(*Proc)) { p.step = step }
 
-// Yield lets every other process that is ready at the current virtual time
-// run before this one continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Spawn starts a child process; sugar for p.Kernel().Spawn.
 func (p *Proc) Spawn(name string, fn func(*Proc)) *Proc {
 	return p.k.Spawn(name, fn)

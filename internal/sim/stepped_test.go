@@ -84,7 +84,7 @@ func TestCloseRunsNoStepOfSteppedProcs(t *testing.T) {
 		steps++
 		p.WakeAfter(0, func(p *Proc) { p.Exit() })
 	}
-	r.TryAcquire()
+	r.AcquireStep(nil, nil) // the one slot is free: taken at once
 	k.SpawnStep("heap", func(p *Proc) { p.WakeAfter(time.Hour, step) })
 	k.SpawnStep("runqueue", func(p *Proc) { woken.WaitStep(p, step) })
 	k.SpawnStep("resource", func(p *Proc) {

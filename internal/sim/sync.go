@@ -231,15 +231,6 @@ func (r *Resource) InUse() int { return r.inUse }
 // Waiting returns the number of processes queued for a slot.
 func (r *Resource) Waiting() int { return r.waiters.Len() }
 
-// TryAcquire claims a slot without blocking, reporting success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	return true
-}
-
 // Acquire claims a slot, blocking the calling process until one is free.
 // Admission is strictly FIFO among blocked processes.
 func (r *Resource) Acquire(p *Proc) {

@@ -238,14 +238,27 @@ func TestResourceCounts(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
 	r := NewResource(2)
-	if !r.TryAcquire() || !r.TryAcquire() {
-		t.Fatal("TryAcquire failed on free resource")
+	if !r.AcquireStep(nil, nil) || !r.AcquireStep(nil, nil) {
+		t.Fatal("AcquireStep queued on a free resource")
 	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire succeeded beyond capacity")
+	granted := false
+	k.SpawnStep("third", func(p *Proc) {
+		if r.AcquireStep(p, func(p *Proc) { granted = true; p.Exit() }) {
+			t.Error("AcquireStep granted a slot beyond capacity")
+			p.Exit()
+		}
+	})
+	k.Run()
+	if granted || r.Waiting() != 1 {
+		t.Fatalf("beyond capacity: granted=%v, %d waiting; want false, 1", granted, r.Waiting())
 	}
 	if r.InUse() != 2 || r.Capacity() != 2 {
 		t.Fatalf("InUse=%d Capacity=%d, want 2,2", r.InUse(), r.Capacity())
+	}
+	r.Release() // hands the slot to the waiter
+	k.Run()
+	if !granted || r.InUse() != 2 {
+		t.Fatalf("after the handoff: granted=%v InUse=%d, want true, 2", granted, r.InUse())
 	}
 	r.Release()
 	if r.InUse() != 1 {

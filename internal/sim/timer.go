@@ -50,18 +50,6 @@ func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
 	return t
 }
 
-// AtTimer schedules fn to run at absolute virtual time t (clamped to the
-// present, like At) and returns a handle that can cancel it. Scheduling on
-// a closed kernel panics, like At.
-func (k *Kernel) AtTimer(at Time, fn func()) *Timer {
-	if k.closed {
-		panic("sim: AtTimer on closed kernel")
-	}
-	t := k.NewTimer(fn)
-	t.arm(at)
-	return t
-}
-
 // arm schedules the timer's event at time at (clamped to the present)
 // under a fresh sequence number. Timers always live in the heap, never the
 // run queue, because the run queue does not support removal.

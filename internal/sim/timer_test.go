@@ -75,7 +75,7 @@ func TestTimerOrdersLikeAt(t *testing.T) {
 	defer k.Close()
 	var order []int
 	k.At(time.Second, func() { order = append(order, 1) })
-	k.AtTimer(time.Second, func() { order = append(order, 2) })
+	k.NewTimer(func() { order = append(order, 2) }).ResetAt(time.Second)
 	k.At(time.Second, func() { order = append(order, 3) })
 	k.AfterTimer(time.Second, func() { order = append(order, 4) })
 	k.Run()
@@ -157,7 +157,7 @@ func TestTimerInThePastClampsToNow(t *testing.T) {
 	defer k.Close()
 	var at Time = -1
 	k.At(time.Second, func() {
-		k.AtTimer(0, func() { at = k.Now() })
+		k.NewTimer(func() { at = k.Now() }).ResetAt(0)
 	})
 	k.Run()
 	if at != time.Second {

@@ -360,7 +360,7 @@ func (c *Cache) gossipOnce(p *sim.Proc) {
 	if len(diff) > 0 {
 		// 2. The peer answers with its state for every key in the diff
 		// (plus, on the IBF path, the element digests it could not name).
-		resp := int64(cl.cfg.MessageOverheadBytes) + extraResp
+		resp := messageOverheadBytes + extraResp
 		for _, k := range diff {
 			if e := peer.entries[k]; e != nil {
 				resp += e.bytes
@@ -375,7 +375,7 @@ func (c *Cache) gossipOnce(p *sim.Proc) {
 
 		// 3. Push: c returns its (now joined) state for the same keys,
 		// making the pair identical at round end.
-		push := int64(cl.cfg.MessageOverheadBytes)
+		push := messageOverheadBytes
 		for _, k := range diff {
 			if e := c.entries[k]; e != nil {
 				push += e.bytes
@@ -398,8 +398,8 @@ func (c *Cache) gossipOnce(p *sim.Proc) {
 // missing from either side or hashing differently.
 func (c *Cache) digestDiff(p *sim.Proc, peer *Cache) (diff []string, aborted bool) {
 	cl := c.cl
-	digest := int64(cl.cfg.MessageOverheadBytes) +
-		c.keyBytes + int64(len(c.keys)*cl.cfg.DigestBytesPerKey)
+	digest := messageOverheadBytes +
+		c.keyBytes + int64(len(c.keys)*digestBytesPerKey)
 	cl.bytesSummary += digest
 	if !cl.net.SendMsg(p, c.node, peer.node, digest) || peer.detached {
 		return nil, true // lost to a partition, or reclaimed in flight

@@ -146,7 +146,7 @@ func resolveDiff(a, b *Cache, fa, fb *recon.Filter) (diff []string, onlyA int, o
 // the full digest exchange, so the round always produces a correct diff.
 func (c *Cache) reconDiff(p *sim.Proc, peer *Cache) (diff []string, extraResp int64, aborted bool) {
 	cl := c.cl
-	size := int64(cl.cfg.MessageOverheadBytes) + c.rc.live.WireBytes()
+	size := messageOverheadBytes + c.rc.live.WireBytes()
 	cl.bytesSummary += size
 	if !cl.net.SendMsg(p, c.node, peer.node, size) || peer.detached {
 		return nil, 0, true
@@ -157,7 +157,7 @@ func (c *Cache) reconDiff(p *sim.Proc, peer *Cache) (diff []string, extraResp in
 		return d, 8 * int64(only), false
 	}
 	for mult := 2; mult <= 4; mult *= 2 {
-		nack := int64(cl.cfg.MessageOverheadBytes)
+		nack := messageOverheadBytes
 		cl.bytesSummary += nack
 		if !cl.net.SendMsg(p, peer.node, c.node, nack) || c.detached {
 			return nil, 0, true
@@ -168,7 +168,7 @@ func (c *Cache) reconDiff(p *sim.Proc, peer *Cache) (diff []string, extraResp in
 		// never correctness.
 		c.settleRecon()
 		fc := c.rebuildFilter(mult * cl.cfg.ReconCells)
-		size := int64(cl.cfg.MessageOverheadBytes) + fc.WireBytes()
+		size := messageOverheadBytes + fc.WireBytes()
 		cl.bytesSummary += size
 		if !cl.net.SendMsg(p, c.node, peer.node, size) || peer.detached {
 			return nil, 0, true
@@ -179,7 +179,7 @@ func (c *Cache) reconDiff(p *sim.Proc, peer *Cache) (diff []string, extraResp in
 			return d, 8 * int64(only), false
 		}
 	}
-	nack := int64(cl.cfg.MessageOverheadBytes)
+	nack := messageOverheadBytes
 	cl.bytesSummary += nack
 	if !cl.net.SendMsg(p, peer.node, c.node, nack) || c.detached {
 		return nil, 0, true

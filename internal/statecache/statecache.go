@@ -40,12 +40,25 @@ import (
 	"repro/internal/stats"
 )
 
+// opLatency is the local read/write service time: a hash-map access plus
+// lattice bookkeeping in the function's own address space.
+var opLatency = simrand.Uniform{Lo: 300 * time.Nanosecond, Hi: 500 * time.Nanosecond}
+
+const (
+	// digestBytesPerKey sizes the per-entry digest record (key hash,
+	// state hash, write stamp) exchanged before any state moves.
+	digestBytesPerKey = 24
+
+	// messageOverheadBytes is the fixed framing cost per gossip message.
+	messageOverheadBytes int64 = 64
+
+	// flushRetries bounds the read-merge-write loop a flush runs when
+	// ConditionalPut keeps losing to concurrent flushers.
+	flushRetries = 4
+)
+
 // Config holds cache parameters.
 type Config struct {
-	// OpLatency is the local read/write service time: a hash-map access
-	// plus lattice bookkeeping in the function's own address space.
-	OpLatency simrand.Dist
-
 	// GossipInterval is how often each replica runs one anti-entropy
 	// round with one random peer.
 	GossipInterval time.Duration
@@ -53,17 +66,6 @@ type Config struct {
 	// FlushInterval is how often each replica write-behind-flushes its
 	// dirty entries to the backing kvstore.
 	FlushInterval time.Duration
-
-	// DigestBytesPerKey sizes the per-entry digest record (key hash,
-	// state hash, write stamp) exchanged before any state moves.
-	DigestBytesPerKey int
-
-	// MessageOverheadBytes is the fixed framing cost per gossip message.
-	MessageOverheadBytes int
-
-	// FlushRetries bounds the read-merge-write loop a flush runs when
-	// ConditionalPut keeps losing to concurrent flushers.
-	FlushRetries int
 
 	// SketchStaleness records staleness into a fixed-memory stats.Sketch
 	// instead of the exact recorder — million-user clusters gossip enough
@@ -90,13 +92,9 @@ type Config struct {
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		OpLatency:            simrand.Uniform{Lo: 300 * time.Nanosecond, Hi: 500 * time.Nanosecond},
-		GossipInterval:       200 * time.Millisecond,
-		FlushInterval:        time.Second,
-		DigestBytesPerKey:    24,
-		MessageOverheadBytes: 64,
-		FlushRetries:         4,
-		ReconCells:           256,
+		GossipInterval: 200 * time.Millisecond,
+		FlushInterval:  time.Second,
+		ReconCells:     256,
 	}
 }
 
@@ -188,12 +186,6 @@ func New(name string, net *netsim.Network, store *kvstore.Store, rng *simrand.RN
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = DefaultConfig().FlushInterval
-	}
-	if cfg.FlushRetries <= 0 {
-		cfg.FlushRetries = DefaultConfig().FlushRetries
-	}
-	if cfg.OpLatency == nil {
-		cfg.OpLatency = DefaultConfig().OpLatency
 	}
 	if cfg.ReconCells <= 0 {
 		cfg.ReconCells = DefaultConfig().ReconCells
@@ -463,7 +455,7 @@ func (c *Cache) touch(p *sim.Proc) {
 	if c.detached {
 		panic("statecache: operation on a detached replica")
 	}
-	p.Sleep(c.cl.cfg.OpLatency.Sample(c.rng))
+	p.Sleep(opLatency.Sample(c.rng))
 }
 
 // at returns the entry for key, creating it with the given kind when
@@ -834,7 +826,7 @@ func (c *Cache) flushKey(p *sim.Proc, key string, fs *flushScratch) error {
 	if e.storeKey == "" {
 		e.storeKey = c.cl.name + "/" + key
 	}
-	for attempt := 0; attempt < c.cl.cfg.FlushRetries; attempt++ {
+	for attempt := 0; attempt < flushRetries; attempt++ {
 		var version int64
 		it, err := c.cl.store.Get(p, c.node, e.storeKey, true)
 		switch {
@@ -869,5 +861,5 @@ func (c *Cache) flushKey(p *sim.Proc, key string, fs *flushScratch) error {
 			return err
 		}
 	}
-	return fmt.Errorf("lost %d conditional writes on %q", c.cl.cfg.FlushRetries, e.storeKey)
+	return fmt.Errorf("lost %d conditional writes on %q", flushRetries, e.storeKey)
 }

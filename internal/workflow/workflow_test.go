@@ -34,7 +34,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{
 		k:      k,
 		pf:     faas.New("lambda", net, rng.Fork(), faas.DefaultConfig(), cat, meter),
-		qsvc:   queue.NewService("sqs", net, 9, rng.Fork(), queue.DefaultConfig(), cat, meter),
+		qsvc:   queue.NewService("sqs", net, 9, rng.Fork(), cat, meter),
 		store:  objectstore.New("s3", net, 9, rng.Fork(), objectstore.DefaultConfig(), cat, meter),
 		caller: net.NewNode("client", 0, netsim.Gbps(10)),
 		meter:  meter,
