@@ -124,6 +124,7 @@ type rsResult struct {
 	gaveUp int64            // arrivals that outwaited rsPatience
 	shed   int64            // server-side admission sheds (all shards)
 	trips  int64            // breaker trips (all shards)
+	sched  sim.Sched        // the kernel's schedule record; never rendered
 }
 
 // rsKey holds the key for each popularity rank, rendered once rather than
@@ -273,6 +274,7 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 	// inside a second window.
 	k.RunUntil(sim.Time(2 * window))
 
+	res.sched = k.Sched()
 	res.cstats = sink
 	for i := 0; i < ddb.ShardCount(); i++ {
 		fs := ddb.ShardFrontend(i).Stats()

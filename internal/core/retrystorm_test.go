@@ -47,6 +47,32 @@ func TestRetryStormDeterminism(t *testing.T) {
 	}
 }
 
+// TestRetryStormSchedulePinned pins the schedule of each storm-table
+// kernel at reduced scale: the hash over every consumed event's (at, seq)
+// and the number of events consumed, whether the kernel loop or a parking
+// process consumed them. A change to how requests and attempts run that
+// keeps these keeps the event order, even where every rendered figure
+// would hide a move.
+func TestRetryStormSchedulePinned(t *testing.T) {
+	want := map[string]struct {
+		hash     uint64
+		consumed uint64
+	}{
+		"no-retry":    {0x8030ebaff8fa56b3, 19724},
+		"naive-retry": {0x21632029deb50013, 20787},
+		"full-policy": {0xc7b0527f46261077, 18279},
+		"full+hedge":  {0x8eb6125436c70ce7, 18296},
+	}
+	for _, pol := range rsPolicies() {
+		s := runRetryStorm(1, pol, 0.2).sched
+		w := want[pol.name]
+		if got := s.Dispatched + s.Handoffs; s.Hash != w.hash || got != w.consumed {
+			t.Errorf("%s: hash %#x, %d events consumed; want %#x, %d",
+				pol.name, s.Hash, got, w.hash, w.consumed)
+		}
+	}
+}
+
 // TestRetryStormShowsMetastableCollapse sanity-checks the headline
 // phenomenon at full scale: naive retries must make both the fault phase
 // and the post-heal phase strictly worse than not retrying at all (the
