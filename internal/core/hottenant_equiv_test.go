@@ -26,7 +26,7 @@ func refConn(k *sim.Kernel, name string, c *rsConn) {
 			}
 			key := rsKey[int(c.rng.Float64()*512)]
 			start := p.Now()
-			_, err := c.ddb.Get(p, c.caller.Node, key, false)
+			_, err := c.ddb.Get(p, c.node, key, false)
 			served := err == nil || errors.Is(err, kvstore.ErrNotFound)
 			if !served && !service.Overloaded(err) {
 				panic(err)
@@ -92,7 +92,7 @@ func runTenantEquiv(seed uint64, tc tenantEquivCase, start func(*sim.Kernel, str
 		c := &rsConn{ddb: ddb, rng: rng.Fork(), think: think, until: window,
 			done: func(latency time.Duration, served bool) {
 				res.reads = append(res.reads, tenantRead{i, k.Now(), latency, served})
-			}, caller: service.Caller{Node: node}}
+			}, node: node}
 		conns = append(conns, c)
 		start(k, name, c)
 	}

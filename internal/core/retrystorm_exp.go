@@ -147,20 +147,150 @@ func rsHotShard(n int) (shard int, share float64) {
 	return shard, share
 }
 
-// rsWorker is one client-pool worker: its resilience client, and the call
-// record that its attempt closure reads. The record and the closure are
-// built once at setup and reused by every request the worker serves, so a
-// request allocates no closure. That is sound because resilience.Client
-// invokes op only at attempt start (first attempt, retries and hedges
-// alike), while the calling process is parked in Do, and ddb.Get copies
-// key and host into its parameters at that moment. An abandoned attempt
-// that outlives its call keeps its own key and host, even after the worker
-// has been handed the next request.
+// rsStorm is one policy run's request machinery. Every arrival is a
+// stepped process (loadgen.Generator.RunStep), and so is every attempt and
+// hedge (resilience.Client.DoStep), so no request holds a coroutine: an
+// arrival waiting for the pool keeps its start time in its Trip and its
+// seq in queued, which grants pop in FIFO order; a call's state lives in
+// its worker; and an attempt's read in flight lives in a 16-byte rsAttempt
+// record, recycled through free.
+type rsStorm struct {
+	ddb     *kvstore.Store
+	hosts   []*netsim.Node
+	pool    *sim.Resource
+	queued  sim.Ring[int32] // seqs of the arrivals waiting for the pool
+	workers []*rsWorker     // the free workers, taken and returned LIFO
+	res     *rsResult
+	window  time.Duration
+	grant   func(*sim.Proc) // granted, bound once
+
+	// The attempt records, rsAttemptSlab to a slab and indexed across the
+	// slabs in carving order: free heads the free ones, -1 when none is.
+	slabs  [][]rsAttempt
+	carved int32
+	free   int32
+}
+
+// rsAttemptSlab is how many attempt records a slab holds: as many as fit,
+// with the allocator's 8-byte header, in the 4,096-byte size class.
+const rsAttemptSlab = (4096 - 8) / 16
+
+// rsWorker is one client-pool worker: its resilience client, the call it
+// serves, and its attempt and call-end steps, bound once at setup so that
+// a request allocates no closure. The attempt step copies the call's key
+// rank and host at attempt start (DoStep runs it only while the call is in
+// progress), so an abandoned attempt that outlives its call keeps its own,
+// even after the worker has been handed the next request.
 type rsWorker struct {
-	cl   *resilience.Client
-	key  string
-	host *netsim.Node
-	op   func(*sim.Proc) error
+	st    *rsStorm
+	cl    *resilience.Client
+	rank  uint16   // the call's key, as its popularity rank
+	host  uint8    // the call's app host, as its index
+	start sim.Time // when the call's request arrived
+	op    func(*sim.Proc)
+	then  func(*sim.Proc, error)
+}
+
+// rsAttempt is one attempt's read in flight, and its round trip's
+// service.Caller, so that the read's end wakes into the record's own
+// TripEnd. Peak storms hold thousands at once, abandoned attempts queued
+// at the hot shard, so it is kept to two words: link is the record's own
+// index while it is in use, and the next free record's while it is free.
+type rsAttempt struct {
+	w    *rsWorker
+	link int32
+	rank uint16
+	host uint8
+}
+
+// Node is the app host the attempt's read comes from.
+func (a *rsAttempt) Node() *netsim.Node { return a.w.st.hosts[a.host] }
+
+// TripEnd ends the read: a miss counts as success, as every retrystorm
+// read is one, and the outcome goes to the worker's client.
+func (a *rsAttempt) TripEnd(p *sim.Proc) {
+	st, cl := a.w.st, a.w.cl
+	_, err := st.ddb.GetResult(p, rsKey[a.rank], false)
+	if errors.Is(err, kvstore.ErrNotFound) {
+		err = nil
+	}
+	i := a.link
+	*a = rsAttempt{link: st.free}
+	st.free = i
+	cl.Done(p, err)
+}
+
+// attempt starts one attempt of w's call: it copies the call's key and
+// host into a record and reads the key.
+func (st *rsStorm) attempt(p *sim.Proc, w *rsWorker) {
+	i := st.free
+	if i < 0 {
+		i = st.carved
+		st.carved++
+		if int(i)%rsAttemptSlab == 0 {
+			st.slabs = append(st.slabs, make([]rsAttempt, rsAttemptSlab))
+		}
+	}
+	a := &st.slabs[int(i)/rsAttemptSlab][int(i)%rsAttemptSlab]
+	if i == st.free {
+		st.free = a.link
+	}
+	*a = rsAttempt{w: w, link: i, rank: w.rank, host: w.host}
+	st.ddb.GetStep(p, a, rsKey[a.rank])
+}
+
+// arrive is a request's first step: it takes a worker slot now, or waits
+// in the pool's FIFO backlog for granted.
+func (st *rsStorm) arrive(p *sim.Proc, seq int) {
+	if st.pool.AcquireStep(p, st.grant) {
+		st.call(p, seq, p.Now())
+		return
+	}
+	p.Trip.D = p.Now()
+	st.queued.Push(int32(seq))
+}
+
+// granted runs when a backlogged request gets its slot: the caller may
+// have hung up meanwhile, and then the slot goes back untouched.
+func (st *rsStorm) granted(p *sim.Proc) {
+	seq, start := int(st.queued.Pop()), p.Trip.D
+	p.Trip = sim.Trip{}
+	if wait := time.Duration(p.Now() - start); wait > rsPatience {
+		st.pool.Release()
+		st.res.gaveUp++
+		st.phase(start).done(wait, false)
+		p.Exit()
+		return
+	}
+	st.call(p, seq, start)
+}
+
+// call hands the request to a free worker, whose client runs it.
+func (st *rsStorm) call(p *sim.Proc, seq int, start sim.Time) {
+	// Key choice is a pure function of the arrival sequence (no
+	// simulation RNG draw): hash the sequence into a uniform, map it
+	// through the Zipf CDF.
+	u := float64(rfHash(17, seq)>>11) / float64(uint64(1)<<53)
+	rank := rsZipf.RankOf(u)
+	w := st.workers[len(st.workers)-1]
+	st.workers = st.workers[:len(st.workers)-1]
+	w.rank, w.host, w.start = uint16(rank), uint8(seq%len(st.hosts)), start
+	w.cl.DoStep(p, st.ddb.ShardFor(rsKey[rank]), w.op, w.then)
+}
+
+// ended is w's call end: the worker and its slot go back, and the request
+// is counted.
+func (st *rsStorm) ended(p *sim.Proc, w *rsWorker, err error) {
+	start := w.start
+	st.workers = append(st.workers, w)
+	st.pool.Release()
+	st.phase(start).done(time.Duration(p.Now()-start), err == nil)
+	p.Exit()
+}
+
+// phase returns the tally of the fault phase a request arrived in.
+func (st *rsStorm) phase(start sim.Time) *tally {
+	return &st.res.phases[faultPhase(start, st.window)]
 }
 
 // runRetryStorm measures one policy. scale shrinks the window (tests run
@@ -201,73 +331,43 @@ func runRetryStorm(seed uint64, pol rsPolicy, scale float64) rsResult {
 		}
 	}
 
+	res := rsResult{phases: phaseTallies("rs-")}
+
 	// The worker pool and its worker free list: at most rsWorkers calls in
 	// flight; each holds one worker, and its resilience.Client, for the
 	// call's duration.
-	pool := sim.NewResource(rsWorkers)
-	workers := make([]*rsWorker, rsWorkers)
-	for i := range workers {
+	st := &rsStorm{ddb: ddb, pool: sim.NewResource(rsWorkers), res: &res,
+		window: window, workers: make([]*rsWorker, rsWorkers), free: -1}
+	st.grant = st.granted
+	for i := range st.workers {
 		c := resilience.NewClient(k, rng.Fork(), pol.cfg)
 		c.SetBudget(budget)
 		c.SetBreakers(brs)
 		c.SetStatsSink(&sink)
-		w := &rsWorker{cl: c}
-		w.op = func(cp *sim.Proc) error {
-			if _, err := ddb.Get(cp, w.host, w.key, false); err != nil &&
-				!errors.Is(err, kvstore.ErrNotFound) {
-				return err
-			}
-			return nil
-		}
-		workers[i] = w
+		w := &rsWorker{st: st, cl: c}
+		w.op = func(p *sim.Proc) { st.attempt(p, w) }
+		w.then = func(p *sim.Proc, err error) { st.ended(p, w, err) }
+		st.workers[i] = w
 	}
 
 	// App-tier hosts the arrivals originate from.
-	hosts := make([]*netsim.Node, 8)
-	for i := range hosts {
-		hosts[i] = net.NewNode(fmt.Sprintf("app-%d", i), i%ServiceRack, netsim.Gbps(10))
+	st.hosts = make([]*netsim.Node, 8)
+	for i := range st.hosts {
+		st.hosts[i] = net.NewNode(fmt.Sprintf("app-%d", i), i%ServiceRack, netsim.Gbps(10))
 	}
-
-	res := rsResult{phases: phaseTallies("rs-")}
 
 	eng := chaos.New(k, rng.Fork())
 	eng.SlowFrontendAt(hotFE, rsSlowFactor, faultAt, faultDur)
 
 	gen := loadgen.New(rng.Fork(), loadgen.Poisson{Rate: rsRate})
-	gen.Run(k, window, func(p *sim.Proc, seq int) {
-		// Key choice is a pure function of the arrival sequence (no
-		// simulation RNG draw): hash the sequence into a uniform, map it
-		// through the Zipf CDF.
-		u := float64(rfHash(17, seq)>>11) / float64(uint64(1)<<53)
-		key := rsKey[rsZipf.RankOf(u)]
-		ep := ddb.ShardFor(key)
-		host := hosts[seq%len(hosts)]
-		start := p.Now()
-		ph := &res.phases[faultPhase(start, window)]
-		pool.Acquire(p)
-		if time.Duration(p.Now()-start) > rsPatience {
-			// The caller hung up while this arrival sat in the pool
-			// backlog; release the worker untouched.
-			pool.Release()
-			res.gaveUp++
-			ph.done(time.Duration(p.Now()-start), false)
-			return
-		}
-		w := workers[len(workers)-1]
-		workers = workers[:len(workers)-1]
-		w.key, w.host = key, host
-		err := w.cl.Do(p, ep, w.op)
-		workers = append(workers, w)
-		pool.Release()
-		ph.done(time.Duration(p.Now()-start), err == nil)
-	})
+	gen.RunStep(k, window, st.arrive)
 
 	// Sample the hot shard's admission queue and the client-pool backlog,
 	// keeping each phase's peak.
 	sampleEvery(k, 50*time.Millisecond, window, func(now sim.Time) {
 		i := faultPhase(now, window)
 		res.hotQ[i] = max(res.hotQ[i], hotFE.QueueDepth())
-		res.poolQ[i] = max(res.poolQ[i], pool.Waiting())
+		res.poolQ[i] = max(res.poolQ[i], st.pool.Waiting())
 	})
 
 	// Drain: the pool backlog and every abandoned attempt resolve well
@@ -319,9 +419,8 @@ type rsConn struct {
 	think time.Duration
 	until sim.Time
 	done  func(latency time.Duration, served bool)
-	// caller is the connection's node, and its step for the reads to wake
-	// into.
-	caller service.Caller
+	node  *netsim.Node    // the connection's caller identity
+	step  func(*sim.Proc) // wake, bound once
 
 	thinking bool     // the pending wake-up ends a think
 	key      string   // the key last read; "" before the first read
@@ -330,9 +429,14 @@ type rsConn struct {
 
 // start spawns the connection; its first think starts at once.
 func (c *rsConn) start(k *sim.Kernel, name string) {
-	c.caller.Then = c.wake
-	k.SpawnStep(name, c.caller.Then)
+	c.step = c.wake
+	k.SpawnStep(name, c.step)
 }
+
+// Node and TripEnd make the connection the service.Caller of its reads,
+// which wake into its one step.
+func (c *rsConn) Node() *netsim.Node  { return c.node }
+func (c *rsConn) TripEnd(p *sim.Proc) { c.wake(p) }
 
 // wake is the connection's one step. At the end of a think it exits or
 // issues a read; at its start and at the end of a read it records the
@@ -346,7 +450,7 @@ func (c *rsConn) wake(p *sim.Proc) {
 		}
 		c.key = rsKey[int(c.rng.Float64()*512)]
 		c.issued = p.Now()
-		c.ddb.GetStep(p, &c.caller, c.key)
+		c.ddb.GetStep(p, c, c.key)
 		return
 	}
 	if c.key != "" {
@@ -358,7 +462,7 @@ func (c *rsConn) wake(p *sim.Proc) {
 		c.done(time.Duration(p.Now()-c.issued), served)
 	}
 	c.thinking = true
-	p.WakeAfter(time.Duration(c.rng.ExpFloat64()*float64(c.think)), c.caller.Then)
+	p.WakeAfter(time.Duration(c.rng.ExpFloat64()*float64(c.think)), c.step)
 }
 
 // runHotTenant measures 12 polite closed-loop tenants sharing a
@@ -391,7 +495,7 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	for i := 0; i < rsPoliteN; i++ {
 		node := net.NewNode(fmt.Sprintf("tenant-%02d", i), i%ServiceRack, netsim.Gbps(10))
 		c := &rsConn{ddb: ddb, rng: rng.Fork(), think: 40 * time.Millisecond,
-			until: sim.Time(window), done: politeDone, caller: service.Caller{Node: node}}
+			until: sim.Time(window), done: politeDone, node: node}
 		c.start(k, fmt.Sprintf("polite-%02d", i))
 	}
 	// The abuser: one caller identity (one node — the jail keys on it),
@@ -399,7 +503,7 @@ func runHotTenant(seed uint64, jail bool, scale float64) rsJailResult {
 	abuser := net.NewNode("tenant-abuser", 0, netsim.Gbps(10))
 	for i := 0; i < rsAbuserConns; i++ {
 		c := &rsConn{ddb: ddb, rng: rng.Fork(), think: 5 * time.Millisecond,
-			until: sim.Time(window), done: abuserDone, caller: service.Caller{Node: abuser}}
+			until: sim.Time(window), done: abuserDone, node: abuser}
 		c.start(k, fmt.Sprintf("abuser-%02d", i))
 	}
 

@@ -52,7 +52,9 @@ func TestRetryStormDeterminism(t *testing.T) {
 // and the number of events consumed, whether the kernel loop or a parking
 // process consumed them. A change to how requests and attempts run that
 // keeps these keeps the event order, even where every rendered figure
-// would hide a move.
+// would hide a move. The values were taken when requests and attempts
+// still ran as blocking processes. Now they are stepped, and only the
+// chaos engine's process resumes a coroutine: three times per kernel.
 func TestRetryStormSchedulePinned(t *testing.T) {
 	want := map[string]struct {
 		hash     uint64
@@ -69,6 +71,9 @@ func TestRetryStormSchedulePinned(t *testing.T) {
 		if got := s.Dispatched + s.Handoffs; s.Hash != w.hash || got != w.consumed {
 			t.Errorf("%s: hash %#x, %d events consumed; want %#x, %d",
 				pol.name, s.Hash, got, w.hash, w.consumed)
+		}
+		if s.Resumes != 3 {
+			t.Errorf("%s: %d coroutine resumes, want the chaos process's 3", pol.name, s.Resumes)
 		}
 	}
 }

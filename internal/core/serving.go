@@ -285,20 +285,30 @@ func RunServingCost(seed uint64) []*Table {
 		inst := c.EC2.Launch(p, compute.M5Large, ClientRack)
 		cores := sim.NewResource(inst.Type().VCPUs)
 		// Receive side is pipelined across workers; CPU is the binding
-		// constraint.
+		// constraint. Each worker loops: receive, take a core, compute,
+		// release. It is a stepped process, its steps shared by all 16 and
+		// run at the events where a blocking loop of Sleep, Acquire, Sleep
+		// and Release would resume.
 		recv := queue.OpLatency()
+		var receive, acquire, compute, release func(*sim.Proc)
+		receive = func(wp *sim.Proc) {
+			wp.WakeAfter(recv.Sample(c.RNG)/ServingBatchSize, acquire)
+		}
+		acquire = func(wp *sim.Proc) {
+			if cores.AcquireStep(wp, compute) {
+				compute(wp)
+			}
+		}
+		compute = func(wp *sim.Proc) { wp.WakeAfter(ServingCPUPerMessage, release) }
+		release = func(wp *sim.Proc) {
+			cores.Release()
+			if measuring {
+				processed++
+			}
+			receive(wp)
+		}
 		for w := 0; w < 16; w++ {
-			p.Spawn("worker", func(wp *sim.Proc) {
-				for {
-					wp.Sleep(recv.Sample(c.RNG) / ServingBatchSize)
-					cores.Acquire(wp)
-					wp.Sleep(ServingCPUPerMessage)
-					cores.Release()
-					if measuring {
-						processed++
-					}
-				}
-			})
+			p.Kernel().SpawnStep("worker", receive)
 		}
 		p.Sleep(5 * time.Second) // warm up
 		measuring = true

@@ -34,7 +34,9 @@ func refInvoke(pf *Platform, p *sim.Proc, delay time.Duration, name string, payl
 	if pf.concurrency.InUse() == pf.concurrency.Capacity() {
 		refQueuedForSlot++
 	}
-	pf.concurrency.Acquire(p)
+	if !pf.concurrency.AcquireStep(p, nil) {
+		p.Park()
+	}
 	defer pf.concurrency.Release()
 	fn.stats.beginExecution()
 	defer fn.stats.endExecution()

@@ -5,6 +5,9 @@ package faas
 // and hedging with no platform changes. These tests pin the economics of
 // that composition — an abandoned or losing invocation keeps executing and
 // keeps billing, which is what makes impatient callers expensive.
+//
+// A Lambda handler is blocking code, so each attempt's start step spawns a
+// process that invokes and reports the outcome to the client.
 
 import (
 	"errors"
@@ -17,6 +20,26 @@ import (
 	"repro/internal/simrand"
 )
 
+// invokeVia makes one call through rc that invokes fn, from a stepped
+// caller, runs the kernel dry and returns the call's outcome.
+func invokeVia(f *fixture, rc *resilience.Client, fn string) error {
+	var err error
+	op := func(q *sim.Proc) {
+		f.k.Spawn("invoke", func(r *sim.Proc) {
+			_, _, e := f.pf.Invoke(r, fn, nil)
+			rc.Done(q, e)
+		})
+	}
+	f.k.SpawnStep("client", func(p *sim.Proc) {
+		rc.DoStep(p, -1, op, func(p *sim.Proc, e error) {
+			err = e
+			p.Exit()
+		})
+	})
+	f.k.Run()
+	return err
+}
+
 func TestResilienceDeadlineAbandonsInvokeButStillBills(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	f.pf.Register(Function{Name: "slow", MemoryMB: 1024, Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
@@ -24,17 +47,9 @@ func TestResilienceDeadlineAbandonsInvokeButStillBills(t *testing.T) {
 		return []byte("late"), nil
 	}})
 	rc := resilience.NewClient(f.k, simrand.New(5), resilience.Config{Deadline: 500 * time.Millisecond})
-	var err error
-	k := f.k
-	k.Spawn("client", func(p *sim.Proc) {
-		err = rc.Do(p, -1, func(q *sim.Proc) error {
-			_, _, e := f.pf.Invoke(q, "slow", nil)
-			return e
-		})
-	})
-	k.Run()
+	err := invokeVia(f, rc, "slow")
 	if !errors.Is(err, resilience.ErrDeadline) {
-		t.Fatalf("Do = %v, want ErrDeadline", err)
+		t.Fatalf("DoStep = %v, want ErrDeadline", err)
 	}
 	// The abandoned invocation ran to completion after the caller gave up:
 	// one full request charge and ≥ 2s of billed GB-seconds.
@@ -61,16 +76,9 @@ func TestResilienceHedgedInvokeBillsBothAttempts(t *testing.T) {
 		return []byte("ok"), nil
 	}})
 	rc := resilience.NewClient(f.k, simrand.New(5), resilience.Config{HedgeAfter: 400 * time.Millisecond})
-	var err error
-	f.k.Spawn("client", func(p *sim.Proc) {
-		err = rc.Do(p, -1, func(q *sim.Proc) error {
-			_, _, e := f.pf.Invoke(q, "fn", nil)
-			return e
-		})
-	})
-	f.k.Run()
+	err := invokeVia(f, rc, "fn")
 	if err != nil {
-		t.Fatalf("Do = %v, want nil", err)
+		t.Fatalf("DoStep = %v, want nil", err)
 	}
 	if got := rc.Stats().Hedges; got != 1 {
 		t.Fatalf("Hedges = %d, want 1", got)
@@ -97,16 +105,9 @@ func TestResilienceRetriesInvokeFailure(t *testing.T) {
 		Attempts:    4,
 		BaseBackoff: 50 * time.Millisecond,
 	})
-	var err error
-	f.k.Spawn("client", func(p *sim.Proc) {
-		err = rc.Do(p, -1, func(q *sim.Proc) error {
-			_, _, e := f.pf.Invoke(q, "flaky", nil)
-			return e
-		})
-	})
-	f.k.Run()
+	err := invokeVia(f, rc, "flaky")
 	if err != nil {
-		t.Fatalf("Do = %v, want success on the third attempt", err)
+		t.Fatalf("DoStep = %v, want success on the third attempt", err)
 	}
 	if calls != 3 {
 		t.Errorf("handler ran %d times, want 3", calls)

@@ -193,9 +193,9 @@ func (s *Store) Get(p *sim.Proc, caller *netsim.Node, key string, consistent boo
 }
 
 // GetStep is Get for a step (see sim.Proc.WakeAfter), which must not park:
-// it starts the read's round trip from c.Node, whose end wakes into c.Then,
-// which takes the result with GetResult, passing the same key.
-func (s *Store) GetStep(p *sim.Proc, c *service.Caller, key string) {
+// it starts the read's round trip from c.Node(), whose end wakes into
+// c.TripEnd, which takes the result with GetResult, passing the same key.
+func (s *Store) GetStep(p *sim.Proc, c service.Caller, key string) {
 	s.shardFor(key).fe.RoundTripStep(p, c, 0)
 }
 

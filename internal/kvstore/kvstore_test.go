@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/pricing"
-	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simrand"
 )
@@ -343,6 +342,15 @@ func TestQuickPerKeyLinearizability(t *testing.T) {
 	}
 }
 
+// stepCaller is a service.Caller whose trips end in one step.
+type stepCaller struct {
+	node *netsim.Node
+	then func(*sim.Proc)
+}
+
+func (c *stepCaller) Node() *netsim.Node  { return c.node }
+func (c *stepCaller) TripEnd(p *sim.Proc) { c.then(p) }
+
 // A read through GetStep and GetResult, from a stepped process, returns
 // what Get returns at the same point (a hit, a miss or a lagging replica's
 // version), at the same time, and bills the same.
@@ -367,8 +375,8 @@ func TestGetStepReadsWhatGetReads(t *testing.T) {
 				return
 			}
 			i := 0
-			c := &service.Caller{Node: f.caller}
-			c.Then = func(p *sim.Proc) {
+			c := &stepCaller{node: f.caller}
+			c.then = func(p *sim.Proc) {
 				if i > 0 {
 					it, err := f.store.GetResult(p, keys[i-1], false)
 					record(p, it, err)
@@ -380,7 +388,7 @@ func TestGetStepReadsWhatGetReads(t *testing.T) {
 				f.store.GetStep(p, c, keys[i])
 				i++
 			}
-			f.k.SpawnStep("s", c.Then)
+			f.k.SpawnStep("s", c.then)
 		})
 		f.k.Run()
 		return reads, f.meter.Total()

@@ -103,24 +103,38 @@ func New(rng *simrand.RNG, arrivals Arrivals) *Generator {
 // order: its start at Now, one event per arrival (which spawns the request
 // and draws the next gap), and the window's end.
 func (g *Generator) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim.Proc, seq int)) *sim.Latch {
+	return g.run(k, for_, submit, false)
+}
+
+// RunStep is Run with a stepped process per request (see
+// sim.Kernel.SpawnStep): start(p, seq) is the request's first step, which
+// must not park, and its chain's last step calls p.Exit. The requests
+// hold no coroutine, and every event is Run's: each start runs at the
+// event where Run's body would have started, and takes the same seq.
+func (g *Generator) RunStep(k *sim.Kernel, for_ time.Duration, start func(p *sim.Proc, seq int)) *sim.Latch {
+	return g.run(k, for_, start, true)
+}
+
+func (g *Generator) run(k *sim.Kernel, for_ time.Duration, submit func(p *sim.Proc, seq int), stepped bool) *sim.Latch {
 	// The start runs at Now, so the window's end is known already.
-	r := &genRun{g: g, k: k, submit: submit, end: k.Now() + sim.Time(for_)}
+	r := &genRun{g: g, k: k, submit: submit, stepped: stepped, end: k.Now() + sim.Time(for_)}
 	r.step, r.body = r.advance, r.request
 	k.At(k.Now(), r.step)
 	return &r.done
 }
 
-// genRun is one Run's state. Its two funcs are bound once, so an arrival
-// allocates nothing.
+// genRun is one Run's or RunStep's state. Its two funcs are bound once,
+// so an arrival allocates nothing.
 type genRun struct {
 	g       *Generator
 	k       *sim.Kernel
 	submit  func(p *sim.Proc, seq int)
+	stepped bool // requests are stepped processes (RunStep)
 	started bool
 	end     sim.Time
 	next    int // the seq the next request process takes
 	step    func()
-	body    func(*sim.Proc)
+	body    func(*sim.Proc) // the body, or the first step, of every request
 	done    sim.Latch
 }
 
@@ -137,6 +151,9 @@ func (r *genRun) advance() {
 		// last arrival, so timing keyed to it covers the full window.
 		r.done.Release()
 		return
+	case r.stepped:
+		g.Submitted++
+		k.SpawnStep("req", r.body)
 	default:
 		g.Submitted++
 		k.Spawn("req", r.body)
@@ -149,10 +166,11 @@ func (r *genRun) advance() {
 	k.After(gap, r.step)
 }
 
-// request is the one body every request process shares. Processes start in
-// spawn order (the kernel's start events are FIFO), so the sequence number
-// taken at start is the one a per-request closure would have captured at
-// spawn time, without allocating a closure per arrival.
+// request is the one body, or first step, every request process shares.
+// Processes start in spawn order (the kernel's start events are FIFO, for
+// Spawn and SpawnStep alike), so the sequence number taken at start is the
+// one a per-request closure would have captured at spawn time, without
+// allocating a closure per arrival.
 func (r *genRun) request(p *sim.Proc) {
 	seq := r.next
 	r.next++

@@ -245,3 +245,40 @@ func TestGeneratorRunAllocations(t *testing.T) {
 		t.Errorf("a 10-arrival run allocated %.0f, want at most 9", few)
 	}
 }
+
+// RunStep is Run with stepped requests, event for event: the same
+// arrivals, the same seq per request and the same schedule hash, while its
+// requests resume no coroutine. Each request waits a seq-dependent time,
+// a zero wait included, so starts and ends interleave at shared instants.
+func TestRunStepMatchesRun(t *testing.T) {
+	run := func(stepped bool) (sim.Sched, []string, int) {
+		k := sim.NewKernel()
+		defer k.Close()
+		g := New(simrand.New(3), Poisson{Rate: 2000})
+		var ends []string
+		wait := func(seq int) time.Duration { return time.Duration(seq%7) * 300 * time.Microsecond }
+		if stepped {
+			g.RunStep(k, 200*time.Millisecond, func(p *sim.Proc, seq int) {
+				p.WakeAfter(wait(seq), func(p *sim.Proc) {
+					ends = append(ends, fmt.Sprint(seq, p.Now()))
+					p.Exit()
+				})
+			})
+		} else {
+			g.Run(k, 200*time.Millisecond, func(p *sim.Proc, seq int) {
+				p.Sleep(wait(seq))
+				ends = append(ends, fmt.Sprint(seq, p.Now()))
+			})
+		}
+		k.Run()
+		return k.Sched(), ends, g.Submitted
+	}
+	refSched, refEnds, refN := run(false)
+	sched, ends, n := run(true)
+	if sched.Hash != refSched.Hash || n != refN || fmt.Sprint(ends) != fmt.Sprint(refEnds) {
+		t.Errorf("RunStep: hash %#x, %d requests; Run: hash %#x, %d requests", sched.Hash, n, refSched.Hash, refN)
+	}
+	if refN < 300 || sched.Resumes != 0 {
+		t.Errorf("%d requests, %d resumes; want hundreds and none", refN, sched.Resumes)
+	}
+}

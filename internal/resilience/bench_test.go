@@ -10,9 +10,9 @@ import (
 
 // BenchmarkRetryDecision exercises the full client decision path — budget
 // deposit, breaker consult, a failing attempt under a deadline, one
-// jittered backoff draw and sleep, breaker record, then a success — in
+// jittered backoff draw and wait, breaker record, then a success — in
 // steady state. CI gates it at 0 allocs/op: the policy layer must ride the
-// kernel's allocation-free sleep/timer machinery, since it wraps every
+// kernel's allocation-free step and timer machinery, since it wraps every
 // request of every experiment.
 func BenchmarkRetryDecision(b *testing.B) {
 	k := sim.NewKernel()
@@ -27,31 +27,40 @@ func BenchmarkRetryDecision(b *testing.B) {
 	// The workload alternates fail/success (exactly 0.5), so trip above it.
 	c.SetBreakers([]*Breaker{NewBreaker(BreakerConfig{FailureRate: 0.75})})
 	fail := true
-	op := func(q *sim.Proc) error {
-		q.Sleep(10 * time.Microsecond)
+	end := func(q *sim.Proc) {
 		if fail {
 			fail = false
-			return errBoom
+			c.Done(q, errBoom)
+			return
 		}
-		return nil
+		c.Done(q, nil)
 	}
-	// Warm the proc pool and the client scratch outside the timed region.
-	k.Spawn("warm", func(p *sim.Proc) {
-		for i := 0; i < 64; i++ {
-			fail = true
-			_ = c.Do(p, 0, op)
+	op := func(q *sim.Proc) { q.WakeAfter(10*time.Microsecond, end) }
+	// calls runs n calls one after another from a stepped process.
+	n := 0
+	var call func(*sim.Proc)
+	then := func(p *sim.Proc, err error) {
+		if err != nil {
+			b.Fatalf("DoStep = %v", err)
 		}
-	})
+		n--
+		call(p)
+	}
+	call = func(p *sim.Proc) {
+		if n == 0 {
+			p.Exit()
+			return
+		}
+		fail = true
+		c.DoStep(p, 0, op, then)
+	}
+	// Warm the proc slots and the client scratch outside the timed region.
+	n = 64
+	k.SpawnStep("warm", call)
 	k.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.Spawn("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			fail = true
-			if err := c.Do(p, 0, op); err != nil {
-				b.Fatalf("Do = %v", err)
-			}
-		}
-	})
+	n = b.N
+	k.SpawnStep("bench", call)
 	k.Run()
 }

@@ -44,7 +44,7 @@ var ErrBreakerOpen = errors.New("resilience: circuit open")
 // to aggregate a population; counters are plain int64s on the kernel's
 // single timeline, so no atomics are needed.
 type Stats struct {
-	// Calls counts Do invocations.
+	// Calls counts DoStep invocations.
 	Calls int64
 	// Retries counts re-attempts after a failure; Timeouts counts attempts
 	// abandoned at their deadline; Hedges counts speculative second
@@ -80,17 +80,9 @@ type Config struct {
 }
 
 // Client executes calls under a retry policy for one calling process. Not
-// safe for concurrent calls: a Client runs one Do at a time, like the
+// safe for concurrent calls: a Client runs one DoStep at a time, like the
 // per-worker handle of a connection pool. Budget, breakers, and the stats
 // sink may be shared across clients.
-//
-// Do invokes op at attempt start (first attempt, retries and hedges
-// alike), while the calling process is parked in Do (or, with neither a
-// deadline nor hedging, inline on it). Whatever op reads from caller-owned
-// state before its first blocking call is therefore the state of the call
-// that launched it: a caller may reuse one op closure for every call and
-// rewrite the state it reads between calls, and an attempt abandoned at
-// its deadline keeps the values it started with.
 type Client struct {
 	rng    *simrand.RNG
 	cfg    Config
@@ -99,19 +91,23 @@ type Client struct {
 	stats  *Stats
 	own    Stats
 
-	// Per-call scratch, allocated once and reused: the attempt body reads
-	// the op/gen fields at start time (the parent is parked for the whole
-	// call, so they cannot change underneath it), and a generation counter
-	// makes completions of abandoned attempts harmless no-ops. gen and
-	// done share a word, which keeps the Client in the 256-byte size class.
-	gen       uint32
-	done      bool
-	op        func(*sim.Proc) error
-	err       error
-	sig       sim.Signal
+	// The call in progress, kept here between its steps (see DoStep):
+	// caller is the calling process, ep the endpoint, err the last
+	// attempt's outcome (nil before the first ends) and prev the last
+	// backoff. att holds the processes of the current attempt and of its
+	// hedge until one of them, or the deadline, decides the attempt; only
+	// their outcomes count.
+	op      func(*sim.Proc)
+	then    func(*sim.Proc, error)
+	caller  *sim.Proc
+	att     [2]*sim.Proc
+	attempt int32
+	ep      int32
+	prev    time.Duration
+	err     error
+
 	deadlineT sim.Timer
 	hedgeT    sim.Timer
-	body      func(*sim.Proc)
 }
 
 // NewClient creates a client on kernel k drawing backoff jitter from rng.
@@ -124,28 +120,15 @@ func NewClient(k *sim.Kernel, rng *simrand.RNG, cfg Config) *Client {
 	}
 	c := &Client{rng: rng, cfg: cfg}
 	c.stats = &c.own
-	c.body = func(cp *sim.Proc) {
-		// Read the call state at start: the parent is parked in sig.Wait
-		// for the whole call, so gen/op are stable until it resumes.
-		g := c.gen
-		err := c.op(cp)
-		if g == c.gen && !c.done {
-			c.done = true
-			c.err = err
-			c.sig.Fire()
-		}
-	}
 	c.deadlineT.Init(k, func() {
-		if !c.done {
-			c.done = true
-			c.err = ErrDeadline
-			c.sig.Fire()
+		if c.att[0] != nil {
+			c.decide(ErrDeadline)
 		}
 	})
 	c.hedgeT.Init(k, func() {
-		if !c.done {
+		if c.att[0] != nil {
 			c.stats.Hedges++
-			k.Spawn("resilience-hedge", c.body)
+			c.att[1] = k.SpawnStep("resilience-hedge", c.op)
 		}
 	})
 	return c
@@ -155,8 +138,8 @@ func NewClient(k *sim.Kernel, rng *simrand.RNG, cfg Config) *Client {
 func (c *Client) SetBudget(b *Budget) { c.budget = b }
 
 // SetBreakers attaches the per-endpoint breaker table, indexed by the
-// endpoint argument of Do; endpoints outside the slice have no breaker.
-// The slice is typically shared by every client of a service.
+// endpoint argument of DoStep; endpoints outside the slice have no
+// breaker. The slice is typically shared by every client of a service.
 func (c *Client) SetBreakers(brs []*Breaker) { c.brs = brs }
 
 // SetStatsSink redirects outcome counters to a shared sink (nil restores
@@ -171,84 +154,170 @@ func (c *Client) SetStatsSink(s *Stats) {
 // Stats returns the current counter values of the client's sink.
 func (c *Client) Stats() Stats { return *c.stats }
 
-// Do executes op under the client's policy against the given endpoint
-// (index into the breaker table; pass a negative endpoint to skip breaker
-// consultation). op runs in a child process so a deadline can abandon it;
-// it must use the process it is handed, not the caller's. Returns nil on
-// the first successful attempt, ErrBreakerOpen on a fast-failed call, or
-// the last attempt's error (ErrDeadline for a timeout).
-func (c *Client) Do(p *sim.Proc, endpoint int, op func(*sim.Proc) error) error {
-	var br *Breaker
-	if endpoint >= 0 && endpoint < len(c.brs) {
-		br = c.brs[endpoint]
+// DoStep runs one call under the client's policy against the given
+// endpoint (index into the breaker table; pass a negative endpoint to skip
+// breaker consultation), from a step of the calling process p (see
+// sim.Proc.WakeAfter): it must not park, and it returns at once. The call
+// ends in then(p, err), at the event where its last attempt's outcome is
+// known: err is nil on the first successful attempt, ErrBreakerOpen on a
+// fast-failed call, or the last attempt's error (ErrDeadline for a
+// timeout). Until then the call owns p's pending wake-up and p.Trip.
+//
+// op is an attempt, in step form: a step that starts the attempt on the
+// process it is handed and must not park, and whose last step calls
+// c.Done on that process with the attempt's outcome. With a deadline or
+// hedging, every attempt runs in a stepped child process of its own, so
+// the deadline can abandon it, and op must use the process it is handed,
+// not the caller's; with neither, op runs on p. op runs at attempt start
+// (first attempt, retries and hedges alike), while the call is in
+// progress, so whatever op reads from caller-owned state at its start is
+// the state of the call that launched it: a caller may reuse one op for
+// every call and rewrite the state it reads between calls, and an attempt
+// abandoned at its deadline keeps the values it copied at its start.
+//
+// Every draw and schedule call happens at the event where a blocking
+// retry loop (sleeping its backoff, parking on the attempt) makes it.
+func (c *Client) DoStep(p *sim.Proc, endpoint int, op func(*sim.Proc), then func(*sim.Proc, error)) {
+	if c.then != nil {
+		panic("resilience: DoStep on a client whose call is in progress")
 	}
+	c.ep = -1
+	if endpoint >= 0 && endpoint < len(c.brs) {
+		c.ep = int32(endpoint)
+	}
+	c.op, c.then, c.caller = op, then, p
+	c.attempt, c.prev, c.err = 0, c.cfg.BaseBackoff, nil
 	c.stats.Calls++
 	if c.budget != nil {
 		c.budget.Deposit()
 	}
-	prev := c.cfg.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			if c.budget != nil && !c.budget.TryTake() {
-				c.stats.BudgetDenied++
-				break
-			}
-			c.stats.Retries++
-			if c.cfg.BaseBackoff > 0 {
-				d := Backoff(c.rng, c.cfg.BaseBackoff, c.cfg.MaxBackoff, prev)
-				prev = d
-				p.Sleep(d)
-			}
-		}
-		if br != nil && !br.Allow(p.Now()) {
-			// Fail fast: an open breaker rejects without burning a backoff
-			// cycle — the cooldown timer, not the retry loop, decides when
-			// the endpoint is probed again.
-			c.stats.ShortCircuits++
-			if lastErr == nil {
-				lastErr = ErrBreakerOpen
-			}
-			break
-		}
-		err := c.once(p, op)
-		if br != nil {
-			br.Record(p.Now(), err == nil)
-		}
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			c.stats.Timeouts++
-		}
-		lastErr = err
-	}
-	return lastErr
+	c.launch(p)
 }
 
-// once runs a single attempt: inline when no deadline or hedge is
-// configured, otherwise in a child process raced against the deadline and
-// hedge timers. The first completion (either attempt, or the deadline)
-// wins; late finishers see a stale generation and do nothing.
-func (c *Client) once(p *sim.Proc, op func(*sim.Proc) error) error {
-	if c.cfg.Deadline <= 0 && c.cfg.HedgeAfter <= 0 {
-		return op(p)
+// Done ends an attempt that op started: its last step calls it on the
+// attempt's process with the attempt's outcome. The first outcome of the
+// current attempt (the attempt itself or its hedge) that beats the
+// deadline decides it; a late finisher's outcome is dropped. A child
+// attempt's process exits here.
+func (c *Client) Done(p *sim.Proc, err error) {
+	if c.inline() {
+		c.settle(p, err)
+		return
 	}
-	c.gen++
-	c.op = op
-	c.done = false
-	c.err = nil
-	p.Spawn("resilience-attempt", c.body)
+	if p == c.att[0] || p == c.att[1] {
+		c.decide(err)
+	}
+	p.Exit()
+}
+
+// decide ends the current attempt with err and wakes the caller into
+// attemptEnded.
+func (c *Client) decide(err error) {
+	c.att = [2]*sim.Proc{}
+	c.err = err
+	c.caller.WakeAfter(0, attemptEnded)
+}
+
+// breaker returns the call's endpoint breaker, or nil.
+func (c *Client) breaker() *Breaker {
+	if c.ep < 0 {
+		return nil
+	}
+	return c.brs[c.ep]
+}
+
+// inline reports whether attempts run on the caller's own process: with
+// neither a deadline nor hedging, nothing can abandon them.
+func (c *Client) inline() bool { return c.cfg.Deadline <= 0 && c.cfg.HedgeAfter <= 0 }
+
+// launch starts the current attempt unless the endpoint's breaker is open:
+// inline, or in a child process raced against the deadline and hedge
+// timers, with the caller waiting for the first completion (either
+// attempt, or the deadline) to wake it.
+func (c *Client) launch(p *sim.Proc) {
+	if br := c.breaker(); br != nil && !br.Allow(p.Now()) {
+		// Fail fast: an open breaker rejects without burning a backoff
+		// cycle — the cooldown timer, not the retry loop, decides when
+		// the endpoint is probed again.
+		c.stats.ShortCircuits++
+		if c.err == nil {
+			c.err = ErrBreakerOpen
+		}
+		c.end(p)
+		return
+	}
+	if c.inline() {
+		c.op(p)
+		return
+	}
+	c.att = [2]*sim.Proc{p.Kernel().SpawnStep("resilience-attempt", c.op)}
 	if c.cfg.Deadline > 0 {
 		c.deadlineT.Reset(c.cfg.Deadline)
 	}
 	if c.cfg.HedgeAfter > 0 && (c.cfg.Deadline <= 0 || c.cfg.HedgeAfter < c.cfg.Deadline) {
 		c.hedgeT.Reset(c.cfg.HedgeAfter)
 	}
-	c.sig.Wait(p)
+	p.Trip = sim.Trip{Ref: c}
+}
+
+// attemptEnded is the caller's step once the attempt, its hedge or the
+// deadline has decided the attempt.
+func attemptEnded(p *sim.Proc) {
+	c := p.Trip.Ref.(*Client)
+	p.Trip = sim.Trip{}
 	c.deadlineT.Stop()
 	c.hedgeT.Stop()
-	return c.err
+	c.settle(p, c.err)
+}
+
+// settle takes the current attempt's outcome: it ends the call, or starts
+// the next attempt, after a backoff when one is configured.
+func (c *Client) settle(p *sim.Proc, err error) {
+	if br := c.breaker(); br != nil {
+		br.Record(p.Now(), err == nil)
+	}
+	c.err = err
+	if err == nil {
+		c.end(p)
+		return
+	}
+	if errors.Is(err, ErrDeadline) {
+		c.stats.Timeouts++
+	}
+	c.attempt++
+	if int(c.attempt) >= c.cfg.Attempts {
+		c.end(p)
+		return
+	}
+	if c.budget != nil && !c.budget.TryTake() {
+		c.stats.BudgetDenied++
+		c.end(p)
+		return
+	}
+	c.stats.Retries++
+	if c.cfg.BaseBackoff > 0 {
+		d := Backoff(c.rng, c.cfg.BaseBackoff, c.cfg.MaxBackoff, c.prev)
+		c.prev = d
+		p.Trip = sim.Trip{Ref: c}
+		p.WakeAfter(d, backedOff)
+		return
+	}
+	c.launch(p)
+}
+
+// backedOff is the caller's step at the end of a backoff.
+func backedOff(p *sim.Proc) {
+	c := p.Trip.Ref.(*Client)
+	p.Trip = sim.Trip{}
+	c.launch(p)
+}
+
+// end hands the call's outcome to its continuation; the client is free for
+// the next call from then on.
+func (c *Client) end(p *sim.Proc) {
+	then := c.then
+	c.op, c.then, c.caller = nil, nil, nil
+	then(p, c.err)
 }
 
 // Backoff draws one decorrelated-jitter backoff: uniform in

@@ -2,7 +2,9 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,33 +14,64 @@ import (
 
 var errBoom = errors.New("boom")
 
+// runCalls makes n calls on c, one after another, from one stepped
+// process: call i runs op(i) and hands its outcome and how long it took to
+// done(i, ...).
+func runCalls(k *sim.Kernel, c *Client, endpoint, n int, op func(i int) func(*sim.Proc), done func(i int, took time.Duration, err error)) {
+	i := 0
+	var start sim.Time
+	var call func(*sim.Proc)
+	then := func(p *sim.Proc, err error) {
+		if done != nil {
+			done(i, p.Now()-start, err)
+		}
+		i++
+		call(p)
+	}
+	call = func(p *sim.Proc) {
+		if i == n {
+			p.Exit()
+			return
+		}
+		start = p.Now()
+		c.DoStep(p, endpoint, op(i), then)
+	}
+	k.SpawnStep("test", call)
+}
+
+// after returns an attempt that takes d and then ends with err.
+func after(c *Client, d time.Duration, err error) func(*sim.Proc) {
+	return func(q *sim.Proc) {
+		q.WakeAfter(d, func(q *sim.Proc) { c.Done(q, err) })
+	}
+}
+
 func TestZeroConfigPassThrough(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{})
 	attempts := 0
-	k.Spawn("test", func(p *sim.Proc) {
-		if err := c.Do(p, -1, func(q *sim.Proc) error {
+	var errs []error
+	runCalls(k, c, -1, 2, func(i int) func(*sim.Proc) {
+		return func(q *sim.Proc) {
 			attempts++
-			q.Sleep(time.Millisecond)
-			return nil
-		}); err != nil {
-			t.Errorf("Do = %v, want nil", err)
+			if i == 0 {
+				after(c, time.Millisecond, nil)(q)
+				return
+			}
+			c.Done(q, errBoom)
 		}
-		if attempts != 1 {
-			t.Errorf("op ran %d times, want 1", attempts)
-		}
-		if err := c.Do(p, -1, func(*sim.Proc) error {
-			attempts++
-			return errBoom
-		}); err != errBoom {
-			t.Errorf("Do = %v, want errBoom", err)
-		}
-	})
+	}, func(_ int, _ time.Duration, err error) { errs = append(errs, err) })
 	k.Run()
+	if len(errs) != 2 || errs[0] != nil || errs[1] != errBoom {
+		t.Errorf("DoStep outcomes = %v, want [nil boom]", errs)
+	}
 	st := c.Stats()
 	if st.Calls != 2 || attempts != 2 || st.Retries != 0 {
 		t.Errorf("stats = %+v after %d attempts, want 2 calls, 2 attempts, 0 retries", st, attempts)
+	}
+	if s := k.Sched(); s.Resumes != 0 {
+		t.Errorf("%d coroutine resumes, want none", s.Resumes)
 	}
 }
 
@@ -48,20 +81,21 @@ func TestRetriesUntilSuccess(t *testing.T) {
 	c := NewClient(k, simrand.New(1), Config{Attempts: 4, BaseBackoff: 10 * time.Millisecond})
 	var elapsed time.Duration
 	attempts := 0
-	k.Spawn("test", func(p *sim.Proc) {
-		fails := 2
-		start := p.Now()
-		err := c.Do(p, -1, func(*sim.Proc) error {
+	fails := 2
+	runCalls(k, c, -1, 1, func(int) func(*sim.Proc) {
+		return func(q *sim.Proc) {
 			attempts++
 			if fails > 0 {
 				fails--
-				return errBoom
+				c.Done(q, errBoom)
+				return
 			}
-			return nil
-		})
-		elapsed = p.Now() - start
+			c.Done(q, nil)
+		}
+	}, func(_ int, took time.Duration, err error) {
+		elapsed = took
 		if err != nil {
-			t.Errorf("Do = %v, want nil after retries", err)
+			t.Errorf("DoStep = %v, want nil after retries", err)
 		}
 	})
 	k.Run()
@@ -80,22 +114,23 @@ func TestDeadlineAbandonsSlowOp(t *testing.T) {
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{Deadline: 50 * time.Millisecond})
 	finished := 0
-	var tookMs time.Duration
-	k.Spawn("test", func(p *sim.Proc) {
-		start := p.Now()
-		err := c.Do(p, -1, func(q *sim.Proc) error {
-			q.Sleep(time.Second) // far past the deadline
-			finished++
-			return nil
-		})
-		tookMs = p.Now() - start
+	var took time.Duration
+	runCalls(k, c, -1, 1, func(int) func(*sim.Proc) {
+		return func(q *sim.Proc) {
+			q.WakeAfter(time.Second, func(q *sim.Proc) { // far past the deadline
+				finished++
+				c.Done(q, nil)
+			})
+		}
+	}, func(_ int, d time.Duration, err error) {
+		took = d
 		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("Do = %v, want ErrDeadline", err)
+			t.Errorf("DoStep = %v, want ErrDeadline", err)
 		}
 	})
 	k.Run()
-	if tookMs != 50*time.Millisecond {
-		t.Errorf("caller blocked %v, want exactly the 50ms deadline", tookMs)
+	if took != 50*time.Millisecond {
+		t.Errorf("caller waited %v, want exactly the 50ms deadline", took)
 	}
 	// The abandoned attempt still runs to completion on the kernel: that is
 	// the billed-wasted-work semantics the retry storm depends on.
@@ -105,33 +140,35 @@ func TestDeadlineAbandonsSlowOp(t *testing.T) {
 	if st := c.Stats(); st.Timeouts != 1 {
 		t.Errorf("Timeouts = %d, want 1", st.Timeouts)
 	}
+	if n := k.LiveProcs(); n != 0 {
+		t.Errorf("%d processes left, want the abandoned attempt to exit", n)
+	}
 }
 
 // TestAbandonedAttemptKeepsArgumentsReadAtStart pins the contract that
-// lets a caller reuse one op closure across calls: op is invoked at
-// attempt start, while the caller is parked in Do, so an op that copies
-// caller-owned state at entry keeps that copy even after a timed-out call
-// returns and the caller rewrites the state for its next call.
+// lets a caller reuse one op across calls: op runs at attempt start, while
+// the call is in progress, so an op that copies caller-owned state at its
+// start keeps that copy even after a timed-out call ends and the caller
+// rewrites the state for its next call.
 func TestAbandonedAttemptKeepsArgumentsReadAtStart(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{Attempts: 1, Deadline: 10 * time.Millisecond})
 	arg := 0
 	var recorded []int
-	op := func(q *sim.Proc) error {
+	op := func(q *sim.Proc) {
 		mine := arg
-		q.Sleep(50 * time.Millisecond) // far past the deadline
-		recorded = append(recorded, mine)
-		return nil
+		q.WakeAfter(50*time.Millisecond, func(q *sim.Proc) { // far past the deadline
+			recorded = append(recorded, mine)
+			c.Done(q, nil)
+		})
 	}
-	k.Spawn("test", func(p *sim.Proc) {
-		arg = 1
-		if err := c.Do(p, -1, op); !errors.Is(err, ErrDeadline) {
-			t.Errorf("first Do = %v, want ErrDeadline", err)
-		}
-		arg = 2 // the first attempt is still sleeping
-		if err := c.Do(p, -1, op); !errors.Is(err, ErrDeadline) {
-			t.Errorf("second Do = %v, want ErrDeadline", err)
+	runCalls(k, c, -1, 2, func(i int) func(*sim.Proc) {
+		arg = i + 1 // the first attempt is still in flight for the second call
+		return op
+	}, func(i int, _ time.Duration, err error) {
+		if !errors.Is(err, ErrDeadline) {
+			t.Errorf("call %d: DoStep = %v, want ErrDeadline", i, err)
 		}
 	})
 	k.Run()
@@ -144,19 +181,19 @@ func TestDeadlineTimerStoppedOnFastSuccess(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{Deadline: 50 * time.Millisecond})
-	k.Spawn("test", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			if err := c.Do(p, -1, func(q *sim.Proc) error {
-				q.Sleep(time.Millisecond)
-				return nil
-			}); err != nil {
-				t.Errorf("call %d: Do = %v, want nil", i, err)
-			}
+	runCalls(k, c, -1, 3, func(int) func(*sim.Proc) {
+		return after(c, time.Millisecond, nil)
+	}, func(i int, _ time.Duration, err error) {
+		if err != nil {
+			t.Errorf("call %d: DoStep = %v, want nil", i, err)
 		}
 	})
 	k.Run()
 	if st := c.Stats(); st.Timeouts != 0 || st.Calls != 3 {
 		t.Errorf("stats = %+v, want 3 clean calls, 0 timeouts", st)
+	}
+	if n := k.Pending(); n != 0 {
+		t.Errorf("%d events left, want the deadline timers stopped", n)
 	}
 }
 
@@ -166,20 +203,19 @@ func TestHedgeFirstCompletionWins(t *testing.T) {
 	c := NewClient(k, simrand.New(1), Config{HedgeAfter: 20 * time.Millisecond})
 	launches := 0
 	var took time.Duration
-	k.Spawn("test", func(p *sim.Proc) {
-		start := p.Now()
-		err := c.Do(p, -1, func(q *sim.Proc) error {
+	runCalls(k, c, -1, 1, func(int) func(*sim.Proc) {
+		return func(q *sim.Proc) {
 			launches++
 			if launches == 1 {
-				q.Sleep(time.Second) // slow primary
+				after(c, time.Second, nil)(q) // slow primary
 			} else {
-				q.Sleep(5 * time.Millisecond) // fast hedge
+				after(c, 5*time.Millisecond, nil)(q) // fast hedge
 			}
-			return nil
-		})
-		took = p.Now() - start
+		}
+	}, func(_ int, d time.Duration, err error) {
+		took = d
 		if err != nil {
-			t.Errorf("Do = %v, want nil (hedge wins)", err)
+			t.Errorf("DoStep = %v, want nil (hedge wins)", err)
 		}
 	})
 	k.Run()
@@ -199,13 +235,12 @@ func TestHedgeNotLaunchedWhenPrimaryFast(t *testing.T) {
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{HedgeAfter: 20 * time.Millisecond})
 	launches := 0
-	k.Spawn("test", func(p *sim.Proc) {
-		_ = c.Do(p, -1, func(q *sim.Proc) error {
+	runCalls(k, c, -1, 1, func(int) func(*sim.Proc) {
+		return func(q *sim.Proc) {
 			launches++
-			q.Sleep(time.Millisecond)
-			return nil
-		})
-	})
+			after(c, time.Millisecond, nil)(q)
+		}
+	}, nil)
 	k.Run()
 	if launches != 1 {
 		t.Errorf("launches = %d, want 1 (no hedge for a fast primary)", launches)
@@ -215,18 +250,33 @@ func TestHedgeNotLaunchedWhenPrimaryFast(t *testing.T) {
 	}
 }
 
+// A client runs one call at a time: a second DoStep before the first call
+// ends is a caller's bug, and it panics rather than corrupt the first.
+func TestDoStepOnBusyClientPanics(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	c := NewClient(k, simrand.New(1), Config{Deadline: time.Second})
+	op := after(c, time.Millisecond, nil)
+	k.SpawnStep("first", func(p *sim.Proc) { c.DoStep(p, -1, op, func(p *sim.Proc, _ error) { p.Exit() }) })
+	k.SpawnStep("second", func(p *sim.Proc) { c.DoStep(p, -1, op, func(p *sim.Proc, _ error) { p.Exit() }) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "in progress") {
+			t.Errorf("recovered %v, want the in-progress panic", r)
+		}
+	}()
+	k.Run()
+}
+
 func TestBudgetCapsRetries(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	c := NewClient(k, simrand.New(1), Config{Attempts: 3})
 	c.SetBudget(NewBudget(0.1, 2))
-	k.Spawn("test", func(p *sim.Proc) {
-		// Every call fails; with burst 2 and ratio 0.1 only the first few
-		// retries are granted, then the budget pins attempts ~= calls.
-		for i := 0; i < 50; i++ {
-			_ = c.Do(p, -1, func(*sim.Proc) error { return errBoom })
-		}
-	})
+	// Every call fails; with burst 2 and ratio 0.1 only the first few
+	// retries are granted, then the budget pins attempts ~= calls.
+	runCalls(k, c, -1, 50, func(int) func(*sim.Proc) {
+		return func(q *sim.Proc) { c.Done(q, errBoom) }
+	}, nil)
 	k.Run()
 	st := c.Stats()
 	if st.BudgetDenied == 0 {
@@ -318,12 +368,9 @@ func TestClientShortCircuitsOnOpenBreaker(t *testing.T) {
 	c.SetBreakers([]*Breaker{br})
 	var last error
 	ops := 0
-	k.Spawn("test", func(p *sim.Proc) {
-		op := func(*sim.Proc) error { ops++; return errBoom }
-		for i := 0; i < 5; i++ {
-			last = c.Do(p, 0, op)
-		}
-	})
+	op := func(q *sim.Proc) { ops++; c.Done(q, errBoom) }
+	runCalls(k, c, 0, 5, func(int) func(*sim.Proc) { return op },
+		func(_ int, _ time.Duration, err error) { last = err })
 	k.Run()
 	if last != ErrBreakerOpen {
 		t.Errorf("last err = %v, want ErrBreakerOpen", last)

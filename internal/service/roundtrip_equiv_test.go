@@ -21,7 +21,9 @@ func refRoundTripErr(f *Frontend, p *sim.Proc, caller *netsim.Node, extra time.D
 		return err
 	}
 	if f.slots != nil {
-		f.slots.Acquire(p)
+		if !f.slots.AcquireStep(p, nil) {
+			p.Park()
+		}
 	}
 	svc := f.SampleOp()
 	p.Sleep(svc + extra)

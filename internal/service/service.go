@@ -56,7 +56,7 @@ type Frontend struct {
 
 	// The round trip's steps (see RoundTripErr), bound once here so that a
 	// trip allocates nothing.
-	arriveStep, serveStep, finishStep func(*sim.Proc)
+	arriveStep, serveStep, finishStep, endStep func(*sim.Proc)
 }
 
 // NewFrontend registers a front-end node named name in rack rack with a NIC
@@ -180,52 +180,70 @@ func (f *Frontend) RoundTripErr(p *sim.Proc, caller *netsim.Node, extra time.Dur
 	return TripErr(p)
 }
 
-// A Caller is the client end of round trips made from steps: the node the
-// requests come from, and the step each trip's end wakes into. It lives in
-// the stepping process's own record, and a trip points to it, so a stepped
-// round trip takes no more room in the process than a blocking one.
-type Caller struct {
-	Node *netsim.Node
-	Then func(*sim.Proc)
+// A Caller is the client end of a round trip made from a step: Node is
+// the node the request comes from, and TripEnd the step that the trip's
+// end, the response leg or a rejection's return leg, wakes the process
+// into. TripEnd reads the outcome with TripErr.
+//
+// The trip keeps the Caller in p.Trip.Ref from its start to TripEnd, so a
+// Caller is typically a pointer to the stepping process's own record: the
+// step it wakes into is a method of that record, bound to no closure, and
+// records that come and go with their trips allocate no step each.
+type Caller interface {
+	Node() *netsim.Node
+	TripEnd(p *sim.Proc)
 }
 
 // RoundTripStep is RoundTripErr for a step (see sim.Proc.WakeAfter), which
-// must not park: it starts a round trip from c.Node, and the wake-up that
-// ends it, the response leg or a rejection's return leg, runs c.Then, which
-// reads the outcome with TripErr.
+// must not park: it starts a round trip from c.Node(), and the wake-up that
+// ends it runs c.TripEnd.
 //
 // Both start the same chain of steps. Everything between the legs is
 // kernel-side work, so it runs as steps at the events where a blocking
 // round trip would have resumed: arrive, serve and finish (see bindSteps).
 // The trip keeps its caller in p.Trip.Ref, the node for a blocking trip and
-// the *Caller for a stepped one, and its error there once the return leg
-// is scheduled, and extra in p.Trip.D.
-func (f *Frontend) RoundTripStep(p *sim.Proc, c *Caller, extra time.Duration) {
+// the Caller for a stepped one. p.Trip.D holds extra until the return leg
+// is scheduled, and the trip's outcome from then on (see TripErr).
+func (f *Frontend) RoundTripStep(p *sim.Proc, c Caller, extra time.Duration) {
 	p.Trip = sim.Trip{Ref: c, D: extra}
-	p.WakeAfter(f.net.OneWayDelay(c.Node, f.node), f.arriveStep)
+	p.WakeAfter(f.net.OneWayDelay(c.Node(), f.node), f.arriveStep)
 }
 
 // tripCaller returns the node a trip in flight came from.
 func tripCaller(ref any) *netsim.Node {
-	if c, ok := ref.(*Caller); ok {
-		return c.Node
+	if n, ok := ref.(*netsim.Node); ok {
+		return n
 	}
-	return ref.(*netsim.Node)
+	return ref.(Caller).Node()
 }
 
-// tripThen returns the step a trip in flight wakes into at its end: the
-// *Caller's Then, or nil, the body, for a blocking trip.
-func tripThen(ref any) func(*sim.Proc) {
-	if c, ok := ref.(*Caller); ok {
-		return c.Then
+// tripThen returns the step a trip in flight wakes into at its end: nil,
+// the body, for a blocking trip, or endStep, the Caller's TripEnd.
+func (f *Frontend) tripThen(ref any) func(*sim.Proc) {
+	if _, ok := ref.(*netsim.Node); ok {
+		return nil
 	}
-	return nil
+	return f.endStep
 }
+
+// The outcomes a trip carries in p.Trip.D once its return leg is
+// scheduled: served, or the admission rejection it met.
+const (
+	tripServed time.Duration = iota
+	tripShed
+	tripJailed
+)
 
 // TripErr ends a round trip, once it has woken the caller: it returns the
 // admission rejection (ErrShed or ErrJailed) or nil, and clears p.Trip.
 func TripErr(p *sim.Proc) error {
-	err, _ := p.Trip.Ref.(error)
+	var err error
+	switch p.Trip.D {
+	case tripShed:
+		err = ErrShed
+	case tripJailed:
+		err = ErrJailed
+	}
 	p.Trip = sim.Trip{}
 	return err
 }
@@ -247,9 +265,11 @@ func (f *Frontend) bindSteps() {
 	f.arriveStep = func(p *sim.Proc) {
 		caller := tripCaller(p.Trip.Ref)
 		if err := f.admit(p, caller); err != nil {
-			then := tripThen(p.Trip.Ref)
-			p.Trip.Ref = err
-			p.WakeAfter(f.net.OneWayDelay(f.node, caller), then)
+			p.Trip.D = tripShed
+			if err == ErrJailed {
+				p.Trip.D = tripJailed
+			}
+			p.WakeAfter(f.net.OneWayDelay(f.node, caller), f.tripThen(p.Trip.Ref))
 			return
 		}
 		if f.slots == nil || f.slots.AcquireStep(p, f.serveStep) {
@@ -268,9 +288,11 @@ func (f *Frontend) bindSteps() {
 		if f.slots != nil {
 			f.slots.Release()
 		}
-		p.WakeAfter(f.net.OneWayDelay(f.node, tripCaller(p.Trip.Ref)), tripThen(p.Trip.Ref))
-		p.Trip.Ref = nil
+		p.WakeAfter(f.net.OneWayDelay(f.node, tripCaller(p.Trip.Ref)), f.tripThen(p.Trip.Ref))
+		p.Trip.D = tripServed
 	}
+	// end is a stepped trip's end: the Caller's own step.
+	f.endStep = func(p *sim.Proc) { p.Trip.Ref.(Caller).TripEnd(p) }
 }
 
 // InLeg returns the length of a split round trip's request leg:

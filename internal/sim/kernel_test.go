@@ -201,7 +201,7 @@ func TestCloseUnwindsParkedProcsBeforeReturning(t *testing.T) {
 	released := 0
 	for i := 0; i < 8; i++ {
 		k.Spawn("holder", func(p *Proc) {
-			r.Acquire(p)
+			acquire(r, p)
 			defer func() {
 				r.Release()
 				released++
@@ -209,7 +209,7 @@ func TestCloseUnwindsParkedProcsBeforeReturning(t *testing.T) {
 			never.Wait(p)
 		})
 	}
-	k.Spawn("waiter", func(p *Proc) { r.Acquire(p) })
+	k.Spawn("waiter", func(p *Proc) { acquire(r, p) })
 	k.RunUntil(time.Second)
 	if r.Waiting() != 1 {
 		t.Fatalf("Waiting = %d, want the ninth proc queued", r.Waiting())

@@ -57,7 +57,7 @@ func TestCloseUnwindsSteppedProcsOnce(t *testing.T) {
 		p.WakeAfter(0, nil)
 	}
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(time.Hour)
 	})
 	for _, name := range []string{"sleeper", "queued"} {
@@ -125,7 +125,7 @@ func TestPendingStepInExactlyOneWaitStructure(t *testing.T) {
 	defer k.Close()
 	r := NewResource(1)
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(3 * time.Millisecond)
 		r.Release()
 	})

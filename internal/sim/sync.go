@@ -231,20 +231,13 @@ func (r *Resource) InUse() int { return r.inUse }
 // Waiting returns the number of processes queued for a slot.
 func (r *Resource) Waiting() int { return r.waiters.Len() }
 
-// Acquire claims a slot, blocking the calling process until one is free.
-// Admission is strictly FIFO among blocked processes.
-func (r *Resource) Acquire(p *Proc) {
-	if !r.AcquireStep(p, nil) {
-		p.Park()
-		// Our releaser granted the slot on our behalf (inUse stays claimed).
-	}
-}
-
-// AcquireStep is Acquire for a step (see Proc.WakeAfter), which must not
-// park: it claims a slot now and reports true, or queues p in Acquire's
-// FIFO and reports false. A queued process's grant is its wake-up, and it
-// runs step with the slot held, at the event where Acquire would have
-// returned.
+// AcquireStep claims a slot for p: now, reporting true, or, when none is
+// free or others wait, by queueing p in the resource's FIFO and reporting
+// false. A queued process's grant is its wake-up: Release passes the slot
+// on, and the wake-up runs step with the slot held, or resumes the body
+// when step is nil. A body acquires blocking with AcquireStep(p, nil) and,
+// when that reports false, Park. It must not park otherwise: called from
+// a step, AcquireStep only queues.
 func (r *Resource) AcquireStep(p *Proc, step func(*Proc)) bool {
 	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++

@@ -216,7 +216,7 @@ func TestResourceFIFOAdmission(t *testing.T) {
 	hold := func(name string, start, dur Time) {
 		k.Spawn(name, func(p *Proc) {
 			p.Sleep(start)
-			r.Acquire(p)
+			acquire(r, p)
 			order = append(order, name)
 			p.Sleep(dur)
 			r.Release()
@@ -395,7 +395,7 @@ func TestQuickResourceConservation(t *testing.T) {
 		for _, d := range durMs {
 			d := d
 			k.Spawn("user", func(p *Proc) {
-				r.Acquire(p)
+				acquire(r, p)
 				if r.InUse() > r.Capacity() {
 					violated = true
 				}
@@ -408,5 +408,12 @@ func TestQuickResourceConservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// acquire claims a slot of r for a body, blocking until one is granted.
+func acquire(r *Resource, p *Proc) {
+	if !r.AcquireStep(p, nil) {
+		p.Park()
 	}
 }

@@ -178,17 +178,14 @@ type Cluster struct {
 }
 
 // New creates a cluster backed by the given store. The cluster is inert
-// until replicas are attached; creating one schedules nothing.
+// until replicas are attached; creating one schedules nothing. It panics
+// on a non-positive GossipInterval, FlushInterval or ReconCells: a zero
+// interval would spin a replica's loop at one instant forever.
 func New(name string, net *netsim.Network, store *kvstore.Store, rng *simrand.RNG,
 	cfg Config, catalog *pricing.Catalog, meter *pricing.Meter) *Cluster {
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = DefaultConfig().GossipInterval
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultConfig().FlushInterval
-	}
-	if cfg.ReconCells <= 0 {
-		cfg.ReconCells = DefaultConfig().ReconCells
+	if cfg.GossipInterval <= 0 || cfg.FlushInterval <= 0 || cfg.ReconCells <= 0 {
+		panic(fmt.Sprintf("statecache: non-positive GossipInterval %v, FlushInterval %v or ReconCells %d",
+			cfg.GossipInterval, cfg.FlushInterval, cfg.ReconCells))
 	}
 	return &Cluster{
 		name:      name,

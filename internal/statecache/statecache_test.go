@@ -3,6 +3,8 @@ package statecache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,5 +288,27 @@ func TestFlushSurvivesConditionalWriteRaces(t *testing.T) {
 	f.k.RunUntil(sim.Time(3 * time.Second))
 	if stored != 40 {
 		t.Errorf("store joined value = %d, want 40", stored)
+	}
+}
+
+// New rejects a non-positive interval or cell count rather than filling
+// in a default: every caller passes a full config, and a zero interval
+// would spin a replica's gossip or flush loop at one instant.
+func TestNewRejectsNonPositiveConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"gossip": func(c *Config) { c.GossipInterval = 0 },
+		"flush":  func(c *Config) { c.FlushInterval = -time.Second },
+		"cells":  func(c *Config) { c.ReconCells = 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "non-positive") {
+					t.Errorf("%s: New recovered %v, want the non-positive panic", name, r)
+				}
+			}()
+			newFixture(t, cfg, 1)
+		}()
 	}
 }
