@@ -180,7 +180,8 @@ func TestHotTenantJailProtectsPoliteTenants(t *testing.T) {
 // allocation count does not depend on which points overlap: at more than
 // one worker, overlapping points miss the coroutine pool (see
 // sim.Sched.Coroutines) and allocate coroutines the run would otherwise
-// have reused.
+// have reused. Only the chaos engine's processes hold coroutines now, so
+// that is about 10 allocations at two workers.
 func BenchmarkRetryStorm(b *testing.B) {
 	defer sweep.SetWorkers(0)
 	sweep.SetWorkers(1)

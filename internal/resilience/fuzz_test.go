@@ -169,6 +169,7 @@ func FuzzDoStep(f *testing.F) {
 		{3, 0, 10, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x00},             // retries until success
 		{0, 10, 0, 0, 0, 0, 0, 0, 0, 0x7f},                         // deadline abandons a slow op
 		{0, 2, 0, 0, 0, 0, 0, 1, 0, 25},                            // abandoned attempts outlive calls
+		{1, 2, 0, 0, 0, 0, 0, 0, 0, 7, 10},                         // one ends inside the next attempt
 		{0, 10, 0, 0, 0, 0, 0, 2, 0, 1},                            // deadline stopped on fast success
 		{0, 0, 0, 0, 10, 0, 0, 0, 0, 0x7f, 3},                      // the hedge wins
 		{0, 0, 0, 0, 10, 0, 0, 0, 0, 1},                            // no hedge for a fast primary

@@ -9,16 +9,18 @@
 // Everything here is deterministic: backoff jitter comes from a seeded
 // simrand stream owned by the caller, deadlines are cancellable sim.Timers,
 // and breaker/budget state is pure arithmetic over simulated time — a run
-// is bit-identical at any sweep worker count. The decision path (backoff
+// is bit-identical at any sweep worker count. A call runs as kernel steps
+// (Client.DoStep): the caller's process waits out backoffs and attempts
+// with no coroutine of its own, and with a deadline or hedging each
+// attempt is a stepped process of its own. The decision path (backoff
 // draw, budget take, breaker allow/record) allocates nothing in steady
-// state (CI-gated via BenchmarkRetryDecision), and a Client's call scratch
-// (timers, signal, attempt body) is allocated once and reused for the
-// client's lifetime, its timers inside the Client itself.
+// state (CI-gated via BenchmarkRetryDecision): a call's state and the
+// client's two timers live in the Client itself.
 //
 // A Client belongs to one calling process: it executes one call at a time,
 // like a connection-pool handle. Breakers and budgets are designed to be
 // shared between clients talking to the same endpoints (process-wide state,
-// the way a service mesh sidecar holds it), and a Stats sink can aggregate
+// the way a mesh sidecar holds it), and a Stats sink can aggregate
 // outcome counters across a whole client population.
 package resilience
 

@@ -258,10 +258,10 @@ func (f *Frontend) bindSteps() {
 	// arrive ends the request leg: admission, then a slot now or a place
 	// in the slot queue, whose grant runs serve. A rejected request takes
 	// the return leg at once. It repeats serve's two lines rather than
-	// calling it: arrive often runs inside Park, on the caller's stack, and
-	// retrystorm's processes have less than 96 bytes of their 2 KB stacks to
-	// spare there (a frame padded by 96 bytes in arrive grows them), which
-	// one more frame would take.
+	// calling it: arrive often runs inside Park, on a blocking caller's
+	// stack, and pooled 2 KB stacks had less than 96 bytes to spare there
+	// when retrystorm's attempts still parked in Get (a frame padded by
+	// 96 bytes in arrive grew them), which one more frame would take.
 	f.arriveStep = func(p *sim.Proc) {
 		caller := tripCaller(p.Trip.Ref)
 		if err := f.admit(p, caller); err != nil {
