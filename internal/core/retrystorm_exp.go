@@ -221,22 +221,26 @@ func (a *rsAttempt) TripEnd(p *sim.Proc) {
 }
 
 // attempt starts one attempt of w's call: it copies the call's key and
-// host into a record and reads the key.
+// host into a free record, or a fresh one, and reads the key.
 func (st *rsStorm) attempt(p *sim.Proc, w *rsWorker) {
 	i := st.free
-	if i < 0 {
+	if i >= 0 {
+		st.free = st.record(i).link
+	} else {
 		i = st.carved
 		st.carved++
 		if int(i)%rsAttemptSlab == 0 {
 			st.slabs = append(st.slabs, make([]rsAttempt, rsAttemptSlab))
 		}
 	}
-	a := &st.slabs[int(i)/rsAttemptSlab][int(i)%rsAttemptSlab]
-	if i == st.free {
-		st.free = a.link
-	}
+	a := st.record(i)
 	*a = rsAttempt{w: w, link: i, rank: w.rank, host: w.host}
 	st.ddb.GetStep(p, a, rsKey[a.rank])
+}
+
+// record returns the attempt record with index i.
+func (st *rsStorm) record(i int32) *rsAttempt {
+	return &st.slabs[int(i)/rsAttemptSlab][int(i)%rsAttemptSlab]
 }
 
 // arrive is a request's first step: it takes a worker slot now, or waits

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sweep"
 )
@@ -75,6 +76,15 @@ func TestRetryStormSchedulePinned(t *testing.T) {
 		if s.Resumes != 3 {
 			t.Errorf("%s: %d coroutine resumes, want the chaos process's 3", pol.name, s.Resumes)
 		}
+	}
+}
+
+// An attempt record stays two words: a storm's peak holds about 4,300 of
+// them across the four policies, and a third word would add about 35 KB
+// to every run's allocations.
+func TestAttemptRecordIsTwoWords(t *testing.T) {
+	if n := unsafe.Sizeof(rsAttempt{}); n != 16 {
+		t.Errorf("rsAttempt is %d bytes, want 16", n)
 	}
 }
 

@@ -287,8 +287,8 @@ func RunServingCost(seed uint64) []*Table {
 		// Receive side is pipelined across workers; CPU is the binding
 		// constraint. Each worker loops: receive, take a core, compute,
 		// release. It is a stepped process, its steps shared by all 16 and
-		// run at the events where a blocking loop of Sleep, Acquire, Sleep
-		// and Release would resume.
+		// run at the events where a blocking loop that sleeps, waits for a
+		// core, sleeps and releases it would resume.
 		recv := queue.OpLatency()
 		var receive, acquire, compute, release func(*sim.Proc)
 		receive = func(wp *sim.Proc) {

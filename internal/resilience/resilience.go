@@ -20,7 +20,7 @@
 // A Client belongs to one calling process: it executes one call at a time,
 // like a connection-pool handle. Breakers and budgets are designed to be
 // shared between clients talking to the same endpoints (process-wide state,
-// the way a mesh sidecar holds it), and a Stats sink can aggregate
+// the way a service mesh sidecar holds it), and a Stats sink can aggregate
 // outcome counters across a whole client population.
 package resilience
 

@@ -235,9 +235,9 @@ func (r *Resource) Waiting() int { return r.waiters.Len() }
 // free or others wait, by queueing p in the resource's FIFO and reporting
 // false. A queued process's grant is its wake-up: Release passes the slot
 // on, and the wake-up runs step with the slot held, or resumes the body
-// when step is nil. A body acquires blocking with AcquireStep(p, nil) and,
-// when that reports false, Park. It must not park otherwise: called from
-// a step, AcquireStep only queues.
+// when step is nil. AcquireStep never parks: a body that must block calls
+// AcquireStep(p, nil) and, when that reports false, Park; a step (see
+// Proc.WakeAfter) that gets false just ends.
 func (r *Resource) AcquireStep(p *Proc, step func(*Proc)) bool {
 	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++
