@@ -79,9 +79,9 @@ func TestRetryStormSchedulePinned(t *testing.T) {
 	}
 }
 
-// An attempt record stays two words: a storm's peak holds about 4,300 of
-// them across the four policies, and a third word would add about 35 KB
-// to every run's allocations.
+// An attempt record stays two words: the four policies' storms peak at
+// about 3,100 of them, and a third word would add about 25 KB to every
+// run's allocations.
 func TestAttemptRecordIsTwoWords(t *testing.T) {
 	if n := unsafe.Sizeof(rsAttempt{}); n != 16 {
 		t.Errorf("rsAttempt is %d bytes, want 16", n)
