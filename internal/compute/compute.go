@@ -109,9 +109,6 @@ type Instance struct {
 	terminated bool
 }
 
-// ID returns the instance identifier.
-func (i *Instance) ID() string { return i.id }
-
 // Type returns the instance type.
 func (i *Instance) Type() InstanceType { return i.typ }
 

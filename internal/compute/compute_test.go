@@ -35,7 +35,7 @@ func TestLaunchTakesBootDelay(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		inst := f.prov.Launch(p, M4Large, 0)
 		bootDone = p.Now()
-		if inst.ID() == "" || inst.Node() == nil {
+		if inst.id == "" || inst.Node() == nil {
 			t.Error("instance not initialized")
 		}
 	})
@@ -159,10 +159,10 @@ func TestInstanceIDsUnique(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			inst := f.prov.Launch(p, M5Large, i)
-			if ids[inst.ID()] {
-				t.Errorf("duplicate instance id %s", inst.ID())
+			if ids[inst.id] {
+				t.Errorf("duplicate instance id %s", inst.id)
 			}
-			ids[inst.ID()] = true
+			ids[inst.id] = true
 		}
 	})
 	f.k.Run()

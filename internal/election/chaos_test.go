@@ -29,8 +29,8 @@ func TestChaosRandomCrashesAndRecoveries(t *testing.T) {
 	checkSafety := func() {
 		leaders := map[int64][]int{}
 		for _, n := range c.nodes {
-			if !n.Stopped() && n.State() == Leader {
-				leaders[n.Term()] = append(leaders[n.Term()], n.ID())
+			if !n.Stopped() && n.state == Leader {
+				leaders[n.term] = append(leaders[n.term], n.ID())
 			}
 		}
 		for term, ids := range leaders {

@@ -181,14 +181,8 @@ func NewNode(id int, t Transport, params Params) *Node {
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
-// State returns the node's protocol state.
-func (n *Node) State() State { return n.state }
-
 // Leader returns the node's current view of the coordinator (-1 if none).
 func (n *Node) Leader() int { return n.leader }
-
-// Term returns the highest coordinator term the node has adopted.
-func (n *Node) Term() int64 { return n.term }
 
 // Stopped reports whether the node has been stopped (crashed).
 func (n *Node) Stopped() bool { return n.stopped }

@@ -81,11 +81,11 @@ func TestDirectInitialElectionPicksHighest(t *testing.T) {
 	if !ok {
 		t.Fatalf("no agreement on node 5; leaders: %v", leadersOf(c.nodes))
 	}
-	if c.nodes[4].State() != Leader {
-		t.Errorf("node 5 state = %v, want leader", c.nodes[4].State())
+	if c.nodes[4].state != Leader {
+		t.Errorf("node 5 state = %v, want leader", c.nodes[4].state)
 	}
 	for _, n := range c.nodes[:4] {
-		if n.State() == Leader {
+		if n.state == Leader {
 			t.Errorf("node %d also thinks it leads", n.ID())
 		}
 	}
@@ -235,8 +235,8 @@ func TestBlackboardSingleLeaderPerTerm(t *testing.T) {
 		c.k.RunUntil(sim.Time(tMs) * sim.Time(time.Millisecond))
 		leaders := map[int64][]int{}
 		for _, n := range c.nodes {
-			if n.State() == Leader {
-				leaders[n.Term()] = append(leaders[n.Term()], n.ID())
+			if n.state == Leader {
+				leaders[n.term] = append(leaders[n.term], n.ID())
 			}
 		}
 		for term, ids := range leaders {

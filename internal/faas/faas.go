@@ -657,12 +657,6 @@ func (c *Ctx) Proc() *sim.Proc { return c.proc }
 // I/O must use it as the caller so traffic contends on the shared NIC.
 func (c *Ctx) Node() *netsim.Node { return c.cont.vm.node }
 
-// MemoryMB returns the function's configured memory size.
-func (c *Ctx) MemoryMB() int { return c.fn.MemoryMB }
-
-// ColdStart reports whether this invocation cold-started its container.
-func (c *Ctx) ColdStart() bool { return c.cold }
-
 // Remaining returns the time left before the invocation's deadline.
 func (c *Ctx) Remaining() time.Duration {
 	d := c.deadline - c.proc.Now()

@@ -455,7 +455,7 @@ func TestWarmContainerReusesCtx(t *testing.T) {
 	work := []time.Duration{3 * time.Second, 5 * time.Second}
 	f.pf.Register(Function{Name: "f", MemoryMB: 128, Timeout: 10 * time.Second,
 		Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
-			s := seen{ctx: ctx, cold: ctx.ColdStart(), atStart: ctx.Remaining()}
+			s := seen{ctx: ctx, cold: ctx.cold, atStart: ctx.Remaining()}
 			ctx.Proc().Sleep(work[len(calls)])
 			s.afterWork = ctx.Remaining()
 			calls = append(calls, s)

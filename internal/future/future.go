@@ -124,9 +124,6 @@ func (pf *Platform) SpawnAgent(p *sim.Proc, name string, memoryMB int, near *Dat
 	return a
 }
 
-// Name returns the agent's stable, location-independent name.
-func (a *Agent) Name() string { return a.name }
-
 // Endpoint returns the agent's addressable messaging endpoint — the
 // capability FaaS functions lack.
 func (a *Agent) Endpoint() *msgnet.Endpoint { return a.ep }
@@ -177,6 +174,3 @@ func (a *Agent) Stop(p *sim.Proc) pricing.USD {
 	a.ep.Close()
 	return cost
 }
-
-// Stopped reports whether the agent has been stopped.
-func (a *Agent) Stopped() bool { return a.stopped }

@@ -176,10 +176,6 @@ func (gt *GlobalTable) shipFrom(p *sim.Proc, src int) {
 // kernels can drain).
 func (gt *GlobalTable) Close() { gt.closed = true }
 
-// Store returns the replica at the given slot (index into the regions
-// slice passed to NewGlobal).
-func (gt *GlobalTable) Store(slot int) *Store { return gt.stores[slot] }
-
 // Primary returns slot 0's replica — the home region consistent reads
 // should pin to for a single serialization point.
 func (gt *GlobalTable) Primary() *Store { return gt.stores[0] }

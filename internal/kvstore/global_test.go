@@ -52,7 +52,7 @@ func (f *globalFixture) runFor(t *testing.T, d time.Duration) {
 func TestGlobalReplicatesWrites(t *testing.T) {
 	f := newGlobalFixture(t)
 	f.k.Spawn("writer", func(p *sim.Proc) {
-		if _, err := f.gt.Store(0).Put(p, f.caller[0], "user:1", []byte("east")); err != nil {
+		if _, err := f.gt.stores[0].Put(p, f.caller[0], "user:1", []byte("east")); err != nil {
 			t.Errorf("Put: %v", err)
 		}
 	})
@@ -83,11 +83,11 @@ func TestGlobalReplicatesWrites(t *testing.T) {
 func TestGlobalReplicatedEqualValuesApply(t *testing.T) {
 	f := newGlobalFixture(t)
 	f.k.Spawn("writers", func(p *sim.Proc) {
-		if _, err := f.gt.Store(1).Put(p, f.caller[1], "a", []byte("shared")); err != nil {
+		if _, err := f.gt.stores[1].Put(p, f.caller[1], "a", []byte("shared")); err != nil {
 			t.Errorf("Put(a): %v", err)
 		}
 		for _, w := range [][2]string{{"b", "shared"}, {"c", "fresh"}} {
-			if _, err := f.gt.Store(0).Put(p, f.caller[0], w[0], []byte(w[1])); err != nil {
+			if _, err := f.gt.stores[0].Put(p, f.caller[0], w[0], []byte(w[1])); err != nil {
 				t.Errorf("Put(%s): %v", w[0], err)
 			}
 		}
@@ -96,7 +96,7 @@ func TestGlobalReplicatedEqualValuesApply(t *testing.T) {
 	got := make(map[string]Item)
 	f.k.Spawn("reader", func(p *sim.Proc) {
 		for _, key := range []string{"a", "b", "c"} {
-			it, err := f.gt.Store(1).Get(p, f.caller[1], key, true)
+			it, err := f.gt.stores[1].Get(p, f.caller[1], key, true)
 			if err != nil {
 				t.Errorf("west Get(%q): %v", key, err)
 			}
@@ -126,7 +126,7 @@ func TestGlobalPartitionExactlyOnce(t *testing.T) {
 	f.k.Spawn("writer", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			v := []byte{byte(i)}
-			if _, err := f.gt.Store(0).Put(p, f.caller[0], "hot", v); err != nil {
+			if _, err := f.gt.stores[0].Put(p, f.caller[0], "hot", v); err != nil {
 				t.Errorf("Put: %v", err)
 			}
 			p.Sleep(20 * time.Millisecond)
@@ -147,7 +147,7 @@ func TestGlobalPartitionExactlyOnce(t *testing.T) {
 	var got Item
 	f.k.Spawn("reader", func(p *sim.Proc) {
 		var err error
-		got, err = f.gt.Store(1).Get(p, f.caller[1], "hot", true)
+		got, err = f.gt.stores[1].Get(p, f.caller[1], "hot", true)
 		if err != nil {
 			t.Errorf("Get after heal: %v", err)
 		}
@@ -174,13 +174,13 @@ func TestGlobalPartitionExactlyOnce(t *testing.T) {
 func TestGlobalLastWriterWinsConvergence(t *testing.T) {
 	f := newGlobalFixture(t)
 	f.k.Spawn("east", func(p *sim.Proc) {
-		if _, err := f.gt.Store(0).Put(p, f.caller[0], "k", []byte("east")); err != nil {
+		if _, err := f.gt.stores[0].Put(p, f.caller[0], "k", []byte("east")); err != nil {
 			t.Errorf("Put: %v", err)
 		}
 	})
 	f.k.Spawn("west", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond) // strictly later origin stamp
-		if _, err := f.gt.Store(1).Put(p, f.caller[1], "k", []byte("west")); err != nil {
+		if _, err := f.gt.stores[1].Put(p, f.caller[1], "k", []byte("west")); err != nil {
 			t.Errorf("Put: %v", err)
 		}
 	})
@@ -188,7 +188,7 @@ func TestGlobalLastWriterWinsConvergence(t *testing.T) {
 	var vals [2][]byte
 	f.k.Spawn("reader", func(p *sim.Proc) {
 		for slot := 0; slot < 2; slot++ {
-			it, err := f.gt.Store(slot).Get(p, f.caller[slot], "k", true)
+			it, err := f.gt.stores[slot].Get(p, f.caller[slot], "k", true)
 			if err != nil {
 				t.Errorf("Get slot %d: %v", slot, err)
 			}

@@ -42,10 +42,7 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the rank count.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws one rank from rng: 0 is the hottest, N()-1 the coldest.
+// Sample draws one rank from rng: 0 is the hottest, n-1 the coldest.
 func (z *Zipf) Sample(rng *simrand.RNG) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)

@@ -10,11 +10,11 @@ import (
 func TestZipfSkewConcentratesOnHotRanks(t *testing.T) {
 	z := NewZipf(1000, 1.0)
 	rng := simrand.New(3)
-	counts := make([]int, z.N())
+	counts := make([]int, len(z.cdf))
 	const draws = 200000
 	for i := 0; i < draws; i++ {
 		r := z.Sample(rng)
-		if r < 0 || r >= z.N() {
+		if r < 0 || r >= len(z.cdf) {
 			t.Fatalf("rank %d out of range", r)
 		}
 		counts[r]++

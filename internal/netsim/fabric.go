@@ -60,9 +60,6 @@ type Link struct {
 	unfrozen int32
 }
 
-// Name returns the label given at creation.
-func (l *Link) Name() string { return l.name }
-
 // Capacity returns the link's total capacity.
 func (l *Link) Capacity() Bps { return l.capacity }
 

@@ -97,7 +97,7 @@ func TestMaxMinBottleneckRates(t *testing.T) {
 		s := &f.flows[id]
 		key := ""
 		for _, l := range s.links {
-			key += l.Name()
+			key += l.name
 		}
 		got[key] = float64(s.rate) / 1e6
 	}

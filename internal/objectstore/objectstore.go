@@ -80,9 +80,6 @@ func New(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 // Node returns the store's network endpoint.
 func (s *Store) Node() *netsim.Node { return s.fe.Node() }
 
-// Meter returns the store's cost meter.
-func (s *Store) Meter() *pricing.Meter { return s.fe.Meter() }
-
 // stream moves size bytes between caller and store through the caller's NIC,
 // the store's NIC and a fresh per-connection throughput limiter.
 func (s *Store) stream(p *sim.Proc, caller *netsim.Node, size int64) {
@@ -166,6 +163,3 @@ func (s *Store) List(p *sim.Proc, caller *netsim.Node, prefix string) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Len reports the number of stored keys (test hook; no simulated latency).
-func (s *Store) Len() int { return len(s.objects) }

@@ -79,9 +79,6 @@ func NewService(name string, net *netsim.Network, rack int, rng *simrand.RNG,
 	}
 }
 
-// Node returns the service's network endpoint.
-func (s *Service) Node() *netsim.Node { return s.fe.Node() }
-
 // CreateQueue creates (or returns) the named queue with the given
 // visibility timeout for received-but-undeleted messages.
 func (s *Service) CreateQueue(name string, visibility time.Duration) *Queue {
@@ -234,9 +231,6 @@ func (q *Queue) formatID(prefix string, n int64) string {
 	q.ids.Write(digits)
 	return q.ids.String()[start:]
 }
-
-// Name returns the queue name.
-func (q *Queue) Name() string { return q.name }
 
 // Depth reports the number of immediately receivable messages. No
 // experiment reads it; it is kept as a test oracle, with InFlight, for

@@ -158,7 +158,7 @@ func runRecv(t *testing.T, plan [][]recvOp, recv receiveFunc) recvResult {
 		net.NewNode("c0", 0, netsim.Gbps(10)),
 		net.NewNode("c1", 9, netsim.Gbps(10)),
 		net.NewNode("c2", 4, netsim.Gbps(10)),
-		svc.Node(),
+		svc.fe.Node(),
 	}
 	var res recvResult
 	body := make([]byte, MaxMessageSize+1)

@@ -60,9 +60,6 @@ func (f *Filter) Cells() int { return len(f.cells) }
 // WireBytes reports the filter's serialized transfer size.
 func (f *Filter) WireBytes() int64 { return int64(len(f.cells)) * CellWireBytes }
 
-// Reset empties the filter in place.
-func (f *Filter) Reset() { clear(f.cells) }
-
 // Mix is the splitmix64 finalizer: a cheap invertible 64-bit mix used to
 // derive element digests and cell positions. Exported so callers can
 // build well-distributed elements from structured inputs (key hash,

@@ -114,12 +114,8 @@ func (c *refClient) Do(p *sim.Proc, endpoint int, op func(*sim.Proc) error) erro
 	return lastErr
 }
 
-// once runs a single attempt: inline when no deadline or hedge is
-// configured, otherwise in a child process raced against the timers.
+// once runs a single attempt in a child process raced against the timers.
 func (c *refClient) once(p *sim.Proc, op func(*sim.Proc) error) error {
-	if c.cfg.Deadline <= 0 && c.cfg.HedgeAfter <= 0 {
-		return op(p)
-	}
 	c.gen++
 	c.op = op
 	c.done = false

@@ -11,8 +11,8 @@
 // and breaker/budget state is pure arithmetic over simulated time — a run
 // is bit-identical at any sweep worker count. A call runs as kernel steps
 // (Client.DoStep): the caller's process waits out backoffs and attempts
-// with no coroutine of its own, and with a deadline or hedging each
-// attempt is a stepped process of its own. The decision path (backoff
+// with no coroutine of its own, and each attempt is a stepped process of
+// its own. The decision path (backoff
 // draw, budget take, breaker allow/record) allocates nothing in steady
 // state (CI-gated via BenchmarkRetryDecision): a call's state and the
 // client's two timers live in the Client itself.
@@ -167,11 +167,10 @@ func (c *Client) Stats() Stats { return *c.stats }
 //
 // op is an attempt, in step form: a step that starts the attempt on the
 // process it is handed and must not park, and whose last step calls
-// c.Done on that process with the attempt's outcome. With a deadline or
-// hedging, every attempt runs in a stepped child process of its own, so
-// the deadline can abandon it, and op must use the process it is handed,
-// not the caller's; with neither, op runs on p. op runs at attempt start
-// (first attempt, retries and hedges alike), while the call is in
+// c.Done on that process with the attempt's outcome. Every attempt runs in
+// a stepped child process of its own, so a deadline can abandon it, and op
+// must use the process it is handed, not the caller's. op runs at attempt
+// start (first attempt, retries and hedges alike), while the call is in
 // progress, so whatever op reads from caller-owned state at its start is
 // the state of the call that launched it: a caller may reuse one op for
 // every call and rewrite the state it reads between calls, and an attempt
@@ -202,10 +201,6 @@ func (c *Client) DoStep(p *sim.Proc, endpoint int, op func(*sim.Proc), then func
 // deadline decides it; a late finisher's outcome is dropped. A child
 // attempt's process exits here.
 func (c *Client) Done(p *sim.Proc, err error) {
-	if c.inline() {
-		c.settle(p, err)
-		return
-	}
 	if p == c.att[0] || p == c.att[1] {
 		c.decide(err)
 	}
@@ -228,14 +223,10 @@ func (c *Client) breaker() *Breaker {
 	return c.brs[c.ep]
 }
 
-// inline reports whether attempts run on the caller's own process: with
-// neither a deadline nor hedging, nothing can abandon them.
-func (c *Client) inline() bool { return c.cfg.Deadline <= 0 && c.cfg.HedgeAfter <= 0 }
-
 // launch starts the current attempt unless the endpoint's breaker is open:
-// inline, or in a child process raced against the deadline and hedge
-// timers, with the caller waiting for the first completion (either
-// attempt, or the deadline) to wake it.
+// in a child process raced against the deadline and hedge timers, with the
+// caller waiting for the first completion (either attempt, or the
+// deadline) to wake it.
 func (c *Client) launch(p *sim.Proc) {
 	if br := c.breaker(); br != nil && !br.Allow(p.Now()) {
 		// Fail fast: an open breaker rejects without burning a backoff
@@ -246,10 +237,6 @@ func (c *Client) launch(p *sim.Proc) {
 			c.err = ErrBreakerOpen
 		}
 		c.end(p)
-		return
-	}
-	if c.inline() {
-		c.op(p)
 		return
 	}
 	c.att = [2]*sim.Proc{p.Kernel().SpawnStep("resilience-attempt", c.op)}

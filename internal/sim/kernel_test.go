@@ -371,7 +371,7 @@ func TestProcIdentity(t *testing.T) {
 		n := n
 		k.Spawn(n, func(p *Proc) {
 			procs = append(procs, p)
-			names = append(names, p.Name())
+			names = append(names, p.name)
 			if p.Kernel() != k {
 				t.Error("Kernel() mismatch")
 			}
@@ -430,9 +430,9 @@ func TestProcSurvivesLaterSlabs(t *testing.T) {
 		k.Spawn("later", func(p *Proc) { never.Wait(p) })
 	}
 	k.Run()
-	if first.Name() != "first" || first.Kernel() != k || &k.slabs[0][0] != first {
+	if first.name != "first" || first.Kernel() != k || &k.slabs[0][0] != first {
 		t.Fatalf("first proc reads %q after later slabs, want \"first\" in slab 0 slot 0",
-			first.Name())
+			first.name)
 	}
 	go1.Fire()
 	k.Run()

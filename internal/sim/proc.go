@@ -45,9 +45,6 @@ type Trip struct {
 	D   Time
 }
 
-// Name returns the name given to Spawn or SpawnStep.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

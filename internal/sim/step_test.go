@@ -62,7 +62,7 @@ func TestCloseUnwindsSteppedProcsOnce(t *testing.T) {
 	})
 	for _, name := range []string{"sleeper", "queued"} {
 		k.Spawn(name, func(p *Proc) {
-			defer func() { unwound[p.Name()]++ }()
+			defer func() { unwound[p.name]++ }()
 			if name == "sleeper" {
 				p.WakeAfter(time.Second, step)
 			} else {

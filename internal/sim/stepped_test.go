@@ -12,9 +12,9 @@ func TestSpawnStepStartsInSpawnOrder(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
 	var order []string
-	body := func(p *Proc) { order = append(order, p.Name()) }
+	body := func(p *Proc) { order = append(order, p.name) }
 	step := func(p *Proc) {
-		order = append(order, p.Name())
+		order = append(order, p.name)
 		p.Exit()
 	}
 	k.Spawn("a", body)

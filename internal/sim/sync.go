@@ -131,9 +131,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Len reports the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // TryPut appends an item if the queue has room, reporting success. It never
 // blocks and is safe from event context.
 func (q *Queue[T]) TryPut(v T) bool {

@@ -50,7 +50,7 @@ func TestConcurrentFlushesDoNotShareScratch(t *testing.T) {
 	}
 	k.Spawn("probe", func(p *sim.Proc) {
 		for i, key := range keys {
-			it, err := store.Get(p, c.Node(), "cache/"+key, true)
+			it, err := store.Get(p, c.node, "cache/"+key, true)
 			if err != nil {
 				t.Errorf("key %q not flushed: %v", key, err)
 				continue
@@ -99,7 +99,7 @@ func TestFlushMergeDoesNotAliasScratch(t *testing.T) {
 	}
 	done := false
 	k.Spawn("flush", func(p *sim.Proc) {
-		if _, err := store.Put(p, c.Node(), "cache/ctr", stored(5, 3)); err != nil {
+		if _, err := store.Put(p, c.node, "cache/ctr", stored(5, 3)); err != nil {
 			t.Errorf("seeding the store: %v", err)
 			return
 		}

@@ -438,14 +438,8 @@ func (c *Cache) insert(key string, e *entry) {
 	c.reconInsert(key, e)
 }
 
-// Node returns the VM node the replica is colocated with.
-func (c *Cache) Node() *netsim.Node { return c.node }
-
 // Detach removes this replica from its own cluster (see Cluster.Detach).
 func (c *Cache) Detach() { c.cl.Detach(c.node) }
-
-// Len reports the number of cached entries (no simulated latency).
-func (c *Cache) Len() int { return len(c.entries) }
 
 // touch charges one local-memory operation.
 func (c *Cache) touch(p *sim.Proc) {
@@ -768,39 +762,12 @@ func DecodeValue(data []byte) (Value, error) {
 	return Value{e: e}, nil
 }
 
-// Kind reports which lattice the value holds.
-func (v Value) Kind() Kind { return v.e.kind }
-
 // Counter returns the PN-counter total (0 for other kinds).
 func (v Value) Counter() int64 {
 	if v.e.kind == KindPNCounter {
 		return v.e.pn.Value()
 	}
 	return 0
-}
-
-// GCounter returns the G-counter total (0 for other kinds).
-func (v Value) GCounter() int64 {
-	if v.e.kind == KindGCounter {
-		return v.e.g.Value()
-	}
-	return 0
-}
-
-// Register returns the register value ("" for other kinds).
-func (v Value) Register() string {
-	if v.e.kind == KindRegister {
-		return v.e.reg.Get()
-	}
-	return ""
-}
-
-// SetElements returns the OR-set membership (nil for other kinds).
-func (v Value) SetElements() []string {
-	if v.e.kind == KindSet {
-		return v.e.set.Elements()
-	}
-	return nil
 }
 
 // flushKey persists one entry as a read-merge-write upsert: fetch the

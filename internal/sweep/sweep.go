@@ -33,6 +33,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -66,9 +67,11 @@ type PointError struct {
 	Stack string // the worker goroutine's stack at capture
 }
 
-// Error implements error.
+// Error implements error. The text ends with the worker's stack, so a
+// PointError that nothing recovers prints the frames that panicked, not
+// only the sweep caller's.
 func (e *PointError) Error() string {
-	return fmt.Sprintf("sweep: point %d panicked: %v", e.Point, e.Value)
+	return fmt.Sprintf("sweep: point %d panicked: %v\n\n%s", e.Point, e.Value, strings.TrimRight(e.Stack, "\n"))
 }
 
 // Unwrap exposes an underlying error panic value to errors.Is/As.

@@ -104,6 +104,36 @@ func TestPointsPanicContext(t *testing.T) {
 	}
 }
 
+// panicAtFive is a sweep point that panics at index 5.
+func panicAtFive(i int) int {
+	if i == 5 {
+		panic("boom")
+	}
+	return i
+}
+
+// TestPointErrorShowsWorkerStack: the text of a re-raised *PointError,
+// which the runtime prints when nothing recovers it, holds the worker's
+// stack, so it names the function that panicked. The sequential path
+// re-raises after that function has unwound, and the concurrent one from
+// another goroutine, so only the captured stack can name it.
+func TestPointErrorShowsWorkerStack(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		func() {
+			defer func() {
+				pe, ok := recover().(*PointError)
+				if !ok {
+					t.Fatalf("w=%d: did not recover a *PointError", w)
+				}
+				if msg := pe.Error(); !strings.Contains(msg, "sweep.panicAtFive") {
+					t.Errorf("w=%d: Error() does not name the panicking function:\n%s", w, msg)
+				}
+			}()
+			PointsN(w, 8, panicAtFive)
+		}()
+	}
+}
+
 // TestPointsProcPanicContext: a panic inside a simulated process, which the
 // kernel re-raises from RunUntil, surfaces as a *PointError naming the
 // point and the process; the point's deferred Close still unwinds the

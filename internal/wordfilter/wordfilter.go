@@ -38,9 +38,6 @@ func DefaultBlacklist() []string {
 // DefaultModel returns a model over DefaultBlacklist.
 func DefaultModel() *Model { return NewModel(DefaultBlacklist()) }
 
-// Size returns the number of blacklisted words.
-func (m *Model) Size() int { return len(m.blacklist) }
-
 // IsDirty classifies one word (punctuation-insensitive).
 func (m *Model) IsDirty(word string) bool {
 	_, ok := m.blacklist[normalize(word)]
