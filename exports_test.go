@@ -35,65 +35,63 @@ const (
 // TestNoUnusedExports, and so does an entry that has gained a caller or is
 // gone.
 var unusedExports = map[string]string{
-	"internal/chaos.Engine.RandomPartitions":      item13,
-	"internal/chaos.Engine.SetSlow":               item13,
-	"internal/chaos.Engine.Slow":                  item13,
-	"internal/chaos.Engine.SlowNodeAt":            item13,
-	"internal/compute.Instance.Terminate":         driver,
-	"internal/compute.Volume.IsWarm":              oracle,
-	"internal/core.Table.Value":                   oracle,
-	"internal/election.BBTransport.Remove":        driver,
-	"internal/election.DirectTransport.Close":     driver,
-	"internal/election.Node.Restart":              driver,
-	"internal/faas.Ctx.Local":                     driver,
-	"internal/faas.Platform.ProvisionedAllocated": oracle,
-	"internal/faas.Platform.ProvisionedIdle":      oracle,
-	"internal/faas.Platform.VMNodes":              oracle,
-	"internal/faas.Platform.WarmIdle":             oracle,
-	"internal/kvstore.GlobalTable.PendingWrites":  oracle,
-	"internal/kvstore.Store.Len":                  oracle,
-	"internal/loadgen.Zipf.Sample":                driver,
-	"internal/mlp.Network.AccumulateGradients":    driver,
-	"internal/mlp.Network.NumParams":              oracle,
-	"internal/mlp.PaperConfig":                    driver,
-	"internal/msgnet.Endpoint.Node":               oracle,
-	"internal/msgnet.Mesh.Lookup":                 oracle,
-	"internal/netsim.Fabric.InFlight":             oracle,
-	"internal/netsim.Fabric.TransferAsync":        driver,
-	"internal/netsim.Network.Regions":             oracle,
-	"internal/netsim.Network.RegionsPartitioned":  oracle,
-	"internal/objectstore.Store.Delete":           driver,
-	"internal/objectstore.Store.Head":             driver,
-	"internal/objectstore.Store.List":             driver,
-	"internal/queue.Queue.Depth":                  oracle,
-	"internal/queue.Queue.InFlight":               oracle,
-	"internal/recon.Filter.Cells":                 oracle,
-	"internal/resilience.Budget.Balance":          oracle,
-	"internal/resilience.Client.Stats":            oracle,
-	"internal/service.Frontend.ChargeCost":        driver,
-	"internal/service.Frontend.Meter":             driver,
-	"internal/sim.Kernel.LiveProcs":               oracle,
-	"internal/sim.Kernel.Pending":                 oracle,
-	"internal/sim.Promise.Resolved":               oracle,
-	"internal/sim.Ring.At":                        oracle,
-	"internal/sim.Signal.Waiting":                 oracle,
-	"internal/simrand.RNG.Perm":                   driver,
-	"internal/simrand.RNG.Shuffle":                driver,
-	"internal/statecache.Cache.DirtyKeys":         oracle,
-	"internal/statecache.Cache.GCounterValue":     oracle,
-	"internal/statecache.Cache.IncGCounter":       driver,
-	"internal/statecache.Cache.PeekGCounter":      oracle,
-	"internal/statecache.Cache.Register":          oracle,
-	"internal/statecache.Cache.RemoveSet":         driver,
-	"internal/statecache.Cache.SetContains":       oracle,
-	"internal/statecache.Cache.SetElements":       oracle,
-	"internal/statecache.Cluster.CachedBytes":     oracle,
-	"internal/statecache.Cluster.Replicas":        oracle,
-	"internal/statecache.Cluster.StartedRounds":   item13,
-	"internal/statecache.DecodeValue":             oracle,
-	"internal/statecache.Value.Counter":           oracle,
-	"internal/stats.Sketch.Max":                   oracle,
-	"internal/stats.Sketch.Sum":                   oracle,
+	"internal/chaos.Engine.RandomPartitions":     item13,
+	"internal/chaos.Engine.SetSlow":              item13,
+	"internal/chaos.Engine.Slow":                 item13,
+	"internal/chaos.Engine.SlowNodeAt":           item13,
+	"internal/compute.Instance.Terminate":        driver,
+	"internal/core.Table.Value":                  oracle,
+	"internal/election.BBTransport.Remove":       driver,
+	"internal/election.DirectTransport.Close":    driver,
+	"internal/election.Node.Restart":             driver,
+	"internal/faas.Ctx.Local":                    driver,
+	"internal/faas.Platform.ProvisionedIdle":     oracle,
+	"internal/faas.Platform.VMNodes":             oracle,
+	"internal/faas.Platform.WarmIdle":            oracle,
+	"internal/kvstore.GlobalTable.PendingWrites": oracle,
+	"internal/kvstore.Store.Len":                 oracle,
+	"internal/loadgen.Zipf.Sample":               driver,
+	"internal/mlp.Network.AccumulateGradients":   driver,
+	"internal/mlp.Network.NumParams":             oracle,
+	"internal/mlp.PaperConfig":                   driver,
+	"internal/msgnet.Endpoint.Node":              oracle,
+	"internal/msgnet.Mesh.Lookup":                oracle,
+	"internal/netsim.Fabric.InFlight":            oracle,
+	"internal/netsim.Fabric.TransferAsync":       driver,
+	"internal/netsim.Network.Regions":            oracle,
+	"internal/netsim.Network.RegionsPartitioned": oracle,
+	"internal/objectstore.Store.Delete":          driver,
+	"internal/objectstore.Store.Head":            driver,
+	"internal/objectstore.Store.List":            driver,
+	"internal/queue.Queue.Depth":                 oracle,
+	"internal/queue.Queue.InFlight":              oracle,
+	"internal/recon.Filter.Cells":                oracle,
+	"internal/resilience.Budget.Balance":         oracle,
+	"internal/resilience.Client.Stats":           oracle,
+	"internal/service.Frontend.ChargeCost":       driver,
+	"internal/service.Frontend.Meter":            driver,
+	"internal/sim.Kernel.LiveProcs":              oracle,
+	"internal/sim.Kernel.Pending":                oracle,
+	"internal/sim.Promise.Resolved":              oracle,
+	"internal/sim.Ring.At":                       oracle,
+	"internal/sim.Signal.Waiting":                oracle,
+	"internal/simrand.RNG.Perm":                  driver,
+	"internal/simrand.RNG.Shuffle":               driver,
+	"internal/statecache.Cache.DirtyKeys":        oracle,
+	"internal/statecache.Cache.GCounterValue":    oracle,
+	"internal/statecache.Cache.IncGCounter":      driver,
+	"internal/statecache.Cache.PeekGCounter":     oracle,
+	"internal/statecache.Cache.Register":         oracle,
+	"internal/statecache.Cache.RemoveSet":        driver,
+	"internal/statecache.Cache.SetContains":      oracle,
+	"internal/statecache.Cache.SetElements":      oracle,
+	"internal/statecache.Cluster.CachedBytes":    oracle,
+	"internal/statecache.Cluster.Replicas":       oracle,
+	"internal/statecache.Cluster.StartedRounds":  item13,
+	"internal/statecache.DecodeValue":            oracle,
+	"internal/statecache.Value.Counter":          oracle,
+	"internal/stats.Sketch.Max":                  oracle,
+	"internal/stats.Sketch.Sum":                  oracle,
 }
 
 // unsetConfigFields lists the exported fields of exported *Config structs

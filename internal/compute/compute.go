@@ -84,7 +84,6 @@ func (pr *Provider) Launch(p *sim.Proc, typ InstanceType, rack int) *Instance {
 	id := fmt.Sprintf("i-%04d", pr.nextID)
 	inst := &Instance{
 		provider:   pr,
-		id:         id,
 		typ:        typ,
 		node:       pr.net.NewNode(id, rack, typ.NICBps),
 		launchedAt: p.Now(),
@@ -101,7 +100,6 @@ func (pr *Provider) Launch(p *sim.Proc, typ InstanceType, rack int) *Instance {
 // Instance is a running (or terminated) VM.
 type Instance struct {
 	provider   *Provider
-	id         string
 	typ        InstanceType
 	node       *netsim.Node
 	volume     *Volume
@@ -194,6 +192,3 @@ func (v *Volume) Write(p *sim.Proc, extent string, size int64) error {
 // Warm marks an extent as cached without simulating I/O (used to model
 // pre-staged data sets).
 func (v *Volume) Warm(extent string) { v.warm[extent] = true }
-
-// IsWarm reports whether an extent is cached.
-func (v *Volume) IsWarm(extent string) bool { return v.warm[extent] }

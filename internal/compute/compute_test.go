@@ -35,7 +35,7 @@ func TestLaunchTakesBootDelay(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		inst := f.prov.Launch(p, M4Large, 0)
 		bootDone = p.Now()
-		if inst.id == "" || inst.Node() == nil {
+		if inst.Node() == nil || inst.Node().ID() == "" {
 			t.Error("instance not initialized")
 		}
 	})
@@ -91,7 +91,7 @@ func TestWarmPreStaging(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		inst := f.prov.Launch(p, M4Large, 0)
 		inst.Volume().Warm("data")
-		if !inst.Volume().IsWarm("data") {
+		if !inst.Volume().warm["data"] {
 			t.Error("Warm did not mark extent")
 		}
 		start := p.Now()
@@ -109,7 +109,7 @@ func TestWriteWarmsExtent(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		inst := f.prov.Launch(p, M4Large, 0)
 		inst.Volume().Write(p, "out", 1e6)
-		if !inst.Volume().IsWarm("out") {
+		if !inst.Volume().warm["out"] {
 			t.Error("write did not warm extent")
 		}
 	})
@@ -159,10 +159,11 @@ func TestInstanceIDsUnique(t *testing.T) {
 	f.k.Spawn("ops", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			inst := f.prov.Launch(p, M5Large, i)
-			if ids[inst.id] {
-				t.Errorf("duplicate instance id %s", inst.id)
+			id := inst.Node().ID()
+			if ids[id] {
+				t.Errorf("duplicate instance id %s", id)
 			}
-			ids[inst.id] = true
+			ids[id] = true
 		}
 	})
 	f.k.Run()

@@ -105,7 +105,7 @@ func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 tim
 		start sim.Time
 		done  *sim.Latch
 	}
-	queue := sim.NewQueue[req](0)
+	queue := sim.NewQueue[req]()
 
 	ready := &sim.Latch{}
 	c.K.Spawn("server", func(p *sim.Proc) {
@@ -137,7 +137,7 @@ func autoscaleEC2(seed uint64, rate float64, window time.Duration) (p50, p99 tim
 			// Sub-millisecond delivery to the server's queue.
 			rp.Sleep(300 * time.Microsecond)
 			done := &sim.Latch{}
-			queue.Put(rp, req{start: rp.Now(), done: done})
+			queue.Put(req{start: rp.Now(), done: done})
 			done.Wait(rp)
 		})
 	})

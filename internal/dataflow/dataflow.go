@@ -236,9 +236,9 @@ func (ex *Executor) Execute(p *sim.Proc, plan *PhysicalPlan, workers int, pol St
 	}
 
 	// Work queue over 1-based partition ids.
-	work := sim.NewQueue[uint64](0)
+	work := sim.NewQueue[uint64]()
 	for i := range parts {
-		work.TryPut(uint64(i + 1))
+		work.Put(uint64(i + 1))
 	}
 	work.Close()
 

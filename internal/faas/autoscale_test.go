@@ -218,7 +218,7 @@ func TestAutoscalerTracksLoad(t *testing.T) {
 	if asc.Target() != 0 {
 		t.Errorf("target after quiet period = %d, want 0", asc.Target())
 	}
-	if got := f.pf.ProvisionedAllocated(); got != 0 {
+	if got := f.pf.provisionedCount; got != 0 {
 		t.Errorf("provisioned allocated after scale-in = %d, want 0", got)
 	}
 	f.pf.AccrueProvisioned(f.k.Now())

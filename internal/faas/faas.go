@@ -322,7 +322,7 @@ func (pf *Platform) invoke(p *sim.Proc, delay time.Duration, name string, payloa
 
 	start := p.Now()
 	ctx := &cont.ctx
-	*ctx = Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout, cold: cold}
+	*ctx = Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout}
 	resp, err := fn.Handler(ctx, payload)
 	dur := p.Now() - start
 
@@ -647,7 +647,6 @@ type Ctx struct {
 	fn       *Function
 	cont     *container
 	deadline sim.Time
-	cold     bool
 }
 
 // Proc returns the simulated process the handler runs on.

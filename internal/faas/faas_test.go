@@ -440,22 +440,22 @@ func TestConcurrencyLimitQueues(t *testing.T) {
 }
 
 // TestWarmContainerReusesCtx: two sequential invocations on one warm
-// container share its Ctx, and each still sees its own ColdStart and
-// Remaining, at the handler's start and after it has run for a while.
+// container share its Ctx, each still reports its own ColdStart, and each
+// sees its own Remaining, at the handler's start and after it has run for
+// a while.
 func TestWarmContainerReusesCtx(t *testing.T) {
 	f := newFixture(t, DefaultConfig())
 	type seen struct {
-		ctx         *Ctx
-		cold        bool
-		atStart     time.Duration
-		afterWork   time.Duration
-		reportsCold bool
+		ctx       *Ctx
+		atStart   time.Duration
+		afterWork time.Duration
+		cold      bool
 	}
 	var calls []seen
 	work := []time.Duration{3 * time.Second, 5 * time.Second}
 	f.pf.Register(Function{Name: "f", MemoryMB: 128, Timeout: 10 * time.Second,
 		Handler: func(ctx *Ctx, payload []byte) ([]byte, error) {
-			s := seen{ctx: ctx, cold: ctx.cold, atStart: ctx.Remaining()}
+			s := seen{ctx: ctx, atStart: ctx.Remaining()}
 			ctx.Proc().Sleep(work[len(calls)])
 			s.afterWork = ctx.Remaining()
 			calls = append(calls, s)
@@ -467,7 +467,7 @@ func TestWarmContainerReusesCtx(t *testing.T) {
 			if err != nil {
 				t.Errorf("Invoke: %v", err)
 			}
-			calls[len(calls)-1].reportsCold = rep.ColdStart
+			calls[len(calls)-1].cold = rep.ColdStart
 		}
 	})
 	f.k.Run()
@@ -478,8 +478,8 @@ func TestWarmContainerReusesCtx(t *testing.T) {
 		t.Error("the second invocation did not reuse the warm container's Ctx")
 	}
 	for i, c := range calls {
-		if wantCold := i == 0; c.cold != wantCold || c.reportsCold != wantCold {
-			t.Errorf("invocation %d: ColdStart %v (report %v), want %v", i, c.cold, c.reportsCold, wantCold)
+		if wantCold := i == 0; c.cold != wantCold {
+			t.Errorf("invocation %d: ColdStart %v, want %v", i, c.cold, wantCold)
 		}
 		if c.atStart != 10*time.Second || c.afterWork != 10*time.Second-work[i] {
 			t.Errorf("invocation %d: Remaining %v at start and %v after %v of work, want 10s and %v",

@@ -48,7 +48,7 @@ func refInvoke(pf *Platform, p *sim.Proc, delay time.Duration, name string, payl
 
 	start := p.Now()
 	ctx := &cont.ctx
-	*ctx = Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout, cold: cold}
+	*ctx = Ctx{proc: p, pf: pf, fn: fn, cont: cont, deadline: start + fn.Timeout}
 	resp, err := fn.Handler(ctx, payload)
 	dur := p.Now() - start
 

@@ -84,10 +84,6 @@ func (pf *Platform) ProvisionedIdle(name string) int {
 	return n
 }
 
-// ProvisionedAllocated reports how many provisioned containers exist
-// platform-wide, idle or mid-invocation.
-func (pf *Platform) ProvisionedAllocated() int { return pf.provisionedCount }
-
 // AccrueProvisioned settles provisioned-concurrency charges up to now.
 // The platform calls it on every allocation change; experiments call it
 // once before reading the meter so charges cover the full run.

@@ -93,7 +93,6 @@ func (ds *DataSet) Extent(key string) (int64, bool) {
 // Agent is a long-running, addressable unit of computation.
 type Agent struct {
 	pf       *Platform
-	name     string
 	memoryMB int
 	node     *netsim.Node
 	ep       *msgnet.Endpoint
@@ -113,7 +112,6 @@ func (pf *Platform) SpawnAgent(p *sim.Proc, name string, memoryMB int, near *Dat
 	node := pf.net.NewNode("agent/"+name, at, AgentNICBps)
 	a := &Agent{
 		pf:       pf,
-		name:     name,
 		memoryMB: memoryMB,
 		node:     node,
 		ep:       pf.mesh.Endpoint(name, node),

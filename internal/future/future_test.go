@@ -36,7 +36,7 @@ func TestSpawnTakesPlacementDelay(t *testing.T) {
 	f.k.Spawn("d", func(p *sim.Proc) {
 		a := f.pf.SpawnAgent(p, "a1", 512, nil)
 		at = p.Now()
-		if a.name != "a1" || a.Node() == nil || a.Endpoint() == nil {
+		if a.Node().ID() != "agent/a1" || a.Endpoint() == nil {
 			t.Error("agent not initialized")
 		}
 	})

@@ -76,7 +76,7 @@ func NewPopulation(gapRNG, thinRNG *simrand.RNG, clients int, ratePerClient floa
 // Generator.Run's contract (in-flight requests may still be running).
 func (pop *Population) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim.Proc, seq, client int)) *sim.Latch {
 	rate := pop.ratePer * float64(pop.clients)
-	q := sim.NewQueue[popArrival](0) // unbounded: popBatch bounds its depth
+	q := sim.NewQueue[popArrival]() // popBatch bounds its depth
 	doneGen := &sim.Latch{}
 
 	for w := 0; w < MaxProcs; w++ {
@@ -111,7 +111,7 @@ func (pop *Population) Run(k *sim.Kernel, for_ time.Duration, submit func(p *sim
 				bend = end
 			}
 			for next < bend {
-				q.TryPut(popArrival{at: next, seq: seq, client: pop.thinRNG.Intn(pop.clients)})
+				q.Put(popArrival{at: next, seq: seq, client: pop.thinRNG.Intn(pop.clients)})
 				seq++
 				pop.Submitted++
 				next += gap()

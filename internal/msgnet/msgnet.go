@@ -68,7 +68,7 @@ func (m *Mesh) Endpoint(name string, node *netsim.Node) *Endpoint {
 		mesh:    m,
 		name:    name,
 		node:    node,
-		inbox:   sim.NewQueue[Packet](0),
+		inbox:   sim.NewQueue[Packet](),
 		pending: make(map[uint64]*sim.Promise[[]byte]),
 	}
 	m.endpoints[name] = ep
@@ -143,7 +143,7 @@ func (e *Endpoint) deliver(pk Packet) {
 		}
 		return
 	}
-	e.inbox.TryPut(pk)
+	e.inbox.Put(pk)
 }
 
 // Recv blocks until a message arrives, returning ErrClosed if the endpoint

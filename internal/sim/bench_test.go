@@ -122,23 +122,24 @@ func BenchmarkSignalFire(b *testing.B) {
 }
 
 // BenchmarkQueuePingPong measures a blocking request/response exchange
-// between two processes over a pair of bounded queues — the proc-to-proc
-// switch path. Gated at 0 allocs/op in CI.
+// between two processes over a pair of queues: each side parks in Get
+// until the other's Put, the proc-to-proc switch path. Gated at 0
+// allocs/op in CI.
 func BenchmarkQueuePingPong(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
-	ping := NewQueue[int](1)
-	pong := NewQueue[int](1)
+	ping := NewQueue[int]()
+	pong := NewQueue[int]()
 	k.Spawn("client", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Put(p, i)
+			ping.Put(i)
 			pong.Get(p)
 		}
 	})
 	k.Spawn("server", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			v, _ := ping.Get(p)
-			pong.Put(p, v)
+			pong.Put(v)
 		}
 	})
 	b.ReportAllocs()
@@ -183,14 +184,17 @@ func BenchmarkTimerReset(b *testing.B) {
 }
 
 // BenchmarkQueueHandoff measures producer/consumer handoffs through a
-// bounded simulation queue.
+// simulation queue. The producer yields after each Put, so the consumer
+// takes every item as it is put, rather than the whole run after the
+// producer has filled the queue.
 func BenchmarkQueueHandoff(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[int](8)
+	q := NewQueue[int]()
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Put(p, i)
+			q.Put(i)
+			p.Sleep(0)
 		}
 		q.Close()
 	})

@@ -74,11 +74,12 @@ func TestRingReusesCapacity(t *testing.T) {
 func TestQueueReusesCapacity(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[int](4)
+	q := NewQueue[int]()
 	const total = 50_000
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < total; i++ {
-			q.Put(p, i)
+			q.Put(i)
+			p.Sleep(0) // let the consumer take it, so the depth stays bounded
 		}
 		q.Close()
 	})
@@ -96,14 +97,13 @@ func TestQueueReusesCapacity(t *testing.T) {
 	if want := total * (total - 1) / 2; sum != want {
 		t.Fatalf("sum = %d, want %d (FIFO payload lost)", sum, want)
 	}
-	// A capacity-4 queue's ring never needs more than the next power of
-	// two; 50k items through it must not have grown the buffer further.
+	// The queue never holds more than one item, so 50k items through it
+	// must not have grown its ring past the smallest buffer.
 	if len(q.items.buf) > 8 {
-		t.Errorf("items buffer = %d slots for a capacity-4 queue", len(q.items.buf))
+		t.Errorf("items buffer = %d slots for a queue of depth 1", len(q.items.buf))
 	}
-	if len(q.getters.buf) > 8 || len(q.putters.buf) > 8 {
-		t.Errorf("waiter buffers grew unbounded: getters=%d putters=%d",
-			len(q.getters.buf), len(q.putters.buf))
+	if len(q.getters.buf) > 8 {
+		t.Errorf("getter buffer grew unbounded: %d slots", len(q.getters.buf))
 	}
 }
 

@@ -111,50 +111,34 @@ func (f *Promise[T]) Get(p *Proc) T {
 	return f.val
 }
 
-// Queue is a FIFO channel between processes with an optional capacity bound.
-// A capacity of 0 means unbounded. Items and waiter lists live in ring
-// buffers, so a long-lived queue cycles a bounded backing array instead of
-// re-slicing (and eventually reallocating) its way through memory.
+// Queue is an unbounded FIFO channel between processes: Put never
+// blocks, and Get parks while the queue is empty. Items and waiting
+// getters live in ring buffers, so a long-lived queue cycles a bounded
+// backing array instead of re-slicing (and eventually reallocating) its
+// way through memory.
 type Queue[T any] struct {
-	cap     int
 	items   Ring[T]
 	getters Ring[*Proc]
-	putters Ring[*Proc]
 	closed  bool
 }
 
-// NewQueue returns a queue holding at most capacity items (0 = unbounded).
-func NewQueue[T any](capacity int) *Queue[T] {
-	return &Queue[T]{cap: capacity}
+// NewQueue returns an empty queue.
+func NewQueue[T any]() *Queue[T] {
+	return &Queue[T]{}
 }
 
 // Len reports the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// TryPut appends an item if the queue has room, reporting success. It never
-// blocks and is safe from event context.
-func (q *Queue[T]) TryPut(v T) bool {
+// Put appends an item and wakes the longest-waiting getter, if any. It
+// never blocks and is safe from event context.
+func (q *Queue[T]) Put(v T) {
 	if q.closed {
 		panic("sim: Put on closed Queue")
-	}
-	if q.cap > 0 && q.items.Len() >= q.cap {
-		return false
 	}
 	q.items.Push(v)
 	if q.getters.Len() > 0 {
 		q.getters.Pop().wake()
-	}
-	return true
-}
-
-// Put appends an item, blocking the calling process while the queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for !q.TryPut(v) {
-		q.putters.Push(p)
-		p.Park()
-		if q.closed {
-			panic("sim: Put on closed Queue")
-		}
 	}
 }
 
@@ -164,11 +148,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	v := q.items.Pop()
-	if q.putters.Len() > 0 {
-		q.putters.Pop().wake()
-	}
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Get removes and returns the head item, blocking the calling process while
@@ -188,8 +168,8 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 	}
 }
 
-// Close marks the queue closed and wakes all blocked getters and putters.
-// Buffered items can still be drained with Get/TryGet.
+// Close marks the queue closed and wakes all blocked getters. Buffered
+// items can still be drained with Get/TryGet.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
@@ -197,9 +177,6 @@ func (q *Queue[T]) Close() {
 	q.closed = true
 	for q.getters.Len() > 0 {
 		q.getters.Pop().wake()
-	}
-	for q.putters.Len() > 0 {
-		q.putters.Pop().wake()
 	}
 }
 

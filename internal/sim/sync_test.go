@@ -118,11 +118,11 @@ func TestPromiseDoubleResolvePanics(t *testing.T) {
 func TestQueueFIFO(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[int](0)
+	q := NewQueue[int]()
 	var got []int
 	k.Spawn("producer", func(p *Proc) {
 		for i := 1; i <= 5; i++ {
-			q.Put(p, i)
+			q.Put(i)
 			p.Sleep(time.Millisecond)
 		}
 		q.Close()
@@ -147,33 +147,10 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueCapacityBlocksPutter(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	q := NewQueue[int](2)
-	var thirdPutAt Time
-	k.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // blocks until consumer drains one
-		thirdPutAt = p.Now()
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		p.Sleep(time.Second)
-		if _, ok := q.TryGet(); !ok {
-			t.Error("TryGet on full queue failed")
-		}
-	})
-	k.Run()
-	if thirdPutAt != time.Second {
-		t.Errorf("third Put completed at %v, want 1s (after drain)", thirdPutAt)
-	}
-}
-
 func TestQueueGetBlocksUntilPut(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[string](0)
+	q := NewQueue[string]()
 	var got string
 	var at Time
 	k.Spawn("consumer", func(p *Proc) {
@@ -182,7 +159,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	})
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(3 * time.Second)
-		q.Put(p, "hello")
+		q.Put("hello")
 	})
 	k.Run()
 	if got != "hello" || at != 3*time.Second {
@@ -193,7 +170,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 func TestQueueCloseUnblocksGetters(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[int](0)
+	q := NewQueue[int]()
 	okAfterClose := true
 	k.Spawn("consumer", func(p *Proc) {
 		_, okAfterClose = q.Get(p)
@@ -329,25 +306,20 @@ func TestQuickEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: a bounded queue never holds more than its capacity and delivers
-// items in FIFO order regardless of producer/consumer timing.
-func TestQuickQueueBoundedFIFO(t *testing.T) {
-	prop := func(items []byte, capRaw uint8) bool {
+// Property: a queue delivers items in FIFO order regardless of
+// producer/consumer timing.
+func TestQuickQueueFIFO(t *testing.T) {
+	prop := func(items []byte) bool {
 		if len(items) > 100 {
 			items = items[:100]
 		}
-		capacity := int(capRaw%8) + 1
 		k := NewKernel()
 		defer k.Close()
-		q := NewQueue[byte](capacity)
+		q := NewQueue[byte]()
 		var got []byte
-		maxLen := 0
 		k.Spawn("producer", func(p *Proc) {
 			for _, it := range items {
-				q.Put(p, it)
-				if q.Len() > maxLen {
-					maxLen = q.Len()
-				}
+				q.Put(it)
 				p.Sleep(Time(it%3) * time.Millisecond)
 			}
 			q.Close()
@@ -363,9 +335,6 @@ func TestQuickQueueBoundedFIFO(t *testing.T) {
 			}
 		})
 		k.Run()
-		if maxLen > capacity {
-			return false
-		}
 		if len(got) != len(items) {
 			return false
 		}

@@ -48,9 +48,9 @@ func NewSummary(name string, sketch bool) Summary {
 // list, so every sample stays exact and nearly all take half the bytes.
 // Each list writes its samples once into fixed chunks of chunkSize samples
 // that are never reallocated or copied. A read sorts each unsorted chunk
-// in place and selects order statistics by rank across the sorted chunks
-// of both lists, so no read allocates once the selection scratch has grown
-// with the chunk lists.
+// in place and finds an order statistic by bisection on its value,
+// counting the samples at or below each probe in the sorted chunks of both
+// lists, so no read allocates.
 //
 // Add is small enough for the compiler to inline: one comparison against
 // lim admits a sample to the narrow tail. lim is limStep times the tail's
@@ -65,9 +65,6 @@ type Recorder struct {
 	// narrow holds the samples in [0, 2³²), wide every other one.
 	narrow chunkList[uint32]
 	wide   chunkList[time.Duration]
-	// win is the rank-selection scratch: one window per chunk, narrow's
-	// chunks first, then wide's.
-	win []window
 	// sumExact, plus the narrow tail's samples, is the overflow-safe
 	// integer total backing Sum — and, since integer addition is
 	// associative, the order-independent numerator backing Mean: a float64
@@ -107,11 +104,6 @@ type chunkList[T sample] struct {
 	// to the last chunk, so a read after an Add re-sorts at most that one.
 	sorted int
 }
-
-// window is the part of one sorted chunk that a rank selection has not yet
-// ruled out: chunk[:lo] lies below the searched value range, chunk[hi:]
-// above it. cut is the window's count of samples at or below the probe.
-type window struct{ lo, hi, cut int }
 
 var _ Summary = (*Recorder)(nil)
 
@@ -239,69 +231,23 @@ func (r *Recorder) sort() {
 	r.wide.sort()
 }
 
-// rank returns the k-th smallest sample (0 <= k < Count). It bisects on the
-// value between Min and Max, counting the samples at or below each probe
-// with a binary search in every chunk's window, and narrows the windows as
-// the value range shrinks; once a single window is left, the answer is
-// read from it by index.
+// rank returns the k-th smallest sample (0 <= k < Count): the least value
+// v between Min and Max with more than k samples at or below it, found by
+// bisection on the value, counting the samples at or below each probe with
+// a binary search in every chunk of both lists.
 func (r *Recorder) rank(k int) time.Duration {
 	lo, hi := r.Min(), r.Max() // sorts; the answer lies in [lo, hi]
-	nn, nw := len(r.narrow.chunks), len(r.wide.chunks)
-	switch {
-	case nn == 1 && nw == 0:
-		return time.Duration(r.narrow.chunks[0][k])
-	case nn == 0 && nw == 1:
-		return r.wide.chunks[0][k]
-	}
-	if cap(r.win) < nn+nw {
-		r.win = make([]window, nn+nw, cap(r.narrow.chunks)+cap(r.wide.chunks))
-	}
-	nwin, wwin := r.win[:nn], r.win[nn:nn+nw]
-	r.narrow.open(nwin)
-	r.wide.open(wwin)
-	below := 0 // samples known to be below lo: the sum of the windows' lo
 	for lo < hi {
 		// Overflow-safe midpoint: hi-lo may exceed MaxInt64, but not
 		// MaxUint64, and lo <= mid < hi.
 		mid := lo + time.Duration((uint64(hi)-uint64(lo))/2)
-		atOrBelow := below + r.narrow.cut(nwin, mid) + r.wide.cut(wwin, mid)
-		up := atOrBelow > k // the answer is at or below mid
-		if up {
+		if r.narrow.atOrBelow(mid)+r.wide.atOrBelow(mid) > k {
 			hi = mid
 		} else {
-			lo, below = mid+1, atOrBelow
-		}
-		nleft, nlast := keep(nwin, up)
-		wleft, wlast := keep(wwin, up)
-		switch {
-		case nleft == 1 && wleft == 0:
-			return time.Duration(r.narrow.chunks[nlast][nwin[nlast].lo+k-below])
-		case nleft == 0 && wleft == 1:
-			return r.wide.chunks[wlast][wwin[wlast].lo+k-below]
+			lo = mid + 1
 		}
 	}
 	return lo
-}
-
-// keep shrinks every open window to the part of it on the answer's side of
-// the probe: at or below it when up, above it otherwise. It returns the
-// number of windows left open and the index of the last.
-func keep(win []window, up bool) (left, last int) {
-	for i := range win {
-		w := &win[i]
-		if w.lo == w.hi {
-			continue
-		}
-		if up {
-			w.hi = w.lo + w.cut
-		} else {
-			w.lo += w.cut
-		}
-		if w.lo < w.hi {
-			left, last = left+1, i
-		}
-	}
-	return left, last
 }
 
 // add appends v to the tail, opening a new chunk when the tail is full.
@@ -370,35 +316,22 @@ func (l *chunkList[T]) greatest() (v time.Duration, ok bool) {
 	return time.Duration(m), true
 }
 
-// open sets each chunk's window to the whole chunk.
-func (l *chunkList[T]) open(win []window) {
-	for i, c := range l.chunks {
-		win[i] = window{hi: len(c)}
-	}
-}
-
-// cut sets each open window's cut to its count of samples at or below v
-// and returns their total. A v outside T's range lies below every sample
-// (v < 0, only for the narrow list) or above every one.
-func (l *chunkList[T]) cut(win []window, v time.Duration) int {
+// atOrBelow returns the number of samples in a sorted list at or below v.
+// A v outside T's range lies below every sample (v < 0, only for the
+// narrow list) or above every one.
+func (l *chunkList[T]) atOrBelow(v time.Duration) int {
 	t := T(v)
-	inRange := time.Duration(t) == v
-	total := 0
-	for i, c := range l.chunks {
-		w := &win[i]
-		switch {
-		case w.lo == w.hi:
-			continue
-		case inRange:
-			w.cut = atOrBelow(c[w.lo:w.hi], t)
-		case v < 0:
-			w.cut = 0
-		default:
-			w.cut = w.hi - w.lo
+	if time.Duration(t) != v {
+		if v < 0 {
+			return 0
 		}
-		total += w.cut
+		return l.count()
 	}
-	return total
+	n := 0
+	for _, c := range l.chunks {
+		n += atOrBelow(c, t)
+	}
+	return n
 }
 
 // atOrBelow returns the number of samples in sorted s at or below t.

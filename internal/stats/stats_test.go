@@ -284,6 +284,25 @@ func TestRecorderReadsDoNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Percentile/Min/Max allocated %v times per run, want 0", allocs)
 	}
+
+	// The first read of a fresh recorder, which sorts its chunks and
+	// selects across several of them, allocates nothing either.
+	const runs = 8
+	fresh := make([]*Recorder, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range fresh {
+		fresh[i] = NewRecorder("first")
+		for j := range 3*chunkSize + i {
+			fresh[i].Add(time.Duration(j*2654435761) % time.Second)
+		}
+	}
+	next := 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		fresh[next].Percentile(99)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a fresh recorder's first Percentile allocated %v times per run, want 0", allocs)
+	}
 }
 
 // BenchmarkRecorderAdd records 10⁵ samples into a new recorder per op; run

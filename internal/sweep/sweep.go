@@ -138,34 +138,24 @@ func PointsN[T any](workers, n int, fn func(point int) T) []T {
 		return true
 	}
 
-	if workers == 1 {
-		// Sequential fast path: identical point order and panic wrapping
-		// as the concurrent path, with no goroutines to coordinate.
-		for i := 0; i < n; i++ {
-			if !runPoint(i) {
-				break
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n || failed() {
-						return
-					}
-					if !runPoint(i) {
-						return
-					}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if !runPoint(i) {
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	if fail != nil {
 		panic(fail)
 	}
