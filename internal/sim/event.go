@@ -1,17 +1,16 @@
 package sim
 
-// event is a scheduled wake-up. Events are ordered by time, with the
-// sequence number breaking ties so that events scheduled earlier (in program
-// order) at the same virtual time run first. This total order is what makes
-// the simulation deterministic.
+// event is the payload of a scheduled wake-up. Its key, (at, seq), lives in
+// the heap's order array beside the slot index (see entry); events are
+// ordered by time, with the sequence number breaking ties so that events
+// scheduled earlier (in program order) at the same virtual time run first.
+// This total order is what makes the simulation deterministic.
 //
 // The payload is a tagged union: proc != nil means "resume this parked
 // process" (the kernel steps it directly, no closure involved); otherwise fn
 // is an arbitrary callback. Keeping the process wake-up path closure-free is
 // what lets Sleep and the sync primitives run without allocating.
 type event struct {
-	at   Time
-	seq  uint64
 	fn   func()
 	proc *Proc
 
@@ -25,21 +24,37 @@ type event struct {
 	gen uint32
 }
 
+// entry is one position of the heap order array: a scheduled event's key
+// and its arena slot.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// before orders entries by (at, seq). Sequence numbers are unique, so no
+// two entries tie.
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
 // eventHeap is an index-based 4-ary min-heap over event values.
 //
-// Events live in a flat arena and are addressed by slot index; the heap
-// order array holds int32 slot indices, so sift operations move 4-byte
-// integers instead of 40-byte events and never touch the Go heap. Freed
-// slots are threaded onto an embedded free list (linked through event.pos)
-// and recycled, so steady-state scheduling allocates nothing once the arena
-// has grown to the simulation's high-water mark of in-flight events.
+// Events live in a flat arena and are addressed by slot index. The heap
+// order array holds each event's key inline with its slot, so a sift
+// compares and moves 24-byte entries within one array and touches the
+// arena only to record a moved entry's new position. Freed slots are
+// threaded onto an embedded free list (linked through event.pos) and
+// recycled, so steady-state scheduling allocates nothing once the arena
+// and order array have grown to the simulation's high-water mark of
+// in-flight events.
 //
 // A 4-ary layout halves the tree depth of the binary heap it replaces;
 // with the run queue absorbing same-time wake-ups, heap events are
 // dominated by pushes and ordered pops where the shallower tree wins.
 type eventHeap struct {
 	arena []event
-	order []int32
+	order []entry
 	free  int32 // head of the free-slot list, -1 when empty
 }
 
@@ -72,29 +87,47 @@ func (h *eventHeap) release(s int32) {
 	h.free = s
 }
 
-// less orders slots by (at, seq).
-func (h *eventHeap) less(a, b int32) bool {
-	ea, eb := &h.arena[a], &h.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
 // push schedules an event and returns its arena slot.
 func (h *eventHeap) push(at Time, seq uint64, fn func(), proc *Proc) int32 {
 	s := h.alloc()
 	e := &h.arena[s]
-	e.at, e.seq, e.fn, e.proc = at, seq, fn, proc
+	e.fn, e.proc = fn, proc
 	i := int32(len(h.order))
-	h.order = append(h.order, s)
-	e.pos = i
-	h.siftUp(i)
+	h.order = append(h.order, entry{})
+	h.siftUp(i, entry{at: at, seq: seq, slot: s})
 	return s
 }
 
-// min returns the slot of the earliest event. The heap must be non-empty.
-func (h *eventHeap) min() int32 { return h.order[0] }
+// pop unschedules the earliest event, recycles its slot and returns its
+// payload. The heap must be non-empty. The hole left at the root sinks
+// along the lesser children to a leaf, and the former last entry rises
+// from there: usually not far, since it came from the bottom, so this
+// costs about one compare per level fewer than sifting it down from the
+// root.
+func (h *eventHeap) pop() (fn func(), proc *Proc) {
+	s := h.order[0].slot
+	e := &h.arena[s]
+	fn, proc = e.fn, e.proc
+	n := int32(len(h.order)) - 1
+	last := h.order[n]
+	h.order = h.order[:n]
+	if n > 0 {
+		i := int32(0)
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			best := h.leastChild(first, n)
+			h.order[i] = h.order[best]
+			h.arena[h.order[i].slot].pos = i
+			i = best
+		}
+		h.siftUp(i, last)
+	}
+	h.release(s)
+	return fn, proc
+}
 
 // remove unschedules the event in slot s (which must be scheduled) in
 // O(log n) and recycles the slot.
@@ -103,67 +136,75 @@ func (h *eventHeap) remove(s int32) { h.removeAt(h.arena[s].pos) }
 // removeAt unschedules the event at heap position i.
 func (h *eventHeap) removeAt(i int32) {
 	n := int32(len(h.order)) - 1
-	s := h.order[i]
+	s := h.order[i].slot
 	last := h.order[n]
 	h.order = h.order[:n]
 	if i < n {
-		h.order[i] = last
-		h.arena[last].pos = i
-		h.siftDown(i)
-		h.siftUp(i)
+		h.place(i, last)
 	}
 	h.release(s)
 }
 
 // update rekeys the event in slot s to (at, seq) and restores heap order.
 func (h *eventHeap) update(s int32, at Time, seq uint64) {
-	e := &h.arena[s]
-	e.at, e.seq = at, seq
-	h.siftDown(e.pos)
-	h.siftUp(e.pos)
+	h.place(h.arena[s].pos, entry{at: at, seq: seq, slot: s})
 }
 
-func (h *eventHeap) siftUp(i int32) {
-	s := h.order[i]
+// place puts e at heap position i, whose former entry has left or is e's
+// old key, and moves it up or down to where it belongs.
+func (h *eventHeap) place(i int32, e entry) {
+	if i > 0 && e.before(&h.order[(i-1)/4]) {
+		h.siftUp(i, e)
+	} else {
+		h.siftDown(i, e)
+	}
+}
+
+// siftUp moves the hole at position i up past every ancestor that e
+// precedes, then fills it with e.
+func (h *eventHeap) siftUp(i int32, e entry) {
 	for i > 0 {
 		parent := (i - 1) / 4
-		ps := h.order[parent]
-		if !h.less(s, ps) {
+		if !e.before(&h.order[parent]) {
 			break
 		}
-		h.order[i] = ps
-		h.arena[ps].pos = i
+		h.order[i] = h.order[parent]
+		h.arena[h.order[i].slot].pos = i
 		i = parent
 	}
-	h.order[i] = s
-	h.arena[s].pos = i
+	h.order[i] = e
+	h.arena[e.slot].pos = i
 }
 
-func (h *eventHeap) siftDown(i int32) {
+// siftDown moves the hole at position i down past every least child that
+// precedes e, then fills it with e.
+func (h *eventHeap) siftDown(i int32, e entry) {
 	n := int32(len(h.order))
-	s := h.order[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(h.order[c], h.order[best]) {
-				best = c
-			}
-		}
-		if !h.less(h.order[best], s) {
+		best := h.leastChild(first, n)
+		if !h.order[best].before(&e) {
 			break
 		}
 		h.order[i] = h.order[best]
-		h.arena[h.order[i]].pos = i
+		h.arena[h.order[i].slot].pos = i
 		i = best
 	}
-	h.order[i] = s
-	h.arena[s].pos = i
+	h.order[i] = e
+	h.arena[e.slot].pos = i
+}
+
+// leastChild returns the position of the least of the children that start
+// at position first, among the heap's first n entries.
+func (h *eventHeap) leastChild(first, n int32) int32 {
+	best := first
+	for c := first + 1; c < min(first+4, n); c++ {
+		if h.order[c].before(&h.order[best]) {
+			best = c
+		}
+	}
+	return best
 }

@@ -117,6 +117,16 @@ type Sched struct {
 	// pool's misses, a host-side cost that depends on which kernels ran
 	// before and alongside this one, never on the seed.
 	Spawns, Coroutines uint64
+	// HeapPops counts events taken from the future-event heap, by the
+	// kernel loop or a self-handoff; the rest of Dispatched+Handoffs came
+	// from the run queue.
+	HeapPops uint64
+	// HeapLenSum and HeapMax are the sum and the maximum of the heap's
+	// length, the popped event included, at each heap pop:
+	// HeapLenSum/HeapPops is its mean length at a pop.
+	HeapLenSum, HeapMax uint64
+	// PeakLive is the most processes live at once.
+	PeakLive uint64
 	// Hash folds in the (at, seq) of every consumed event, whether the
 	// kernel loop or a self-handoff consumed it.
 	Hash uint64
@@ -226,6 +236,7 @@ func (k *Kernel) slot(name string) *Proc {
 	}
 	k.sched.Spawns++
 	k.liveProcs++
+	k.sched.PeakLive = max(k.sched.PeakLive, uint64(k.liveProcs))
 	p.name = name
 	return p
 }
@@ -273,8 +284,18 @@ func (k *Kernel) nextIsRQ() bool {
 	if k.events.len() == 0 {
 		return true
 	}
-	top := &k.events.arena[k.events.min()]
+	top := &k.events.order[0]
 	return top.at > k.now || top.seq > k.rq.Peek().seq
+}
+
+// popEvent removes the heap's earliest event, which is due now, counts the
+// pop and returns the event's payload.
+func (k *Kernel) popEvent() (fn func(), proc *Proc) {
+	n := uint64(k.events.len())
+	k.sched.HeapPops++
+	k.sched.HeapLenSum += n
+	k.sched.HeapMax = max(k.sched.HeapMax, n)
+	return k.events.pop()
 }
 
 // RunUntil executes events with timestamps <= until (all events if until is
@@ -303,13 +324,12 @@ func (k *Kernel) RunUntil(until Time) Time {
 			e := k.rq.Pop()
 			fn, proc, seq = e.fn, e.proc, e.seq
 		} else if k.events.len() > 0 {
-			e := &k.events.arena[k.events.min()]
+			e := &k.events.order[0]
 			if until >= 0 && e.at > until {
 				break
 			}
-			fn, proc, seq = e.fn, e.proc, e.seq
-			k.now = e.at
-			k.events.removeAt(0)
+			k.now, seq = e.at, e.seq
+			fn, proc = k.popEvent()
 		} else {
 			break
 		}

@@ -520,6 +520,37 @@ func TestSchedHashSeesOrderNotKind(t *testing.T) {
 	}
 }
 
+// TestSchedCountsHeapPops pins the heap counters on a hand-built
+// schedule: three callbacks, a timer one of them stops, and two processes
+// whose sleeps land in the heap. The loop pops six heap events and a
+// self-handoff one more; the two starts come from the run queue.
+func TestSchedCountsHeapPops(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	timer := k.AfterTimer(10*time.Millisecond, func() { t.Error("stopped timer fired") })
+	k.At(time.Millisecond, func() {})
+	k.At(2*time.Millisecond, func() { timer.Stop() })
+	k.At(3*time.Millisecond, func() {})
+	k.Spawn("a", func(p *Proc) {
+		p.Sleep(4 * time.Millisecond)
+		p.Sleep(time.Millisecond) // nothing else due: a self-handoff
+	})
+	k.Spawn("b", func(p *Proc) { p.Sleep(time.Millisecond) })
+	k.Run()
+	got := k.Sched()
+	// Heap lengths at each pop: 6 (1ms callback), 5 (b's wake), 4 (2ms
+	// callback, which stops the timer), 2 (3ms callback), 1 (a's wake),
+	// 1 (a's second wake, by self-handoff).
+	want := Sched{Dispatched: 7, Resumes: 4, Handoffs: 1, Spawns: 2, Coroutines: got.Coroutines,
+		HeapPops: 6, HeapLenSum: 19, HeapMax: 6, PeakLive: 2, Hash: got.Hash}
+	if got != want {
+		t.Errorf("sched = %+v, want %+v", got, want)
+	}
+	if got.Dispatched+got.Handoffs-got.HeapPops != 2 {
+		t.Errorf("%d run-queue pops, want the 2 starts", got.Dispatched+got.Handoffs-got.HeapPops)
+	}
+}
+
 // TestSchedCountsSpawnsAndPoolMisses: every Spawn counts, and only a Spawn
 // that finds the cross-kernel coroutine pool empty counts a coroutine.
 func TestSchedCountsSpawnsAndPoolMisses(t *testing.T) {

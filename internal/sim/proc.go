@@ -176,15 +176,15 @@ func (p *Proc) Park() {
 			k.sched.consumed(k.now, seq)
 			k.rq.Pop()
 		} else if k.events.len() > 0 {
-			e := &k.events.arena[k.events.min()]
+			e := &k.events.order[0]
 			at, seq := e.at, e.seq
-			if e.proc != p || (k.until >= 0 && at > k.until) {
+			if k.events.arena[e.slot].proc != p || (k.until >= 0 && at > k.until) {
 				break
 			}
 			k.now = at
 			k.sched.Handoffs++
 			k.sched.consumed(at, seq)
-			k.events.removeAt(0)
+			k.popEvent()
 		} else {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -17,6 +18,8 @@ import (
 
 // testSched is the scheduling surface the random driver runs against.
 type testSched interface {
+	// at schedules fn at absolute time t (a past t clamps to now).
+	at(t Time, fn func())
 	// after schedules fn at d past the current time (d may be zero or
 	// negative; negative clamps to now like Kernel.At).
 	after(d Time, fn func())
@@ -25,13 +28,17 @@ type testSched interface {
 	// chain models a process: fn(0) runs at now, then fn(i) after
 	// sleeping steps[i-1] between consecutive calls.
 	chain(steps []Time, fn func(int))
+	// clock returns the current time.
+	clock() Time
 	run()
 }
 
 // realSched adapts the production kernel.
 type realSched struct{ k *Kernel }
 
+func (r realSched) at(t Time, fn func())    { r.k.At(t, fn) }
 func (r realSched) after(d Time, fn func()) { r.k.After(d, fn) }
+func (r realSched) clock() Time             { return r.k.Now() }
 
 func (r realSched) timer(d Time, fn func()) (func() bool, func(Time)) {
 	t := r.k.AfterTimer(d, fn)
@@ -97,7 +104,9 @@ func (r *refSched) push(at Time, fn func()) *refEvent {
 	return ev
 }
 
+func (r *refSched) at(t Time, fn func())    { r.push(t, fn) }
 func (r *refSched) after(d Time, fn func()) { r.push(r.now+d, fn) }
+func (r *refSched) clock() Time             { return r.now }
 
 func (r *refSched) timer(d Time, fn func()) (func() bool, func(Time)) {
 	ev := r.push(r.now+d, fn)
@@ -139,10 +148,10 @@ func (r *refSched) chain(steps []Time, fn func(int)) {
 func (r *refSched) run() {
 	for len(r.h) > 0 {
 		ev := heap.Pop(&r.h).(*refEvent)
-		r.now = ev.at
 		if ev.stopped {
-			continue
+			continue // a stopped event is gone: it sets no clock
 		}
+		r.now = ev.at
 		ev.fired = true
 		ev.fn()
 	}
@@ -267,4 +276,120 @@ func TestSchedulerReplaysReferenceOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stopped marks a Stop's result in a kernelCalls log: stopped+1 when it
+// prevented a fire, stopped when it did not.
+const stopped = 1 << 63
+
+// kernelCalls decodes data into scheduling calls on s and runs them. Each
+// call takes two bytes, an op and an argument. The op's low three bits pick
+// At, After (ahead or in the past), AfterTimer, Stop, Reset or a process
+// chain; its next two bits say how many further calls the event it
+// schedules makes when it fires, so pushes interleave with pops, and its
+// top three bits a chain's length. The argument is an absolute time for At
+// and a delay otherwise, in nanoseconds and small, so that many events
+// share an instant. The first byte sets how many calls are made between
+// runs. It returns the log of every fire, with its time, and of every
+// Stop's result.
+func kernelCalls(data []byte, s testSched) []uint64 {
+	type handle struct {
+		stop  func() bool
+		reset func(Time)
+	}
+	var log []uint64
+	var timers []handle
+	var id uint64
+	var call func()
+	call = func() {
+		if len(data) < 2 {
+			return
+		}
+		op, arg := data[0], data[1]
+		data = data[2:]
+		follow := int(op>>3) & 3
+		d := Time(arg % 8)
+		id++
+		self := id
+		fire := func(n uint64) {
+			log = append(log, n, uint64(s.clock()))
+			for range follow {
+				call()
+			}
+		}
+		event := func() { fire(self) }
+		switch op & 7 {
+		case 0:
+			s.at(Time(arg), event)
+		case 1:
+			s.after(d, event)
+		case 2:
+			s.after(-d, event)
+		case 3:
+			stop, reset := s.timer(d, event)
+			timers = append(timers, handle{stop, reset})
+		case 4, 5:
+			if len(timers) == 0 {
+				return
+			}
+			t := timers[int(arg/8)%len(timers)]
+			if op&7 == 5 {
+				t.reset(d)
+			} else if t.stop() {
+				log = append(log, stopped+1)
+			} else {
+				log = append(log, stopped)
+			}
+		default:
+			steps := []Time{Time(arg>>3) & 3, Time(arg>>5) & 7}[:(op>>5)%3]
+			id += uint64(len(steps))
+			s.chain(steps, func(i int) { fire(self + uint64(i)) })
+		}
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	calls := 1 + int(data[0])%8
+	data = data[1:]
+	for len(data) >= 2 {
+		for range calls {
+			call()
+		}
+		s.run()
+	}
+	return log
+}
+
+// FuzzKernelOrder runs the calls decoded from each input on the kernel and
+// on the container/heap reference, which fires events in (at, seq) order
+// and applies Stop and Reset to its own copies. The logs of fires, their
+// times and the Stops' results must be identical.
+func FuzzKernelOrder(f *testing.F) {
+	// Ties at one instant in the heap, broken by seq alone: three timers
+	// armed 5 ns ahead, the first stopped and the last reset.
+	f.Add([]byte{4, 3, 5, 3, 5, 3, 5, 4, 0, 5, 21})
+	// A two-step chain sleeping 1 ns, then 2 ns, among callbacks at the
+	// same instants that each schedule one more: at 3 ns the chain's
+	// wake-up in the heap precedes a run-queue entry.
+	f.Add([]byte{1, 0x46, 0x48, 0x09, 1, 0x09, 2, 0x08, 3, 0x01, 3, 0x01, 2})
+	// Seven timers; the first to fire stops the one the pop moved to the
+	// root, so Stop must find it at its new position.
+	f.Add([]byte{6, 0x0b, 1, 3, 7, 3, 6, 3, 5, 3, 4, 3, 3, 3, 2, 4, 48})
+	for seed := range int64(16) {
+		b := make([]byte, 64+32*seed)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k := NewKernel()
+		defer k.Close()
+		got := kernelCalls(data, realSched{k: k})
+		want := kernelCalls(data, &refSched{})
+		if !slices.Equal(got, want) {
+			t.Fatalf("kernel log %v\nreference  %v", got, want)
+		}
+		if n := k.Pending(); n != 0 {
+			t.Fatalf("%d events pending after Run", n)
+		}
+	})
 }

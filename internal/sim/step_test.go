@@ -99,8 +99,8 @@ func TestCloseUnwindsSteppedProcsOnce(t *testing.T) {
 // queue entries and r's waiters.
 func places(k *Kernel, r *Resource, p *Proc) int {
 	n := 0
-	for _, s := range k.events.order {
-		if k.events.arena[s].proc == p {
+	for _, e := range k.events.order {
+		if k.events.arena[e.slot].proc == p {
 			n++
 		}
 	}
@@ -198,7 +198,8 @@ func TestStepRunsOnSelfHandoff(t *testing.T) {
 	got := k.Sched()
 	// Whether the one spawn found a pooled coroutine depends on the tests
 	// that ran before.
-	want := Sched{Dispatched: 1, Resumes: 1, Handoffs: 3, Steps: 2, Spawns: 1, Coroutines: got.Coroutines, Hash: got.Hash}
+	want := Sched{Dispatched: 1, Resumes: 1, Handoffs: 3, Steps: 2, Spawns: 1, Coroutines: got.Coroutines,
+		HeapPops: 3, HeapLenSum: 3, HeapMax: 1, PeakLive: 1, Hash: got.Hash}
 	if got != want {
 		t.Errorf("sched = %+v, want %+v", got, want)
 	}

@@ -48,9 +48,10 @@ func NewSummary(name string, sketch bool) Summary {
 // list, so every sample stays exact and nearly all take half the bytes.
 // Each list writes its samples once into fixed chunks of chunkSize samples
 // that are never reallocated or copied. A read sorts each unsorted chunk
-// in place and finds an order statistic by bisection on its value,
-// counting the samples at or below each probe in the sorted chunks of both
-// lists, so no read allocates.
+// in place, a narrow one by radix sort with its scratch on the stack, and
+// finds an order statistic by bisection on its value, counting the samples
+// at or below each probe in the sorted chunks of both lists, so no read
+// allocates.
 //
 // Add is small enough for the compiler to inline: one comparison against
 // lim admits a sample to the narrow tail. lim is limStep times the tail's
@@ -225,10 +226,11 @@ func (r *Recorder) String() string {
 		r.name, r.Count(), r.Mean(), r.Median(), r.Percentile(99), r.Min(), r.Max())
 }
 
-// sort sorts in place every chunk not sorted since its last Add.
+// sort sorts in place every chunk not sorted since its last Add: narrow
+// chunks by radix sort, wide ones by comparison.
 func (r *Recorder) sort() {
-	r.narrow.sort()
-	r.wide.sort()
+	r.narrow.sort(radixSort)
+	r.wide.sort(slices.Sort[[]time.Duration])
 }
 
 // rank returns the k-th smallest sample (0 <= k < Count): the least value
@@ -282,11 +284,55 @@ func (l *chunkList[T]) syncTail() {
 // count returns the number of samples in the list.
 func (l *chunkList[T]) count() int { return l.full + len(l.tail) }
 
-// sort sorts in place every chunk not sorted since its last Add.
-func (l *chunkList[T]) sort() {
+// sort sorts in place, with sortChunk, every chunk not sorted since its
+// last Add.
+func (l *chunkList[T]) sort(sortChunk func([]T)) {
 	l.syncTail()
 	for ; l.sorted < len(l.chunks); l.sorted++ {
-		slices.Sort(l.chunks[l.sorted])
+		sortChunk(l.chunks[l.sorted])
+	}
+}
+
+// radixSort sorts a chunk of at most chunkSize samples in place: a stable
+// counting sort on each byte, least significant first, skipping any byte
+// that every sample shares. Its scratch is on the stack, so it allocates
+// nothing.
+func radixSort(s []uint32) {
+	if len(s) < 2 {
+		return
+	}
+	var buf [chunkSize]uint32
+	var count [256]uint32
+	// A bit set in every sample or in none is clear in varies.
+	and, or := s[0], s[0]
+	for _, v := range s[1:] {
+		and &= v
+		or |= v
+	}
+	varies := and ^ or
+	src, dst := s, buf[:len(s)]
+	for shift := 0; shift < 32; shift += 8 {
+		if byte(varies>>shift) == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, v := range src {
+			count[byte(v>>shift)]++
+		}
+		var sum uint32
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for _, v := range src {
+			b := byte(v >> shift)
+			dst[count[b]] = v
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
 	}
 }
 
