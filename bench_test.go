@@ -211,11 +211,10 @@ func BenchmarkFaaSScale(b *testing.B) {
 
 // BenchmarkMillionUserKV runs the million-user scenario (the ROADMAP's
 // top open item): 10⁶ simulated clients at 100k req/s aggregate through
-// the aggregated load population, sweeping 16/32/64 shards, with
-// latencies held in fixed-memory sketches. Reported: completed throughput
-// at the sweep's ends, the 64-shard sketched tails, the hourly bill, and
-// the process's peak heap — the number the fixed-memory refactor exists
-// to keep flat.
+// the aggregated load population, sweeping 16/32/64 shards, with exact
+// latency recorders. Reported: completed throughput at the sweep's ends,
+// the 64-shard tails, the hourly bill, and the process's peak heap — the
+// number the aggregated population exists to keep flat.
 func BenchmarkMillionUserKV(b *testing.B) {
 	var tables []*core.Table
 	for i := 0; i < b.N; i++ {

@@ -77,7 +77,6 @@ var unusedExports = map[string]string{
 	"internal/sim.Signal.Waiting":                oracle,
 	"internal/simrand.RNG.Perm":                  driver,
 	"internal/simrand.RNG.Shuffle":               driver,
-	"internal/statecache.Cache.DirtyKeys":        oracle,
 	"internal/statecache.Cache.GCounterValue":    oracle,
 	"internal/statecache.Cache.IncGCounter":      driver,
 	"internal/statecache.Cache.PeekGCounter":     oracle,
@@ -85,13 +84,10 @@ var unusedExports = map[string]string{
 	"internal/statecache.Cache.RemoveSet":        driver,
 	"internal/statecache.Cache.SetContains":      oracle,
 	"internal/statecache.Cache.SetElements":      oracle,
-	"internal/statecache.Cluster.CachedBytes":    oracle,
 	"internal/statecache.Cluster.Replicas":       oracle,
 	"internal/statecache.Cluster.StartedRounds":  item13,
 	"internal/statecache.DecodeValue":            oracle,
 	"internal/statecache.Value.Counter":          oracle,
-	"internal/stats.Sketch.Max":                  oracle,
-	"internal/stats.Sketch.Sum":                  oracle,
 }
 
 // unsetConfigFields lists the exported fields of exported *Config structs

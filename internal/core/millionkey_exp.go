@@ -81,7 +81,6 @@ func runMillionKey(seed uint64, replicas, keyCount int, reconcile bool) millionK
 	// The preloaded space models already-durable state, so the write-behind
 	// flush is parked outside the run (its cost story is statecache's).
 	sc.FlushInterval = time.Hour
-	sc.SketchStaleness = true
 	sc.Reconcile = reconcile
 	sc.ReconCells = millionKeyCells
 	cl := statecache.New("mkcache", net, store, rng.Fork(), sc, catalog, meter)

@@ -9,8 +9,9 @@ import (
 // BenchmarkMillionUserMemory is the memory-flatness gate: one 64-shard
 // point at the full 100k req/s aggregate rate, at 10⁴ vs 10⁶ simulated
 // users. The aggregated population keeps per-user state out of the run
-// entirely and the sketch keeps measurement memory fixed, so B/op must
-// stay flat (CI asserts within 2×) as the population grows 100×.
+// entirely, and the recorder's samples grow with completed requests, not
+// users, so B/op must stay flat (CI asserts within 2×) as the population
+// grows 100×.
 func BenchmarkMillionUserMemory(b *testing.B) {
 	for _, users := range []int{10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {

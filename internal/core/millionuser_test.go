@@ -9,7 +9,7 @@ import (
 
 // TestMillionUserScaledSmoke runs one scaled-down point (10⁴ users, 20k
 // req/s, 1s window) end to end: the aggregated population must drive the
-// sharded table to its expected operating point with a few-KB sketch.
+// sharded table to its expected operating point.
 func TestMillionUserScaledSmoke(t *testing.T) {
 	r := runMillionUser(1, 8, 10_000, 20_000, time.Second)
 	if r.completed == 0 || r.submitted < r.completed {
@@ -22,9 +22,6 @@ func TestMillionUserScaledSmoke(t *testing.T) {
 	}
 	if r.p50 <= 0 || r.p99 < r.p50 || r.p999 < r.p99 {
 		t.Errorf("percentiles not ordered: p50=%v p99=%v p99.9=%v", r.p50, r.p99, r.p999)
-	}
-	if r.sketchBytes <= 0 || r.sketchBytes > 64*1024 {
-		t.Errorf("sketch footprint %dB, want a few KB", r.sketchBytes)
 	}
 }
 

@@ -165,7 +165,7 @@ func Experiments() []Experiment {
 		{ID: "regionscale", Title: "Region scale: sharded KV table under open-loop load", Run: RunRegionScale},
 		{ID: "faasscale", Title: "FaaS at region scale: flash-crowd serving vs provisioned concurrency", Run: RunFaaSScale},
 		{ID: "statecache", Title: "§4 fluid state: function-colocated CRDT cache with gossip anti-entropy", Run: RunStateCache},
-		{ID: "millionuser", Title: "Million-user scale: sketched latencies + aggregated load population", Run: RunMillionUser},
+		{ID: "millionuser", Title: "Million-user scale: exact latencies + aggregated load population", Run: RunMillionUser},
 		{ID: "millionkey", Title: "Million-key gossip: IBF set reconciliation vs per-key digests", Run: RunMillionKey},
 		{ID: "regionfailover", Title: "Multi-region failover: WAN partition + crash storm under measured load", Run: RunRegionFailover},
 		{ID: "retrystorm", Title: "Resilience fabric: retry policies under a metastable retry storm", Run: RunRetryStorm},

@@ -208,8 +208,9 @@ type execution struct {
 	start   sim.Time
 	wg      sim.WaitGroup
 	tracker *StragglerTracker
-	done    []bool // by 1-based partition id
-	left    int    // partitions not yet completed
+	done    []bool     // by 1-based partition id
+	sent    []sim.Time // dispatch time, by 1-based partition id
+	left    int        // partitions not yet completed
 	err     error
 	res     Result
 }
@@ -229,6 +230,7 @@ func (ex *Executor) Execute(p *sim.Proc, plan *PhysicalPlan, workers int, pol St
 	ex.runs++
 	r := &execution{ex: ex, plan: plan, run: ex.runs, start: p.Now(), left: len(parts),
 		tracker: NewStragglerTracker(trackerCells), done: make([]bool, len(parts)+1),
+		sent: make([]sim.Time, len(parts)+1),
 		res: Result{Placement: plan.Placement, Partitions: len(parts),
 			PredictedSeconds: plan.PredictedSeconds, DecodeOK: true}}
 	if plan.Placement == ShipCodeToData {
@@ -256,6 +258,7 @@ func (ex *Executor) Execute(p *sim.Proc, plan *PhysicalPlan, workers int, pol St
 					return
 				}
 				r.tracker.Dispatch(id)
+				r.sent[id] = wp.Now()
 				if _, err := r.partition(wp, agent, id, slow); err != nil {
 					if r.err == nil {
 						r.err = err

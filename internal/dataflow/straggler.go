@@ -70,8 +70,8 @@ const trackerCells = 64
 // value runs every worker at full speed and rescues nothing.
 type StragglerPolicy struct {
 	// Patience is the coordinator's poll interval (default 500ms): at
-	// every poll that finds the work queue drained, each partition still
-	// outstanding is declared a straggler.
+	// every poll that finds the work queue drained, each partition
+	// outstanding for at least Patience is declared a straggler.
 	Patience time.Duration
 	// Spares is how many rescue agents re-dispatch uses (0 disables rescue
 	// — the baseline that just waits for stragglers).
@@ -82,9 +82,10 @@ type StragglerPolicy struct {
 }
 
 // coordinate polls every Patience until the job is done or a worker
-// fails. Once the work queue has drained, each partition still
-// outstanding gets one rescue copy on a spare full-speed agent, up to
-// Spares*4 copies in all.
+// fails. Once the work queue has drained, each partition outstanding for
+// at least Patience gets one rescue copy on a spare full-speed agent, up
+// to Spares*4 copies in all. A younger partition stays unnamed, so a
+// later poll can still name it.
 func (r *execution) coordinate(cp *sim.Proc, work *sim.Queue[uint64], pol StragglerPolicy) {
 	if pol.Patience <= 0 {
 		pol.Patience = 500 * time.Millisecond
@@ -107,7 +108,7 @@ func (r *execution) coordinate(cp *sim.Proc, work *sim.Queue[uint64], pol Stragg
 		}
 		for _, el := range ids {
 			id := byMixed[el]
-			if id == 0 || named[id] {
+			if id == 0 || named[id] || cp.Now()-r.sent[id] < pol.Patience {
 				continue
 			}
 			named[id] = true

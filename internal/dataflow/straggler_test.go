@@ -118,13 +118,14 @@ func TestExecuteSparesRescueStragglers(t *testing.T) {
 // With healthy workers spares must stay idle and leave the makespan
 // exactly as the zero policy's: the tracker adds bookkeeping, not time.
 // Agents take 110-140ms to place and a partition here about 30-40ms, so
-// the coordinator's 150ms poll finds work still queued and its 300ms poll
-// finds the job done: it watches the run but never names a straggler.
+// the coordinator's 100ms poll finds work still queued, and its 200ms
+// poll finds the queue drained but every outstanding partition dispatched
+// less than 100ms before: it watches the run but never names a straggler.
 func TestExecuteHealthySparesMatchPlain(t *testing.T) {
 	for _, pl := range []Placement{ShipDataToCode, ShipCodeToData} {
 		ops := []Op{mapOp()}
 		plain := executeIn(t, 6, 20e6, ops, pl, 3, StragglerPolicy{})
-		spared := executeIn(t, 6, 20e6, ops, pl, 3, StragglerPolicy{Patience: 150 * time.Millisecond, Spares: 2})
+		spared := executeIn(t, 6, 20e6, ops, pl, 3, StragglerPolicy{Patience: 100 * time.Millisecond, Spares: 2})
 		if spared.Stragglers != 0 || spared.Redispatched != 0 {
 			t.Errorf("%v: healthy run re-dispatched: %+v", pl, spared)
 		}
@@ -134,5 +135,29 @@ func TestExecuteHealthySparesMatchPlain(t *testing.T) {
 		if spared.OutputBytes != plain.OutputBytes {
 			t.Errorf("%v: output bytes differ: %d vs %d", pl, spared.OutputBytes, plain.OutputBytes)
 		}
+	}
+}
+
+// A straggler is named by its age. Worker 0 runs 20× slowed and holds one
+// partition from its placement to the end of the job; the two healthy
+// workers take the other six. Each healthy partition still in flight at a
+// poll that finds the queue drained was dispatched less than Patience
+// before it, so only the slowed partition is named, and the late healthy
+// ones finish without a rescue copy. Naming every outstanding partition
+// instead rescues two of them as well.
+func TestExecuteLateDispatchNotRescued(t *testing.T) {
+	res := executeIn(t, 7, 20e6, []Op{mapOp()}, ShipDataToCode, 3, StragglerPolicy{
+		Patience: 100 * time.Millisecond,
+		Spares:   2,
+		Slow: func(w int) float64 {
+			if w == 0 {
+				return 20
+			}
+			return 1
+		},
+	})
+	if res.Stragglers != 1 || res.Redispatched != 1 {
+		t.Errorf("named %d and re-dispatched %d partitions, want only the slowed one: %+v",
+			res.Stragglers, res.Redispatched, res)
 	}
 }

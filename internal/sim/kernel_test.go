@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -270,6 +271,63 @@ func TestGoexitInBodyEndsRunAndSparesPool(t *testing.T) {
 	k.Run()
 	if !ran {
 		t.Fatal("process spawned after a Goexit never ran")
+	}
+}
+
+// TestClosedKernelIsCollected: a closed kernel leaves nothing behind that
+// keeps it reachable, whatever its processes were doing. Each case runs a
+// kernel for a second of virtual time, closes it, and checks through a
+// weak pointer that two collections reclaim it. The coroutines go back
+// to the cross-kernel pool, so one that kept its Proc would keep the
+// whole kernel alive.
+func TestClosedKernelIsCollected(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(k *Kernel)
+	}{
+		{"parked", func(k *Kernel) {
+			var never Signal
+			k.Spawn("parked", func(p *Proc) { never.Wait(p) })
+			k.RunUntil(time.Second)
+		}},
+		{"sleeping", func(k *Kernel) {
+			k.Spawn("sleeping", func(p *Proc) { p.Sleep(time.Hour) })
+			k.RunUntil(time.Second)
+		}},
+		{"stepped", func(k *Kernel) {
+			var never Signal
+			k.SpawnStep("stepped", func(p *Proc) { never.WaitStep(p, (*Proc).Exit) })
+			k.RunUntil(time.Second)
+		}},
+		{"wake-after", func(k *Kernel) {
+			k.Spawn("wake-after", func(p *Proc) {
+				p.WakeAfter(time.Hour, func(*Proc) {})
+				p.Park()
+			})
+			k.RunUntil(time.Second)
+		}},
+		{"completed", func(k *Kernel) {
+			k.Spawn("completed", func(p *Proc) { p.Sleep(time.Millisecond) })
+			k.RunUntil(time.Second)
+		}},
+		{"never-started", func(k *Kernel) {
+			k.RunUntil(time.Second)
+			k.Spawn("never-started", func(p *Proc) {})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel()
+			c.run(k)
+			k.Close()
+			wk := weak.Make(k)
+			k = nil
+			runtime.GC()
+			runtime.GC()
+			if wk.Value() != nil {
+				t.Fatal("closed kernel still reachable after two collections")
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ func TestConcurrentFlushesDoNotShareScratch(t *testing.T) {
 	// Bounded horizon: the replica's hourly gossip/flush loops never exit.
 	k.RunUntil(sim.Time(time.Minute))
 
-	if n := c.DirtyKeys(); n != 0 {
+	if n := len(c.dirty); n != 0 {
 		t.Fatalf("%d keys still dirty after concurrent flushes", n)
 	}
 	k.Spawn("probe", func(p *sim.Proc) {

@@ -67,11 +67,6 @@ type Config struct {
 	// dirty entries to the backing kvstore.
 	FlushInterval time.Duration
 
-	// SketchStaleness records staleness into a fixed-memory stats.Sketch
-	// instead of the exact recorder — million-user clusters gossip enough
-	// merges that full sample retention dominates memory.
-	SketchStaleness bool
-
 	// Reconcile switches gossip from the per-key digest exchange to
 	// invertible-Bloom-filter set reconciliation: a round ships a fixed
 	// ReconCells-cell summary and peels out exactly the disagreeing keys,
@@ -144,7 +139,7 @@ type Cluster struct {
 	replicas []*Cache                // attach order; peer picks index this slice
 	byNode   map[*netsim.Node]*Cache // at most one replica per VM node
 
-	staleness stats.Summary
+	staleness *stats.Recorder
 
 	// GB-second billing accrual, mirroring faas provisioned concurrency:
 	// bytes is the resident lattice state across replicas, accrued into
@@ -196,7 +191,7 @@ func New(name string, net *netsim.Network, store *kvstore.Store, rng *simrand.RN
 		catalog:   catalog,
 		meter:     meter,
 		byNode:    make(map[*netsim.Node]*Cache),
-		staleness: stats.NewSummary(name+"/staleness", cfg.SketchStaleness),
+		staleness: stats.NewRecorder(name + "/staleness"),
 	}
 }
 
@@ -294,15 +289,11 @@ func (cl *Cluster) Replica(node *netsim.Node) *Cache { return cl.byNode[node] }
 // Replicas reports how many replicas are attached.
 func (cl *Cluster) Replicas() int { return len(cl.replicas) }
 
-// Staleness returns the summary of anti-entropy propagation delays: one
+// Staleness returns the recorder of anti-entropy propagation delays: one
 // sample per gossip merge that changed a replica's state, measuring the
 // time from the originating write to its visibility on the merging
-// replica. Its percentiles are the cache's staleness window (exact by
-// default; bounded-error when Config.SketchStaleness is set).
-func (cl *Cluster) Staleness() stats.Summary { return cl.staleness }
-
-// CachedBytes reports the resident lattice state across all replicas.
-func (cl *Cluster) CachedBytes() int64 { return cl.bytes }
+// replica. Its exact percentiles are the cache's staleness window.
+func (cl *Cluster) Staleness() *stats.Recorder { return cl.staleness }
 
 // GossipRounds reports how many anti-entropy rounds ran to completion
 // (every leg delivered and merged). Rounds cut short by a peer detaching
@@ -638,9 +629,6 @@ func (c *Cache) PeekSet(key string) []string {
 	}
 	return nil
 }
-
-// DirtyKeys reports how many entries await the write-behind flush.
-func (c *Cache) DirtyKeys() int { return len(c.dirty) }
 
 // Preload installs a pre-converged LWW-register entry without simulated
 // latency: the setup path for experiments that start from a warmed,

@@ -184,11 +184,11 @@ func TestCacheMemoryBillsPerGBSecond(t *testing.T) {
 	})
 	f.k.RunUntil(sim.Time(time.Hour))
 	f.cl.Accrue(f.k.Now())
-	if f.cl.CachedBytes() <= 0 {
-		t.Fatalf("CachedBytes = %d, want > 0", f.cl.CachedBytes())
+	if f.cl.bytes <= 0 {
+		t.Fatalf("resident bytes = %d, want > 0", f.cl.bytes)
 	}
 	got := float64(f.meter.Cost("statecache.gbsec"))
-	want := float64(f.cl.CachedBytes()) / 1e9 * 3600 * 0.02 / 3600
+	want := float64(f.cl.bytes) / 1e9 * 3600 * 0.02 / 3600
 	if got < want*0.99 || got > want*1.01 {
 		t.Errorf("hourly memory bill = $%v, want ≈ $%v", got, want)
 	}

@@ -1,15 +1,11 @@
-// Package stats provides the latency summaries used by every experiment to
+// Package stats provides the latency recorder used by every experiment to
 // report simulated measurements (mean, percentiles, min/max), mirroring
 // how the paper reports averages over 1,000–10,000 trials.
 //
-// Two implementations of the Summary interface exist: Recorder keeps every
-// sample and computes exact percentiles (the default for calibrated
-// experiments and the reference for equivalence tests; a sample from 0 to
-// about 4.29 s is stored in 32 bits, any other in 64, in chunks of 1,024
-// samples), and Sketch holds a fixed-memory HDR-histogram-style log-linear
-// bucketing whose percentiles carry a fixed relative-error bound — the
-// summary million-user experiments use, where retaining every sample would
-// dominate memory.
+// Recorder keeps every sample and computes exact percentiles: a sample from
+// 0 to about 4.29 s is stored in 32 bits, any other in 64, in chunks of
+// 1,024 samples. Samples grow with completed requests, not with simulated
+// users, so even the million-user experiment reports exact tails.
 package stats
 
 import (
@@ -19,30 +15,8 @@ import (
 	"time"
 )
 
-// Summary is the measurement-accumulation interface experiments consume:
-// anything that can absorb duration samples and report the distribution.
-// Count, Sum and Max are exact in both implementations; Percentile is
-// exact on Recorder and bounded-relative-error on Sketch.
-type Summary interface {
-	Add(d time.Duration)
-	Count() int
-	Max() time.Duration
-	Percentile(p float64) time.Duration
-	Sum() time.Duration
-}
-
-// NewSummary returns the exact Recorder, or a Sketch when
-// sketch is set — the switch behind statecache.Config.SketchStaleness.
-func NewSummary(name string, sketch bool) Summary {
-	if sketch {
-		return NewSketch()
-	}
-	return NewRecorder(name)
-}
-
 // Recorder accumulates duration samples. The zero value is unusable; create
-// one with NewRecorder. Recorders keep every sample (experiments record at
-// most tens of thousands; larger runs use Sketch), so percentiles are
+// one with NewRecorder. Recorders keep every sample, so percentiles are
 // exact. A sample in [0, 2³²) ns, 0 to about 4.29 s, is stored in 32 bits
 // in the narrow chunk list; any other sample goes whole into the wide
 // list, so every sample stays exact and nearly all take half the bytes.
@@ -105,8 +79,6 @@ type chunkList[T sample] struct {
 	// to the last chunk, so a read after an Add re-sorts at most that one.
 	sorted int
 }
-
-var _ Summary = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder labeled name.
 func NewRecorder(name string) *Recorder {

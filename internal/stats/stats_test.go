@@ -239,6 +239,39 @@ func TestRecorderWidthEdges(t *testing.T) {
 	checkRecorderMatchesCopy(t, recorderWith(widthEdges...), widthEdges, rng)
 }
 
+// TestMeanOrderIndependent is the regression test for the Recorder.Mean
+// last-bit drift: with totals beyond 2^53 ns, a float64 running sum rounds
+// differently per Add order, so Mean could differ across permutations of
+// the same samples. Serving Mean from the exact integer sum makes it a
+// pure function of the multiset.
+func TestMeanOrderIndependent(t *testing.T) {
+	n := 2000
+	base := 3 * time.Hour // 2000 × 3h ≈ 2.2e16 ns > 2^53
+	forward := NewRecorder("fwd")
+	reverse := NewRecorder("rev")
+	shuffled := NewRecorder("shuf")
+	perm := simrand.New(3).Perm(n)
+	for i := 0; i < n; i++ {
+		forward.Add(base + time.Duration(i)*time.Microsecond)
+		reverse.Add(base + time.Duration(n-1-i)*time.Microsecond)
+		shuffled.Add(base + time.Duration(perm[i])*time.Microsecond)
+	}
+	// A sorting accessor first must not perturb Mean either.
+	_ = reverse.Median()
+	if forward.Mean() != reverse.Mean() || forward.Mean() != shuffled.Mean() {
+		t.Errorf("Mean depends on Add order: fwd %v rev %v shuf %v",
+			forward.Mean(), reverse.Mean(), shuffled.Mean())
+	}
+	if forward.Sum() != reverse.Sum() || forward.Sum() != shuffled.Sum() {
+		t.Errorf("Sum depends on Add order: fwd %v rev %v shuf %v",
+			forward.Sum(), reverse.Sum(), shuffled.Sum())
+	}
+	want := time.Duration(float64(forward.Sum()) / float64(n))
+	if forward.Mean() != want {
+		t.Errorf("Mean %v not derived from exact sum (want %v)", forward.Mean(), want)
+	}
+}
+
 // TestRecorderAddAllocatesOnce bounds what recording 10⁵ samples allocates:
 // each sample is written once into chunks that are never copied, so the
 // total is 4 bytes per sample in [0, 2³²) and 8 per other sample, plus at
