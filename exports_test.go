@@ -45,10 +45,8 @@ var unusedExports = map[string]string{
 	"internal/election.DirectTransport.Close":    driver,
 	"internal/election.Node.Restart":             driver,
 	"internal/faas.Ctx.Local":                    driver,
-	"internal/faas.Platform.ProvisionedIdle":     oracle,
 	"internal/faas.Platform.VMNodes":             oracle,
 	"internal/faas.Platform.WarmIdle":            oracle,
-	"internal/kvstore.GlobalTable.PendingWrites": oracle,
 	"internal/kvstore.Store.Len":                 oracle,
 	"internal/loadgen.Zipf.Sample":               driver,
 	"internal/mlp.Network.AccumulateGradients":   driver,

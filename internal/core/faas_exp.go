@@ -118,10 +118,11 @@ type faasScaleResult struct {
 	completed   int     // messages durably handled inside the window
 	throughput  float64 // completed / window
 	p50, p99    time.Duration
-	coldFrac    float64 // cold-started fraction of invocations
-	peak        int     // handler concurrency high-water mark
-	scaleTarget int     // autoscaler's final target (auto row only)
-	costPerHr   float64 // full metered bill extrapolated to an hour
+	coldFrac    float64   // cold-started fraction of invocations
+	peak        int       // handler concurrency high-water mark
+	scaleTarget int       // autoscaler's final target (auto row only)
+	costPerHr   float64   // full metered bill extrapolated to an hour
+	sched       sim.Sched // the kernel's schedule record; never rendered
 }
 
 // runFaaSScale measures one provisioned-concurrency level (fixed if
@@ -236,6 +237,7 @@ func runFaaSScale(seed uint64, provisioned int) faasScaleResult {
 		sim.Time(10*time.Second), func() bool { return done }) {
 		panic("faasscale did not finish")
 	}
+	res.sched = seedSched(c.K)
 	return res
 }
 

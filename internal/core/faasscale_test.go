@@ -144,6 +144,33 @@ var nonCanonicalFaaSScaleBodies = []string{
 	`null`,
 }
 
+// TestFaaSScaleSchedulePinned pins the schedule of each seed-1
+// provisioned-concurrency kernel: the hash over every consumed event's
+// (at, seq) and the number of events consumed. A change to the SQS,
+// Lambda or kvstore path that keeps these keeps the event order, even
+// where every rendered figure would hide a move.
+func TestFaaSScaleSchedulePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("faas-scale scenario in -short mode")
+	}
+	want := map[int]struct {
+		hash     uint64
+		consumed uint64
+	}{
+		0:  {0x41d22cb65a3d6a77, 77159},
+		8:  {0x938f1f86620ecd06, 78345},
+		32: {0x13d057f545a31d2d, 78480},
+		-1: {0x45faf1e03ed8d219, 78121},
+	}
+	for prov, w := range want {
+		s := runFaaSScale(1, prov).sched
+		if got := s.Dispatched + s.Handoffs; s.Hash != w.hash || got != w.consumed {
+			t.Errorf("provisioned %d: hash %#x, %d events consumed; want %#x, %d",
+				prov, s.Hash, got, w.hash, w.consumed)
+		}
+	}
+}
+
 // FuzzParseFaaSScaleMsg checks the strict message decoder against
 // encoding/json as the reference: every body parseFaaSScaleMsg accepts must
 // decode to the same message under json.Unmarshal, and every body

@@ -63,6 +63,7 @@ type stateCacheResult struct {
 	staleP99   time.Duration // gossip staleness window (cached only)
 	gossipPer  int64         // gossip bytes per completed round (cached only)
 	stateCost  float64       // state-tier $/hr: DDB units + cache GB-s
+	sched      sim.Sched     // the kernel's schedule record; never rendered
 }
 
 // stateCacheKey holds the shared counter key for each slot, rendered once
@@ -216,6 +217,7 @@ func runStateCache(seed uint64, workers int, interval time.Duration, cached bool
 		p50:        rec.Percentile(50),
 		p99:        rec.Percentile(99),
 		stateCost:  stateCost / stateCacheWindow.Hours(),
+		sched:      seedSched(c.K),
 	}
 	if cl != nil {
 		res.label = "cached"

@@ -56,3 +56,32 @@ func TestStateCacheStalenessTracksGossipInterval(t *testing.T) {
 			fast.staleP99, slow.staleP99)
 	}
 }
+
+// TestStateCacheSchedulePinned pins the schedule of each seed-1 grid
+// kernel, as TestFaaSScaleSchedulePinned does: the hash over every
+// consumed event's (at, seq) and the number of events consumed.
+func TestStateCacheSchedulePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statecache sweep in -short mode")
+	}
+	for _, c := range []struct {
+		workers  int
+		interval time.Duration
+		cached   bool
+		hash     uint64
+		consumed uint64
+	}{
+		{4, 0, false, 0x9d0d63d93ec942e1, 19376},
+		{2, 200 * time.Millisecond, true, 0x4538f9c37cd095f6, 23605},
+		{4, 200 * time.Millisecond, true, 0x7ace41c5f2776494, 45952},
+		{8, 200 * time.Millisecond, true, 0x1f5a42f0291dbfea, 93697},
+		{4, 50 * time.Millisecond, true, 0xdf3500e462f95b2f, 51910},
+		{4, time.Second, true, 0x22dfabe369ef4a9f, 44400},
+	} {
+		s := runStateCache(1, c.workers, c.interval, c.cached).sched
+		if got := s.Dispatched + s.Handoffs; s.Hash != c.hash || got != c.consumed {
+			t.Errorf("%d workers, gossip %v, cached %v: hash %#x, %d events consumed; want %#x, %d",
+				c.workers, c.interval, c.cached, s.Hash, got, c.hash, c.consumed)
+		}
+	}
+}

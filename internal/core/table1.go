@@ -23,6 +23,15 @@ func runKernelUntil(k *sim.Kernel, horizon, step sim.Time, cond func() bool) boo
 	return cond()
 }
 
+// seedSched returns k's schedule record without its coroutine-pool misses,
+// which depend on what ran before and alongside k, never on the seed: a
+// result holding it compares equal across runs of one seed.
+func seedSched(k *sim.Kernel) sim.Sched {
+	s := k.Sched()
+	s.Coroutines = 0
+	return s
+}
+
 // RunTable1 regenerates Table 1: the mean latency of "communicating" 1KB
 // six different ways, plus the compared-to-best ratio row. Trial counts
 // match the paper: 1,000 invocations, 5,000 storage I/O pairs, 10,000

@@ -200,7 +200,7 @@ func TestAutoscalerTracksLoad(t *testing.T) {
 		if asc.Target() != 20 {
 			t.Errorf("target after first burst = %d, want 20", asc.Target())
 		}
-		if got := f.pf.ProvisionedIdle("f"); got != 20 {
+		if got := provisionedIdle(f.pf, "f"); got != 20 {
 			t.Errorf("provisioned idle = %d, want 20", got)
 		}
 		burst(p) // same load, now absorbed by the provisioned pool
@@ -242,7 +242,7 @@ func TestAutoscalerMinFloor(t *testing.T) {
 	if asc.Target() != 2 {
 		t.Errorf("idle target = %d, want Min 2", asc.Target())
 	}
-	if got := f.pf.ProvisionedIdle("f"); got != 2 {
+	if got := provisionedIdle(f.pf, "f"); got != 2 {
 		t.Errorf("provisioned idle = %d, want 2", got)
 	}
 	asc.Stop()

@@ -76,9 +76,12 @@ func (e *EventSourceMapping) Stop() { e.stop.Stop() }
 func (e *EventSourceMapping) run(p *sim.Proc) {
 	// Reused across the poller's batches.
 	var payload []byte
-	var receipts []string
+	receipts := make([]string, 0, e.batchSize)
 	msgs := make([]queue.Message, 0, e.batchSize)
 	for !e.stop.Stopped() {
+		// The last batch's messages go before the poll: their bodies
+		// share a queue block, which an idle poller must not pin.
+		clear(msgs)
 		// Idle polls repeat inside PollUntil without resuming the poller.
 		var err error
 		msgs, err = e.q.PollUntil(p, e.pf.ctlNode, msgs[:0], e.batchSize, e.idleWait, &e.stop)

@@ -72,18 +72,6 @@ func (pf *Platform) RetireProvisioned(name string, n int) int {
 	return removed
 }
 
-// ProvisionedIdle reports how many provisioned containers are currently
-// idle for the named function (test/observability hook).
-func (pf *Platform) ProvisionedIdle(name string) int {
-	n := 0
-	for _, c := range pf.idle[name] {
-		if c.provisioned {
-			n++
-		}
-	}
-	return n
-}
-
 // AccrueProvisioned settles provisioned-concurrency charges up to now.
 // The platform calls it on every allocation change; experiments call it
 // once before reading the meter so charges cover the full run.

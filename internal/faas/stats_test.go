@@ -73,8 +73,8 @@ func TestProvisionedConcurrencyEliminatesColdStarts(t *testing.T) {
 			t.Errorf("provision: %v", err)
 			return
 		}
-		if got := f.pf.ProvisionedIdle("hot"); got != 3 {
-			t.Errorf("ProvisionedIdle = %d, want 3", got)
+		if got := provisionedIdle(f.pf, "hot"); got != 3 {
+			t.Errorf("provisionedIdle = %d, want 3", got)
 		}
 		// Idle far beyond WarmTTL: provisioned containers must survive.
 		p.Sleep(time.Hour)
@@ -106,4 +106,16 @@ func TestProvisionInvalidCount(t *testing.T) {
 		}
 	})
 	f.k.Run()
+}
+
+// provisionedIdle reports how many provisioned containers are currently
+// idle for the named function.
+func provisionedIdle(pf *Platform, name string) int {
+	n := 0
+	for _, c := range pf.idle[name] {
+		if c.provisioned {
+			n++
+		}
+	}
+	return n
 }

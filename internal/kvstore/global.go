@@ -190,16 +190,6 @@ func (gt *GlobalTable) StoreIn(region int) *Store {
 	return nil
 }
 
-// PendingWrites reports how many deduplicated writes are queued for
-// cross-region shipping (all source/destination pairs).
-func (gt *GlobalTable) PendingWrites() int {
-	n := 0
-	for _, m := range gt.pending {
-		n += len(m)
-	}
-	return n
-}
-
 // Replicated reports how many writes have been applied cross-region.
 func (gt *GlobalTable) Replicated() int64 { return gt.replicated }
 

@@ -99,10 +99,11 @@ func DefaultConfig() Config {
 }
 
 // record is one stored key's state; the key itself is the map key. An
-// overwrite updates the record in place, so a write allocates at most its
-// value copy. Readers therefore copy what they return out of the record
-// (as Get, eventualView and Scan do) and must never hold a *record across
-// a park: a write that runs meanwhile would change it under them.
+// overwrite updates the record in place, and its value copy takes a share
+// of a value block, so a write allocates only when a block fills. Readers
+// therefore copy what they return out of the record (as Get, eventualView
+// and Scan do) and must never hold a *record across a park: a write that
+// runs meanwhile would change it under them.
 type record struct {
 	value   []byte
 	version int64 // 1 on a first write, and on a rewrite after Delete
@@ -117,8 +118,12 @@ type record struct {
 	originSrc int
 }
 
-// slabRecords is how many records one slab chunk holds.
-const slabRecords = 128
+// slabRecords is how many records one slab chunk holds, and
+// valueBlockBytes the size of one block of value copies.
+const (
+	slabRecords     = 128
+	valueBlockBytes = 4096
+)
 
 // shard is one hash partition: a front end plus its slice of the key space.
 type shard struct {
@@ -126,7 +131,9 @@ type shard struct {
 	items map[string]*record
 	slab  []record // unused records of the current chunk
 	// last is the value copy install made most recently; a write of
-	// equal bytes shares it instead of copying again.
+	// equal bytes shares it instead of copying again. Its spare capacity
+	// is the unused tail of the value block it was copied into, where the
+	// next copy goes, so one field holds both and a shard stays 64 bytes.
 	last []byte
 }
 
@@ -139,6 +146,29 @@ func (sh *shard) newRecord() *record {
 	rec := &sh.slab[0]
 	sh.slab = sh.slab[1:]
 	return rec
+}
+
+// copyValue makes a copy of value the shard's last copy, placed in the
+// value block right behind the previous one. A full block is replaced,
+// never reused. A copy made while the shard has none, such as its first,
+// often its only one (five experiments write one constant value to every
+// key), gets a block of its own size; later ones share 4 KB blocks, and a
+// value larger than a block gets a block of its own size. An empty value
+// is nil.
+func (sh *shard) copyValue(value []byte) {
+	n := len(value)
+	if n == 0 {
+		sh.last = nil
+		return
+	}
+	if cap(sh.last)-len(sh.last) < n {
+		block := max(valueBlockBytes, n)
+		if sh.last == nil {
+			block = n
+		}
+		sh.last = make([]byte, 0, block)
+	}
+	sh.last = append(sh.last[len(sh.last):], value...)
 }
 
 // Store is a simulated key-value table, split over one or more shards.
@@ -307,14 +337,16 @@ func (s *Store) write(p *sim.Proc, caller *netsim.Node, key string,
 // install stores value as key's next version: in place over rec, which
 // keeps the value it replaces as prev, or in a fresh slab record when rec
 // is nil. A value equal to the shard's last copy shares that copy;
-// anything else is copied, the write's one allocation, and becomes the
-// last copy. Stored values are immutable, never written over or reused
-// for other bytes, so an Item handed out earlier keeps its bytes.
+// anything else is copied into the shard's value block and becomes the
+// last copy. The record holds the copy capped at its length, so an
+// append to an Item's Value reallocates instead of writing over the next
+// copy. Stored values are immutable, never written over or reused for
+// other bytes, so an Item handed out earlier keeps its bytes.
 func (sh *shard) install(key string, rec *record, value []byte, now, origin sim.Time, originSrc int) *record {
 	if !bytes.Equal(value, sh.last) {
-		sh.last = append([]byte(nil), value...)
+		sh.copyValue(value)
 	}
-	v := sh.last
+	v := slices.Clip(sh.last)
 	if rec == nil {
 		rec = sh.newRecord()
 		*rec = record{value: v, version: 1}

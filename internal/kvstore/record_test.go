@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -265,11 +266,63 @@ func TestEmptyValueReadsBackNil(t *testing.T) {
 	f.k.Run()
 }
 
+// TestValuesSurviveBlockRollover: values are copied into shared blocks.
+// Distinct values of many sizes, one larger than a whole block, fill and
+// replace several blocks. Every Item handed out must keep its bytes after
+// every later write, each stored value must end at its own length, and an
+// append to one Item's Value must leave every other value as it was.
+func TestValuesSurviveBlockRollover(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ShardCount = 2
+	f := newFixture(t, cfg)
+	f.k.Spawn("c", func(p *sim.Proc) {
+		type held struct {
+			it   Item
+			want string
+		}
+		var items []held
+		check := func(when string) {
+			t.Helper()
+			for _, h := range items {
+				if string(h.it.Value) != h.want {
+					t.Fatalf("%s: item %s v%d reads %.40q (%d bytes), want %.40q (%d bytes)",
+						when, h.it.Key, h.it.Version, h.it.Value, len(h.it.Value), h.want, len(h.want))
+				}
+			}
+		}
+		for i := 0; i < 300; i++ {
+			key := fmt.Sprintf("k%d", i%7)
+			value := fmt.Sprintf("%d:", i) + strings.Repeat("v", i%97)
+			if i == 150 {
+				value = strings.Repeat("L", valueBlockBytes+100)
+			}
+			it := f.mustPut(t, p, key, value)
+			if len(it.Value) != cap(it.Value) {
+				t.Fatalf("write %d: value of %d bytes has capacity %d", i, len(it.Value), cap(it.Value))
+			}
+			items = append(items, held{it, value})
+			got, err := f.store.Get(p, f.caller, key, true)
+			if err != nil {
+				t.Fatalf("Get(%q): %v", key, err)
+			}
+			items = append(items, held{got, value})
+			// The value written before this one lies next to it in
+			// its block unless the block was replaced in between.
+			if i > 0 {
+				_ = append(items[len(items)-3].it.Value, "appended"...)
+			}
+			check(fmt.Sprintf("after write %d", i))
+		}
+	})
+	f.k.Run()
+}
+
 // BenchmarkPutOverwrite is one 256 B overwrite of a warm key per op on a
 // 4-shard table with every latency zero. Each shard's writes alternate
 // between two distinct values, so every write misses the shard's last
-// copy: the record is updated in place, and the value copy is the write's
-// only allocation.
+// copy: the record is updated in place, and the value copy takes a share
+// of the shard's value block, so a write allocates nothing but one 4 KB
+// block per 16 writes to its shard.
 func BenchmarkPutOverwrite(b *testing.B) {
 	values := [2][]byte{make([]byte, 256), make([]byte, 256)}
 	values[1][0] = 1

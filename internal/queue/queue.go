@@ -115,12 +115,14 @@ type Queue struct {
 	hidden     sim.Ring[visEntry] // deliveries in receipt order; the head is live
 	vis        *sim.Timer         // armed at the head's deadline
 	free       []*stored          // acknowledged records awaiting reuse
+	slab       []stored           // unused records of the current chunk
 	// waiters holds the long polls waiting for a message, oldest first.
 	// It is compacted in place, never resliced from the front, so its
 	// backing array is reused.
 	waiters  []*recvTrip
 	trips    []*recvTrip     // recycled long-poll records
 	ids      strings.Builder // current block of IDs and receipts
+	bodies   []byte          // current block of message bodies
 	nextID   int64
 	nextRcpt int64
 
@@ -209,8 +211,17 @@ func (s *PollStop) dequeue(p *sim.Proc) {
 	}
 }
 
-// idBlockBytes is the size of one block of ID and receipt bytes.
-const idBlockBytes = 4096
+// idBlockBytes is the size of one block of ID and receipt bytes, and
+// bodyBlockBytes of one block of message bodies.
+const (
+	idBlockBytes   = 4096
+	bodyBlockBytes = 4096
+)
+
+// slabMessages is how many message records one slab chunk holds: 16
+// records fill the 1,152-byte size class exactly, small enough for a
+// queue that carries a handful of messages.
+const slabMessages = 16
 
 // formatID renders prefix-n, the form of message IDs and receipt handles,
 // into the queue's current ID block and returns it as a substring of the
@@ -230,6 +241,25 @@ func (q *Queue) formatID(prefix string, n int64) string {
 	q.ids.WriteByte('-')
 	q.ids.Write(digits)
 	return q.ids.String()[start:]
+}
+
+// copyBody copies a message body into the queue's current body block, the
+// way formatID places IDs, and returns it capped at its length, so a
+// receiver's append reallocates instead of writing over the next body. A
+// full block is replaced, never reused, so a delivered Message.Body keeps
+// its bytes, and a body larger than a block gets a block of its own size.
+// An empty body is nil.
+func (q *Queue) copyBody(body []byte) []byte {
+	n := len(body)
+	if n == 0 {
+		return nil
+	}
+	if cap(q.bodies)-len(q.bodies) < n {
+		q.bodies = make([]byte, 0, max(bodyBlockBytes, n))
+	}
+	start := len(q.bodies)
+	q.bodies = append(q.bodies, body...)
+	return q.bodies[start:len(q.bodies):len(q.bodies)]
 }
 
 // Depth reports the number of immediately receivable messages. No
@@ -300,8 +330,9 @@ func (q *Queue) admit(p *sim.Proc, caller *netsim.Node, bodies ...[]byte) error 
 
 // enqueue stores a copy of body as a new receivable message and returns its
 // ID. The caller wakes long pollers once the whole request is enqueued.
-// The message record is recycled from an acknowledged one when it can be;
-// the body never is, because received Messages alias it.
+// The message record is recycled from an acknowledged one when it can be,
+// and otherwise carved out of the queue's slab; the body's bytes never
+// are reused, because received Messages alias them.
 func (q *Queue) enqueue(body []byte) string {
 	q.nextID++
 	var m *stored
@@ -309,10 +340,14 @@ func (q *Queue) enqueue(body []byte) string {
 		m = q.free[n-1]
 		q.free = q.free[:n-1]
 	} else {
-		m = &stored{}
+		if len(q.slab) == 0 {
+			q.slab = make([]stored, slabMessages)
+		}
+		m = &q.slab[0]
+		q.slab = q.slab[1:]
 	}
 	m.id = q.formatID(q.name, q.nextID)
-	m.body = append([]byte(nil), body...)
+	m.body = q.copyBody(body)
 	q.available.Push(m)
 	return m.id
 }

@@ -507,8 +507,9 @@ func BenchmarkQueueEmptyLongPoll(b *testing.B) {
 
 // BenchmarkQueueMessageCycle is one Send + Receive + DeleteBatch per op,
 // the event-source mapping's steady state with a one-message batch: the
-// receive appends into a reused buffer, so the body copy is the cycle's
-// one allocation.
+// receive appends into a reused buffer, the message record is recycled,
+// and the body, ID and receipt each take a share of a 4 KB block, so a
+// cycle allocates nothing but its share of those blocks.
 func BenchmarkQueueMessageCycle(b *testing.B) {
 	f := newFixture(b, 30*time.Second)
 	body := make([]byte, 32)
@@ -786,6 +787,82 @@ func TestIDsAndReceiptsSurviveBlockRollover(t *testing.T) {
 		}
 	}
 	check("after both queues ran")
+}
+
+// TestBodiesSurviveBlockRollover: message bodies are copied into shared
+// blocks. Bodies of many sizes, one larger than a whole block, fill and
+// replace several blocks. Every received body must keep its bytes after
+// every later send and receive, each must end at its own length, an
+// append to one must leave every other body as it was, and an empty body
+// must arrive as nil.
+func TestBodiesSurviveBlockRollover(t *testing.T) {
+	f := newInstantFixture(t, time.Minute)
+	type held struct {
+		m    Message
+		want string
+	}
+	var kept []held
+	check := func(when string) {
+		t.Helper()
+		for _, h := range kept {
+			if string(h.m.Body) != h.want {
+				t.Fatalf("%s: message %s reads %.40q (%d bytes), want %.40q (%d bytes)",
+					when, h.m.ID, h.m.Body, len(h.m.Body), h.want, len(h.want))
+			}
+		}
+	}
+	f.k.Spawn("c", func(p *sim.Proc) {
+		want := make(map[string]string) // message ID -> body
+		sent := 0
+		for round := 0; round < 60; round++ {
+			bodies := make([][]byte, MaxBatch)
+			for i := range bodies {
+				body := fmt.Sprintf("%d:", sent) + strings.Repeat("b", sent%97)
+				switch sent {
+				case 0, 333:
+					body = ""
+				case 300:
+					body = strings.Repeat("L", bodyBlockBytes+100)
+				}
+				bodies[i] = []byte(body)
+				sent++
+			}
+			ids, err := f.q.SendBatch(p, f.caller, bodies)
+			if err != nil {
+				t.Fatalf("SendBatch: %v", err)
+			}
+			for i, id := range ids {
+				want[id] = string(bodies[i])
+			}
+			msgs, err := f.q.Receive(p, f.caller, nil, MaxBatch, 0)
+			if err != nil || len(msgs) != MaxBatch {
+				t.Fatalf("Receive: %d messages, err %v", len(msgs), err)
+			}
+			receipts := make([]string, len(msgs))
+			for i, m := range msgs {
+				if len(m.Body) != cap(m.Body) {
+					t.Fatalf("message %s: body of %d bytes has capacity %d", m.ID, len(m.Body), cap(m.Body))
+				}
+				if want[m.ID] == "" && m.Body != nil {
+					t.Fatalf("message %s: empty body arrived as %#v, want nil", m.ID, m.Body)
+				}
+				kept = append(kept, held{m, want[m.ID]})
+				receipts[i] = m.Receipt
+			}
+			for _, m := range msgs {
+				_ = append(m.Body, "appended"...)
+			}
+			if err := f.q.DeleteBatch(p, f.caller, receipts); err != nil {
+				t.Fatalf("DeleteBatch: %v", err)
+			}
+			check(fmt.Sprintf("round %d", round))
+		}
+	})
+	f.k.Run()
+	if len(kept) != 600 {
+		t.Fatalf("received %d messages, want 600", len(kept))
+	}
+	check("after the run")
 }
 
 // BenchmarkQueueContendedLongPoll is eight empty-bodied Sends per op, 10
